@@ -533,7 +533,7 @@ func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
 					b.ReportMetric(res.CollapseRate(), "collapse-rate")
-					b.ReportMetric(res.EmuMIPS(), "emu-mips")
+					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}
 		})
@@ -559,7 +559,7 @@ func BenchmarkSWFI_CNNCampaign(b *testing.B) {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
 					b.ReportMetric(res.CollapseRate(), "collapse-rate")
-					b.ReportMetric(res.EmuMIPS(), "emu-mips")
+					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}
 		})

@@ -85,12 +85,7 @@ func main() {
 
 	fmt.Println("\n== Campaign engine accounting (pruned/collapsed faults, replay speedup) ==")
 	for _, e := range evals {
-		printEngineRow(e.Name,
-			e.BitFlip.PrunedFaults+e.Syndrome.PrunedFaults,
-			e.BitFlip.CollapsedFaults+e.Syndrome.CollapsedFaults,
-			e.BitFlip.Tally.Injections+e.Syndrome.Tally.Injections,
-			e.BitFlip.SimInstrs+e.Syndrome.SimInstrs,
-			e.BitFlip.SkippedInstrs+e.Syndrome.SkippedInstrs)
+		printEngineRow(e.Name, e.BitFlip.Counters, e.Syndrome.Counters)
 		if reason := e.BitFlip.NoReconvergeReason; reason != "" {
 			fmt.Printf("             note: %s\n", reason)
 		}
@@ -112,12 +107,7 @@ func main() {
 		fmt.Printf("  %-10s PVF flip/syn/tile = %.3f/%.3f/%.3f  critical share %.0f%%/%.0f%%/%.0f%%\n",
 			c.Name, c.BitFlip.PVF(), c.Syndrome.PVF(), c.Tile.PVF(),
 			100*c.BitFlip.CriticalShare(), 100*c.Syndrome.CriticalShare(), 100*c.Tile.CriticalShare())
-		printEngineRow(c.Name,
-			c.BitFlip.PrunedFaults+c.Syndrome.PrunedFaults+c.Tile.PrunedFaults,
-			c.BitFlip.CollapsedFaults+c.Syndrome.CollapsedFaults+c.Tile.CollapsedFaults,
-			c.BitFlip.Tally.Injections+c.Syndrome.Tally.Injections+c.Tile.Tally.Injections,
-			c.BitFlip.SimInstrs+c.Syndrome.SimInstrs+c.Tile.SimInstrs,
-			c.BitFlip.SkippedInstrs+c.Syndrome.SkippedInstrs+c.Tile.SkippedInstrs)
+		printEngineRow(c.Name, c.BitFlip.Counters, c.Syndrome.Counters, c.Tile.Counters)
 	}
 
 	cm, err := gpufi.MeasureCost(apps.NewMxM(64))
@@ -128,19 +118,15 @@ func main() {
 	fmt.Printf("  %s\n", cm.Compare(48000))
 }
 
-// printEngineRow renders one campaign-engine accounting row: the share of
-// injections resolved by dead-site pruning and equivalence collapsing,
-// and the effective replay speedup of the rest.
-func printEngineRow(name string, pruned, collapsed uint64, injections int, sim, skipped uint64) {
-	speedup := float64(0)
-	if sim > 0 {
-		speedup = float64(sim+skipped) / float64(sim)
-	}
-	var pruneRate, collapseRate float64
-	if injections > 0 {
-		pruneRate = float64(pruned) / float64(injections)
-		collapseRate = float64(collapsed) / float64(injections)
+// printEngineRow renders one campaign-engine accounting row over a
+// subject's campaigns: the share of injections resolved by dead-site
+// pruning and equivalence collapsing, and the effective replay speedup of
+// the rest.
+func printEngineRow(name string, campaigns ...swfi.Counters) {
+	var c swfi.Counters
+	for _, o := range campaigns {
+		c.Merge(o)
 	}
 	fmt.Printf("  %-10s pruned=%d (%.1f%%) collapsed=%d (%.1f%%) replay speedup %.2fx\n",
-		name, pruned, 100*pruneRate, collapsed, 100*collapseRate, speedup)
+		name, c.PrunedFaults, 100*c.PruneRate(), c.CollapsedFaults, 100*c.CollapseRate(), c.FFSpeedup())
 }

@@ -103,14 +103,19 @@ func main() {
 		}
 	}
 	tel := char.Telemetry()
-	log.Printf("engine: %d injections, %d cycles simulated, %d skipped, %d dead-pruned, %d collapsed, %d marched in %d marches (prune rate %.1f%%, collapse rate %.1f%%, vector rate %.1f%%, lane occupancy %.1f%%, replay speedup %.1fx)",
-		tel.Injections, tel.SimCycles, tel.SkippedCycles, tel.PrunedFaults, tel.CollapsedFaults,
-		tel.VectorFaults, tel.Marches,
-		100*tel.PruneRate(), 100*tel.CollapseRate(), 100*tel.VectorRate(), 100*tel.LaneOccupancy(), tel.ReplaySpeedup())
+	log.Printf("engine: %d injections, %s", tel.Injections, engineLine(tel))
 	if err := gpufi.SaveDB(char.DB, *out); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s (%d entries, %d t-MxM pools)", *out, len(char.DB.Entries), len(char.DB.TMXM))
+}
+
+// engineLine renders the campaign engine's accounting: how the faults
+// were resolved, and the rates and replay speedup that follow.
+func engineLine(c rtlfi.Counters) string {
+	return fmt.Sprintf("%d cycles simulated, %d skipped, %d dead-pruned, %d collapsed, %d marched in %d marches (prune rate %.1f%%, collapse rate %.1f%%, vector rate %.1f%%, lane occupancy %.1f%%, replay speedup %.1fx)",
+		c.SimCycles, c.SkippedCycles, c.PrunedFaults, c.CollapsedFaults, c.VectorFaults, c.Marches,
+		100*c.PruneRate(), 100*c.CollapseRate(), 100*c.VectorRate(), 100*c.LaneOccupancy(), c.ReplaySpeedup())
 }
 
 // progressMax raises *v to at least n (progress callbacks may arrive out
@@ -162,10 +167,7 @@ func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int
 		t.Maskeds, t.SDCs(), t.SDCSingle, t.SDCMulti, t.DUEs)
 	fmt.Printf("  AVF: SDC %.3f%%  DUE %.3f%%  avg corrupted threads %.1f\n",
 		100*t.AVFSDC(), 100*t.AVFDUE(), t.AvgThreads())
-	fmt.Printf("  engine: %d cycles simulated, %d skipped, %d dead-pruned, %d collapsed, %d marched in %d marches (prune rate %.1f%%, collapse rate %.1f%%, vector rate %.1f%%, lane occupancy %.1f%%, replay speedup %.1fx)\n",
-		res.SimCycles, res.SkippedCycles, res.PrunedFaults, res.CollapsedFaults,
-		res.VectorFaults, res.Marches,
-		100*res.PruneRate(), 100*res.CollapseRate(), 100*res.VectorRate(), 100*res.LaneOccupancy(), res.ReplaySpeedup())
+	fmt.Printf("  engine: %s\n", engineLine(res.Counters))
 	if e.Fit != nil {
 		fmt.Printf("  syndrome power law: alpha=%.3f xmin=%.3g KS=%.3f (median %.3g, avg bits %.1f)\n",
 			e.Fit.Alpha, e.Fit.Xmin, e.Fit.KS, e.Median, e.AvgBits)

@@ -33,6 +33,7 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"gpufi"
 	"gpufi/internal/swfi"
@@ -117,9 +118,7 @@ func main() {
 		if res.NoReconvergeReason != "" {
 			log.Printf("%s: %s", w.Name, res.NoReconvergeReason)
 		}
-		logEngine(w.Name, res.SimInstrs, res.SkippedInstrs,
-			res.PrunedFaults, res.CollapsedFaults, res.PruneRate(), res.CollapseRate(),
-			res.EmuMIPS(), res.EffectiveMIPS())
+		logEngine(w.Name, res.Counters, res.Elapsed)
 		lo, hi := res.PVFCI()
 		t := res.Tally
 		fmt.Printf("%-10s %-26s PVF=%.3f [%.3f, %.3f]  (masked %d, SDC %d, DUE %d)\n",
@@ -132,16 +131,13 @@ func main() {
 // the effective replay speedup of what remained, and the interpreter
 // throughput (emulated MIPS over interpreted instructions; effective
 // MIPS also credits the fast-forward-skipped ones).
-func logEngine(name string, sim, skipped, pruned, collapsed uint64, pruneRate, collapseRate, emuMIPS, effMIPS float64) {
-	if sim == 0 && skipped == 0 {
+func logEngine(name string, c swfi.Counters, elapsed time.Duration) {
+	if c.SimInstrs == 0 && c.SkippedInstrs == 0 {
 		return // NoFastForward: the engine ran plainly, nothing to report
 	}
-	speedup := float64(0)
-	if sim > 0 {
-		speedup = float64(sim+skipped) / float64(sim)
-	}
 	log.Printf("%s: engine pruned %d (%.1f%%), collapsed %d (%.1f%%), replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
-		name, pruned, 100*pruneRate, collapsed, 100*collapseRate, speedup, sim, skipped, emuMIPS, effMIPS)
+		name, c.PrunedFaults, 100*c.PruneRate(), c.CollapsedFaults, 100*c.CollapseRate(), c.FFSpeedup(),
+		c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
 }
 
 // startProfiles starts CPU profiling and arranges a heap profile, both
@@ -230,9 +226,7 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 		}
 		log.Fatal(err)
 	}
-	logEngine(name, res.SimInstrs, res.SkippedInstrs,
-		res.PrunedFaults, res.CollapsedFaults, res.PruneRate(), res.CollapseRate(),
-		res.EmuMIPS(), res.EffectiveMIPS())
+	logEngine(name, res.Counters, res.Elapsed)
 	t := res.Tally
 	fmt.Printf("%-10s %-26s PVF=%.3f  critical SDCs %d/%d (%.1f%%)  (masked %d, DUE %d)\n",
 		name, cm, res.PVF(), res.CriticalSDC, t.SDCs(), 100*res.CriticalShare(), t.Maskeds, t.DUEs)

@@ -1,0 +1,207 @@
+package campaign
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// always is a worker whose every job completes with its own index.
+func always(int) func(int) (int, bool) {
+	return func(i int) (int, bool) { return i, true }
+}
+
+// TestStripesAndJobOrder: worker w runs exactly the jobs i ≡ w (mod
+// workers), in ascending order, and the outputs come back in job order
+// whatever the worker count.
+func TestStripesAndJobOrder(t *testing.T) {
+	const n = 101
+	var want []int
+	for _, workers := range []int{1, 2, 3, 7, 200} {
+		ran := make([][]int, workers)
+		outs, completed, err := Run(context.Background(), n, workers, nil, func(w int) func(int) (int, bool) {
+			return func(i int) (int, bool) {
+				ran[w] = append(ran[w], i)
+				return i * i, true
+			}
+		})
+		if err != nil || completed != n {
+			t.Fatalf("workers=%d: completed %d/%d, err %v", workers, completed, n, err)
+		}
+		for w, is := range ran {
+			for k, i := range is {
+				if i != w+k*workers {
+					t.Fatalf("workers=%d: worker %d ran job %d at position %d, want %d", workers, w, i, k, w+k*workers)
+				}
+			}
+		}
+		if want == nil {
+			want = outs
+		} else if !reflect.DeepEqual(outs, want) {
+			t.Fatalf("workers=%d: outputs differ from workers=1", workers)
+		}
+	}
+	for i, v := range want {
+		if v != i*i {
+			t.Fatalf("slot %d holds %d, want job %d's output %d", i, v, i, i*i)
+		}
+	}
+}
+
+// TestProgressThrottled: progress is delivered about once per 1/1000th
+// of the campaign — per-job delivery measurably perturbs dense campaigns
+// when the callback crosses a goroutine or process boundary — and the
+// final call always reports (total, total) so consumers can detect
+// completion without counting.
+func TestProgressThrottled(t *testing.T) {
+	const n = 5000
+	var (
+		mu       sync.Mutex
+		calls    int
+		sawFinal bool
+	)
+	_, completed, err := Run(context.Background(), n, 4, func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if total != n {
+			t.Errorf("progress total = %d, want %d", total, n)
+		}
+		if done < 1 || done > total {
+			t.Errorf("progress done = %d outside [1, %d]", done, total)
+		}
+		if done == total {
+			sawFinal = true
+		}
+	}, always)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if completed != n {
+		t.Fatalf("campaign completed %d jobs, want %d", completed, n)
+	}
+	if !sawFinal {
+		t.Error("final (total, total) progress call never arrived")
+	}
+	// granule = total/1000, so at most total/granule + 1 calls; allow a
+	// little headroom but fail hard on anything near per-job delivery.
+	if max := n/(n/1000) + 10; calls > max {
+		t.Errorf("progress fired %d times for %d jobs, want <= %d (throttled)", calls, n, max)
+	}
+	if calls == 0 {
+		t.Error("progress never fired")
+	}
+
+	// A campaign smaller than the granule still reports every job.
+	calls = 0
+	if _, _, err := Run(context.Background(), 7, 2, func(int, int) { mu.Lock(); calls++; mu.Unlock() }, always); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 7 {
+		t.Errorf("small campaign: %d progress calls, want 7", calls)
+	}
+}
+
+// TestCancelAfterCompletionKeepsResult: cancellation landing between the
+// last job and Run's return must not void a campaign in which every job
+// completed.
+func TestCancelAfterCompletionKeepsResult(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 60
+	_, completed, err := Run(ctx, n, 3, func(done, total int) {
+		if done == total {
+			cancel()
+		}
+	}, always)
+	if err != nil {
+		t.Fatalf("completed campaign discarded: %v", err)
+	}
+	if completed != n {
+		t.Fatalf("completed = %d, want %d", completed, n)
+	}
+}
+
+// TestCancelMidCampaignStillErrors: the completion carve-out must not
+// swallow genuine mid-campaign cancellation; workers stop at the next job
+// boundary.
+func TestCancelMidCampaignStillErrors(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 500
+	_, completed, err := Run(ctx, n, 2, func(done, total int) {
+		if done == 5 {
+			cancel()
+		}
+	}, always)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned err %v", err)
+	}
+	// The cancelling worker stops at its next job boundary, so its stripe
+	// is left unfinished however far the other one got.
+	if completed < 5 || completed >= n {
+		t.Fatalf("completed = %d of %d after cancelling at 5", completed, n)
+	}
+}
+
+// TestMemoCancelledWaitIsNotACompletion: a class member whose wait on an
+// unpublished representative is cancelled reports no outcome, so it is
+// neither tallied nor counted — even when the representative goes on to
+// publish — and the campaign returns ctx.Err(). Two workers, two jobs:
+// job 0 is the representative, blocked on release; job 1 its member.
+func TestMemoCancelledWaitIsNotACompletion(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	memo := NewMemo[string](0)
+	waiting := make(chan struct{})
+	gaveUp := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		<-waiting
+		cancel()
+		<-gaveUp
+		close(release)
+	}()
+	const n = 2
+	outs, completed, err := Run(ctx, n, n, nil, func(int) func(int) (string, bool) {
+		return func(i int) (string, bool) {
+			if i == memo.Rep {
+				<-release
+				memo.Publish("sdc")
+				return "sdc", true
+			}
+			close(waiting)
+			v, ok := memo.Wait(ctx)
+			close(gaveUp)
+			return v, ok
+		}
+	})
+	if completed >= n {
+		t.Fatalf("completed = %d: the cancelled member was counted", completed)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign returned err %v, want context.Canceled", err)
+	}
+	if outs[1] != "" {
+		t.Fatalf("cancelled member left an output %q", outs[1])
+	}
+}
+
+// TestMemoPublishedBeatsCancel: once the representative has published, a
+// member completes with its outcome even if ctx is already cancelled — a
+// campaign whose last member resolved must count as complete.
+func TestMemoPublishedBeatsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	memo := NewMemo[string](0)
+	memo.Publish("sdc")
+	// select picks at random among ready cases; a single lucky draw must
+	// not pass the test.
+	for try := 0; try < 200; try++ {
+		if v, ok := memo.Wait(ctx); !ok || v != "sdc" {
+			t.Fatalf("try %d: Wait = (%q, %v), want the published outcome", try, v, ok)
+		}
+	}
+}

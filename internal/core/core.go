@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"gpufi/internal/apps"
@@ -156,108 +155,16 @@ func (r *UnitResult) Tally() faults.Tally {
 	return r.TMXM.Tally
 }
 
-// Telemetry is the RTL campaign engine's cycle accounting, aggregated
-// over one or more campaigns: cycles actually simulated, cycles provably
-// skipped (checkpoint fast-forward, golden reconvergence, dead-site
-// pruning, equivalence collapsing), and the injections classified with
-// zero simulation by dead-site pruning and by fault-equivalence
-// collapsing. The JSON form is served verbatim by the jobs API.
-type Telemetry struct {
-	Injections      int    `json:"injections"`
-	SimCycles       uint64 `json:"sim_cycles"`
-	SkippedCycles   uint64 `json:"skipped_cycles"`
-	PrunedFaults    uint64 `json:"pruned_faults"`
-	CollapsedFaults uint64 `json:"collapsed_faults"`
-
-	// VectorFaults counts injections simulated as lanes of a bit-parallel
-	// march rather than on a scalar machine of their own; Marches counts
-	// the marches that carried them. Always 0 with bit-parallel
-	// simulation disabled.
-	VectorFaults uint64 `json:"vector_faults"`
-	Marches      uint64 `json:"marches"`
-}
-
-// Merge accumulates another campaign's counters.
-func (t *Telemetry) Merge(o Telemetry) {
-	t.Injections += o.Injections
-	t.SimCycles += o.SimCycles
-	t.SkippedCycles += o.SkippedCycles
-	t.PrunedFaults += o.PrunedFaults
-	t.CollapsedFaults += o.CollapsedFaults
-	t.VectorFaults += o.VectorFaults
-	t.Marches += o.Marches
-}
-
-// ReplaySpeedup returns total fault-run cycles over cycles actually
-// simulated — the combined effect of fast-forward and pruning.
-func (t Telemetry) ReplaySpeedup() float64 {
-	if t.SimCycles == 0 {
-		if t.SkippedCycles == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return float64(t.SimCycles+t.SkippedCycles) / float64(t.SimCycles)
-}
-
-// PruneRate returns the share of injections dead-site pruning classified.
-func (t Telemetry) PruneRate() float64 {
-	if t.Injections == 0 {
-		return 0
-	}
-	return float64(t.PrunedFaults) / float64(t.Injections)
-}
-
-// CollapseRate returns the share of injections fault-equivalence
-// collapsing classified from a memoized representative.
-func (t Telemetry) CollapseRate() float64 {
-	if t.Injections == 0 {
-		return 0
-	}
-	return float64(t.CollapsedFaults) / float64(t.Injections)
-}
-
-// VectorRate returns the share of injections simulated as bit-parallel
-// march lanes.
-func (t Telemetry) VectorRate() float64 {
-	if t.Injections == 0 {
-		return 0
-	}
-	return float64(t.VectorFaults) / float64(t.Injections)
-}
-
-// LaneOccupancy returns the mean fill of the campaign's marches: vector
-// faults per march over the lane capacity (rtl.VecMaxLanes). Zero when
-// no march ran.
-func (t Telemetry) LaneOccupancy() float64 {
-	if t.Marches == 0 {
-		return 0
-	}
-	return float64(t.VectorFaults) / float64(t.Marches) / float64(rtl.VecMaxLanes)
-}
+// Telemetry is the RTL campaign engine's accounting, aggregated over one
+// or more campaigns; see rtlfi.Counters.
+type Telemetry = rtlfi.Counters
 
 // Telemetry returns the unit's engine counters regardless of kind.
 func (r *UnitResult) Telemetry() Telemetry {
 	if r.Micro != nil {
-		return Telemetry{
-			Injections:      r.Micro.Tally.Injections,
-			SimCycles:       r.Micro.SimCycles,
-			SkippedCycles:   r.Micro.SkippedCycles,
-			PrunedFaults:    r.Micro.PrunedFaults,
-			CollapsedFaults: r.Micro.CollapsedFaults,
-			VectorFaults:    r.Micro.VectorFaults,
-			Marches:         r.Micro.Marches,
-		}
+		return r.Micro.Counters
 	}
-	return Telemetry{
-		Injections:      r.TMXM.Tally.Injections,
-		SimCycles:       r.TMXM.SimCycles,
-		SkippedCycles:   r.TMXM.SkippedCycles,
-		PrunedFaults:    r.TMXM.PrunedFaults,
-		CollapsedFaults: r.TMXM.CollapsedFaults,
-		VectorFaults:    r.TMXM.VectorFaults,
-		Marches:         r.TMXM.Marches,
-	}
+	return r.TMXM.Counters
 }
 
 // Telemetry aggregates the engine counters over every campaign of the
@@ -265,26 +172,10 @@ func (r *UnitResult) Telemetry() Telemetry {
 func (c *Characterization) Telemetry() Telemetry {
 	var t Telemetry
 	for _, r := range c.Micro {
-		t.Merge(Telemetry{
-			Injections:      r.Tally.Injections,
-			SimCycles:       r.SimCycles,
-			SkippedCycles:   r.SkippedCycles,
-			PrunedFaults:    r.PrunedFaults,
-			CollapsedFaults: r.CollapsedFaults,
-			VectorFaults:    r.VectorFaults,
-			Marches:         r.Marches,
-		})
+		t.Merge(r.Counters)
 	}
 	for _, r := range c.TMXM {
-		t.Merge(Telemetry{
-			Injections:      r.Tally.Injections,
-			SimCycles:       r.SimCycles,
-			SkippedCycles:   r.SkippedCycles,
-			PrunedFaults:    r.PrunedFaults,
-			CollapsedFaults: r.CollapsedFaults,
-			VectorFaults:    r.VectorFaults,
-			Marches:         r.Marches,
-		})
+		t.Merge(r.Counters)
 	}
 	return t
 }

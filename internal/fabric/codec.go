@@ -14,15 +14,17 @@ import (
 // The wire encoding of a unit result must be canonical: the coordinator
 // deduplicates double completions (stale leases, racing workers) by byte
 // comparison, so two encodings of the same result must be identical no
-// matter which worker produced them. gob gives that almost for free — it
-// writes struct fields in declaration order and skips func fields such as
-// Spec.Progress — with two exceptions handled here:
+// matter which worker produced them. The engine does most of that: a
+// campaign's per-fault outputs (syndromes, details, pattern error pools)
+// come back in job order for every worker count, so the result itself is
+// the same value on every node. gob then writes struct fields in
+// declaration order and skips func fields such as Spec.Progress, which
+// leaves two things to handle here:
 //
 //   - TMXMResult.PatternErrs is a map, and gob serialises map entries in
 //     random order; the wire form flattens it into key-sorted slices.
-//   - Spec.Workers records the executing engine's worker count, which is
-//     the one field allowed to differ between nodes (results are
-//     bit-identical for any worker count); it is normalised to zero.
+//   - Spec.Workers records the executing engine's worker count, the one
+//     field that differs between nodes; it is normalised to zero.
 //
 // Syndrome relative errors can be +Inf (fp32.RelErr reports NaN/Inf
 // corruption that way), which rules JSON out as the payload encoding;
@@ -35,20 +37,13 @@ type unitPayload struct {
 	TMXM  *tmxmWire
 }
 
-// tmxmWire mirrors rtlfi.TMXMResult with PatternErrs flattened into
-// parallel key-sorted slices.
+// tmxmWire is rtlfi.TMXMResult with its PatternErrs map moved out into
+// parallel key-sorted slices. Embedding the whole result means a field
+// added to it rides the wire without this file having to name it.
 type tmxmWire struct {
-	Spec         rtlfi.TMXMSpec
-	Tally        faults.Tally
-	Patterns     [faults.NumPatterns]int
-	PatternKeys  []faults.Pattern
-	PatternErrs  [][]float64
-	GoldenCycles uint64
-
-	SimCycles       uint64
-	SkippedCycles   uint64
-	PrunedFaults    uint64
-	CollapsedFaults uint64
+	rtlfi.TMXMResult
+	PatternKeys []faults.Pattern
+	PatternPool [][]float64
 }
 
 // EncodeUnitResult canonically serialises an executed unit for the wire
@@ -62,26 +57,17 @@ func EncodeUnitResult(res *core.UnitResult) ([]byte, error) {
 		micro.Spec.Progress = nil
 		p.Micro = &micro
 	case res.TMXM != nil:
-		r := res.TMXM
-		w := &tmxmWire{
-			Spec:            r.Spec,
-			Tally:           r.Tally,
-			Patterns:        r.Patterns,
-			GoldenCycles:    r.GoldenCycles,
-			SimCycles:       r.SimCycles,
-			SkippedCycles:   r.SkippedCycles,
-			PrunedFaults:    r.PrunedFaults,
-			CollapsedFaults: r.CollapsedFaults,
-		}
+		w := &tmxmWire{TMXMResult: *res.TMXM}
 		w.Spec.Workers = 0
 		w.Spec.Progress = nil
-		for pat := range r.PatternErrs {
+		for pat := range w.PatternErrs {
 			w.PatternKeys = append(w.PatternKeys, pat)
 		}
 		sort.Slice(w.PatternKeys, func(i, j int) bool { return w.PatternKeys[i] < w.PatternKeys[j] })
 		for _, pat := range w.PatternKeys {
-			w.PatternErrs = append(w.PatternErrs, r.PatternErrs[pat])
+			w.PatternPool = append(w.PatternPool, w.PatternErrs[pat])
 		}
+		w.PatternErrs = nil
 		p.TMXM = w
 	default:
 		return nil, fmt.Errorf("fabric: unit result %s carries neither micro nor t-MxM result", res.Unit.Name())
@@ -105,23 +91,14 @@ func DecodeUnitResult(blob []byte) (*core.UnitResult, error) {
 		res.Micro = p.Micro
 	case p.TMXM != nil:
 		w := p.TMXM
-		if len(w.PatternKeys) != len(w.PatternErrs) {
-			return nil, fmt.Errorf("fabric: unit result %s: %d pattern keys vs %d error pools", p.Unit.Name(), len(w.PatternKeys), len(w.PatternErrs))
+		if len(w.PatternKeys) != len(w.PatternPool) {
+			return nil, fmt.Errorf("fabric: unit result %s: %d pattern keys vs %d error pools", p.Unit.Name(), len(w.PatternKeys), len(w.PatternPool))
 		}
-		r := &rtlfi.TMXMResult{
-			Spec:            w.Spec,
-			Tally:           w.Tally,
-			Patterns:        w.Patterns,
-			GoldenCycles:    w.GoldenCycles,
-			SimCycles:       w.SimCycles,
-			SkippedCycles:   w.SkippedCycles,
-			PrunedFaults:    w.PrunedFaults,
-			CollapsedFaults: w.CollapsedFaults,
-		}
+		r := &w.TMXMResult
 		if len(w.PatternKeys) > 0 {
 			r.PatternErrs = make(map[faults.Pattern][]float64, len(w.PatternKeys))
 			for i, pat := range w.PatternKeys {
-				r.PatternErrs[pat] = w.PatternErrs[i]
+				r.PatternErrs[pat] = w.PatternPool[i]
 			}
 		}
 		res.TMXM = r

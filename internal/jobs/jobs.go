@@ -18,13 +18,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/cnn"
 	"gpufi/internal/core"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
+	"gpufi/internal/rtlfi"
 	"gpufi/internal/stats"
 	"gpufi/internal/swfi"
 	"gpufi/internal/syndrome"
@@ -84,39 +85,32 @@ type Request struct {
 }
 
 // CharUnitResult summarises one completed characterisation unit; the
-// syndromes themselves accumulate in the job's database. The cycle
-// counters mirror core.Telemetry and feed the job status aggregate.
+// syndromes themselves accumulate in the job's database. The engine
+// counters feed the job status aggregate; their injection count is not
+// journalled (Tally carries it).
 type CharUnitResult struct {
-	Unit            string       `json:"unit"`
-	Seed            uint64       `json:"seed"`
-	Tally           faults.Tally `json:"tally"`
-	SimCycles       uint64       `json:"sim_cycles"`
-	SkippedCycles   uint64       `json:"skipped_cycles"`
-	PrunedFaults    uint64       `json:"pruned_faults"`
-	CollapsedFaults uint64       `json:"collapsed_faults"`
-	VectorFaults    uint64       `json:"vector_faults"`
-	Marches         uint64       `json:"marches"`
+	Unit  string       `json:"unit"`
+	Seed  uint64       `json:"seed"`
+	Tally faults.Tally `json:"tally"`
+	rtlfi.Counters
 }
 
 // HPCUnitResult is one completed (application, fault model) campaign.
-// The instruction counters mirror swfi.Result and feed the job status
-// aggregate's sw telemetry block.
+// The instruction counters feed the job status aggregate's sw telemetry
+// block; as in CharUnitResult, Tally carries their injection count.
 type HPCUnitResult struct {
-	App             string       `json:"app"`
-	Model           string       `json:"model"`
-	Seed            uint64       `json:"seed"`
-	Tally           faults.Tally `json:"tally"`
-	PVF             float64      `json:"pvf"`
-	CILo            float64      `json:"ci_lo"`
-	CIHi            float64      `json:"ci_hi"`
-	SimInstrs       uint64       `json:"sim_instrs"`
-	SkippedInstrs   uint64       `json:"skipped_instrs"`
-	PrunedFaults    uint64       `json:"pruned_faults"`
-	CollapsedFaults uint64       `json:"collapsed_faults"`
+	App   string       `json:"app"`
+	Model string       `json:"model"`
+	Seed  uint64       `json:"seed"`
+	Tally faults.Tally `json:"tally"`
+	PVF   float64      `json:"pvf"`
+	CILo  float64      `json:"ci_lo"`
+	CIHi  float64      `json:"ci_hi"`
+	swfi.Counters
 }
 
-// CNNUnitResult is one completed (network, fault model) campaign. The
-// instruction counters mirror swfi.CNNResult; see HPCUnitResult.
+// CNNUnitResult is one completed (network, fault model) campaign; see
+// HPCUnitResult for the counters.
 type CNNUnitResult struct {
 	Network       string       `json:"network"`
 	Model         string       `json:"model"`
@@ -125,11 +119,7 @@ type CNNUnitResult struct {
 	PVF           float64      `json:"pvf"`
 	CriticalSDC   int          `json:"critical_sdc"`
 	CriticalShare float64      `json:"critical_share"`
-
-	SimInstrs       uint64 `json:"sim_instrs"`
-	SkippedInstrs   uint64 `json:"skipped_instrs"`
-	PrunedFaults    uint64 `json:"pruned_faults"`
-	CollapsedFaults uint64 `json:"collapsed_faults"`
+	swfi.Counters
 }
 
 // Result is a finished job's deliverable: the per-unit results in plan
@@ -152,27 +142,27 @@ type runEnv struct {
 	workers int          // engine workers per campaign
 	db      *syndrome.DB // loaded syndrome DB for syndrome/tile models
 	char    *syndrome.DB // accumulating DB of a characterize job
-	mu      *sync.Mutex  // guards char against concurrent checkpoint marshal
-	sw      *swLive      // live software-campaign throughput, or nil
+	mu      *sync.Mutex  // guards char and sw against concurrent status reads and checkpoint marshals
+	sw      *swLive      // live software-campaign throughput
 }
 
-// swLive accumulates the wall-clock throughput of software-campaign
-// units run in this process. It deliberately lives outside the
-// checkpoint journal: unit results must stay bit-identical across
-// restarts and fabric merges, and wall time is not. The status block's
-// MIPS rates therefore cover live work only — units restored from a
-// journal contribute their instruction counters but no duration.
+// swLive accumulates the counters and wall-clock time of the
+// software-campaign units run in this process. It deliberately lives
+// outside the checkpoint journal: unit results must stay bit-identical
+// across restarts and fabric merges, and wall time is not. The status
+// block's MIPS rates therefore cover live work only — units restored from
+// a journal contribute their instruction counters but no duration.
 type swLive struct {
-	sim, skipped, elapsedNS atomic.Uint64
+	swfi.Counters
+	elapsed time.Duration
 }
 
-func (l *swLive) note(sim, skipped, elapsedNS uint64) {
-	if l == nil {
-		return
-	}
-	l.sim.Add(sim)
-	l.skipped.Add(skipped)
-	l.elapsedNS.Add(elapsedNS)
+// note adds one finished unit.
+func (env *runEnv) note(c swfi.Counters, elapsed time.Duration) {
+	env.mu.Lock()
+	env.sw.Merge(c)
+	env.sw.elapsed += elapsed
+	env.mu.Unlock()
 }
 
 // program is a compiled job: its ordered units plus whether running them
@@ -282,16 +272,7 @@ func ingestCharUnit(env *runEnv, cu core.Unit, res *core.UnitResult) (json.RawMe
 		env.char.AddTMXM(res.TMXM)
 	}
 	env.mu.Unlock()
-	tel := res.Telemetry()
-	return json.Marshal(CharUnitResult{
-		Unit: cu.Name(), Seed: cu.Seed, Tally: res.Tally(),
-		SimCycles:       tel.SimCycles,
-		SkippedCycles:   tel.SkippedCycles,
-		PrunedFaults:    tel.PrunedFaults,
-		CollapsedFaults: tel.CollapsedFaults,
-		VectorFaults:    tel.VectorFaults,
-		Marches:         tel.Marches,
-	})
+	return json.Marshal(CharUnitResult{Unit: cu.Name(), Seed: cu.Seed, Tally: res.Tally(), Counters: res.Telemetry()})
 }
 
 func compileHPC(req Request) (*program, error) {
@@ -342,15 +323,12 @@ func compileHPC(req Request) (*program, error) {
 					if err != nil {
 						return nil, err
 					}
-					env.sw.note(res.SimInstrs, res.SkippedInstrs, uint64(res.Elapsed))
+					env.note(res.Counters, res.Elapsed)
 					lo, hi := res.PVFCI()
 					return json.Marshal(HPCUnitResult{
 						App: spec.Name, Model: mname, Seed: seed,
 						Tally: res.Tally, PVF: res.PVF(), CILo: lo, CIHi: hi,
-						SimInstrs:       res.SimInstrs,
-						SkippedInstrs:   res.SkippedInstrs,
-						PrunedFaults:    res.PrunedFaults,
-						CollapsedFaults: res.CollapsedFaults,
+						Counters: res.Counters,
 					})
 				},
 			})
@@ -401,15 +379,12 @@ func compileCNN(req Request) (*program, error) {
 				if err != nil {
 					return nil, err
 				}
-				env.sw.note(res.SimInstrs, res.SkippedInstrs, uint64(res.Elapsed))
+				env.note(res.Counters, res.Elapsed)
 				return json.Marshal(CNNUnitResult{
 					Network: network, Model: mname, Seed: seed,
 					Tally: res.Tally, PVF: res.PVF(),
 					CriticalSDC: res.CriticalSDC, CriticalShare: res.CriticalShare(),
-					SimInstrs:       res.SimInstrs,
-					SkippedInstrs:   res.SkippedInstrs,
-					PrunedFaults:    res.PrunedFaults,
-					CollapsedFaults: res.CollapsedFaults,
+					Counters: res.Counters,
 				})
 			},
 		})

@@ -177,6 +177,92 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
+// TestTerminalStateDurableBeforeVisible holds the journal write of each
+// kind of terminal transition open and checks that, until it returns,
+// Status still reports the job non-terminal: a client must never see a
+// finished job whose journal entry would resurrect it after a crash.
+func TestTerminalStateDurableBeforeVisible(t *testing.T) {
+	long := smallHPC()
+	long.Injections = 100000
+	noDB := smallHPC()
+	noDB.Models, noDB.DBPath = []string{"syndrome"}, filepath.Join(t.TempDir(), "missing.json")
+	cases := []struct {
+		name   string
+		req    Request
+		behind bool // submit behind a long-running blocker, so the job stays queued
+		cancel bool
+		want   State
+	}{
+		{name: "done", req: smallHPC(), want: StateDone},
+		{name: "failed", req: noDB, want: StateFailed},
+		{name: "cancel-running", req: long, cancel: true, want: StateCancelled},
+		{name: "cancel-queued", req: smallHPC(), behind: true, cancel: true, want: StateCancelled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: 5 * time.Millisecond})
+			id := "j-000001" // the job under test
+			if tc.behind {
+				id = "j-000002"
+			}
+			held, release := make(chan struct{}), make(chan struct{})
+			s.writeFile = func(path string, data []byte, perm os.FileMode) error {
+				var ck checkpoint
+				if json.Unmarshal(data, &ck) == nil && ck.ID == id && ck.State.Terminal() {
+					close(held)
+					<-release
+				}
+				return atomicWriteFile(path, data, perm)
+			}
+			if tc.behind {
+				if _, err := s.Submit(long); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := s.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ID != id {
+				t.Fatalf("job got id %s, predicted %s", st.ID, id)
+			}
+			if tc.cancel {
+				if !tc.behind {
+					waitFor(t, 30*time.Second, "progress", func() bool {
+						st, _ = s.Get(id)
+						return st.State == StateRunning && st.Done > 0
+					})
+				}
+				go s.Cancel(id) // blocks in the held journal write when the job is queued
+			}
+			<-held
+			for i := 0; i < 20; i++ {
+				if st, _ := s.Get(id); st.State.Terminal() {
+					t.Fatalf("status reports %s while its journal write is still in flight", st.State)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			waitFor(t, 30*time.Second, "terminal state", func() bool {
+				st, _ = s.Get(id)
+				return st.State.Terminal()
+			})
+			if st.State != tc.want {
+				t.Fatalf("job ended %s (error %q), want %s", st.State, st.Error, tc.want)
+			}
+			blob, err := os.ReadFile(filepath.Join(dir, "job-"+id[2:]+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ck checkpoint
+			if err := json.Unmarshal(blob, &ck); err != nil || ck.State != tc.want {
+				t.Fatalf("journal records state %q (err %v), want %s", ck.State, err, tc.want)
+			}
+		})
+	}
+}
+
 // runToCompletion submits req on a fresh single-worker service and returns
 // the finished job's result bytes.
 func runToCompletion(t *testing.T, req Request) []byte {

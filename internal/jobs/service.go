@@ -14,11 +14,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gpufi/internal/faults"
 	"time"
 
 	"gpufi/internal/core"
 	"gpufi/internal/fabric"
+	"gpufi/internal/faults"
+	"gpufi/internal/swfi"
 	"gpufi/internal/syndrome"
 )
 
@@ -114,9 +115,8 @@ type Job struct {
 	done  atomic.Int64
 	total atomic.Int64
 
-	swLive swLive // live software-unit throughput; not journalled
-
 	mu            sync.Mutex
+	swLive        swLive // live software-unit throughput; not journalled
 	state         State
 	errMsg        string
 	unitsTotal    int
@@ -144,11 +144,12 @@ type Status struct {
 }
 
 // RTLTelemetry is the status view of a characterize job's engine
-// counters, aggregated over its completed units, with the derived ratios
-// precomputed for JSON consumers. Because the counters live in the
-// journalled unit results, the aggregate survives service restarts and
-// job resumption.
+// counters, aggregated over its completed units, with the injection count
+// and the derived ratios spelled out for JSON consumers. Because the
+// counters live in the journalled unit results, the aggregate survives
+// service restarts and job resumption.
 type RTLTelemetry struct {
+	Injections int `json:"injections"` // the embedded counters keep theirs out of JSON
 	core.Telemetry
 	ReplaySpeedup float64 `json:"replay_speedup,omitempty"`
 	PruneRate     float64 `json:"prune_rate"`
@@ -158,26 +159,21 @@ type RTLTelemetry struct {
 }
 
 // SWTelemetry is the status view of a software-level (HPC or CNN) job's
-// instruction counters, aggregated over its completed units: instructions
-// actually interpreted, instructions provably skipped by checkpoint
-// fast-forward, and the derived fast-forward speedup. It mirrors the rtl
-// block, including restart survival via the journalled unit results.
-// EmuMIPS is millions of interpreted instructions per wall-clock second
-// over the summed durations of units run in this process (restored units
-// carry counters but no duration); EffectiveMIPS counts the
+// instruction counters, aggregated over its completed units. It mirrors
+// the rtl block, including restart survival via the journalled unit
+// results. EmuMIPS is millions of interpreted instructions per wall-clock
+// second over the summed durations of units run in this process (restored
+// units carry counters but no duration); EffectiveMIPS counts the
 // fast-forward-skipped instructions too.
 type SWTelemetry struct {
-	Injections      int     `json:"injections"`
-	SimInstrs       uint64  `json:"sim_instrs"`
-	SkippedInstrs   uint64  `json:"skipped_instrs"`
-	PrunedFaults    uint64  `json:"pruned_faults"`
-	CollapsedFaults uint64  `json:"collapsed_faults"`
-	ElapsedNS       uint64  `json:"elapsed_ns,omitempty"`
-	FFSpeedup       float64 `json:"ff_speedup,omitempty"`
-	EmuMIPS         float64 `json:"emu_mips,omitempty"`
-	EffectiveMIPS   float64 `json:"effective_mips,omitempty"`
-	PruneRate       float64 `json:"prune_rate"`
-	CollapseRate    float64 `json:"collapse_rate"`
+	Injections int `json:"injections"` // as in RTLTelemetry
+	swfi.Counters
+	ElapsedNS     uint64  `json:"elapsed_ns,omitempty"`
+	FFSpeedup     float64 `json:"ff_speedup,omitempty"`
+	EmuMIPS       float64 `json:"emu_mips,omitempty"`
+	EffectiveMIPS float64 `json:"effective_mips,omitempty"`
+	PruneRate     float64 `json:"prune_rate"`
+	CollapseRate  float64 `json:"collapse_rate"`
 }
 
 // Status snapshots the job.
@@ -213,16 +209,10 @@ func (j *Job) rtlTelemetry() *RTLTelemetry {
 		if json.Unmarshal(raw, &u) != nil {
 			continue
 		}
-		agg.Merge(core.Telemetry{
-			Injections:      u.Tally.Injections,
-			SimCycles:       u.SimCycles,
-			SkippedCycles:   u.SkippedCycles,
-			PrunedFaults:    u.PrunedFaults,
-			CollapsedFaults: u.CollapsedFaults,
-			VectorFaults:    u.VectorFaults,
-			Marches:         u.Marches,
-		})
+		u.Counters.Injections = u.Tally.Injections
+		agg.Merge(u.Counters)
 	}
+	agg.Injections = agg.Telemetry.Injections
 	// A fully pruned aggregate has an infinite speedup, which JSON cannot
 	// carry; the field is omitted (0) in that corner.
 	if rs := agg.Telemetry.ReplaySpeedup(); !math.IsInf(rs, 1) {
@@ -236,9 +226,10 @@ func (j *Job) rtlTelemetry() *RTLTelemetry {
 }
 
 // swTelemetry sums the completed software-campaign units' instruction
-// counters. Caller holds j.mu. HPC and CNN unit results share the two
-// counter fields, so one probe struct decodes both; older journal records
-// without them unmarshal as zero, which only understates the aggregate.
+// counters. Caller holds j.mu. HPC and CNN unit results share the tally
+// and the counters, so one probe struct decodes both; older journal
+// records without them unmarshal as zero, which only understates the
+// aggregate.
 func (j *Job) swTelemetry() *SWTelemetry {
 	if (j.req.Kind != KindHPC && j.req.Kind != KindCNN) || len(j.completed) == 0 {
 		return nil
@@ -246,40 +237,29 @@ func (j *Job) swTelemetry() *SWTelemetry {
 	agg := &SWTelemetry{}
 	for _, raw := range j.completed {
 		var u struct {
-			Tally           faults.Tally `json:"tally"`
-			SimInstrs       uint64       `json:"sim_instrs"`
-			SkippedInstrs   uint64       `json:"skipped_instrs"`
-			PrunedFaults    uint64       `json:"pruned_faults"`
-			CollapsedFaults uint64       `json:"collapsed_faults"`
+			Tally faults.Tally `json:"tally"`
+			swfi.Counters
 		}
 		if json.Unmarshal(raw, &u) != nil {
 			continue
 		}
-		agg.Injections += u.Tally.Injections
-		agg.SimInstrs += u.SimInstrs
-		agg.SkippedInstrs += u.SkippedInstrs
-		agg.PrunedFaults += u.PrunedFaults
-		agg.CollapsedFaults += u.CollapsedFaults
+		u.Counters.Injections = u.Tally.Injections
+		agg.Merge(u.Counters)
 	}
-	// Mirror the rtl block's corner case: an all-skipped aggregate has an
-	// infinite speedup, which JSON cannot carry; the field is omitted (0).
-	if agg.SimInstrs > 0 {
-		agg.FFSpeedup = float64(agg.SimInstrs+agg.SkippedInstrs) / float64(agg.SimInstrs)
-	}
+	agg.Injections = agg.Counters.Injections
+	// An all-skipped aggregate has no finite speedup; the field is omitted
+	// (0), mirroring the rtl block.
+	agg.FFSpeedup = agg.Counters.FFSpeedup()
+	agg.PruneRate = agg.Counters.PruneRate()
+	agg.CollapseRate = agg.Counters.CollapseRate()
 	// Throughput comes from the live counters, not the journal: wall time
 	// is nondeterministic and must stay out of the bit-identical unit
 	// results, so units restored after a restart carry no duration and
 	// the rates cover work done in this process only.
-	if el := j.swLive.elapsedNS.Load(); el > 0 {
-		sec := float64(el) / 1e9
-		sim := j.swLive.sim.Load()
-		agg.ElapsedNS = el
-		agg.EmuMIPS = float64(sim) / sec / 1e6
-		agg.EffectiveMIPS = float64(sim+j.swLive.skipped.Load()) / sec / 1e6
-	}
-	if agg.Injections > 0 {
-		agg.PruneRate = float64(agg.PrunedFaults) / float64(agg.Injections)
-		agg.CollapseRate = float64(agg.CollapsedFaults) / float64(agg.Injections)
+	if live := j.swLive; live.elapsed > 0 {
+		agg.ElapsedNS = uint64(live.elapsed)
+		agg.EmuMIPS = live.EmuMIPS(live.elapsed)
+		agg.EffectiveMIPS = live.EffectiveMIPS(live.elapsed)
 	}
 	return agg
 }
@@ -332,6 +312,10 @@ type Service struct {
 
 	queue chan *Job
 	wg    sync.WaitGroup
+
+	// writeFile commits a journal record; tests substitute it to hold a
+	// write open.
+	writeFile func(path string, data []byte, perm os.FileMode) error
 }
 
 // New builds a service, reloads any checkpointed jobs from cfg.Dir
@@ -345,6 +329,7 @@ func New(cfg Config) (*Service, error) {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
+		writeFile:  atomicWriteFile,
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -509,10 +494,11 @@ func (s *Service) Cancel(id string) (Status, error) {
 		j.mu.Unlock()
 		return j.Status(), fmt.Errorf("jobs: job %s already %s", id, j.Status().State)
 	case j.state == StateQueued:
+		// userCancelled keeps a worker from starting the job while finish
+		// journals the cancellation.
 		j.userCancelled = true
-		j.state = StateCancelled
 		j.mu.Unlock()
-		s.saveCheckpoint(j)
+		s.finish(j, StateCancelled, "", nil)
 	default: // running
 		j.userCancelled = true
 		cancel := j.cancel
@@ -546,9 +532,11 @@ func (s *Service) Close() {
 			j := s.jobs[st.ID]
 			s.mu.Unlock()
 			j.mu.Lock()
-			j.state = StateQueued
+			cancelling := j.userCancelled // a concurrent Cancel is journalling it
 			j.mu.Unlock()
-			s.saveCheckpoint(j)
+			if !cancelling {
+				s.finish(j, StateQueued, "", nil)
+			}
 		}
 	}
 }
@@ -564,7 +552,7 @@ func (s *Service) worker() {
 // rest, journal after each, and assemble the deterministic final result.
 func (s *Service) runJob(j *Job) {
 	j.mu.Lock()
-	if j.state != StateQueued || s.baseCtx.Err() != nil {
+	if j.state != StateQueued || j.userCancelled || s.baseCtx.Err() != nil {
 		// Cancelled while queued, or the service is shutting down; in the
 		// latter case the job stays queued for the next instance.
 		j.mu.Unlock()
@@ -579,14 +567,7 @@ func (s *Service) runJob(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
-	fail := func(err error) {
-		j.mu.Lock()
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.cancel = nil
-		j.mu.Unlock()
-		s.saveCheckpoint(j)
-	}
+	fail := func(err error) { s.finish(j, StateFailed, err.Error(), nil) }
 
 	prog, err := compile(j.req)
 	if err != nil {
@@ -636,15 +617,12 @@ func (s *Service) runJob(j *Job) {
 
 	if ctx.Err() != nil {
 		j.mu.Lock()
+		state := StateQueued // service shutdown: back to the queue for the next instance
 		if j.userCancelled {
-			j.state = StateCancelled
-		} else {
-			// Service shutdown: back to the queue for the next instance.
-			j.state = StateQueued
+			state = StateCancelled
 		}
-		j.cancel = nil
 		j.mu.Unlock()
-		s.saveCheckpoint(j)
+		s.finish(j, state, "", nil)
 		return
 	}
 
@@ -669,12 +647,20 @@ func (s *Service) runJob(j *Job) {
 		fail(err)
 		return
 	}
+	s.finish(j, StateDone, "", blob)
+}
+
+// finish takes a job out of the running (or queued) state: into a
+// terminal one, or back to queued at shutdown. The journal is written
+// first and the state published second — durable before visible — so a
+// client that has seen the new state can rely on a restarted service
+// agreeing with it. Callers make sure nothing else journals the job
+// meanwhile: runJob has stopped its ticker, and a queued job has none.
+func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMessage) {
+	s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
 	j.mu.Lock()
-	j.state = StateDone
-	j.result = blob
-	j.cancel = nil
+	j.state, j.errMsg, j.result, j.cancel = state, errMsg, result, nil
 	j.mu.Unlock()
-	s.saveCheckpoint(j)
 }
 
 // runUnitsLocal executes the program's units sequentially in this
@@ -774,9 +760,14 @@ func (s *Service) runUnitsFabric(ctx context.Context, j *Job, prog *program, env
 	return nil
 }
 
-// saveCheckpoint journals a job atomically (temp file + rename), so a
-// crash mid-write can never corrupt an existing checkpoint.
-func (s *Service) saveCheckpoint(j *Job) {
+// saveCheckpoint journals the job as it stands.
+func (s *Service) saveCheckpoint(j *Job) { s.journal(j, nil) }
+
+// journal writes the job's checkpoint atomically (temp file + rename),
+// so a crash mid-write can never corrupt an existing one. amend, when
+// non-nil, edits the record before it is written: finish journals a
+// state the job does not show yet.
+func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 	if s.cfg.Dir == "" {
 		return
 	}
@@ -795,6 +786,9 @@ func (s *Service) saveCheckpoint(j *Job) {
 	if j.req.Kind == KindCharacterize && j.db != nil && len(j.db.Entries)+len(j.db.TMXM) > 0 {
 		ck.DB = j.db
 	}
+	if amend != nil {
+		amend(&ck)
+	}
 	blob, err := json.Marshal(ck)
 	j.mu.Unlock()
 	if err != nil {
@@ -802,7 +796,7 @@ func (s *Service) saveCheckpoint(j *Job) {
 		return
 	}
 	path := filepath.Join(s.cfg.Dir, "job-"+strings.TrimPrefix(j.id, "j-")+".json")
-	if err := atomicWriteFile(path, blob, 0o644); err != nil {
+	if err := s.writeFile(path, blob, 0o644); err != nil {
 		s.cfg.Logf("jobs: write checkpoint %s: %v", j.id, err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"gpufi/internal/faults"
 	"gpufi/internal/fp32"
@@ -103,165 +101,9 @@ type Result struct {
 	Details      []Detailed
 	GoldenCycles uint64
 
-	// SimCycles counts the cycles actually simulated across all faulty
-	// runs; SkippedCycles counts the cycles the engine provably avoided:
-	// golden-prefix cycles restored from a checkpoint, golden-tail cycles
-	// pruned when a masked run reconverged with the golden state, and the
-	// whole goldenCycles replay of every dead-pruned fault.
-	// (SimCycles+SkippedCycles)/SimCycles is the effective replay speedup
-	// of the campaign.
-	SimCycles     uint64
-	SkippedCycles uint64
-
-	// PrunedFaults counts injections classified Masked by the dead-site
-	// liveness analysis alone, with zero simulation (they skip even the
-	// checkpoint restore). Always 0 under Spec.NoPrune.
-	PrunedFaults uint64
-
-	// CollapsedFaults counts injections tallied from a fault-equivalence
-	// class memo instead of being simulated: trajectory-identical to an
-	// already-simulated representative, their full replay cost lands in
-	// SkippedCycles. Always 0 under Spec.NoCollapse or Spec.NoPrune.
-	CollapsedFaults uint64
-
-	// VectorFaults counts injections simulated as lanes of a bit-parallel
-	// march rather than on a scalar machine of their own; Marches counts
-	// the marches (shared golden replays) that carried them. Their ratio
-	// against the 63-lane capacity is the campaign's lane occupancy.
-	// Always 0 under Spec.NoBitParallel.
-	VectorFaults uint64
-	Marches      uint64
-}
-
-// ReplaySpeedup returns the campaign's effective replay speedup:
-// total fault-run cycles over cycles actually simulated. 1.0 when
-// nothing was skipped; +Inf when every fault was pruned outright.
-func (r *Result) ReplaySpeedup() float64 { return replaySpeedup(r.SimCycles, r.SkippedCycles) }
-
-// PruneRate returns the share of injections classified by dead-site
-// pruning alone.
-func (r *Result) PruneRate() float64 { return pruneRate(r.PrunedFaults, r.Tally.Injections) }
-
-// CollapseRate returns the share of injections tallied from an
-// equivalence-class memo instead of being simulated.
-func (r *Result) CollapseRate() float64 { return collapseRate(r.CollapsedFaults, r.Tally.Injections) }
-
-// VectorRate returns the share of injections simulated as bit-parallel
-// march lanes.
-func (r *Result) VectorRate() float64 { return vectorRate(r.VectorFaults, r.Tally.Injections) }
-
-// LaneOccupancy returns the mean fill of the campaign's marches: vector
-// faults over marched lane capacity (63 faulty lanes per march). 0 when
-// no march ran.
-func (r *Result) LaneOccupancy() float64 { return laneOccupancy(r.VectorFaults, r.Marches) }
-
-func replaySpeedup(sim, skipped uint64) float64 {
-	if sim == 0 {
-		if skipped == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return float64(sim+skipped) / float64(sim)
-}
-
-func pruneRate(pruned uint64, injections int) float64 {
-	if injections == 0 {
-		return 0
-	}
-	return float64(pruned) / float64(injections)
-}
-
-func collapseRate(collapsed uint64, injections int) float64 {
-	if injections == 0 {
-		return 0
-	}
-	return float64(collapsed) / float64(injections)
-}
-
-func vectorRate(vector uint64, injections int) float64 {
-	if injections == 0 {
-		return 0
-	}
-	return float64(vector) / float64(injections)
-}
-
-func laneOccupancy(vector, marches uint64) float64 {
-	if marches == 0 {
-		return 0
-	}
-	return float64(vector) / float64(marches*rtl.VecMaxLanes)
-}
-
-// inputDraw describes one prepared input draw.
-type inputDraw struct {
-	global       []uint32
-	golden       []uint32
-	goldenCycles uint64
-	ckpts        ckptStore
-	live         *rtl.Liveness // golden-run liveness trace; nil under NoPrune
-}
-
-// prepare runs one draw's golden prefix on a fresh machine: the golden
-// run itself (tracing liveness for dead-site pruning unless noPrune) and
-// the checkpoint-recording replay (unless noFF). d.global must already be
-// populated; everything else is derived here.
-func (d *inputDraw) prepare(prog *kasm.Program, block, sharedWords int, goldenBudget uint64, noFF, noPrune bool) error {
-	m := rtl.New()
-	var live *rtl.Liveness
-	if !noPrune {
-		live = &rtl.Liveness{}
-		m.TraceLiveness(live)
-	}
-	golden := append([]uint32(nil), d.global...)
-	if err := m.Run(prog, 1, block, golden, sharedWords, goldenBudget); err != nil {
-		return fmt.Errorf("rtlfi: golden run failed: %w", err)
-	}
-	// Detach before the checkpoint replay: a Liveness traces exactly one
-	// run, and the replay is the same dataflow anyway.
-	m.TraceLiveness(nil)
-	d.golden = golden
-	d.goldenCycles = m.Cycles()
-	d.live = live
-	if !noFF {
-		cs, err := recordCheckpoints(m, prog, block, d.global, sharedWords, d.goldenCycles)
-		if err != nil {
-			return err
-		}
-		d.ckpts = cs
-	}
-	return nil
-}
-
-// prepareDraws fans the per-draw golden prefixes out across goroutines,
-// one fresh machine per draw. Inputs were drawn serially beforehand, so
-// the spec RNG stream is untouched and the fault list generated
-// afterwards is bit-identical to the old serial path.
-func prepareDraws(draws []*inputDraw, prog *kasm.Program, block, sharedWords int, goldenBudget uint64, noFF, noPrune bool) error {
-	errs := make([]error, len(draws))
-	var wg sync.WaitGroup
-	for i, d := range draws {
-		wg.Add(1)
-		go func(i int, d *inputDraw) {
-			defer wg.Done()
-			errs[i] = d.prepare(prog, block, sharedWords, goldenBudget, noFF, noPrune)
-		}(i, d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// prunedDead pre-classifies one fault against a draw's liveness trace.
-// A dead fault is Masked with zero simulation; its whole would-be replay
-// (exactly goldenCycles — a dead fault's run is the golden run) lands in
-// SkippedCycles so cycle accounting stays comparable across modes.
-func (d *inputDraw) prunedDead(f rtl.Fault) bool {
-	return d.live != nil && d.live.DeadAt(f.Module, f.Bit, f.Cycle)
+	// Counters is the engine's accounting of the campaign; Injections
+	// equals Tally.Injections.
+	Counters
 }
 
 // RunMicro executes a micro-benchmark fault-injection campaign. The fault
@@ -276,6 +118,25 @@ func RunMicro(spec Spec) (*Result, error) {
 // returned. Because the fault list is derived up front from Spec.Seed, a
 // re-run of the same spec reproduces the campaign bit-identically.
 func RunMicroCtx(ctx context.Context, spec Spec) (*Result, error) {
+	p, err := spec.plan()
+	if err != nil {
+		return nil, err
+	}
+	outs, counters, err := run(ctx, p, func(machine *rtl.Machine, j faultJob, g []uint32, err error) microOut {
+		return classify(spec.Op, j.fault, machine, g, p.draws[j.draw].golden, err)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Spec: spec, GoldenCycles: p.draws[0].goldenCycles, Counters: counters}
+	for _, o := range outs {
+		out.add(o)
+	}
+	return out, nil
+}
+
+// plan prepares and schedules the spec's campaign.
+func (spec Spec) plan() (*plan, error) {
 	if !ModuleUsed(spec.Module, spec.Op) {
 		return nil, fmt.Errorf("rtlfi: module %s idle during %s (not characterised)", spec.Module, spec.Op)
 	}
@@ -283,94 +144,68 @@ func RunMicroCtx(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(spec.Seed)
-
-	// Input draws consume the spec RNG serially; the golden runs (with
-	// liveness tracing), plus the bit-identical replays that record the
-	// fast-forward checkpoints, then fan out across draws. Neither pass
-	// touches rng beyond the input draw itself, so the fault list below
-	// sees the same stream as before the optimisation.
-	draws := make([]inputDraw, valuesPerRange)
-	dp := make([]*inputDraw, len(draws))
-	for i := range draws {
-		draws[i].global = MicroInputs(spec.Op, spec.Range, rng)
-		dp[i] = &draws[i]
-	}
-	if err := prepareDraws(dp, prog, MicroThreads, 0, 1_000_000, spec.NoFastForward, spec.NoPrune); err != nil {
-		return nil, err
-	}
-
-	// Deterministic fault list, then the equivalence classes among its
-	// live sites (collapse keys on the liveness trace, so NoPrune implies
-	// no collapsing).
-	jobs := drawJobs(rng, spec.Module, spec.NumFaults, dp)
-	var collapse *collapseIndex
-	if !spec.NoPrune && !spec.NoCollapse {
-		collapse = buildCollapseIndex(jobs, dp)
-	}
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	partials := make([]*Result, workers)
-	for w := range partials {
-		partials[w] = &Result{Spec: spec}
-	}
-	counters := make([]engineCounters, workers)
-	completed := runFaultLoop(ctx, workers, jobs, dp, prog, MicroThreads, 0,
-		collapse, !spec.NoBitParallel, counters, spec.Progress, campaignHooks{
-			masked: func(w int) { partials[w].Tally.Add(faults.Masked, 0) },
-			record: func(w int, machine *rtl.Machine, j faultJob, g []uint32, err error) {
-				classify(partials[w], spec.Op, j.fault, machine, g, draws[j.draw].golden, err)
-			},
-		})
-	// Cancellation that lands after the last job finished does not void
-	// the campaign: every fault was simulated, so return the result.
-	if err := ctx.Err(); err != nil && completed != len(jobs) {
-		return nil, err
-	}
-
-	out := &Result{Spec: spec, GoldenCycles: draws[0].goldenCycles}
-	for w, p := range partials {
-		out.Tally.Merge(p.Tally)
-		out.Syndromes = append(out.Syndromes, p.Syndromes...)
-		out.ThreadCounts = append(out.ThreadCounts, p.ThreadCounts...)
-		out.BitsWrong = append(out.BitsWrong, p.BitsWrong...)
-		out.Details = append(out.Details, p.Details...)
-		out.SimCycles += counters[w].SimCycles
-		out.SkippedCycles += counters[w].SkippedCycles
-		out.PrunedFaults += counters[w].PrunedFaults
-		out.CollapsedFaults += counters[w].CollapsedFaults
-		out.VectorFaults += counters[w].VectorFaults
-		out.Marches += counters[w].Marches
-	}
-	return out, nil
+	return newPlan(
+		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
+			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
+		family{prog: prog, block: MicroThreads, goldenBudget: 1_000_000,
+			input: func(rng *stats.RNG) []uint32 { return MicroInputs(spec.Op, spec.Range, rng) }})
 }
 
-// classify compares a faulty run against the golden output and updates the
-// campaign result.
-func classify(res *Result, op isa.Opcode, fault rtl.Fault, machine *rtl.Machine, g, golden []uint32, err error) {
-	if err != nil {
-		res.Tally.Add(faults.DUE, 0)
+// microOut is one fault's classified effect; the zero value is a Masked
+// fault that corrupted nothing.
+type microOut struct {
+	outcome faults.Outcome
+	sdc     *microSDC
+}
+
+// microSDC is what one SDC adds to a campaign's per-fault outputs: a
+// syndrome and a bits-wrong count per corrupted word, and the detailed
+// record (whose Threads is the corrupted-word count).
+type microSDC struct {
+	syndromes []float64
+	bitsWrong []int
+	detail    Detailed
+}
+
+// add folds one fault's classified effect into the campaign result.
+// Folding the faults in job order is what makes Syndromes, ThreadCounts,
+// BitsWrong and Details independent of the worker count.
+func (r *Result) add(o microOut) {
+	if o.sdc == nil {
+		r.Tally.Add(o.outcome, 0)
 		return
 	}
+	r.Tally.Add(faults.SDC, o.sdc.detail.Threads)
+	r.Syndromes = append(r.Syndromes, o.sdc.syndromes...)
+	r.BitsWrong = append(r.BitsWrong, o.sdc.bitsWrong...)
+	r.ThreadCounts = append(r.ThreadCounts, o.sdc.detail.Threads)
+	r.Details = append(r.Details, o.sdc.detail)
+}
+
+// classify compares a faulty run against the golden output.
+func classify(op isa.Opcode, fault rtl.Fault, machine *rtl.Machine, g, golden []uint32, err error) microOut {
+	if err != nil {
+		return microOut{outcome: faults.DUE}
+	}
 	isFloat := op.IsFloat()
-	corrupted := 0
+	var syndromes []float64
+	var bitsWrong []int
 	first, firstWord := -1, -1
 	var firstGold, firstFaulty uint32
+	corrupt := func(gw, fw uint32) {
+		syndromes = append(syndromes, relErrWord(gw, fw, isFloat))
+		bitsWrong = append(bitsWrong, bits.OnesCount32(gw^fw))
+	}
 	for _, off := range outputOffsets(op) {
 		for t := 0; t < MicroThreads; t++ {
 			gw, fw := golden[off+t], g[off+t]
 			if gw == fw {
 				continue
 			}
-			corrupted++
 			if first < 0 {
 				first, firstGold, firstFaulty = t, gw, fw
 			}
-			res.Syndromes = append(res.Syndromes, relErrWord(gw, fw, isFloat))
-			res.BitsWrong = append(res.BitsWrong, bits.OnesCount32(gw^fw))
+			corrupt(gw, fw)
 		}
 	}
 	// Also scan input regions: a fault that corrupts memory outside the
@@ -378,18 +213,16 @@ func classify(res *Result, op isa.Opcode, fault rtl.Fault, machine *rtl.Machine,
 	// identify a memory word, not a thread: Thread stays -1 so the §V-B
 	// multiplicity/spatial analyses never mistake a word index for a
 	// thread index. One ascending pass over the words not already compared
-	// above — the outputs are clean here (corrupted == 0), so skipping
-	// them changes neither the count nor the first-corrupted record.
-	if corrupted == 0 {
+	// above — the outputs are clean here, so skipping them changes neither
+	// the count nor the first-corrupted record.
+	if len(syndromes) == 0 {
 		scan := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if golden[i] != g[i] {
-					corrupted++
 					if firstWord < 0 {
 						firstWord, firstGold, firstFaulty = i, golden[i], g[i]
 					}
-					res.Syndromes = append(res.Syndromes, relErrWord(golden[i], g[i], isFloat))
-					res.BitsWrong = append(res.BitsWrong, bits.OnesCount32(golden[i]^g[i]))
+					corrupt(golden[i], g[i])
 				}
 			}
 		}
@@ -400,13 +233,10 @@ func classify(res *Result, op isa.Opcode, fault rtl.Fault, machine *rtl.Machine,
 		}
 		scan(next, len(golden))
 	}
-	if corrupted == 0 {
-		res.Tally.Add(faults.Masked, 0)
-		return
+	if len(syndromes) == 0 {
+		return microOut{outcome: faults.Masked}
 	}
-	res.Tally.Add(faults.SDC, corrupted)
-	res.ThreadCounts = append(res.ThreadCounts, corrupted)
-	res.Details = append(res.Details, Detailed{
+	return microOut{outcome: faults.SDC, sdc: &microSDC{syndromes: syndromes, bitsWrong: bitsWrong, detail: Detailed{
 		Fault:     fault,
 		FieldName: machine.ModuleState(fault.Module).Lay.FieldAt(fault.Bit).Name,
 		Thread:    first,
@@ -414,9 +244,9 @@ func classify(res *Result, op isa.Opcode, fault rtl.Fault, machine *rtl.Machine,
 		Golden:    firstGold,
 		Faulty:    firstFaulty,
 		BitsWrong: bits.OnesCount32(firstGold ^ firstFaulty),
-		Threads:   corrupted,
+		Threads:   len(syndromes),
 		RelErr:    relErrWord(firstGold, firstFaulty, isFloat),
-	})
+	}}}
 }
 
 // relErrWord computes the syndrome relative error of one corrupted word.

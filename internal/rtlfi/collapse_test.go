@@ -7,7 +7,6 @@ import (
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/rtl"
-	"gpufi/internal/stats"
 )
 
 // TestMicroCollapseBitIdentical is fault-equivalence collapsing's anchor
@@ -99,25 +98,11 @@ func TestCollapseCrossValidation(t *testing.T) {
 		numFaults   = 200_000
 	)
 	spec := Spec{Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: numFaults, Seed: 460}
-	prog, err := BuildMicro(spec.Op)
+	p, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRNG(spec.Seed)
-	draws := make([]inputDraw, valuesPerRange)
-	dp := make([]*inputDraw, len(draws))
-	for i := range draws {
-		draws[i].global = MicroInputs(spec.Op, spec.Range, rng)
-		dp[i] = &draws[i]
-	}
-	if err := prepareDraws(dp, prog, MicroThreads, 0, 1_000_000, false, false); err != nil {
-		t.Fatal(err)
-	}
-	jobs := drawJobs(rng, spec.Module, spec.NumFaults, dp)
-	ci := buildCollapseIndex(jobs, dp)
-	if ci == nil {
-		t.Fatal("buildCollapseIndex returned nil with liveness traces present")
-	}
+	prog, dp, jobs, ci := p.prog, p.draws, p.jobs, p.collapse
 
 	// fullSim replays one fault from cycle 0 on a fresh-state machine —
 	// the ground truth every engine shortcut must reproduce.
@@ -136,7 +121,7 @@ func TestCollapseCrossValidation(t *testing.T) {
 	}
 	classified := func(j faultJob, o outcome) *Result {
 		res := &Result{Spec: spec}
-		classify(res, spec.Op, j.fault, machine, o.g, dp[j.draw].golden, o.err)
+		res.add(classify(spec.Op, j.fault, machine, o.g, dp[j.draw].golden, o.err))
 		return res
 	}
 
@@ -146,17 +131,17 @@ func TestCollapseCrossValidation(t *testing.T) {
 		if checked >= wantMembers {
 			break
 		}
-		e := ci.at(i)
-		if e == nil || e.rep == i {
+		e := ci[i]
+		if e == nil || e.Rep == i {
 			continue
 		}
-		rep, ok := repOutcomes[e.rep]
+		rep, ok := repOutcomes[e.Rep]
 		if !ok {
-			rep = fullSim(jobs[e.rep])
-			repOutcomes[e.rep] = rep
+			rep = fullSim(jobs[e.Rep])
+			repOutcomes[e.Rep] = rep
 		}
 		mem := fullSim(jobs[i])
-		rj, mj := jobs[e.rep], jobs[i]
+		rj, mj := jobs[e.Rep], jobs[i]
 		if (rep.err == nil) != (mem.err == nil) {
 			t.Fatalf("member %+v vs rep %+v: DUE mismatch: %v vs %v", mj.fault, rj.fault, mem.err, rep.err)
 		}

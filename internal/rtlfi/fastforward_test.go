@@ -174,7 +174,7 @@ func TestClassifyMemoryScanRecordsWord(t *testing.T) {
 	g[corruptedWord] = 0xDEADBEEF
 
 	res := &Result{}
-	classify(res, isa.OpIADD, rtl.Fault{Module: faults.ModPipe}, machine, g, golden, nil)
+	res.add(classify(isa.OpIADD, rtl.Fault{Module: faults.ModPipe}, machine, g, golden, nil))
 	if res.Tally.SDCs() != 1 || len(res.Details) != 1 {
 		t.Fatalf("expected one SDC detail, got tally %+v, %d details", res.Tally, len(res.Details))
 	}
@@ -190,7 +190,7 @@ func TestClassifyMemoryScanRecordsWord(t *testing.T) {
 	g2 := append([]uint32(nil), golden...)
 	g2[3*MicroThreads+5] = 1 // thread 5's output word
 	res2 := &Result{}
-	classify(res2, isa.OpIADD, rtl.Fault{Module: faults.ModPipe}, machine, g2, golden, nil)
+	res2.add(classify(isa.OpIADD, rtl.Fault{Module: faults.ModPipe}, machine, g2, golden, nil))
 	if len(res2.Details) != 1 {
 		t.Fatalf("expected one detail, got %d", len(res2.Details))
 	}

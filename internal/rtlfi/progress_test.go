@@ -49,7 +49,7 @@ func TestProgressThrottled(t *testing.T) {
 	if !sawFinal {
 		t.Error("final (total, total) progress call never arrived")
 	}
-	// granule = total/1000, so at most total/granule + 1 calls; allow a
+	// One call per 1/1000th of the campaign plus the final one; allow a
 	// little headroom but fail hard on anything near per-fault delivery.
 	if max := n/(n/1000) + 10; calls > max {
 		t.Errorf("progress fired %d times for %d faults, want <= %d (throttled)", calls, n, max)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"gpufi/internal/faults"
 	"gpufi/internal/mxm"
@@ -48,43 +47,15 @@ type TMXMSpec struct {
 // pattern census (Fig. 8 / Table II) and per-pattern relative-error pools
 // (Fig. 9).
 type TMXMResult struct {
-	Spec        TMXMSpec
-	Tally       faults.Tally
-	Patterns    [faults.NumPatterns]int
-	PatternErrs map[faults.Pattern][]float64
+	Spec         TMXMSpec
+	Tally        faults.Tally
+	Patterns     [faults.NumPatterns]int
+	PatternErrs  map[faults.Pattern][]float64
 	GoldenCycles uint64
 
-	// SimCycles / SkippedCycles / PrunedFaults / CollapsedFaults /
-	// VectorFaults / Marches: see Result.
-	SimCycles       uint64
-	SkippedCycles   uint64
-	PrunedFaults    uint64
-	CollapsedFaults uint64
-	VectorFaults    uint64
-	Marches         uint64
+	// Counters is the engine's accounting of the campaign; see Result.
+	Counters
 }
-
-// ReplaySpeedup returns the campaign's effective replay speedup; see
-// Result.ReplaySpeedup.
-func (r *TMXMResult) ReplaySpeedup() float64 { return replaySpeedup(r.SimCycles, r.SkippedCycles) }
-
-// PruneRate returns the share of injections classified by dead-site
-// pruning alone.
-func (r *TMXMResult) PruneRate() float64 { return pruneRate(r.PrunedFaults, r.Tally.Injections) }
-
-// CollapseRate returns the share of injections tallied from an
-// equivalence-class memo instead of being simulated.
-func (r *TMXMResult) CollapseRate() float64 {
-	return collapseRate(r.CollapsedFaults, r.Tally.Injections)
-}
-
-// VectorRate returns the share of injections simulated as bit-parallel
-// march lanes.
-func (r *TMXMResult) VectorRate() float64 { return vectorRate(r.VectorFaults, r.Tally.Injections) }
-
-// LaneOccupancy returns the mean fill of the campaign's marches; see
-// Result.LaneOccupancy.
-func (r *TMXMResult) LaneOccupancy() float64 { return laneOccupancy(r.VectorFaults, r.Marches) }
 
 // PatternShare returns the share of multi-element SDCs classified as p,
 // over all multi-element SDCs (Table II normalises over multiple
@@ -117,94 +88,59 @@ func RunTMXMCtx(ctx context.Context, spec TMXMSpec) (*TMXMResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(spec.Seed)
-
-	// Input draws consume the spec RNG serially; golden runs, liveness
-	// traces and checkpoint replays then fan out across draws (see
-	// prepareDraws for the bit-identity argument).
-	type draw struct {
-		inputDraw
-		goldenC []float32
-	}
-	draws := make([]draw, valuesPerRange)
-	dp := make([]*inputDraw, len(draws))
-	for i := range draws {
-		a, b := mxm.TileInputs(spec.Kind, rng.Uint64())
-		draws[i].global = mxm.Pack(a, b, mxm.Tile)
-		dp[i] = &draws[i].inputDraw
-	}
-	if err := prepareDraws(dp, prog, mxm.BlockThreads, mxm.SharedWords, 5_000_000, spec.NoFastForward, spec.NoPrune); err != nil {
+	p, err := newPlan(
+		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
+			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
+		family{prog: prog, block: mxm.BlockThreads, sharedWords: mxm.SharedWords, goldenBudget: 5_000_000,
+			input: func(rng *stats.RNG) []uint32 {
+				a, b := mxm.TileInputs(spec.Kind, rng.Uint64())
+				return mxm.Pack(a, b, mxm.Tile)
+			}})
+	if err != nil {
 		return nil, err
 	}
-	for i := range draws {
-		draws[i].goldenC = mxm.ExtractC(draws[i].golden, mxm.Tile)
+	goldenC := make([][]float32, len(p.draws))
+	for i, d := range p.draws {
+		goldenC[i] = mxm.ExtractC(d.golden, mxm.Tile)
 	}
 
-	// Deterministic fault list, then the equivalence classes among its
-	// live sites (see RunMicroCtx).
-	jobs := drawJobs(rng, spec.Module, spec.NumFaults, dp)
-	var collapse *collapseIndex
-	if !spec.NoPrune && !spec.NoCollapse {
-		collapse = buildCollapseIndex(jobs, dp)
+	// tmxmOut is one fault's classified effect; the zero value is a Masked
+	// fault that corrupted nothing.
+	type tmxmOut struct {
+		outcome   faults.Outcome
+		corrupted int
+		pattern   faults.Pattern
+		errs      []float64 // finite relative errors of the corrupted elements
 	}
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	partials := make([]*TMXMResult, workers)
-	for w := range partials {
-		partials[w] = &TMXMResult{Spec: spec, PatternErrs: make(map[faults.Pattern][]float64)}
-	}
-	counters := make([]engineCounters, workers)
-	completed := runFaultLoop(ctx, workers, jobs, dp, prog, mxm.BlockThreads, mxm.SharedWords,
-		collapse, !spec.NoBitParallel, counters, spec.Progress, campaignHooks{
-			masked: func(w int) { partials[w].Tally.Add(faults.Masked, 0) },
-			record: func(w int, _ *rtl.Machine, j faultJob, g []uint32, err error) {
-				res := partials[w]
-				if err != nil {
-					res.Tally.Add(faults.DUE, 0)
-					return
-				}
-				faultyC := mxm.ExtractC(g, mxm.Tile)
-				corr := mxm.Compare(draws[j.draw].goldenC, faultyC, mxm.Tile)
-				if corr.Count == 0 {
-					res.Tally.Add(faults.Masked, 0)
-					return
-				}
-				res.Tally.Add(faults.SDC, corr.Count)
-				pat := corr.Classify()
-				res.Patterns[pat]++
-				finite := make([]float64, 0, len(corr.RelErrs))
-				for _, e := range corr.RelErrs {
-					if !math.IsInf(e, 0) && !math.IsNaN(e) {
-						finite = append(finite, e)
-					}
-				}
-				res.PatternErrs[pat] = append(res.PatternErrs[pat], finite...)
-			},
-		})
-	// Cancellation that lands after the last job finished does not void
-	// the campaign: every fault was simulated, so return the result.
-	if err := ctx.Err(); err != nil && completed != len(jobs) {
+	outs, counters, err := run(ctx, p, func(_ *rtl.Machine, j faultJob, g []uint32, err error) tmxmOut {
+		if err != nil {
+			return tmxmOut{outcome: faults.DUE}
+		}
+		corr := mxm.Compare(goldenC[j.draw], mxm.ExtractC(g, mxm.Tile), mxm.Tile)
+		if corr.Count == 0 {
+			return tmxmOut{}
+		}
+		finite := make([]float64, 0, len(corr.RelErrs))
+		for _, e := range corr.RelErrs {
+			if !math.IsInf(e, 0) && !math.IsNaN(e) {
+				finite = append(finite, e)
+			}
+		}
+		return tmxmOut{outcome: faults.SDC, corrupted: corr.Count, pattern: corr.Classify(), errs: finite}
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	out := &TMXMResult{Spec: spec, PatternErrs: make(map[faults.Pattern][]float64), GoldenCycles: draws[0].goldenCycles}
-	for w, p := range partials {
-		out.Tally.Merge(p.Tally)
-		for i, n := range p.Patterns {
-			out.Patterns[i] += n
+	// Folding in job order keeps each pattern's error pool independent of
+	// the worker count.
+	out := &TMXMResult{Spec: spec, PatternErrs: make(map[faults.Pattern][]float64),
+		GoldenCycles: p.draws[0].goldenCycles, Counters: counters}
+	for _, o := range outs {
+		out.Tally.Add(o.outcome, o.corrupted)
+		if o.outcome == faults.SDC {
+			out.Patterns[o.pattern]++
+			out.PatternErrs[o.pattern] = append(out.PatternErrs[o.pattern], o.errs...)
 		}
-		for pat, errs := range p.PatternErrs {
-			out.PatternErrs[pat] = append(out.PatternErrs[pat], errs...)
-		}
-		out.SimCycles += counters[w].SimCycles
-		out.SkippedCycles += counters[w].SkippedCycles
-		out.PrunedFaults += counters[w].PrunedFaults
-		out.CollapsedFaults += counters[w].CollapsedFaults
-		out.VectorFaults += counters[w].VectorFaults
-		out.Marches += counters[w].Marches
 	}
 	return out, nil
 }

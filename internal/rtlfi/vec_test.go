@@ -7,7 +7,6 @@ import (
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/rtl"
-	"gpufi/internal/stats"
 )
 
 // TestMicroBitParallelBitIdentical is the march engine's anchor
@@ -172,29 +171,18 @@ func TestBitParallelCrossValidation(t *testing.T) {
 		mod := tc.mod
 		t.Run(mod.String(), func(t *testing.T) {
 			spec := Spec{Op: tc.op, Range: faults.RangeMedium, Module: mod, NumFaults: tc.n, Seed: 490}
-			prog, err := BuildMicro(spec.Op)
+			p, err := spec.plan()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := stats.NewRNG(spec.Seed)
-			draws := make([]inputDraw, valuesPerRange)
-			dp := make([]*inputDraw, len(draws))
-			for i := range draws {
-				draws[i].global = MicroInputs(spec.Op, spec.Range, rng)
-				dp[i] = &draws[i]
-			}
-			if err := prepareDraws(dp, prog, MicroThreads, 0, 1_000_000, false, false); err != nil {
-				t.Fatal(err)
-			}
-			jobs := drawJobs(rng, spec.Module, spec.NumFaults, dp)
-			ci := buildCollapseIndex(jobs, dp)
+			prog, dp, jobs := p.prog, p.draws, p.jobs
 
-			// The march phase as runFaultLoop invokes it: one worker owns
-			// the whole stripe.
-			var ec engineCounters
+			// The march phase as run invokes it: one worker owns the
+			// whole stripe.
+			var ec Counters
 			machine := rtl.New()
 			dead := make([]bool, len(jobs))
-			outs := marchStripe(t.Context(), 0, 1, jobs, dp, prog, MicroThreads, 0, ci, &ec, machine, dead)
+			outs := p.marchStripe(t.Context(), 0, 1, &ec, machine, dead)
 			if ec.VectorFaults != uint64(len(outs)) {
 				t.Fatalf("march fell back to scalar simulation: %d vector faults, %d outcomes",
 					ec.VectorFaults, len(outs))
@@ -210,7 +198,7 @@ func TestBitParallelCrossValidation(t *testing.T) {
 			}
 			classified := func(j faultJob, g []uint32, err error) *Result {
 				res := &Result{Spec: spec}
-				classify(res, spec.Op, j.fault, machine, g, dp[j.draw].golden, err)
+				res.add(classify(spec.Op, j.fault, machine, g, dp[j.draw].golden, err))
 				return res
 			}
 

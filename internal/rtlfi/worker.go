@@ -2,10 +2,12 @@ package rtlfi
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"gpufi/internal/campaign"
 	"gpufi/internal/faults"
 	"gpufi/internal/kasm"
 	"gpufi/internal/rtl"
@@ -13,10 +15,61 @@ import (
 )
 
 // This file is the campaign engine shared by the micro-benchmark and
-// t-MxM workers: the deterministic fault list, the per-fault scaffolding
-// (dead-site prune check, checkpoint selection, cycle accounting) and
-// fault-equivalence collapsing. The two campaign families differ only in
-// how they classify a finished faulty run, which they supply as hooks.
+// t-MxM families: prepare the input draws, schedule the deterministic
+// fault list and its equivalence classes, and run it on the campaign
+// kernel with the accelerator layers — dead-site pruning, equivalence
+// collapsing, bit-parallel marching, checkpoint fast-forward — as
+// optional stages of the per-fault loop. The families differ only in how
+// they draw inputs and classify a finished faulty run.
+
+// inputDraw describes one prepared input draw.
+type inputDraw struct {
+	global       []uint32
+	golden       []uint32
+	goldenCycles uint64
+	ckpts        ckptStore
+	live         *rtl.Liveness // golden-run liveness trace; nil without pruning
+}
+
+// prepare runs one draw's golden prefix on a fresh machine: the golden
+// run itself (tracing liveness when the engine prunes) and the
+// checkpoint-recording replay (when it fast-forwards). d.global must
+// already be populated; everything else is derived here.
+func (p *plan) prepare(d *inputDraw) error {
+	m := rtl.New()
+	if p.prune {
+		d.live = &rtl.Liveness{}
+		m.TraceLiveness(d.live)
+	}
+	golden := append([]uint32(nil), d.global...)
+	if err := m.Run(p.prog, 1, p.block, golden, p.sharedWords, p.goldenBudget); err != nil {
+		return fmt.Errorf("rtlfi: golden run failed: %w", err)
+	}
+	// Detach before the checkpoint replay: a Liveness traces exactly one
+	// run, and the replay is the same dataflow anyway.
+	m.TraceLiveness(nil)
+	d.golden = golden
+	d.goldenCycles = m.Cycles()
+	if p.fastForward {
+		cs, err := recordCheckpoints(m, p.prog, p.block, d.global, p.sharedWords, d.goldenCycles)
+		if err != nil {
+			return err
+		}
+		d.ckpts = cs
+	}
+	return nil
+}
+
+// budget is the hang-detection cycle budget of the draw's faulty runs.
+func (d *inputDraw) budget() uint64 { return d.goldenCycles*watchdogFactor + 1000 }
+
+// prunedDead pre-classifies one fault against a draw's liveness trace.
+// A dead fault is Masked with zero simulation; its whole would-be replay
+// (exactly goldenCycles — a dead fault's run is the golden run) lands in
+// SkippedCycles so cycle accounting stays comparable across modes.
+func (d *inputDraw) prunedDead(f rtl.Fault) bool {
+	return d.live != nil && d.live.DeadAt(f.Module, f.Bit, f.Cycle)
+}
 
 // faultJob is one campaign work item: a single transient fault paired
 // with the input draw it is injected under.
@@ -28,8 +81,8 @@ type faultJob struct {
 // drawJobs generates the campaign's deterministic fault list from the
 // spec RNG: job i targets draw i%valuesPerRange and a uniform (bit,
 // cycle) site. It consumes exactly two rng draws per fault, in job
-// order, so the stream — and with it every campaign result — is
-// bit-identical to the inline generation it replaced.
+// order, so the stream — and with it every campaign result — does not
+// depend on the engine mode.
 func drawJobs(rng *stats.RNG, mod faults.Module, n int, draws []*inputDraw) []faultJob {
 	jobs := make([]faultJob, n)
 	modBits := rtl.ModuleBits(mod)
@@ -47,53 +100,22 @@ func drawJobs(rng *stats.RNG, mod faults.Module, n int, draws []*inputDraw) []fa
 	return jobs
 }
 
-// classEntry is the shared memo of one multi-member fault-equivalence
-// class. The representative's worker simulates the class once and
-// publishes the outcome; every other member is tallied from the memo
-// with zero simulated cycles.
-type classEntry struct {
-	rep int // job index of the representative: the class's first member
+// classMemo is the shared memo of one multi-member fault-equivalence
+// class: the representative's worker simulates the class once and
+// publishes the run; every other member is tallied from it with zero
+// simulated cycles.
+type classMemo = campaign.Memo[simRun]
 
-	// done is closed by publish after the memo fields below are set;
-	// members must not read them before it is closed.
-	done chan struct{}
-
-	g            []uint32 // final memory image (a copy; nil on DUE)
-	err          error    // the run's DUE error, if any
-	replayCycles uint64   // rep's sim+skipped: every member's full-replay cost
-}
-
-// publish installs the representative's outcome and releases waiting
-// members. The image is copied: the representative's machine reuses its
-// buffers on the next run, and d.golden must stay unaliased too.
-func (e *classEntry) publish(r simRun) {
+// memo returns the run as a class memo holds it. The image is copied:
+// the representative's machine reuses its buffers on the next run, and
+// d.golden must stay unaliased too.
+func (r simRun) memo() simRun {
 	if r.err == nil {
-		e.g = append([]uint32(nil), r.g...)
+		r.g = append([]uint32(nil), r.g...)
+	} else {
+		r.g = nil
 	}
-	e.err = r.err
-	e.replayCycles = r.sim + r.skipped
-	close(e.done)
-}
-
-// collapseIndex maps job indices to their fault-equivalence class.
-// Classes group live (non-dead-pruned) faults by (draw, bit, read gap):
-// two such faults corrupt the same stored field value between the same
-// two golden read events, so their faulty trajectories — and with them
-// classification, syndrome, detailed record and total replay cycles —
-// are provably identical (see rtl.Liveness.GapAt and DESIGN §4). Only
-// multi-member classes get an entry; byJob[i] is nil when fault i
-// collapses with nobody and simulates normally.
-type collapseIndex struct {
-	byJob []*classEntry
-}
-
-// at returns job i's class entry, tolerating a nil (collapse-disabled)
-// index.
-func (ci *collapseIndex) at(i int) *classEntry {
-	if ci == nil {
-		return nil
-	}
-	return ci.byJob[i]
+	return r
 }
 
 // classTable is a minimal open-addressing hash table from packed class
@@ -157,14 +179,18 @@ func (t *classTable) grow() {
 }
 
 // buildCollapseIndex assigns every live fault its equivalence class,
-// sharded per draw. It runs sequentially before the workers start, and
-// pre-claims the representative as the class's first member in job
-// order — a stronger form of a per-class sync.Once claim: no two
-// workers ever simulate the same class, and which member gets simulated
-// (hence the campaign's SimCycles split) never depends on goroutine
-// scheduling, preserving the engine's re-runs-are-bit-identical
-// guarantee. Worker striping and the RNG stream are untouched.
-func buildCollapseIndex(jobs []faultJob, draws []*inputDraw) *collapseIndex {
+// sharded per draw, and returns each job's class memo. Classes group
+// live (non-dead-pruned) faults by (draw, bit, read gap): two such faults
+// corrupt the same stored field value between the same two golden read
+// events, so their faulty trajectories — and with them classification,
+// syndrome, detailed record and total replay cycles — are provably
+// identical (see rtl.Liveness.GapAt and DESIGN §4). Only multi-member
+// classes get a memo; slot i is nil when fault i collapses with nobody
+// and simulates normally. It runs sequentially before the workers start,
+// needs the draws' liveness traces, and pre-claims the representative as
+// the class's first member in job order (see campaign.Memo). Worker
+// striping and the RNG stream are untouched.
+func buildCollapseIndex(jobs []faultJob, draws []*inputDraw) []*classMemo {
 	// Class keys pack (bit, gap) into one uint64: both are non-negative
 	// and bounded well below 2^32 (bit by the module's flip-flop count,
 	// gap by the golden run's read-event count), and a flat integer key
@@ -174,13 +200,9 @@ func buildCollapseIndex(jobs []faultJob, draws []*inputDraw) *collapseIndex {
 	for i := range firsts {
 		firsts[i] = newClassTable()
 	}
-	ci := &collapseIndex{byJob: make([]*classEntry, len(jobs))}
+	classOf := make([]*classMemo, len(jobs))
 	for i, j := range jobs {
-		d := draws[j.draw]
-		if d.live == nil {
-			return nil // no liveness trace (NoPrune): nothing to key gaps on
-		}
-		gap, ok := d.live.GapAt(j.fault.Module, j.fault.Bit, j.fault.Cycle)
+		gap, ok := draws[j.draw].live.GapAt(j.fault.Module, j.fault.Bit, j.fault.Cycle)
 		if !ok {
 			continue // dead site: the prune check claims it before any class logic
 		}
@@ -189,14 +211,12 @@ func buildCollapseIndex(jobs []faultJob, draws []*inputDraw) *collapseIndex {
 		if !seen {
 			continue
 		}
-		e := ci.byJob[int(first)]
-		if e == nil {
-			e = &classEntry{rep: int(first), done: make(chan struct{})}
-			ci.byJob[first] = e
+		if classOf[first] == nil {
+			classOf[first] = campaign.NewMemo[simRun](int(first))
 		}
-		ci.byJob[i] = e
+		classOf[i] = classOf[first]
 	}
-	return ci
+	return classOf
 }
 
 // simRun is one simulated faulty run's raw outcome before family-specific
@@ -212,11 +232,10 @@ type simRun struct {
 // runFault simulates one live fault on the worker's machine: checkpoint
 // fast-forward when a snapshot at or before the injection cycle exists,
 // golden-reconvergence pruning for the tail, full replay otherwise.
-func (d *inputDraw) runFault(machine *rtl.Machine, prog *kasm.Program, block, sharedWords int, f rtl.Fault) simRun {
-	budget := d.goldenCycles*watchdogFactor + 1000
+func (p *plan) runFault(machine *rtl.Machine, d *inputDraw, f rtl.Fault) simRun {
 	machine.Inject(f)
 	if snap := d.ckpts.before(f.Cycle); snap != nil {
-		pruned, err := machine.RunFromPruned(snap, budget, d.ckpts.every, d.ckpts.at)
+		pruned, err := machine.RunFromPruned(snap, d.budget(), d.ckpts.every, d.ckpts.at)
 		sim := machine.Cycles() - snap.Cycle()
 		if pruned {
 			// Reconverged with the golden state: the tail provably
@@ -227,34 +246,85 @@ func (d *inputDraw) runFault(machine *rtl.Machine, prog *kasm.Program, block, sh
 		return simRun{g: machine.Global(), err: err, sim: sim, skipped: snap.Cycle()}
 	}
 	g := append([]uint32(nil), d.global...)
-	err := machine.Run(prog, 1, block, g, sharedWords, budget)
+	err := machine.Run(p.prog, 1, p.block, g, p.sharedWords, d.budget())
 	return simRun{g: g, err: err, sim: machine.Cycles()}
 }
 
-// engineCounters is one worker's engine accounting, merged by the family
-// into its result type after the loop: cycles simulated, cycles provably
-// skipped, and the faults classified without any simulation (dead-site
-// pruned, equivalence-collapsed).
-type engineCounters struct {
-	SimCycles, SkippedCycles      uint64
-	PrunedFaults, CollapsedFaults uint64
-	VectorFaults, Marches         uint64
+// engine is the family-independent part of a campaign spec, with the
+// accelerator implication rules resolved once: collapsing keys on the
+// liveness trace pruning records, so it is on only when pruning is.
+type engine struct {
+	module    faults.Module
+	numFaults int
+	seed      uint64
+	workers   int
+	progress  func(done, total int)
+
+	fastForward, prune, collapse, march bool
 }
 
-// campaignHooks are the family-specific callbacks of runFaultLoop. Each
-// receives the worker index w; calls for the same w are serial, calls
-// for different w are concurrent, so hooks may index per-worker partial
-// results without locking.
-type campaignHooks struct {
-	// masked records one injection proven Masked with zero simulation
-	// (dead-site prune): exactly what record would report for the
-	// bit-identical faulty run.
-	masked func(w int)
-	// record classifies one faulty outcome against the job's golden run:
-	// g is the final memory image (the golden image when the run
-	// reconverged; nil on DUE) and err the run's DUE error. machine is
-	// the worker's machine, valid for layout lookups only.
-	record func(w int, machine *rtl.Machine, j faultJob, g []uint32, err error)
+func newEngine(mod faults.Module, numFaults int, seed uint64, workers int, progress func(done, total int),
+	noFastForward, noPrune, noCollapse, noBitParallel bool) engine {
+	return engine{
+		module: mod, numFaults: numFaults, seed: seed, workers: workers, progress: progress,
+		fastForward: !noFastForward, prune: !noPrune, collapse: !noPrune && !noCollapse, march: !noBitParallel,
+	}
+}
+
+// family is what distinguishes the micro-benchmark campaigns from the
+// t-MxM ones before classification: the program, its launch shape, and
+// how one input draw's global-memory image comes off the spec RNG.
+type family struct {
+	prog         *kasm.Program
+	block        int
+	sharedWords  int
+	goldenBudget uint64
+	input        func(rng *stats.RNG) []uint32
+}
+
+// plan is a prepared and scheduled campaign: the input draws with their
+// golden runs, the deterministic fault list, and each job's equivalence
+// class among the live sites (all nil with collapsing off).
+type plan struct {
+	engine
+	family
+	draws    []*inputDraw
+	jobs     []faultJob
+	collapse []*classMemo
+}
+
+// newPlan prepares and schedules a campaign. Input draws consume the
+// spec RNG serially; the golden runs (with liveness tracing), plus the
+// bit-identical replays that record the fast-forward checkpoints, then
+// fan out across draws, one fresh machine each. Neither pass touches the
+// RNG, so the fault list drawn afterwards sees the same stream whatever
+// the engine mode.
+func newPlan(e engine, f family) (*plan, error) {
+	rng := stats.NewRNG(e.seed)
+	p := &plan{engine: e, family: f, draws: make([]*inputDraw, valuesPerRange)}
+	for i := range p.draws {
+		p.draws[i] = &inputDraw{global: f.input(rng)}
+	}
+	errs := make([]error, len(p.draws))
+	var wg sync.WaitGroup
+	for i, d := range p.draws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.prepare(d)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	p.jobs = drawJobs(rng, e.module, e.numFaults, p.draws)
+	if e.collapse {
+		p.collapse = buildCollapseIndex(p.jobs, p.draws)
+	} else {
+		p.collapse = make([]*classMemo, len(p.jobs))
+	}
+	return p, nil
 }
 
 // marchStripe is one worker's bit-parallel first phase: it groups the
@@ -264,14 +334,13 @@ type campaignHooks struct {
 // the marched faults happens here, where the outcomes are produced, and
 // representatives' collapse memos publish as soon as their march
 // completes — the phase never waits on anything, so the recording phase's
-// deadlock-freedom argument is untouched. A march that fails (it cannot,
-// absent engine bugs: prepared draws guarantee the golden run completes
-// past every injection cycle) falls back to scalar simulation of its
-// chunk, which is bit-identical by the engine's contract.
-func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*inputDraw,
-	prog *kasm.Program, block, sharedWords int, collapse *collapseIndex,
-	ec *engineCounters, machine *rtl.Machine, dead []bool) map[int]simRun {
-
+// deadlock-freedom argument (campaign.Memo) is untouched. A march that
+// fails (it cannot, absent engine bugs: prepared draws guarantee the
+// golden run completes past every injection cycle) falls back to scalar
+// simulation of its chunk, which is bit-identical by the engine's
+// contract.
+func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, machine *rtl.Machine, dead []bool) map[int]simRun {
+	jobs, draws := p.jobs, p.draws
 	perDraw := make([][]int, len(draws))
 	for i := w; i < len(jobs); i += workers {
 		j := jobs[i]
@@ -283,7 +352,7 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 			dead[i] = true
 			continue
 		}
-		if e := collapse.at(i); e != nil && e.rep != i {
+		if e := p.collapse[i]; e != nil && e.Rep != i {
 			continue
 		}
 		perDraw[j.draw] = append(perDraw[j.draw], i)
@@ -303,7 +372,6 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 	chunk := make([]rtl.Fault, 0, rtl.VecMaxLanes)
 	for di, idxs := range perDraw {
 		d := draws[di]
-		budget := d.goldenCycles*watchdogFactor + 1000
 		// One read schedule per draw: the draw's first march records the
 		// golden run's read/touch schedule, the rest consult it to judge
 		// park attempts and retire quiescent lanes (see rtl.MarchSched).
@@ -322,11 +390,7 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 			if ctx.Err() != nil {
 				return outs
 			}
-			end := off + rtl.VecMaxLanes
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			group := idxs[off:end]
+			group := idxs[off:min(off+rtl.VecMaxLanes, len(idxs))]
 			if len(group) < minMarchLanes {
 				continue // scalar recording phase picks these up
 			}
@@ -337,14 +401,14 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 			// Each march fast-forwards its golden replay to the latest
 			// checkpoint at or before its earliest injection.
 			opts.Start = d.ckpts.before(chunk[0].Cycle)
-			vouts, err := eng.March(prog, block, d.global, sharedWords, chunk, budget, &opts)
+			vouts, err := eng.March(p.prog, p.block, d.global, p.sharedWords, chunk, d.budget(), &opts)
 			if err == nil {
 				ec.Marches++
 			}
 			for k, gi := range group {
 				var sr simRun
 				if err != nil {
-					sr = d.runFault(machine, prog, block, sharedWords, jobs[gi].fault)
+					sr = p.runFault(machine, d, jobs[gi].fault)
 				} else {
 					o := vouts[k]
 					sr = simRun{err: o.Err, sim: o.Sim, skipped: o.End - o.Sim}
@@ -360,8 +424,8 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 				ec.SimCycles += sr.sim
 				ec.SkippedCycles += sr.skipped
 				outs[gi] = sr
-				if e := collapse.at(gi); e != nil {
-					e.publish(sr)
+				if e := p.collapse[gi]; e != nil {
+					e.Publish(sr.memo())
 				}
 			}
 		}
@@ -369,112 +433,86 @@ func marchStripe(ctx context.Context, w, workers int, jobs []faultJob, draws []*
 	return outs
 }
 
-// runFaultLoop drives the striped worker pool over the campaign's fault
-// list, performing the engine work shared by both campaign families —
-// dead-site prune check, fault-equivalence collapsing, bit-parallel
-// marching, checkpoint fast-forward, cycle accounting, progress and
-// cancellation — and delegating outcome recording to hooks. It returns
-// the number of completed faults, which equals len(jobs) unless ctx was
-// cancelled.
+// run drives the campaign kernel over the plan's fault list. Each job
+// passes through the engine's optional stages in order — dead-site prune
+// check, equivalence-class memo, bit-parallel march result, checkpoint
+// fast-forward — and only then costs a scalar simulation; classify turns
+// the finished run into the family's per-fault output. The outputs come
+// back in job order beside the merged engine accounting. A dead-pruned
+// fault is never classified: its slot keeps T's zero value, which both
+// families read as Masked with nothing corrupted — exactly what classify
+// would report for the bit-identical faulty run.
 //
-// With vec set, each worker first marches its stripe's live non-member
-// faults bit-parallel (marchStripe) and then records every job in the
-// exact order and with the exact outcomes of the scalar loop, so results
-// stay bit-identical across the mode lattice.
-func runFaultLoop(ctx context.Context, workers int, jobs []faultJob, draws []*inputDraw,
-	prog *kasm.Program, block, sharedWords int, collapse *collapseIndex, vec bool,
-	counters []engineCounters, progress func(done, total int), hooks campaignHooks) int {
+// With marching on, each worker first marches its stripe's live
+// non-member faults bit-parallel (marchStripe) and then resolves every
+// job in the exact order and with the exact outcomes of the scalar loop,
+// so results stay bit-identical across the mode lattice.
+func run[T any](ctx context.Context, p *plan,
+	classify func(machine *rtl.Machine, j faultJob, g []uint32, err error) T) ([]T, Counters, error) {
 
-	// Progress is throttled to ~1/1000 of the campaign (and always fired
-	// for the final job): callbacks may cross goroutine or process
-	// boundaries, and per-fault delivery measurably perturbs dense
-	// campaigns.
-	total := len(jobs)
-	granule := total / 1000
-	if granule < 1 {
-		granule = 1
-	}
-	// In vec mode the march phase answers every job's dead-site query
+	workers := campaign.Workers(p.workers)
+	counters := make([]Counters, workers)
+	// In march mode the march phase answers every job's dead-site query
 	// while grouping its stripe; the recording phase reuses the verdicts
 	// instead of re-running the liveness lookups.
 	var dead []bool
-	if vec {
-		dead = make([]bool, len(jobs))
+	if p.march {
+		dead = make([]bool, len(p.jobs))
 	}
-	var completed atomic.Int64
-	bump := func() {
-		done := int(completed.Add(1))
-		if progress != nil && (done == total || done%granule == 0) {
-			progress(done, total)
+	outs, _, err := campaign.Run(ctx, len(p.jobs), workers, p.progress, func(w int) func(int) (T, bool) {
+		ec := &counters[w]
+		machine := rtl.New()
+		var marched map[int]simRun
+		if p.march {
+			marched = p.marchStripe(ctx, w, workers, ec, machine, dead)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ec := &counters[w]
-			machine := rtl.New()
-			var outs map[int]simRun
-			if vec {
-				outs = marchStripe(ctx, w, workers, jobs, draws, prog, block, sharedWords, collapse, ec, machine, dead)
+		return func(i int) (out T, ok bool) {
+			j := p.jobs[i]
+			d := p.draws[j.draw]
+			if p.march && dead[i] || !p.march && d.prunedDead(j.fault) {
+				// Provably dead site: Masked with zero simulation. Its
+				// whole would-be replay (exactly goldenCycles — a dead
+				// fault's run is the golden run) lands in SkippedCycles
+				// so cycle accounting stays comparable across modes.
+				ec.PrunedFaults++
+				ec.SkippedCycles += d.goldenCycles
+				return out, true
 			}
-			for i := w; i < len(jobs); i += workers {
-				if ctx.Err() != nil {
-					break
+			e := p.collapse[i]
+			if e != nil && e.Rep != i {
+				// Collapsed member: trajectory-identical to its class
+				// representative, so the memo supplies the outcome at
+				// zero simulated cycles; only the fault site in the
+				// record is the member's own. The member's would-be
+				// replay cost — identical to the representative's by
+				// trajectory identity — lands in SkippedCycles, keeping
+				// sim+skipped == full-replay sim exact.
+				sr, ok := e.Wait(ctx)
+				if !ok {
+					return out, false
 				}
-				j := jobs[i]
-				d := draws[j.draw]
-				if vec && dead[i] || !vec && d.prunedDead(j.fault) {
-					// Provably dead site: Masked with zero simulation. Its
-					// whole would-be replay (exactly goldenCycles — a dead
-					// fault's run is the golden run) lands in SkippedCycles
-					// so cycle accounting stays comparable across modes.
-					ec.PrunedFaults++
-					ec.SkippedCycles += d.goldenCycles
-					hooks.masked(w)
-					bump()
-					continue
-				}
-				e := collapse.at(i)
-				if e != nil && e.rep != i {
-					// Collapsed member: trajectory-identical to its class
-					// representative, so the memo supplies the outcome at
-					// zero simulated cycles; only the fault site in the
-					// record is the member's own. The member's would-be
-					// replay cost — identical to the representative's by
-					// trajectory identity — lands in SkippedCycles, keeping
-					// sim+skipped == full-replay sim exact.
-					//
-					// Waiting cannot deadlock: representatives never wait,
-					// and a member only waits on a strictly smaller job
-					// index, which its owning worker reaches (and
-					// publishes) without waiting on anything larger.
-					select {
-					case <-e.done:
-					case <-ctx.Done():
-						continue // top of loop breaks on ctx.Err
-					}
-					ec.CollapsedFaults++
-					ec.SkippedCycles += e.replayCycles
-					hooks.record(w, machine, j, e.g, e.err)
-					bump()
-					continue
-				}
-				sr, marched := outs[i]
-				if !marched {
-					sr = d.runFault(machine, prog, block, sharedWords, j.fault)
-					ec.SimCycles += sr.sim
-					ec.SkippedCycles += sr.skipped
-					if e != nil {
-						e.publish(sr)
-					}
-				}
-				hooks.record(w, machine, j, sr.g, sr.err)
-				bump()
+				ec.CollapsedFaults++
+				ec.SkippedCycles += sr.sim + sr.skipped
+				return classify(machine, j, sr.g, sr.err), true
 			}
-		}(w)
+			sr, ok := marched[i]
+			if !ok {
+				sr = p.runFault(machine, d, j.fault)
+				ec.SimCycles += sr.sim
+				ec.SkippedCycles += sr.skipped
+				if e != nil {
+					e.Publish(sr.memo())
+				}
+			}
+			return classify(machine, j, sr.g, sr.err), true
+		}
+	})
+	if err != nil {
+		return nil, Counters{}, err
 	}
-	wg.Wait()
-	return int(completed.Load())
+	total := Counters{Injections: len(p.jobs)}
+	for _, c := range counters {
+		total.Merge(c)
+	}
+	return outs, total, nil
 }

@@ -4,20 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"gpufi/internal/cnn"
-	"gpufi/internal/emu"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/replay"
 	"gpufi/internal/stats"
 	"gpufi/internal/syndrome"
 )
-
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // CNNModel selects the CNN fault model: the instruction-level models, or
 // the t-MxM tile corruption of §IV-B/§VI.
@@ -98,47 +93,12 @@ type CNNResult struct {
 	CriticalSDC int
 	Profile     Counts
 
-	// SimInstrs / SkippedInstrs are the fast-forward telemetry counters;
-	// see Result. Both are zero on the NoFastForward path.
-	SimInstrs     uint64
-	SkippedInstrs uint64
-
-	// PrunedFaults / CollapsedFaults count injections resolved by the
-	// dead-site index and by equivalence collapsing; see Result.
-	PrunedFaults    uint64
-	CollapsedFaults uint64
+	// Counters is the engine's accounting of the campaign; see Result.
+	Counters
 
 	// Elapsed is the campaign's wall-clock time, including preparation;
 	// see Result.Elapsed.
 	Elapsed time.Duration
-}
-
-// EmuMIPS is the emulated-instruction throughput of the campaign; see
-// Result.EmuMIPS.
-func (r *CNNResult) EmuMIPS() float64 { return mips(r.SimInstrs, r.Elapsed) }
-
-// EffectiveMIPS is the virtual throughput including skipped instructions;
-// see Result.EffectiveMIPS.
-func (r *CNNResult) EffectiveMIPS() float64 {
-	return mips(r.SimInstrs+r.SkippedInstrs, r.Elapsed)
-}
-
-// PruneRate is the fraction of injections the dead-site index classified
-// without simulation.
-func (r *CNNResult) PruneRate() float64 {
-	if r.Tally.Injections == 0 {
-		return 0
-	}
-	return float64(r.PrunedFaults) / float64(r.Tally.Injections)
-}
-
-// CollapseRate is the fraction of injections resolved by equivalence
-// collapsing.
-func (r *CNNResult) CollapseRate() float64 {
-	if r.Tally.Injections == 0 {
-		return 0
-	}
-	return float64(r.CollapsedFaults) / float64(r.Tally.Injections)
 }
 
 // PVF is the SDC program vulnerability factor.
@@ -166,230 +126,37 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 	if (c.Model == CNNSyndrome || c.Model == CNNTile) && c.DB == nil {
 		return nil, ErrNoDB
 	}
-	// Fast-forward preparation; see RunCtx. With NoFastForward the golden
-	// and profiling runs execute plainly, exactly as before the
-	// optimisation.
-	var (
-		golden  []float32
-		profile Counts
-		tr      *replay.Trace
-	)
-	switch {
-	case c.NoFastForward:
-		var err error
-		golden, err = c.Net.RunWith(&replay.Plain{NoFastPath: c.NoFastPath}, c.Input, nil)
-		if err != nil {
-			return nil, fmt.Errorf("swfi: golden CNN run failed: %w", err)
-		}
-		if _, err := c.Net.Run(c.Input, emu.Hooks{Post: func(ev *emu.Event) {
-			profile[ev.Instr.Op] += uint64(ev.ActiveCount())
-		}}, nil); err != nil {
-			return nil, err
-		}
-	case c.Prepared != nil:
-		golden, profile, tr = c.Prepared.golden, c.Prepared.profile, c.Prepared.trace
-	default:
-		prep, err := PrepareCNN(c.Net, c.Input)
-		if err != nil {
-			return nil, err
-		}
-		golden, profile, tr = prep.golden, prep.profile, prep.trace
+	s := &subject[[]float32]{
+		name: c.Net.Name, model: ModelBitFlip, db: c.DB,
+		injections: c.Injections, seed: c.Seed, salt: 0xD1B54A32D192ED03, workers: c.Workers,
+		progress:      c.Progress,
+		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noCollapse: c.NoCollapse, noFastPath: c.NoFastPath,
+		shared:   c.Prepared,
+		prepare:  func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, c.NoFastPath, record) },
+		exec:     func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },
+		equal:    floatsEqual,
+		critical: c.Critical,
 	}
-	injectable := profile.InjectableTotal()
-	if injectable == 0 {
-		return nil, fmt.Errorf("swfi: CNN executes no injectable instructions")
-	}
-
-	res := &CNNResult{Model: c.Model, Profile: profile}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	// Worker w exclusively runs injections i ≡ w (mod workers), so pool
-	// i%workers gives each worker a private reusable arena.
-	var pools []*replay.Pool
-	if tr != nil {
-		pools = make([]*replay.Pool, workers)
-		for i := range pools {
-			pools[i] = &replay.Pool{}
-		}
-	}
-	// Liveness pruning and equivalence collapsing apply to the
-	// instruction-level models only: the tile model corrupts feature-map
-	// regions at layer boundaries, outside the dead-site index's scope.
-	var live *replay.Liveness
-	if tr != nil && !c.NoPrune && c.Model != CNNTile {
-		live = tr.Live
-	}
-	var classOf []*collapseClass
-	if tr != nil && !c.NoCollapse && c.Model == CNNBitFlip {
-		classOf = scheduleCollapse(c.Injections, injectable, live, false,
-			func(i int) *stats.RNG {
-				return stats.NewRNG(c.Seed ^ 0xD1B54A32D192ED03*uint64(i+1))
-			})
-	}
-	var simInstrs, skippedInstrs, prunedFaults, collapsedFaults atomic.Uint64
-	// runOne simulates (or prunes) one injection; sim/skipped are its own
-	// counts, for member accounting.
-	runOne := func(i int, r *stats.RNG) (faults.Outcome, bool, uint64, uint64) {
-		var out []float32
-		var err error
-		var sim, skipped uint64
-		switch c.Model {
-		case CNNTile:
+	switch c.Model {
+	case CNNSyndrome:
+		s.model = ModelSyndrome
+	case CNNTile:
+		s.tile = func(r *stats.RNG) (int, func(replay.Runner) ([]float32, error), bool) {
 			inj, ok := c.Net.RandomTileInjection(c.DB, r)
 			if !ok {
-				return faults.Masked, false, 0, 0 // no characterisation: nothing injected
+				return 0, nil, false
 			}
-			if tr != nil {
-				// The tile is applied by host code after layer
-				// inj.Layer, so every launch up to and including it
-				// replays from the recorded write-sets.
-				p := replay.NewPlayerSkipTo(tr, inj.Layer, pools[i%workers])
-				p.NoFastPath = c.NoFastPath
-				out, err = c.Net.RunWith(p, c.Input, inj)
-				sim, skipped = p.Live.DynThreadInstrs, p.Skipped
-				simInstrs.Add(sim)
-				skippedInstrs.Add(skipped)
-			} else {
-				out, err = c.Net.RunWith(&replay.Plain{NoFastPath: c.NoFastPath}, c.Input, inj)
-			}
-		default:
-			model := ModelBitFlip
-			if c.Model == CNNSyndrome {
-				model = ModelSyndrome
-			}
-			in := &injector{
-				target: r.Uint64() % injectable,
-				model:  model,
-				db:     c.DB,
-				rng:    r,
-			}
-			if live != nil {
-				if _, dead := live.Dead(in.target); dead {
-					// Dead output site: bit-identical final output, no
-					// possible trap or hang. Masked with zero emulator
-					// instructions; see Campaign's prune path.
-					prunedFaults.Add(1)
-					skippedInstrs.Add(tr.Instrs)
-					return faults.Masked, false, 0, tr.Instrs
-				}
-			}
-			if tr != nil {
-				p := replay.NewPlayer(tr, in.target, emu.Hooks{Post: in.post},
-					func(countDone uint64) { in.counter = countDone },
-					func() bool { return in.fired },
-					pools[i%workers])
-				p.NoFastPath = c.NoFastPath
-				out, err = c.Net.RunWith(p, c.Input, nil)
-				sim, skipped = p.Live.DynThreadInstrs, p.Skipped
-				simInstrs.Add(sim)
-				skippedInstrs.Add(skipped)
-			} else {
-				out, err = c.Net.RunWith(&replay.Plain{
-					Hooks: emu.Hooks{Post: in.post}, NoFastPath: c.NoFastPath,
-				}, c.Input, nil)
-			}
-		}
-		switch {
-		case err != nil:
-			return faults.DUE, false, sim, skipped
-		case !floatsEqual(golden, out):
-			critical := c.Critical != nil && c.Critical(golden, out)
-			return faults.SDC, critical, sim, skipped
-		default:
-			return faults.Masked, false, sim, skipped
+			return inj.Layer, func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, inj) }, true
 		}
 	}
-	var crit, completed int
-	res.Tally, crit, completed = parallelInjectionsWithSide(ctx, c.Injections, workers, c.Seed, c.Progress,
-		func(i int, r *stats.RNG) (faults.Outcome, bool) {
-			var cl *collapseClass
-			if classOf != nil {
-				cl = classOf[i]
-			}
-			if cl != nil && cl.rep != i {
-				// Equivalence-class member; see Campaign's collapse path
-				// (including why a published result beats cancellation).
-				select {
-				case <-cl.done:
-				default:
-					select {
-					case <-cl.done:
-					case <-ctx.Done():
-						return faults.Masked, false // discarded: the campaign returns ctx.Err()
-					}
-				}
-				collapsedFaults.Add(1)
-				skippedInstrs.Add(cl.sim + cl.skipped)
-				return cl.outcome, cl.critical
-			}
-			outcome, critical, sim, skipped := runOne(i, r)
-			if cl != nil {
-				cl.outcome, cl.critical, cl.sim, cl.skipped = outcome, critical, sim, skipped
-				close(cl.done)
-			}
-			return outcome, critical
-		})
-	// Cancellation that lands after the last injection finished does not
-	// void the campaign: every run completed, so return the result.
-	if err := ctx.Err(); err != nil && completed != c.Injections {
+	out, err := s.run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	res.CriticalSDC = crit
-	res.SimInstrs = simInstrs.Load()
-	res.SkippedInstrs = skippedInstrs.Load()
-	res.PrunedFaults = prunedFaults.Load()
-	res.CollapsedFaults = collapsedFaults.Load()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// parallelInjectionsWithSide is parallelInjections with a critical-SDC
-// counter, passing the injection index. Workers stop at injection
-// boundaries once ctx is cancelled; the completed count lets callers tell
-// a cancelled campaign from a finished one. Progress is throttled to
-// ~1/1000 granularity with a guaranteed final (total, total) call.
-func parallelInjectionsWithSide(ctx context.Context, n, workers int, seed uint64,
-	progress func(done, total int), one func(int, *stats.RNG) (faults.Outcome, bool)) (faults.Tally, int, int) {
-	granule := n / 1000
-	if granule < 1 {
-		granule = 1
-	}
-	partial := make([]faults.Tally, workers)
-	critPartial := make([]int, workers)
-	var completed atomic.Int64
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := w; i < n; i += workers {
-				if ctx.Err() != nil {
-					break
-				}
-				r := stats.NewRNG(seed ^ 0xD1B54A32D192ED03*uint64(i+1))
-				o, crit := one(i, r)
-				partial[w].Add(o, 1)
-				if crit {
-					critPartial[w]++
-				}
-				d := int(completed.Add(1))
-				if progress != nil && (d == n || d%granule == 0) {
-					progress(d, n)
-				}
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	var out faults.Tally
-	crit := 0
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for w := 0; w < workers; w++ {
-		out.Merge(partial[w])
-		crit += critPartial[w]
-	}
-	return out, crit, int(completed.Load())
+	return &CNNResult{
+		Model: c.Model, Tally: out.tally, CriticalSDC: out.critical, Profile: out.prep.profile,
+		Counters: out.Counters, Elapsed: time.Since(start),
+	}, nil
 }
 
 func floatsEqual(a, b []float32) bool {

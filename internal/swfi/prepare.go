@@ -2,10 +2,11 @@ package swfi
 
 import (
 	"fmt"
+	"slices"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/cnn"
-	"gpufi/internal/isa"
+	"gpufi/internal/emu"
 	"gpufi/internal/replay"
 )
 
@@ -17,95 +18,106 @@ import (
 // value rtlfi uses per input draw.
 const checkpointsPerCampaign = 24
 
-// injectableOp adapts Injectable to the replay package's countable
-// predicate: the trace's countable coordinates then index exactly the
-// dynamic instructions an injector counts and targets.
-func injectableOp(op isa.Opcode) bool { return Injectable(op) }
-
-// Prepared holds everything the fast-forward path shares across the
-// injections of a workload's campaigns: the golden output, the
-// instruction profile and the checkpoint trace. It is read-only after
-// PrepareWorkload, so concurrent workers — and multiple campaigns on the
-// same workload (e.g. bit-flip and syndrome models) — reuse one
-// preparation.
-type Prepared struct {
-	golden     []uint32
-	profile    Counts
-	injectable uint64
-	trace      *replay.Trace
+// prepared holds everything the injections of a subject's campaigns
+// share: the golden output (of type G), the instruction profile and — on
+// the fast-forward path — the checkpoint trace. It is read-only once
+// built, so concurrent workers and several campaigns on the same subject
+// (e.g. bit-flip and syndrome models) reuse one preparation.
+type prepared[G any] struct {
+	golden  G
+	profile Counts
+	trace   *replay.Trace // nil when prepared without fast-forward
 }
 
-// PrepareWorkload runs the workload's golden execution and records its
-// fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
-// per-launch global-memory write-sets. The recording replay is verified
-// bit-identical to the plain golden run before it is trusted.
-func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
-	plain := &replay.Plain{}
-	golden, err := w.ExecuteWith(plain)
-	if err != nil {
-		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", w.Name, err)
-	}
-	rec := replay.NewRecorder(plain.Res.DynThreadInstrs/checkpointsPerCampaign, injectableOp)
-	rec.CaptureLiveness(operandMagnitude)
-	recOut, err := w.ExecuteWith(rec)
-	if err != nil {
-		return nil, fmt.Errorf("swfi: checkpoint replay of %s failed: %w", w.Name, err)
-	}
-	if !bitsEqual(golden, recOut) {
-		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", w.Name)
-	}
-	tr := rec.Finish()
-	tr.HostPure = w.PureHost
-	// Dead-site index for liveness pruning. HPC hosts may read any arena
-	// word between launches, so the whole arena is live at every launch
-	// boundary; transitive dead sites inside a launch remain prunable.
-	rec.ComputeLiveness(0, 0, true)
-	p := &Prepared{golden: golden, profile: Counts(tr.Profile), trace: tr}
-	p.injectable = p.profile.InjectableTotal()
-	return p, nil
-}
+// Prepared is the shared preparation of an HPC workload's campaigns; see
+// PrepareWorkload.
+type Prepared = prepared[[]uint32]
 
 // CNNPrepared is Prepared for a CNN campaign: one network/input pair's
 // golden output, profile and checkpoint trace, shared across that pair's
 // campaigns (bit-flip, syndrome and tile models alike).
-type CNNPrepared struct {
-	golden     []float32
-	profile    Counts
-	injectable uint64
-	trace      *replay.Trace
+type CNNPrepared = prepared[[]float32]
+
+// prepare runs a subject's golden execution and, with record set, its
+// fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
+// per-launch global-memory write-sets, verified bit-identical (same) to
+// the plain golden run before it is trusted and then handed to index for
+// the subject's liveness analysis. Without record the golden and
+// profiling runs execute plainly, exactly as before the optimisation.
+func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool,
+	noFastPath, record bool, index func(*replay.Recorder, *replay.Trace)) (*prepared[G], error) {
+
+	plain := &replay.Plain{NoFastPath: noFastPath}
+	golden, err := run(plain)
+	if err != nil {
+		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", name, err)
+	}
+	if !record {
+		p := &prepared[G]{golden: golden}
+		_, err := run(&replay.Plain{Hooks: emu.Hooks{Post: func(ev *emu.Event) {
+			p.profile[ev.Instr.Op] += uint64(ev.ActiveCount())
+		}}})
+		return p, err
+	}
+	// Injectable as the countable predicate: the trace's countable
+	// coordinates then index exactly the dynamic instructions an injector
+	// counts and targets.
+	rec := replay.NewRecorder(plain.Res.DynThreadInstrs/checkpointsPerCampaign, Injectable)
+	rec.CaptureLiveness(operandMagnitude)
+	recOut, err := run(rec)
+	if err != nil {
+		return nil, fmt.Errorf("swfi: checkpoint replay of %s failed: %w", name, err)
+	}
+	if !same(golden, recOut) {
+		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", name)
+	}
+	tr := rec.Finish()
+	index(rec, tr)
+	return &prepared[G]{golden: golden, profile: Counts(tr.Profile), trace: tr}, nil
+}
+
+// PrepareWorkload runs the workload's golden execution and records its
+// fast-forward trace, so several campaigns on it can share one
+// preparation (Campaign.Prepared).
+func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
+	return prepareWorkload(w, false, true)
+}
+
+func prepareWorkload(w *apps.Workload, noFastPath, record bool) (*Prepared, error) {
+	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], noFastPath, record,
+		func(rec *replay.Recorder, tr *replay.Trace) {
+			tr.HostPure = w.PureHost
+			// Dead-site index for liveness pruning. HPC hosts may read any
+			// arena word between launches, so the whole arena is live at
+			// every launch boundary; transitive dead sites inside a launch
+			// remain prunable.
+			rec.ComputeLiveness(0, 0, true)
+		})
 }
 
 // PrepareCNN records a network/input pair's golden execution and
-// fast-forward trace, verified bit-identical to the plain golden run.
+// fast-forward trace, so the three fault models can share one preparation
+// (CNNCampaign.Prepared).
 func PrepareCNN(net *cnn.Network, input []float32) (*CNNPrepared, error) {
-	plain := &replay.Plain{}
-	golden, err := net.RunWith(plain, input, nil)
-	if err != nil {
-		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", net.Name, err)
-	}
-	rec := replay.NewRecorder(plain.Res.DynThreadInstrs/checkpointsPerCampaign, injectableOp)
-	rec.CaptureLiveness(operandMagnitude)
-	recOut, err := net.RunWith(rec, input, nil)
-	if err != nil {
-		return nil, fmt.Errorf("swfi: checkpoint replay of %s failed: %w", net.Name, err)
-	}
-	if !floatsEqual(golden, recOut) {
-		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", net.Name)
-	}
-	tr := rec.Finish()
-	// Network.RunWith's host is pure by construction: between launches it
-	// only applies the tile corruption at the faulty boundary itself and
-	// reads the arena solely after the last launch. That also licenses
-	// live-in pruning: corrupted activations parked in feature maps no
-	// later layer reads must not block reconvergence.
-	tr.HostPure = true
-	off, words := net.OutputRegion()
-	tr.ComputeLiveIn(off, words)
-	// Dead-site index: the pure host never reads arena words outside the
-	// output region between launches, so liveness flows across launch
-	// boundaries from the output region alone.
-	rec.ComputeLiveness(off, words, false)
-	p := &CNNPrepared{golden: golden, profile: Counts(tr.Profile), trace: tr}
-	p.injectable = p.profile.InjectableTotal()
-	return p, nil
+	return prepareCNN(net, input, false, true)
+}
+
+func prepareCNN(net *cnn.Network, input []float32, noFastPath, record bool) (*CNNPrepared, error) {
+	run := func(rt replay.Runner) ([]float32, error) { return net.RunWith(rt, input, nil) }
+	return prepare(net.Name, run, floatsEqual, noFastPath, record,
+		func(rec *replay.Recorder, tr *replay.Trace) {
+			// Network.RunWith's host is pure by construction: between
+			// launches it only applies the tile corruption at the faulty
+			// boundary itself and reads the arena solely after the last
+			// launch. That also licenses live-in pruning: corrupted
+			// activations parked in feature maps no later layer reads must
+			// not block reconvergence.
+			tr.HostPure = true
+			off, words := net.OutputRegion()
+			tr.ComputeLiveIn(off, words)
+			// Dead-site index: the pure host never reads arena words
+			// outside the output region between launches, so liveness
+			// flows across launch boundaries from the output region alone.
+			rec.ComputeLiveness(off, words, false)
+		})
 }

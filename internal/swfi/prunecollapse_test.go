@@ -1,16 +1,15 @@
 package swfi
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/cnn"
 	"gpufi/internal/emu"
-	"gpufi/internal/faults"
 	"gpufi/internal/replay"
 	"gpufi/internal/stats"
 )
@@ -49,7 +48,7 @@ func TestPruneCrossValidationHPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossValidateDeadSites(t, prep.trace, prep.injectable, func(in *injector, hooks emu.Hooks, pool *replay.Pool) ([]uint32, error) {
+	crossValidateDeadSites(t, prep.trace, prep.profile.InjectableTotal(), func(in *injector, hooks emu.Hooks, pool *replay.Pool) ([]uint32, error) {
 		p := replay.NewPlayer(prep.trace, in.target, hooks,
 			func(c uint64) { in.counter = c }, func() bool { return in.fired }, pool)
 		return w.ExecuteWith(p)
@@ -65,7 +64,7 @@ func TestPruneCrossValidationCNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	var goldenBits []uint32
-	crossValidateDeadSites(t, prep.trace, prep.injectable, func(in *injector, hooks emu.Hooks, pool *replay.Pool) ([]uint32, error) {
+	crossValidateDeadSites(t, prep.trace, prep.profile.InjectableTotal(), func(in *injector, hooks emu.Hooks, pool *replay.Pool) ([]uint32, error) {
 		p := replay.NewPlayer(prep.trace, in.target, hooks,
 			func(c uint64) { in.counter = c }, func() bool { return in.fired }, pool)
 		out, err := net.RunWith(p, input, nil)
@@ -131,7 +130,7 @@ func crossValidateDeadSites(t *testing.T, tr *replay.Trace, injectable uint64,
 		if !sawFire || !in.fired {
 			t.Fatalf("site %d: injector never fired", idx)
 		}
-		if !bitsEqual(golden, out) {
+		if !slices.Equal(golden, out) {
 			t.Fatalf("site %d (op %v): pruned fault changed the output — dead verdict is wrong", idx, site.Op)
 		}
 		if site.Op != in.op {
@@ -343,7 +342,8 @@ func TestCNNModeLattice(t *testing.T) {
 
 // TestSWProgressThrottled mirrors internal/rtlfi's progress-throttle test
 // for the software campaign: ~1/1000 granularity with a guaranteed final
-// (total, total) call, on both fan-out helpers.
+// (total, total) call. The kernel's own throttle test is in
+// internal/campaign.
 func TestSWProgressThrottled(t *testing.T) {
 	const n = 5000
 	var (
@@ -392,18 +392,6 @@ func TestSWProgressThrottled(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertThrottled(t, res.Tally.Injections)
-	})
-
-	t.Run("WithSide", func(t *testing.T) {
-		mu.Lock()
-		calls, sawFinal = 0, false
-		mu.Unlock()
-		tally, _, completed := parallelInjectionsWithSide(context.Background(), n, 4, 43, check,
-			func(i int, r *stats.RNG) (faults.Outcome, bool) { return faults.Masked, false })
-		if tally.Injections != n {
-			t.Fatalf("tally injections = %d, want %d", tally.Injections, n)
-		}
-		assertThrottled(t, completed)
 	})
 }
 

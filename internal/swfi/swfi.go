@@ -13,14 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/emu"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
-	"gpufi/internal/replay"
 	"gpufi/internal/stats"
 	"gpufi/internal/syndrome"
 )
@@ -332,21 +331,9 @@ type Result struct {
 	Injectable uint64
 	Records    []InjectionRecord // when Campaign.RecordInjections
 
-	// SimInstrs counts the thread-instructions actually simulated across
-	// all injection runs; SkippedInstrs counts those the fast-forward
-	// provably avoided (write-set launches, restored snapshot prefixes,
-	// pruned and collapsed runs). (SimInstrs+SkippedInstrs)/SimInstrs is
-	// the campaign's effective replay speedup. Both are zero on the
-	// NoFastForward path.
-	SimInstrs     uint64
-	SkippedInstrs uint64
-
-	// PrunedFaults counts injections classified Masked by the dead-site
-	// liveness index alone — zero emulator instructions executed.
-	// CollapsedFaults counts injections resolved by copying an equivalence
-	// class representative's memoized outcome.
-	PrunedFaults    uint64
-	CollapsedFaults uint64
+	// Counters is the engine's accounting of the campaign; Injections
+	// equals Tally.Injections.
+	Counters
 
 	// NoReconvergeReason, when non-empty, explains why post-fault
 	// reconvergence fast-forward was unavailable for this workload (an
@@ -355,48 +342,10 @@ type Result struct {
 	NoReconvergeReason string
 
 	// Elapsed is the campaign's wall-clock time, including preparation.
-	// With SimInstrs/SkippedInstrs it yields the interpreter-throughput
-	// telemetry (EmuMIPS, EffectiveMIPS) operators watch for
+	// Passed to Counters.EmuMIPS/EffectiveMIPS it yields the
+	// interpreter-throughput telemetry operators watch for
 	// interpreter-tier regressions.
 	Elapsed time.Duration
-}
-
-// EmuMIPS is the emulated-instruction throughput of the campaign:
-// simulated thread-instructions per wall-clock microsecond (i.e. millions
-// of instructions per second). Zero on the NoFastForward path, where
-// sim/skip accounting is off.
-func (r *Result) EmuMIPS() float64 { return mips(r.SimInstrs, r.Elapsed) }
-
-// EffectiveMIPS is the virtual throughput including the instructions the
-// engine provably avoided simulating (fast-forward, pruning, collapsing):
-// (SimInstrs+SkippedInstrs) per wall-clock microsecond.
-func (r *Result) EffectiveMIPS() float64 {
-	return mips(r.SimInstrs+r.SkippedInstrs, r.Elapsed)
-}
-
-func mips(instrs uint64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(instrs) / d.Seconds() / 1e6
-}
-
-// PruneRate is the fraction of injections the dead-site index classified
-// without simulation.
-func (r *Result) PruneRate() float64 {
-	if r.Tally.Injections == 0 {
-		return 0
-	}
-	return float64(r.PrunedFaults) / float64(r.Tally.Injections)
-}
-
-// CollapseRate is the fraction of injections resolved by equivalence
-// collapsing.
-func (r *Result) CollapseRate() float64 {
-	if r.Tally.Injections == 0 {
-		return 0
-	}
-	return float64(r.CollapsedFaults) / float64(r.Tally.Injections)
 }
 
 // PVF is the SDC program vulnerability factor: the probability that a
@@ -427,325 +376,38 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 	if c.Model.NeedsDB() && c.DB == nil {
 		return nil, ErrNoDB
 	}
-	// Fast-forward preparation: the golden prefix of every injection run
-	// is bit-identical to the golden run, so it is recorded once into
-	// checkpoints and write-sets and restored instead of re-simulated.
-	// With NoFastForward the golden and profiling runs execute plainly,
-	// exactly as before the optimisation.
-	var (
-		golden  []uint32
-		profile Counts
-		tr      *replay.Trace
-	)
-	switch {
-	case c.NoFastForward:
-		var err error
-		golden, err = c.Workload.ExecuteWith(&replay.Plain{NoFastPath: c.NoFastPath})
-		if err != nil {
-			return nil, fmt.Errorf("swfi: golden run of %s failed: %w", c.Workload.Name, err)
-		}
-		if profile, err = Profile(c.Workload); err != nil {
-			return nil, err
-		}
-	case c.Prepared != nil:
-		golden, profile, tr = c.Prepared.golden, c.Prepared.profile, c.Prepared.trace
-	default:
-		prep, err := PrepareWorkload(c.Workload)
-		if err != nil {
-			return nil, err
-		}
-		golden, profile, tr = prep.golden, prep.profile, prep.trace
+	w := c.Workload
+	s := &subject[[]uint32]{
+		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
+		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
+		records: c.RecordInjections, progress: c.Progress,
+		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noCollapse: c.NoCollapse, noFastPath: c.NoFastPath,
+		shared:  c.Prepared,
+		prepare: func(record bool) (*Prepared, error) { return prepareWorkload(w, c.NoFastPath, record) },
+		exec:    w.ExecuteWith,
+		equal:   func(golden, out []uint32) bool { return outputsMatch(golden, out, c.Tolerance) },
 	}
-	injectable := profile.InjectableTotal()
-	if injectable == 0 {
-		return nil, fmt.Errorf("swfi: %s executes no injectable instructions", c.Workload.Name)
-	}
-
-	res := &Result{Campaign: c, Profile: profile, Injectable: injectable}
-	if tr != nil && !tr.HostPure {
-		res.NoReconvergeReason = fmt.Sprintf(
-			"%s host code reads the arena between launches: post-fault runs cannot provably rejoin the golden schedule, so reconvergence fast-forward is off", c.Workload.Name)
-	}
-	var records []InjectionRecord
-	if c.RecordInjections {
-		records = make([]InjectionRecord, c.Injections)
-	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	// Worker w exclusively runs injections i ≡ w (mod workers), so pool
-	// i%workers gives each worker a private reusable arena.
-	var pools []*replay.Pool
-	var live *replay.Liveness
-	if tr != nil {
-		pools = make([]*replay.Pool, workers)
-		for i := range pools {
-			pools[i] = &replay.Pool{}
-		}
-		if !c.NoPrune {
-			live = tr.Live
-		}
-	}
-	var classOf []*collapseClass
-	if tr != nil && !c.NoCollapse && (c.Model == ModelBitFlip || c.Model == ModelDoubleBitFlip) {
-		classOf = scheduleCollapse(c.Injections, injectable, live,
-			c.Model == ModelDoubleBitFlip, func(i int) *stats.RNG {
-				return stats.NewRNG(c.Seed ^ 0x9E3779B97F4A7C15*uint64(i+1))
-			})
-	}
-	var simInstrs, skippedInstrs, prunedFaults, collapsedFaults atomic.Uint64
-	// runOne simulates (or prunes) one injection and returns its outcome
-	// plus its own sim/skipped instruction counts for member accounting.
-	runOne := func(i int, r *stats.RNG) (faults.Outcome, uint64, uint64) {
-		in := &injector{
-			target: r.Uint64() % injectable,
-			model:  c.Model,
-			db:     c.DB,
-			focus:  c.ModuleFocus,
-			rng:    r,
-		}
-		if live != nil {
-			if site, dead := live.Dead(in.target); dead {
-				// The fault lands on a provably dead output site: the final
-				// output is bit-identical to golden (and addresses/control
-				// inputs are never dead, so it cannot trap or hang). Masked,
-				// zero emulator instructions. The site record reproduces the
-				// corruption draws an executed run would have made.
-				prunedFaults.Add(1)
-				skippedInstrs.Add(tr.Instrs)
-				if records != nil {
-					newBits, rel := drawCorruption(site.Op, site.OldBits, site.Mag,
-						c.Model, c.DB, c.ModuleFocus, r)
-					records[i] = InjectionRecord{
-						Op: site.Op, RelErr: rel,
-						OldBits: site.OldBits, NewBits: newBits,
-						Outcome: faults.Masked,
-					}
-				}
-				return faults.Masked, 0, tr.Instrs
-			}
-		}
-		var out []uint32
-		var err error
-		var sim, skipped uint64
-		if tr != nil {
-			p := replay.NewPlayer(tr, in.target, emu.Hooks{Post: in.post},
-				func(countDone uint64) { in.counter = countDone },
-				func() bool { return in.fired },
-				pools[i%workers])
-			p.NoFastPath = c.NoFastPath
-			out, err = c.Workload.ExecuteWith(p)
-			sim, skipped = p.Live.DynThreadInstrs, p.Skipped
-			simInstrs.Add(sim)
-			skippedInstrs.Add(skipped)
-		} else {
-			out, err = c.Workload.ExecuteWith(&replay.Plain{
-				Hooks: emu.Hooks{Post: in.post}, NoFastPath: c.NoFastPath,
-			})
-		}
-		var outcome faults.Outcome
-		switch {
-		case err != nil:
-			outcome = faults.DUE
-		case !outputsMatch(golden, out, c.Tolerance):
-			outcome = faults.SDC
-		default:
-			outcome = faults.Masked
-		}
-		if records != nil {
-			records[i] = InjectionRecord{
-				Op: in.op, RelErr: in.relErr,
-				OldBits: in.oldBits, NewBits: in.newBits,
-				Outcome: outcome,
-			}
-		}
-		return outcome, sim, skipped
-	}
-	tallies, completed := parallelInjectionsIdx(ctx, c.Injections, workers, c.Seed, c.Progress, func(i int, r *stats.RNG) faults.Outcome {
-		var cl *collapseClass
-		if classOf != nil {
-			cl = classOf[i]
-		}
-		if cl != nil && cl.rep != i {
-			// Equivalence-class member: its (target, mask) pair duplicates
-			// the representative's, so its outcome and record are copies.
-			// The representative always has a smaller injection index, so
-			// the wait graph is acyclic across the striped workers. A
-			// published result is preferred over cancellation — select
-			// picks randomly among ready cases, and a campaign whose last
-			// member resolved must stay correct under the completion
-			// carve-out below.
-			select {
-			case <-cl.done:
-			default:
-				select {
-				case <-cl.done:
-				case <-ctx.Done():
-					return faults.Masked // discarded: the campaign returns ctx.Err()
-				}
-			}
-			collapsedFaults.Add(1)
-			skippedInstrs.Add(cl.sim + cl.skipped)
-			if records != nil {
-				records[i] = cl.rec
-			}
-			return cl.outcome
-		}
-		outcome, sim, skipped := runOne(i, r)
-		if cl != nil {
-			cl.outcome, cl.sim, cl.skipped = outcome, sim, skipped
-			if records != nil {
-				cl.rec = records[i]
-			}
-			close(cl.done)
-		}
-		return outcome
-	})
-	// Cancellation that lands after the last injection finished does not
-	// void the campaign: every run completed, so return the result.
-	if err := ctx.Err(); err != nil && completed != c.Injections {
+	out, err := s.run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	res.Tally = tallies
-	res.Records = records
-	res.SimInstrs = simInstrs.Load()
-	res.SkippedInstrs = skippedInstrs.Load()
-	res.PrunedFaults = prunedFaults.Load()
-	res.CollapsedFaults = collapsedFaults.Load()
+	res := &Result{
+		Campaign: c, Tally: out.tally, Profile: out.prep.profile, Injectable: out.prep.profile.InjectableTotal(),
+		Records: out.records, Counters: out.Counters,
+	}
+	if tr := out.prep.trace; tr != nil && !tr.HostPure {
+		res.NoReconvergeReason = fmt.Sprintf(
+			"%s host code reads the arena between launches: post-fault runs cannot provably rejoin the golden schedule, so reconvergence fast-forward is off", w.Name)
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// collapseClass memoizes one fault-equivalence class: the representative
-// (the class's smallest injection index) simulates and publishes; members
-// wait on done and copy. Mirrors internal/rtlfi's worker-level collapse
-// scheme.
-type collapseClass struct {
-	rep  int
-	done chan struct{}
-
-	// Published by the representative before done is closed.
-	outcome  faults.Outcome
-	critical bool // CNN campaigns: the representative's critical-SDC verdict
-	rec      InjectionRecord
-	sim      uint64
-	skipped  uint64
-}
-
-// scheduleCollapse pre-draws every injection's (target, flip mask) pair
-// and groups duplicates into equivalence classes. This is possible for
-// the bit-flip models because neither draw depends on execution state —
-// the pre-draw consumes the same stream prefix (target, then mask) from a
-// fresh copy of each injection's RNG, leaving the runtime streams
-// untouched. Injections whose target the liveness index already proves
-// dead are left out (the prune path classifies each for free anyway, and
-// counts them as pruned rather than collapsed). Returns nil when no class
-// has more than one member, when the space is collision-free by
-// construction, or when targets don't fit the packed key (injectable ≥
-// 2^32).
-func scheduleCollapse(n int, injectable uint64, live *replay.Liveness,
-	double bool, rngFor func(i int) *stats.RNG) []*collapseClass {
-	if injectable >= 1<<32 {
-		return nil
-	}
-	classOf := make([]*collapseClass, n)
-	classes := make(map[uint64]*collapseClass, n)
-	collapsed := false
-	for i := 0; i < n; i++ {
-		r := rngFor(i)
-		target := r.Uint64() % injectable
-		var mask uint32
-		if double {
-			b1 := r.Intn(32)
-			b2 := (b1 + 1 + r.Intn(31)) % 32
-			mask = 1<<uint(b1) | 1<<uint(b2)
-		} else {
-			mask = 1 << uint(r.Intn(32))
-		}
-		if live != nil {
-			if _, dead := live.Dead(target); dead {
-				continue
-			}
-		}
-		key := target<<32 | uint64(mask)
-		if cl, ok := classes[key]; ok {
-			classOf[i] = cl
-			collapsed = true
-		} else {
-			cl := &collapseClass{rep: i, done: make(chan struct{})}
-			classes[key] = cl
-			classOf[i] = cl
-		}
-	}
-	if !collapsed {
-		return nil
-	}
-	return classOf
-}
-
-// parallelInjectionsIdx fans the injection loop across workers with
-// deterministic per-injection RNG streams, passing the injection index.
-// Workers stop at injection boundaries once ctx is cancelled. It returns
-// the merged tally and the number of injections that completed, so
-// callers can tell a cancelled campaign from a finished one. Progress is
-// throttled to ~1/1000 granularity (every completion for small campaigns)
-// with a guaranteed final (total, total) call.
-func parallelInjectionsIdx(ctx context.Context, n, workers int, seed uint64,
-	progress func(done, total int), one func(int, *stats.RNG) faults.Outcome) (faults.Tally, int) {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	granule := n / 1000
-	if granule < 1 {
-		granule = 1
-	}
-	partial := make([]faults.Tally, workers)
-	var completed atomic.Int64
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := w; i < n; i += workers {
-				if ctx.Err() != nil {
-					break
-				}
-				r := stats.NewRNG(seed ^ 0x9E3779B97F4A7C15*uint64(i+1))
-				partial[w].Add(one(i, r), 1)
-				d := int(completed.Add(1))
-				if progress != nil && (d == n || d%granule == 0) {
-					progress(d, n)
-				}
-			}
-			done <- w
-		}(w)
-	}
-	var out faults.Tally
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for _, t := range partial {
-		out.Merge(t)
-	}
-	return out, int(completed.Load())
-}
-
-func bitsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // outputsMatch compares outputs bitwise (tol == 0) or as float32 values
 // within a relative tolerance.
 func outputsMatch(golden, out []uint32, tol float64) bool {
 	if tol == 0 {
-		return bitsEqual(golden, out)
+		return slices.Equal(golden, out)
 	}
 	if len(golden) != len(out) {
 		return false
