@@ -146,30 +146,8 @@ func (ex *exec) run() (Result, error) {
 		if err := ex.runBlock(b); err != nil {
 			return ex.res, err
 		}
-		if ex.l.Hooks.OnBlockEnd != nil {
-			ex.l.Hooks.OnBlockEnd(b, &ex.res)
-		}
 	}
 	return ex.res, nil
-}
-
-// RunBlock executes exactly one block of the launch against the current
-// contents of l.Global, honouring l.Hooks and l.Mem, and returns the
-// counts of that block alone. Blocks of a launch are independent except
-// for their global-memory effects (each starts with fresh registers and
-// zeroed shared memory), so a launch can be reproduced by running its
-// blocks in order — or by skipping blocks whose global-memory effects are
-// known. OnBlockEnd is not invoked.
-func RunBlock(l *Launch, block int) (Result, error) {
-	ex := newExec(l)
-	if err := ex.validate(); err != nil {
-		return ex.res, err
-	}
-	if block < 0 || block >= l.Grid {
-		return ex.res, fmt.Errorf("%w: block %d outside grid %d", ErrBadLaunch, block, l.Grid)
-	}
-	err := ex.runBlock(block)
-	return ex.res, err
 }
 
 type exec struct {

@@ -26,13 +26,6 @@ type Hooks struct {
 	// nil, ArmAfter is ignored and hooks behave as always.
 	ArmAfter uint64
 	OnArm    func(*Result)
-
-	// OnBlockEnd, when non-nil, fires after each block of a full run (Run,
-	// RunCheckpointed) completes, with the block index and the counters
-	// accumulated so far. The replay recorder uses it to segment its
-	// per-launch captures at block boundaries. It is not invoked by
-	// RunBlock or by the resumed portion of Resume.
-	OnBlockEnd func(block int, res *Result)
 }
 
 // Event describes one executed warp-level instruction to instrumentation

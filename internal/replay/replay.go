@@ -37,7 +37,6 @@ import (
 
 	"gpufi/internal/emu"
 	"gpufi/internal/isa"
-	"gpufi/internal/kasm"
 )
 
 // Runner abstracts how a workload executes: it allocates the workload's
@@ -89,20 +88,6 @@ type Delta struct {
 	Val uint32
 }
 
-// BlockRec describes one block of a recorded launch: the global-memory
-// words it read and wrote on the golden run (bitmaps indexed by arena
-// word), its writes with their golden values at the block's end, and the
-// launch-local cumulative thread-instruction total after it. Blocks of a
-// launch are independent except for their global-memory effects, so a
-// post-fault launch can skip any block whose read set the fault has not
-// reached (see Player's block walk).
-type BlockRec struct {
-	Reads     []uint64
-	Writes    []uint64
-	Deltas    []Delta // every word the block wrote, with its value at block end
-	CumInstrs uint64  // launch-local thread-instructions after this block
-}
-
 // LaunchRec describes one recorded launch. Deltas is the diff of the
 // arena across the launch itself; host writes between launches are not
 // part of it — host code re-executes during replay. Host captures those
@@ -122,43 +107,6 @@ type LaunchRec struct {
 	// and countable-thread-instruction totals after the launch.
 	CumInstrs uint64
 	CumCount  uint64
-
-	// Blocks segments the launch at block boundaries, the raw data for the
-	// Player's post-fault block walk.
-	Blocks []BlockRec
-
-	// Launch fingerprint: a post-fault host that diverged from the golden
-	// run (possible when it reads the corrupted arena) may issue launches
-	// that no longer correspond to the recorded ones; the Player only
-	// block-walks a launch whose configuration and program match the
-	// recording exactly.
-	Grid, Block, SharedWords int
-	MaxDynInstrs             uint64
-	ProgHash                 uint64
-}
-
-// progHash fingerprints a program: FNV-1a over every architecturally
-// meaningful instruction field.
-func progHash(p *kasm.Program) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(uint64(len(p.Instrs)))
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		var immB uint64
-		if in.UseImmB {
-			immB = 1
-		}
-		mix(uint64(in.Op) | uint64(in.Guard)<<8 | uint64(in.Dst)<<16 |
-			uint64(in.SrcA)<<24 | uint64(in.SrcB)<<32 | uint64(in.SrcC)<<40 |
-			uint64(in.PDst)<<48 | uint64(in.Cmp)<<56)
-		mix(uint64(uint32(in.Imm)) | uint64(in.Target)<<32 |
-			uint64(in.Reconv)<<48 | immB<<63)
-	}
-	return h
 }
 
 // Checkpoint anchors a mid-launch emulator snapshot in workload-global
@@ -317,35 +265,6 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	l.NoFastPath = r.NoFastPath
 	mt := emu.NewMemTrace(len(r.g))
 	l.Mem = mt
-	// Per-block segmentation: mt accumulates within one block at a time;
-	// at each block boundary its bitmaps are captured into a BlockRec
-	// (write values read off the arena, which later blocks have not yet
-	// touched) and cleared, while launchReads/launchWrites keep the
-	// launch-level union.
-	nb := (len(r.g) + 63) / 64
-	launchReads := make([]uint64, nb)
-	launchWrites := make([]uint64, nb)
-	var blocks []BlockRec
-	l.Hooks.OnBlockEnd = func(block int, res *emu.Result) {
-		br := BlockRec{
-			Reads:     append([]uint64(nil), mt.Reads...),
-			Writes:    append([]uint64(nil), mt.Writes...),
-			CumInstrs: res.DynThreadInstrs,
-		}
-		for k, m := range mt.Writes {
-			launchWrites[k] |= m
-			for ; m != 0; m &= m - 1 {
-				i := k<<6 + bits.TrailingZeros64(m)
-				br.Deltas = append(br.Deltas, Delta{Idx: uint32(i), Val: r.g[i]})
-			}
-			mt.Writes[k] = 0
-		}
-		for k, m := range mt.Reads {
-			launchReads[k] |= m
-			mt.Reads[k] = 0
-		}
-		blocks = append(blocks, br)
-	}
 	if r.capture != nil {
 		l.Hooks.Post = r.capture
 	}
@@ -377,18 +296,12 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		r.tr.Profile[op] += n
 	}
 	r.tr.Launches = append(r.tr.Launches, LaunchRec{
-		Deltas:       deltas,
-		Host:         host,
-		Reads:        launchReads,
-		Writes:       launchWrites,
-		CumInstrs:    r.tr.Instrs,
-		CumCount:     r.tr.Count,
-		Blocks:       blocks,
-		Grid:         l.Grid,
-		Block:        l.Block,
-		SharedWords:  l.SharedWords,
-		MaxDynInstrs: l.MaxDynInstrs,
-		ProgHash:     progHash(l.Prog),
+		Deltas:    deltas,
+		Host:      host,
+		Reads:     mt.Reads,
+		Writes:    mt.Writes,
+		CumInstrs: r.tr.Instrs,
+		CumCount:  r.tr.Count,
 	})
 	r.endLaunch(l)
 	for r.nextCk <= r.tr.Instrs {
@@ -406,8 +319,6 @@ func (r *Recorder) Finish() *Trace { return r.tr }
 type Pool struct {
 	buf    []uint32
 	shadow []uint32
-	diff   []uint64
-	mt     *emu.MemTrace
 }
 
 // Player is the fast-forwarding Runner. Launches whose recorded execution
@@ -429,27 +340,14 @@ type Player struct {
 	g      []uint32
 
 	// Reconvergence state: shadow tracks the golden arena at launch
-	// boundaries (nil when the player has no fault to reconverge from);
-	// shadowLive reports that shadow holds a valid golden image; converged
-	// flips once the live arena matches the golden trajectory post-fault,
-	// after which every remaining launch is skipped via write-sets.
-	// Full-launch reconvergence additionally requires Trace.HostPure; the
-	// block walk below does not.
+	// boundaries (nil when the trace's host is not declared pure or the
+	// player has no fault to reconverge from); shadowLive reports that
+	// shadow holds a valid golden image; converged flips once the live
+	// arena matches the golden trajectory post-fault, after which every
+	// remaining launch is skipped via write-sets.
 	shadow     []uint32
 	shadowLive bool
 	converged  bool
-
-	// Block-walk state: post-fault launches whose fingerprint matches the
-	// recording execute block by block, skipping every block whose golden
-	// read set is disjoint from diff — the bitmap of arena words where the
-	// live arena currently differs from the golden trajectory — by applying
-	// the block's golden write values. Only blocks in the fault's light
-	// cone are simulated. walkDead flips on the first fingerprint mismatch
-	// (a diverged host may issue launches that no longer correspond to the
-	// recorded ones); all later launches then run fully live.
-	diff     []uint64
-	blockMT  *emu.MemTrace
-	walkDead bool
 
 	// Live accumulates the portion actually simulated; Skipped counts the
 	// thread-instructions provably avoided (write-set launches plus
@@ -460,9 +358,9 @@ type Player struct {
 
 	// NoFastPath forces the emulator's Tier-0 reference interpreter for
 	// every simulated segment (see emu.Launch.NoFastPath). Without it the
-	// player picks tiers per segment: the unarmed countdown prefix, the
-	// post-fault tail and walked blocks run on the Tier-1 fast path;
-	// Tier 0 takes over only while injection hooks are armed.
+	// player picks tiers per segment: the unarmed countdown prefix and the
+	// post-fault tail run on the Tier-1 fast path; Tier 0 takes over only
+	// while injection hooks are armed.
 	NoFastPath bool
 }
 
@@ -516,24 +414,16 @@ func NewPlayerAt(tr *Trace, ck int, pool *Pool) *Player {
 }
 
 func (p *Player) attach(pool *Pool) {
-	// The golden shadow serves players replaying a faulty run (a countdown
-	// injector or a skip-to-corruption replay) with launches left after the
-	// fault: launch-boundary reconvergence when the host is pure, and the
-	// block walk whenever the trace carries block records. NewPlayerAt
-	// stays exempt: it exists to property-test that live resumed execution
-	// matches the golden run, which skipping would bypass.
-	faulty := (p.fired != nil || p.skipTo >= 0) && len(p.tr.Launches) > 1
-	converge := faulty && p.tr.HostPure
-	walk := faulty && len(p.tr.Launches[0].Blocks) > 0
-	nb := (p.tr.Words + 63) / 64
+	// Reconvergence applies to players replaying a faulty run (a countdown
+	// injector or a skip-to-corruption replay) over a pure-host trace with
+	// launches left to skip. NewPlayerAt stays exempt: it exists to
+	// property-test that live resumed execution matches the golden run,
+	// which skipping would bypass.
+	converge := p.tr.HostPure && (p.fired != nil || p.skipTo >= 0) && len(p.tr.Launches) > 1
 	if pool == nil {
 		p.g = make([]uint32, p.tr.Words)
-		if converge || walk {
+		if converge {
 			p.shadow = make([]uint32, p.tr.Words)
-		}
-		if walk {
-			p.diff = make([]uint64, nb)
-			p.blockMT = emu.NewMemTrace(p.tr.Words)
 		}
 		return
 	}
@@ -541,19 +431,11 @@ func (p *Player) attach(pool *Pool) {
 		pool.buf = make([]uint32, p.tr.Words)
 	}
 	p.g = pool.buf
-	if converge || walk {
+	if converge {
 		if len(pool.shadow) != p.tr.Words {
 			pool.shadow = make([]uint32, p.tr.Words)
 		}
 		p.shadow = pool.shadow
-	}
-	if walk {
-		if len(pool.diff) != nb {
-			pool.diff = make([]uint64, nb)
-			pool.mt = emu.NewMemTrace(p.tr.Words)
-		}
-		p.diff = pool.diff
-		p.blockMT = pool.mt
 	}
 }
 
@@ -596,9 +478,6 @@ func (p *Player) Launch(l *emu.Launch) error {
 		return nil
 	}
 	p.syncShadow(ord)
-	if p.walkable(l, ord) {
-		return p.walkLaunch(l, ord)
-	}
 	l.Hooks = p.liveHooks(ord)
 	var res emu.Result
 	var err error
@@ -614,118 +493,6 @@ func (p *Player) Launch(l *emu.Launch) error {
 	if err != nil {
 		return err
 	}
-	p.checkConverged(ord)
-	return nil
-}
-
-// walkable decides whether a launch executes via the block walk: the
-// fault has been applied (everything before it is golden and handled by
-// write-set skip or snapshot resume), the golden shadow is valid, the
-// trace has block records for this ordinal, and the launch still
-// corresponds to the recorded one.
-func (p *Player) walkable(l *emu.Launch, ord int) bool {
-	if p.diff == nil || p.walkDead || p.converged || !p.shadowLive ||
-		!p.faultDone() || ord >= len(p.tr.Launches) {
-		return false
-	}
-	rec := &p.tr.Launches[ord]
-	if len(rec.Blocks) == 0 {
-		return false
-	}
-	if l.Grid != rec.Grid || l.Block != rec.Block ||
-		l.SharedWords != rec.SharedWords || l.MaxDynInstrs != rec.MaxDynInstrs ||
-		progHash(l.Prog) != rec.ProgHash {
-		// The (possibly impure, possibly corrupted) host issued a launch
-		// that no longer matches the recording; the ordinal correspondence
-		// is gone for good, so run everything from here on fully live.
-		p.walkDead = true
-		return false
-	}
-	return true
-}
-
-// walkLaunch executes a post-fault launch block by block. The invariant
-// is exact: diff is the set of arena words where the live arena differs
-// from the golden trajectory (shadow), maintained across every skip and
-// every simulated block. A block whose golden read set is disjoint from
-// diff reads only golden values, so — with registers and shared memory
-// block-local by construction — it would execute bit-identically to the
-// golden run; its recorded writes are applied instead of simulating it.
-func (p *Player) walkLaunch(l *emu.Launch, ord int) error {
-	rec := &p.tr.Launches[ord]
-	// Establish diff at launch entry (the host ran live since the last
-	// walk, so it is recomputed from scratch).
-	for k := range p.diff {
-		p.diff[k] = 0
-	}
-	for i, v := range p.g {
-		if v != p.shadow[i] {
-			p.diff[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	mt := p.blockMT
-	var prevCum uint64
-	var walkErr error
-	for b := range rec.Blocks {
-		br := &rec.Blocks[b]
-		disjoint := true
-		for k, m := range br.Reads {
-			if m&p.diff[k] != 0 {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
-			// Light cone untouched: the block's effects are its golden
-			// write values, on both the live arena and the shadow.
-			for _, d := range br.Deltas {
-				p.g[d.Idx] = d.Val
-				p.shadow[d.Idx] = d.Val
-			}
-			for k, m := range br.Writes {
-				p.diff[k] &^= m
-			}
-			p.Skipped += br.CumInstrs - prevCum
-			prevCum = br.CumInstrs
-			continue
-		}
-		// Simulate the block live, tracking its writes to keep diff exact.
-		for k := range mt.Writes {
-			mt.Writes[k] = 0
-			mt.Reads[k] = 0
-		}
-		l.Hooks = emu.Hooks{}
-		l.Mem = mt
-		res, err := emu.RunBlock(l, b)
-		l.Mem = nil
-		p.addLive(&res, nil)
-		for _, d := range br.Deltas {
-			p.shadow[d.Idx] = d.Val
-		}
-		if err != nil {
-			walkErr = err
-			break
-		}
-		for k := range p.diff {
-			touched := br.Writes[k] | mt.Writes[k]
-			for m := touched; m != 0; m &= m - 1 {
-				i := k<<6 + bits.TrailingZeros64(m)
-				bit := uint64(1) << (uint(i) & 63)
-				if p.g[i] != p.shadow[i] {
-					p.diff[k] |= bit
-				} else {
-					p.diff[k] &^= bit
-				}
-			}
-		}
-		prevCum = br.CumInstrs
-	}
-	if walkErr != nil {
-		return walkErr
-	}
-	// The shadow now already holds the golden post-launch image;
-	// checkConverged's delta advance is an idempotent no-op on it, and its
-	// comparison decides reconvergence as usual.
 	p.checkConverged(ord)
 	return nil
 }
@@ -775,12 +542,6 @@ func (p *Player) checkConverged(ord int) {
 	}
 	for _, d := range p.tr.Launches[ord].Deltas {
 		p.shadow[d.Idx] = d.Val
-	}
-	if !p.tr.HostPure {
-		// The shadow keeps tracking the golden trajectory for the block
-		// walk, but an impure host may carry diverged state even when the
-		// arena matches, so whole-run reconvergence is off the table.
-		return
 	}
 	if lv := p.tr.LiveIn; lv != nil {
 		// Dead-word pruning: only compare the words the golden
