@@ -635,6 +635,51 @@ func BenchmarkRTLFI_MicroCampaignPipeDense(b *testing.B) {
 	}
 }
 
+// BenchmarkRTL_New measures machine construction: campaigns build one per
+// worker, per march engine and per pooled lane, so it must stay an
+// allocation of state words on the shared model, not a model build.
+func BenchmarkRTL_New(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchMachine = rtl.New()
+	}
+}
+
+var benchMachine *rtl.Machine
+
+// BenchmarkRTL_WedgedRun measures one hung faulty run end to end: a flip
+// of warp 0's state field wedges the scheduler of the FADD micro-benchmark
+// at cycle 10, and the run ends as a watchdog DUE at the campaign budget
+// (10x golden + 1000 cycles) — of which only the prefix up to the first
+// stall cycle is stepped.
+func BenchmarkRTL_WedgedRun(b *testing.B) {
+	prog, err := rtlfi.BuildMicro(isa.OpFADD)
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := rtlfi.MicroInputs(isa.OpFADD, faults.RangeMedium, stats.NewRNG(98))
+	m := rtl.New()
+	if err := m.Run(prog, 1, rtlfi.MicroThreads, append([]uint32(nil), input...), 0, 1_000_000); err != nil {
+		b.Fatal(err)
+	}
+	budget := m.Cycles()*10 + 1000
+	lay := m.Sched.Lay
+	fault := rtl.Fault{Module: faults.ModSched, Bit: lay.Fields[lay.MustField("w0_state")].Offset + 2, Cycle: 10}
+	g := make([]uint32, len(input))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(g, input)
+		m.Inject(fault)
+		if err := m.Run(prog, 1, rtlfi.MicroThreads, g, 0, budget); err != rtl.ErrWatchdog {
+			b.Fatalf("run ended with %v, want the watchdog", err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(m.Cycles()-m.SkippedCycles()), "stepped-cycles")
+			b.ReportMetric(float64(m.Cycles()), "cycles")
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Table II / Fig. 8 — t-MxM spatial corruption patterns
 // ---------------------------------------------------------------------------

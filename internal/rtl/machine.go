@@ -3,6 +3,7 @@ package rtl
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
@@ -50,12 +51,7 @@ type Machine struct {
 	SFU    *State
 	SFUCtl *State
 
-	sf schedFields
-	pf pipeFields
-	xf fpFields
-	nf intFields
-	uf sfuFields
-	cf ctlFields
+	fieldHandles
 
 	// Behavioural memories (ECC-protected in the paper's threat model,
 	// therefore not injection targets).
@@ -73,6 +69,7 @@ type Machine struct {
 	nwarps      int
 	cycle       uint64
 	maxCycles   uint64
+	jumped      uint64 // stall cycles of this run that advance skipped, not stepped
 	fault       *Fault
 	injected    bool
 	err         error
@@ -91,22 +88,58 @@ type Machine struct {
 	hiDirty int
 }
 
-// New constructs a machine with all module layouts instantiated.
-func New() *Machine {
-	m := &Machine{
-		Sched:  NewState(newSchedLayout()),
-		Pipe:   NewState(newPipeLayout()),
-		FP32:   NewState(newFP32Layout()),
-		INT:    NewState(newINTLayout()),
-		SFU:    NewState(newSFULayout()),
-		SFUCtl: NewState(newSFUCtlLayout()),
+// fieldHandles is the resolved field-index set of all six module layouts.
+type fieldHandles struct {
+	sf schedFields
+	pf pipeFields
+	xf fpFields
+	nf intFields
+	uf sfuFields
+	cf ctlFields
+}
+
+// model is the part of a Machine that does not depend on the run: the six
+// Table I layouts and the field handles resolved against them. It is built
+// once per process and shared read-only — campaigns construct a machine
+// per worker, per march engine and per pooled lane, and rebuilding 1 163
+// named fields (with their formatted names, name map and bit→field table)
+// for each was 13 % of a paper-scale pass.
+type model struct {
+	sched, pipe, fp32, intu, sfu, sfuCtl *Layout
+	fieldHandles
+}
+
+var sharedModel = sync.OnceValue(func() *model {
+	md := &model{
+		sched:  newSchedLayout(),
+		pipe:   newPipeLayout(),
+		fp32:   newFP32Layout(),
+		intu:   newINTLayout(),
+		sfu:    newSFULayout(),
+		sfuCtl: newSFUCtlLayout(),
 	}
-	m.sf.init(m.Sched.Lay)
-	m.pf.init(m.Pipe.Lay)
-	m.xf.init(m.FP32.Lay)
-	m.nf.init(m.INT.Lay)
-	m.uf.init(m.SFU.Lay)
-	m.cf.init(m.SFUCtl.Lay)
+	md.sf.init(md.sched)
+	md.pf.init(md.pipe)
+	md.xf.init(md.fp32)
+	md.nf.init(md.intu)
+	md.uf.init(md.sfu)
+	md.cf.init(md.sfuCtl)
+	return md
+})
+
+// New constructs a machine on the shared model: it allocates the six
+// modules' state words and copies the field handles.
+func New() *Machine {
+	md := sharedModel()
+	m := &Machine{
+		Sched:        NewState(md.sched),
+		Pipe:         NewState(md.pipe),
+		FP32:         NewState(md.fp32),
+		INT:          NewState(md.intu),
+		SFU:          NewState(md.sfu),
+		SFUCtl:       NewState(md.sfuCtl),
+		fieldHandles: md.fieldHandles,
+	}
 	// A fresh machine has all-zero predicate files, which is NOT the
 	// canonical empty-warp state (PT reads as all-ones after initBlock);
 	// treat every warp as dirty until the first launch or restore.
@@ -156,6 +189,12 @@ func (m *Machine) Inject(f Fault) { fc := f; m.fault = &fc }
 // Cycles returns the cycle count of the last Run.
 func (m *Machine) Cycles() uint64 { return m.cycle }
 
+// SkippedCycles returns how many of the last run's Cycles() were the
+// repeated stall cycles of a wedged scheduler, accounted without being
+// stepped (see advance). Cycles() - SkippedCycles() is what the run
+// actually simulated.
+func (m *Machine) SkippedCycles() uint64 { return m.jumped }
+
 // Run executes prog on a grid of blocks (sequentially, as FlexGripPlus
 // maps one block at a time onto its single SM) with the given global
 // memory image and per-block shared memory size, until completion, DUE,
@@ -195,6 +234,7 @@ func (m *Machine) launch(prog *kasm.Program, grid, block int, global []uint32, s
 	m.grid, m.block = grid, block
 	m.maxCycles = maxCycles
 	m.cycle = 0
+	m.jumped = 0
 	m.err = nil
 	m.injected = false
 	m.machineDone = false
@@ -239,7 +279,7 @@ func (m *Machine) runLoop(every uint64, sink func(*Snapshot), golden func(uint64
 					}
 				}
 			}
-			m.stepCycle()
+			m.advance()
 		}
 		if m.err != nil || m.curBlock+1 >= m.grid {
 			break
@@ -311,9 +351,28 @@ func (m *Machine) markWarp(w int) {
 	}
 }
 
-// stepCycle advances the machine one clock cycle, applying any scheduled
-// fault at the cycle boundary.
-func (m *Machine) stepCycle() {
+// advance is what every run loop steps a machine with: one stepCycle and,
+// when that cycle wedged the machine, the hang fast path. A wedged machine
+// repeats the same stall cycle until the watchdog expires (see phaseSched),
+// changing nothing but the cycle counters, so the clock moves straight to
+// the budget — with the cyclectr flip-flops the stepped run would have
+// left — and the loop's own budget check ends the run as ErrWatchdog. The
+// jumped cycles are reported by SkippedCycles. There is deliberately no
+// general cycle detection behind this: on a paper-scale characterisation
+// pass every hung run is this wedge, none a livelock (DESIGN §4).
+func (m *Machine) advance() {
+	if m.stepCycle() && m.cycle < m.maxCycles {
+		m.jumped += m.maxCycles - m.cycle
+		m.cycle = m.maxCycles
+		m.Sched.Set(m.sf.cyclectr, uint64(uint32(m.cycle)))
+	}
+}
+
+// stepCycle advances the machine exactly one clock cycle, applying any
+// scheduled fault at the cycle boundary. It reports whether the cycle left
+// the machine wedged: the scheduler stalled and no injection is pending —
+// a later flip of a warp-state bit is the one thing that un-wedges it.
+func (m *Machine) stepCycle() (wedged bool) {
 	if m.live != nil {
 		// Pin this cycle's fault-application point on the liveness
 		// sequence axis, exactly where the FlipBit below would land.
@@ -323,9 +382,10 @@ func (m *Machine) stepCycle() {
 		m.ModuleState(m.fault.Module).FlipBit(m.fault.Bit)
 		m.injected = true
 	}
+	stalled := false
 	switch m.Sched.Get(m.sf.phase) {
 	case phSched:
-		m.phaseSched()
+		stalled = m.phaseSched()
 	case phFetch:
 		m.phaseFetch()
 	case phDecode:
@@ -352,4 +412,5 @@ func (m *Machine) stepCycle() {
 	}
 	m.cycle++
 	m.Sched.Set(m.sf.cyclectr, uint64(uint32(m.cycle)))
+	return stalled && (m.fault == nil || m.injected)
 }

@@ -6,7 +6,17 @@ import (
 
 // phaseSched selects the next ready warp (round-robin), resolving SIMT
 // reconvergence pops, releasing barriers, and detecting block completion.
-func (m *Machine) phaseSched() {
+// It reports whether the scheduler stalled: no warp ready, the block not
+// done, no barrier to release.
+//
+// A stall is a fixed point of the machine. The cycle leaves the phase
+// register at phSched and no warp READY (the scan above drained the ready
+// ones to DONE or it would have dispatched), so the next cycle's scan
+// finds nothing and writes nothing, the second loop reads the very same
+// states, and the same arm is taken again: nothing but the cycle counter
+// moves until something outside the model rewrites a state field. Only a
+// still-pending injection can (see advance).
+func (m *Machine) phaseSched() (stalled bool) {
 	sch := m.Sched
 	start := int(sch.Get(m.sf.rrptr)) % MaxWarps
 	for i := 0; i < MaxWarps; i++ {
@@ -27,7 +37,7 @@ func (m *Machine) phaseSched() {
 		m.Pipe.Set(m.pf.ifValid, 1)
 		m.Pipe.Set(m.pf.ifBlock, uint64(m.curBlock)&0xFF)
 		sch.Set(m.sf.phase, phFetch)
-		return
+		return false
 	}
 
 	// No ready warp: barrier release, completion, or stall.
@@ -54,9 +64,13 @@ func (m *Machine) phaseSched() {
 		}
 		sch.Set(m.sf.barwait, 0)
 		sch.Set(m.sf.barmask, 0)
-		// stall otherwise: a corrupted warp state wedges the scheduler and
-		// the watchdog converts the hang into a DUE.
+	default:
+		// Some warp holds an invalid state encoding: a corrupted state
+		// field wedges the scheduler and the watchdog converts the hang
+		// into a DUE.
+		return true
 	}
+	return false
 }
 
 // resolveWarp pops reconverged or drained SIMT stack levels for warp w,

@@ -131,6 +131,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.curBlock = s.curBlock
 	m.nwarps = s.nwarps
 	m.cycle = s.cycle
+	m.jumped = 0
 	m.maxCycles = s.maxCycles
 	m.blockDone = s.blockDone
 	m.err = nil

@@ -166,10 +166,10 @@ type vecTracer struct {
 	eng *VecEngine
 	hot *vlane
 
-	// states/ffFields cache the golden machine's module states and field
-	// tables in moduleIndex order for the hook fast paths.
-	states   [6]*State
-	ffFields [6][]Field
+	// states/ffGeom cache the golden machine's module states and field
+	// geometry tables in moduleIndex order for the hook fast paths.
+	states [6]*State
+	ffGeom [6][]fieldGeom
 
 	parked uint64 // lanes currently represented as deltas
 	lanes  []*vlane
@@ -276,6 +276,7 @@ func (m *Machine) CopyFrom(src *Machine) {
 	m.curBlock = src.curBlock
 	m.nwarps = src.nwarps
 	m.cycle = src.cycle
+	m.jumped = 0
 	m.maxCycles = src.maxCycles
 	m.blockDone = src.blockDone
 	m.err = nil
@@ -299,25 +300,19 @@ func (t *vecTracer) onFFRead(mod, fi int) {
 	if t.hot != nil {
 		return
 	}
-	f := t.ffFields[mod][fi]
-	w0 := f.Offset >> 6
-	w1 := (f.Offset + f.Width - 1) >> 6
+	g := &t.ffGeom[mod][fi]
+	w := int(g.word)
 	if t.rec != nil {
-		var mask uint64 = ^uint64(0)
-		if f.Width < 64 {
-			mask = 1<<uint(f.Width) - 1
-		}
-		b := uint(f.Offset & 63)
 		cyc := uint32(t.mark - 1)
-		t.rec.recordFF(mod, w0, cyc, mask<<b)
-		if w1 != w0 {
-			t.rec.recordFF(mod, w1, cyc, uint64(1)<<(uint(f.Width)-(64-b))-1)
+		t.rec.recordFF(mod, w, cyc, g.low())
+		if g.spill != 0 {
+			t.rec.recordFF(mod, w+1, cyc, g.high())
 		}
 	}
-	if t.ffPlane[mod][w0] == 0 && (w1 == w0 || t.ffPlane[mod][w1] == 0) {
+	if t.ffPlane[mod][w] == 0 && (g.spill == 0 || t.ffPlane[mod][w+1] == 0) {
 		return
 	}
-	t.ffRead(mod, f)
+	t.ffRead(mod, g)
 }
 
 // ffRead is onFFRead's slow path. Word-granularity planes alias every
@@ -325,16 +320,10 @@ func (t *vecTracer) onFFRead(mod, fi int) {
 // field precision before unparking: splice-updates keep a parked delta's
 // val current, so the lane's word differs from the golden word exactly in
 // delta.val ^ words[w], and only a read overlapping those bits diverges.
-func (t *vecTracer) ffRead(mod int, f Field) {
-	var mask uint64 = ^uint64(0)
-	if f.Width < 64 {
-		mask = 1<<uint(f.Width) - 1
-	}
-	w, b := f.Offset/64, uint(f.Offset%64)
-	t.ffProbeWord(mod, w, mask<<b)
-	if b+uint(f.Width) > 64 {
-		hi := uint(f.Width) - (64 - b)
-		t.ffProbeWord(mod, w+1, uint64(1)<<hi-1)
+func (t *vecTracer) ffRead(mod int, g *fieldGeom) {
+	t.ffProbeWord(mod, int(g.word), g.low())
+	if g.spill != 0 {
+		t.ffProbeWord(mod, int(g.word)+1, g.high())
 	}
 }
 
@@ -368,43 +357,33 @@ func (t *vecTracer) onFFWrite(mod, fi int, v uint64) {
 	if t.hot != nil {
 		return
 	}
-	f := t.ffFields[mod][fi]
-	w0 := f.Offset >> 6
-	w1 := (f.Offset + f.Width - 1) >> 6
+	g := &t.ffGeom[mod][fi]
+	w := int(g.word)
 	if t.rec != nil {
-		var mask uint64 = ^uint64(0)
-		if f.Width < 64 {
-			mask = 1<<uint(f.Width) - 1
-		}
-		b := uint(f.Offset & 63)
 		cyc := uint32(t.mark - 1)
-		t.rec.touchFF(mod, w0, cyc, mask<<b)
-		if w1 != w0 {
-			t.rec.touchFF(mod, w1, cyc, uint64(1)<<(uint(f.Width)-(64-b))-1)
+		t.rec.touchFF(mod, w, cyc, g.low())
+		if g.spill != 0 {
+			t.rec.touchFF(mod, w+1, cyc, g.high())
 		}
 	}
-	if t.ffPlane[mod][w0] == 0 && (w1 == w0 || t.ffPlane[mod][w1] == 0) {
+	if t.ffPlane[mod][w] == 0 && (g.spill == 0 || t.ffPlane[mod][w+1] == 0) {
 		return
 	}
-	t.ffWrite(mod, f, v)
+	t.ffWrite(mod, g, v)
 }
 
 // ffWrite is onFFWrite's slow path: mirror setRaw's word splicing onto
 // every parked delta in the written word(s), with the post-write golden
 // word as the kill threshold.
-func (t *vecTracer) ffWrite(mod int, f Field, v uint64) {
+func (t *vecTracer) ffWrite(mod int, g *fieldGeom, v uint64) {
 	st := t.states[mod]
-	var mask uint64 = ^uint64(0)
-	if f.Width < 64 {
-		mask = 1<<uint(f.Width) - 1
-	}
-	v &= mask
-	w, b := f.Offset/64, uint(f.Offset%64)
-	t.ffUpdateWord(mod, w, mask<<b, v<<b, st.words[w]&^(mask<<b)|v<<b)
-	if b+uint(f.Width) > 64 {
-		hi := uint(f.Width) - (64 - b)
-		himask := uint64(1)<<hi - 1
-		t.ffUpdateWord(mod, w+1, himask, v>>(64-b), st.words[w+1]&^himask|v>>(64-b))
+	v &= g.mask
+	w := int(g.word)
+	lo, orLo := g.low(), v<<g.shift
+	t.ffUpdateWord(mod, w, lo, orLo, st.words[w]&^lo|orLo)
+	if g.spill != 0 {
+		hi, orHi := g.high(), v>>(64-g.shift)
+		t.ffUpdateWord(mod, w+1, hi, orHi, st.words[w+1]&^hi|orHi)
 	}
 }
 
@@ -986,7 +965,7 @@ func NewVecEngine() *VecEngine {
 	t := &vecTracer{eng: e}
 	for i, st := range vecStates(e.golden) {
 		t.states[i] = st
-		t.ffFields[i] = st.Lay.Fields
+		t.ffGeom[i] = st.Lay.geom
 		t.ffPlane[i] = make([]uint64, len(st.words))
 		t.ffSnap[i] = make([]uint64, len(st.words))
 	}
@@ -1229,7 +1208,7 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 			next++
 		}
 		t.hot = nil
-		g.stepCycle()
+		g.advance()
 		e.endCycle(c)
 	}
 	g.TraceVec(nil)
@@ -1320,7 +1299,7 @@ func (e *VecEngine) endCycle(c uint64) {
 	for _, ln := range e.hot {
 		lm := ln.m
 		t.hot = ln
-		lm.stepCycle()
+		lm.advance()
 		t.hot = nil
 		ln.sim++
 		if e.finishedHot(ln) {
@@ -1394,16 +1373,21 @@ func (e *VecEngine) endCycle(c uint64) {
 	}
 }
 
-// finishedHot finalises a hot lane that erred (DUE) or completed its
-// block early; it reports whether the lane is done.
+// finishedHot finalises a hot lane that erred (DUE), completed its block
+// or ran out of its own cycle budget (a hang — where a wedged lane's clock
+// lands, see Machine.advance); it reports whether the lane is done.
 func (e *VecEngine) finishedHot(ln *vlane) bool {
 	lm := ln.m
+	if lm.err == nil && !lm.blockDone {
+		if lm.cycle < lm.maxCycles {
+			return false
+		}
+		lm.err = ErrWatchdog
+	}
 	if lm.err != nil {
 		ln.out = VecOutcome{Err: lm.err, Sim: ln.sim, End: lm.cycle}
-	} else if lm.blockDone {
-		ln.out = VecOutcome{Global: append([]uint32(nil), lm.global...), Sim: ln.sim, End: lm.cycle}
 	} else {
-		return false
+		ln.out = VecOutcome{Global: append([]uint32(nil), lm.global...), Sim: ln.sim, End: lm.cycle}
 	}
 	ln.done = true
 	e.release(lm)
@@ -1470,7 +1454,7 @@ func (e *VecEngine) materialize(ln *vlane, c uint64) {
 	ln.spanFrom = t.cycleOff[c-t.cycleBase]
 	ln.m = m
 	t.hot = ln
-	m.stepCycle()
+	m.advance()
 	t.hot = nil
 	ln.sim++
 }
@@ -1751,24 +1735,11 @@ func (e *VecEngine) finishMarch(G uint64) {
 			ln.done = true
 			continue
 		}
-		m := ln.m
-		m.TraceVec(nil)
-		for !m.blockDone && m.err == nil {
-			if m.cycle >= m.maxCycles {
-				m.err = ErrWatchdog
-				break
-			}
-			m.stepCycle()
+		ln.m.TraceVec(nil)
+		for !e.finishedHot(ln) {
+			ln.m.advance()
 			ln.sim++
 		}
-		if m.err != nil {
-			ln.out = VecOutcome{Err: m.err, Sim: ln.sim, End: m.cycle}
-		} else {
-			ln.out = VecOutcome{Global: append([]uint32(nil), m.global...), Sim: ln.sim, End: m.cycle}
-		}
-		ln.done = true
-		e.release(m)
-		ln.m = nil
 	}
 }
 

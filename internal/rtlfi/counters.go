@@ -21,9 +21,13 @@ type Counters struct {
 	// runs; SkippedCycles counts the cycles the engine provably avoided:
 	// golden-prefix cycles restored from a checkpoint, golden-tail cycles
 	// pruned when a masked run reconverged with the golden state, the
-	// whole goldenCycles replay of every dead-pruned fault, and a
-	// collapsed member's whole would-be replay. Their sum is what a naive
-	// full-replay engine would have simulated, in every engine mode.
+	// whole goldenCycles replay of every dead-pruned fault, a collapsed
+	// member's whole would-be replay, and the stall cycles of hung runs —
+	// a wedged scheduler repeats one cycle until the watchdog, and the
+	// machine moves its clock there instead of stepping them
+	// (rtl.Machine.SkippedCycles; the only skipped cycles left with every
+	// accelerator off). Their sum is what a naive engine stepping every
+	// cycle of every faulty run would have simulated, in every engine mode.
 	SimCycles     uint64 `json:"sim_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
 

@@ -73,6 +73,25 @@ func (r *TMXMResult) PatternShare(p faults.Pattern) float64 {
 	return float64(r.Patterns[p]) / float64(multi)
 }
 
+// plan prepares and schedules the spec's campaign.
+func (spec TMXMSpec) plan() (*plan, error) {
+	if spec.Module != faults.ModSched && spec.Module != faults.ModPipe {
+		return nil, fmt.Errorf("rtlfi: t-MxM characterises scheduler and pipeline only (got %s)", spec.Module)
+	}
+	prog, err := mxm.Build(mxm.Tile)
+	if err != nil {
+		return nil, err
+	}
+	return newPlan(
+		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
+			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
+		family{prog: prog, block: mxm.BlockThreads, sharedWords: mxm.SharedWords, goldenBudget: 5_000_000,
+			input: func(rng *stats.RNG) []uint32 {
+				a, b := mxm.TileInputs(spec.Kind, rng.Uint64())
+				return mxm.Pack(a, b, mxm.Tile)
+			}})
+}
+
 // RunTMXM executes a t-MxM RTL fault-injection campaign.
 func RunTMXM(spec TMXMSpec) (*TMXMResult, error) {
 	return RunTMXMCtx(context.Background(), spec)
@@ -81,21 +100,7 @@ func RunTMXM(spec TMXMSpec) (*TMXMResult, error) {
 // RunTMXMCtx is RunTMXM with cancellation at fault boundaries; the fault
 // list is derived from Spec.Seed so re-runs are bit-identical.
 func RunTMXMCtx(ctx context.Context, spec TMXMSpec) (*TMXMResult, error) {
-	if spec.Module != faults.ModSched && spec.Module != faults.ModPipe {
-		return nil, fmt.Errorf("rtlfi: t-MxM characterises scheduler and pipeline only (got %s)", spec.Module)
-	}
-	prog, err := mxm.Build(mxm.Tile)
-	if err != nil {
-		return nil, err
-	}
-	p, err := newPlan(
-		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
-			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
-		family{prog: prog, block: mxm.BlockThreads, sharedWords: mxm.SharedWords, goldenBudget: 5_000_000,
-			input: func(rng *stats.RNG) []uint32 {
-				a, b := mxm.TileInputs(spec.Kind, rng.Uint64())
-				return mxm.Pack(a, b, mxm.Tile)
-			}})
+	p, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}

@@ -236,18 +236,20 @@ func (p *plan) runFault(machine *rtl.Machine, d *inputDraw, f rtl.Fault) simRun 
 	machine.Inject(f)
 	if snap := d.ckpts.before(f.Cycle); snap != nil {
 		pruned, err := machine.RunFromPruned(snap, d.budget(), d.ckpts.every, d.ckpts.at)
-		sim := machine.Cycles() - snap.Cycle()
+		jumped := machine.SkippedCycles()
+		sim := machine.Cycles() - snap.Cycle() - jumped
 		if pruned {
 			// Reconverged with the golden state: the tail provably
 			// replays the golden run, so the golden image is the run's
 			// (bit-exact) result.
 			return simRun{g: d.golden, sim: sim, skipped: snap.Cycle() + d.goldenCycles - machine.Cycles()}
 		}
-		return simRun{g: machine.Global(), err: err, sim: sim, skipped: snap.Cycle()}
+		return simRun{g: machine.Global(), err: err, sim: sim, skipped: snap.Cycle() + jumped}
 	}
 	g := append([]uint32(nil), d.global...)
 	err := machine.Run(p.prog, 1, p.block, g, p.sharedWords, d.budget())
-	return simRun{g: g, err: err, sim: machine.Cycles()}
+	jumped := machine.SkippedCycles()
+	return simRun{g: g, err: err, sim: machine.Cycles() - jumped, skipped: jumped}
 }
 
 // engine is the family-independent part of a campaign spec, with the
