@@ -12,8 +12,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gpufi/internal/apps"
+	"gpufi/internal/campaign"
 	"gpufi/internal/cnn"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
@@ -30,7 +33,7 @@ type CharacterizeConfig struct {
 	FaultsPerCampaign int // default 2000
 	TMXMFaults        int // default FaultsPerCampaign
 	Seed              uint64
-	Workers           int
+	Workers           int                 // CPU budget of the whole phase, split over the units in flight; 0 = one per CPU
 	Ops               []isa.Opcode        // default: the 12 characterised opcodes
 	Ranges            []faults.InputRange // default: S, M, L
 	SkipTMXM          bool                // skip the t-MxM campaigns (micro-benchmarks only)
@@ -41,6 +44,8 @@ type CharacterizeConfig struct {
 	// Progress, when non-nil, receives fault-level progress aggregated
 	// over the whole characterisation plan. It may be called concurrently
 	// and done values may arrive out of order; keep a running maximum.
+	// done stays below total until the last unit is ingested; the last
+	// call is (total, total).
 	Progress func(done, total int)
 }
 
@@ -232,30 +237,111 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 }
 
 // CharacterizeCtx is Characterize with cancellation and aggregated
-// fault-level progress via cfg.Progress.
+// fault-level progress via cfg.Progress. cfg.Workers is the CPU budget of
+// the whole phase: plan units run side by side, each on its share of it.
 func CharacterizeCtx(ctx context.Context, cfg CharacterizeConfig) (*Characterization, error) {
 	cfg.defaults()
-	plan := Plan(cfg)
+	return runPlan(ctx, Plan(cfg), campaign.Workers(cfg.Workers), cfg.Progress, RunUnit)
+}
+
+// runPlan executes a plan with up to min(workers, len(plan)) units in
+// flight, each on workers/inFlight engine workers, and ingests the results
+// strictly in plan order on the calling goroutine while later units are
+// still running — a unit's power-law fits no longer hold the engines up.
+// Runners claim units in plan order, so every unit before a failed one has
+// been started and runs to its own end: the error returned is the one a
+// unit-at-a-time run of the plan would have hit first. After a failure no
+// further unit is claimed; units already in flight finish and are dropped.
+//
+// A unit's result does not depend on its engine worker count (campaign.Run
+// hands outputs back in job order), which is all that makes the split of
+// the budget invisible in the characterisation. run is RunUnit; tests
+// substitute it.
+func runPlan(ctx context.Context, plan []Unit, workers int, progress func(done, total int),
+	run func(ctx context.Context, u Unit, workers int, progress func(done, total int)) (*UnitResult, error)) (*Characterization, error) {
+
+	out := &Characterization{DB: syndrome.New()}
+	if len(plan) == 0 {
+		return out, nil
+	}
+	inFlight := min(workers, len(plan))
 	total := 0
 	for _, u := range plan {
 		total += u.Faults
 	}
-	out := &Characterization{DB: syndrome.New()}
-	base := 0
-	for _, u := range plan {
-		var progress func(done, total int)
-		if cfg.Progress != nil {
-			off := base
-			progress = func(done, _ int) { cfg.Progress(off+done, total) }
-		}
-		res, err := RunUnit(ctx, u, cfg.Workers, progress)
-		if err != nil {
+
+	slots := make([]struct {
+		res   *UnitResult
+		err   error
+		ready chan struct{} // closed once res and err are set
+	}, len(plan))
+	for k := range slots {
+		slots[k].ready = make(chan struct{})
+	}
+	var (
+		next   atomic.Int64 // plan index of the next unclaimed unit
+		failed atomic.Bool
+		fed    atomic.Int64 // faults reported to progress so far, over all units
+		wg     sync.WaitGroup
+	)
+	for range inFlight {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				k := int(next.Add(1)) - 1
+				if k >= len(plan) {
+					return
+				}
+				var unitProgress func(done, total int)
+				if progress != nil {
+					unitProgress = feedProgress(&fed, total, progress)
+				}
+				slot := &slots[k]
+				slot.res, slot.err = run(ctx, plan[k], workers/inFlight, unitProgress)
+				if slot.err != nil {
+					failed.Store(true)
+				}
+				close(slot.ready)
+			}
+		}()
+	}
+	defer wg.Wait()
+
+	for k, u := range plan {
+		<-slots[k].ready
+		if err := slots[k].err; err != nil {
 			return nil, fmt.Errorf("core: %s: %w", u.Name(), err)
 		}
-		out.AddUnit(res)
-		base += u.Faults
+		out.AddUnit(slots[k].res)
+	}
+	if progress != nil {
+		progress(total, total)
 	}
 	return out, nil
+}
+
+// feedProgress returns one unit's progress callback: it adds the unit's
+// faults to the plan-wide counter fed and reports the sum. The engine's
+// workers report cumulative counts, possibly out of order; a running
+// maximum turns them into increments. The sum reaching total is not
+// reported here — that call is runPlan's, after the last commit.
+func feedProgress(fed *atomic.Int64, total int, progress func(done, total int)) func(done, total int) {
+	var seen atomic.Int64
+	return func(done, _ int) {
+		for {
+			old := seen.Load()
+			if int64(done) <= old {
+				return
+			}
+			if seen.CompareAndSwap(old, int64(done)) {
+				if d := int(fed.Add(int64(done) - old)); d < total {
+					progress(d, total)
+				}
+				return
+			}
+		}
+	}
 }
 
 // AVFRow is one Fig. 4 data point: a module x instruction cell averaged

@@ -1,0 +1,288 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gpufi/internal/faults"
+	"gpufi/internal/isa"
+	"gpufi/internal/rtlfi"
+	"gpufi/internal/syndrome"
+)
+
+// sweepConfig is an 18-unit plan: FADD 3 + IADD 3 + FSIN 4 + GLD 2 micro
+// campaigns and the six t-MxM ones.
+func sweepConfig() CharacterizeConfig {
+	return CharacterizeConfig{
+		FaultsPerCampaign: 240,
+		Seed:              2021,
+		Ops:               []isa.Opcode{isa.OpFADD, isa.OpIADD, isa.OpFSIN, isa.OpGLD},
+		Ranges:            []faults.InputRange{faults.RangeMedium},
+	}
+}
+
+// TestCharacterizeMatchesSerialPlan holds the scheduler to the loop it
+// replaced: whatever the CPU budget, the characterisation is the one a
+// unit-at-a-time Plan / RunUnit / AddUnit walk builds.
+func TestCharacterizeMatchesSerialPlan(t *testing.T) {
+	cfg := sweepConfig()
+	plan := Plan(cfg)
+	if len(plan) < 12 {
+		t.Fatalf("plan has %d units, want at least 12", len(plan))
+	}
+	ref := &Characterization{DB: syndrome.New()}
+	for _, u := range plan {
+		res, err := RunUnit(context.Background(), u, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.AddUnit(res)
+	}
+	refDB, err := json.Marshal(ref.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2, 3, 5} {
+		cfg.Workers = workers
+		got, err := Characterize(cfg)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		db, err := json.Marshal(got.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(db, refDB) {
+			t.Errorf("Workers=%d: syndrome DB differs from the serial plan's", workers)
+		}
+		if len(got.Micro) != len(ref.Micro) || len(got.TMXM) != len(ref.TMXM) {
+			t.Fatalf("Workers=%d: %d micro / %d t-MxM results, want %d / %d",
+				workers, len(got.Micro), len(got.TMXM), len(ref.Micro), len(ref.TMXM))
+		}
+		for i, r := range got.Micro {
+			want := ref.Micro[i]
+			if r.Spec.Op != want.Spec.Op || r.Spec.Range != want.Spec.Range || r.Spec.Module != want.Spec.Module || r.Spec.Seed != want.Spec.Seed {
+				t.Errorf("Workers=%d: Micro[%d] is %v/%v/%v, want %v/%v/%v", workers, i,
+					r.Spec.Op, r.Spec.Range, r.Spec.Module, want.Spec.Op, want.Spec.Range, want.Spec.Module)
+			}
+			if r.Tally != want.Tally || r.SimCycles+r.SkippedCycles != want.SimCycles+want.SkippedCycles {
+				t.Errorf("Workers=%d: Micro[%d] tally %+v sim+skipped %d, want %+v %d", workers, i,
+					r.Tally, r.SimCycles+r.SkippedCycles, want.Tally, want.SimCycles+want.SkippedCycles)
+			}
+		}
+		for i, r := range got.TMXM {
+			want := ref.TMXM[i]
+			if r.Spec.Module != want.Spec.Module || r.Spec.Kind != want.Spec.Kind || r.Spec.Seed != want.Spec.Seed {
+				t.Errorf("Workers=%d: TMXM[%d] is %v/%v, want %v/%v", workers, i,
+					r.Spec.Module, r.Spec.Kind, want.Spec.Module, want.Spec.Kind)
+			}
+			if r.Tally != want.Tally || r.SimCycles+r.SkippedCycles != want.SimCycles+want.SkippedCycles {
+				t.Errorf("Workers=%d: TMXM[%d] tally %+v sim+skipped %d, want %+v %d", workers, i,
+					r.Tally, r.SimCycles+r.SkippedCycles, want.Tally, want.SimCycles+want.SkippedCycles)
+			}
+		}
+	}
+}
+
+// stubResult is the smallest result AddUnit can ingest for u.
+func stubResult(u Unit) *UnitResult {
+	if u.Kind == UnitTMXM {
+		return &UnitResult{Unit: u, TMXM: &rtlfi.TMXMResult{Spec: rtlfi.TMXMSpec{Module: u.Module, Kind: u.Tile}}}
+	}
+	return &UnitResult{Unit: u, Micro: &rtlfi.Result{Spec: rtlfi.Spec{Op: u.Op, Range: u.Range, Module: u.Module}}}
+}
+
+// TestRunPlanSplitsTheBudget pins the division of the CPU budget: as many
+// units in flight as the budget and the plan allow, the rest of it inside
+// each unit's engine.
+func TestRunPlanSplitsTheBudget(t *testing.T) {
+	plan := Plan(sweepConfig())
+	for _, c := range []struct{ units, workers, inFlight, perUnit int }{
+		{1, 4, 1, 4}, {2, 5, 2, 2}, {3, 7, 3, 2}, {4, 4, 4, 1}, {18, 3, 3, 1}, {18, 1, 1, 1},
+	} {
+		var running, peak atomic.Int64
+		gate := make(chan struct{})
+		var open sync.Once
+		got, err := runPlan(context.Background(), plan[:c.units], c.workers, nil,
+			func(_ context.Context, u Unit, workers int, _ func(done, total int)) (*UnitResult, error) {
+				if workers != c.perUnit {
+					t.Errorf("%d units on %d workers: unit %s got %d engine workers, want %d",
+						c.units, c.workers, u.Name(), workers, c.perUnit)
+				}
+				n := running.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				// Hold the first wave until it is complete, so the peak is
+				// the scheduler's width and not a matter of timing.
+				if int(n) == c.inFlight {
+					open.Do(func() { close(gate) })
+				}
+				select {
+				case <-gate:
+				case <-time.After(5 * time.Second): // a narrower scheduler fails the peak check below
+				}
+				running.Add(-1)
+				return stubResult(u), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(peak.Load()) != c.inFlight {
+			t.Errorf("%d units on %d workers: %d units in flight at once, want %d", c.units, c.workers, peak.Load(), c.inFlight)
+		}
+		if n := len(got.Micro) + len(got.TMXM); n != c.units {
+			t.Errorf("%d units on %d workers: %d results committed", c.units, c.workers, n)
+		}
+	}
+	if got, err := runPlan(context.Background(), nil, 4, nil, nil); err != nil || got.DB == nil {
+		t.Errorf("empty plan: %v, %v", got, err)
+	}
+}
+
+// TestRunPlanFirstErrorInPlanOrderWins fails unit 4 first and unit 2 only
+// after that: the plan must report unit 2, as a unit-at-a-time run would,
+// and start nothing it had not already claimed.
+func TestRunPlanFirstErrorInPlanOrderWins(t *testing.T) {
+	plan := Plan(sweepConfig())
+	errEarly, errLate := errors.New("unit 2 failed"), errors.New("unit 4 failed")
+	lateFailed := make(chan struct{})
+	var started atomic.Int64
+	got, err := runPlan(context.Background(), plan, 3, nil,
+		func(_ context.Context, u Unit, _ int, _ func(done, total int)) (*UnitResult, error) {
+			started.Add(1)
+			switch u.Name() {
+			case plan[2].Name():
+				<-lateFailed
+				return nil, errEarly
+			case plan[4].Name():
+				close(lateFailed)
+				return nil, errLate
+			}
+			return stubResult(u), nil
+		})
+	if got != nil || !errors.Is(err, errEarly) {
+		t.Fatalf("runPlan = %v, %v; want unit 2's error", got, err)
+	}
+	if want := fmt.Sprintf("core: %s: %v", plan[2].Name(), errEarly); err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	// Units 0–4 had to start. A claim or two can slip in between unit 4
+	// returning and its runner flagging the failure; the rest of the plan
+	// cannot.
+	if n := int(started.Load()); n < 5 || n >= len(plan) {
+		t.Errorf("%d of %d units started, want at least 5 and not the whole plan", n, len(plan))
+	}
+}
+
+// TestCharacterizeCancelMidPlan cancels a real characterisation from its
+// own progress callback and checks that the call reports the context's
+// error and leaves nothing running behind it.
+func TestCharacterizeCancelMidPlan(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 3} {
+		cfg := sweepConfig()
+		cfg.Workers = workers
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Progress = func(done, total int) {
+			if done >= total/3 {
+				cancel()
+			}
+		}
+		got, err := CharacterizeCtx(ctx, cfg)
+		cancel()
+		if got != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers=%d: CharacterizeCtx = %v, %v; want context.Canceled", workers, got, err)
+		}
+	}
+	// A runner is done before runPlan returns, but its goroutine may take
+	// a moment longer to leave the scheduler's count.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after a cancelled characterisation", before, after)
+	}
+}
+
+// progressLog records every Progress call; the callback is documented as
+// concurrent.
+type progressLog struct {
+	mu    sync.Mutex
+	calls [][2]int
+}
+
+func (p *progressLog) record(done, total int) {
+	p.mu.Lock()
+	p.calls = append(p.calls, [2]int{done, total})
+	p.mu.Unlock()
+}
+
+func (p *progressLog) check(t *testing.T, name string, total int) {
+	t.Helper()
+	if len(p.calls) == 0 {
+		t.Fatalf("%s: Progress never called", name)
+	}
+	for i, c := range p.calls {
+		if c[1] != total || c[0] < 0 || c[0] > total {
+			t.Fatalf("%s: Progress call %d is (%d, %d), total is %d", name, i, c[0], c[1], total)
+		}
+		if last := i == len(p.calls)-1; (c[0] == total) != last {
+			t.Fatalf("%s: Progress call %d of %d is (%d, %d); exactly the last call reports the total",
+				name, i, len(p.calls), c[0], c[1])
+		}
+	}
+}
+
+func TestCharacterizeProgress(t *testing.T) {
+	// 18 units on 3 runners with one engine worker each, then a two-unit
+	// plan on a budget of 5: two engine workers per unit report out of
+	// order.
+	wide := sweepConfig()
+	wide.Workers = 3
+	narrow := CharacterizeConfig{
+		FaultsPerCampaign: 4000, Seed: 7, Workers: 5, SkipTMXM: true,
+		Ops: []isa.Opcode{isa.OpGLD}, Ranges: []faults.InputRange{faults.RangeSmall},
+	}
+	for name, cfg := range map[string]CharacterizeConfig{"wide": wide, "narrow": narrow} {
+		total := 0
+		for _, u := range Plan(cfg) {
+			total += u.Faults
+		}
+		var log progressLog
+		cfg.Progress = log.record
+		if _, err := Characterize(cfg); err != nil {
+			t.Fatal(err)
+		}
+		log.check(t, name, total)
+	}
+
+	// Engine workers deliver cumulative counts out of order; the stale one
+	// must not be counted twice or taken back.
+	plan := Plan(sweepConfig())[:2]
+	var log progressLog
+	_, err := runPlan(context.Background(), plan, 2, log.record,
+		func(_ context.Context, u Unit, _ int, progress func(done, total int)) (*UnitResult, error) {
+			progress(150, u.Faults)
+			progress(60, u.Faults)
+			progress(u.Faults, u.Faults)
+			return stubResult(u), nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.check(t, "out of order", plan[0].Faults+plan[1].Faults)
+}

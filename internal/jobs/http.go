@@ -98,16 +98,19 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// eventsPollInterval is how often the SSE stream re-samples job status.
+// eventsPollInterval is how often the SSE stream re-samples the status of
+// a job that is still going; it bounds the rate of progress events.
 const eventsPollInterval = 100 * time.Millisecond
 
-// handleEvents streams status snapshots as server-sent events. An event
-// is emitted whenever progress or state changes, and a final one when the
-// job reaches a terminal state, after which the stream ends. Idle streams
-// carry periodic SSE comments (": keep-alive") every Config.SSEKeepAlive
-// so proxies and load balancers with read timeouts keep them open.
+// handleEvents streams status snapshots as server-sent events. Progress
+// and state changes are sampled every eventsPollInterval; the terminal
+// state is not — Service.finish wakes the stream, so the final event goes
+// out as soon as the state is visible — and the stream ends after it.
+// Idle streams carry periodic SSE comments (": keep-alive") every
+// Config.SSEKeepAlive so proxies and load balancers with read timeouts
+// keep them open.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Get(r.PathValue("id"))
+	j, ok := s.job(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
@@ -129,8 +132,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "data: %s\n\n", blob)
 		flusher.Flush()
 	}
-	emit(st)
-	last := st
+	last := s.statusOf(j)
+	emit(last)
 	ticker := time.NewTicker(eventsPollInterval)
 	defer ticker.Stop()
 	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
@@ -146,11 +149,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 			continue
 		case <-ticker.C:
+		case <-j.terminal:
 		}
-		st, ok := s.Get(r.PathValue("id"))
-		if !ok {
-			return
-		}
+		st := s.statusOf(j)
 		if st.State != last.State || st.Done != last.Done || st.UnitsDone != last.UnitsDone {
 			emit(st)
 			last = st

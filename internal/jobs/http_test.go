@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -364,5 +365,70 @@ func TestHTTPHealthzAfterClose(t *testing.T) {
 	}
 	if _, err := s.Submit(smallHPC()); err == nil {
 		t.Fatal("Submit after Close must fail")
+	}
+}
+
+// TestHTTPEventsTerminalEventIsNotPolled: the stream used to learn of a
+// finished job at its next 100 ms status sample, so the last event trailed
+// the job by up to a tick. finish now wakes the stream; the event must
+// follow the terminal journal write — finish's first step — within a
+// fraction of the poll interval, every time.
+func TestHTTPEventsTerminalEventIsNotPolled(t *testing.T) {
+	s, srv := newHTTPService(t, Config{Workers: 1, Dir: t.TempDir()})
+	var (
+		mu         sync.Mutex
+		journalled = map[string]time.Time{}
+	)
+	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
+		err := atomicWriteFile(path, data, perm)
+		var ck checkpoint
+		if json.Unmarshal(data, &ck) == nil && ck.State.Terminal() {
+			mu.Lock()
+			journalled[ck.ID] = time.Now()
+			mu.Unlock()
+		}
+		return err
+	}
+	for i := 0; i < 6; i++ {
+		req := smallHPC()
+		req.Injections = 60 + 17*i // spread the finishing times over the poll phase
+		st := postJob(t, srv.URL, req)
+		resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			events  int
+			arrived time.Time
+			sc      = bufio.NewScanner(resp.Body)
+		)
+		for sc.Scan() {
+			line, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue
+			}
+			var ev Status
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad SSE payload %q: %v", line, err)
+			}
+			events++
+			if ev.State.Terminal() {
+				arrived = time.Now()
+				break
+			}
+		}
+		resp.Body.Close()
+		if arrived.IsZero() {
+			t.Fatalf("job %s: stream ended without a terminal event (%v)", st.ID, sc.Err())
+		}
+		if events < 2 {
+			t.Fatalf("job %s had finished before its stream opened; the test needs a longer job", st.ID)
+		}
+		mu.Lock()
+		wrote := journalled[st.ID]
+		mu.Unlock()
+		if lag := arrived.Sub(wrote); wrote.IsZero() || lag > 25*time.Millisecond {
+			t.Errorf("job %s: terminal event %v after the terminal journal write, want under 25ms", st.ID, lag)
+		}
 	}
 }

@@ -141,7 +141,7 @@ type unit struct {
 type runEnv struct {
 	workers int          // engine workers per campaign
 	db      *syndrome.DB // loaded syndrome DB for syndrome/tile models
-	char    *syndrome.DB // accumulating DB of a characterize job
+	char    *charDB      // accumulating DB of a characterize job
 	mu      *sync.Mutex  // guards char and sw against concurrent status reads and checkpoint marshals
 	sw      *swLive      // live software-campaign throughput
 }
@@ -266,12 +266,11 @@ func compileCharacterize(req Request) (*program, error) {
 // a worker node), which is what keeps the two bit-identical.
 func ingestCharUnit(env *runEnv, cu core.Unit, res *core.UnitResult) (json.RawMessage, error) {
 	env.mu.Lock()
-	if res.Micro != nil {
-		env.char.AddMicro(res.Micro)
-	} else {
-		env.char.AddTMXM(res.TMXM)
-	}
+	err := env.char.ingest(res)
 	env.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return json.Marshal(CharUnitResult{Unit: cu.Name(), Seed: cu.Seed, Tally: res.Tally(), Counters: res.Telemetry()})
 }
 

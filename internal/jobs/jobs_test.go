@@ -2,11 +2,16 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"gpufi/internal/core"
+	"gpufi/internal/syndrome"
 )
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -507,5 +512,165 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 	if deriveSeed(42, "MxM/bitflip2") == a || deriveSeed(43, "MxM/bitflip") == a {
 		t.Fatal("deriveSeed ignores its inputs")
+	}
+}
+
+// wholeDBCheckpoint is the checkpoint record as it was encoded before the
+// journal kept its entries' encodings: the accumulated syndrome database
+// marshalled afresh, reservoirs and all, on every write.
+type wholeDBCheckpoint struct {
+	ID         string                     `json:"id"`
+	Request    Request                    `json:"request"`
+	State      State                      `json:"state"`
+	Done       int64                      `json:"done"`
+	Total      int64                      `json:"total"`
+	UnitsTotal int                        `json:"units_total"`
+	Error      string                     `json:"error,omitempty"`
+	Completed  map[string]json.RawMessage `json:"completed,omitempty"`
+	DB         *syndrome.DB               `json:"db,omitempty"`
+	Result     json.RawMessage            `json:"result,omitempty"`
+}
+
+// journalledChar is a characterize job over two opcodes and the six t-MxM
+// units, so both sections of the checkpoint's db fill up.
+func journalledChar() Request {
+	return Request{
+		Kind: KindCharacterize, Seed: 5,
+		Ops: []string{"FADD", "FSIN"}, Ranges: []string{"M"},
+		Faults: 300, TMXMFaults: 150,
+	}
+}
+
+// TestJournalBytesMatchWholeDBEncoding records every journal write of a
+// characterize job and requires each to be byte for byte what re-encoding
+// the whole database would have written; an interrupted and resumed run
+// of the same job must then leave the very same journal file behind.
+func TestJournalBytesMatchWholeDBEncoding(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		mu     sync.Mutex
+		writes int
+	)
+	s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: time.Hour})
+	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
+		var ck wholeDBCheckpoint
+		if err := json.Unmarshal(data, &ck); err != nil {
+			t.Errorf("journal write does not decode: %v", err)
+		} else if want, err := json.Marshal(ck); err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(data, want) {
+			t.Errorf("journal write with %d units (%d bytes) differs from the whole-database encoding (%d bytes)",
+				len(ck.Completed), len(data), len(want))
+		} else if (ck.DB != nil) != (len(ck.Completed) > 0) {
+			t.Errorf("journal write with %d units: db present %v", len(ck.Completed), ck.DB != nil)
+		}
+		mu.Lock()
+		writes++
+		mu.Unlock()
+		return atomicWriteFile(path, data, perm)
+	}
+	st, err := s.Submit(journalledChar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 120*time.Second, "job", func() bool {
+		st, _ = s.Get(st.ID)
+		return st.State.Terminal()
+	})
+	if st.State != StateDone {
+		t.Fatalf("job ended %s (error %q)", st.State, st.Error)
+	}
+	mu.Lock()
+	if want := 1 + st.UnitsTotal + 1; writes != want { // submission, each unit, finish
+		t.Errorf("%d journal writes, want %d", writes, want)
+	}
+	mu.Unlock()
+	name := "job-" + st.ID[2:] + ".json"
+	uninterrupted, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The final record holds the database twice: assembled from the kept
+	// encodings, and inside the result, encoded from the live database.
+	var final struct {
+		DB     json.RawMessage `json:"db"`
+		Result struct {
+			DB json.RawMessage `json:"db"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(uninterrupted, &final); err != nil {
+		t.Fatal(err)
+	}
+	if len(final.DB) == 0 || !bytes.Equal(final.DB, final.Result.DB) {
+		t.Errorf("final checkpoint's db (%d bytes) is not its result's db (%d bytes)", len(final.DB), len(final.Result.DB))
+	}
+
+	dir2 := t.TempDir()
+	s1, err := New(Config{Workers: 1, Dir: dir2, CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = s1.Submit(journalledChar()); err != nil {
+		s1.Close()
+		t.Fatal(err)
+	}
+	waitFor(t, 120*time.Second, "a few units", func() bool {
+		st, _ = s1.Get(st.ID)
+		return st.UnitsDone >= 3
+	})
+	s1.Close()
+	s2 := newService(t, Config{Workers: 1, Dir: dir2, CheckpointEvery: time.Hour})
+	waitFor(t, 120*time.Second, "resumed job", func() bool {
+		st, _ = s2.Get(st.ID)
+		return st.State.Terminal()
+	})
+	resumed, err := os.ReadFile(filepath.Join(dir2, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, uninterrupted) {
+		t.Errorf("journal of the resumed job (%d bytes) differs from the uninterrupted job's (%d bytes)", len(resumed), len(uninterrupted))
+	}
+}
+
+// TestCharDBRestoreKeepsEncodingBytes interrupts the database itself: a
+// charDB restored from its own journal form and fed the rest of the plan
+// must, after every unit, journal what the uninterrupted one journals —
+// and that is the whole-database encoding of what it holds.
+func TestCharDBRestoreKeepsEncodingBytes(t *testing.T) {
+	prog, err := compile(journalledChar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, resumed := newCharDB(), newCharDB()
+	if straight.journalForm() != nil {
+		t.Error("an empty database has a journal form")
+	}
+	for i, cu := range prog.charUnits {
+		res, err := core.RunUnit(context.Background(), cu, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 || i == len(prog.charUnits)-2 { // inside the micro units, inside the t-MxM ones
+			if resumed, err = restoreCharDB(resumed.journalForm()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []*charDB{&straight, &resumed} {
+			if err := c.ingest(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := json.Marshal(straight.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := straight.journalForm(); !bytes.Equal(got, want) {
+			t.Fatalf("after unit %d (%s): journal form differs from the whole-database encoding", i, cu.Name())
+		}
+		if got := resumed.journalForm(); !bytes.Equal(got, want) {
+			t.Fatalf("after unit %d (%s): restored database journals differently from the uninterrupted one", i, cu.Name())
+		}
 	}
 }

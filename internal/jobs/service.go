@@ -121,10 +121,66 @@ type Job struct {
 	errMsg        string
 	unitsTotal    int
 	completed     map[string]json.RawMessage
-	db            *syndrome.DB // partial DB of a characterize job
+	char          charDB // partial DB of a characterize job
 	result        json.RawMessage
 	cancel        context.CancelFunc // non-nil while running
 	userCancelled bool
+
+	// terminal is closed once the job has shown a terminal state, so an
+	// event stream can send its last event without waiting for a poll.
+	terminal chan struct{}
+}
+
+// charDB is a characterize job's accumulating syndrome database with each
+// entry's journal encoding beside it. An entry never changes once
+// ingested, so it is encoded once, and a checkpoint's "db" is assembled
+// from the encodings instead of re-encoding every earlier unit's
+// reservoirs after each new one.
+type charDB struct {
+	db      *syndrome.DB
+	entries map[syndrome.Key]json.RawMessage
+	tmxm    map[syndrome.TMXMKey]json.RawMessage
+}
+
+func newCharDB() charDB {
+	return charDB{
+		db:      syndrome.New(),
+		entries: make(map[syndrome.Key]json.RawMessage),
+		tmxm:    make(map[syndrome.TMXMKey]json.RawMessage),
+	}
+}
+
+// restoreCharDB rebuilds the database a checkpoint recorded.
+func restoreCharDB(blob json.RawMessage) (c charDB, err error) {
+	c.db = syndrome.New()
+	if err = json.Unmarshal(blob, c.db); err != nil {
+		return charDB{}, err
+	}
+	if c.entries, c.tmxm, err = c.db.EncodeEntries(); err != nil {
+		return charDB{}, err
+	}
+	return c, nil
+}
+
+// ingest folds one executed characterisation unit into the database.
+func (c *charDB) ingest(res *core.UnitResult) (err error) {
+	if res.Micro != nil {
+		e := c.db.AddMicro(res.Micro)
+		c.entries[e.Key], err = json.Marshal(e)
+		return err
+	}
+	e := c.db.AddTMXM(res.TMXM)
+	c.tmxm[syndrome.TMXMKey{Module: e.Module, Kind: e.Kind}], err = json.Marshal(e)
+	return err
+}
+
+// journalForm is the database as a checkpoint records it: nothing until
+// the first unit is in, then exactly the bytes json.Marshal(c.db) gives.
+func (c *charDB) journalForm() json.RawMessage {
+	if len(c.entries)+len(c.tmxm) == 0 {
+		return nil
+	}
+	return syndrome.AssembleJSON(c.entries, c.tmxm)
 }
 
 // Status is a point-in-time, JSON-ready view of a job.
@@ -287,7 +343,7 @@ type checkpoint struct {
 	UnitsTotal int                        `json:"units_total"`
 	Error      string                     `json:"error,omitempty"`
 	Completed  map[string]json.RawMessage `json:"completed,omitempty"`
-	DB         *syndrome.DB               `json:"db,omitempty"`
+	DB         json.RawMessage            `json:"db,omitempty"` // a syndrome.DB; see charDB
 	Result     json.RawMessage            `json:"result,omitempty"`
 }
 
@@ -374,11 +430,16 @@ func (s *Service) loadCheckpoints() error {
 			errMsg:     ck.Error,
 			unitsTotal: ck.UnitsTotal,
 			completed:  ck.Completed,
-			db:         ck.DB,
 			result:     ck.Result,
+			terminal:   make(chan struct{}),
 		}
 		if j.completed == nil {
 			j.completed = make(map[string]json.RawMessage)
+		}
+		if len(ck.DB) > 0 && !ck.State.Terminal() { // a finished job's database is in its result
+			if j.char, err = restoreCharDB(ck.DB); err != nil {
+				return fmt.Errorf("jobs: checkpoint %s is truncated or corrupt: %w", path, err)
+			}
 		}
 		j.done.Store(ck.Done)
 		j.total.Store(ck.Total)
@@ -424,6 +485,7 @@ func (s *Service) Submit(req Request) (Status, error) {
 		state:      StateQueued,
 		unitsTotal: len(prog.units),
 		completed:  make(map[string]json.RawMessage),
+		terminal:   make(chan struct{}),
 	}
 	j.total.Store(total)
 	select {
@@ -442,13 +504,18 @@ func (s *Service) Submit(req Request) (Status, error) {
 
 // Get returns a job's status by ID.
 func (s *Service) Get(id string) (Status, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.job(id)
 	if !ok {
 		return Status{}, false
 	}
 	return s.statusOf(j), true
+}
+
+func (s *Service) job(id string) (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	return j, ok
 }
 
 // List returns every known job's status in submission order.
@@ -482,9 +549,7 @@ func (s *Service) statusOf(j *Job) Status {
 // Cancel stops a queued or running job. Cancelling is idempotent;
 // cancelling a terminal job is an error.
 func (s *Service) Cancel(id string) (Status, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.job(id)
 	if !ok {
 		return Status{}, fmt.Errorf("jobs: no job %s", id)
 	}
@@ -528,9 +593,7 @@ func (s *Service) Close() {
 	s.wg.Wait()
 	for _, st := range s.List() {
 		if !st.State.Terminal() {
-			s.mu.Lock()
-			j := s.jobs[st.ID]
-			s.mu.Unlock()
+			j, _ := s.job(st.ID)
 			j.mu.Lock()
 			cancelling := j.userCancelled // a concurrent Cancel is journalling it
 			j.mu.Unlock()
@@ -561,8 +624,8 @@ func (s *Service) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.state = StateRunning
 	j.cancel = cancel
-	if j.db == nil {
-		j.db = syndrome.New()
+	if j.char.db == nil {
+		j.char = newCharDB()
 	}
 	j.mu.Unlock()
 	defer cancel()
@@ -574,7 +637,7 @@ func (s *Service) runJob(j *Job) {
 		fail(err)
 		return
 	}
-	env := &runEnv{workers: s.cfg.EngineWorkers, char: j.db, mu: &j.mu, sw: &j.swLive}
+	env := &runEnv{workers: s.cfg.EngineWorkers, char: &j.char, mu: &j.mu, sw: &j.swLive}
 	if prog.needsDB {
 		db, err := loadSyndromeDB(j.req.DBPath)
 		if err != nil {
@@ -639,7 +702,7 @@ func (s *Service) runJob(j *Job) {
 		res.Units = append(res.Units, raw)
 	}
 	if j.req.Kind == KindCharacterize {
-		res.DB = j.db
+		res.DB = j.char.db
 	}
 	j.mu.Unlock()
 	blob, err := json.Marshal(res)
@@ -659,8 +722,17 @@ func (s *Service) runJob(j *Job) {
 func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMessage) {
 	s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
 	j.mu.Lock()
+	// Two Cancels of a queued job can both get here; the first one through
+	// makes the state terminal and owns the close.
+	wake := state.Terminal() && !j.state.Terminal()
 	j.state, j.errMsg, j.result, j.cancel = state, errMsg, result, nil
+	if state.Terminal() {
+		j.char = charDB{} // never journalled again; a done job's result holds the database
+	}
 	j.mu.Unlock()
+	if wake {
+		close(j.terminal)
+	}
 }
 
 // runUnitsLocal executes the program's units sequentially in this
@@ -781,10 +853,8 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
 		Completed:  j.completed,
+		DB:         j.char.journalForm(),
 		Result:     j.result,
-	}
-	if j.req.Kind == KindCharacterize && j.db != nil && len(j.db.Entries)+len(j.db.TMXM) > 0 {
-		ck.DB = j.db
 	}
 	if amend != nil {
 		amend(&ck)

@@ -54,15 +54,28 @@ func (ml *modLive) init(lay *Layout) {
 	ml.reads = make([][]uint64, len(lay.Fields))
 }
 
-// Liveness records one golden run's field-liveness trace across all six
-// Table I modules. The zero value is valid: attach it with
-// Machine.TraceLiveness before Run. A Liveness traces exactly one Run;
-// once the run completes (or the tracer is detached) it is immutable, so
-// DeadAt is safe to call from any number of goroutines concurrently.
+// Liveness records one golden run's field-liveness trace. The zero value
+// traces all six Table I modules; NewLiveness scopes the trace to one.
+// Attach it with Machine.TraceLiveness before Run. A Liveness traces
+// exactly one Run; once the run completes (or the tracer is detached) it
+// is immutable, so DeadAt is safe to call from any number of goroutines
+// concurrently.
 type Liveness struct {
 	seq        uint64
 	cycleStart []uint64 // per cycle, the sequence point where a fault at that cycle lands
 	mods       [6]modLive
+	scope      int // 1 + the slot of the one traced module; 0 traces all six
+}
+
+// NewLiveness returns a tracer that records mod's accesses only — what a
+// campaign injecting into one module needs. Every query the trace
+// answers compares a field's own events with a cycle's fault-application
+// point, and seq is nothing but a clock that orders them: counting only
+// mod's events keeps every such comparison, so DeadAt and GapAt answer
+// for mod exactly as the six-module trace does. The other five modules
+// are never attached and report every site live.
+func NewLiveness(mod faults.Module) *Liveness {
+	return &Liveness{scope: 1 + moduleIndex(mod)}
 }
 
 // moduleIndex maps a Table I module to its Liveness slot, mirroring
@@ -146,8 +159,8 @@ func (l *Liveness) Cycles() uint64 { return uint64(len(l.cycleStart)) }
 // the start of cycle is provably dead: the golden run overwrites the
 // containing field before ever reading it again (or never accesses it),
 // so the fault cannot propagate and the run is bit-identical to golden.
-// Unprovable cases — including cycles or bits outside the traced run —
-// conservatively report false.
+// Unprovable cases — including cycles or bits outside the traced run and
+// modules outside the trace's scope — conservatively report false.
 func (l *Liveness) DeadAt(mod faults.Module, bit int, cycle uint64) bool {
 	if cycle >= uint64(len(l.cycleStart)) {
 		return false
@@ -229,26 +242,21 @@ func (l *Liveness) GapAt(mod faults.Module, bit int, cycle uint64) (int, bool) {
 	return searchReadAfter(ml.reads[fi], s), true
 }
 
-// TraceLiveness attaches l to every module state so the next Run records
-// its liveness trace; pass nil to detach (Snapshot replays, e.g. the
-// checkpoint-recording pass, must not feed the same tracer twice). The
-// trace adds no simulated cycles: it rides along the golden run the
-// campaign performs anyway.
+// TraceLiveness attaches l to the module states it traces — all six, or
+// the one it is scoped to — so the next Run records its liveness trace;
+// pass nil to detach (Snapshot replays, e.g. the checkpoint-recording
+// pass, must not feed the same tracer twice). The trace adds no simulated
+// cycles: it rides along the golden run the campaign performs anyway.
 func (m *Machine) TraceLiveness(l *Liveness) {
-	states := [...]*State{m.FP32, m.INT, m.SFU, m.SFUCtl, m.Sched, m.Pipe}
-	if l != nil {
-		for i, st := range states {
-			if l.mods[i].lay == nil {
-				l.mods[i].init(st.Lay)
-			}
-		}
-	}
-	for i, st := range states {
-		if l == nil {
+	for i, st := range [...]*State{m.FP32, m.INT, m.SFU, m.SFUCtl, m.Sched, m.Pipe} {
+		if l == nil || l.scope != 0 && l.scope != i+1 {
 			st.live = nil
-		} else {
-			st.live, st.liveMod = l, i
+			continue
 		}
+		if l.mods[i].lay == nil {
+			l.mods[i].init(st.Lay)
+		}
+		st.live, st.liveMod = l, i
 	}
 	m.live = l
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"gpufi/internal/faults"
+	"gpufi/internal/isa"
+	"gpufi/internal/kasm"
 )
 
 // liveHarness drives a Liveness with a hand-written access schedule the
@@ -146,5 +148,79 @@ func TestLivenessGapAgreesWithDeadAt(t *testing.T) {
 				t.Fatalf("bit %d cycle %d: GapAt ok=%v but DeadAt=%v", bit, cycle, ok, dead)
 			}
 		}
+	}
+}
+
+// TestScopedLivenessMatchesFullTrace checks the projection argument behind
+// NewLiveness on real golden runs: tracing one module answers DeadAt and
+// GapAt for every bit and cycle of that module exactly as the six-module
+// trace does, and reports every site of the other five modules live.
+func TestScopedLivenessMatchesFullTrace(t *testing.T) {
+	floats := make([]uint32, 256)
+	for i := range floats[:192] {
+		floats[i] = f32(0.01 + float32(i%64)*0.024)
+	}
+	runs := []struct {
+		name        string
+		prog        *kasm.Program
+		global      []uint32
+		sharedWords int
+		unit        faults.Module // the functional unit the kernel exercises
+	}{
+		{"FP32", vecOpProg(t, isa.OpFFMA), floats, 0, faults.ModFP32},
+		{"SFU", vecOpProg(t, isa.OpFSIN), floats, 0, faults.ModSFU},
+		{"two-warp barrier", wedgeProg(t), wedgeInputs(), 64, faults.ModINT},
+	}
+	trace := func(t *testing.T, l *Liveness, prog *kasm.Program, global []uint32, sharedWords int) {
+		t.Helper()
+		m := New()
+		m.TraceLiveness(l)
+		if err := m.Run(prog, 1, 64, append([]uint32(nil), global...), sharedWords, testMaxCycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			full := &Liveness{}
+			trace(t, full, r.prog, r.global, r.sharedWords)
+			for _, mod := range faults.AllModules() {
+				scoped := NewLiveness(mod)
+				trace(t, scoped, r.prog, r.global, r.sharedWords)
+				if scoped.Cycles() != full.Cycles() {
+					t.Fatalf("%s: scoped trace saw %d cycles, full trace %d", mod, scoped.Cycles(), full.Cycles())
+				}
+				dead := 0
+				for _, q := range faults.AllModules() {
+					for bit := 0; bit < ModuleBits(q); bit++ {
+						for cycle := uint64(0); cycle < full.Cycles(); cycle++ {
+							gotDead := scoped.DeadAt(q, bit, cycle)
+							gotGap, gotOK := scoped.GapAt(q, bit, cycle)
+							if q != mod {
+								if gotDead || gotOK {
+									t.Fatalf("trace scoped to %s: %s bit %d cycle %d answered dead=%v gap ok=%v, want live and no gap",
+										mod, q, bit, cycle, gotDead, gotOK)
+								}
+								continue
+							}
+							wantGap, wantOK := full.GapAt(q, bit, cycle)
+							if wantDead := full.DeadAt(q, bit, cycle); gotDead != wantDead || gotGap != wantGap || gotOK != wantOK {
+								t.Fatalf("%s bit %d cycle %d: scoped dead=%v gap=%d,%v; full dead=%v gap=%d,%v",
+									q, bit, cycle, gotDead, gotGap, gotOK, wantDead, wantGap, wantOK)
+							}
+							if gotDead {
+								dead++
+							}
+						}
+					}
+				}
+				// A module the kernel never enters is dead throughout; the
+				// scheduler and the pipeline are in every kernel.
+				sites := ModuleBits(mod) * int(full.Cycles())
+				used := mod == faults.ModSched || mod == faults.ModPipe || mod == r.unit
+				if used && (dead == 0 || dead == sites) {
+					t.Errorf("%s: %d of %d sites dead; the sweep compares nothing", mod, dead, sites)
+				}
+			}
+		})
 	}
 }

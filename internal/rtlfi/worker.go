@@ -38,7 +38,7 @@ type inputDraw struct {
 func (p *plan) prepare(d *inputDraw) error {
 	m := rtl.New()
 	if p.prune {
-		d.live = &rtl.Liveness{}
+		d.live = rtl.NewLiveness(p.module) // the one module the campaign's faults land in
 		m.TraceLiveness(d.live)
 	}
 	golden := append([]uint32(nil), d.global...)

@@ -64,12 +64,16 @@ func alphaMLE(sorted []float64, i0 int) float64 {
 }
 
 // ksDistance computes the KS statistic between the empirical tail CDF and
-// the fitted power law.
-func ksDistance(sorted []float64, i0 int, alpha float64) float64 {
+// the fitted power law, giving up as soon as the statistic is known to be
+// at least bound: the running maximum only grows, so a candidate that has
+// reached the best distance so far can no longer win FitPowerLaw's strict
+// comparison, and the value returned for it (somewhere in [bound, KS]) is
+// never stored.
+func ksDistance(sorted []float64, i0 int, alpha, bound float64) float64 {
 	xmin := sorted[i0]
 	n := len(sorted) - i0
 	var maxD float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && maxD < bound; i++ {
 		x := sorted[i0+i]
 		model := 1 - math.Pow(x/xmin, 1-alpha)
 		empLo := float64(i) / float64(n)
@@ -119,7 +123,7 @@ func FitPowerLaw(xs []float64) (PowerLaw, error) {
 		if math.IsInf(alpha, 1) || alpha <= 1 {
 			continue
 		}
-		ks := ksDistance(pos, i0, alpha)
+		ks := ksDistance(pos, i0, alpha, best.KS)
 		if ks < best.KS {
 			best = PowerLaw{Alpha: alpha, Xmin: pos[i0], KS: ks, NTail: len(pos) - i0}
 		}

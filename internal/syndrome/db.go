@@ -165,24 +165,86 @@ type dbJSON struct {
 
 // MarshalJSON implements json.Marshaler.
 func (db *DB) MarshalJSON() ([]byte, error) {
-	out := dbJSON{}
+	entries, tmxm, err := db.EncodeEntries()
+	if err != nil {
+		return nil, err
+	}
+	return AssembleJSON(entries, tmxm), nil
+}
+
+// EncodeEntries serialises every entry on its own, keyed as in the
+// database; AssembleJSON puts such encodings together.
+func (db *DB) EncodeEntries() (entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMessage, err error) {
+	if entries, err = encodeEach(db.Entries); err != nil {
+		return nil, nil, err
+	}
+	if tmxm, err = encodeEach(db.TMXM); err != nil {
+		return nil, nil, err
+	}
+	return entries, tmxm, nil
+}
+
+func encodeEach[K comparable, E any](m map[K]*E) (map[K]json.RawMessage, error) {
+	out := make(map[K]json.RawMessage, len(m))
+	for k, e := range m {
+		raw, err := json.Marshal(e)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = raw
+	}
+	return out, nil
+}
+
+// AssembleJSON builds a database's serialised form from entries already
+// serialised one by one (json.Marshal of an *Entry or *TMXMEntry), in the
+// canonical order: opcode, range, module, then t-MxM module and tile kind.
+// It is the one place that order and the dbJSON framing are written down;
+// DB.MarshalJSON goes through it, so a writer that keeps its entries'
+// encodings — the job journal re-serialises a growing database after
+// every unit — produces the same bytes without encoding an entry twice.
+func AssembleJSON(entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMessage) []byte {
+	var es, ts []json.RawMessage
+	size := len(`{"entries":null,"tmxm":null}`)
 	for _, op := range isa.AllOpcodes() {
 		for _, rng := range faults.AllRanges() {
 			for _, mod := range faults.AllModules() {
-				if e, ok := db.Entries[Key{Op: op, Range: rng, Module: mod}]; ok {
-					out.Entries = append(out.Entries, e)
+				if raw, ok := entries[Key{Op: op, Range: rng, Module: mod}]; ok {
+					es = append(es, raw)
+					size += len(raw) + 1
 				}
 			}
 		}
 	}
 	for _, mod := range faults.AllModules() {
 		for _, kind := range mxm.AllTileKinds() {
-			if e, ok := db.TMXM[TMXMKey{Module: mod, Kind: kind}]; ok {
-				out.TMXM = append(out.TMXM, e)
+			if raw, ok := tmxm[TMXMKey{Module: mod, Kind: kind}]; ok {
+				ts = append(ts, raw)
+				size += len(raw) + 1
 			}
 		}
 	}
-	return json.Marshal(out)
+	buf := make([]byte, 0, size)
+	buf = appendArray(append(buf, `{"entries":`...), es)
+	buf = appendArray(append(buf, `,"tmxm":`...), ts)
+	return append(buf, '}')
+}
+
+// appendArray appends items as a JSON array; none is null, which is how
+// encoding/json writes the nil slice dbJSON would hold.
+func appendArray(buf []byte, items []json.RawMessage) []byte {
+	if len(items) == 0 {
+		return append(buf, "null"...)
+	}
+	for i, raw := range items {
+		if i == 0 {
+			buf = append(buf, '[')
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, raw...)
+	}
+	return append(buf, ']')
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

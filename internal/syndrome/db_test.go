@@ -1,6 +1,7 @@
 package syndrome
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -131,6 +132,57 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if _, ok := back.SampleTile(r); !ok {
 		t.Error("tile sampling from deserialised DB failed")
+	}
+}
+
+// TestMarshalJSONMatchesWholeDBEncoding holds the entry-by-entry assembly
+// to the encoding it replaced — one json.Marshal of the whole dbJSON — on
+// a database that grows out of canonical order, with either section empty
+// along the way.
+func TestMarshalJSONMatchesWholeDBEncoding(t *testing.T) {
+	whole := func(db *DB) []byte {
+		out := dbJSON{}
+		for _, op := range isa.AllOpcodes() {
+			for _, rng := range faults.AllRanges() {
+				for _, mod := range faults.AllModules() {
+					if e, ok := db.Entries[Key{Op: op, Range: rng, Module: mod}]; ok {
+						out.Entries = append(out.Entries, e)
+					}
+				}
+			}
+		}
+		for _, mod := range faults.AllModules() {
+			for _, kind := range mxm.AllTileKinds() {
+				if e, ok := db.TMXM[TMXMKey{Module: mod, Kind: kind}]; ok {
+					out.TMXM = append(out.TMXM, e)
+				}
+			}
+		}
+		blob, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	db := New()
+	steps := []func(){
+		func() {},
+		func() { db.AddTMXM(fakeTMXMResult(faults.ModPipe, mxm.TileRandom, 4)) },
+		func() { db.AddMicro(fakeMicroResult(isa.OpIADD, faults.RangeLarge, faults.ModSched, 2)) },
+		func() { db.AddMicro(fakeMicroResult(isa.OpFADD, faults.RangeSmall, faults.ModFP32, 1)) },
+		func() { db.AddTMXM(fakeTMXMResult(faults.ModSched, mxm.TileMax, 9)) },
+		func() { db.TMXM = map[TMXMKey]*TMXMEntry{} },
+	}
+	for i, step := range steps {
+		step()
+		got, err := json.Marshal(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := whole(db); !bytes.Equal(got, want) {
+			t.Fatalf("step %d (%d entries, %d t-MxM): MarshalJSON differs from the whole-database encoding\n got %.120s\nwant %.120s",
+				i, len(db.Entries), len(db.TMXM), got, want)
+		}
 	}
 }
 
