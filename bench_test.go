@@ -442,33 +442,29 @@ func BenchmarkFig7_TMxMAVF(b *testing.B) {
 	}
 }
 
-// rtlfiBenchModes are the five engine configurations the RTL-FI
+// rtlfiBenchModes are the four engine configurations the RTL-FI
 // campaign benchmarks compare: FullReplay is the pre-optimisation path
 // (every faulty run re-simulates the golden prefix from cycle 0),
 // FastForward adds the checkpoint restore, Pruned additionally
 // classifies provably-dead faults from golden-run liveness without
-// simulating them, Collapsed further tallies fault-equivalence class
-// members from their representative's memo, and BitParallel (the engine
-// default) additionally simulates the remaining live faults as lanes of
-// shared golden-replay marches. Results are bit-identical across all
-// five (internal/rtlfi/fastforward_test.go, prune_test.go,
-// collapse_test.go, vec_test.go).
+// simulating them, and BitParallel (the engine default) additionally
+// simulates the remaining live faults as lanes of shared golden-replay
+// marches. Results are bit-identical across all four
+// (internal/rtlfi/fastforward_test.go, prune_test.go, vec_test.go).
 var rtlfiBenchModes = []struct {
 	name          string
 	noBitParallel bool
 	noFF          bool
 	noPrune       bool
-	noCollapse    bool
 }{
-	{"BitParallel", false, false, false, false},
-	{"Collapsed", true, false, false, false},
-	{"Pruned", true, false, false, true},
-	{"FastForward", true, false, true, true},
-	{"FullReplay", true, true, true, true},
+	{"BitParallel", false, false, false},
+	{"Pruned", true, false, false},
+	{"FastForward", true, false, true},
+	{"FullReplay", true, true, true},
 }
 
 // BenchmarkRTLFI_TMxMCampaign measures the wall-clock of one t-MxM
-// campaign under the three engine modes — the §VI cost argument in
+// campaign under the four engine modes — the §VI cost argument in
 // miniature.
 func BenchmarkRTLFI_TMxMCampaign(b *testing.B) {
 	for _, mode := range rtlfiBenchModes {
@@ -478,7 +474,7 @@ func BenchmarkRTLFI_TMxMCampaign(b *testing.B) {
 					Module: faults.ModPipe, Kind: mxm.TileRandom,
 					NumFaults: 400, Seed: 99,
 					NoBitParallel: mode.noBitParallel,
-					NoFastForward: mode.noFF, NoPrune: mode.noPrune, NoCollapse: mode.noCollapse,
+					NoFastForward: mode.noFF, NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -486,37 +482,32 @@ func BenchmarkRTLFI_TMxMCampaign(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
-					b.ReportMetric(res.CollapseRate(), "collapse-rate")
 				}
 			}
 		})
 	}
 }
 
-// swfiBenchModes are the four engine configurations the software-campaign
+// swfiBenchModes are the three engine configurations the software-campaign
 // benchmarks compare, mirroring rtlfiBenchModes: FullReplay is the plain
 // path (every injection run re-simulates from dynamic instruction zero
 // with hooks armed throughout), FastForward adds golden-prefix checkpoint
-// restore and reconvergence, Pruned additionally classifies faults on
-// provably-dead sites from the golden-run liveness index without
-// simulating them, and Collapsed (the engine default) further tallies
-// fault-equivalence class members from their representative's memo.
-// Results are bit-identical across all four
-// (internal/swfi/fastforward_test.go, prunecollapse_test.go).
+// restore and reconvergence, and Pruned (the engine default) additionally
+// classifies faults on provably-dead sites from the golden-run liveness
+// index without simulating them. Results are bit-identical across all
+// three (internal/swfi/fastforward_test.go, prune_test.go).
 var swfiBenchModes = []struct {
-	name       string
-	noFF       bool
-	noPrune    bool
-	noCollapse bool
+	name    string
+	noFF    bool
+	noPrune bool
 }{
-	{"Collapsed", false, false, false},
-	{"Pruned", false, false, true},
-	{"FastForward", false, true, true},
-	{"FullReplay", true, true, true},
+	{"Pruned", false, false},
+	{"FastForward", false, true},
+	{"FullReplay", true, true},
 }
 
 // BenchmarkSWFI_HPCCampaign measures the wall-clock of one software
-// injection campaign under the four engine modes.
+// injection campaign under the three engine modes.
 func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 	for _, mode := range swfiBenchModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -524,7 +515,7 @@ func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 				res, err := RunCampaign(Campaign{
 					Workload: apps.NewHotspot(16, 8), Model: ModelBitFlip,
 					Injections: 200, Seed: 97, NoFastForward: mode.noFF,
-					NoPrune: mode.noPrune, NoCollapse: mode.noCollapse,
+					NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -532,7 +523,6 @@ func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
-					b.ReportMetric(res.CollapseRate(), "collapse-rate")
 					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}
@@ -550,7 +540,7 @@ func BenchmarkSWFI_CNNCampaign(b *testing.B) {
 					Net: cnn.NewLeNetLite(), Input: cnn.LeNetInput(0),
 					Model: swfi.CNNBitFlip, Injections: 200, Seed: 96,
 					Critical: swfi.LeNetCritical, NoFastForward: mode.noFF,
-					NoPrune: mode.noPrune, NoCollapse: mode.noCollapse,
+					NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -558,7 +548,6 @@ func BenchmarkSWFI_CNNCampaign(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
-					b.ReportMetric(res.CollapseRate(), "collapse-rate")
 					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}
@@ -587,7 +576,7 @@ func BenchmarkRTLFI_MicroCampaign(b *testing.B) {
 						Op: isa.OpFFMA, Range: faults.RangeMedium, Module: spec.mod,
 						NumFaults: 1000, Seed: 98,
 						NoBitParallel: mode.noBitParallel,
-						NoFastForward: mode.noFF, NoPrune: mode.noPrune, NoCollapse: mode.noCollapse,
+						NoFastForward: mode.noFF, NoPrune: mode.noPrune,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -595,7 +584,6 @@ func BenchmarkRTLFI_MicroCampaign(b *testing.B) {
 					if i == 0 {
 						b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
 						b.ReportMetric(res.PruneRate(), "prune-rate")
-						b.ReportMetric(res.CollapseRate(), "collapse-rate")
 					}
 				}
 			})
@@ -603,22 +591,21 @@ func BenchmarkRTLFI_MicroCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkRTLFI_MicroCampaignPipeDense is the collapse-friendly spec:
-// a long-running SFU op holds the pipeline registers live across its
-// whole iteration loop, and at this fault density the (draw, bit, read
-// gap) equivalence classes saturate, so a meaningful share of live
-// faults is tallied from memos instead of simulated. Only the modes
-// that finish in reasonable time at this density run; the cheap modes'
-// absolute comparison lives in BenchmarkRTLFI_MicroCampaign.
+// BenchmarkRTLFI_MicroCampaignPipeDense is the march-friendly spec: a
+// long-running SFU op holds the pipeline registers live across its whole
+// iteration loop, and at this fault density every draw fills whole lane
+// chunks, so every live fault marches. Only the modes that finish in
+// reasonable time at this density run; the cheap modes' absolute
+// comparison lives in BenchmarkRTLFI_MicroCampaign.
 func BenchmarkRTLFI_MicroCampaignPipeDense(b *testing.B) {
-	for _, mode := range rtlfiBenchModes[:3] {
+	for _, mode := range rtlfiBenchModes[:2] {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := rtlfi.RunMicro(rtlfi.Spec{
 					Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe,
 					NumFaults: 1_000_000, Seed: 98,
 					NoBitParallel: mode.noBitParallel,
-					NoFastForward: mode.noFF, NoPrune: mode.noPrune, NoCollapse: mode.noCollapse,
+					NoFastForward: mode.noFF, NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -626,7 +613,6 @@ func BenchmarkRTLFI_MicroCampaignPipeDense(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
 					b.ReportMetric(res.PruneRate(), "prune-rate")
-					b.ReportMetric(res.CollapseRate(), "collapse-rate")
 					b.ReportMetric(res.VectorRate(), "vector-rate")
 					b.ReportMetric(res.LaneOccupancy(), "lane-occupancy")
 				}

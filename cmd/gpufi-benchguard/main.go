@@ -14,7 +14,7 @@
 // and noisier than the machine that recorded the baselines, and a
 // single-iteration -benchtime 1x run jitters. The gate exists to catch
 // order-of-magnitude engine regressions — an accidentally disabled
-// fast-forward, pruning or collapsing path multiplies wall-clock several
+// fast-forward or pruning path multiplies wall-clock several
 // times over and clears the threshold on any hardware.
 //
 // All regressions are reported in one run, not just the first. Measured

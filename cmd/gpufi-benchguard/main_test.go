@@ -82,21 +82,19 @@ func TestGateFlagsMissingBaselineEntries(t *testing.T) {
 }
 
 func TestGateGuardsSWFIModeMatrix(t *testing.T) {
-	// The software-campaign Pruned/Collapsed engine modes are guarded
-	// baselines: a bench run that stops measuring them (renamed mode,
-	// narrowed filter) must fail rather than silently lose coverage.
+	// The software-campaign engine modes are guarded baselines: a bench
+	// run that stops measuring them (renamed mode, narrowed filter) must
+	// fail rather than silently lose coverage.
 	base := map[string]float64{
-		"BenchmarkSWFI_HPCCampaign/Collapsed":   100,
 		"BenchmarkSWFI_HPCCampaign/Pruned":      100,
 		"BenchmarkSWFI_HPCCampaign/FastForward": 100,
 		"BenchmarkSWFI_HPCCampaign/FullReplay":  100,
 	}
 	measured := map[string]float64{
-		"BenchmarkSWFI_HPCCampaign/FastForward": 100,
-		"BenchmarkSWFI_HPCCampaign/FullReplay":  100,
+		"BenchmarkSWFI_HPCCampaign/FullReplay": 100,
 	}
 	rep := gate(measured, base, 2.5)
-	want := []string{"BenchmarkSWFI_HPCCampaign/Collapsed", "BenchmarkSWFI_HPCCampaign/Pruned"}
+	want := []string{"BenchmarkSWFI_HPCCampaign/FastForward", "BenchmarkSWFI_HPCCampaign/Pruned"}
 	if len(rep.missing) != len(want) {
 		t.Fatalf("missing = %v, want %v", rep.missing, want)
 	}

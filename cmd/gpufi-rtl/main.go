@@ -48,7 +48,6 @@ func main() {
 		modName    = flag.String("module", "FP32", "module for -op (FP32, INT, SFU, SFUctl, Scheduler, Pipeline)")
 		verbose    = flag.Bool("v", false, "print per-campaign summaries")
 		noPrune    = flag.Bool("no-prune", false, "disable dead-site fault pruning (results are bit-identical either way)")
-		noCollapse = flag.Bool("no-collapse", false, "disable fault-equivalence collapsing (results are bit-identical either way)")
 		noBitPar   = flag.Bool("no-bit-parallel", false, "disable bit-parallel fault marching (results are bit-identical either way)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -66,7 +65,7 @@ func main() {
 	defer stop()
 
 	if *opName != "" {
-		runSingle(ctx, *opName, *rngName, *modName, *nFaults, *seed, *noPrune, *noCollapse, *noBitPar)
+		runSingle(ctx, *opName, *rngName, *modName, *nFaults, *seed, *noPrune, *noBitPar)
 		return
 	}
 
@@ -76,7 +75,6 @@ func main() {
 		TMXMFaults:        *nTMXM,
 		Seed:              *seed,
 		NoPrune:           *noPrune,
-		NoCollapse:        *noCollapse,
 		NoBitParallel:     *noBitPar,
 		Progress: func(d, t int) {
 			progressMax(&done, int64(d))
@@ -113,9 +111,9 @@ func main() {
 // engineLine renders the campaign engine's accounting: how the faults
 // were resolved, and the rates and replay speedup that follow.
 func engineLine(c rtlfi.Counters) string {
-	return fmt.Sprintf("%d cycles simulated, %d skipped, %d dead-pruned, %d collapsed, %d marched in %d marches (prune rate %.1f%%, collapse rate %.1f%%, vector rate %.1f%%, lane occupancy %.1f%%, replay speedup %.1fx)",
-		c.SimCycles, c.SkippedCycles, c.PrunedFaults, c.CollapsedFaults, c.VectorFaults, c.Marches,
-		100*c.PruneRate(), 100*c.CollapseRate(), 100*c.VectorRate(), 100*c.LaneOccupancy(), c.ReplaySpeedup())
+	return fmt.Sprintf("%d cycles simulated, %d skipped, %d dead-pruned, %d marched in %d marches (prune rate %.1f%%, vector rate %.1f%%, lane occupancy %.1f%%, replay speedup %.1fx)",
+		c.SimCycles, c.SkippedCycles, c.PrunedFaults, c.VectorFaults, c.Marches,
+		100*c.PruneRate(), 100*c.VectorRate(), 100*c.LaneOccupancy(), c.ReplaySpeedup())
 }
 
 // progressMax raises *v to at least n (progress callbacks may arrive out
@@ -131,7 +129,7 @@ func progressMax(v *atomic.Int64, n int64) {
 
 // runSingle characterises one (op, range, module) pool and prints its
 // detailed statistics.
-func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64, noPrune, noCollapse, noBitPar bool) {
+func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64, noPrune, noBitPar bool) {
 	op, ok := parseOp(opName)
 	if !ok {
 		log.Fatalf("unknown opcode %q", opName)
@@ -147,7 +145,7 @@ func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int
 	var done atomic.Int64
 	res, err := rtlfi.RunMicroCtx(ctx, rtlfi.Spec{
 		Op: op, Range: rng, Module: mod, NumFaults: nFaults, Seed: seed,
-		NoPrune: noPrune, NoCollapse: noCollapse, NoBitParallel: noBitPar,
+		NoPrune: noPrune, NoBitParallel: noBitPar,
 		Progress: func(d, t int) { progressMax(&done, int64(d)) },
 	})
 	if err != nil {

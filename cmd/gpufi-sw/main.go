@@ -6,14 +6,13 @@
 //
 //	gpufi-sw [-app MxM|Lava|Quicksort|Hotspot|LUD|Gaussian|LeNet|Yolo]
 //	         [-model bitflip|bitflip2|syndrome|tile] [-db syndromes.json]
-//	         [-n 1000] [-seed S] [-no-fast-forward] [-no-prune] [-no-collapse]
+//	         [-n 1000] [-seed S] [-no-fast-forward] [-no-prune]
 //	         [-no-fast-path] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Without -app, all six HPC applications run under the chosen model.
 // -no-fast-forward disables the golden-prefix checkpoint optimisation and
 // re-simulates every injection run from instruction zero; -no-prune
-// disables dead-site liveness pruning and -no-collapse disables
-// fault-equivalence collapsing; -no-fast-path forces the reference
+// disables dead-site liveness pruning; -no-fast-path forces the reference
 // (Tier 0) interpreter instead of the pre-decoded fast path. Results are
 // bit-identical under every combination; the flags exist for regression
 // comparison and for benchmarking the accelerator layers themselves.
@@ -51,7 +50,6 @@ func main() {
 		seed       = flag.Uint64("seed", 7, "campaign seed")
 		noFF       = flag.Bool("no-fast-forward", false, "replay every injection run in full instead of restoring golden-prefix checkpoints")
 		noPrune    = flag.Bool("no-prune", false, "disable dead-site liveness pruning (results are bit-identical)")
-		noCollapse = flag.Bool("no-collapse", false, "disable fault-equivalence collapsing (results are bit-identical)")
 		noFastPath = flag.Bool("no-fast-path", false, "force the reference (Tier 0) interpreter instead of the pre-decoded fast path (results are bit-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -77,7 +75,7 @@ func main() {
 
 	switch *appName {
 	case "LeNet", "Yolo":
-		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF, *noPrune, *noCollapse, *noFastPath)
+		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF, *noPrune, *noFastPath)
 		return
 	}
 
@@ -104,7 +102,7 @@ func main() {
 		var done atomic.Int64
 		res, err := gpufi.RunCampaignCtx(ctx, gpufi.Campaign{
 			Workload: w, Model: fm, DB: db, Injections: *n, Seed: *seed,
-			NoFastForward: *noFF, NoPrune: *noPrune, NoCollapse: *noCollapse,
+			NoFastForward: *noFF, NoPrune: *noPrune,
 			NoFastPath: *noFastPath,
 			Progress:   func(d, t int) { progressMax(&done, int64(d)) },
 		})
@@ -127,16 +125,15 @@ func main() {
 }
 
 // logEngine reports the campaign accelerator accounting: how many faults
-// the liveness index pruned, how many the equivalence classes collapsed,
-// the effective replay speedup of what remained, and the interpreter
-// throughput (emulated MIPS over interpreted instructions; effective
-// MIPS also credits the fast-forward-skipped ones).
+// the liveness index pruned, the effective replay speedup of what
+// remained, and the interpreter throughput (emulated MIPS over interpreted
+// instructions; effective MIPS also credits the fast-forward-skipped ones).
 func logEngine(name string, c swfi.Counters, elapsed time.Duration) {
 	if c.SimInstrs == 0 && c.SkippedInstrs == 0 {
 		return // NoFastForward: the engine ran plainly, nothing to report
 	}
-	log.Printf("%s: engine pruned %d (%.1f%%), collapsed %d (%.1f%%), replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
-		name, c.PrunedFaults, 100*c.PruneRate(), c.CollapsedFaults, 100*c.CollapseRate(), c.FFSpeedup(),
+	log.Printf("%s: engine pruned %d (%.1f%%), replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
+		name, c.PrunedFaults, 100*c.PruneRate(), c.FFSpeedup(),
 		c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
 }
 
@@ -186,7 +183,7 @@ func progressMax(v *atomic.Int64, n int64) {
 	}
 }
 
-func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noPrune, noCollapse, noFastPath bool) {
+func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noPrune, noFastPath bool) {
 	var (
 		net      *gpufi.Network
 		input    []float32
@@ -215,7 +212,7 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
 		Net: net, Input: input, Model: cm, DB: db,
 		Injections: n, Seed: seed, Critical: critical,
-		NoFastForward: noFF, NoPrune: noPrune, NoCollapse: noCollapse,
+		NoFastForward: noFF, NoPrune: noPrune,
 		NoFastPath: noFastPath,
 		Progress:   func(d, t int) { progressMax(&done, int64(d)) },
 	})

@@ -36,10 +36,6 @@ package gpufi
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/cnn"
@@ -193,71 +189,9 @@ var (
 
 // SaveDB writes a syndrome database to a JSON file, the framework's
 // publishable artefact (the paper's repository [23]). The write is
-// atomic — the blob lands in a temp file in the target directory and is
-// renamed over the destination — so a crashed or cancelled campaign can
-// never leave a torn database behind.
-func SaveDB(db *DB, path string) error {
-	blob, err := json.MarshalIndent(db, "", " ")
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(path, blob, 0o644)
-}
-
-// atomicWriteFile writes data to a temp file in path's directory and
-// renames it over path.
-func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	name := tmp.Name()
-	tmp = nil // disarm cleanup; only the rename below can fail now
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	// Fsync the directory so the rename itself is durable. Some
-	// filesystems reject directory fsync; tolerate that — the data file
-	// is already synced and renamed.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
+// atomic, so a crashed or cancelled campaign can never leave a torn
+// database behind.
+func SaveDB(db *DB, path string) error { return syndrome.Save(db, path) }
 
 // LoadDB reads a syndrome database from a JSON file.
-func LoadDB(path string) (*DB, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(blob) == 0 {
-		return nil, fmt.Errorf("gpufi: syndrome database %s is empty (truncated write? re-run the RTL characterisation)", path)
-	}
-	db := syndrome.New()
-	if err := json.Unmarshal(blob, db); err != nil {
-		return nil, fmt.Errorf("gpufi: syndrome database %s is truncated or corrupt: %w", path, err)
-	}
-	return db, nil
-}
+func LoadDB(path string) (*DB, error) { return syndrome.Load(path) }

@@ -38,7 +38,7 @@ type CharacterizeConfig struct {
 	Ranges            []faults.InputRange // default: S, M, L
 	SkipTMXM          bool                // skip the t-MxM campaigns (micro-benchmarks only)
 	NoPrune           bool                // disable dead-site pruning (see rtlfi.Spec.NoPrune)
-	NoCollapse        bool                // disable fault-equivalence collapsing (see rtlfi.Spec.NoCollapse)
+	NoCollapse        bool                // Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a))
 	NoBitParallel     bool                // disable bit-parallel marching (see rtlfi.Spec.NoBitParallel)
 
 	// Progress, when non-nil, receives fault-level progress aggregated
@@ -94,7 +94,6 @@ type Unit struct {
 	Faults        int
 	Seed          uint64
 	NoPrune       bool // campaign results are bit-identical either way
-	NoCollapse    bool // disable fault-equivalence collapsing; bit-identical either way
 	NoBitParallel bool // disable bit-parallel marching; bit-identical either way
 }
 
@@ -122,8 +121,8 @@ func Plan(cfg CharacterizeConfig) []Unit {
 				seed++
 				units = append(units, Unit{
 					Kind: UnitMicro, Op: op, Range: rng, Module: mod,
-					Faults: cfg.FaultsPerCampaign, Seed: seed, NoPrune: cfg.NoPrune,
-					NoCollapse: cfg.NoCollapse, NoBitParallel: cfg.NoBitParallel,
+					Faults: cfg.FaultsPerCampaign, Seed: seed,
+					NoPrune: cfg.NoPrune, NoBitParallel: cfg.NoBitParallel,
 				})
 			}
 		}
@@ -136,8 +135,8 @@ func Plan(cfg CharacterizeConfig) []Unit {
 			seed++
 			units = append(units, Unit{
 				Kind: UnitTMXM, Module: mod, Tile: kind,
-				Faults: cfg.TMXMFaults, Seed: seed, NoPrune: cfg.NoPrune,
-				NoCollapse: cfg.NoCollapse, NoBitParallel: cfg.NoBitParallel,
+				Faults: cfg.TMXMFaults, Seed: seed,
+				NoPrune: cfg.NoPrune, NoBitParallel: cfg.NoBitParallel,
 			})
 		}
 	}
@@ -193,7 +192,7 @@ func RunUnit(ctx context.Context, u Unit, workers int, progress func(done, total
 		res, err := rtlfi.RunMicroCtx(ctx, rtlfi.Spec{
 			Op: u.Op, Range: u.Range, Module: u.Module,
 			NumFaults: u.Faults, Seed: u.Seed, Workers: workers,
-			NoPrune: u.NoPrune, NoCollapse: u.NoCollapse, NoBitParallel: u.NoBitParallel,
+			NoPrune: u.NoPrune, NoBitParallel: u.NoBitParallel,
 			Progress: progress,
 		})
 		if err != nil {
@@ -204,7 +203,7 @@ func RunUnit(ctx context.Context, u Unit, workers int, progress func(done, total
 		res, err := rtlfi.RunTMXMCtx(ctx, rtlfi.TMXMSpec{
 			Module: u.Module, Kind: u.Tile,
 			NumFaults: u.Faults, Seed: u.Seed, Workers: workers,
-			NoPrune: u.NoPrune, NoCollapse: u.NoCollapse, NoBitParallel: u.NoBitParallel,
+			NoPrune: u.NoPrune, NoBitParallel: u.NoBitParallel,
 			Progress: progress,
 		})
 		if err != nil {
@@ -437,11 +436,12 @@ type EvalConfig struct {
 	Seed       uint64
 	Workers    int
 
-	// NoPrune / NoCollapse disable the software campaign accelerator
-	// layers (dead-site liveness pruning, fault-equivalence collapsing)
-	// for every campaign of the evaluation; see swfi.Campaign. Results
-	// are bit-identical either way.
-	NoPrune    bool
+	// NoPrune disables dead-site liveness pruning for every campaign of
+	// the evaluation; see swfi.Campaign. Results are bit-identical either
+	// way.
+	NoPrune bool
+
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
 	// NoFastPath forces the emulator's Tier-0 reference interpreter for
@@ -508,7 +508,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		flip, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelBitFlip, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoCollapse: cfg.NoCollapse, NoFastPath: cfg.NoFastPath,
+			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
 			Progress: progress(),
 		})
 		if err != nil {
@@ -518,7 +518,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		syn, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelSyndrome, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2 + 1, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoCollapse: cfg.NoCollapse, NoFastPath: cfg.NoFastPath,
+			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
 			Progress: progress(),
 		})
 		if err != nil {
@@ -571,7 +571,7 @@ func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.
 		res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 			Net: net, Input: input, Model: model, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: seed, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoCollapse: cfg.NoCollapse, NoFastPath: cfg.NoFastPath,
+			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
 			Critical: critical, Progress: progress,
 		})
 		if err == nil {

@@ -107,10 +107,9 @@ func (c *CostModel) RTLAppInjectionSeconds() float64 {
 }
 
 // RTLAppInjectionSecondsWith discounts the extrapolated per-injection RTL
-// cost by a measured campaign replay speedup (checkpoint fast-forward,
-// dead-site pruning and fault-equivalence collapsing, all folded into
-// Telemetry.ReplaySpeedup): the engine only simulates 1/speedup of each
-// faulty run's cycles on average.
+// cost by a measured campaign replay speedup (checkpoint fast-forward
+// and dead-site pruning, both folded into Telemetry.ReplaySpeedup): the
+// engine only simulates 1/speedup of each faulty run's cycles on average.
 func (c *CostModel) RTLAppInjectionSecondsWith(replaySpeedup float64) float64 {
 	if replaySpeedup < 1 {
 		replaySpeedup = 1
@@ -120,8 +119,7 @@ func (c *CostModel) RTLAppInjectionSecondsWith(replaySpeedup float64) float64 {
 
 // CompareWith renders the §VI comparison for n injections, with the RTL
 // side credited a measured campaign replay speedup (which already folds
-// in fast-forward, pruning and equivalence collapsing — collapsed faults
-// contribute their replay cost to SkippedCycles at zero SimCycles).
+// in fast-forward and pruning).
 func (c *CostModel) CompareWith(n int, replaySpeedup float64) string {
 	rtlTotal := c.RTLAppInjectionSecondsWith(replaySpeedup) * float64(n)
 	swTotal := c.SWInjectionSeconds * float64(n)

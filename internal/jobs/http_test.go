@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gpufi/internal/syndrome"
 )
 
 func newHTTPService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -315,6 +317,35 @@ func TestHTTPResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHTTPNoCollapseIsInert: the deprecated no_collapse request field
+// still passes the submit decoder's unknown-field check and changes
+// nothing — the result (tallies, engine counters, syndrome DB) is
+// byte-identical to the same request without it, at both levels.
+func TestHTTPNoCollapseIsInert(t *testing.T) {
+	_, srv := newHTTPService(t, Config{Workers: 1})
+	for _, req := range []Request{
+		smallHPC(),
+		{Kind: KindCharacterize, Seed: 5, Ops: []string{"FADD"}, Ranges: []string{"M"}, Faults: 300, SkipTMXM: true},
+	} {
+		var results [2][]byte
+		for i, noCollapse := range []bool{false, true} {
+			req.NoCollapse = noCollapse
+			st := postJob(t, srv.URL, req)
+			waitFor(t, 120*time.Second, "job", func() bool {
+				st = getJob(t, srv.URL, st.ID)
+				return st.State.Terminal()
+			})
+			if st.State != StateDone {
+				t.Fatalf("%s job (no_collapse=%v) ended %s (error %q)", req.Kind, noCollapse, st.State, st.Error)
+			}
+			results[i] = st.Result
+		}
+		if !bytes.Equal(results[0], results[1]) {
+			t.Errorf("%s: no_collapse changed the result:\nwithout: %s\nwith:    %s", req.Kind, results[0], results[1])
+		}
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	_, srv := newHTTPService(t, Config{Workers: 1})
 	check := func(method, path, body string, want int) {
@@ -380,7 +411,7 @@ func TestHTTPEventsTerminalEventIsNotPolled(t *testing.T) {
 		journalled = map[string]time.Time{}
 	)
 	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
-		err := atomicWriteFile(path, data, perm)
+		err := syndrome.WriteFileAtomic(path, data, perm)
 		var ck checkpoint
 		if json.Unmarshal(data, &ck) == nil && ck.State.Terminal() {
 			mu.Lock()

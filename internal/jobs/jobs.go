@@ -56,11 +56,11 @@ type Request struct {
 	Kind Kind   `json:"kind"`
 	Seed uint64 `json:"seed"`
 
-	// All job kinds: accelerator escape hatches. NoPrune disables
-	// dead-site pruning (RTL and software), NoCollapse disables
-	// fault-equivalence collapsing (RTL and software); results are
-	// bit-identical either way.
-	NoPrune    bool `json:"no_prune,omitempty"`
+	// All job kinds: accelerator escape hatch. NoPrune disables dead-site
+	// pruning (RTL and software); results are bit-identical either way.
+	NoPrune bool `json:"no_prune,omitempty"`
+
+	// Deprecated: accepted and ignored; kept until bench/ stops sending it (ROADMAP 1(a)).
 	NoCollapse bool `json:"no_collapse,omitempty"`
 
 	// Software jobs: force the reference (Tier 0) interpreter for every
@@ -224,7 +224,6 @@ func compileCharacterize(req Request) (*program, error) {
 		Seed:              req.Seed,
 		SkipTMXM:          req.SkipTMXM,
 		NoPrune:           req.NoPrune,
-		NoCollapse:        req.NoCollapse,
 		NoBitParallel:     req.NoBitParallel,
 	}
 	for _, name := range req.Ops {
@@ -315,7 +314,7 @@ func compileHPC(req Request) (*program, error) {
 					res, err := swfi.RunCtx(ctx, swfi.Campaign{
 						Workload: w, Model: model, DB: env.db,
 						Injections: injections, Seed: seed, Workers: env.workers,
-						NoPrune: req.NoPrune, NoCollapse: req.NoCollapse,
+						NoPrune:    req.NoPrune,
 						NoFastPath: req.NoFastPath,
 						Progress:   progress,
 					})
@@ -371,7 +370,7 @@ func compileCNN(req Request) (*program, error) {
 				res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 					Net: net, Input: input, Model: model, DB: env.db,
 					Injections: injections, Seed: seed, Workers: env.workers,
-					NoPrune: req.NoPrune, NoCollapse: req.NoCollapse,
+					NoPrune:    req.NoPrune,
 					NoFastPath: req.NoFastPath,
 					Critical:   critical, Progress: progress,
 				})

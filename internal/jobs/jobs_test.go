@@ -218,7 +218,7 @@ func TestTerminalStateDurableBeforeVisible(t *testing.T) {
 					close(held)
 					<-release
 				}
-				return atomicWriteFile(path, data, perm)
+				return syndrome.WriteFileAtomic(path, data, perm)
 			}
 			if tc.behind {
 				if _, err := s.Submit(long); err != nil {
@@ -391,9 +391,6 @@ func TestCharacterizeStatusTelemetry(t *testing.T) {
 	if st.RTL.ReplaySpeedup <= 1 {
 		t.Errorf("replay speedup %.2f, want > 1", st.RTL.ReplaySpeedup)
 	}
-	if st.RTL.CollapseRate < 0 || st.RTL.CollapseRate > 1 {
-		t.Errorf("collapse rate %.3f outside [0, 1]", st.RTL.CollapseRate)
-	}
 	if st.SW != nil {
 		t.Errorf("characterize status carries a software telemetry block: %+v", st.SW)
 	}
@@ -441,15 +438,25 @@ func TestWorkerPoolSaturation(t *testing.T) {
 	req := smallHPC()
 	req.Models = []string{"bitflip"}
 	req.Injections = 400
+	var ids []string
 	for i := 0; i < n; i++ {
-		if _, err := s.Submit(req); err != nil {
+		st, err := s.Submit(req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, st.ID)
 	}
 	maxRunning := 0
 	waitFor(t, 120*time.Second, "all jobs done", func() bool {
 		running, terminal := 0, 0
-		for _, st := range s.List() {
+		// Sampled newest first, one job at a time: workers take jobs in
+		// submission order, so a job seen running after a newer one was
+		// seen running held its worker at that earlier instant too, and
+		// every job counted was held at once. Oldest first (List's order)
+		// over-counts when an old job finishes and a queued one starts
+		// between two samples.
+		for i := n - 1; i >= 0; i-- {
+			st, _ := s.Get(ids[i])
 			switch {
 			case st.State == StateRunning:
 				running++
@@ -567,7 +574,7 @@ func TestJournalBytesMatchWholeDBEncoding(t *testing.T) {
 		mu.Lock()
 		writes++
 		mu.Unlock()
-		return atomicWriteFile(path, data, perm)
+		return syndrome.WriteFileAtomic(path, data, perm)
 	}
 	st, err := s.Submit(journalledChar())
 	if err != nil {

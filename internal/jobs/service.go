@@ -209,7 +209,6 @@ type RTLTelemetry struct {
 	core.Telemetry
 	ReplaySpeedup float64 `json:"replay_speedup,omitempty"`
 	PruneRate     float64 `json:"prune_rate"`
-	CollapseRate  float64 `json:"collapse_rate"`
 	VectorRate    float64 `json:"vector_rate"`
 	LaneOccupancy float64 `json:"lane_occupancy"`
 }
@@ -229,7 +228,6 @@ type SWTelemetry struct {
 	EmuMIPS       float64 `json:"emu_mips,omitempty"`
 	EffectiveMIPS float64 `json:"effective_mips,omitempty"`
 	PruneRate     float64 `json:"prune_rate"`
-	CollapseRate  float64 `json:"collapse_rate"`
 }
 
 // Status snapshots the job.
@@ -275,7 +273,6 @@ func (j *Job) rtlTelemetry() *RTLTelemetry {
 		agg.ReplaySpeedup = rs
 	}
 	agg.PruneRate = agg.Telemetry.PruneRate()
-	agg.CollapseRate = agg.Telemetry.CollapseRate()
 	agg.VectorRate = agg.Telemetry.VectorRate()
 	agg.LaneOccupancy = agg.Telemetry.LaneOccupancy()
 	return agg
@@ -307,7 +304,6 @@ func (j *Job) swTelemetry() *SWTelemetry {
 	// (0), mirroring the rtl block.
 	agg.FFSpeedup = agg.Counters.FFSpeedup()
 	agg.PruneRate = agg.Counters.PruneRate()
-	agg.CollapseRate = agg.Counters.CollapseRate()
 	// Throughput comes from the live counters, not the journal: wall time
 	// is nondeterministic and must stay out of the bit-identical unit
 	// results, so units restored after a restart carry no duration and
@@ -385,7 +381,7 @@ func New(cfg Config) (*Service, error) {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
-		writeFile:  atomicWriteFile,
+		writeFile:  syndrome.WriteFileAtomic,
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -639,7 +635,7 @@ func (s *Service) runJob(j *Job) {
 	}
 	env := &runEnv{workers: s.cfg.EngineWorkers, char: &j.char, mu: &j.mu, sw: &j.swLive}
 	if prog.needsDB {
-		db, err := loadSyndromeDB(j.req.DBPath)
+		db, err := syndrome.Load(j.req.DBPath)
 		if err != nil {
 			fail(err)
 			return
@@ -869,69 +865,4 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 	if err := s.writeFile(path, blob, 0o644); err != nil {
 		s.cfg.Logf("jobs: write checkpoint %s: %v", j.id, err)
 	}
-}
-
-// loadSyndromeDB reads a syndrome database for a job's syndrome/tile
-// fault models, rejecting empty or torn files with a descriptive error.
-func loadSyndromeDB(path string) (*syndrome.DB, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(blob) == 0 {
-		return nil, fmt.Errorf("jobs: syndrome database %s is empty (truncated write? re-run the RTL characterisation)", path)
-	}
-	db := syndrome.New()
-	if err := json.Unmarshal(blob, db); err != nil {
-		return nil, fmt.Errorf("jobs: syndrome database %s is truncated or corrupt: %w", path, err)
-	}
-	return db, nil
-}
-
-// atomicWriteFile writes data to a temp file in path's directory and
-// renames it over path.
-func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Filesystems that reject directory fsync (it is optional on some) are
-// tolerated: the rename itself already happened.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

@@ -1,6 +1,6 @@
 package replay
 
-// Dead-site liveness: the software analog of internal/rtl's DeadAt/GapAt
+// Dead-site liveness: the software analog of internal/rtl's DeadAt
 // index, at instruction granularity. During the golden recording the
 // Recorder can additionally capture the executed event stream; a backward
 // dead-end-closure scan then classifies every countable (injectable)
@@ -60,8 +60,14 @@ func (lv *Liveness) DeadSites() uint64 {
 	return uint64(lv.cum[last]) + uint64(bits.OnesCount64(lv.dead[last]))
 }
 
-// Sites returns the countable total the index covers.
-func (lv *Liveness) Sites() uint64 { return lv.n }
+// Sites returns the countable total the index covers; 0 for a nil index
+// (a trace recorded without CaptureLiveness).
+func (lv *Liveness) Sites() uint64 {
+	if lv == nil {
+		return 0
+	}
+	return lv.n
+}
 
 // Dead reports whether countable site idx is dead, and if so returns its
 // site record.

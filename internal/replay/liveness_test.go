@@ -141,8 +141,14 @@ func TestLivenessWithinALaunch(t *testing.T) {
 	if _, d := lv.Dead(lv.Sites()); d {
 		t.Error("a site past the index must report live")
 	}
-	if _, d := (*Liveness)(nil).Dead(0); d {
+	// A trace recorded without CaptureLiveness has a nil index: every
+	// accessor must answer for it instead of dereferencing.
+	var none *Liveness
+	if _, d := none.Dead(0); d {
 		t.Error("a nil index must report live")
+	}
+	if none.Sites() != 0 || none.DeadSites() != 0 {
+		t.Errorf("a nil index covers %d sites, %d dead; want 0, 0", none.Sites(), none.DeadSites())
 	}
 }
 

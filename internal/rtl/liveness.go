@@ -36,22 +36,18 @@ type liveSpan struct {
 }
 
 // modLive is the per-module trace: the layout, each field's last-write
-// sequence number, each field's accumulated live spans (disjoint,
-// ascending — see onRead), and each field's read-gap boundaries (the
-// ascending read events that refine the spans into inter-read gaps —
-// see GapAt).
+// sequence number, and each field's accumulated live spans (disjoint,
+// ascending — see onRead).
 type modLive struct {
 	lay       *Layout
 	lastWrite []uint64
 	spans     [][]liveSpan
-	reads     [][]uint64
 }
 
 func (ml *modLive) init(lay *Layout) {
 	ml.lay = lay
 	ml.lastWrite = make([]uint64, len(lay.Fields))
 	ml.spans = make([][]liveSpan, len(lay.Fields))
-	ml.reads = make([][]uint64, len(lay.Fields))
 }
 
 // Liveness records one golden run's field-liveness trace. The zero value
@@ -71,9 +67,9 @@ type Liveness struct {
 // campaign injecting into one module needs. Every query the trace
 // answers compares a field's own events with a cycle's fault-application
 // point, and seq is nothing but a clock that orders them: counting only
-// mod's events keeps every such comparison, so DeadAt and GapAt answer
-// for mod exactly as the six-module trace does. The other five modules
-// are never attached and report every site live.
+// mod's events keeps every such comparison, so DeadAt answers for mod
+// exactly as the six-module trace does. The other five modules are never
+// attached and report every site live.
 func NewLiveness(mod faults.Module) *Liveness {
 	return &Liveness{scope: 1 + moduleIndex(mod)}
 }
@@ -107,17 +103,6 @@ func (l *Liveness) onRead(mod, fi int) {
 	l.seq++
 	ml := &l.mods[mod]
 	w := ml.lastWrite[fi]
-	// Record the read as a gap boundary, at most once per (field, cycle):
-	// fault sites exist only at cycle starts, so a second read of the
-	// same field in the same cycle can never be any fault's *first* read
-	// and would only bloat the index GapAt binary-searches.
-	var cs uint64
-	if n := len(l.cycleStart); n > 0 {
-		cs = l.cycleStart[n-1]
-	}
-	if rd := ml.reads[fi]; len(rd) == 0 || rd[len(rd)-1] <= cs {
-		ml.reads[fi] = append(ml.reads[fi], l.seq)
-	}
 	if sp := ml.spans[fi]; len(sp) > 0 && sp[len(sp)-1].start == w {
 		sp[len(sp)-1].end = l.seq
 		return
@@ -189,57 +174,6 @@ func searchSpanAfter(sp []liveSpan, s uint64) int {
 		}
 	}
 	return lo
-}
-
-// searchReadAfter is searchSpanAfter for read boundaries.
-func searchReadAfter(rd []uint64, s uint64) int {
-	lo, hi := 0, len(rd)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if rd[mid] > s {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// GapAt refines DeadAt's live/dead answer into the read-gap index behind
-// fault-equivalence collapsing. A live field value partitions the
-// sequence axis into gaps (write, read_1], (read_1, read_2], ...,
-// (read_{k-1}, read_k]: two faults flipping the same bit of the same
-// field inside the same gap corrupt the same stored value, are first
-// observed by the very same read event, and see an otherwise-golden
-// machine in between (a span contains no write of the field, and an
-// unread flipped bit influences nothing else) — so their faulty runs are
-// bit-identical trajectories. GapAt returns a stable per-field gap ID
-// (the index of the fault's first read boundary) and ok=true exactly
-// when DeadAt would report the site live; dead or out-of-range sites
-// return ok=false. Gap IDs are comparable within one (Liveness, module,
-// field) only; campaign code keys them with the draw and bit.
-//
-// Like DeadAt, the lookup is two binary searches over the trace the
-// golden run already recorded — no second golden run is needed.
-func (l *Liveness) GapAt(mod faults.Module, bit int, cycle uint64) (int, bool) {
-	if cycle >= uint64(len(l.cycleStart)) {
-		return 0, false
-	}
-	ml := &l.mods[moduleIndex(mod)]
-	if ml.lay == nil || bit < 0 || bit >= ml.lay.Bits {
-		return 0, false
-	}
-	s := l.cycleStart[cycle]
-	fi := ml.lay.fieldAt[bit]
-	sp := ml.spans[fi]
-	i := searchSpanAfter(sp, s) - 1
-	if i < 0 || s >= sp[i].end {
-		return 0, false
-	}
-	// reads[fi] keeps one boundary per cycle; since fault sites are cycle
-	// starts too, "first recorded read after s" induces the same
-	// partition as "first read event after s" while staying compact.
-	return searchReadAfter(ml.reads[fi], s), true
 }
 
 // TraceLiveness attaches l to the module states it traces — all six, or

@@ -40,8 +40,8 @@ func (h *liveHarness) read() func()  { return func() { h.st.Get(h.f) } }
 func (h *liveHarness) write() func() { return func() { h.st.Set(h.f, 1) } }
 func (h *liveHarness) reset() func() { return func() { h.st.Reset() } }
 
-// TestLivenessBoundarySemantics pins DeadAt and GapAt at every boundary
-// the engine depends on: a fault at the cycle of a write event, at the
+// TestLivenessBoundarySemantics pins DeadAt at every boundary the engine
+// depends on: a fault at the cycle of a write event, at the
 // cycle of a read event, at a Reset, and at the traced run's last cycle.
 func TestLivenessBoundarySemantics(t *testing.T) {
 	h := newLiveHarness()
@@ -59,41 +59,30 @@ func TestLivenessBoundarySemantics(t *testing.T) {
 		name  string
 		cycle uint64
 		dead  bool
-		gap   int // meaningful only when !dead
 	}{
 		// A fault lands at the *start* of its cycle, so a same-cycle
 		// write event overwrites it: provably dead.
-		{"at write cycle (pre-overwrite)", 0, true, 0},
+		{"at write cycle (pre-overwrite)", 0, true},
 		// A same-cycle read event happens after the cycle start, so it is
-		// the corrupted value's first observation: live, first gap.
-		{"at read cycle (first gap)", 1, false, 0},
-		// The next read opens the next gap: cycles 1 and 2 must not
-		// collapse together.
-		{"between reads (second gap)", 2, false, 1},
+		// the corrupted value's first observation: live.
+		{"at read cycle", 1, false},
+		{"between reads", 2, false},
 		// Overwrite cycle again, now after a live span closed.
-		{"at overwrite cycle", 3, true, 0},
+		{"at overwrite cycle", 3, true},
 		// An idle cycle and the following read cycle corrupt the same
-		// stored value and are first observed by the same read: one gap.
-		{"idle before read", 4, false, 2},
-		{"at that read cycle", 5, false, 2},
+		// stored value, which that read observes: both live.
+		{"idle before read", 4, false},
+		{"at that read cycle", 5, false},
 		// Reset writes every field: a fault at the Reset cycle dies.
-		{"at Reset cycle", 6, true, 0},
-		// The post-Reset value is read once more: live, a fresh gap.
-		{"after Reset", 7, false, 3},
+		{"at Reset cycle", 6, true},
+		// The post-Reset value is read once more: live.
+		{"after Reset", 7, false},
 		// Never read after the last access: dead at the last cycle.
-		{"last cycle (never read again)", 8, true, 0},
+		{"last cycle (never read again)", 8, true},
 	}
 	for _, tc := range cases {
-		dead := h.l.DeadAt(faults.ModFP32, 0, tc.cycle)
-		gap, ok := h.l.GapAt(faults.ModFP32, 0, tc.cycle)
-		if dead != tc.dead {
+		if dead := h.l.DeadAt(faults.ModFP32, 0, tc.cycle); dead != tc.dead {
 			t.Errorf("%s: DeadAt(cycle %d) = %v, want %v", tc.name, tc.cycle, dead, tc.dead)
-		}
-		if ok != !tc.dead {
-			t.Errorf("%s: GapAt(cycle %d) ok = %v, want %v (must agree with DeadAt)", tc.name, tc.cycle, ok, !tc.dead)
-		}
-		if ok && gap != tc.gap {
-			t.Errorf("%s: GapAt(cycle %d) = %d, want gap %d", tc.name, tc.cycle, gap, tc.gap)
 		}
 	}
 
@@ -102,10 +91,8 @@ func TestLivenessBoundarySemantics(t *testing.T) {
 	}
 }
 
-// TestLivenessOutOfRange pins the conservative disagreement outside the
-// traced run: DeadAt cannot prove such a site dead (false), and GapAt
-// cannot collapse it (ok=false) — each unprovable case falls back to the
-// safe side of its own consumer.
+// TestLivenessOutOfRange pins the conservative answer outside the traced
+// run: DeadAt cannot prove such a site dead, so it reports live.
 func TestLivenessOutOfRange(t *testing.T) {
 	h := newLiveHarness()
 	h.cycle(h.write())
@@ -114,47 +101,17 @@ func TestLivenessOutOfRange(t *testing.T) {
 	if h.l.DeadAt(faults.ModFP32, 0, 99) {
 		t.Error("DeadAt past the traced run must conservatively report live")
 	}
-	if _, ok := h.l.GapAt(faults.ModFP32, 0, 99); ok {
-		t.Error("GapAt past the traced run must report ok=false")
-	}
 	for _, bit := range []int{-1, 4, 1 << 20} {
 		if h.l.DeadAt(faults.ModFP32, bit, 1) {
 			t.Errorf("DeadAt(bit %d) outside the layout must report live", bit)
-		}
-		if _, ok := h.l.GapAt(faults.ModFP32, bit, 1); ok {
-			t.Errorf("GapAt(bit %d) outside the layout must report ok=false", bit)
-		}
-	}
-}
-
-// TestLivenessGapAgreesWithDeadAt sweeps a real traced run and checks the
-// structural invariant collapse relies on: GapAt returns ok exactly when
-// DeadAt reports the site live, for every bit and cycle.
-func TestLivenessGapAgreesWithDeadAt(t *testing.T) {
-	h := newLiveHarness()
-	h.cycle(h.write())
-	h.cycle(h.read(), h.write())
-	h.cycle()
-	h.cycle(h.read())
-	h.cycle(h.reset(), h.write())
-	h.cycle(h.read(), h.read()) // double read in one cycle: one boundary
-	h.cycle()
-
-	for cycle := uint64(0); cycle < h.l.Cycles(); cycle++ {
-		for bit := 0; bit < h.st.Lay.Bits; bit++ {
-			dead := h.l.DeadAt(faults.ModFP32, bit, cycle)
-			_, ok := h.l.GapAt(faults.ModFP32, bit, cycle)
-			if ok == dead {
-				t.Fatalf("bit %d cycle %d: GapAt ok=%v but DeadAt=%v", bit, cycle, ok, dead)
-			}
 		}
 	}
 }
 
 // TestScopedLivenessMatchesFullTrace checks the projection argument behind
-// NewLiveness on real golden runs: tracing one module answers DeadAt and
-// GapAt for every bit and cycle of that module exactly as the six-module
-// trace does, and reports every site of the other five modules live.
+// NewLiveness on real golden runs: tracing one module answers DeadAt for
+// every bit and cycle of that module exactly as the six-module trace
+// does, and reports every site of the other five modules live.
 func TestScopedLivenessMatchesFullTrace(t *testing.T) {
 	floats := make([]uint32, 256)
 	for i := range floats[:192] {
@@ -194,18 +151,16 @@ func TestScopedLivenessMatchesFullTrace(t *testing.T) {
 					for bit := 0; bit < ModuleBits(q); bit++ {
 						for cycle := uint64(0); cycle < full.Cycles(); cycle++ {
 							gotDead := scoped.DeadAt(q, bit, cycle)
-							gotGap, gotOK := scoped.GapAt(q, bit, cycle)
 							if q != mod {
-								if gotDead || gotOK {
-									t.Fatalf("trace scoped to %s: %s bit %d cycle %d answered dead=%v gap ok=%v, want live and no gap",
-										mod, q, bit, cycle, gotDead, gotOK)
+								if gotDead {
+									t.Fatalf("trace scoped to %s: %s bit %d cycle %d answered dead, want live",
+										mod, q, bit, cycle)
 								}
 								continue
 							}
-							wantGap, wantOK := full.GapAt(q, bit, cycle)
-							if wantDead := full.DeadAt(q, bit, cycle); gotDead != wantDead || gotGap != wantGap || gotOK != wantOK {
-								t.Fatalf("%s bit %d cycle %d: scoped dead=%v gap=%d,%v; full dead=%v gap=%d,%v",
-									q, bit, cycle, gotDead, gotGap, gotOK, wantDead, wantGap, wantOK)
+							if wantDead := full.DeadAt(q, bit, cycle); gotDead != wantDead {
+								t.Fatalf("%s bit %d cycle %d: scoped dead=%v, full dead=%v",
+									q, bit, cycle, gotDead, wantDead)
 							}
 							if gotDead {
 								dead++

@@ -15,13 +15,13 @@ import (
 // single golden run of the same input draw. Lane 0 is the golden machine;
 // lanes 1..63 are faulty variants, each a single-transient Fault.
 //
-// The engine exploits the same observation dead-site pruning and
-// equivalence collapsing already rely on: a transient flip touches one
-// flip-flop field, and until the golden dataflow *reads* a location where
-// a faulty variant differs, the variant's cycle-by-cycle transition is
-// bit-identical to the golden one. So a faulty lane does not need its own
-// machine while it is *parked*: it is represented as the golden state plus
-// a small set of (location, value) deltas. Per-location divergence planes
+// The engine exploits the same observation dead-site pruning already
+// relies on: a transient flip touches one flip-flop field, and until the
+// golden dataflow *reads* a location where a faulty variant differs, the
+// variant's cycle-by-cycle transition is bit-identical to the golden one.
+// So a faulty lane does not need its own machine while it is *parked*: it
+// is represented as the golden state plus a small set of (location, value)
+// deltas. Per-location divergence planes
 // — one uint64 of lane bits per flip-flop state word, register row, predicate
 // file, active mask, SIMT stack and memory word — let the golden run's
 // every semantic access probe "does any parked lane differ here?" in O(1):

@@ -45,17 +45,7 @@ type Spec struct {
 	// field is overwritten before any read after the injection cycle.
 	// Results are bit-identical either way (pruning is conservative); the
 	// flag mirrors NoFastForward for regression tests and benchmarks.
-	// NoPrune also disables equivalence collapsing, which needs the same
-	// liveness trace.
 	NoPrune bool
-
-	// NoCollapse disables fault-equivalence collapsing: the read-gap
-	// analysis that simulates only one representative per class of
-	// provably trajectory-identical faults (same draw, bit and inter-read
-	// gap) and tallies the rest from its memoized outcome. Results are
-	// bit-identical either way; the flag mirrors NoPrune/NoFastForward
-	// for regression tests and benchmarks.
-	NoCollapse bool
 
 	// NoBitParallel disables bit-parallel fault simulation: the march
 	// engine that simulates up to 63 faulty variants of one input draw as
@@ -146,7 +136,7 @@ func (spec Spec) plan() (*plan, error) {
 	}
 	return newPlan(
 		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
-			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
+			spec.NoFastForward, spec.NoPrune, spec.NoBitParallel),
 		family{prog: prog, block: MicroThreads, goldenBudget: 1_000_000,
 			input: func(rng *stats.RNG) []uint32 { return MicroInputs(spec.Op, spec.Range, rng) }})
 }

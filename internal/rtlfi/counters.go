@@ -21,12 +21,11 @@ type Counters struct {
 	// runs; SkippedCycles counts the cycles the engine provably avoided:
 	// golden-prefix cycles restored from a checkpoint, golden-tail cycles
 	// pruned when a masked run reconverged with the golden state, the
-	// whole goldenCycles replay of every dead-pruned fault, a collapsed
-	// member's whole would-be replay, and the stall cycles of hung runs —
-	// a wedged scheduler repeats one cycle until the watchdog, and the
-	// machine moves its clock there instead of stepping them
-	// (rtl.Machine.SkippedCycles; the only skipped cycles left with every
-	// accelerator off). Their sum is what a naive engine stepping every
+	// whole goldenCycles replay of every dead-pruned fault, and the stall
+	// cycles of hung runs — a wedged scheduler repeats one cycle until the
+	// watchdog, and the machine moves its clock there instead of stepping
+	// them (rtl.Machine.SkippedCycles; the only skipped cycles left with
+	// every accelerator off). Their sum is what a naive engine stepping every
 	// cycle of every faulty run would have simulated, in every engine mode.
 	SimCycles     uint64 `json:"sim_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
@@ -36,9 +35,7 @@ type Counters struct {
 	// checkpoint restore). Always 0 under NoPrune.
 	PrunedFaults uint64 `json:"pruned_faults"`
 
-	// CollapsedFaults counts injections tallied from a fault-equivalence
-	// class memo instead of being simulated. Always 0 under NoCollapse or
-	// NoPrune.
+	// Deprecated: always 0; kept for bench/ and old journals until ROADMAP 1(a).
 	CollapsedFaults uint64 `json:"collapsed_faults"`
 
 	// VectorFaults counts injections simulated as lanes of a bit-parallel
@@ -55,7 +52,6 @@ func (c *Counters) Merge(o Counters) {
 	c.SimCycles += o.SimCycles
 	c.SkippedCycles += o.SkippedCycles
 	c.PrunedFaults += o.PrunedFaults
-	c.CollapsedFaults += o.CollapsedFaults
 	c.VectorFaults += o.VectorFaults
 	c.Marches += o.Marches
 }
@@ -84,10 +80,6 @@ func (c Counters) share(n uint64) float64 {
 // PruneRate returns the share of injections classified by dead-site
 // pruning alone.
 func (c Counters) PruneRate() float64 { return c.share(c.PrunedFaults) }
-
-// CollapseRate returns the share of injections tallied from an
-// equivalence-class memo instead of being simulated.
-func (c Counters) CollapseRate() float64 { return c.share(c.CollapsedFaults) }
 
 // VectorRate returns the share of injections simulated as bit-parallel
 // march lanes.

@@ -3,7 +3,6 @@ package rtlfi
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gpufi/internal/faults"
@@ -65,14 +64,13 @@ func naiveReplay(t *testing.T, p *plan) naiveTotals {
 
 // engineModes is the mode lattice, most accelerated first.
 var engineModes = []struct {
-	name                                              string
-	noBitParallel, noCollapse, noPrune, noFastForward bool
+	name                                  string
+	noBitParallel, noPrune, noFastForward bool
 }{
-	{"BitParallel", false, false, false, false},
-	{"Collapsed", true, false, false, false},
-	{"Pruned", true, true, false, false},
-	{"FastForward", true, true, true, false},
-	{"FullReplay", true, true, true, true},
+	{"BitParallel", false, false, false},
+	{"Pruned", true, false, false},
+	{"FastForward", true, true, false},
+	{"FullReplay", true, true, true},
 }
 
 // checkHangCounters holds one mode's counters against the naive replay.
@@ -107,7 +105,7 @@ func TestMicroHangAccounting(t *testing.T) {
 	var ref *Result
 	for _, m := range engineModes {
 		spec := base
-		spec.NoBitParallel, spec.NoCollapse, spec.NoPrune, spec.NoFastForward = m.noBitParallel, m.noCollapse, m.noPrune, m.noFastForward
+		spec.NoBitParallel, spec.NoPrune, spec.NoFastForward = m.noBitParallel, m.noPrune, m.noFastForward
 		res, err := RunMicro(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -142,7 +140,7 @@ func TestTMXMHangAccounting(t *testing.T) {
 	var ref *TMXMResult
 	for _, m := range engineModes {
 		spec := base
-		spec.NoBitParallel, spec.NoCollapse, spec.NoPrune, spec.NoFastForward = m.noBitParallel, m.noCollapse, m.noPrune, m.noFastForward
+		spec.NoBitParallel, spec.NoPrune, spec.NoFastForward = m.noBitParallel, m.noPrune, m.noFastForward
 		res, err := RunTMXM(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -154,63 +152,5 @@ func TestTMXMHangAccounting(t *testing.T) {
 				m.name, res.Tally, res.Patterns, engineModes[0].name, ref.Tally, ref.Patterns)
 		}
 		checkHangCounters(t, m.name, res.Counters, nt)
-	}
-}
-
-// TestCollapsedMemberOfHungRepresentative: a collapsed fault whose class
-// representative hangs is tallied from the memo with the representative's
-// whole sim + skipped — stall tail included — as its own skipped cycles,
-// which is exactly what simulating it would have cost.
-func TestCollapsedMemberOfHungRepresentative(t *testing.T) {
-	// Dense enough that faults on the 24 warp-state fields (the ones that
-	// wedge) share equivalence classes.
-	spec := Spec{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModSched, NumFaults: 40_000, Seed: 497, NoBitParallel: true}
-	p, err := spec.plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rtl.New()
-	lay := m.ModuleState(faults.ModSched).Lay
-	hungReps := map[int]naiveRun{}
-	members := 0
-	for i, j := range p.jobs {
-		e := p.collapse[i]
-		if e == nil || !strings.HasSuffix(lay.FieldAt(j.fault.Bit).Name, "_state") {
-			continue
-		}
-		if e.Rep == i {
-			if r := p.replayNaive(m, j); errors.Is(r.err, rtl.ErrWatchdog) && r.jumped > 0 {
-				hungReps[i] = r
-			}
-			continue
-		}
-		// Members follow their representative in job order.
-		if rep, ok := hungReps[e.Rep]; ok {
-			members++
-			if r := p.replayNaive(m, j); r.err != rep.err || r.cycles != rep.cycles || r.jumped != rep.jumped {
-				t.Fatalf("fault %+v: replay %+v differs from its representative's %+v", j.fault, r, rep)
-			}
-		}
-	}
-	if members == 0 {
-		t.Fatal("no collapsed fault has a hung representative; densify the spec")
-	}
-	t.Logf("%d hung representatives with %d collapsed members", len(hungReps), members)
-
-	collapsed, err := RunMicro(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.NoCollapse = true
-	plain, err := RunMicro(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMicroEqual(t, collapsed, plain)
-	if collapsed.CollapsedFaults < uint64(members) {
-		t.Fatalf("%d faults collapsed, fewer than the %d members of hung classes", collapsed.CollapsedFaults, members)
-	}
-	if ct, pt := collapsed.SimCycles+collapsed.SkippedCycles, plain.SimCycles+plain.SkippedCycles; ct != pt {
-		t.Errorf("cycle accounting: collapsed %d simulated + %d skipped != %d plain", collapsed.SimCycles, collapsed.SkippedCycles, pt)
 	}
 }

@@ -47,13 +47,12 @@ func TestMicroPruneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMicroPruneMatchesFullReplay ties the engine's five modes together
+// TestMicroPruneMatchesFullReplay ties the engine's four modes together
 // on one spec: every shortcut lattice point — BitParallel (the default:
-// marching + collapsing + pruning + fast-forward), Collapsed (marching
-// off), Pruned (collapsing off too), FastForward (pruning off too) —
-// must reproduce the plain from-cycle-0 replay byte for byte, and
-// account exactly its cycles: each mode's sim + skipped equals the full
-// replay's simulated total.
+// marching + pruning + fast-forward), Pruned (marching off), FastForward
+// (pruning off too) — must reproduce the plain from-cycle-0 replay byte
+// for byte, and account exactly its cycles: each mode's sim + skipped
+// equals the full replay's simulated total.
 func TestMicroPruneMatchesFullReplay(t *testing.T) {
 	spec := Spec{Op: isa.OpIADD, Range: faults.RangeMedium, Module: faults.ModINT, NumFaults: 300, Seed: 440}
 	modes := []struct {
@@ -61,12 +60,11 @@ func TestMicroPruneMatchesFullReplay(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"BitParallel", func(s *Spec) {}},
-		{"Collapsed", func(s *Spec) { s.NoBitParallel = true }},
-		{"Pruned", func(s *Spec) { s.NoBitParallel, s.NoCollapse = true, true }},
-		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoCollapse, s.NoPrune = true, true, true }},
+		{"Pruned", func(s *Spec) { s.NoBitParallel = true }},
+		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoPrune = true, true }},
 	}
 	fullSpec := spec
-	fullSpec.NoBitParallel, fullSpec.NoCollapse, fullSpec.NoPrune, fullSpec.NoFastForward = true, true, true, true
+	fullSpec.NoBitParallel, fullSpec.NoPrune, fullSpec.NoFastForward = true, true, true
 	full, err := RunMicro(fullSpec)
 	if err != nil {
 		t.Fatal(err)

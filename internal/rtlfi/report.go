@@ -16,18 +16,17 @@ import (
 
 // WriteGeneralReport writes one campaign's general-report row as
 // readable text, including the engine's cycle accounting: cycles
-// simulated, cycles provably skipped (fast-forward, pruning and
-// collapsing), faults classified by dead-site pruning alone, faults
-// tallied from an equivalence-class memo, and the derived ratios.
+// simulated, cycles provably skipped (fast-forward and pruning), faults
+// classified by dead-site pruning alone, faults marched bit-parallel, and
+// the derived ratios.
 func (r *Result) WriteGeneralReport(w io.Writer) error {
 	t := r.Tally
 	_, err := fmt.Fprintf(w,
-		"campaign op=%s range=%s module=%s injections=%d masked=%d sdc_single=%d sdc_multi=%d due=%d avf_sdc=%.5f avf_due=%.5f avg_threads=%.2f sim_cycles=%d skipped_cycles=%d pruned=%d prune_rate=%.3f collapsed=%d collapse_rate=%.3f vectorized=%d vector_rate=%.3f lane_occupancy=%.3f replay_speedup=%.2f\n",
+		"campaign op=%s range=%s module=%s injections=%d masked=%d sdc_single=%d sdc_multi=%d due=%d avf_sdc=%.5f avf_due=%.5f avg_threads=%.2f sim_cycles=%d skipped_cycles=%d pruned=%d prune_rate=%.3f vectorized=%d vector_rate=%.3f lane_occupancy=%.3f replay_speedup=%.2f\n",
 		r.Spec.Op, r.Spec.Range, r.Spec.Module,
 		t.Injections, t.Maskeds, t.SDCSingle, t.SDCMulti, t.DUEs,
 		t.AVFSDC(), t.AVFDUE(), t.AvgThreads(),
 		r.SimCycles, r.SkippedCycles, r.PrunedFaults, r.PruneRate(),
-		r.CollapsedFaults, r.CollapseRate(),
 		r.VectorFaults, r.VectorRate(), r.LaneOccupancy(), r.ReplaySpeedup())
 	return err
 }

@@ -26,13 +26,8 @@ type TMXMSpec struct {
 	// see Spec.NoFastForward.
 	NoFastForward bool
 
-	// NoPrune disables dead-site pruning (and with it equivalence
-	// collapsing); see Spec.NoPrune.
+	// NoPrune disables dead-site pruning; see Spec.NoPrune.
 	NoPrune bool
-
-	// NoCollapse disables fault-equivalence collapsing; see
-	// Spec.NoCollapse.
-	NoCollapse bool
 
 	// NoBitParallel disables bit-parallel fault simulation; see
 	// Spec.NoBitParallel.
@@ -84,7 +79,7 @@ func (spec TMXMSpec) plan() (*plan, error) {
 	}
 	return newPlan(
 		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
-			spec.NoFastForward, spec.NoPrune, spec.NoCollapse, spec.NoBitParallel),
+			spec.NoFastForward, spec.NoPrune, spec.NoBitParallel),
 		family{prog: prog, block: mxm.BlockThreads, sharedWords: mxm.SharedWords, goldenBudget: 5_000_000,
 			input: func(rng *stats.RNG) []uint32 {
 				a, b := mxm.TileInputs(spec.Kind, rng.Uint64())

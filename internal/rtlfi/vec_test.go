@@ -107,9 +107,9 @@ func TestTMXMBitParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMicroModeLattice runs one spec through all five engine modes —
-// BitParallel (default), Collapsed, Pruned, FastForward, FullReplay —
-// and demands byte-identical campaign results from every rung.
+// TestMicroModeLattice runs one spec through all four engine modes —
+// BitParallel (default), Pruned, FastForward, FullReplay — and demands
+// byte-identical campaign results from every rung.
 func TestMicroModeLattice(t *testing.T) {
 	// Dense enough that the BitParallel rung actually marches (near-full
 	// lane chunks); every rung below it strips one engine layer.
@@ -119,12 +119,9 @@ func TestMicroModeLattice(t *testing.T) {
 		mod  func(*Spec)
 	}{
 		{"BitParallel", func(*Spec) {}},
-		{"Collapsed", func(s *Spec) { s.NoBitParallel = true }},
-		{"Pruned", func(s *Spec) { s.NoBitParallel, s.NoCollapse = true, true }},
-		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoCollapse, s.NoPrune = true, true, true }},
-		{"FullReplay", func(s *Spec) {
-			s.NoBitParallel, s.NoCollapse, s.NoPrune, s.NoFastForward = true, true, true, true
-		}},
+		{"Pruned", func(s *Spec) { s.NoBitParallel = true }},
+		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoPrune = true, true }},
+		{"FullReplay", func(s *Spec) { s.NoBitParallel, s.NoPrune, s.NoFastForward = true, true, true }},
 	}
 	var ref *Result
 	for _, m := range modes {
@@ -146,15 +143,15 @@ func TestMicroModeLattice(t *testing.T) {
 // the march engine: for every module family, run the bit-parallel first
 // phase white-box (marchStripe), then fully re-simulate at least 200 of
 // its vector-classified faults scalar-ly from cycle 0 — no checkpoints,
-// no pruning, no memo — and demand the march's outcome agree on DUE
+// no pruning — and demand the march's outcome agree on DUE
 // status, final memory image, and the classified record (tally,
 // syndrome and bits-wrong pools included).
 func TestBitParallelCrossValidation(t *testing.T) {
 	const wantPerModule = 200
 	// Per-module specs: an op that keeps the module busy (FFMA for the
 	// FP32 units, IMAD for INT, FSIN for the SFU path) and a fault count
-	// high enough that well over wantPerModule faults survive pruning and
-	// collapsing into the march.
+	// high enough that well over wantPerModule faults survive pruning
+	// into the march.
 	cases := []struct {
 		mod faults.Module
 		op  isa.Opcode

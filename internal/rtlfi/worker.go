@@ -16,11 +16,10 @@ import (
 
 // This file is the campaign engine shared by the micro-benchmark and
 // t-MxM families: prepare the input draws, schedule the deterministic
-// fault list and its equivalence classes, and run it on the campaign
-// kernel with the accelerator layers — dead-site pruning, equivalence
-// collapsing, bit-parallel marching, checkpoint fast-forward — as
-// optional stages of the per-fault loop. The families differ only in how
-// they draw inputs and classify a finished faulty run.
+// fault list, and run it on the campaign kernel with the accelerator
+// layers — dead-site pruning, bit-parallel marching, checkpoint
+// fast-forward — as optional stages of the per-fault loop. The families
+// differ only in how they draw inputs and classify a finished faulty run.
 
 // inputDraw describes one prepared input draw.
 type inputDraw struct {
@@ -100,125 +99,6 @@ func drawJobs(rng *stats.RNG, mod faults.Module, n int, draws []*inputDraw) []fa
 	return jobs
 }
 
-// classMemo is the shared memo of one multi-member fault-equivalence
-// class: the representative's worker simulates the class once and
-// publishes the run; every other member is tallied from it with zero
-// simulated cycles.
-type classMemo = campaign.Memo[simRun]
-
-// memo returns the run as a class memo holds it. The image is copied:
-// the representative's machine reuses its buffers on the next run, and
-// d.golden must stay unaliased too.
-func (r simRun) memo() simRun {
-	if r.err == nil {
-		r.g = append([]uint32(nil), r.g...)
-	} else {
-		r.g = nil
-	}
-	return r
-}
-
-// classTable is a minimal open-addressing hash table from packed class
-// keys to first-job indices. The collapse index performs one lookup per
-// campaign fault, and on dense specs the generic map's hashing and
-// bucket logic is a visible slice of total wall-clock; linear probing
-// over flat slices roughly halves it. Empty slots are vals < 0.
-type classTable struct {
-	keys []uint64
-	vals []int32
-	mask uint64
-	n    int
-}
-
-func newClassTable() *classTable {
-	t := &classTable{keys: make([]uint64, 1<<13), vals: make([]int32, 1<<13), mask: 1<<13 - 1}
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
-	return t
-}
-
-// lookupOrInsert returns the value stored under k, inserting v first when
-// k is absent (ok reports whether k was already present).
-func (t *classTable) lookupOrInsert(k uint64, v int32) (int32, bool) {
-	i := (k * 0x9e3779b97f4a7c15) & t.mask
-	for {
-		if t.vals[i] < 0 {
-			t.keys[i], t.vals[i] = k, v
-			t.n++
-			if uint64(t.n)*4 > (t.mask+1)*3 {
-				t.grow()
-			}
-			return v, false
-		}
-		if t.keys[i] == k {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *classTable) grow() {
-	ok, ov := t.keys, t.vals
-	n := (t.mask + 1) * 2
-	t.keys, t.vals, t.mask = make([]uint64, n), make([]int32, n), n-1
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
-	for i, v := range ov {
-		if v < 0 {
-			continue
-		}
-		k := ok[i]
-		j := (k * 0x9e3779b97f4a7c15) & t.mask
-		for t.vals[j] >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j], t.vals[j] = k, v
-	}
-}
-
-// buildCollapseIndex assigns every live fault its equivalence class,
-// sharded per draw, and returns each job's class memo. Classes group
-// live (non-dead-pruned) faults by (draw, bit, read gap): two such faults
-// corrupt the same stored field value between the same two golden read
-// events, so their faulty trajectories — and with them classification,
-// syndrome, detailed record and total replay cycles — are provably
-// identical (see rtl.Liveness.GapAt and DESIGN §4). Only multi-member
-// classes get a memo; slot i is nil when fault i collapses with nobody
-// and simulates normally. It runs sequentially before the workers start,
-// needs the draws' liveness traces, and pre-claims the representative as
-// the class's first member in job order (see campaign.Memo). Worker
-// striping and the RNG stream are untouched.
-func buildCollapseIndex(jobs []faultJob, draws []*inputDraw) []*classMemo {
-	// Class keys pack (bit, gap) into one uint64: both are non-negative
-	// and bounded well below 2^32 (bit by the module's flip-flop count,
-	// gap by the golden run's read-event count), and a flat integer key
-	// hashes measurably faster than a two-field struct on the dense
-	// campaigns this index is built for.
-	firsts := make([]*classTable, len(draws)) // per-draw shard: class key -> first job index
-	for i := range firsts {
-		firsts[i] = newClassTable()
-	}
-	classOf := make([]*classMemo, len(jobs))
-	for i, j := range jobs {
-		gap, ok := draws[j.draw].live.GapAt(j.fault.Module, j.fault.Bit, j.fault.Cycle)
-		if !ok {
-			continue // dead site: the prune check claims it before any class logic
-		}
-		k := uint64(j.fault.Bit)<<32 | uint64(uint32(gap))
-		first, seen := firsts[j.draw].lookupOrInsert(k, int32(i))
-		if !seen {
-			continue
-		}
-		if classOf[first] == nil {
-			classOf[first] = campaign.NewMemo[simRun](int(first))
-		}
-		classOf[i] = classOf[first]
-	}
-	return classOf
-}
-
 // simRun is one simulated faulty run's raw outcome before family-specific
 // classification: the final global-memory image (the golden image when
 // the run provably reconverged), the DUE error if any, and the engine's
@@ -252,9 +132,7 @@ func (p *plan) runFault(machine *rtl.Machine, d *inputDraw, f rtl.Fault) simRun 
 	return simRun{g: g, err: err, sim: machine.Cycles() - jumped, skipped: jumped}
 }
 
-// engine is the family-independent part of a campaign spec, with the
-// accelerator implication rules resolved once: collapsing keys on the
-// liveness trace pruning records, so it is on only when pruning is.
+// engine is the family-independent part of a campaign spec.
 type engine struct {
 	module    faults.Module
 	numFaults int
@@ -262,14 +140,14 @@ type engine struct {
 	workers   int
 	progress  func(done, total int)
 
-	fastForward, prune, collapse, march bool
+	fastForward, prune, march bool
 }
 
 func newEngine(mod faults.Module, numFaults int, seed uint64, workers int, progress func(done, total int),
-	noFastForward, noPrune, noCollapse, noBitParallel bool) engine {
+	noFastForward, noPrune, noBitParallel bool) engine {
 	return engine{
 		module: mod, numFaults: numFaults, seed: seed, workers: workers, progress: progress,
-		fastForward: !noFastForward, prune: !noPrune, collapse: !noPrune && !noCollapse, march: !noBitParallel,
+		fastForward: !noFastForward, prune: !noPrune, march: !noBitParallel,
 	}
 }
 
@@ -285,14 +163,12 @@ type family struct {
 }
 
 // plan is a prepared and scheduled campaign: the input draws with their
-// golden runs, the deterministic fault list, and each job's equivalence
-// class among the live sites (all nil with collapsing off).
+// golden runs, and the deterministic fault list.
 type plan struct {
 	engine
 	family
-	draws    []*inputDraw
-	jobs     []faultJob
-	collapse []*classMemo
+	draws []*inputDraw
+	jobs  []faultJob
 }
 
 // newPlan prepares and schedules a campaign. Input draws consume the
@@ -321,22 +197,14 @@ func newPlan(e engine, f family) (*plan, error) {
 		return nil, err
 	}
 	p.jobs = drawJobs(rng, e.module, e.numFaults, p.draws)
-	if e.collapse {
-		p.collapse = buildCollapseIndex(p.jobs, p.draws)
-	} else {
-		p.collapse = make([]*classMemo, len(p.jobs))
-	}
 	return p, nil
 }
 
 // marchStripe is one worker's bit-parallel first phase: it groups the
-// stripe's live, non-member faults by input draw, simulates each group in
-// lane chunks on a march engine (rtl.VecEngine), and returns the per-job
-// outcomes for the scalar-ordered recording phase. Engine accounting for
-// the marched faults happens here, where the outcomes are produced, and
-// representatives' collapse memos publish as soon as their march
-// completes — the phase never waits on anything, so the recording phase's
-// deadlock-freedom argument (campaign.Memo) is untouched. A march that
+// stripe's live faults by input draw, simulates each group in lane chunks
+// on a march engine (rtl.VecEngine), and returns the per-job outcomes for
+// the scalar-ordered recording phase. Engine accounting for the marched
+// faults happens here, where the outcomes are produced. A march that
 // fails (it cannot, absent engine bugs: prepared draws guarantee the
 // golden run completes past every injection cycle) falls back to scalar
 // simulation of its chunk, which is bit-identical by the engine's
@@ -352,9 +220,6 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 			// each worker owns its stripe's slots, so the shared slice
 			// needs no synchronisation.
 			dead[i] = true
-			continue
-		}
-		if e := p.collapse[i]; e != nil && e.Rep != i {
 			continue
 		}
 		perDraw[j.draw] = append(perDraw[j.draw], i)
@@ -426,9 +291,6 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 				ec.SimCycles += sr.sim
 				ec.SkippedCycles += sr.skipped
 				outs[gi] = sr
-				if e := p.collapse[gi]; e != nil {
-					e.Publish(sr.memo())
-				}
 			}
 		}
 	}
@@ -437,18 +299,18 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 
 // run drives the campaign kernel over the plan's fault list. Each job
 // passes through the engine's optional stages in order — dead-site prune
-// check, equivalence-class memo, bit-parallel march result, checkpoint
-// fast-forward — and only then costs a scalar simulation; classify turns
-// the finished run into the family's per-fault output. The outputs come
-// back in job order beside the merged engine accounting. A dead-pruned
+// check, bit-parallel march result, checkpoint fast-forward — and only
+// then costs a scalar simulation; classify turns the finished run into
+// the family's per-fault output. The outputs come back in job order
+// beside the merged engine accounting. A dead-pruned
 // fault is never classified: its slot keeps T's zero value, which both
 // families read as Masked with nothing corrupted — exactly what classify
 // would report for the bit-identical faulty run.
 //
-// With marching on, each worker first marches its stripe's live
-// non-member faults bit-parallel (marchStripe) and then resolves every
-// job in the exact order and with the exact outcomes of the scalar loop,
-// so results stay bit-identical across the mode lattice.
+// With marching on, each worker first marches its stripe's live faults
+// bit-parallel (marchStripe) and then resolves every job in the exact
+// order and with the exact outcomes of the scalar loop, so results stay
+// bit-identical across the mode lattice.
 func run[T any](ctx context.Context, p *plan,
 	classify func(machine *rtl.Machine, j faultJob, g []uint32, err error) T) ([]T, Counters, error) {
 
@@ -461,14 +323,14 @@ func run[T any](ctx context.Context, p *plan,
 	if p.march {
 		dead = make([]bool, len(p.jobs))
 	}
-	outs, _, err := campaign.Run(ctx, len(p.jobs), workers, p.progress, func(w int) func(int) (T, bool) {
+	outs, _, err := campaign.Run(ctx, len(p.jobs), workers, p.progress, func(w int) func(int) T {
 		ec := &counters[w]
 		machine := rtl.New()
 		var marched map[int]simRun
 		if p.march {
 			marched = p.marchStripe(ctx, w, workers, ec, machine, dead)
 		}
-		return func(i int) (out T, ok bool) {
+		return func(i int) (out T) {
 			j := p.jobs[i]
 			d := p.draws[j.draw]
 			if p.march && dead[i] || !p.march && d.prunedDead(j.fault) {
@@ -478,35 +340,15 @@ func run[T any](ctx context.Context, p *plan,
 				// so cycle accounting stays comparable across modes.
 				ec.PrunedFaults++
 				ec.SkippedCycles += d.goldenCycles
-				return out, true
-			}
-			e := p.collapse[i]
-			if e != nil && e.Rep != i {
-				// Collapsed member: trajectory-identical to its class
-				// representative, so the memo supplies the outcome at
-				// zero simulated cycles; only the fault site in the
-				// record is the member's own. The member's would-be
-				// replay cost — identical to the representative's by
-				// trajectory identity — lands in SkippedCycles, keeping
-				// sim+skipped == full-replay sim exact.
-				sr, ok := e.Wait(ctx)
-				if !ok {
-					return out, false
-				}
-				ec.CollapsedFaults++
-				ec.SkippedCycles += sr.sim + sr.skipped
-				return classify(machine, j, sr.g, sr.err), true
+				return out
 			}
 			sr, ok := marched[i]
 			if !ok {
 				sr = p.runFault(machine, d, j.fault)
 				ec.SimCycles += sr.sim
 				ec.SkippedCycles += sr.skipped
-				if e != nil {
-					e.Publish(sr.memo())
-				}
 			}
-			return classify(machine, j, sr.g, sr.err), true
+			return classify(machine, j, sr.g, sr.err)
 		}
 	})
 	if err != nil {

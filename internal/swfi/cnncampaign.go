@@ -56,7 +56,7 @@ type CNNCampaign struct {
 	// NoFastForward disables the golden-prefix checkpoint optimisation and
 	// re-executes every injection run from the first layer with hooks
 	// armed throughout. Results are bit-identical either way; see
-	// Campaign.NoFastForward. It implies NoPrune and NoCollapse.
+	// Campaign.NoFastForward. It implies NoPrune.
 	NoFastForward bool
 
 	// NoPrune disables dead-site liveness pruning for the instruction
@@ -65,8 +65,7 @@ type CNNCampaign struct {
 	// outputs.
 	NoPrune bool
 
-	// NoCollapse disables fault-equivalence collapsing for CNNBitFlip;
-	// see Campaign.NoCollapse.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
 	// NoFastPath forces the emulator's Tier-0 reference interpreter for
@@ -130,7 +129,7 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 		name: c.Net.Name, model: ModelBitFlip, db: c.DB,
 		injections: c.Injections, seed: c.Seed, salt: 0xD1B54A32D192ED03, workers: c.Workers,
 		progress:      c.Progress,
-		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noCollapse: c.NoCollapse, noFastPath: c.NoFastPath,
+		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noFastPath: c.NoFastPath,
 		shared:   c.Prepared,
 		prepare:  func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, c.NoFastPath, record) },
 		exec:     func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },

@@ -1,7 +1,6 @@
 package swfi
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -146,68 +145,24 @@ func crossValidateDeadSites(t *testing.T, tr *replay.Trace, injectable uint64,
 	t.Logf("cross-validated %d pruned faults by full simulation", len(sample))
 }
 
-// TestCollapseCrossValidation fully simulates ≥200 collapsed members: the
-// NoCollapse arm runs every injection of a duplicate-heavy campaign
-// through the emulator, and its tally and per-injection records must be
-// bit-identical to the collapsing arm's memoized copies. MxM(8) keeps the
-// (target, mask) space small enough that a 5000-injection campaign
-// collides often. NoPrune isolates the collapse layer on both arms.
-func TestCollapseCrossValidation(t *testing.T) {
-	base := Campaign{
-		Workload: apps.NewMxM(8), Model: ModelBitFlip,
-		Injections: 5000, Seed: 11,
-		NoPrune: true, RecordInjections: true,
-	}
-	collapsed, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := base
-	full.NoCollapse = true
-	fullRes, err := Run(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if collapsed.CollapsedFaults < 200 {
-		t.Fatalf("only %d collapsed members (need ≥200 for cross-validation); shrink the workload or raise injections", collapsed.CollapsedFaults)
-	}
-	if fullRes.CollapsedFaults != 0 {
-		t.Fatalf("NoCollapse arm collapsed %d faults", fullRes.CollapsedFaults)
-	}
-	if collapsed.Tally != fullRes.Tally {
-		t.Fatalf("tally diverged: collapsed %+v, full %+v", collapsed.Tally, fullRes.Tally)
-	}
-	for i := range fullRes.Records {
-		if collapsed.Records[i] != fullRes.Records[i] {
-			t.Fatalf("record %d diverged: collapsed %+v, full %+v", i, collapsed.Records[i], fullRes.Records[i])
-		}
-	}
-	t.Logf("cross-validated %d collapsed members by full simulation (%.1f%% of campaign)",
-		collapsed.CollapsedFaults, 100*collapsed.CollapseRate())
-}
-
-// swLatticeModes is the full NoPrune × NoCollapse × NoFastForward mode
-// lattice. NoFastForward implies the other two, so its four combinations
-// must all reduce to the same plain full-replay campaign.
+// swLatticeModes is the full NoPrune × NoFastForward mode lattice.
+// NoFastForward implies NoPrune, so its two combinations must reduce to
+// the same plain full-replay campaign.
 var swLatticeModes = []struct {
-	name                  string
-	noPrune, noCollapse, noFF bool
+	name          string
+	noPrune, noFF bool
 }{
-	{"Pruned+Collapsed", false, false, false},
-	{"Collapsed", true, false, false},
-	{"Pruned", false, true, false},
-	{"FastForward", true, true, false},
-	{"FullReplay", true, true, true},
-	{"FullReplay/prune", false, true, true},
-	{"FullReplay/collapse", true, false, true},
-	{"FullReplay/both", false, false, true},
+	{"Pruned", false, false},
+	{"FastForward", true, false},
+	{"FullReplay", true, true},
+	{"FullReplay/prune", false, true},
 }
 
 // TestModeLatticeBitIdentical: every point of the mode lattice yields the
 // same tally and per-injection records on a pure-host workload (Hotspot,
 // high dead rate) and an impure-host one (Quicksort, reconvergence
-// disabled). The default engine must actually prune and collapse nothing
-// on the NoX arms and report the impure-host reason only where it holds.
+// disabled). The engine must prune nothing on the NoPrune arms and report
+// the impure-host reason only where it holds.
 func TestModeLatticeBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		w    *apps.Workload
@@ -223,7 +178,7 @@ func TestModeLatticeBitIdentical(t *testing.T) {
 				res, err := Run(Campaign{
 					Workload: tc.w, Model: ModelBitFlip,
 					Injections: tc.n, Seed: 29,
-					NoPrune: m.noPrune, NoCollapse: m.noCollapse, NoFastForward: m.noFF,
+					NoPrune: m.noPrune, NoFastForward: m.noFF,
 					RecordInjections: true,
 				})
 				if err != nil {
@@ -247,12 +202,9 @@ func TestModeLatticeBitIdentical(t *testing.T) {
 				if m.noPrune && res.PrunedFaults != 0 {
 					t.Errorf("%s: pruned %d faults with pruning disabled", m.name, res.PrunedFaults)
 				}
-				if m.noCollapse && res.CollapsedFaults != 0 {
-					t.Errorf("%s: collapsed %d faults with collapsing disabled", m.name, res.CollapsedFaults)
-				}
-				if m.noFF && (res.PrunedFaults != 0 || res.CollapsedFaults != 0 || res.SimInstrs != 0) {
-					t.Errorf("%s: full replay reported accelerator telemetry %d/%d/%d",
-						m.name, res.PrunedFaults, res.CollapsedFaults, res.SimInstrs)
+				if m.noFF && (res.PrunedFaults != 0 || res.SimInstrs != 0) {
+					t.Errorf("%s: full replay reported accelerator telemetry %d/%d",
+						m.name, res.PrunedFaults, res.SimInstrs)
 				}
 				wantReason := !tc.pure && !m.noFF
 				if gotReason := res.NoReconvergeReason != ""; gotReason != wantReason {
@@ -265,8 +217,7 @@ func TestModeLatticeBitIdentical(t *testing.T) {
 
 // TestModeLatticeSyndrome: the prune path reproduces the syndrome model's
 // corruption draws — which depend on the recorded operand magnitude —
-// bit-identically, and the collapse layer stays off for syndrome models
-// even when enabled (corruption depends on the faulted value).
+// bit-identically.
 func TestModeLatticeSyndrome(t *testing.T) {
 	db := testDB(t)
 	base := Campaign{
@@ -285,10 +236,6 @@ func TestModeLatticeSyndrome(t *testing.T) {
 	}
 	if pruned.PrunedFaults == 0 {
 		t.Fatal("syndrome campaign pruned nothing on a heavily dead workload")
-	}
-	if pruned.CollapsedFaults != 0 || fullRes.CollapsedFaults != 0 {
-		t.Fatalf("syndrome model must never collapse (got %d/%d)",
-			pruned.CollapsedFaults, fullRes.CollapsedFaults)
 	}
 	if pruned.Tally != fullRes.Tally {
 		t.Fatalf("tally diverged: pruned %+v, full %+v", pruned.Tally, fullRes.Tally)
@@ -314,7 +261,7 @@ func TestCNNModeLattice(t *testing.T) {
 		c := CNNCampaign{
 			Net: net, Input: input, Model: CNNBitFlip,
 			Injections: 80, Seed: 37, Critical: LeNetCritical,
-			NoPrune: m.noPrune, NoCollapse: m.noCollapse, NoFastForward: m.noFF,
+			NoPrune: m.noPrune, NoFastForward: m.noFF,
 		}
 		if !m.noFF {
 			c.Prepared = prep
@@ -333,9 +280,6 @@ func TestCNNModeLattice(t *testing.T) {
 		}
 		if m.noPrune && res.PrunedFaults != 0 {
 			t.Errorf("%s: pruned %d faults with pruning disabled", m.name, res.PrunedFaults)
-		}
-		if m.noCollapse && res.CollapsedFaults != 0 {
-			t.Errorf("%s: collapsed %d faults with collapsing disabled", m.name, res.CollapsedFaults)
 		}
 	}
 }
@@ -393,34 +337,4 @@ func TestSWProgressThrottled(t *testing.T) {
 		}
 		assertThrottled(t, res.Tally.Injections)
 	})
-}
-
-// TestCollapseAccounting: collapsed members credit the representative's
-// simulated+skipped instructions to SkippedInstrs, and pruned faults
-// credit the whole run, so the replay-speedup telemetry stays meaningful
-// across modes.
-func TestCollapseAccounting(t *testing.T) {
-	res, err := Run(Campaign{
-		Workload: apps.NewMxM(8), Model: ModelBitFlip,
-		Injections: 5000, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CollapsedFaults == 0 {
-		t.Fatal("expected collapsed members on the duplicate-heavy campaign")
-	}
-	if res.PrunedFaults == 0 {
-		t.Fatal("expected pruned faults on MxM(8), which has a non-trivial dead rate")
-	}
-	if res.SkippedInstrs == 0 || res.SimInstrs == 0 {
-		t.Fatalf("telemetry counters empty: sim=%d skipped=%d", res.SimInstrs, res.SkippedInstrs)
-	}
-	sum := res.PrunedFaults + res.CollapsedFaults
-	if sum > uint64(res.Tally.Injections) {
-		t.Fatalf("pruned %d + collapsed %d exceeds %d injections", res.PrunedFaults, res.CollapsedFaults, res.Tally.Injections)
-	}
-	if got := fmt.Sprintf("%.3f/%.3f", res.PruneRate(), res.CollapseRate()); got == "0.000/0.000" {
-		t.Fatal("rates report zero despite non-zero counters")
-	}
 }

@@ -14,9 +14,8 @@ import (
 )
 
 // This file is the campaign runner shared by the HPC and CNN campaigns:
-// pick the preparation, schedule the equivalence classes, and run the
-// injections on the campaign kernel with the accelerator layers —
-// dead-site pruning, equivalence collapsing, checkpoint fast-forward — as
+// pick the preparation and run the injections on the campaign kernel with
+// the accelerator layers — dead-site pruning, checkpoint fast-forward — as
 // optional stages of the per-injection loop. RunCtx and RunCNNCtx are
 // adapters that describe their subject and shape the result.
 
@@ -30,16 +29,16 @@ type Counters struct {
 
 	// SimInstrs counts the thread-instructions actually simulated across
 	// all injection runs; SkippedInstrs counts those the engine provably
-	// avoided (write-set launches, restored snapshot prefixes, pruned and
-	// collapsed runs). Both are zero on the NoFastForward path.
+	// avoided (write-set launches, restored snapshot prefixes, pruned
+	// runs). Both are zero on the NoFastForward path.
 	SimInstrs     uint64 `json:"sim_instrs"`
 	SkippedInstrs uint64 `json:"skipped_instrs"`
 
 	// PrunedFaults counts injections classified Masked by the dead-site
 	// liveness index alone — zero emulator instructions executed.
-	// CollapsedFaults counts injections resolved by copying an equivalence
-	// class representative's memoized outcome.
-	PrunedFaults    uint64 `json:"pruned_faults"`
+	PrunedFaults uint64 `json:"pruned_faults"`
+
+	// Deprecated: always 0; kept for bench/ and old journals until ROADMAP 1(a).
 	CollapsedFaults uint64 `json:"collapsed_faults"`
 }
 
@@ -49,7 +48,6 @@ func (c *Counters) Merge(o Counters) {
 	c.SimInstrs += o.SimInstrs
 	c.SkippedInstrs += o.SkippedInstrs
 	c.PrunedFaults += o.PrunedFaults
-	c.CollapsedFaults += o.CollapsedFaults
 }
 
 // FFSpeedup is the effective replay speedup: all thread-instructions of
@@ -73,10 +71,6 @@ func (c Counters) share(n uint64) float64 {
 // without simulation.
 func (c Counters) PruneRate() float64 { return c.share(c.PrunedFaults) }
 
-// CollapseRate is the fraction of injections resolved by equivalence
-// collapsing.
-func (c Counters) CollapseRate() float64 { return c.share(c.CollapsedFaults) }
-
 // EmuMIPS is the emulated-instruction throughput over a wall-clock span:
 // simulated thread-instructions per microsecond (i.e. millions of
 // instructions per second). Zero on the NoFastForward path, where
@@ -84,7 +78,7 @@ func (c Counters) CollapseRate() float64 { return c.share(c.CollapsedFaults) }
 func (c Counters) EmuMIPS(elapsed time.Duration) float64 { return mips(c.SimInstrs, elapsed) }
 
 // EffectiveMIPS is the virtual throughput including the instructions the
-// engine provably avoided simulating (fast-forward, pruning, collapsing).
+// engine provably avoided simulating (fast-forward, pruning).
 func (c Counters) EffectiveMIPS(elapsed time.Duration) float64 {
 	return mips(c.SimInstrs+c.SkippedInstrs, elapsed)
 }
@@ -97,12 +91,11 @@ func mips(instrs uint64, d time.Duration) float64 {
 }
 
 // injection is one injection's resolved effect: what the campaign folds
-// per run, and what an equivalence class memoises for its members.
+// per run.
 type injection struct {
 	outcome  faults.Outcome
 	critical bool            // CNN: the SDC changes the network's decision
 	rec      InjectionRecord // audit record, kept under RecordInjections
-	replay   uint64          // the run's simulated+skipped instructions
 }
 
 // subject describes the thing under test — an HPC workload or a CNN, with
@@ -119,9 +112,8 @@ type subject[G any] struct {
 	progress   func(done, total int)
 
 	// The accelerator switches as the caller set them; run resolves the
-	// implications (no fast-forward ⇒ no trace ⇒ neither prune nor
-	// collapse; the bit-flip models alone collapse).
-	noFastForward, noPrune, noCollapse, noFastPath bool
+	// implication (no fast-forward ⇒ no trace ⇒ no prune).
+	noFastForward, noPrune, noFastPath bool
 
 	shared  *prepared[G]                            // caller's preparation, or nil
 	prepare func(record bool) (*prepared[G], error) // a fresh one, with or without trace
@@ -169,18 +161,13 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 	if injectable == 0 {
 		return nil, fmt.Errorf("swfi: %s executes no injectable instructions", s.name)
 	}
-	rngFor := func(i int) *stats.RNG { return stats.NewRNG(s.seed ^ s.salt*uint64(i+1)) }
 
-	// Liveness pruning and equivalence collapsing apply to the
-	// instruction-level models only: a tile corrupts feature-map regions
-	// at layer boundaries, outside the dead-site index's scope.
+	// Liveness pruning applies to the instruction-level models only: a
+	// tile corrupts feature-map regions at layer boundaries, outside the
+	// dead-site index's scope.
 	var live *replay.Liveness
 	if tr != nil && !s.noPrune && s.tile == nil {
 		live = tr.Live
-	}
-	var classOf []*campaign.Memo[injection]
-	if tr != nil && !s.noCollapse && s.tile == nil && (s.model == ModelBitFlip || s.model == ModelDoubleBitFlip) {
-		classOf = scheduleCollapse(s.injections, injectable, live, s.model == ModelDoubleBitFlip, rngFor)
 	}
 
 	grade := func(out G, err error) (faults.Outcome, bool) {
@@ -205,10 +192,9 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		o, crit := grade(exec(p))
 		c.SimInstrs += p.Live.DynThreadInstrs
 		c.SkippedInstrs += p.Skipped
-		return injection{outcome: o, critical: crit, replay: p.Live.DynThreadInstrs + p.Skipped}
+		return injection{outcome: o, critical: crit}
 	}
-	// inject resolves one injection that is not a class member: prune it,
-	// or simulate it.
+	// inject resolves one injection: prune it, or simulate it.
 	inject := func(c *Counters, pool *replay.Pool, r *stats.RNG) injection {
 		if s.tile != nil {
 			last, exec, ok := s.tile(r)
@@ -229,7 +215,7 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 				// in SkippedInstrs.
 				c.PrunedFaults++
 				c.SkippedInstrs += tr.Instrs
-				out := injection{replay: tr.Instrs}
+				var out injection
 				if s.records {
 					// The site record reproduces the corruption draws an
 					// executed run would have made.
@@ -251,34 +237,12 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 
 	workers := campaign.Workers(s.workers)
 	counters := make([]Counters, workers)
-	outs, _, err := campaign.Run(ctx, s.injections, workers, s.progress, func(w int) func(int) (injection, bool) {
+	outs, _, err := campaign.Run(ctx, s.injections, workers, s.progress, func(w int) func(int) injection {
 		c := &counters[w]
 		// A worker runs its injections one after another, so one reusable
 		// arena serves them all.
 		pool := &replay.Pool{}
-		return func(i int) (injection, bool) {
-			var cl *campaign.Memo[injection]
-			if classOf != nil {
-				cl = classOf[i]
-			}
-			if cl != nil && cl.Rep != i {
-				// Equivalence-class member: its (target, mask) pair
-				// duplicates the representative's, so its outcome and
-				// record are copies, and its would-be run lands in
-				// SkippedInstrs.
-				out, ok := cl.Wait(ctx)
-				if ok {
-					c.CollapsedFaults++
-					c.SkippedInstrs += out.replay
-				}
-				return out, ok
-			}
-			out := inject(c, pool, rngFor(i))
-			if cl != nil {
-				cl.Publish(out)
-			}
-			return out, true
-		}
+		return func(i int) injection { return inject(c, pool, stats.NewRNG(s.seed^s.salt*uint64(i+1))) }
 	})
 	if err != nil {
 		return nil, err
@@ -300,55 +264,4 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		}
 	}
 	return res, nil
-}
-
-// scheduleCollapse pre-draws every injection's (target, flip mask) pair
-// and groups duplicates into equivalence classes. This is possible for
-// the bit-flip models because neither draw depends on execution state —
-// the pre-draw consumes the same stream prefix (target, then mask) from a
-// fresh copy of each injection's RNG, leaving the runtime streams
-// untouched. Injections whose target the liveness index already proves
-// dead are left out (the prune path classifies each for free anyway, and
-// counts them as pruned rather than collapsed). Returns nil when no class
-// has more than one member, when the space is collision-free by
-// construction, or when targets don't fit the packed key (injectable ≥
-// 2^32).
-func scheduleCollapse(n int, injectable uint64, live *replay.Liveness,
-	double bool, rngFor func(i int) *stats.RNG) []*campaign.Memo[injection] {
-	if injectable >= 1<<32 {
-		return nil
-	}
-	classOf := make([]*campaign.Memo[injection], n)
-	classes := make(map[uint64]*campaign.Memo[injection], n)
-	collapsed := false
-	for i := 0; i < n; i++ {
-		r := rngFor(i)
-		target := r.Uint64() % injectable
-		var mask uint32
-		if double {
-			b1 := r.Intn(32)
-			b2 := (b1 + 1 + r.Intn(31)) % 32
-			mask = 1<<uint(b1) | 1<<uint(b2)
-		} else {
-			mask = 1 << uint(r.Intn(32))
-		}
-		if live != nil {
-			if _, dead := live.Dead(target); dead {
-				continue
-			}
-		}
-		key := target<<32 | uint64(mask)
-		cl, ok := classes[key]
-		if ok {
-			collapsed = true
-		} else {
-			cl = campaign.NewMemo[injection](i)
-			classes[key] = cl
-		}
-		classOf[i] = cl
-	}
-	if !collapsed {
-		return nil
-	}
-	return classOf
 }

@@ -270,8 +270,8 @@ type Campaign struct {
 	// re-executes every injection run from dynamic instruction zero with
 	// hooks armed throughout. Results are bit-identical either way; the
 	// flag exists for regression tests and benchmarks of the fast-forward
-	// path itself. It implies NoPrune and NoCollapse: both layers live on
-	// the fast-forward trace.
+	// path itself. It implies NoPrune: the dead-site index lives on the
+	// fast-forward trace.
 	NoFastForward bool
 
 	// NoPrune disables dead-site liveness pruning: faults landing on
@@ -280,12 +280,7 @@ type Campaign struct {
 	// are bit-identical either way.
 	NoPrune bool
 
-	// NoCollapse disables fault-equivalence collapsing: injections whose
-	// (target instruction, flip mask) pair duplicates an earlier one are
-	// then simulated instead of copying the representative's memoized
-	// outcome. Results are bit-identical either way. Only the bit-flip
-	// models collapse — syndrome corruption draws depend on the faulted
-	// value, so equal targets do not imply equal corruptions.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
 	// NoFastPath forces the emulator's Tier-0 reference interpreter for
@@ -381,7 +376,7 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
 		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
 		records: c.RecordInjections, progress: c.Progress,
-		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noCollapse: c.NoCollapse, noFastPath: c.NoFastPath,
+		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noFastPath: c.NoFastPath,
 		shared:  c.Prepared,
 		prepare: func(record bool) (*Prepared, error) { return prepareWorkload(w, c.NoFastPath, record) },
 		exec:    w.ExecuteWith,
