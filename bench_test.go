@@ -488,26 +488,22 @@ func BenchmarkRTLFI_TMxMCampaign(b *testing.B) {
 	}
 }
 
-// swfiBenchModes are the three engine configurations the software-campaign
-// benchmarks compare, mirroring rtlfiBenchModes: FullReplay is the plain
-// path (every injection run re-simulates from dynamic instruction zero
-// with hooks armed throughout), FastForward adds golden-prefix checkpoint
-// restore and reconvergence, and Pruned (the engine default) additionally
-// classifies faults on provably-dead sites from the golden-run liveness
-// index without simulating them. Results are bit-identical across all
-// three (internal/swfi/fastforward_test.go, prune_test.go).
+// swfiBenchModes are the two engine configurations the software-campaign
+// benchmarks compare: FullReplay is the plain path (every injection run
+// re-simulates from dynamic instruction zero with hooks armed throughout)
+// and FastForward (the engine default) adds golden-prefix checkpoint
+// restore and reconvergence. Results are bit-identical across both
+// (internal/swfi/fastforward_test.go, lattice_test.go).
 var swfiBenchModes = []struct {
-	name    string
-	noFF    bool
-	noPrune bool
+	name string
+	noFF bool
 }{
-	{"Pruned", false, false},
-	{"FastForward", false, true},
-	{"FullReplay", true, true},
+	{"FastForward", false},
+	{"FullReplay", true},
 }
 
 // BenchmarkSWFI_HPCCampaign measures the wall-clock of one software
-// injection campaign under the three engine modes.
+// injection campaign under the two engine modes.
 func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 	for _, mode := range swfiBenchModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -515,14 +511,12 @@ func BenchmarkSWFI_HPCCampaign(b *testing.B) {
 				res, err := RunCampaign(Campaign{
 					Workload: apps.NewHotspot(16, 8), Model: ModelBitFlip,
 					Injections: 200, Seed: 97, NoFastForward: mode.noFF,
-					NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
-					b.ReportMetric(res.PruneRate(), "prune-rate")
 					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}
@@ -540,14 +534,12 @@ func BenchmarkSWFI_CNNCampaign(b *testing.B) {
 					Net: cnn.NewLeNetLite(), Input: cnn.LeNetInput(0),
 					Model: swfi.CNNBitFlip, Injections: 200, Seed: 96,
 					Critical: swfi.LeNetCritical, NoFastForward: mode.noFF,
-					NoPrune: mode.noPrune,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
-					b.ReportMetric(res.PruneRate(), "prune-rate")
 					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
 				}
 			}

@@ -83,7 +83,7 @@ func main() {
 			e.Name, e.BitFlip.PVF(), e.Syndrome.PVF(), 100*e.Underestimation())
 	}
 
-	fmt.Println("\n== Campaign engine accounting (pruned faults, replay speedup) ==")
+	fmt.Println("\n== Campaign engine accounting (replay speedup) ==")
 	for _, e := range evals {
 		printEngineRow(e.Name, e.BitFlip.Counters, e.Syndrome.Counters)
 		if reason := e.BitFlip.NoReconvergeReason; reason != "" {
@@ -118,14 +118,11 @@ func main() {
 	fmt.Printf("  %s\n", cm.Compare(48000))
 }
 
-// printEngineRow renders one campaign-engine accounting row over a
-// subject's campaigns: the share of injections resolved by dead-site
-// pruning, and the effective replay speedup of the rest.
+// printEngineRow renders the effective replay speedup over a subject's campaigns.
 func printEngineRow(name string, campaigns ...swfi.Counters) {
 	var c swfi.Counters
 	for _, o := range campaigns {
 		c.Merge(o)
 	}
-	fmt.Printf("  %-10s pruned=%d (%.1f%%) replay speedup %.2fx\n",
-		name, c.PrunedFaults, 100*c.PruneRate(), c.FFSpeedup())
+	fmt.Printf("  %-10s replay speedup %.2fx\n", name, c.FFSpeedup())
 }

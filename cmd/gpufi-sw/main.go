@@ -6,16 +6,16 @@
 //
 //	gpufi-sw [-app MxM|Lava|Quicksort|Hotspot|LUD|Gaussian|LeNet|Yolo]
 //	         [-model bitflip|bitflip2|syndrome|tile] [-db syndromes.json]
-//	         [-n 1000] [-seed S] [-no-fast-forward] [-no-prune]
-//	         [-no-fast-path] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	         [-n 1000] [-seed S] [-no-fast-forward] [-no-fast-path]
+//	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Without -app, all six HPC applications run under the chosen model.
 // -no-fast-forward disables the golden-prefix checkpoint optimisation and
-// re-simulates every injection run from instruction zero; -no-prune
-// disables dead-site liveness pruning; -no-fast-path forces the reference
-// (Tier 0) interpreter instead of the pre-decoded fast path. Results are
-// bit-identical under every combination; the flags exist for regression
-// comparison and for benchmarking the accelerator layers themselves.
+// re-simulates every injection run from instruction zero; -no-fast-path
+// forces the reference (Tier 0) interpreter instead of the pre-decoded
+// fast path. Results are bit-identical under every combination; the flags
+// exist for regression comparison and for benchmarking the accelerator
+// layers themselves.
 //
 // SIGINT cancels the campaign at the next injection boundary and prints
 // how many injections completed before the interrupt.
@@ -49,7 +49,6 @@ func main() {
 		n          = flag.Int("n", 1000, "injections per campaign")
 		seed       = flag.Uint64("seed", 7, "campaign seed")
 		noFF       = flag.Bool("no-fast-forward", false, "replay every injection run in full instead of restoring golden-prefix checkpoints")
-		noPrune    = flag.Bool("no-prune", false, "disable dead-site liveness pruning (results are bit-identical)")
 		noFastPath = flag.Bool("no-fast-path", false, "force the reference (Tier 0) interpreter instead of the pre-decoded fast path (results are bit-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -75,7 +74,7 @@ func main() {
 
 	switch *appName {
 	case "LeNet", "Yolo":
-		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF, *noPrune, *noFastPath)
+		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF, *noFastPath)
 		return
 	}
 
@@ -102,9 +101,8 @@ func main() {
 		var done atomic.Int64
 		res, err := gpufi.RunCampaignCtx(ctx, gpufi.Campaign{
 			Workload: w, Model: fm, DB: db, Injections: *n, Seed: *seed,
-			NoFastForward: *noFF, NoPrune: *noPrune,
-			NoFastPath: *noFastPath,
-			Progress:   func(d, t int) { progressMax(&done, int64(d)) },
+			NoFastForward: *noFF, NoFastPath: *noFastPath,
+			Progress: func(d, t int) { progressMax(&done, int64(d)) },
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -124,17 +122,15 @@ func main() {
 	}
 }
 
-// logEngine reports the campaign accelerator accounting: how many faults
-// the liveness index pruned, the effective replay speedup of what
-// remained, and the interpreter throughput (emulated MIPS over interpreted
+// logEngine reports the campaign accelerator accounting: the effective replay
+// speedup and the interpreter throughput (emulated MIPS over interpreted
 // instructions; effective MIPS also credits the fast-forward-skipped ones).
 func logEngine(name string, c swfi.Counters, elapsed time.Duration) {
 	if c.SimInstrs == 0 && c.SkippedInstrs == 0 {
 		return // NoFastForward: the engine ran plainly, nothing to report
 	}
-	log.Printf("%s: engine pruned %d (%.1f%%), replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
-		name, c.PrunedFaults, 100*c.PruneRate(), c.FFSpeedup(),
-		c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
+	log.Printf("%s: engine replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
+		name, c.FFSpeedup(), c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
 }
 
 // startProfiles starts CPU profiling and arranges a heap profile, both
@@ -183,7 +179,7 @@ func progressMax(v *atomic.Int64, n int64) {
 	}
 }
 
-func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noPrune, noFastPath bool) {
+func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noFastPath bool) {
 	var (
 		net      *gpufi.Network
 		input    []float32
@@ -212,9 +208,8 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
 		Net: net, Input: input, Model: cm, DB: db,
 		Injections: n, Seed: seed, Critical: critical,
-		NoFastForward: noFF, NoPrune: noPrune,
-		NoFastPath: noFastPath,
-		Progress:   func(d, t int) { progressMax(&done, int64(d)) },
+		NoFastForward: noFF, NoFastPath: noFastPath,
+		Progress: func(d, t int) { progressMax(&done, int64(d)) },
 	})
 	if err != nil {
 		if ctx.Err() != nil {

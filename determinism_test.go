@@ -147,12 +147,12 @@ func TestExecutionModesAgree(t *testing.T) {
 }
 
 // TestCampaignModeLatticeDeterministic is the campaign-level determinism
-// property over all 8 paper workloads: the default engine (dead-site
-// pruning + fast-forward) yields byte-identical tallies and injection
-// records across worker counts, with pruning disabled, against the plain
-// full-replay path, and with the pre-decoded interpreter fast path forced
-// off (Tier 0 only). The deprecated NoCollapse field is inert: setting it
-// changes neither the results nor the engine counters.
+// property over all 8 paper workloads: the default engine (checkpoint
+// fast-forward) yields byte-identical tallies and injection records
+// across worker counts, against the plain full-replay path, and with the
+// pre-decoded interpreter fast path forced off (Tier 0 only). The
+// deprecated NoCollapse and NoPrune fields are inert: setting them changes
+// neither the results nor the engine counters.
 func TestCampaignModeLatticeDeterministic(t *testing.T) {
 	type arm struct {
 		name                                  string
@@ -163,8 +163,8 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 		{"default/w1", 1, false, false, false, false},
 		{"default/w4", 4, false, false, false, false},
 		{"no-collapse", 4, false, true, false, false}, // inert: must equal the default, counters included
-		{"no-prune", 4, true, false, false, false},
-		{"full-replay", 4, true, false, true, false},
+		{"no-prune", 4, true, false, false, false},    // likewise
+		{"full-replay", 4, false, false, true, false},
 		{"no-fast-path", 4, false, false, false, true},
 	}
 	type outcome struct {
@@ -235,8 +235,8 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 					}
 				}
 				// Engine accounting is schedule-deterministic: neither the
-				// worker count nor the inert field may move a counter.
-				if (a.name == "default/w4" || a.name == "no-collapse") && got.counters != base.counters {
+				// worker count nor an inert field may move a counter.
+				if !a.noFF && !a.noFastPath && got.counters != base.counters {
 					t.Errorf("%s: counters %+v, baseline %+v", a.name, got.counters, base.counters)
 				}
 			}

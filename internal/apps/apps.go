@@ -14,8 +14,11 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"gpufi/internal/emu"
+	"gpufi/internal/kasm"
 	"gpufi/internal/replay"
 	"gpufi/internal/stats"
 )
@@ -94,6 +97,34 @@ const ArenaSlack = 1 << 16
 
 // arena allocates a padded global-memory image through the Runner.
 func arena(rt Runner, words int) []uint32 { return rt.Arena(words + ArenaSlack) }
+
+// kernelMemo caches the kernels LUD and Quicksort assemble per launch (their
+// parameters are baked in as immediates), keyed by those parameters: a
+// replay.Player that skips a launch still asks for its program, and a fresh
+// *kasm.Program is a new decode-cache entry. One per Workload, for all its runs.
+type kernelMemo struct {
+	progs sync.Map // [4]int{builder kind, its parameters...} -> *kasm.Program
+	n     atomic.Int64
+}
+
+// kernelMemoMax bounds a memo: corrupted Quicksort runs partition at pivots
+// the golden run never saw, and a long campaign must not pin them all.
+const kernelMemoMax = 1024
+
+// get returns the kernel for key, building it on first use.
+func (m *kernelMemo) get(key [4]int, build func() *kasm.Program) *kasm.Program {
+	if p, ok := m.progs.Load(key); ok {
+		return p.(*kasm.Program)
+	}
+	if m.n.Load() >= kernelMemoMax {
+		return build()
+	}
+	p, loaded := m.progs.LoadOrStore(key, build())
+	if !loaded {
+		m.n.Add(1)
+	}
+	return p.(*kasm.Program)
+}
 
 // f32 packs a float32 into a memory word.
 func f32(v float32) uint32 { return math.Float32bits(v) }

@@ -203,6 +203,8 @@ func buildLUDInternal(n, kb, ib, jb int) *kasm.Program {
 // diagonally dominant matrix. n must be a power-of-two multiple of 8.
 func NewLUD(n int) *Workload {
 	nb := n / ludBS
+	var kernels kernelMemo
+	const diagonal, rowStrip, colStrip, internal = 0, 1, 2, 3
 	return &Workload{
 		Name:     "LUD",
 		Domain:   "Linear algebra",
@@ -214,27 +216,27 @@ func NewLUD(n int) *Workload {
 			for i := 0; i < n; i++ {
 				g[i*n+i] = f32(fromBits(g[i*n+i]) + float32(n)) // diagonal dominance
 			}
-			run := func(p *kasm.Program) error {
+			run := func(key [4]int, build func() *kasm.Program) error {
 				return rt.Launch(&emu.Launch{
-					Prog: p, Grid: 1, Block: ludBS * ludBS,
+					Prog: kernels.get(key, build), Grid: 1, Block: ludBS * ludBS,
 					Global: g, SharedWords: 2 * ludBS * ludBS,
 				})
 			}
 			for kb := 0; kb < nb; kb++ {
-				if err := run(buildLUDDiagonal(n, kb)); err != nil {
+				if err := run([4]int{diagonal, kb}, func() *kasm.Program { return buildLUDDiagonal(n, kb) }); err != nil {
 					return nil, err
 				}
 				for ob := kb + 1; ob < nb; ob++ {
-					if err := run(buildLUDRowStrip(n, kb, ob)); err != nil {
+					if err := run([4]int{rowStrip, kb, ob}, func() *kasm.Program { return buildLUDRowStrip(n, kb, ob) }); err != nil {
 						return nil, err
 					}
-					if err := run(buildLUDColStrip(n, kb, ob)); err != nil {
+					if err := run([4]int{colStrip, kb, ob}, func() *kasm.Program { return buildLUDColStrip(n, kb, ob) }); err != nil {
 						return nil, err
 					}
 				}
 				for ib := kb + 1; ib < nb; ib++ {
 					for jb := kb + 1; jb < nb; jb++ {
-						if err := run(buildLUDInternal(n, kb, ib, jb)); err != nil {
+						if err := run([4]int{internal, kb, ib, jb}, func() *kasm.Program { return buildLUDInternal(n, kb, ib, jb) }); err != nil {
 							return nil, err
 						}
 					}

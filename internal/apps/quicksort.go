@@ -46,7 +46,7 @@ const (
 // the block scans the flags in shared memory (Hillis–Steele), and keys
 // scatter in place. The left-part size is written to the parameter block
 // for the host's recursion. Layout: [a(n) | lo | len | pivot | total].
-func buildPartition(n, block int, le bool, lo, length int, pivotBits uint32) *kasm.Program {
+func buildPartition(n int, le bool, lo, length int, pivotBits uint32) *kasm.Program {
 	cmp := isa.CmpLT
 	name := "part_lt"
 	if le {
@@ -153,11 +153,14 @@ func NewQuicksort(n int) *Workload {
 	if n > 512 {
 		n = 512 // single-block partition bound
 	}
-	block := 1
-	for block < n {
-		block <<= 1
-	}
 	words := n + qpWords
+	var kernels kernelMemo
+	const leafPass, partLT, partLE = 0, 1, 2
+	partition := func(kind, lo, length int, pivotBits uint32) *kasm.Program {
+		return kernels.get([4]int{kind, lo, length, int(pivotBits)}, func() *kasm.Program {
+			return buildPartition(n, kind == partLE, lo, length, pivotBits)
+		})
+	}
 	return &Workload{
 		// PureHost stays false: the host recursion stack is driven by
 		// median-of-three pivots and partition totals read back from the
@@ -184,13 +187,15 @@ func NewQuicksort(n int) *Workload {
 				}
 				if s.len <= leafCutoff {
 					lb := pow2ceil((s.len + 1) / 2)
-					leafPass := [2]*kasm.Program{
-						buildLeafPass(s.lo, s.len, 0),
-						buildLeafPass(s.lo, s.len, 1),
+					var pass [2]*kasm.Program
+					for parity := range pass {
+						pass[parity] = kernels.get([4]int{leafPass, s.lo, s.len, parity}, func() *kasm.Program {
+							return buildLeafPass(s.lo, s.len, parity)
+						})
 					}
-					for pass := 0; pass < s.len; pass++ {
+					for i := 0; i < s.len; i++ {
 						if err := rt.Launch(&emu.Launch{
-							Prog: leafPass[pass&1], Grid: 1, Block: lb,
+							Prog: pass[i&1], Grid: 1, Block: lb,
 							Global: g,
 						}); err != nil {
 							return nil, err
@@ -205,9 +210,8 @@ func NewQuicksort(n int) *Workload {
 				c := fromBits(g[s.lo+s.len-1])
 				pivot := medianOf3(a, b, c)
 				pb := pow2ceil(s.len)
-				partLT := buildPartition(n, pb, false, s.lo, s.len, f32(pivot))
 				if err := rt.Launch(&emu.Launch{
-					Prog: partLT, Grid: 1, Block: pb,
+					Prog: partition(partLT, s.lo, s.len, f32(pivot)), Grid: 1, Block: pb,
 					Global: g, SharedWords: pb,
 				}); err != nil {
 					return nil, err
@@ -221,9 +225,8 @@ func NewQuicksort(n int) *Workload {
 				}
 				if totalL == 0 {
 					// Pivot is the minimum: peel off the equal class.
-					partLE := buildPartition(n, pb, true, s.lo, s.len, f32(pivot))
 					if err := rt.Launch(&emu.Launch{
-						Prog: partLE, Grid: 1, Block: pb,
+						Prog: partition(partLE, s.lo, s.len, f32(pivot)), Grid: 1, Block: pb,
 						Global: g, SharedWords: pb,
 					}); err != nil {
 						return nil, err

@@ -436,9 +436,7 @@ type EvalConfig struct {
 	Seed       uint64
 	Workers    int
 
-	// NoPrune disables dead-site liveness pruning for every campaign of
-	// the evaluation; see swfi.Campaign. Results are bit-identical either
-	// way.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(c)).
 	NoPrune bool
 
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
@@ -508,8 +506,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		flip, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelBitFlip, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
-			Progress: progress(),
+			NoFastPath: cfg.NoFastPath, Progress: progress(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s bit-flip: %w", w.Name, err)
@@ -518,8 +515,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		syn, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelSyndrome, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2 + 1, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
-			Progress: progress(),
+			NoFastPath: cfg.NoFastPath, Progress: progress(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s syndrome: %w", w.Name, err)
@@ -571,8 +567,7 @@ func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.
 		res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 			Net: net, Input: input, Model: model, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: seed, Workers: cfg.Workers,
-			NoPrune: cfg.NoPrune, NoFastPath: cfg.NoFastPath,
-			Critical: critical, Progress: progress,
+			NoFastPath: cfg.NoFastPath, Critical: critical, Progress: progress,
 		})
 		if err == nil {
 			base += cfg.Injections

@@ -309,29 +309,61 @@ func Fma(a, b, c float32) float32 {
 	return math.Float32frombits(FmaBits(math.Float32bits(a), math.Float32bits(b), math.Float32bits(c)))
 }
 
-// FmaBits is Fma on raw IEEE bit patterns. The native shortcut computes
-// through math.FMA on float64, which rounds the exact a*b+c once to 53
-// bits. Converting that to binary32 is a second rounding, which is only
-// hazardous when the 53-bit value lands exactly on a binary32 rounding
-// midpoint (low 29 mantissa bits = 0x10000000): the 53-bit rounding may
-// have manufactured or destroyed the tie, so those cases — about one in
-// 2^29 — fall back to the single-rounding datapath. Off the midpoint the
+// FmaBits is Fma on raw IEEE bit patterns. With three normal operands the
+// native shortcut computes through math.FMA on float64, which rounds the
+// exact a*b+c once to 53 bits. Converting that to binary32 is a second
+// rounding, only hazardous when the 53-bit value lands exactly on a
+// binary32 rounding midpoint (low 29 mantissa bits = 0x10000000): the
+// 53-bit rounding may have manufactured the tie. Off the midpoint the
 // conversion's decision is unaffected by the at-most-half-ulp53 error,
 // because midpoints are themselves 53-bit values: a result that is not
-// one sits at least a full ulp53 away, twice the rounding error.
+// one sits at least a full ulp53 away, twice the rounding error. On it (6 %
+// of the paper applications' FFMAs: few-bit mantissas make a*b+c a 25-bit
+// value) offMidpoint recovers what the rounding dropped.
 func FmaBits(ab, bb, cb uint32) uint32 {
 	if bothNormal(ab, bb) && (cb>>23&0xFF)-1 < 0xFE {
-		r64 := math.FMA(
-			float64(math.Float32frombits(ab)),
-			float64(math.Float32frombits(bb)),
-			float64(math.Float32frombits(cb)))
-		if math.Float64bits(r64)&0x1FFFFFFF != 0x10000000 {
-			if r := math.Float32bits(float32(r64)); fastResult(r) {
-				return r
-			}
+		a := float64(math.Float32frombits(ab))
+		b := float64(math.Float32frombits(bb))
+		c := float64(math.Float32frombits(cb))
+		s := math.FMA(a, b, c)
+		if math.Float64bits(s)&0x1FFFFFFF == 0x10000000 {
+			s = offMidpoint(a*b, c, s)
 		}
+		if r := math.Float32bits(float32(s)); fastResult(r) {
+			return r
+		}
+	} else if r, ok := fmaTrivial(ab, bb, cb); ok {
+		return r
 	}
 	return fmaBitsSlow(ab, bb, cb)
+}
+
+// offMidpoint takes s = p + c rounded to 53 bits and sitting on a binary32
+// rounding midpoint (p an exact product of two binary32 values) and returns
+// a value that converts to binary32 the way the exact p + c rounds. Knuth's
+// TwoSum yields e with p + c == s + e exactly. e == 0: the tie is genuine,
+// ties-to-even is the single rounding's. Otherwise the exact sum lies on e's
+// side of the midpoint, and so does s stepped one ulp53 that way.
+func offMidpoint(p, c, s float64) float64 {
+	t := s - p
+	if e := (p - (s - t)) + (c - t); e != 0 {
+		return math.Nextafter(s, math.Copysign(math.Inf(1), e))
+	}
+	return s
+}
+
+// fmaTrivial resolves a zero operand without the FMA datapath (a flushed
+// subnormal is a zero): a zero factor times a finite one leaves a normal
+// addend as it is, a zero addend leaves the product of two normal factors.
+func fmaTrivial(ab, bb, cb uint32) (uint32, bool) {
+	ae, be, ce := ab>>23&0xFF, bb>>23&0xFF, cb>>23&0xFF
+	switch {
+	case ce-1 < 0xFE:
+		return cb, ae == 0 && be != 0xFF || be == 0 && ae != 0xFF
+	case ce == 0 && bothNormal(ab, bb):
+		return MulBits(ab, bb), true
+	}
+	return 0, false
 }
 
 // fmaBitsSlow is the unpack/multiply/align/add/round datapath for FmaBits.

@@ -317,6 +317,32 @@ func TestHTTPResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// assertFieldInert submits req twice over HTTP, with set(false) and
+// set(true) applied, and requires byte-identical results and — for
+// software jobs — identical engine counters in the status.
+func assertFieldInert(t *testing.T, base, field string, req Request, set func(*Request, bool)) {
+	t.Helper()
+	var final [2]Status
+	for i, on := range []bool{false, true} {
+		set(&req, on)
+		st := postJob(t, base, req)
+		waitFor(t, 120*time.Second, "job", func() bool {
+			st = getJob(t, base, st.ID)
+			return st.State.Terminal()
+		})
+		if st.State != StateDone {
+			t.Fatalf("%s job (%s=%v) ended %s (error %q)", req.Kind, field, on, st.State, st.Error)
+		}
+		final[i] = st
+	}
+	if !bytes.Equal(final[0].Result, final[1].Result) {
+		t.Errorf("%s: %s changed the result:\nwithout: %s\nwith:    %s", req.Kind, field, final[0].Result, final[1].Result)
+	}
+	if sw := final[0].SW; sw != nil && sw.Counters != final[1].SW.Counters {
+		t.Errorf("%s: %s changed the engine counters: %+v without, %+v with", req.Kind, field, sw.Counters, final[1].SW.Counters)
+	}
+}
+
 // TestHTTPNoCollapseIsInert: the deprecated no_collapse request field
 // still passes the submit decoder's unknown-field check and changes
 // nothing — the result (tallies, engine counters, syndrome DB) is
@@ -327,22 +353,20 @@ func TestHTTPNoCollapseIsInert(t *testing.T) {
 		smallHPC(),
 		{Kind: KindCharacterize, Seed: 5, Ops: []string{"FADD"}, Ranges: []string{"M"}, Faults: 300, SkipTMXM: true},
 	} {
-		var results [2][]byte
-		for i, noCollapse := range []bool{false, true} {
-			req.NoCollapse = noCollapse
-			st := postJob(t, srv.URL, req)
-			waitFor(t, 120*time.Second, "job", func() bool {
-				st = getJob(t, srv.URL, st.ID)
-				return st.State.Terminal()
-			})
-			if st.State != StateDone {
-				t.Fatalf("%s job (no_collapse=%v) ended %s (error %q)", req.Kind, noCollapse, st.State, st.Error)
-			}
-			results[i] = st.Result
-		}
-		if !bytes.Equal(results[0], results[1]) {
-			t.Errorf("%s: no_collapse changed the result:\nwithout: %s\nwith:    %s", req.Kind, results[0], results[1])
-		}
+		assertFieldInert(t, srv.URL, "no_collapse", req, func(r *Request, on bool) { r.NoCollapse = on })
+	}
+}
+
+// TestHTTPNoPruneIsInertForSoftwareJobs: no_prune keeps its meaning for
+// characterize jobs only; HPC and CNN jobs accept it and ignore it, engine
+// counters included.
+func TestHTTPNoPruneIsInertForSoftwareJobs(t *testing.T) {
+	_, srv := newHTTPService(t, Config{Workers: 1})
+	for _, req := range []Request{
+		smallHPC(),
+		{Kind: KindCNN, Seed: 13, Models: []string{"bitflip"}, Injections: 30},
+	} {
+		assertFieldInert(t, srv.URL, "no_prune", req, func(r *Request, on bool) { r.NoPrune = on })
 	}
 }
 

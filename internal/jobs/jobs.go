@@ -56,8 +56,8 @@ type Request struct {
 	Kind Kind   `json:"kind"`
 	Seed uint64 `json:"seed"`
 
-	// All job kinds: accelerator escape hatch. NoPrune disables dead-site
-	// pruning (RTL and software); results are bit-identical either way.
+	// Characterize jobs: accelerator escape hatch. NoPrune disables RTL
+	// dead-site pruning; bit-identical either way. Software jobs ignore it.
 	NoPrune bool `json:"no_prune,omitempty"`
 
 	// Deprecated: accepted and ignored; kept until bench/ stops sending it (ROADMAP 1(a)).
@@ -314,9 +314,7 @@ func compileHPC(req Request) (*program, error) {
 					res, err := swfi.RunCtx(ctx, swfi.Campaign{
 						Workload: w, Model: model, DB: env.db,
 						Injections: injections, Seed: seed, Workers: env.workers,
-						NoPrune:    req.NoPrune,
-						NoFastPath: req.NoFastPath,
-						Progress:   progress,
+						NoFastPath: req.NoFastPath, Progress: progress,
 					})
 					if err != nil {
 						return nil, err
@@ -370,9 +368,7 @@ func compileCNN(req Request) (*program, error) {
 				res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 					Net: net, Input: input, Model: model, DB: env.db,
 					Injections: injections, Seed: seed, Workers: env.workers,
-					NoPrune:    req.NoPrune,
-					NoFastPath: req.NoFastPath,
-					Critical:   critical, Progress: progress,
+					NoFastPath: req.NoFastPath, Critical: critical, Progress: progress,
 				})
 				if err != nil {
 					return nil, err

@@ -227,7 +227,6 @@ type SWTelemetry struct {
 	FFSpeedup     float64 `json:"ff_speedup,omitempty"`
 	EmuMIPS       float64 `json:"emu_mips,omitempty"`
 	EffectiveMIPS float64 `json:"effective_mips,omitempty"`
-	PruneRate     float64 `json:"prune_rate"`
 }
 
 // Status snapshots the job.
@@ -300,10 +299,7 @@ func (j *Job) swTelemetry() *SWTelemetry {
 		agg.Merge(u.Counters)
 	}
 	agg.Injections = agg.Counters.Injections
-	// An all-skipped aggregate has no finite speedup; the field is omitted
-	// (0), mirroring the rtl block.
 	agg.FFSpeedup = agg.Counters.FFSpeedup()
-	agg.PruneRate = agg.Counters.PruneRate()
 	// Throughput comes from the live counters, not the journal: wall time
 	// is nondeterministic and must stay out of the bit-identical unit
 	// results, so units restored after a restart carry no duration and

@@ -1,5 +1,8 @@
 package replay
 
+// Deprecated: no engine builds or reads this index (swfi simulates every
+// injection); kept for bench/'s two liveness probes (ROADMAP 1(a)/2(c)).
+//
 // Dead-site liveness: the software analog of internal/rtl's DeadAt
 // index, at instruction granularity. During the golden recording the
 // Recorder can additionally capture the executed event stream; a backward
@@ -18,10 +21,9 @@ package replay
 //
 // A fault injected into a dead site provably leaves the final output
 // bit-identical to the golden run (and cannot crash or hang: addresses and
-// control inputs are never dead), so the injector classifies it Masked
-// with zero simulated instructions. Per-site records (opcode, golden
-// output bits, operand magnitude) let it also reproduce the exact
-// corruption draw an executed injection would have made.
+// control inputs are never dead). Per-site records (opcode, golden output
+// bits, operand magnitude) describe the corruption draw an executed
+// injection would make there.
 
 import (
 	"math/bits"

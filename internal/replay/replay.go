@@ -145,9 +145,8 @@ type Trace struct {
 	// ComputeLiveIn.
 	LiveIn [][]uint64
 
-	// Live, when computed (Recorder.CaptureLiveness + ComputeLiveness), is
-	// the dead-site index over the trace's countable coordinates: faults
-	// injected at dead sites are provably Masked without simulation.
+	// Deprecated: the dead-site index of liveness.go, which no engine builds
+	// or reads; kept for bench/'s two liveness probes (ROADMAP 1(a)/2(c)).
 	Live *Liveness
 
 	count func(isa.Opcode) bool
@@ -210,11 +209,12 @@ func (tr *Trace) cumBefore(ord int) (uint64, uint64) {
 // write-sets. count classifies the opcodes an injector counts (and
 // targets); it parameterises the trace's countable coordinates.
 type Recorder struct {
-	tr     *Trace
-	every  uint64
-	g      []uint32
-	pre    []uint32
-	post   []uint32 // arena image at the end of the previous launch
+	tr    *Trace
+	every uint64
+	g     []uint32
+	// img is the arena as the recorded deltas account for it: patched at
+	// the words each host and launch delta names, never recopied.
+	img    []uint32
 	nextCk uint64
 
 	// Liveness capture (CaptureLiveness): a Post hook recording the event
@@ -223,9 +223,8 @@ type Recorder struct {
 	lvc     *liveCapture
 
 	// NoFastPath forces the emulator's Tier-0 reference interpreter while
-	// recording. Without liveness capture a recording is hook-free and
-	// otherwise runs on the Tier-1 fast path (which marks the MemTrace
-	// bitmaps identically).
+	// recording. A recording is hook-free and otherwise runs on the Tier-1
+	// fast path (which marks the MemTrace bitmaps identically).
 	NoFastPath bool
 }
 
@@ -252,15 +251,26 @@ func (r *Recorder) Arena(words int) []uint32 {
 func (r *Recorder) Launch(l *emu.Launch) error {
 	ord := len(r.tr.Launches)
 	base, baseCount := r.tr.Instrs, r.tr.Count
+	// Host code writes the arena directly; only comparing finds what it
+	// changed: the one whole-arena pass a launch costs (launch 0's seeds img).
+	// Blocks compare as arrays, one memequal each: most are untouched slack.
 	var host []Delta
-	if ord > 0 {
-		for i, v := range r.g {
-			if v != r.post[i] {
+	if ord == 0 {
+		r.img = append(r.img, r.g...)
+	}
+	const blk = 64
+	for lo := 0; ord > 0 && lo < len(r.g); lo += blk {
+		hi := min(lo+blk, len(r.g))
+		if hi-lo == blk && *(*[blk]uint32)(r.g[lo:]) == *(*[blk]uint32)(r.img[lo:]) {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			if v := r.g[i]; v != r.img[i] {
 				host = append(host, Delta{Idx: uint32(i), Val: v})
+				r.img[i] = v
 			}
 		}
 	}
-	r.pre = append(r.pre[:0], r.g...)
 	l.Hooks = emu.Hooks{}
 	l.NoFastPath = r.NoFastPath
 	mt := emu.NewMemTrace(len(r.g))
@@ -283,13 +293,18 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	if err != nil {
 		return err
 	}
+	// A launch changes only words it stored to, and every store marks Writes:
+	// the marked words that differ from img are what a whole-arena diff finds.
 	var deltas []Delta
-	for i, v := range r.g {
-		if v != r.pre[i] {
-			deltas = append(deltas, Delta{Idx: uint32(i), Val: v})
+	for k, m := range mt.Writes {
+		for ; m != 0; m &= m - 1 {
+			i := k<<6 + bits.TrailingZeros64(m)
+			if v := r.g[i]; v != r.img[i] {
+				deltas = append(deltas, Delta{Idx: uint32(i), Val: v})
+				r.img[i] = v
+			}
 		}
 	}
-	r.post = append(r.post[:0], r.g...)
 	r.tr.Instrs = base + res.DynThreadInstrs
 	r.tr.Count = baseCount + r.tr.countable(&res.PerOpcode)
 	for op, n := range res.PerOpcode {

@@ -56,13 +56,10 @@ type CNNCampaign struct {
 	// NoFastForward disables the golden-prefix checkpoint optimisation and
 	// re-executes every injection run from the first layer with hooks
 	// armed throughout. Results are bit-identical either way; see
-	// Campaign.NoFastForward. It implies NoPrune.
+	// Campaign.NoFastForward.
 	NoFastForward bool
 
-	// NoPrune disables dead-site liveness pruning for the instruction
-	// models; see Campaign.NoPrune. The tile model never prunes — it
-	// corrupts feature-map regions at layer boundaries, not instruction
-	// outputs.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(c)).
 	NoPrune bool
 
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
@@ -129,7 +126,7 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 		name: c.Net.Name, model: ModelBitFlip, db: c.DB,
 		injections: c.Injections, seed: c.Seed, salt: 0xD1B54A32D192ED03, workers: c.Workers,
 		progress:      c.Progress,
-		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noFastPath: c.NoFastPath,
+		noFastForward: c.NoFastForward, noFastPath: c.NoFastPath,
 		shared:   c.Prepared,
 		prepare:  func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, c.NoFastPath, record) },
 		exec:     func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },

@@ -41,11 +41,11 @@ type CNNPrepared = prepared[[]float32]
 // prepare runs a subject's golden execution and, with record set, its
 // fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
 // per-launch global-memory write-sets, verified bit-identical (same) to
-// the plain golden run before it is trusted and then handed to index for
-// the subject's liveness analysis. Without record the golden and
+// the plain golden run before it is trusted and then handed to seal for
+// the subject's host-purity declaration. Without record the golden and
 // profiling runs execute plainly, exactly as before the optimisation.
 func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool,
-	noFastPath, record bool, index func(*replay.Recorder, *replay.Trace)) (*prepared[G], error) {
+	noFastPath, record bool, seal func(*replay.Trace)) (*prepared[G], error) {
 
 	plain := &replay.Plain{NoFastPath: noFastPath}
 	golden, err := run(plain)
@@ -63,7 +63,7 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 	// coordinates then index exactly the dynamic instructions an injector
 	// counts and targets.
 	rec := replay.NewRecorder(plain.Res.DynThreadInstrs/checkpointsPerCampaign, Injectable)
-	rec.CaptureLiveness(operandMagnitude)
+	rec.NoFastPath = noFastPath
 	recOut, err := run(rec)
 	if err != nil {
 		return nil, fmt.Errorf("swfi: checkpoint replay of %s failed: %w", name, err)
@@ -72,7 +72,7 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", name)
 	}
 	tr := rec.Finish()
-	index(rec, tr)
+	seal(tr)
 	return &prepared[G]{golden: golden, profile: Counts(tr.Profile), trace: tr}, nil
 }
 
@@ -85,14 +85,7 @@ func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
 
 func prepareWorkload(w *apps.Workload, noFastPath, record bool) (*Prepared, error) {
 	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], noFastPath, record,
-		func(rec *replay.Recorder, tr *replay.Trace) {
-			tr.HostPure = w.PureHost
-			// Dead-site index for liveness pruning. HPC hosts may read any
-			// arena word between launches, so the whole arena is live at
-			// every launch boundary; transitive dead sites inside a launch
-			// remain prunable.
-			rec.ComputeLiveness(0, 0, true)
-		})
+		func(tr *replay.Trace) { tr.HostPure = w.PureHost })
 }
 
 // PrepareCNN records a network/input pair's golden execution and
@@ -105,19 +98,15 @@ func PrepareCNN(net *cnn.Network, input []float32) (*CNNPrepared, error) {
 func prepareCNN(net *cnn.Network, input []float32, noFastPath, record bool) (*CNNPrepared, error) {
 	run := func(rt replay.Runner) ([]float32, error) { return net.RunWith(rt, input, nil) }
 	return prepare(net.Name, run, floatsEqual, noFastPath, record,
-		func(rec *replay.Recorder, tr *replay.Trace) {
+		func(tr *replay.Trace) {
 			// Network.RunWith's host is pure by construction: between
 			// launches it only applies the tile corruption at the faulty
 			// boundary itself and reads the arena solely after the last
-			// launch. That also licenses live-in pruning: corrupted
-			// activations parked in feature maps no later layer reads must
-			// not block reconvergence.
+			// launch. That also licenses comparing live-in words only at
+			// reconvergence: corrupted activations parked in feature maps
+			// no later layer reads must not block it.
 			tr.HostPure = true
 			off, words := net.OutputRegion()
 			tr.ComputeLiveIn(off, words)
-			// Dead-site index: the pure host never reads arena words
-			// outside the output region between launches, so liveness
-			// flows across launch boundaries from the output region alone.
-			rec.ComputeLiveness(off, words, false)
 		})
 }

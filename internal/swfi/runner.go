@@ -14,10 +14,10 @@ import (
 )
 
 // This file is the campaign runner shared by the HPC and CNN campaigns:
-// pick the preparation and run the injections on the campaign kernel with
-// the accelerator layers — dead-site pruning, checkpoint fast-forward — as
-// optional stages of the per-injection loop. RunCtx and RunCNNCtx are
-// adapters that describe their subject and shape the result.
+// pick the preparation and run the injections on the campaign kernel,
+// each one simulated — under a fast-forwarding player from the checkpoint
+// trace, or plainly. RunCtx and RunCNNCtx are adapters that describe their
+// subject and shape the result.
 
 // Counters is the software campaign engine's accounting over one or more
 // campaigns. Campaign results embed it, job journals carry it, and the
@@ -29,13 +29,12 @@ type Counters struct {
 
 	// SimInstrs counts the thread-instructions actually simulated across
 	// all injection runs; SkippedInstrs counts those the engine provably
-	// avoided (write-set launches, restored snapshot prefixes, pruned
-	// runs). Both are zero on the NoFastForward path.
+	// avoided (write-set launches, restored snapshot prefixes). Both are
+	// zero on the NoFastForward path.
 	SimInstrs     uint64 `json:"sim_instrs"`
 	SkippedInstrs uint64 `json:"skipped_instrs"`
 
-	// PrunedFaults counts injections classified Masked by the dead-site
-	// liveness index alone — zero emulator instructions executed.
+	// Deprecated: always 0; kept for bench/ and old journals until ROADMAP 1(a)/2(c).
 	PrunedFaults uint64 `json:"pruned_faults"`
 
 	// Deprecated: always 0; kept for bench/ and old journals until ROADMAP 1(a).
@@ -47,29 +46,17 @@ func (c *Counters) Merge(o Counters) {
 	c.Injections += o.Injections
 	c.SimInstrs += o.SimInstrs
 	c.SkippedInstrs += o.SkippedInstrs
-	c.PrunedFaults += o.PrunedFaults
 }
 
 // FFSpeedup is the effective replay speedup: all thread-instructions of
 // the injection runs over those actually simulated. 0 when nothing was
-// simulated (NoFastForward, or every injection pruned).
+// simulated (NoFastForward).
 func (c Counters) FFSpeedup() float64 {
 	if c.SimInstrs == 0 {
 		return 0
 	}
 	return float64(c.SimInstrs+c.SkippedInstrs) / float64(c.SimInstrs)
 }
-
-func (c Counters) share(n uint64) float64 {
-	if c.Injections == 0 {
-		return 0
-	}
-	return float64(n) / float64(c.Injections)
-}
-
-// PruneRate is the fraction of injections the dead-site index classified
-// without simulation.
-func (c Counters) PruneRate() float64 { return c.share(c.PrunedFaults) }
 
 // EmuMIPS is the emulated-instruction throughput over a wall-clock span:
 // simulated thread-instructions per microsecond (i.e. millions of
@@ -78,7 +65,7 @@ func (c Counters) PruneRate() float64 { return c.share(c.PrunedFaults) }
 func (c Counters) EmuMIPS(elapsed time.Duration) float64 { return mips(c.SimInstrs, elapsed) }
 
 // EffectiveMIPS is the virtual throughput including the instructions the
-// engine provably avoided simulating (fast-forward, pruning).
+// engine provably avoided simulating (fast-forward).
 func (c Counters) EffectiveMIPS(elapsed time.Duration) float64 {
 	return mips(c.SimInstrs+c.SkippedInstrs, elapsed)
 }
@@ -111,9 +98,7 @@ type subject[G any] struct {
 	records    bool
 	progress   func(done, total int)
 
-	// The accelerator switches as the caller set them; run resolves the
-	// implication (no fast-forward ⇒ no trace ⇒ no prune).
-	noFastForward, noPrune, noFastPath bool
+	noFastForward, noFastPath bool // the accelerator switches as the caller set them
 
 	shared  *prepared[G]                            // caller's preparation, or nil
 	prepare func(record bool) (*prepared[G], error) // a fresh one, with or without trace
@@ -162,14 +147,6 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		return nil, fmt.Errorf("swfi: %s executes no injectable instructions", s.name)
 	}
 
-	// Liveness pruning applies to the instruction-level models only: a
-	// tile corrupts feature-map regions at layer boundaries, outside the
-	// dead-site index's scope.
-	var live *replay.Liveness
-	if tr != nil && !s.noPrune && s.tile == nil {
-		live = tr.Live
-	}
-
 	grade := func(out G, err error) (faults.Outcome, bool) {
 		switch {
 		case err != nil:
@@ -194,7 +171,7 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		c.SkippedInstrs += p.Skipped
 		return injection{outcome: o, critical: crit}
 	}
-	// inject resolves one injection: prune it, or simulate it.
+	// inject draws one injection and simulates it.
 	inject := func(c *Counters, pool *replay.Pool, r *stats.RNG) injection {
 		if s.tile != nil {
 			last, exec, ok := s.tile(r)
@@ -206,25 +183,6 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 			return play(c, emu.Hooks{}, func() *replay.Player { return replay.NewPlayerSkipTo(tr, last, pool) }, exec)
 		}
 		in := &injector{target: r.Uint64() % injectable, model: s.model, db: s.db, focus: s.focus, rng: r}
-		if live != nil {
-			if site, dead := live.Dead(in.target); dead {
-				// The fault lands on a provably dead output site: the final
-				// output is bit-identical to golden (and addresses/control
-				// inputs are never dead, so it cannot trap or hang). Masked,
-				// zero emulator instructions; the whole would-be run lands
-				// in SkippedInstrs.
-				c.PrunedFaults++
-				c.SkippedInstrs += tr.Instrs
-				var out injection
-				if s.records {
-					// The site record reproduces the corruption draws an
-					// executed run would have made.
-					newBits, rel := drawCorruption(site.Op, site.OldBits, site.Mag, s.model, s.db, s.focus, r)
-					out.rec = InjectionRecord{Op: site.Op, RelErr: rel, OldBits: site.OldBits, NewBits: newBits}
-				}
-				return out
-			}
-		}
 		hooks := emu.Hooks{Post: in.post}
 		out := play(c, hooks, func() *replay.Player {
 			return replay.NewPlayer(tr, in.target, hooks,

@@ -167,25 +167,20 @@ func (in *injector) post(ev *emu.Event) {
 	if in.model.NeedsDB() {
 		mag = operandMagnitude(ev, lane)
 	}
-	corrupted, rel := drawCorruption(ev.Instr.Op, old, mag, in.model, in.db, in.focus, in.rng)
-	in.relErr = rel
-	in.newBits = corrupted
-	ev.CorruptDst(lane, corrupted)
+	in.newBits, in.relErr = in.corrupt(old, mag)
+	ev.CorruptDst(lane, in.newBits)
 	// The fault has fired; every later call would hit the in.fired guard
 	// above and return. Telling the emulator lets the post-fault tail run
 	// hook-free on the fast path.
 	ev.Disarm()
 }
 
-// drawCorruption makes the corruption draws of a fired injection: given a
-// site's opcode, golden output bits and operand magnitude, it consumes
-// exactly the RNG draws injector.post would and returns the corrupted
-// value and relative error. The dead-site prune path calls it with the
-// liveness index's per-site record to reproduce — without simulating —
-// the injection an executed run would have made.
-func drawCorruption(op isa.Opcode, old uint32, mag float64, model FaultModel,
-	db *syndrome.DB, focus *faults.Module, r *stats.RNG) (newBits uint32, relErr float64) {
-	switch model {
+// corrupt makes the fired injection's corruption draws on the site's golden
+// output bits: the corrupted value and the relative error applied (0 for
+// the bit-flip models).
+func (in *injector) corrupt(old uint32, mag float64) (newBits uint32, relErr float64) {
+	op, r := in.op, in.rng
+	switch in.model {
 	case ModelBitFlip:
 		return old ^ 1<<uint(r.Intn(32)), 0
 	case ModelDoubleBitFlip:
@@ -195,15 +190,15 @@ func drawCorruption(op isa.Opcode, old uint32, mag float64, model FaultModel,
 	default:
 		rng := faults.ClassifyMagnitude(mag)
 		mode := syndrome.SamplePowerLaw
-		if model == ModelSyndromeEmp {
+		if in.model == ModelSyndromeEmp {
 			mode = syndrome.SampleEmpirical
 		}
 		var rel float64
 		var found bool
-		if focus != nil {
-			rel, found = db.SampleFrom(op, rng, *focus, mode, r)
+		if in.focus != nil {
+			rel, found = in.db.SampleFrom(op, rng, *in.focus, mode, r)
 		} else {
-			rel, found = db.Sample(op, rng, mode, r)
+			rel, found = in.db.Sample(op, rng, mode, r)
 		}
 		if !found {
 			rel = 1.0 // uncharacterised pool: the canonical 100% syndrome
@@ -270,14 +265,10 @@ type Campaign struct {
 	// re-executes every injection run from dynamic instruction zero with
 	// hooks armed throughout. Results are bit-identical either way; the
 	// flag exists for regression tests and benchmarks of the fast-forward
-	// path itself. It implies NoPrune: the dead-site index lives on the
-	// fast-forward trace.
+	// path itself.
 	NoFastForward bool
 
-	// NoPrune disables dead-site liveness pruning: faults landing on
-	// provably dead output sites are then simulated like any other instead
-	// of being classified Masked with zero emulator instructions. Results
-	// are bit-identical either way.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(c)).
 	NoPrune bool
 
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
@@ -376,7 +367,7 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
 		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
 		records: c.RecordInjections, progress: c.Progress,
-		noFastForward: c.NoFastForward, noPrune: c.NoPrune, noFastPath: c.NoFastPath,
+		noFastForward: c.NoFastForward, noFastPath: c.NoFastPath,
 		shared:  c.Prepared,
 		prepare: func(record bool) (*Prepared, error) { return prepareWorkload(w, c.NoFastPath, record) },
 		exec:    w.ExecuteWith,
