@@ -28,6 +28,7 @@ import (
 	"syscall"
 
 	"gpufi"
+	"gpufi/internal/campaign"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/rtlfi"
@@ -69,7 +70,9 @@ func main() {
 		return
 	}
 
-	var done, total atomic.Int64
+	var total atomic.Int64 // of the plan; it arrives with the reports
+	var done campaign.Meter
+	part := done.Part()
 	cfg := gpufi.CharacterizeConfig{
 		FaultsPerCampaign: *nFaults,
 		TMXMFaults:        *nTMXM,
@@ -77,7 +80,7 @@ func main() {
 		NoPrune:           *noPrune,
 		NoBitParallel:     *noBitPar,
 		Progress: func(d, t int) {
-			progressMax(&done, int64(d))
+			part(d, t)
 			total.Store(int64(t))
 		},
 	}
@@ -86,7 +89,7 @@ func main() {
 	if err != nil {
 		if ctx.Err() != nil {
 			log.Fatalf("interrupted after %d/%d faults; nothing written (campaigns are deterministic, re-run to reproduce)",
-				done.Load(), total.Load())
+				done.Done(), total.Load())
 		}
 		log.Fatal(err)
 	}
@@ -116,17 +119,6 @@ func engineLine(c rtlfi.Counters) string {
 		100*c.PruneRate(), 100*c.VectorRate(), 100*c.LaneOccupancy(), c.ReplaySpeedup())
 }
 
-// progressMax raises *v to at least n (progress callbacks may arrive out
-// of order across engine workers).
-func progressMax(v *atomic.Int64, n int64) {
-	for {
-		cur := v.Load()
-		if n <= cur || v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // runSingle characterises one (op, range, module) pool and prints its
 // detailed statistics.
 func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64, noPrune, noBitPar bool) {
@@ -142,15 +134,15 @@ func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int
 	if !ok {
 		log.Fatalf("unknown module %q", modName)
 	}
-	var done atomic.Int64
+	var done campaign.Meter
 	res, err := rtlfi.RunMicroCtx(ctx, rtlfi.Spec{
 		Op: op, Range: rng, Module: mod, NumFaults: nFaults, Seed: seed,
 		NoPrune: noPrune, NoBitParallel: noBitPar,
-		Progress: func(d, t int) { progressMax(&done, int64(d)) },
+		Progress: done.Part(),
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			log.Fatalf("interrupted after %d/%d faults; nothing written", done.Load(), nFaults)
+			log.Fatalf("interrupted after %d/%d faults; nothing written", done.Done(), nFaults)
 		}
 		log.Fatal(err)
 	}

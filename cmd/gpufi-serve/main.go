@@ -7,7 +7,7 @@
 // Usage:
 //
 //	gpufi-serve [-addr :8080] [-dir data/jobs] [-jobs N]
-//	            [-engine-workers N] [-checkpoint 2s]
+//	            [-engine-workers N (a job's CPU budget)] [-checkpoint 2s]
 //	            [-fabric] [-lease 30s] [-local-units]
 //	gpufi-serve -worker -coordinator URL [-worker-name NAME]
 //	            [-worker-parallel N] [-engine-workers N]
@@ -62,7 +62,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "HTTP listen address")
 		dir           = flag.String("dir", "data/jobs", "checkpoint journal directory (empty disables persistence)")
 		nJobs         = flag.Int("jobs", runtime.NumCPU(), "concurrent job slots")
-		engineWorkers = flag.Int("engine-workers", 1, "workers per campaign engine")
+		engineWorkers = flag.Int("engine-workers", 1, "one job's CPU budget: engine workers of an hpc/cnn unit, split over a characterize job's units in flight")
 		checkpoint    = flag.Duration("checkpoint", 2*time.Second, "progress checkpoint interval")
 
 		fabricMode = flag.Bool("fabric", false, "run as campaign coordinator: distribute characterize units to fabric workers")

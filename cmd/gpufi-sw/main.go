@@ -30,11 +30,11 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"gpufi"
+	"gpufi/internal/campaign"
 	"gpufi/internal/swfi"
 )
 
@@ -98,16 +98,16 @@ func main() {
 	}
 
 	for _, w := range workloads {
-		var done atomic.Int64
+		var done campaign.Meter
 		res, err := gpufi.RunCampaignCtx(ctx, gpufi.Campaign{
 			Workload: w, Model: fm, DB: db, Injections: *n, Seed: *seed,
 			NoFastForward: *noFF, NoFastPath: *noFastPath,
-			Progress: func(d, t int) { progressMax(&done, int64(d)) },
+			Progress: done.Part(),
 		})
 		if err != nil {
 			if ctx.Err() != nil {
 				log.Fatalf("%s: interrupted after %d/%d injections (campaigns are deterministic, re-run to reproduce)",
-					w.Name, done.Load(), *n)
+					w.Name, done.Done(), *n)
 			}
 			log.Fatal(err)
 		}
@@ -168,17 +168,6 @@ func startProfiles(cpu, mem string) (func(), error) {
 	}, nil
 }
 
-// progressMax raises *v to at least n (progress callbacks may arrive out
-// of order across engine workers).
-func progressMax(v *atomic.Int64, n int64) {
-	for {
-		cur := v.Load()
-		if n <= cur || v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noFastPath bool) {
 	var (
 		net      *gpufi.Network
@@ -204,17 +193,17 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	if cm != swfi.CNNBitFlip && db == nil {
 		log.Fatal("-db is required for syndrome/tile CNN models")
 	}
-	var done atomic.Int64
+	var done campaign.Meter
 	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
 		Net: net, Input: input, Model: cm, DB: db,
 		Injections: n, Seed: seed, Critical: critical,
 		NoFastForward: noFF, NoFastPath: noFastPath,
-		Progress: func(d, t int) { progressMax(&done, int64(d)) },
+		Progress: done.Part(),
 	})
 	if err != nil {
 		if ctx.Err() != nil {
 			log.Fatalf("%s: interrupted after %d/%d injections (campaigns are deterministic, re-run to reproduce)",
-				name, done.Load(), n)
+				name, done.Done(), n)
 		}
 		log.Fatal(err)
 	}

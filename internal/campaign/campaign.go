@@ -4,7 +4,10 @@
 // the parts that are not about RTL cycles or emulator instructions live
 // here once: the striped worker loop with its cancellation and progress
 // rules, and the per-job outputs handed back in job order whatever the
-// worker count (Run).
+// worker count (Run). One level up, a characterisation or a job is a plan
+// of such campaigns: the one rule for running a plan — side by side,
+// committed in plan order (RunOrdered) — and the fold of the campaigns'
+// progress reports into one count (Meter) live here too.
 package campaign
 
 import (

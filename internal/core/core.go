@@ -12,8 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gpufi/internal/apps"
 	"gpufi/internal/campaign"
@@ -42,10 +40,10 @@ type CharacterizeConfig struct {
 	NoBitParallel     bool                // disable bit-parallel marching (see rtlfi.Spec.NoBitParallel)
 
 	// Progress, when non-nil, receives fault-level progress aggregated
-	// over the whole characterisation plan. It may be called concurrently
-	// and done values may arrive out of order; keep a running maximum.
-	// done stays below total until the last unit is ingested; the last
-	// call is (total, total).
+	// over the whole characterisation plan (a campaign.Meter). It may be
+	// called concurrently and calls may overtake each other; every call
+	// carries a distinct done. done stays below total until the last unit
+	// is ingested; the last call is (total, total).
 	Progress func(done, total int)
 }
 
@@ -240,107 +238,26 @@ func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
 // the whole phase: plan units run side by side, each on its share of it.
 func CharacterizeCtx(ctx context.Context, cfg CharacterizeConfig) (*Characterization, error) {
 	cfg.defaults()
-	return runPlan(ctx, Plan(cfg), campaign.Workers(cfg.Workers), cfg.Progress, RunUnit)
+	return runPlan(ctx, Plan(cfg), campaign.Workers(cfg.Workers), cfg.Progress)
 }
 
-// runPlan executes a plan with up to min(workers, len(plan)) units in
-// flight, each on workers/inFlight engine workers, and ingests the results
-// strictly in plan order on the calling goroutine while later units are
-// still running — a unit's power-law fits no longer hold the engines up.
-// Runners claim units in plan order, so every unit before a failed one has
-// been started and runs to its own end: the error returned is the one a
-// unit-at-a-time run of the plan would have hit first. After a failure no
-// further unit is claimed; units already in flight finish and are dropped.
-//
-// A unit's result does not depend on its engine worker count (campaign.Run
-// hands outputs back in job order), which is all that makes the split of
-// the budget invisible in the characterisation. run is RunUnit; tests
-// substitute it.
-func runPlan(ctx context.Context, plan []Unit, workers int, progress func(done, total int),
-	run func(ctx context.Context, u Unit, workers int, progress func(done, total int)) (*UnitResult, error)) (*Characterization, error) {
-
+// runPlan executes a plan on campaign.RunOrdered — up to workers units in
+// flight sharing the budget, the first error in plan order returned — with
+// AddUnit as the commit.
+func runPlan(ctx context.Context, plan []Unit, workers int, progress func(done, total int)) (*Characterization, error) {
 	out := &Characterization{DB: syndrome.New()}
-	if len(plan) == 0 {
-		return out, nil
-	}
-	inFlight := min(workers, len(plan))
-	total := 0
+	meter := campaign.Meter{Report: progress}
 	for _, u := range plan {
-		total += u.Faults
+		meter.Total += u.Faults
 	}
-
-	slots := make([]struct {
-		res   *UnitResult
-		err   error
-		ready chan struct{} // closed once res and err are set
-	}, len(plan))
-	for k := range slots {
-		slots[k].ready = make(chan struct{})
+	k, err := campaign.RunOrdered(ctx, len(plan), workers, workers,
+		func(i, workers int) (*UnitResult, error) { return RunUnit(ctx, plan[i], workers, meter.Part()) },
+		func(_ int, res *UnitResult) error { out.AddUnit(res); return nil })
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", plan[k].Name(), err)
 	}
-	var (
-		next   atomic.Int64 // plan index of the next unclaimed unit
-		failed atomic.Bool
-		fed    atomic.Int64 // faults reported to progress so far, over all units
-		wg     sync.WaitGroup
-	)
-	for range inFlight {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				k := int(next.Add(1)) - 1
-				if k >= len(plan) {
-					return
-				}
-				var unitProgress func(done, total int)
-				if progress != nil {
-					unitProgress = feedProgress(&fed, total, progress)
-				}
-				slot := &slots[k]
-				slot.res, slot.err = run(ctx, plan[k], workers/inFlight, unitProgress)
-				if slot.err != nil {
-					failed.Store(true)
-				}
-				close(slot.ready)
-			}
-		}()
-	}
-	defer wg.Wait()
-
-	for k, u := range plan {
-		<-slots[k].ready
-		if err := slots[k].err; err != nil {
-			return nil, fmt.Errorf("core: %s: %w", u.Name(), err)
-		}
-		out.AddUnit(slots[k].res)
-	}
-	if progress != nil {
-		progress(total, total)
-	}
+	meter.Finish()
 	return out, nil
-}
-
-// feedProgress returns one unit's progress callback: it adds the unit's
-// faults to the plan-wide counter fed and reports the sum. The engine's
-// workers report cumulative counts, possibly out of order; a running
-// maximum turns them into increments. The sum reaching total is not
-// reported here — that call is runPlan's, after the last commit.
-func feedProgress(fed *atomic.Int64, total int, progress func(done, total int)) func(done, total int) {
-	var seen atomic.Int64
-	return func(done, _ int) {
-		for {
-			old := seen.Load()
-			if int64(done) <= old {
-				return
-			}
-			if seen.CompareAndSwap(old, int64(done)) {
-				if d := int(fed.Add(int64(done) - old)); d < total {
-					progress(d, total)
-				}
-				return
-			}
-		}
-	}
 }
 
 // AVFRow is one Fig. 4 data point: a module x instruction cell averaged
@@ -448,9 +365,8 @@ type EvalConfig struct {
 	NoFastPath bool
 
 	// Progress, when non-nil, receives injection-level progress
-	// aggregated over all campaigns of the evaluation. It may be called
-	// concurrently and done values may arrive out of order; keep a
-	// running maximum.
+	// aggregated over all campaigns of the evaluation; the contract is
+	// CharacterizeConfig.Progress's.
 	Progress func(done, total int)
 }
 
@@ -486,15 +402,7 @@ func EvaluateHPC(db *syndrome.DB, workloads []*apps.Workload, cfg EvalConfig) ([
 // injection-level progress via cfg.Progress.
 func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Workload, cfg EvalConfig) ([]*AppEvaluation, error) {
 	cfg.defaults()
-	total := len(workloads) * 2 * cfg.Injections
-	base := 0
-	progress := func() func(done, total int) {
-		if cfg.Progress == nil {
-			return nil
-		}
-		off := base
-		return func(done, _ int) { cfg.Progress(off+done, total) }
-	}
+	meter := campaign.Meter{Total: len(workloads) * 2 * cfg.Injections, Report: cfg.Progress}
 	var out []*AppEvaluation
 	for i, w := range workloads {
 		// Both fault models replay the same workload, so they share one
@@ -506,26 +414,25 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		flip, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelBitFlip, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Progress: progress(),
+			NoFastPath: cfg.NoFastPath, Progress: meter.Part(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s bit-flip: %w", w.Name, err)
 		}
-		base += cfg.Injections
 		syn, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelSyndrome, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2 + 1, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Progress: progress(),
+			NoFastPath: cfg.NoFastPath, Progress: meter.Part(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s syndrome: %w", w.Name, err)
 		}
-		base += cfg.Injections
 		out = append(out, &AppEvaluation{
 			Name: w.Name, Domain: w.Domain, Size: w.Size,
 			BitFlip: flip, Syndrome: syn,
 		})
 	}
+	meter.Finish()
 	return out, nil
 }
 
@@ -556,23 +463,13 @@ func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	total := 3 * cfg.Injections
-	base := 0
+	meter := campaign.Meter{Total: 3 * cfg.Injections, Report: cfg.Progress}
 	run := func(model swfi.CNNModel, seed uint64) (*swfi.CNNResult, error) {
-		var progress func(done, total int)
-		if cfg.Progress != nil {
-			off := base
-			progress = func(done, _ int) { cfg.Progress(off+done, total) }
-		}
-		res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
+		return swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 			Net: net, Input: input, Model: model, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: seed, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Critical: critical, Progress: progress,
+			NoFastPath: cfg.NoFastPath, Critical: critical, Progress: meter.Part(),
 		})
-		if err == nil {
-			base += cfg.Injections
-		}
-		return res, err
 	}
 	if out.BitFlip, err = run(swfi.CNNBitFlip, cfg.Seed+11); err != nil {
 		return nil, err
@@ -583,6 +480,7 @@ func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.
 	if out.Tile, err = run(swfi.CNNTile, cfg.Seed+13); err != nil {
 		return nil, err
 	}
+	meter.Finish()
 	return out, nil
 }
 

@@ -5,16 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
-	"gpufi/internal/rtlfi"
 	"gpufi/internal/syndrome"
 )
 
@@ -93,100 +90,6 @@ func TestCharacterizeMatchesSerialPlan(t *testing.T) {
 	}
 }
 
-// stubResult is the smallest result AddUnit can ingest for u.
-func stubResult(u Unit) *UnitResult {
-	if u.Kind == UnitTMXM {
-		return &UnitResult{Unit: u, TMXM: &rtlfi.TMXMResult{Spec: rtlfi.TMXMSpec{Module: u.Module, Kind: u.Tile}}}
-	}
-	return &UnitResult{Unit: u, Micro: &rtlfi.Result{Spec: rtlfi.Spec{Op: u.Op, Range: u.Range, Module: u.Module}}}
-}
-
-// TestRunPlanSplitsTheBudget pins the division of the CPU budget: as many
-// units in flight as the budget and the plan allow, the rest of it inside
-// each unit's engine.
-func TestRunPlanSplitsTheBudget(t *testing.T) {
-	plan := Plan(sweepConfig())
-	for _, c := range []struct{ units, workers, inFlight, perUnit int }{
-		{1, 4, 1, 4}, {2, 5, 2, 2}, {3, 7, 3, 2}, {4, 4, 4, 1}, {18, 3, 3, 1}, {18, 1, 1, 1},
-	} {
-		var running, peak atomic.Int64
-		gate := make(chan struct{})
-		var open sync.Once
-		got, err := runPlan(context.Background(), plan[:c.units], c.workers, nil,
-			func(_ context.Context, u Unit, workers int, _ func(done, total int)) (*UnitResult, error) {
-				if workers != c.perUnit {
-					t.Errorf("%d units on %d workers: unit %s got %d engine workers, want %d",
-						c.units, c.workers, u.Name(), workers, c.perUnit)
-				}
-				n := running.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				// Hold the first wave until it is complete, so the peak is
-				// the scheduler's width and not a matter of timing.
-				if int(n) == c.inFlight {
-					open.Do(func() { close(gate) })
-				}
-				select {
-				case <-gate:
-				case <-time.After(5 * time.Second): // a narrower scheduler fails the peak check below
-				}
-				running.Add(-1)
-				return stubResult(u), nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(peak.Load()) != c.inFlight {
-			t.Errorf("%d units on %d workers: %d units in flight at once, want %d", c.units, c.workers, peak.Load(), c.inFlight)
-		}
-		if n := len(got.Micro) + len(got.TMXM); n != c.units {
-			t.Errorf("%d units on %d workers: %d results committed", c.units, c.workers, n)
-		}
-	}
-	if got, err := runPlan(context.Background(), nil, 4, nil, nil); err != nil || got.DB == nil {
-		t.Errorf("empty plan: %v, %v", got, err)
-	}
-}
-
-// TestRunPlanFirstErrorInPlanOrderWins fails unit 4 first and unit 2 only
-// after that: the plan must report unit 2, as a unit-at-a-time run would,
-// and start nothing it had not already claimed.
-func TestRunPlanFirstErrorInPlanOrderWins(t *testing.T) {
-	plan := Plan(sweepConfig())
-	errEarly, errLate := errors.New("unit 2 failed"), errors.New("unit 4 failed")
-	lateFailed := make(chan struct{})
-	var started atomic.Int64
-	got, err := runPlan(context.Background(), plan, 3, nil,
-		func(_ context.Context, u Unit, _ int, _ func(done, total int)) (*UnitResult, error) {
-			started.Add(1)
-			switch u.Name() {
-			case plan[2].Name():
-				<-lateFailed
-				return nil, errEarly
-			case plan[4].Name():
-				close(lateFailed)
-				return nil, errLate
-			}
-			return stubResult(u), nil
-		})
-	if got != nil || !errors.Is(err, errEarly) {
-		t.Fatalf("runPlan = %v, %v; want unit 2's error", got, err)
-	}
-	if want := fmt.Sprintf("core: %s: %v", plan[2].Name(), errEarly); err.Error() != want {
-		t.Errorf("error %q, want %q", err, want)
-	}
-	// Units 0–4 had to start. A claim or two can slip in between unit 4
-	// returning and its runner flagging the failure; the rest of the plan
-	// cannot.
-	if n := int(started.Load()); n < 5 || n >= len(plan) {
-		t.Errorf("%d of %d units started, want at least 5 and not the whole plan", n, len(plan))
-	}
-}
-
 // TestCharacterizeCancelMidPlan cancels a real characterisation from its
 // own progress callback and checks that the call reports the context's
 // error and leaves nothing running behind it.
@@ -207,8 +110,8 @@ func TestCharacterizeCancelMidPlan(t *testing.T) {
 			t.Fatalf("Workers=%d: CharacterizeCtx = %v, %v; want context.Canceled", workers, got, err)
 		}
 	}
-	// A runner is done before runPlan returns, but its goroutine may take
-	// a moment longer to leave the scheduler's count.
+	// A runner is done before CharacterizeCtx returns, but its goroutine
+	// may take a moment longer to leave the scheduler's count.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -269,20 +172,4 @@ func TestCharacterizeProgress(t *testing.T) {
 		}
 		log.check(t, name, total)
 	}
-
-	// Engine workers deliver cumulative counts out of order; the stale one
-	// must not be counted twice or taken back.
-	plan := Plan(sweepConfig())[:2]
-	var log progressLog
-	_, err := runPlan(context.Background(), plan, 2, log.record,
-		func(_ context.Context, u Unit, _ int, progress func(done, total int)) (*UnitResult, error) {
-			progress(150, u.Faults)
-			progress(60, u.Faults)
-			progress(u.Faults, u.Faults)
-			return stubResult(u), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.check(t, "out of order", plan[0].Faults+plan[1].Faults)
 }

@@ -3,7 +3,9 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -267,5 +269,19 @@ func TestHTTPTransportErrorMapping(t *testing.T) {
 	}
 	if _, err := tr.Heartbeat(HeartbeatRequest{WorkerID: id}); err != nil {
 		t.Fatalf("heartbeat over HTTP: %v", err)
+	}
+	// One byte over the body bound: refused with 413 instead of buffered.
+	body := `{"worker_id":"` + strings.Repeat("w", maxRPCBody) + `"}`
+	resp, err := http.Post(srv.URL+"/fabric/v1/heartbeat", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fe fabricError
+	if err := json.NewDecoder(resp.Body).Decode(&fe); resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || fe.Error == "" {
+		t.Fatalf("oversized body: HTTP %d, error body %q (%v); want 413", resp.StatusCode, fe.Error, err)
+	}
+	if register(t, tr, "after") == "" {
+		t.Fatal("coordinator stopped answering after the oversized body")
 	}
 }

@@ -21,8 +21,9 @@ import (
 //	GET  /fabric/v1/status                      -> Status
 //
 // Error mapping: unknown worker -> 404 (the worker re-registers),
-// duplicate-result mismatch -> 409, coordinator closed -> 503, anything
-// else -> 400. All errors carry a JSON {"error": ...} body.
+// duplicate-result mismatch -> 409, coordinator closed -> 503, a body over
+// maxRPCBody -> 413, anything else -> 400. All errors carry a JSON
+// {"error": ...} body.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fabric/v1/register", handleRPC(c.Register))
@@ -46,12 +47,24 @@ func writeFabricJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxRPCBody bounds a request body. The largest legitimate one is a
+// complete: one unit's canonical payload, base64 in JSON. The densest unit
+// of a paper-scale plan (micro/FEXP/L/SFU, 12 000 faults) encodes to
+// 115 554 bytes, under 10 a fault, ×4/3 as base64 = 154 KB; 16 MiB carries
+// 12 MiB of payload, a unit of over a million faults at that density. (A
+// unit past the bound can never be completed: split its campaign.)
+const maxRPCBody = 16 << 20
+
 // handleRPC adapts one Transport method to an HTTP POST endpoint.
 func handleRPC[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeFabricJSON(w, http.StatusBadRequest, fabricError{Error: fmt.Sprintf("bad request body: %v", err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeFabricJSON(w, code, fabricError{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}
 		reply, err := fn(req)

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"gpufi/internal/campaign"
 	"gpufi/internal/core"
 )
 
@@ -28,6 +28,9 @@ type WorkerConfig struct {
 
 	// Logf, when non-nil, receives worker diagnostics.
 	Logf func(format string, args ...any)
+
+	// run overrides core.RunUnit in tests.
+	run func(ctx context.Context, u core.Unit, workers int, progress func(done, total int)) (*core.UnitResult, error)
 }
 
 func (c *WorkerConfig) defaults() {
@@ -43,12 +46,14 @@ func (c *WorkerConfig) defaults() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+	if c.run == nil {
+		c.run = core.RunUnit
+	}
 }
 
 // inflight is one unit being executed by the worker.
 type inflight struct {
-	task   Task
-	done   atomic.Int64 // faults completed, fed by the engine progress callback
+	done   campaign.Meter // faults completed, fed by the engine progress callback
 	cancel context.CancelFunc
 }
 
@@ -201,11 +206,12 @@ func call[T any](ctx context.Context, w *worker, fn func(id string) (T, error)) 
 	return fn(id)
 }
 
-// runTask executes one leased unit and reports its outcome.
+// runTask executes one leased unit and reports its outcome. A panic in the
+// engine is the unit's error like any other: MaxRetries decides.
 func (w *worker) runTask(ctx context.Context, task Task) {
 	unitCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fl := &inflight{task: task, cancel: cancel}
+	fl := &inflight{cancel: cancel}
 	key := UnitKey{Job: task.Job, Unit: task.Unit.Name()}
 	w.mu.Lock()
 	w.inflight[key] = fl
@@ -216,13 +222,10 @@ func (w *worker) runTask(ctx context.Context, task Task) {
 		w.mu.Unlock()
 	}()
 
-	res, err := core.RunUnit(unitCtx, task.Unit, w.cfg.EngineWorkers, func(done, _ int) {
-		for {
-			cur := fl.done.Load()
-			if int64(done) <= cur || fl.done.CompareAndSwap(cur, int64(done)) {
-				return
-			}
-		}
+	var res *core.UnitResult
+	err := campaign.Safely(func() (err error) {
+		res, err = w.cfg.run(unitCtx, task.Unit, w.cfg.EngineWorkers, fl.done.Part())
+		return err
 	})
 	if unitCtx.Err() != nil {
 		// Aborted (job cancelled / unit re-leased) or the worker is
@@ -277,7 +280,7 @@ func (w *worker) heartbeatLoop(ctx context.Context) {
 		beats := make([]Beat, 0, len(w.inflight))
 		flights := make(map[UnitKey]*inflight, len(w.inflight))
 		for key, fl := range w.inflight {
-			beats = append(beats, Beat{Job: key.Job, Unit: key.Unit, Done: int(fl.done.Load())})
+			beats = append(beats, Beat{Job: key.Job, Unit: key.Unit, Done: fl.done.Done()})
 			flights[key] = fl
 		}
 		w.mu.Unlock()

@@ -2,8 +2,13 @@ package fabric
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpufi/internal/core"
+	"gpufi/internal/faults"
 )
 
 // TestIdleWorkerSurvivesSweeper: a worker with nothing to do must keep
@@ -56,5 +61,49 @@ func TestIdleWorkerSurvivesSweeper(t *testing.T) {
 	}
 	if st := c.Status(); !st.Workers[0].Live {
 		t.Fatal("idle worker is not live after sitting past the silence horizon")
+	}
+}
+
+// TestWorkerContainsEnginePanics: a panic inside a unit's engine run is
+// reported to the coordinator as that unit's error — stack attached,
+// counted against MaxRetries — and the worker goes on to complete the
+// job's other unit.
+func TestWorkerContainsEnginePanics(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{LeaseTimeout: time.Minute, MaxRetries: 2, Logf: t.Logf})
+	t.Cleanup(c.Close)
+	bad, good := microUnit(1), microUnit(2)
+	good.Module = faults.ModSched // a second name
+	h, err := c.StartJob("j-1", []core.Unit{bad, good}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var attempts atomic.Int64
+	go func() {
+		defer close(done)
+		_ = RunWorker(ctx, c, WorkerConfig{Poll: time.Millisecond, Logf: t.Logf,
+			run: func(ctx context.Context, u core.Unit, workers int, progress func(done, total int)) (*core.UnitResult, error) {
+				if u.Name() == bad.Name() {
+					attempts.Add(1)
+					panic("nil machine in the engine")
+				}
+				return core.RunUnit(ctx, u, workers, progress)
+			}})
+	}()
+	defer func() { cancel(); <-done }()
+
+	_, err = h.Await(context.Background(), bad.Name())
+	if err == nil || !strings.Contains(err.Error(), "after 2 attempts: panic: nil machine in the engine") ||
+		!strings.Contains(err.Error(), "worker_test.go") {
+		t.Fatalf("await of the panicking unit: %v", err)
+	}
+	if n := attempts.Load(); n != 2 {
+		t.Errorf("panicking unit ran %d times, want MaxRetries = 2", n)
+	}
+	if res, err := h.Await(context.Background(), good.Name()); err != nil || res.Micro == nil {
+		t.Fatalf("the worker did not survive to run the other unit: %v", err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /jobs             submit a campaign (Request JSON) -> 201 + Status
+//	POST   /jobs             submit a campaign (Request JSON, at most maxSubmitBody) -> 201 + Status
 //	GET    /jobs             list all jobs
 //	GET    /jobs/{id}        one job's status (+ result when done)
 //	GET    /jobs/{id}/events stream status snapshots as server-sent events
@@ -52,12 +52,19 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "jobs": n})
 }
 
+// maxSubmitBody bounds a POST /jobs body; a Request is a few hundred bytes.
+const maxSubmitBody = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	st, err := s.Submit(req)

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -371,7 +372,7 @@ func TestHTTPNoPruneIsInertForSoftwareJobs(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	_, srv := newHTTPService(t, Config{Workers: 1})
+	s, srv := newHTTPService(t, Config{Workers: 1})
 	check := func(method, path, body string, want int) {
 		t.Helper()
 		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
@@ -400,6 +401,17 @@ func TestHTTPErrors(t *testing.T) {
 	check(http.MethodPost, "/jobs", "{not json", http.StatusBadRequest)
 	check(http.MethodPost, "/jobs", `{"kind":"hpc","bogus_field":1}`, http.StatusBadRequest)
 	check(http.MethodPost, "/jobs", `{"kind":"warp-drive"}`, http.StatusBadRequest)
+	// A negative count used to be accepted and then crash the process from
+	// a pool goroutine (make with a negative length).
+	check(http.MethodPost, "/jobs", `{"kind":"characterize","faults":-5}`, http.StatusBadRequest)
+	check(http.MethodPost, "/jobs", `{"kind":"characterize","tmxm_faults":-5}`, http.StatusBadRequest)
+	check(http.MethodPost, "/jobs", `{"kind":"hpc","models":["bitflip"],"injections":-5}`, http.StatusBadRequest)
+	check(http.MethodPost, "/jobs", `{"kind":"cnn","models":["bitflip"],"injections":-5}`, http.StatusBadRequest)
+	check(http.MethodPost, "/jobs", `{"kind":"hpc"`+strings.Repeat(" ", maxSubmitBody)+`}`, http.StatusRequestEntityTooLarge)
+	check(http.MethodGet, "/jobs", "", http.StatusOK) // nothing registered, still serving
+	if st := s.List(); len(st) != 0 {
+		t.Errorf("rejected submissions registered %d jobs", len(st))
+	}
 }
 
 func TestHTTPHealthzAfterClose(t *testing.T) {
@@ -485,5 +497,62 @@ func TestHTTPEventsTerminalEventIsNotPolled(t *testing.T) {
 		if lag := arrived.Sub(wrote); wrote.IsZero() || lag > 25*time.Millisecond {
 			t.Errorf("job %s: terminal event %v after the terminal journal write, want under 25ms", st.ID, lag)
 		}
+	}
+}
+
+// TestHTTPPanickingUnitFailsTheJobOnly: a panic inside one unit — an engine
+// bug — is that job's failure, journalled with the unit's name and the
+// stack, and not the end of the process: the pool worker that ran it takes
+// the next job, and the API keeps answering.
+func TestHTTPPanickingUnitFailsTheJobOnly(t *testing.T) {
+	dir := t.TempDir()
+	s, srv := newHTTPService(t, Config{Workers: 1, Dir: dir})
+	wrapUnits(s, func(u unit) runFunc {
+		if u.name != "MxM/bitflip2" {
+			return u.run
+		}
+		return func(context.Context, *syndrome.DB, int, func(done, total int)) (outcome, error) {
+			panic("index out of range in the engine")
+		}
+	})
+	bad := postJob(t, srv.URL, smallHPC())
+	waitFor(t, 30*time.Second, "failed job", func() bool {
+		bad = getJob(t, srv.URL, bad.ID)
+		return bad.State.Terminal()
+	})
+	if bad.State != StateFailed || bad.UnitsDone != 1 {
+		t.Fatalf("job ended %s with %d units done, want failed after its first unit", bad.State, bad.UnitsDone)
+	}
+	for _, want := range []string{"unit MxM/bitflip2: panic: index out of range in the engine", "http_test.go"} {
+		if !strings.Contains(bad.Error, want) {
+			t.Errorf("job error lacks %q:\n%s", want, bad.Error)
+		}
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "job-"+bad.ID[2:]+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpoint
+	if err := json.Unmarshal(blob, &ck); err != nil || ck.State != StateFailed || ck.Error != bad.Error {
+		t.Errorf("journal records %s / %q (err %v), want the failure the status shows", ck.State, ck.Error, err)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the panic = %d, want 200", resp.StatusCode)
+	}
+	req := smallHPC()
+	req.Models = []string{"bitflip"}
+	good := postJob(t, srv.URL, req)
+	waitFor(t, 30*time.Second, "next job", func() bool {
+		good = getJob(t, srv.URL, good.ID)
+		return good.State.Terminal()
+	})
+	if good.State != StateDone {
+		t.Errorf("the job after the panic ended %s (error %q), want done", good.State, good.Error)
 	}
 }

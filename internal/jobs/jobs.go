@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"gpufi/internal/apps"
@@ -130,20 +129,22 @@ type Result struct {
 	DB    *syndrome.DB      `json:"db,omitempty"`
 }
 
-// unit is one schedulable, checkpointable slice of a job.
+// unit is one schedulable, checkpointable slice of a job. db is the loaded
+// syndrome database of a job whose fault models need one.
 type unit struct {
 	name  string
-	total int // progress weight: faults or injections
-	run   func(ctx context.Context, env *runEnv, progress func(done, total int)) (json.RawMessage, error)
+	total int       // progress weight: faults or injections
+	char  core.Unit // characterize jobs: the campaign itself, for leasing to fabric workers
+	run   func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error)
 }
 
-// runEnv carries the per-job-run state shared by a job's units.
-type runEnv struct {
-	workers int          // engine workers per campaign
-	db      *syndrome.DB // loaded syndrome DB for syndrome/tile models
-	char    *charDB      // accumulating DB of a characterize job
-	mu      *sync.Mutex  // guards char and sw against concurrent status reads and checkpoint marshals
-	sw      *swLive      // live software-campaign throughput
+// outcome is what executing a unit yields for the commit step to fold into
+// the job: a software unit's journal record and live throughput, or a
+// characterisation unit's engine result, ingested there to get its record.
+type outcome struct {
+	raw  json.RawMessage
+	sw   swLive
+	char *core.UnitResult
 }
 
 // swLive accumulates the counters and wall-clock time of the
@@ -157,22 +158,11 @@ type swLive struct {
 	elapsed time.Duration
 }
 
-// note adds one finished unit.
-func (env *runEnv) note(c swfi.Counters, elapsed time.Duration) {
-	env.mu.Lock()
-	env.sw.Merge(c)
-	env.sw.elapsed += elapsed
-	env.mu.Unlock()
-}
-
 // program is a compiled job: its ordered units plus whether running them
-// needs a syndrome database loaded from Request.DBPath. For characterize
-// jobs, charUnits holds the underlying core plan units (index-aligned
-// with units) so the distributed fabric can ship them to workers.
+// needs a syndrome database loaded from Request.DBPath.
 type program struct {
-	units     []unit
-	charUnits []core.Unit
-	needsDB   bool
+	units   []unit
+	needsDB bool
 }
 
 // deriveSeed maps (jobSeed, unitName) to an independent engine seed via
@@ -191,6 +181,9 @@ func deriveSeed(seed uint64, name string) uint64 {
 // compile validates a request and expands it into its execution program.
 // It performs no I/O, so it doubles as submission-time validation.
 func compile(req Request) (*program, error) {
+	if req.Faults < 0 || req.TMXMFaults < 0 || req.Injections < 0 {
+		return nil, fmt.Errorf("jobs: faults, tmxm_faults and injections must not be negative")
+	}
 	var (
 		prog *program
 		err  error
@@ -242,16 +235,11 @@ func compileCharacterize(req Request) (*program, error) {
 	}
 	prog := &program{}
 	for _, cu := range core.Plan(cfg) {
-		prog.charUnits = append(prog.charUnits, cu)
 		prog.units = append(prog.units, unit{
-			name:  cu.Name(),
-			total: cu.Faults,
-			run: func(ctx context.Context, env *runEnv, progress func(done, total int)) (json.RawMessage, error) {
-				res, err := core.RunUnit(ctx, cu, env.workers, progress)
-				if err != nil {
-					return nil, err
-				}
-				return ingestCharUnit(env, cu, res)
+			name: cu.Name(), total: cu.Faults, char: cu,
+			run: func(ctx context.Context, _ *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
+				res, err := core.RunUnit(ctx, cu, workers, progress)
+				return outcome{char: res}, err
 			},
 		})
 	}
@@ -259,15 +247,12 @@ func compileCharacterize(req Request) (*program, error) {
 }
 
 // ingestCharUnit folds one executed characterisation unit into the job's
-// accumulating syndrome database and returns its journal record. It is
-// the single ingestion point shared by the local path (the unit ran in
-// this process) and the distributed fabric path (the result arrived from
-// a worker node), which is what keeps the two bit-identical.
-func ingestCharUnit(env *runEnv, cu core.Unit, res *core.UnitResult) (json.RawMessage, error) {
-	env.mu.Lock()
-	err := env.char.ingest(res)
-	env.mu.Unlock()
-	if err != nil {
+// accumulating syndrome database and returns its journal record. Its one
+// call is the commit step, whether the unit ran in this process or the
+// result arrived from a fabric worker, which is what keeps the two
+// bit-identical.
+func ingestCharUnit(db *charDB, cu core.Unit, res *core.UnitResult) (json.RawMessage, error) {
+	if err := db.ingest(res); err != nil {
 		return nil, err
 	}
 	return json.Marshal(CharUnitResult{Unit: cu.Name(), Seed: cu.Seed, Tally: res.Tally(), Counters: res.Telemetry()})
@@ -306,26 +291,26 @@ func compileHPC(req Request) (*program, error) {
 			prog.units = append(prog.units, unit{
 				name:  name,
 				total: injections,
-				run: func(ctx context.Context, env *runEnv, progress func(done, total int)) (json.RawMessage, error) {
+				run: func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
 					w, err := buildApp(spec)
 					if err != nil {
-						return nil, err
+						return outcome{}, err
 					}
 					res, err := swfi.RunCtx(ctx, swfi.Campaign{
-						Workload: w, Model: model, DB: env.db,
-						Injections: injections, Seed: seed, Workers: env.workers,
+						Workload: w, Model: model, DB: db,
+						Injections: injections, Seed: seed, Workers: workers,
 						NoFastPath: req.NoFastPath, Progress: progress,
 					})
 					if err != nil {
-						return nil, err
+						return outcome{}, err
 					}
-					env.note(res.Counters, res.Elapsed)
 					lo, hi := res.PVFCI()
-					return json.Marshal(HPCUnitResult{
+					raw, err := json.Marshal(HPCUnitResult{
 						App: spec.Name, Model: mname, Seed: seed,
 						Tally: res.Tally, PVF: res.PVF(), CILo: lo, CIHi: hi,
 						Counters: res.Counters,
 					})
+					return outcome{raw: raw, sw: swLive{res.Counters, res.Elapsed}}, err
 				},
 			})
 		}
@@ -363,23 +348,23 @@ func compileCNN(req Request) (*program, error) {
 		prog.units = append(prog.units, unit{
 			name:  name,
 			total: injections,
-			run: func(ctx context.Context, env *runEnv, progress func(done, total int)) (json.RawMessage, error) {
+			run: func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
 				net, input, critical := buildNetwork(network)
 				res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
-					Net: net, Input: input, Model: model, DB: env.db,
-					Injections: injections, Seed: seed, Workers: env.workers,
+					Net: net, Input: input, Model: model, DB: db,
+					Injections: injections, Seed: seed, Workers: workers,
 					NoFastPath: req.NoFastPath, Critical: critical, Progress: progress,
 				})
 				if err != nil {
-					return nil, err
+					return outcome{}, err
 				}
-				env.note(res.Counters, res.Elapsed)
-				return json.Marshal(CNNUnitResult{
+				raw, err := json.Marshal(CNNUnitResult{
 					Network: network, Model: mname, Seed: seed,
 					Tally: res.Tally, PVF: res.PVF(),
 					CriticalSDC: res.CriticalSDC, CriticalShare: res.CriticalShare(),
 					Counters: res.Counters,
 				})
+				return outcome{raw: raw, sw: swLive{res.Counters, res.Elapsed}}, err
 			},
 		})
 	}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gpufi/internal/core"
+	"gpufi/internal/fabric"
 	"gpufi/internal/syndrome"
 )
 
@@ -73,6 +76,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"tile model without db", Request{Kind: KindCNN, Models: []string{"tile"}}},
 		{"unknown opcode", Request{Kind: KindCharacterize, Ops: []string{"HCF"}}},
 		{"unknown range", Request{Kind: KindCharacterize, Ranges: []string{"XL"}}},
+		{"negative faults", Request{Kind: KindCharacterize, Faults: -5}},
+		{"negative t-MxM faults", Request{Kind: KindCharacterize, Faults: 10, TMXMFaults: -1}},
+		{"negative HPC injections", Request{Kind: KindHPC, Models: []string{"bitflip"}, Injections: -5}},
+		{"negative CNN injections", Request{Kind: KindCNN, Models: []string{"bitflip"}, Injections: -5}},
 	}
 	for _, tc := range bad {
 		if _, err := s.Submit(tc.req); err == nil {
@@ -119,43 +126,185 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// charVariant is one way of running a characterize job: the job's CPU
+// budget, and whether its units run in the service's process or go through
+// a fabric coordinator to an in-process worker.
+type charVariant struct {
+	engineWorkers int
+	fabric        bool
+}
+
+func (v charVariant) String() string {
+	if v.fabric {
+		return fmt.Sprintf("fabric-%d", v.engineWorkers)
+	}
+	return fmt.Sprintf("local-%d", v.engineWorkers)
+}
+
+var charVariants = []charVariant{{1, false}, {4, false}, {1, true}, {4, true}}
+
+// inFlightWanted is how many units a test holds in flight before it
+// interrupts the job: two wherever two can overlap.
+func (v charVariant) inFlightWanted() int {
+	if v.fabric || v.engineWorkers > 1 {
+		return 2
+	}
+	return 1
+}
+
+// holdCompletes is a fleet's transport that holds every completion except
+// unit pass's until release is closed, so the units stay leased — in
+// flight — for as long as the test wants.
+type holdCompletes struct {
+	fabric.Transport
+	pass    string
+	release chan struct{}
+}
+
+func (h *holdCompletes) Complete(req fabric.CompleteRequest) (fabric.CompleteReply, error) {
+	if req.Unit != h.pass {
+		<-h.release
+	}
+	return h.Transport.Complete(req)
+}
+
+// charService starts a service for variant v on dir. With hold, the units
+// of its jobs stay in flight once started — all but the plan's first, pass,
+// when that is not empty: a local unit waits for the job's cancellation
+// before it runs, a fabric worker's completion waits for release. inFlight
+// counts the units held so.
+func charService(t *testing.T, v charVariant, dir string, hold bool, pass string) (s *Service, inFlight func(id string) int, release func()) {
+	t.Helper()
+	cfg := Config{Workers: 1, Dir: dir, EngineWorkers: v.engineWorkers, CheckpointEvery: 5 * time.Millisecond}
+	release = func() {}
+	if v.fabric {
+		coord := fabric.NewCoordinator(fabric.CoordinatorConfig{Logf: t.Logf})
+		cfg.Fabric = coord
+		tr := &holdCompletes{Transport: coord, pass: pass, release: make(chan struct{})}
+		release = sync.OnceFunc(func() { close(tr.release) })
+		if !hold {
+			release()
+		}
+		ctx, stop := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = fabric.RunWorker(ctx, tr, fabric.WorkerConfig{Parallel: 3, Poll: 2 * time.Millisecond})
+		}()
+		t.Cleanup(func() { release(); stop(); <-done; coord.Close() })
+		inFlight = func(id string) int {
+			st, _ := coord.JobStatus(id)
+			return st.UnitsLeased
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if hold && !v.fabric {
+		var started, held atomic.Int64
+		wrapUnits(s, func(u unit) runFunc {
+			return func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
+				if started.Add(1) > 1 || pass == "" {
+					held.Add(1)
+					<-ctx.Done()
+				}
+				return u.run(ctx, db, workers, progress)
+			}
+		})
+		inFlight = func(string) int { return int(held.Load()) }
+	}
+	return s, inFlight, release
+}
+
+// runFunc is the type of unit.run.
+type runFunc = func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error)
+
+// wrapUnits makes s run every unit it plans through what wrap returns for
+// it.
+func wrapUnits(s *Service, wrap func(u unit) runFunc) {
+	s.compile = func(req Request) (*program, error) {
+		prog, err := compile(req)
+		if err == nil {
+			for i, u := range prog.units {
+				prog.units[i].run = wrap(u)
+			}
+		}
+		return prog, err
+	}
+}
+
 func TestCancelRunning(t *testing.T) {
-	dir := t.TempDir()
-	s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: 5 * time.Millisecond})
-	req := smallHPC()
-	req.Injections = 100000 // far longer than the test will wait
-	st, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
+	long := smallHPC()
+	long.Injections = 100000 // far longer than the test will wait
+	char := Request{
+		Kind: KindCharacterize, Seed: 5,
+		Ops: []string{"FADD", "FMUL"}, Ranges: []string{"M"},
+		Faults: 300, SkipTMXM: true,
 	}
-	waitFor(t, 30*time.Second, "progress", func() bool {
-		st, _ = s.Get(st.ID)
-		return st.State == StateRunning && st.Done > 0
+	check := func(t *testing.T, s *Service, dir string, req Request, inFlight func() bool) string {
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 30*time.Second, "units in flight", func() bool {
+			st, _ = s.Get(st.ID)
+			return st.State == StateRunning && inFlight()
+		})
+		if _, err := s.Cancel(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 30*time.Second, "cancelled state", func() bool {
+			st, _ = s.Get(st.ID)
+			return st.State.Terminal()
+		})
+		if st.State != StateCancelled {
+			t.Fatalf("job ended %s, want cancelled", st.State)
+		}
+		if _, err := s.Cancel(st.ID); err == nil {
+			t.Error("cancelling a terminal job must fail")
+		}
+		// The checkpoint must be intact, valid JSON recording the cancellation.
+		blob, err := os.ReadFile(filepath.Join(dir, "job-000001.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ck checkpoint
+		if err := json.Unmarshal(blob, &ck); err != nil {
+			t.Fatalf("checkpoint corrupt after cancel: %v", err)
+		}
+		if ck.State != StateCancelled || ck.ID != st.ID {
+			t.Errorf("checkpoint records %s/%s, want %s/cancelled", ck.ID, ck.State, st.ID)
+		}
+		return st.ID
+	}
+	t.Run("hpc", func(t *testing.T) {
+		dir := t.TempDir()
+		s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: 5 * time.Millisecond})
+		check(t, s, dir, long, func() bool {
+			st, _ := s.Get("j-000001")
+			return st.Done > 0
+		})
 	})
-	if _, err := s.Cancel(st.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 30*time.Second, "cancelled state", func() bool {
-		st, _ = s.Get(st.ID)
-		return st.State.Terminal()
-	})
-	if st.State != StateCancelled {
-		t.Fatalf("job ended %s, want cancelled", st.State)
-	}
-	if _, err := s.Cancel(st.ID); err == nil {
-		t.Error("cancelling a terminal job must fail")
-	}
-	// The checkpoint must be intact, valid JSON recording the cancellation.
-	blob, err := os.ReadFile(filepath.Join(dir, "job-000001.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ck checkpoint
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		t.Fatalf("checkpoint corrupt after cancel: %v", err)
-	}
-	if ck.State != StateCancelled || ck.ID != st.ID {
-		t.Errorf("checkpoint records %s/%s, want %s/cancelled", ck.ID, ck.State, st.ID)
+	// Characterize jobs, cancelled with every started unit still in flight:
+	// the scheduler must drop them all and leave no runner behind (Close, in
+	// the cleanup, would hang on one).
+	for _, v := range charVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			s, inFlight, release := charService(t, v, dir, true, "")
+			id := check(t, s, dir, char, func() bool { return inFlight("j-000001") >= v.inFlightWanted() })
+			release()
+			if st, _ := s.Get(id); st.UnitsDone != 0 {
+				t.Errorf("%d units committed, all were held in flight", st.UnitsDone)
+			}
+			if v.fabric {
+				if _, ok := s.cfg.Fabric.JobStatus(id); ok {
+					t.Error("cancelled job is still registered with the fabric")
+				}
+			}
+		})
 	}
 }
 
@@ -335,23 +484,86 @@ func TestResumeBitIdenticalHPC(t *testing.T) {
 	}
 }
 
+// TestResumeBitIdenticalCharacterize: a characterize job's result and its
+// final journal file are the same bytes for every CPU budget, local or over
+// the fabric, run straight through or shut down with units in flight — two
+// wherever two can overlap — and resumed by a second service.
 func TestResumeBitIdenticalCharacterize(t *testing.T) {
 	req := Request{
 		Kind: KindCharacterize, Seed: 5,
 		Ops: []string{"FADD", "FMUL"}, Ranges: []string{"M"},
 		Faults: 300, SkipTMXM: true,
 	}
-	want := runToCompletion(t, req)
-	got := interruptAndResume(t, req)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("resumed characterisation differs from uninterrupted run (len %d vs %d)", len(want), len(got))
+	prog, err := compile(req)
+	if err != nil {
+		t.Fatal(err)
 	}
+	first := prog.units[0].name
+	finish := func(t *testing.T, s *Service, dir, id string) (result, journal []byte) {
+		var st Status
+		waitFor(t, 120*time.Second, "job", func() bool {
+			st, _ = s.Get(id)
+			return st.State.Terminal()
+		})
+		if st.State != StateDone {
+			t.Fatalf("job ended %s (error %q)", st.State, st.Error)
+		}
+		journal, err := os.ReadFile(filepath.Join(dir, "job-"+id[2:]+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Result, journal
+	}
+	run := func(t *testing.T, v charVariant, interrupt bool) (result, journal []byte) {
+		dir := t.TempDir()
+		s, inFlight, release := charService(t, v, dir, interrupt, first)
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !interrupt {
+			return finish(t, s, dir, st.ID)
+		}
+		waitFor(t, 120*time.Second, "first unit checkpoint and units in flight", func() bool {
+			st, _ = s.Get(st.ID)
+			return st.UnitsDone >= 1 && inFlight(st.ID) >= v.inFlightWanted()
+		})
+		s.Close() // interrupt: unfinished work re-journals as queued
+		release()
+		if st, _ = s.Get(st.ID); st.UnitsDone != 1 || st.State != StateQueued {
+			t.Fatalf("interrupted job is %s with %d units, want queued with the one unit that was let through", st.State, st.UnitsDone)
+		}
+		s2, _, _ := charService(t, v, dir, false, "")
+		if st2, ok := s2.Get(st.ID); !ok || st2.UnitsDone != 1 {
+			t.Fatalf("resumed job forgot its completed unit: %+v (found %v)", st2, ok)
+		}
+		return finish(t, s2, dir, st.ID)
+	}
+
+	wantResult, wantJournal := run(t, charVariants[0], false)
 	var res Result
-	if err := json.Unmarshal(want, &res); err != nil {
+	if err := json.Unmarshal(wantResult, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.DB == nil || len(res.DB.Entries) == 0 {
 		t.Fatal("characterize result carries no syndrome DB")
+	}
+	for _, v := range charVariants {
+		for _, interrupt := range []bool{false, true} {
+			name := v.String()
+			if interrupt {
+				name += "-resumed"
+			}
+			t.Run(name, func(t *testing.T) {
+				result, journal := run(t, v, interrupt)
+				if !bytes.Equal(result, wantResult) {
+					t.Errorf("result (%d bytes) differs from the uninterrupted local-1 run's (%d bytes)", len(result), len(wantResult))
+				}
+				if !bytes.Equal(journal, wantJournal) {
+					t.Errorf("final journal (%d bytes) differs from the uninterrupted local-1 run's (%d bytes)", len(journal), len(wantJournal))
+				}
+			})
+		}
 	}
 }
 
@@ -654,12 +866,13 @@ func TestCharDBRestoreKeepsEncodingBytes(t *testing.T) {
 	if straight.journalForm() != nil {
 		t.Error("an empty database has a journal form")
 	}
-	for i, cu := range prog.charUnits {
+	for i, u := range prog.units {
+		cu := u.char
 		res, err := core.RunUnit(context.Background(), cu, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 2 || i == len(prog.charUnits)-2 { // inside the micro units, inside the t-MxM ones
+		if i == 2 || i == len(prog.units)-2 { // inside the micro units, inside the t-MxM ones
 			if resumed, err = restoreCharDB(resumed.journalForm()); err != nil {
 				t.Fatal(err)
 			}

@@ -12,10 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-
 	"time"
 
+	"gpufi/internal/campaign"
 	"gpufi/internal/core"
 	"gpufi/internal/fabric"
 	"gpufi/internal/faults"
@@ -53,9 +52,10 @@ type Config struct {
 	// runtime.NumCPU().
 	Workers int
 
-	// EngineWorkers is the per-campaign worker count handed to the
-	// injection engines; default 1, so total parallelism stays near
-	// Workers even when the pool is saturated.
+	// EngineWorkers is one job's CPU budget: the engine worker count of an
+	// hpc or cnn unit, split over the units a local characterize job keeps
+	// in flight. Results do not depend on it. Default 1, so total
+	// parallelism stays near Workers even when the pool is saturated.
 	EngineWorkers int
 
 	// CheckpointEvery is the progress-journal cadence while a unit is in
@@ -105,15 +105,15 @@ func (c *Config) defaults() {
 	}
 }
 
-// Job is one submitted campaign. All mutable fields are guarded by mu
-// except the done/total counters, which are atomics so engine progress
-// callbacks never contend with status reads.
+// Job is one submitted campaign. All mutable fields are guarded by mu; the
+// progress meter is lock-free, so engine progress callbacks never contend
+// with status reads.
 type Job struct {
 	id  string
 	req Request
 
-	done  atomic.Int64
-	total atomic.Int64
+	done    campaign.Meter // progress toward Total in this process; journalled units count once the job runs
+	resumed int64          // the done count the journal held at load; see doneCount
 
 	mu            sync.Mutex
 	swLive        swLive // live software-unit throughput; not journalled
@@ -237,8 +237,8 @@ func (j *Job) Status() Status {
 		ID:         j.id,
 		Kind:       j.req.Kind,
 		State:      j.state,
-		Done:       j.done.Load(),
-		Total:      j.total.Load(),
+		Done:       j.doneCount(),
+		Total:      int64(j.done.Total),
 		UnitsDone:  len(j.completed),
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
@@ -312,17 +312,10 @@ func (j *Job) swTelemetry() *SWTelemetry {
 	return agg
 }
 
-// bumpDone raises the progress counter to v if v is larger, keeping the
-// externally visible count monotonic even though engine workers report
-// out of order.
-func (j *Job) bumpDone(v int64) {
-	for {
-		cur := j.done.Load()
-		if v <= cur || j.done.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
+// doneCount is the job's visible progress. A resumed job's journal may have
+// counted faults of a unit that was in flight at the interruption and now
+// runs again; the count holds there until the rerun passes it.
+func (j *Job) doneCount() int64 { return max(j.resumed, int64(j.done.Done())) }
 
 // checkpoint is the journal record of one job, written atomically to
 // Dir/job-<id>.json after every completed unit and on the periodic tick.
@@ -364,6 +357,9 @@ type Service struct {
 	// writeFile commits a journal record; tests substitute it to hold a
 	// write open.
 	writeFile func(path string, data []byte, perm os.FileMode) error
+
+	// compile plans a job; tests substitute it to hold or fail its units.
+	compile func(Request) (*program, error)
 }
 
 // New builds a service, reloads any checkpointed jobs from cfg.Dir
@@ -378,6 +374,7 @@ func New(cfg Config) (*Service, error) {
 		jobs:       make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		writeFile:  syndrome.WriteFileAtomic,
+		compile:    compile,
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -424,6 +421,8 @@ func (s *Service) loadCheckpoints() error {
 			completed:  ck.Completed,
 			result:     ck.Result,
 			terminal:   make(chan struct{}),
+			done:       campaign.Meter{Total: int(ck.Total)},
+			resumed:    ck.Done,
 		}
 		if j.completed == nil {
 			j.completed = make(map[string]json.RawMessage)
@@ -433,8 +432,6 @@ func (s *Service) loadCheckpoints() error {
 				return fmt.Errorf("jobs: checkpoint %s is truncated or corrupt: %w", path, err)
 			}
 		}
-		j.done.Store(ck.Done)
-		j.total.Store(ck.Total)
 		if !j.state.Terminal() {
 			j.state = StateQueued
 			resume = append(resume, j)
@@ -457,13 +454,13 @@ func (s *Service) loadCheckpoints() error {
 
 // Submit validates, registers, journals and enqueues a job.
 func (s *Service) Submit(req Request) (Status, error) {
-	prog, err := compile(req)
+	prog, err := s.compile(req)
 	if err != nil {
 		return Status{}, err
 	}
-	total := int64(0)
+	total := 0
 	for _, u := range prog.units {
-		total += int64(u.total)
+		total += u.total
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -478,8 +475,8 @@ func (s *Service) Submit(req Request) (Status, error) {
 		unitsTotal: len(prog.units),
 		completed:  make(map[string]json.RawMessage),
 		terminal:   make(chan struct{}),
+		done:       campaign.Meter{Total: total},
 	}
-	j.total.Store(total)
 	select {
 	case s.queue <- j:
 	default:
@@ -624,19 +621,17 @@ func (s *Service) runJob(j *Job) {
 
 	fail := func(err error) { s.finish(j, StateFailed, err.Error(), nil) }
 
-	prog, err := compile(j.req)
+	prog, err := s.compile(j.req)
 	if err != nil {
 		fail(err)
 		return
 	}
-	env := &runEnv{workers: s.cfg.EngineWorkers, char: &j.char, mu: &j.mu, sw: &j.swLive}
+	var db *syndrome.DB
 	if prog.needsDB {
-		db, err := syndrome.Load(j.req.DBPath)
-		if err != nil {
+		if db, err = syndrome.Load(j.req.DBPath); err != nil {
 			fail(err)
 			return
 		}
-		env.db = db
 	}
 
 	// Periodic progress journal while units are in flight.
@@ -657,12 +652,7 @@ func (s *Service) runJob(j *Job) {
 		}
 	}()
 
-	var runErr error
-	if s.cfg.Fabric != nil && len(prog.charUnits) == len(prog.units) {
-		runErr = s.runUnitsFabric(ctx, j, prog, env)
-	} else {
-		runErr = s.runUnitsLocal(ctx, j, prog, env)
-	}
+	runErr := s.runUnits(ctx, j, prog, db)
 	close(stopTick)
 	tickWG.Wait()
 	if runErr != nil && ctx.Err() == nil {
@@ -727,99 +717,74 @@ func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMess
 	}
 }
 
-// runUnitsLocal executes the program's units sequentially in this
-// process. A nil return with ctx still alive means every unit is in
-// j.completed.
-func (s *Service) runUnitsLocal(ctx context.Context, j *Job, prog *program, env *runEnv) error {
-	base := int64(0)
-	for _, u := range prog.units {
-		j.mu.Lock()
-		_, doneAlready := j.completed[u.name]
-		j.mu.Unlock()
-		if doneAlready {
-			base += int64(u.total)
-			j.bumpDone(base)
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		off := base
-		raw, err := u.run(ctx, env, func(done, _ int) {
-			j.bumpDone(off + int64(done))
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil // cancellation surfaces in runJob, not as a failure
-			}
-			return fmt.Errorf("unit %s: %w", u.name, err)
-		}
-		base += int64(u.total)
-		j.bumpDone(base)
-		j.mu.Lock()
-		j.completed[u.name] = raw
-		j.mu.Unlock()
-		s.saveCheckpoint(j)
-	}
-	return nil
-}
-
-// runUnitsFabric distributes the program's units through the fabric
-// coordinator. Results are consumed in plan order (Await blocks until
-// the coordinator has the next unit's result), so the syndrome DB and
-// the checkpoint journal are assembled exactly as in the local path and
-// the merged output is bit-identical to a single-node run.
-func (s *Service) runUnitsFabric(ctx context.Context, j *Job, prog *program, env *runEnv) error {
-	// Units finished before a restart stay finished; only ship the rest.
-	var pending []core.Unit
-	doneBase := int64(0)
+// runUnits executes the units the journal does not hold yet on
+// campaign.RunOrdered and commits each — database ingest, journal record,
+// checkpoint — in plan order, so the journal and the result are the same
+// bytes wherever and however many at a time the units ran: a local
+// characterize job's side by side on shares of EngineWorkers, an hpc or cnn
+// job's one at a time, a characterize job's on the fabric by awaiting each
+// result. A nil return with ctx still alive means all are in j.completed.
+func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndrome.DB) error {
+	var pending []*unit
 	j.mu.Lock()
-	for i, u := range prog.units {
+	for i := range prog.units {
+		u := &prog.units[i]
 		if _, ok := j.completed[u.name]; ok {
-			doneBase += int64(u.total)
+			j.done.Part()(u.total, u.total)
 		} else {
-			pending = append(pending, prog.charUnits[i])
+			pending = append(pending, u)
 		}
 	}
 	j.mu.Unlock()
-	j.bumpDone(doneBase)
 	if len(pending) == 0 {
 		return nil
 	}
 
-	handle, err := s.cfg.Fabric.StartJob(j.id, pending, func(doneFaults int) {
-		j.bumpDone(doneBase + int64(doneFaults))
-	})
-	if err != nil {
-		return fmt.Errorf("fabric: %w", err)
+	inFlight := 1
+	exec := func(i, workers int) (outcome, error) {
+		return pending[i].run(ctx, db, workers, j.done.Part())
 	}
-	defer handle.Stop()
+	switch {
+	case j.req.Kind != KindCharacterize:
+	case s.cfg.Fabric == nil:
+		inFlight = s.cfg.EngineWorkers
+	default:
+		plan := make([]core.Unit, len(pending))
+		for i, u := range pending {
+			plan[i] = u.char
+		}
+		fleet := j.done.Part() // the coordinator reports the leased units' faults as one count
+		handle, err := s.cfg.Fabric.StartJob(j.id, plan, func(done int) { fleet(done, 0) })
+		if err != nil {
+			return fmt.Errorf("fabric: %w", err)
+		}
+		defer handle.Stop()
+		exec = func(i, _ int) (outcome, error) {
+			res, err := handle.Await(ctx, pending[i].name)
+			return outcome{char: res}, err
+		}
+	}
 
-	completedFaults := doneBase
-	for i, u := range prog.units {
-		j.mu.Lock()
-		_, doneAlready := j.completed[u.name]
-		j.mu.Unlock()
-		if doneAlready {
-			continue
-		}
-		res, err := handle.Await(ctx, u.name)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil // cancellation surfaces in runJob
+	k, err := campaign.RunOrdered(ctx, len(pending), s.cfg.EngineWorkers, inFlight, exec,
+		func(i int, out outcome) (err error) {
+			u := pending[i]
+			j.mu.Lock()
+			if out.char != nil {
+				out.raw, err = ingestCharUnit(&j.char, u.char, out.char)
 			}
-			return fmt.Errorf("unit %s: %w", u.name, err)
-		}
-		raw, err := ingestCharUnit(env, prog.charUnits[i], res)
-		if err != nil {
-			return fmt.Errorf("unit %s: %w", u.name, err)
-		}
-		completedFaults += int64(u.total)
-		j.bumpDone(completedFaults)
-		j.mu.Lock()
-		j.completed[u.name] = raw
-		j.mu.Unlock()
-		s.saveCheckpoint(j)
+			if err != nil {
+				j.mu.Unlock()
+				return err
+			}
+			j.completed[u.name] = out.raw
+			j.swLive.Merge(out.sw.Counters)
+			j.swLive.elapsed += out.sw.elapsed
+			j.mu.Unlock()
+			s.saveCheckpoint(j)
+			return nil
+		})
+	if err != nil && ctx.Err() == nil { // cancellation surfaces in runJob, not as a failure
+		return fmt.Errorf("unit %s: %w", pending[k].name, err)
 	}
 	return nil
 }
@@ -840,8 +805,8 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 		ID:         j.id,
 		Request:    j.req,
 		State:      j.state,
-		Done:       j.done.Load(),
-		Total:      j.total.Load(),
+		Done:       j.doneCount(),
+		Total:      int64(j.done.Total),
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
 		Completed:  j.completed,

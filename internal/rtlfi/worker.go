@@ -178,6 +178,9 @@ type plan struct {
 // RNG, so the fault list drawn afterwards sees the same stream whatever
 // the engine mode.
 func newPlan(e engine, f family) (*plan, error) {
+	if e.numFaults < 0 {
+		return nil, fmt.Errorf("rtlfi: negative fault count %d", e.numFaults)
+	}
 	rng := stats.NewRNG(e.seed)
 	p := &plan{engine: e, family: f, draws: make([]*inputDraw, valuesPerRange)}
 	for i := range p.draws {

@@ -131,6 +131,9 @@ type summary[G any] struct {
 // whole or after an interruption — reproduces every injection
 // bit-identically.
 func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
+	if s.injections < 0 {
+		return nil, fmt.Errorf("swfi: negative injection count %d", s.injections)
+	}
 	// Fast-forward preparation: the golden prefix of every injection run
 	// is bit-identical to the golden run, so it is recorded once into
 	// checkpoints and write-sets and restored instead of re-simulated.
