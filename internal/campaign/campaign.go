@@ -12,7 +12,10 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -45,6 +48,9 @@ func Workers(n int) int {
 // per-job delivery measurably perturbs dense campaigns — and is always
 // called with (n, n) when the last job completes. It is called from the
 // worker goroutines, possibly out of order.
+//
+// A panic in a job (or in worker) stops every worker at its next job
+// boundary, and Run returns no outputs and a *JobPanic naming the job.
 func Run[T any](ctx context.Context, n, workers int, progress func(done, total int),
 	worker func(w int) func(i int) T) (outs []T, completed int, err error) {
 
@@ -52,13 +58,20 @@ func Run[T any](ctx context.Context, n, workers int, progress func(done, total i
 	granule := max(n/1000, 1)
 	outs = make([]T, n)
 	var done atomic.Int64
+	var failed atomic.Pointer[JobPanic] // the first panic
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := -1 // the job running; -1 while worker sets up
+			defer func() {
+				if r := recover(); r != nil {
+					failed.CompareAndSwap(nil, &JobPanic{Job: i, Value: r, Stack: debug.Stack()})
+				}
+			}()
 			job := worker(w)
-			for i := w; i < n && ctx.Err() == nil; i += workers {
+			for i = w; i < n && ctx.Err() == nil && failed.Load() == nil; i += workers {
 				outs[i] = job(i)
 				d := int(done.Add(1))
 				if progress != nil && (d == n || d%granule == 0) {
@@ -68,8 +81,33 @@ func Run[T any](ctx context.Context, n, workers int, progress func(done, total i
 		}()
 	}
 	wg.Wait()
+	if jp := failed.Load(); jp != nil {
+		return nil, int(done.Load()), jp
+	}
 	if completed = int(done.Load()); completed < n {
 		return outs, completed, ctx.Err()
 	}
 	return outs, completed, nil
+}
+
+// JobPanic is the error Run returns when a job panics.
+type JobPanic struct {
+	Job   int // the job's index; -1 when a worker panicked setting up
+	Value any // what the job panicked with
+	Stack []byte
+}
+
+func (e *JobPanic) Error() string {
+	return fmt.Sprintf("job %d panicked: %v\n%s", e.Job, e.Value, e.Stack)
+}
+
+// NameJob prefixes a *JobPanic in err with site(job) — the engine's name
+// for the job's fault, enough to replay it alone. Other errors pass as
+// they are.
+func NameJob(err error, site func(job int) string) error {
+	var jp *JobPanic
+	if errors.As(err, &jp) && jp.Job >= 0 {
+		return fmt.Errorf("%s: %w", site(jp.Job), err)
+	}
+	return err
 }

@@ -3,9 +3,13 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // identity is a worker whose every job returns its own index.
@@ -143,5 +147,51 @@ func TestCancelMidCampaignStillErrors(t *testing.T) {
 	// is left unfinished however far the other one got.
 	if completed < 5 || completed >= n {
 		t.Fatalf("completed = %d of %d after cancelling at 5", completed, n)
+	}
+}
+
+// TestJobPanicFailsCampaign: a job that panics stops the campaign with an
+// error naming it — index, panic value, stack — and no outputs; a worker
+// that panics setting up is job -1; no goroutine outlives Run. NameJob
+// prefixes the engine's name for the fault.
+func TestJobPanicFailsCampaign(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const bad = 57
+	outs, _, err := Run(context.Background(), 200, 3, nil, func(int) func(int) int {
+		return func(i int) int {
+			if i == bad {
+				panic("corrupted machine state")
+			}
+			return i
+		}
+	})
+	var jp *JobPanic
+	if !errors.As(err, &jp) || jp.Job != bad || jp.Value != "corrupted machine state" ||
+		!strings.Contains(string(jp.Stack), "campaign_test.go") || outs != nil {
+		t.Fatalf("panicking job %d: outs %v, err %v", bad, outs != nil, err)
+	}
+	named := NameJob(err, func(i int) string { return fmt.Sprintf("fault %d at bit %d", i, 2*i) })
+	if !errors.As(named, &jp) || !strings.HasPrefix(named.Error(), "fault 57 at bit 114: job 57 panicked: corrupted machine state") {
+		t.Fatalf("named error: %v", named)
+	}
+
+	_, _, err = Run(context.Background(), 10, 2, nil, func(w int) func(int) int {
+		if w == 1 {
+			panic("no machine")
+		}
+		return func(i int) int { return i }
+	})
+	if !errors.As(err, &jp) || jp.Job != -1 || NameJob(err, nil) != err {
+		t.Fatalf("panicking worker set-up: %v", err)
+	}
+	// A worker is counted until it has returned past wg.Done: give the
+	// scheduler a moment, never a leak.
+	after := runtime.NumGoroutine()
+	for wait := 0; after > before && wait < 100; wait++ {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after != before {
+		t.Fatalf("%d goroutines before the campaigns, %d after", before, after)
 	}
 }

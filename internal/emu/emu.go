@@ -80,21 +80,45 @@ type Launch struct {
 	// regression comparison and for benchmarking the interpreter itself,
 	// like swfi's NoFastForward.
 	NoFastPath bool
+
+	// BlockDone, when non-nil, is called after every block that completes —
+	// the block a Resume continues included — with the block index and the
+	// launch's counters so far. Returning true ends the launch there,
+	// successfully: later blocks do not run. It is not an instruction hook
+	// and does not change the interpreter tier.
+	BlockDone func(block int, res *Result) (stop bool)
 }
 
 // MemTrace collects the global-memory words a launch reads and writes, as
 // bitmaps indexed by word address. The replay layer records them on the
 // golden run to compute per-boundary live-in sets for reconvergence
-// detection. Both bitmaps must cover len(Global) bits.
+// detection. Writes must cover len(Global) bits; so must Reads, unless it
+// is nil and loads go untraced.
 type MemTrace struct {
 	Reads  []uint64
 	Writes []uint64
+
+	// Touched lists, in first-store order, the Writes words a store turned
+	// non-zero since the list was last emptied, so a consumer can walk or
+	// reset (ClearWrites) what was stored in time proportional to it.
+	Touched []int32
 }
 
-// NewMemTrace sizes a trace for a words-long global image.
-func NewMemTrace(words int) *MemTrace {
-	n := (words + 63) / 64
-	return &MemTrace{Reads: make([]uint64, n), Writes: make([]uint64, n)}
+// ClearWrites zeroes the Touched words of Writes and empties Touched.
+func (mt *MemTrace) ClearWrites() {
+	for _, k := range mt.Touched {
+		mt.Writes[k] = 0
+	}
+	mt.Touched = mt.Touched[:0]
+}
+
+// store marks a store to word addr.
+func (mt *MemTrace) store(addr int64) {
+	k := addr >> 6
+	if mt.Writes[k] == 0 {
+		mt.Touched = append(mt.Touched, int32(k))
+	}
+	mt.Writes[k] |= 1 << (uint(addr) & 63)
 }
 
 // Result reports execution statistics.
@@ -142,12 +166,25 @@ func (ex *exec) run() (Result, error) {
 	if err := ex.validate(); err != nil {
 		return ex.res, err
 	}
-	for b := 0; b < ex.l.Grid; b++ {
+	return ex.blocksFrom(0)
+}
+
+// blocksFrom runs blocks first.. of the grid, each followed by BlockDone.
+func (ex *exec) blocksFrom(first int) (Result, error) {
+	for b := first; b < ex.l.Grid; b++ {
 		if err := ex.runBlock(b); err != nil {
 			return ex.res, err
 		}
+		if ex.blockDone(b) {
+			break
+		}
 	}
 	return ex.res, nil
+}
+
+// blockDone reports a completed block to BlockDone: whether to stop.
+func (ex *exec) blockDone(b int) bool {
+	return ex.l.BlockDone != nil && ex.l.BlockDone(b, &ex.res)
 }
 
 type exec struct {

@@ -259,7 +259,10 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 		}
 	case isa.OpGLD:
 		g := ex.l.Global
-		mt := ex.l.Mem
+		var reads []uint64
+		if mt := ex.l.Mem; mt != nil {
+			reads = mt.Reads
+		}
 		a, dst := &w.regs[d.srcA], ex.dstRow(w, d)
 		imm := int64(d.imm)
 		for m := guard; m != 0; m &= m - 1 {
@@ -268,8 +271,8 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 			if uint64(addr) >= uint64(len(g)) {
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
-			if mt != nil {
-				mt.Reads[addr>>6] |= 1 << (uint(addr) & 63)
+			if reads != nil {
+				reads[addr>>6] |= 1 << (uint(addr) & 63)
 			}
 			dst[l] = g[addr]
 		}
@@ -285,7 +288,7 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
 			if mt != nil {
-				mt.Writes[addr>>6] |= 1 << (uint(addr) & 63)
+				mt.store(addr)
 			}
 			g[addr] = c[l]
 		}

@@ -24,12 +24,16 @@ type Snapshot struct {
 // Res returns the launch's Result counters at the capture point.
 func (s *Snapshot) Res() Result { return s.res }
 
-// clone deep-copies a warp. The regs and preds arrays copy by value; only
-// the SIMT stack needs an explicit copy.
+// clone deep-copies a warp into a pooled one. The regs and preds arrays
+// copy by value; only the SIMT stack needs an explicit copy. A campaign
+// resumes once per injection, and fresh ~8 KB clones each time would keep
+// the heap full of them.
 func (w *warp) clone() *warp {
-	c := *w
-	c.stack = append([]stackEntry(nil), w.stack...)
-	return &c
+	c := warpPool.Get().(*warp)
+	stack := c.stack[:0]
+	*c = *w
+	c.stack = append(stack, w.stack...)
+	return c
 }
 
 func (ex *exec) snapshot(blockID int, warps []*warp) *Snapshot {
@@ -89,10 +93,8 @@ func Resume(l *Launch, s *Snapshot) (Result, error) {
 		return ex.res, err
 	}
 	releaseWarps(warps) // the clones are block-final and unreferenced
-	for b := s.block + 1; b < l.Grid; b++ {
-		if err := ex.runBlock(b); err != nil {
-			return ex.res, err
-		}
+	if ex.blockDone(s.block) {
+		return ex.res, nil
 	}
-	return ex.res, nil
+	return ex.blocksFrom(s.block + 1)
 }

@@ -208,3 +208,98 @@ func equalWords(a, b []uint32) bool {
 	}
 	return true
 }
+
+// TestBlockDone: the callback sees every completed block in order with the
+// launch's running counters, on both tiers and after a Resume (the resumed
+// block first), and returning true ends the launch there without error,
+// leaving later blocks' output unwritten.
+func TestBlockDone(t *testing.T) {
+	const grid, block = 4, 64
+	const n = grid * block
+	prog := sharedRevProg(t, block)
+	launch := func(g []uint32, noFast bool, done func(int, *Result) bool) *Launch {
+		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: block,
+			NoFastPath: noFast, BlockDone: done}
+	}
+	gWant := sharedRevInput(n)
+	var ends []uint64 // counters after each block of the full run
+	want, err := Run(launch(gWant, false, func(b int, r *Result) bool {
+		if b != len(ends) {
+			t.Fatalf("BlockDone for block %d after %d blocks", b, len(ends))
+		}
+		ends = append(ends, r.DynThreadInstrs)
+		return false
+	}))
+	if err != nil || len(ends) != grid || ends[grid-1] != want.DynThreadInstrs {
+		t.Fatalf("full run: %v, block ends %v, total %d", err, ends, want.DynThreadInstrs)
+	}
+	outOf := func(g []uint32, b int) []uint32 { return g[n+b*block : n+(b+1)*block] }
+
+	for _, noFast := range []bool{false, true} {
+		for stop := 0; stop < grid; stop++ {
+			g := sharedRevInput(n)
+			res, err := Run(launch(g, noFast, func(b int, _ *Result) bool { return b == stop }))
+			if err != nil || res.DynThreadInstrs != ends[stop] {
+				t.Fatalf("noFast=%v stop=%d: %v after %d instructions, want %d", noFast, stop, err, res.DynThreadInstrs, ends[stop])
+			}
+			for b := 0; b < grid; b++ {
+				ran := equalWords(outOf(g, b), outOf(gWant, b))
+				if ran != (b <= stop) {
+					t.Fatalf("noFast=%v stop=%d: block %d output written = %v", noFast, stop, b, ran)
+				}
+			}
+		}
+	}
+
+	var snaps []*Snapshot
+	if _, err := RunCheckpointed(launch(sharedRevInput(n), false, nil), 100, 300, func(s *Snapshot) {
+		snaps = append(snaps, s)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range snaps {
+		var seen []int
+		res, err := Resume(launch(make([]uint32, 2*n), false, func(b int, r *Result) bool {
+			if r.DynThreadInstrs != ends[b] {
+				t.Fatalf("snapshot %d: block %d ended at %d, want %d", i, b, r.DynThreadInstrs, ends[b])
+			}
+			seen = append(seen, b)
+			return b == s.block
+		}), s)
+		if err != nil || len(seen) != 1 || seen[0] != s.block || res.DynThreadInstrs != ends[s.block] {
+			t.Fatalf("snapshot %d in block %d: %v, BlockDone saw %v", i, s.block, err, seen)
+		}
+	}
+}
+
+// TestMemTraceStores: Touched lists exactly the Writes words stores marked,
+// ClearWrites resets them, and a nil Reads leaves loads untraced.
+func TestMemTraceStores(t *testing.T) {
+	const n = 128
+	prog := sharedRevProg(t, 64)
+	for _, noFast := range []bool{false, true} {
+		mt := &MemTrace{Writes: make([]uint64, (2*n+63)/64)}
+		l := sharedRevLaunch(prog, sharedRevInput(n), Hooks{})
+		l.Mem, l.NoFastPath = mt, noFast
+		if _, err := Run(l); err != nil {
+			t.Fatal(err)
+		}
+		// The kernel stores out = words n..2n-1, each once.
+		for k, m := range mt.Writes {
+			if want := uint64(0); k >= n/64 {
+				if want = ^want; m != want {
+					t.Fatalf("noFast=%v: Writes[%d] = %x", noFast, k, m)
+				}
+			} else if m != 0 {
+				t.Fatalf("noFast=%v: Writes[%d] = %x, the kernel stores nothing there", noFast, k, m)
+			}
+		}
+		if len(mt.Touched) != n/64 || mt.Touched[0] != n/64 || mt.Touched[1] != n/64+1 {
+			t.Fatalf("noFast=%v: Touched = %v", noFast, mt.Touched)
+		}
+		mt.ClearWrites()
+		if len(mt.Touched) != 0 || mt.Writes[n/64] != 0 || mt.Writes[n/64+1] != 0 {
+			t.Fatalf("noFast=%v: ClearWrites left %v, %x", noFast, mt.Touched, mt.Writes)
+		}
+	}
+}

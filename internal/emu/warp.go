@@ -252,7 +252,7 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 			if addr < 0 || addr >= int64(len(global)) {
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
-			if mt := ex.l.Mem; mt != nil {
+			if mt := ex.l.Mem; mt != nil && mt.Reads != nil {
 				mt.Reads[addr>>6] |= 1 << (uint(addr) & 63)
 			}
 			d = global[addr]
@@ -262,7 +262,7 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
 			if mt := ex.l.Mem; mt != nil {
-				mt.Writes[addr>>6] |= 1 << (uint(addr) & 63)
+				mt.store(addr)
 			}
 			global[addr] = c
 			d = c

@@ -52,7 +52,7 @@ func writeFabricJSON(w http.ResponseWriter, code int, v any) {
 // of a paper-scale plan (micro/FEXP/L/SFU, 12 000 faults) encodes to
 // 115 554 bytes, under 10 a fault, ×4/3 as base64 = 154 KB; 16 MiB carries
 // 12 MiB of payload, a unit of over a million faults at that density. (A
-// unit past the bound can never be completed: split its campaign.)
+// worker fails a unit past the bound instead of sending it: withPayload.)
 const maxRPCBody = 16 << 20
 
 // handleRPC adapts one Transport method to an HTTP POST endpoint.

@@ -2,7 +2,10 @@ package fabric
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -207,7 +210,8 @@ func call[T any](ctx context.Context, w *worker, fn func(id string) (T, error)) 
 }
 
 // runTask executes one leased unit and reports its outcome. A panic in the
-// engine is the unit's error like any other: MaxRetries decides.
+// engine, or a result too large to send, is the unit's error like any
+// other: MaxRetries decides.
 func (w *worker) runTask(ctx context.Context, task Task) {
 	unitCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -233,19 +237,15 @@ func (w *worker) runTask(ctx context.Context, task Task) {
 		return
 	}
 	req := CompleteRequest{Lease: task.Lease, Job: task.Job, Unit: key.Unit}
+	var payload []byte
 	if err != nil {
 		req.Error = err.Error()
-	} else {
-		payload, perr := EncodeUnitResult(res)
-		if perr != nil {
-			req.Error = perr.Error()
-		} else {
-			req.Payload = payload
-		}
+	} else if payload, err = EncodeUnitResult(res); err != nil {
+		req.Error = err.Error()
 	}
 	reply, err := call(ctx, w, func(id string) (CompleteReply, error) {
 		req.WorkerID = id
-		return w.tr.Complete(req)
+		return w.tr.Complete(withPayload(req, payload, maxRPCBody))
 	})
 	switch {
 	case err != nil:
@@ -257,6 +257,25 @@ func (w *worker) runTask(ctx context.Context, task Task) {
 	case reply.Status == CompleteDropped:
 		w.cfg.Logf("fabric worker: %s/%s no longer wanted (dropped)", key.Job, key.Unit)
 	}
+}
+
+// withPayload returns req carrying payload, or, when req encoded with it
+// would exceed limit bytes of JSON, an error in its place: the coordinator
+// would refuse that body every time, and only an error lets MaxRetries end
+// the unit instead of its lease expiring and re-leasing it forever.
+func withPayload(req CompleteRequest, payload []byte, limit int) CompleteRequest {
+	if len(payload) == 0 {
+		return req
+	}
+	head, _ := json.Marshal(req) // strings only: it cannot fail
+	// The payload adds `,"payload":"…"`, its bytes in base64.
+	if n := len(head) + len(`,"payload":""`) + base64.StdEncoding.EncodedLen(len(payload)); n > limit {
+		req.Error = fmt.Sprintf("fabric: unit result payload %d bytes exceeds limit: its complete request encodes to %d bytes, over %d; split its campaign",
+			len(payload), n, limit)
+		return req
+	}
+	req.Payload = payload
+	return req
 }
 
 // heartbeatLoop renews leases and reports in-flight progress at a third

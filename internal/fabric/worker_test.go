@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -105,5 +107,31 @@ func TestWorkerContainsEnginePanics(t *testing.T) {
 	}
 	if res, err := h.Await(context.Background(), good.Name()); err != nil || res.Micro == nil {
 		t.Fatalf("the worker did not survive to run the other unit: %v", err)
+	}
+}
+
+// TestOversizedPayloadIsAnError: a complete request whose JSON would pass
+// the body bound carries an error naming the payload size instead of the
+// payload, so MaxRetries ends the unit; the bound is exact to the byte.
+func TestOversizedPayloadIsAnError(t *testing.T) {
+	req := CompleteRequest{WorkerID: "w-000003", Lease: "l-000017", Job: "j-000001", Unit: "micro/FADD/M/FP32"}
+	payload := bytes.Repeat([]byte{0xAB, 0x01, 0x7F, 0x22}, 750)
+	full := req
+	full.Payload = payload
+	body, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := withPayload(req, payload, len(body)); !bytes.Equal(got.Payload, payload) || got.Error != "" {
+		t.Fatalf("a request of exactly the bound lost its payload: %q", got.Error)
+	}
+	got := withPayload(req, payload, len(body)-1)
+	if got.Payload != nil || !strings.Contains(got.Error, "payload 3000 bytes exceeds limit") {
+		t.Fatalf("one byte over the bound: payload %d bytes, error %q", len(got.Payload), got.Error)
+	}
+	failed := req
+	failed.Error = "engine failed"
+	if got := withPayload(failed, nil, 1); got.Error != "engine failed" {
+		t.Fatalf("an error result became %q", got.Error)
 	}
 }

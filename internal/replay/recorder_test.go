@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,7 +16,8 @@ import (
 // it copies the whole arena before every launch and diffs the whole arena
 // after it, and diffs the whole arena against a copy taken at the previous
 // launch's end for the host writes — no bitmap walk, no image kept up to
-// date incrementally.
+// date incrementally — and takes each block's writes from its store
+// events.
 type naiveRecorder struct {
 	every, nextCk uint64
 	g, post       []uint32
@@ -46,8 +48,31 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 		host = diffArena(n.post, n.g)
 	}
 	pre := slices.Clone(n.g)
-	mt := emu.NewMemTrace(len(n.g))
+	words := (len(n.g) + 63) / 64
+	mt := &emu.MemTrace{Reads: make([]uint64, words), Writes: make([]uint64, words)}
 	l.Mem = mt
+	// Block records from the store events themselves: every address a
+	// block's GSTs name, valued at the block's end.
+	var blocks []BlockRec
+	var stored []int
+	l.Hooks.Post = func(ev *emu.Event) {
+		if ev.Instr.Op == isa.OpGST {
+			for m := ev.Active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				stored = append(stored, int(int32(ev.SrcA(lane)))+int(ev.Instr.Imm))
+			}
+		}
+	}
+	l.BlockDone = func(_ int, res *emu.Result) bool {
+		slices.Sort(stored)
+		var w []Delta
+		for _, i := range slices.Compact(stored) {
+			w = append(w, Delta{Idx: uint32(i), Val: n.g[i]})
+		}
+		blocks = append(blocks, BlockRec{Writes: w, Instrs: res.DynThreadInstrs})
+		stored = stored[:0]
+		return false
+	}
 	base, baseCount := n.instrs, n.count
 	res, err := emu.RunCheckpointed(l, n.nextCk-base, n.every, func(s *emu.Snapshot) {
 		sr := s.Res()
@@ -61,7 +86,7 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	n.instrs, n.count = base+res.DynThreadInstrs, baseCount+res.PerOpcode[isa.OpIMUL]
 	n.launches = append(n.launches, LaunchRec{
 		Deltas: diffArena(pre, n.g), Host: host, Reads: mt.Reads, Writes: mt.Writes,
-		CumInstrs: n.instrs, CumCount: n.count,
+		CumInstrs: n.instrs, CumCount: n.count, Blocks: blocks,
 	})
 	n.post = slices.Clone(n.g)
 	for n.nextCk <= n.instrs {
@@ -137,9 +162,9 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 // TestRecorderMatchesNaiveReference: over seeded mixed schedules — host
 // writes between launches, launches that rewrite words with their old
 // values, launches that write nothing, slack far larger than the footprint
-// — the Recorder's trace equals the whole-arena-diff reference's word for
-// word, and a Player forked from any of its checkpoints reproduces the
-// plain run.
+// — the Recorder's trace, per-block records included, equals the
+// whole-arena-diff reference's word for word, and a Player forked from
+// any of its checkpoints reproduces the plain run.
 func TestRecorderMatchesNaiveReference(t *testing.T) {
 	var sawHost, sawSilentWrite, sawNoWrite bool
 	pool := &Pool{}
@@ -158,6 +183,12 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		// A block's writes are a set: put them in the reference's order.
+		for _, l := range tr.Launches {
+			for _, b := range l.Blocks {
+				slices.SortFunc(b.Writes, func(x, y Delta) int { return int(x.Idx) - int(y.Idx) })
+			}
+		}
 		if tr.Words != len(ref.g) || tr.Instrs != ref.instrs || tr.Count != ref.count {
 			t.Fatalf("seed %d: trace %d words %d instrs %d countable, reference %d/%d/%d",
 				seed, tr.Words, tr.Instrs, tr.Count, len(ref.g), ref.instrs, ref.count)

@@ -17,20 +17,23 @@
 // deterministic given the global-memory images, which the write-sets
 // reproduce exactly.
 //
-// Players additionally fast-forward the post-fault tail: once the fault
-// has fired, the arena is compared against the golden trajectory at
-// every launch boundary (the Recorder keeps host write-sets alongside
-// the launch write-sets, so the golden arena is reconstructible at each
-// boundary without re-simulating). The moment they match, the remainder
-// of the run is provably identical to the golden execution — the
-// emulator is deterministic and the host is a pure function of arena
-// contents — so the remaining launches are skipped via write-sets. This
-// reconvergence skip is gated on Trace.HostPure: workloads whose host
-// keeps state derived from mid-run arena reads (e.g. quicksort's
-// recursion stack) must leave it unset.
+// Players additionally fast-forward the post-fault tail, first inside the
+// faulting launch: a countdown player ends it at the faulted block when no
+// later block can read a word the fault changed, applying the recorded
+// writes of the rest (Player.endAtFault). Then, at every launch boundary,
+// the arena is compared against the golden trajectory (the Recorder keeps
+// host write-sets alongside the launch write-sets, so the golden arena is
+// reconstructible at each boundary without re-simulating). The moment
+// they match, the remainder of the run is provably identical to the
+// golden execution — the emulator is deterministic and the host is a pure
+// function of arena contents — so the remaining launches are skipped via
+// write-sets. This reconvergence skip is gated on Trace.HostPure:
+// workloads whose host keeps state derived from mid-run arena reads (e.g.
+// quicksort's recursion stack) must leave it unset.
 package replay
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -107,6 +110,17 @@ type LaunchRec struct {
 	// and countable-thread-instruction totals after the launch.
 	CumInstrs uint64
 	CumCount  uint64
+	// Blocks holds the launch's blocks in execution order.
+	Blocks []BlockRec
+}
+
+// BlockRec describes one block of a recorded launch.
+type BlockRec struct {
+	// Writes is every word the block stored to, changed or not, with its
+	// value at the block's end.
+	Writes []Delta
+	// Instrs is the launch-local thread-instruction count after the block.
+	Instrs uint64
 }
 
 // Checkpoint anchors a mid-launch emulator snapshot in workload-global
@@ -216,6 +230,7 @@ type Recorder struct {
 	// the words each host and launch delta names, never recopied.
 	img    []uint32
 	nextCk uint64
+	stores emu.MemTrace // the running launch's; Writes per block
 
 	// Liveness capture (CaptureLiveness): a Post hook recording the event
 	// stream for the backward dead-site scan, plus per-launch end marks.
@@ -243,6 +258,7 @@ func (r *Recorder) Arena(words int) []uint32 {
 		panic("replay: Arena called twice in one execution")
 	}
 	r.g = make([]uint32, words)
+	r.stores.Writes = make([]uint64, (words+63)/64)
 	r.tr.Words = words
 	return r.g
 }
@@ -273,8 +289,28 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	}
 	l.Hooks = emu.Hooks{}
 	l.NoFastPath = r.NoFastPath
-	mt := emu.NewMemTrace(len(r.g))
+	// r.stores marks one block's stores and is cleared at the block's end,
+	// so a block's writes are read off its own marks, with no pass over the
+	// arena or the bitmap; writes is their union, the launch's.
+	mt := &r.stores
+	mt.Reads = make([]uint64, len(mt.Writes))
 	l.Mem = mt
+	writes := make([]uint64, len(mt.Writes))
+	var blocks []BlockRec
+	l.BlockDone = func(_ int, res *emu.Result) bool {
+		var written []Delta
+		for _, k := range mt.Touched {
+			m := mt.Writes[k]
+			writes[k] |= m
+			for ; m != 0; m &= m - 1 {
+				i := int(k)<<6 + bits.TrailingZeros64(m)
+				written = append(written, Delta{Idx: uint32(i), Val: r.g[i]})
+			}
+		}
+		mt.ClearWrites()
+		blocks = append(blocks, BlockRec{Writes: written, Instrs: res.DynThreadInstrs})
+		return false
+	}
 	if r.capture != nil {
 		l.Hooks.Post = r.capture
 	}
@@ -296,7 +332,7 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	// A launch changes only words it stored to, and every store marks Writes:
 	// the marked words that differ from img are what a whole-arena diff finds.
 	var deltas []Delta
-	for k, m := range mt.Writes {
+	for k, m := range writes {
 		for ; m != 0; m &= m - 1 {
 			i := k<<6 + bits.TrailingZeros64(m)
 			if v := r.g[i]; v != r.img[i] {
@@ -314,9 +350,10 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		Deltas:    deltas,
 		Host:      host,
 		Reads:     mt.Reads,
-		Writes:    mt.Writes,
+		Writes:    writes,
 		CumInstrs: r.tr.Instrs,
 		CumCount:  r.tr.Count,
+		Blocks:    blocks,
 	})
 	r.endLaunch(l)
 	for r.nextCk <= r.tr.Instrs {
@@ -334,6 +371,7 @@ func (r *Recorder) Finish() *Trace { return r.tr }
 type Pool struct {
 	buf    []uint32
 	shadow []uint32
+	stores emu.MemTrace
 }
 
 // Player is the fast-forwarding Runner. Launches whose recorded execution
@@ -364,10 +402,16 @@ type Player struct {
 	shadowLive bool
 	converged  bool
 
+	// stores watches the stores of the launches a countdown player runs
+	// before its fault has fired (Writes only; nil for other players), so
+	// the faulting launch can end at the faulted block (endAtFault).
+	stores *emu.MemTrace
+
 	// Live accumulates the portion actually simulated; Skipped counts the
-	// thread-instructions provably avoided (write-set launches plus
-	// restored snapshot prefixes). Live.DynThreadInstrs+Skipped equals a
-	// full replay's total as long as the replay tracks the golden run.
+	// thread-instructions provably avoided (write-set launches, restored
+	// snapshot prefixes, faulting-launch remainders). Live.DynThreadInstrs +
+	// Skipped equals a full replay's total as long as the replay tracks the
+	// golden run.
 	Live    emu.Result
 	Skipped uint64
 
@@ -436,11 +480,13 @@ func (p *Player) attach(pool *Pool) {
 	// which skipping would bypass.
 	converge := p.tr.HostPure && (p.fired != nil || p.skipTo >= 0) && len(p.tr.Launches) > 1
 	if pool == nil {
-		p.g = make([]uint32, p.tr.Words)
-		if converge {
-			p.shadow = make([]uint32, p.tr.Words)
+		pool = &Pool{}
+	}
+	if p.fired != nil {
+		if words := (p.tr.Words + 63) / 64; len(pool.stores.Writes) != words {
+			pool.stores.Writes = make([]uint64, words)
 		}
-		return
+		p.stores = &pool.stores
 	}
 	if len(pool.buf) != p.tr.Words {
 		pool.buf = make([]uint32, p.tr.Words)
@@ -494,6 +540,11 @@ func (p *Player) Launch(l *emu.Launch) error {
 	}
 	p.syncShadow(ord)
 	l.Hooks = p.liveHooks(ord)
+	l.Mem, l.BlockDone = nil, nil
+	if p.stores != nil && !p.faultDone() && ord < len(p.tr.Launches) {
+		l.Mem, l.BlockDone = p.stores, p.endAtFault(ord, l)
+		defer p.stores.ClearWrites()
+	}
 	var res emu.Result
 	var err error
 	if p.ck != nil && ord == resumeOrd {
@@ -521,6 +572,64 @@ func (p *Player) faultDone() bool {
 		return true
 	}
 	return p.fired != nil && p.fired()
+}
+
+// endAtFault is the BlockDone of a launch the fault has not fired before:
+// it ends the launch at the faulted block b, applying the recorded writes
+// of blocks b+1.. instead, when D — the words the faulty run left unlike
+// golden — misses the launch's golden read set and the watchdog would not
+// fire in the remainder. Blocks start with fresh registers and shared
+// memory, so blocks b+1.. then run as recorded; and D lies within b's
+// golden writes and live stores, every earlier block having run before
+// the fault. The host only runs after the launch returns.
+func (p *Player) endAtFault(ord int, l *emu.Launch) func(int, *emu.Result) bool {
+	rec := &p.tr.Launches[ord]
+	budget := cmp.Or(l.MaxDynInstrs, emu.DefaultMaxDynInstrs)
+	decided := false
+	return func(b int, res *emu.Result) bool {
+		if decided {
+			return false
+		}
+		if !p.fired() {
+			// A block that ended before the fault stored its golden writes.
+			p.stores.ClearWrites()
+			return false
+		}
+		decided = true
+		rest := rec.Blocks[len(rec.Blocks)-1].Instrs - rec.Blocks[b].Instrs
+		if res.DynThreadInstrs+rest > budget || p.faultReadable(rec, b) {
+			return false
+		}
+		for _, blk := range rec.Blocks[b+1:] {
+			for _, d := range blk.Writes {
+				p.g[d.Idx] = d.Val
+			}
+		}
+		p.Skipped += rest
+		return true
+	}
+}
+
+// faultReadable reports whether a word of D (see endAtFault) at the end
+// of the faulted block b is in the launch's golden read set. It consumes
+// the block's store marks.
+func (p *Player) faultReadable(rec *LaunchRec, b int) bool {
+	w := p.stores.Writes
+	for _, d := range rec.Blocks[b].Writes {
+		k, bit := d.Idx>>6, uint64(1)<<(d.Idx&63)
+		if p.g[d.Idx] != d.Val && rec.Reads[k]&bit != 0 {
+			return true
+		}
+		w[k] &^= bit
+	}
+	// What is left are stores the golden block did not make: different
+	// without a compare.
+	for _, k := range p.stores.Touched {
+		if w[k]&rec.Reads[k] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // syncShadow establishes the invariant "shadow == golden arena before

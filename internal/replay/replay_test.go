@@ -3,6 +3,7 @@ package replay
 import (
 	"errors"
 	"slices"
+	"sort"
 	"testing"
 
 	"gpufi/internal/emu"
@@ -220,9 +221,21 @@ func TestPlayerAtEveryCheckpointReproducesGolden(t *testing.T) {
 	}
 }
 
+// faultTail is the golden thread-instruction count of the blocks after the
+// one holding countable instruction target, in target's launch: what
+// ending the faulting launch at the faulted block skips. Every workload
+// here runs one IMUL per thread and stBlock threads per block.
+func faultTail(tr *Trace, target uint64) uint64 {
+	k := sort.Search(len(tr.Launches), func(k int) bool { return tr.Launches[k].CumCount > target })
+	_, before := tr.cumBefore(k)
+	blocks := tr.Launches[k].Blocks
+	return blocks[len(blocks)-1].Instrs - blocks[int(target-before)/stBlock].Instrs
+}
+
 // TestPlayerSimulatesNothingBeforeItsCheckpoint: launches that end before
 // the fork point replay from write-sets, the fork launch restores its
-// snapshot, and the countdown arms the hook on exactly the target.
+// snapshot, the countdown arms the hook on exactly the target, and — the
+// fault corrupting nothing — the faulting launch ends at the faulted block.
 func TestPlayerSimulatesNothingBeforeItsCheckpoint(t *testing.T) {
 	tr, golden := recordStages(t, true, false)
 	pool := &Pool{}
@@ -234,9 +247,10 @@ func TestPlayerSimulatesNothingBeforeItsCheckpoint(t *testing.T) {
 			t.Fatalf("target %d: %v", target, err)
 		}
 		ck := forkPoint(tr, target)
-		if p.Skipped != ck.CumInstrs || p.Live.DynThreadInstrs != tr.Instrs-ck.CumInstrs {
+		skipped := ck.CumInstrs + faultTail(tr, target)
+		if p.Skipped != skipped || p.Live.DynThreadInstrs != tr.Instrs-skipped {
 			t.Errorf("target %d: sim %d skipped %d, want %d and %d (fork at launch %d)",
-				target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-ck.CumInstrs, ck.CumInstrs, ck.Launch)
+				target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-skipped, skipped, ck.Launch)
 		}
 		k, i := int(target)/stN, int(target)%stN
 		if want := 3 * golden[stageSrc[k]+i]; !f.fired || f.old != want {
@@ -297,7 +311,9 @@ func TestPostFaultTail(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			wantSkipped := forkPoint(tr, tc.target).CumInstrs
+			// No stage reads what it writes, so the faulting launch also
+			// ends at the faulted block.
+			wantSkipped := forkPoint(tr, tc.target).CumInstrs + faultTail(tr, tc.target)
 			for _, k := range tc.skipped {
 				wantSkipped += launchInstrs(tr, k)
 			}
@@ -469,5 +485,180 @@ func TestPostFaultLaunchHasOneWatchdogBudget(t *testing.T) {
 		if spent := total - launchInstrs(tr, 0); spent <= wdBudget || spent > wdBudget+emu.WarpSize {
 			t.Errorf("hostPure=%v: hung launch ran %d thread-instructions on a budget of %d", hostPure, spent, wdBudget)
 		}
+	}
+}
+
+// The block-table workloads: one launch of btGrid blocks x stBlock threads
+// over an arena of a seed row, an output region and an input region. Each
+// kernel runs exactly one IMUL per thread, the countable instruction, so
+// target t is thread t of block t/stBlock.
+const (
+	btGrid  = 4
+	btN     = btGrid * stBlock
+	btSeed  = 0
+	btOut   = btSeed + stBlock
+	btIn    = btOut + btN
+	btWords = btIn + btN
+)
+
+const (
+	rAddr = rParam + 1 + iota
+	rPrev
+	rCnt
+	rI
+)
+
+// btKernel builds a kernel from the index preamble and body.
+func btKernel(name string, body func(b *kasm.Builder)) *kasm.Program {
+	b := kasm.New(name)
+	b.S2R(rTid, isa.SRTid)
+	b.S2R(rCta, isa.SRCtaid)
+	b.S2R(rNtid, isa.SRNtid)
+	b.IMad(rIdx, rCta, rNtid, rTid)
+	body(b)
+	return kasm.MustFinalize(b)
+}
+
+var (
+	// out[i] = in[i]*3, and in[i] stored back unchanged: every block
+	// writes words the launch reads, but no block reads another's words.
+	btIndependent = btKernel("independent", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Gst(rIdx, btOut, rProd)
+		b.Gst(rIdx, btIn, rVal)
+	})
+	// out[i] = in[i]*3 + out[i-stBlock]: block j reads block j-1's output
+	// (block 0 the seed row), as if blocks ran in order.
+	btChained = btKernel("chained", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Gld(rPrev, rIdx, btOut-stBlock)
+		b.IAdd(rOut, rProd, rPrev)
+		b.Gst(rIdx, btOut, rOut)
+	})
+	// out[i*1] = in[i]+1: the IMUL computes the store address.
+	btAddressed = btKernel("addressed", func(b *kasm.Builder) {
+		b.IMulI(rAddr, rIdx, 1)
+		b.Gld(rVal, rIdx, btIn)
+		b.IAddI(rVal, rVal, 1)
+		b.Gst(rAddr, btOut, rVal)
+	})
+	// Thread i counts to in[i]*1 one step per iteration.
+	btCounting = btKernel("counting", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rCnt, rVal, 1)
+		b.MovI(rI, 0)
+		b.Loop(func() {
+			b.IAddI(rI, rI, 1)
+		}, func() isa.Pred {
+			b.ISetP(isa.P(0), isa.CmpLT, rI, rCnt)
+			return isa.P(0)
+		})
+		b.Gst(rIdx, btOut, rI)
+	})
+)
+
+func runBlockTable(rt Runner, prog *kasm.Program, budget uint64) ([]uint32, error) {
+	g := rt.Arena(btWords)
+	for i := 0; i < stBlock; i++ {
+		g[btSeed+i] = uint32(7 * i)
+	}
+	for i := 0; i < btN; i++ {
+		g[btIn+i] = uint32(1 + i%3)
+	}
+	if err := rt.Launch(&emu.Launch{Prog: prog, Grid: btGrid, Block: stBlock, Global: g, MaxDynInstrs: budget}); err != nil {
+		return nil, err
+	}
+	return slices.Clone(g), nil
+}
+
+// TestFaultingLaunchEndsAtFaultedBlock: for every target of each block-table
+// workload, a fast-forwarded run reaches the outcome, arena and sim +
+// skipped total of a plain run with the same fault, and skips the faulting
+// launch's remainder exactly when no later block can read the fault.
+func TestFaultingLaunchEndsAtFaultedBlock(t *testing.T) {
+	cases := []struct {
+		name  string
+		prog  *kasm.Program
+		mask  uint32
+		every uint64 // checkpoint spacing; past the launch, blocks before the faulted one run live
+		slack uint64 // watchdog budget over the golden count; 0: the default
+		tail  bool   // the remainder after the faulted block is skipped
+		err   error
+	}{
+		{name: "(a) independent blocks: the remainder is skipped",
+			prog: btIndependent, mask: liveBit, every: 1 << 20, tail: true},
+		{name: "(b) a later block reads the faulted block's output",
+			prog: btChained, mask: liveBit, every: 100},
+		{name: "(c) the fault redirects a store into the input region",
+			prog: btAddressed, mask: 5 << 5, every: 100},
+		{name: "(d) the faulted block's extra work would trip the watchdog in the remainder",
+			prog: btCounting, mask: 1 << 6, every: 100, slack: 64, err: emu.ErrWatchdog},
+		{name: "(e) every target forks inside its own block, the last block's included",
+			prog: btIndependent, mask: liveBit, every: 1, tail: true},
+	}
+	pool := &Pool{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := &Plain{}
+			if _, err := runBlockTable(plain, tc.prog, 0); err != nil {
+				t.Fatal(err)
+			}
+			var budget uint64
+			if tc.slack > 0 {
+				budget = plain.Res.DynThreadInstrs + tc.slack
+			}
+			rec := NewRecorder(tc.every, countIMUL)
+			if _, err := runBlockTable(rec, tc.prog, budget); err != nil {
+				t.Fatal(err)
+			}
+			tr := rec.Finish()
+			blocks := tr.Launches[0].Blocks
+			if tr.Count != btN || len(blocks) != btGrid {
+				t.Fatalf("trace: %d countable, %d blocks", tr.Count, len(blocks))
+			}
+			sawTail := false
+			for target := uint64(0); target < btN; target++ {
+				ref := &flip{target: target, mask: tc.mask}
+				rp := &Plain{Hooks: ref.hooks()}
+				want, werr := runBlockTable(rp, tc.prog, budget)
+				f := &flip{target: target, mask: tc.mask}
+				p := f.player(tr, pool)
+				got, err := runBlockTable(p, tc.prog, budget)
+
+				if !errors.Is(werr, tc.err) {
+					t.Fatalf("target %d: plain run ended with %v, the case assumes %v", target, werr, tc.err)
+				}
+				var wle, le *emu.LaunchError
+				if errors.As(werr, &wle) != errors.As(err, &le) || wle != nil && *wle != *le {
+					t.Errorf("target %d: player ended with %v, plain run with %v", target, err, werr)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("target %d: arena differs from the plain faulty run", target)
+				}
+				if f.old != ref.old || !f.fired {
+					t.Errorf("target %d: player corrupted %d (fired %v), plain run %d", target, f.old, f.fired, ref.old)
+				}
+				if sum := p.Live.DynThreadInstrs + p.Skipped; sum != rp.Res.DynThreadInstrs {
+					t.Errorf("target %d: sim + skipped = %d, the full replay executes %d", target, sum, rp.Res.DynThreadInstrs)
+				}
+				ck := forkPoint(tr, target)
+				skipped := ck.CumInstrs
+				if tc.tail {
+					skipped += faultTail(tr, target)
+					sawTail = sawTail || faultTail(tr, target) > 0
+				}
+				if p.Skipped != skipped {
+					t.Errorf("target %d: skipped %d, want %d", target, p.Skipped, skipped)
+				}
+				if b := int(target) / stBlock; tc.every == 1 && (b > 0 && ck.CumInstrs <= blocks[b-1].Instrs || ck.CumInstrs == 0) {
+					t.Errorf("target %d: forked at instruction %d, outside its block %d", target, ck.CumInstrs, b)
+				}
+			}
+			if tc.tail && !sawTail {
+				t.Error("no target left a remainder to skip")
+			}
+		})
 	}
 }

@@ -2,7 +2,10 @@ package rtlfi
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"gpufi/internal/faults"
@@ -209,5 +212,28 @@ func TestClassifyMemoryScanRecordsWord(t *testing.T) {
 	}
 	if res2.Details[0].Thread != 5 || res2.Details[0].Word != -1 {
 		t.Errorf("output record Thread=%d Word=%d, want 5/-1", res2.Details[0].Thread, res2.Details[0].Word)
+	}
+}
+
+// TestFaultPanicNamesTheSite: a panic while one fault is simulated or
+// classified fails the campaign with an error naming that fault's site.
+func TestFaultPanicNamesTheSite(t *testing.T) {
+	p, err := Spec{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe,
+		NumFaults: 40, Seed: 5, Workers: 1, NoPrune: true, NoBitParallel: true}.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Index(p.jobs, p.jobs[13])
+	_, _, err = run(context.Background(), p, func(_ *rtl.Machine, j faultJob, _ []uint32, _ error) int {
+		if j == p.jobs[bad] {
+			panic("stuck pipeline")
+		}
+		return 0
+	})
+	j := p.jobs[bad]
+	want := fmt.Sprintf("rtlfi: fault %d (%v bit %d, cycle %d, input draw %d): job %d panicked: stuck pipeline",
+		bad, j.fault.Module, j.fault.Bit, j.fault.Cycle, j.draw, bad)
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("got %v, want it to start %q", err, want)
 	}
 }

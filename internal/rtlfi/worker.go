@@ -355,7 +355,10 @@ func run[T any](ctx context.Context, p *plan,
 		}
 	})
 	if err != nil {
-		return nil, Counters{}, err
+		return nil, Counters{}, campaign.NameJob(err, func(i int) string {
+			j := p.jobs[i]
+			return fmt.Sprintf("rtlfi: fault %d (%v bit %d, cycle %d, input draw %d)", i, j.fault.Module, j.fault.Bit, j.fault.Cycle, j.draw)
+		})
 	}
 	total := Counters{Injections: len(p.jobs)}
 	for _, c := range counters {

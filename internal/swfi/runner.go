@@ -29,8 +29,9 @@ type Counters struct {
 
 	// SimInstrs counts the thread-instructions actually simulated across
 	// all injection runs; SkippedInstrs counts those the engine provably
-	// avoided (write-set launches, restored snapshot prefixes). Both are
-	// zero on the NoFastForward path.
+	// avoided (write-set launches, restored snapshot prefixes, the blocks
+	// of a faulting launch after the faulted one). Both are zero on the
+	// NoFastForward path.
 	SimInstrs     uint64 `json:"sim_instrs"`
 	SkippedInstrs uint64 `json:"skipped_instrs"`
 
@@ -196,6 +197,16 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		return out
 	}
 
+	// rng is injection i's stream; site re-draws what inject targets from it.
+	rng := func(i int) *stats.RNG { return stats.NewRNG(s.seed ^ s.salt*uint64(i+1)) }
+	site := func(i int) string {
+		if s.tile != nil {
+			last, _, _ := s.tile(rng(i))
+			return fmt.Sprintf("swfi: %s injection %d (tile after launch %d)", s.name, i, last)
+		}
+		return fmt.Sprintf("swfi: %s injection %d (target %d)", s.name, i, rng(i).Uint64()%injectable)
+	}
+
 	workers := campaign.Workers(s.workers)
 	counters := make([]Counters, workers)
 	outs, _, err := campaign.Run(ctx, s.injections, workers, s.progress, func(w int) func(int) injection {
@@ -203,10 +214,10 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		// A worker runs its injections one after another, so one reusable
 		// arena serves them all.
 		pool := &replay.Pool{}
-		return func(i int) injection { return inject(c, pool, stats.NewRNG(s.seed^s.salt*uint64(i+1))) }
+		return func(i int) injection { return inject(c, pool, rng(i)) }
 	})
 	if err != nil {
-		return nil, err
+		return nil, campaign.NameJob(err, site)
 	}
 	res := &summary[G]{prep: prep, Counters: Counters{Injections: s.injections}}
 	for _, c := range counters {

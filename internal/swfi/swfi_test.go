@@ -1,14 +1,21 @@
 package swfi
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"gpufi/internal/apps"
+	"gpufi/internal/campaign"
 	"gpufi/internal/cnn"
 	"gpufi/internal/emu"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/mxm"
+	"gpufi/internal/replay"
 	"gpufi/internal/rtlfi"
 	"gpufi/internal/stats"
 	"gpufi/internal/syndrome"
@@ -399,5 +406,27 @@ func TestToleranceRelaxesSDCCriterion(t *testing.T) {
 	}
 	if loose.PVF() >= exact.PVF() {
 		t.Log("note: no low-magnitude SDCs in this sample (acceptable)")
+	}
+}
+
+// TestInjectionPanicNamesTheFault: a panic while one injection is simulated
+// fails the campaign with an error naming the injection and the dynamic
+// instruction it targets, re-drawn from its RNG stream.
+func TestInjectionPanicNamesTheFault(t *testing.T) {
+	w := apps.NewMxM(8)
+	prep, err := PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, salt = 11, 0x9E3779B97F4A7C15
+	s := &subject[[]uint32]{name: w.Name, injections: 6, seed: seed, salt: salt, workers: 1, shared: prep,
+		exec:  func(replay.Runner) ([]uint32, error) { panic("emulator bug") },
+		equal: slices.Equal[[]uint32]}
+	_, err = s.run(context.Background())
+	target := stats.NewRNG(seed^salt).Uint64() % prep.profile.InjectableTotal()
+	want := fmt.Sprintf("swfi: MxM injection 0 (target %d): job 0 panicked: emulator bug", target)
+	var jp *campaign.JobPanic
+	if !errors.As(err, &jp) || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("got %v, want it to start %q", err, want)
 	}
 }
