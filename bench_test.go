@@ -178,10 +178,8 @@ func BenchmarkFig3_InstructionProfile(b *testing.B) {
 		{"LeNetLite", cnn.NewLeNetLite(), cnn.LeNetInput(0)},
 		{"YoloLite", cnn.NewYoloLite(), cnn.YoloInput(0)},
 	} {
-		var counts swfi.Counts
-		if _, err := net.nw.Run(net.input, emu.Hooks{Post: func(ev *emu.Event) {
-			counts[ev.Instr.Op] += uint64(ev.ActiveCount())
-		}}, nil); err != nil {
+		counts, err := swfi.ProfileCNN(net.nw, net.input)
+		if err != nil {
 			b.Fatal(err)
 		}
 		rows = append(rows, row{net.name, counts})
@@ -439,177 +437,6 @@ func BenchmarkFig7_TMxMAVF(b *testing.B) {
 	b.ReportMetric(replaySpeedup(sim, skipped), "ff-speedup")
 	for i := 0; i < b.N; i++ {
 		_ = c.TMXM
-	}
-}
-
-// rtlfiBenchModes are the four engine configurations the RTL-FI
-// campaign benchmarks compare: FullReplay is the pre-optimisation path
-// (every faulty run re-simulates the golden prefix from cycle 0),
-// FastForward adds the checkpoint restore, Pruned additionally
-// classifies provably-dead faults from golden-run liveness without
-// simulating them, and BitParallel (the engine default) additionally
-// simulates the remaining live faults as lanes of shared golden-replay
-// marches. Results are bit-identical across all four
-// (internal/rtlfi/fastforward_test.go, prune_test.go, vec_test.go).
-var rtlfiBenchModes = []struct {
-	name          string
-	noBitParallel bool
-	noFF          bool
-	noPrune       bool
-}{
-	{"BitParallel", false, false, false},
-	{"Pruned", true, false, false},
-	{"FastForward", true, false, true},
-	{"FullReplay", true, true, true},
-}
-
-// BenchmarkRTLFI_TMxMCampaign measures the wall-clock of one t-MxM
-// campaign under the four engine modes — the §VI cost argument in
-// miniature.
-func BenchmarkRTLFI_TMxMCampaign(b *testing.B) {
-	for _, mode := range rtlfiBenchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := rtlfi.RunTMXM(rtlfi.TMXMSpec{
-					Module: faults.ModPipe, Kind: mxm.TileRandom,
-					NumFaults: 400, Seed: 99,
-					NoBitParallel: mode.noBitParallel,
-					NoFastForward: mode.noFF, NoPrune: mode.noPrune,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
-					b.ReportMetric(res.PruneRate(), "prune-rate")
-				}
-			}
-		})
-	}
-}
-
-// swfiBenchModes are the two engine configurations the software-campaign
-// benchmarks compare: FullReplay is the plain path (every injection run
-// re-simulates from dynamic instruction zero with hooks armed throughout)
-// and FastForward (the engine default) adds golden-prefix checkpoint
-// restore and reconvergence. Results are bit-identical across both
-// (internal/swfi/fastforward_test.go, lattice_test.go).
-var swfiBenchModes = []struct {
-	name string
-	noFF bool
-}{
-	{"FastForward", false},
-	{"FullReplay", true},
-}
-
-// BenchmarkSWFI_HPCCampaign measures the wall-clock of one software
-// injection campaign under the two engine modes.
-func BenchmarkSWFI_HPCCampaign(b *testing.B) {
-	for _, mode := range swfiBenchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunCampaign(Campaign{
-					Workload: apps.NewHotspot(16, 8), Model: ModelBitFlip,
-					Injections: 200, Seed: 97, NoFastForward: mode.noFF,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
-					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSWFI_CNNCampaign is the CNN counterpart (instruction-level
-// bit-flip model on LeNetLite).
-func BenchmarkSWFI_CNNCampaign(b *testing.B) {
-	for _, mode := range swfiBenchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunCNNCampaign(CNNCampaign{
-					Net: cnn.NewLeNetLite(), Input: cnn.LeNetInput(0),
-					Model: swfi.CNNBitFlip, Injections: 200, Seed: 96,
-					Critical: swfi.LeNetCritical, NoFastForward: mode.noFF,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(replaySpeedup(res.SimInstrs, res.SkippedInstrs), "ff-speedup")
-					b.ReportMetric(res.EmuMIPS(res.Elapsed), "emu-mips")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRTLFI_MicroCampaign is the micro-benchmark counterpart, over
-// two campaign specs: a pipeline campaign (faults land in state that is
-// live almost every cycle, so pruning is modest) and an FP32
-// functional-unit campaign (the unit idles for most of the block's
-// schedule, so most fault sites are provably dead and pruning dominates).
-func BenchmarkRTLFI_MicroCampaign(b *testing.B) {
-	specs := []struct {
-		name string
-		mod  faults.Module
-	}{
-		{"Pipe", faults.ModPipe},
-		{"FP32", faults.ModFP32},
-	}
-	for _, spec := range specs {
-		for _, mode := range rtlfiBenchModes {
-			b.Run(spec.name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := rtlfi.RunMicro(rtlfi.Spec{
-						Op: isa.OpFFMA, Range: faults.RangeMedium, Module: spec.mod,
-						NumFaults: 1000, Seed: 98,
-						NoBitParallel: mode.noBitParallel,
-						NoFastForward: mode.noFF, NoPrune: mode.noPrune,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
-						b.ReportMetric(res.PruneRate(), "prune-rate")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRTLFI_MicroCampaignPipeDense is the march-friendly spec: a
-// long-running SFU op holds the pipeline registers live across its whole
-// iteration loop, and at this fault density every draw fills whole lane
-// chunks, so every live fault marches. Only the modes that finish in
-// reasonable time at this density run; the cheap modes' absolute
-// comparison lives in BenchmarkRTLFI_MicroCampaign.
-func BenchmarkRTLFI_MicroCampaignPipeDense(b *testing.B) {
-	for _, mode := range rtlfiBenchModes[:2] {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := rtlfi.RunMicro(rtlfi.Spec{
-					Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe,
-					NumFaults: 1_000_000, Seed: 98,
-					NoBitParallel: mode.noBitParallel,
-					NoFastForward: mode.noFF, NoPrune: mode.noPrune,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.ReplaySpeedup(), "replay-speedup")
-					b.ReportMetric(res.PruneRate(), "prune-rate")
-					b.ReportMetric(res.VectorRate(), "vector-rate")
-					b.ReportMetric(res.LaneOccupancy(), "lane-occupancy")
-				}
-			}
-		})
 	}
 }
 

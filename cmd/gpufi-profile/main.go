@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"gpufi"
-	"gpufi/internal/emu"
 	"gpufi/internal/isa"
 	"gpufi/internal/swfi"
 )
@@ -35,10 +34,8 @@ func main() {
 		{"LeNetLite", gpufi.NewLeNetLite(), gpufi.LeNetInput(0)},
 		{"YoloLite", gpufi.NewYoloLite(), gpufi.YoloInput(0)},
 	} {
-		var counts swfi.Counts
-		if _, err := c.net.Run(c.input, emu.Hooks{Post: func(ev *emu.Event) {
-			counts[ev.Instr.Op] += uint64(ev.ActiveCount())
-		}}, nil); err != nil {
+		counts, err := swfi.ProfileCNN(c.net, c.input)
+		if err != nil {
 			log.Fatal(err)
 		}
 		report(c.name, counts, *perOp)

@@ -5,11 +5,12 @@
 // Usage:
 //
 //	gpufi-sw [-app MxM|Lava|Quicksort|Hotspot|LUD|Gaussian|LeNet|Yolo]
-//	         [-model bitflip|bitflip2|syndrome|tile] [-db syndromes.json]
+//	         [-model bitflip|bitflip2|syndrome|syndrome-emp] [-db syndromes.json]
 //	         [-n 1000] [-seed S] [-no-fast-forward] [-no-fast-path]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Without -app, all six HPC applications run under the chosen model.
+// LeNet and Yolo take the CNN models instead: bitflip, syndrome or tile.
 // -no-fast-forward disables the golden-prefix checkpoint optimisation and
 // re-simulates every injection run from instruction zero; -no-fast-path
 // forces the reference (Tier 0) interpreter instead of the pre-decoded
@@ -30,6 +31,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -44,7 +46,7 @@ func main() {
 
 	var (
 		appName    = flag.String("app", "", "application (default: all six HPC apps)")
-		model      = flag.String("model", "bitflip", "fault model: bitflip, bitflip2, syndrome, tile")
+		model      = flag.String("model", "bitflip", "fault model: "+strings.Join(swfi.ModelNames(), ", ")+" (HPC apps); "+strings.Join(swfi.CNNModelNames(), ", ")+" (LeNet, Yolo)")
 		dbPath     = flag.String("db", "", "syndrome database (required for syndrome/tile)")
 		n          = flag.Int("n", 1000, "injections per campaign")
 		seed       = flag.Uint64("seed", 7, "campaign seed")
@@ -78,9 +80,9 @@ func main() {
 		return
 	}
 
-	fm, ok := parseModel(*model)
+	fm, ok := swfi.ParseModel(*model)
 	if !ok {
-		log.Fatalf("unknown model %q", *model)
+		log.Fatalf("unknown model %q (want one of %s)", *model, strings.Join(swfi.ModelNames(), ", "))
 	}
 	if fm.NeedsDB() && db == nil {
 		log.Fatal("-db is required for the syndrome model")
@@ -179,16 +181,9 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	} else {
 		net, input, critical = gpufi.NewYoloLite(), gpufi.YoloInput(0), gpufi.YoloCritical
 	}
-	var cm swfi.CNNModel
-	switch model {
-	case "bitflip":
-		cm = swfi.CNNBitFlip
-	case "syndrome":
-		cm = swfi.CNNSyndrome
-	case "tile":
-		cm = swfi.CNNTile
-	default:
-		log.Fatalf("CNN model must be bitflip, syndrome or tile (got %q)", model)
+	cm, ok := swfi.ParseCNNModel(model)
+	if !ok {
+		log.Fatalf("unknown CNN model %q (want one of %s)", model, strings.Join(swfi.CNNModelNames(), ", "))
 	}
 	if cm != swfi.CNNBitFlip && db == nil {
 		log.Fatal("-db is required for syndrome/tile CNN models")
@@ -211,21 +206,6 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	t := res.Tally
 	fmt.Printf("%-10s %-26s PVF=%.3f  critical SDCs %d/%d (%.1f%%)  (masked %d, DUE %d)\n",
 		name, cm, res.PVF(), res.CriticalSDC, t.SDCs(), 100*res.CriticalShare(), t.Maskeds, t.DUEs)
-}
-
-func parseModel(s string) (gpufi.FaultModel, bool) {
-	switch s {
-	case "bitflip":
-		return gpufi.ModelBitFlip, true
-	case "bitflip2":
-		return gpufi.ModelDoubleBitFlip, true
-	case "syndrome":
-		return gpufi.ModelSyndrome, true
-	case "syndrome-emp":
-		return gpufi.ModelSyndromeEmp, true
-	default:
-		return 0, false
-	}
 }
 
 func findApp(name string) *gpufi.Workload {

@@ -56,17 +56,15 @@ func MeasureCost(w *apps.Workload) (*CostModel, error) {
 	}
 	rtlSecs := time.Since(start).Seconds()
 
-	microProfile, err := microInstrCount(prog)
+	microInstrs, err := microInstrCount(prog)
 	if err != nil {
 		return nil, err
 	}
 
+	// A profile is one hook-free run, so timing it times an injection run.
+	start = time.Now()
 	appProfile, err := swfi.Profile(w)
 	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	if _, err := w.Execute(emu.Hooks{}); err != nil {
 		return nil, err
 	}
 	swSecs := time.Since(start).Seconds()
@@ -76,25 +74,20 @@ func MeasureCost(w *apps.Workload) (*CostModel, error) {
 		RTLMicroCycles:     cycles / reps,
 		SWInjectionSeconds: swSecs,
 		AppThreadInstrs:    appProfile.Total(),
-		MicroThreadInstrs:  microInstrTotal(microProfile),
+		MicroThreadInstrs:  microInstrs,
 	}, nil
 }
 
-func microInstrCount(prog *kasm.Program) (swfi.Counts, error) {
+// microInstrCount returns the dynamic thread-instruction count of one
+// fault-free t-MxM tile run.
+func microInstrCount(prog *kasm.Program) (uint64, error) {
 	a, b := mxm.TileInputs(mxm.TileRandom, 1)
-	g := mxm.Pack(a, b, mxm.Tile)
-	var counts swfi.Counts
-	_, err := emu.Run(&emu.Launch{
+	res, err := emu.Run(&emu.Launch{
 		Prog: prog, Grid: 1, Block: mxm.BlockThreads,
-		Global: g, SharedWords: mxm.SharedWords,
-		Hooks: emu.Hooks{Post: func(ev *emu.Event) {
-			counts[ev.Instr.Op] += uint64(ev.ActiveCount())
-		}},
+		Global: mxm.Pack(a, b, mxm.Tile), SharedWords: mxm.SharedWords,
 	})
-	return counts, err
+	return res.DynThreadInstrs, err
 }
-
-func microInstrTotal(c swfi.Counts) uint64 { return c.Total() }
 
 // RTLAppInjectionSeconds extrapolates the RTL cost of running the full
 // application once (one injection needs one full run).

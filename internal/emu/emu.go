@@ -159,7 +159,7 @@ func newExec(l *Launch) *exec {
 // read/write bitmaps exactly like the reference interpreter.
 func (ex *exec) recomputeFast() {
 	ex.fast = ex.dp != nil &&
-		!(ex.armed && !ex.disarmed && (ex.l.Hooks.Pre != nil || ex.l.Hooks.Post != nil))
+		!(ex.armed && !ex.disarmed && ex.l.Hooks.Post != nil)
 }
 
 func (ex *exec) run() (Result, error) {

@@ -43,50 +43,146 @@ func TestDeepNestedDivergence(t *testing.T) {
 	}
 }
 
-// TestEventRegisterAccessors exercises the generic register/predicate
-// access surface of the instrumentation Event.
+// TestEventRegisterAccessors exercises the read side of the
+// instrumentation Event: each executing lane reports its own operands and
+// result, a predicated instruction shows only its guarded lanes, and an
+// instruction without a data output reports none.
 func TestEventRegisterAccessors(t *testing.T) {
 	b := kasm.New("acc")
 	b.S2R(rTid, isa.SRTid)
-	b.MovI(rA, 42)
+	b.IAddI(rA, rTid, 40)
 	b.ISetPI(isa.P(2), isa.CmpLT, rTid, 4)
-	b.Nop()
-	b.Gst(rTid, 0, rA)
+	b.GstIf(isa.P(2), rTid, 0, rA)
 	prog, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	global := make([]uint32, 32)
-	checked := false
+	seen := map[isa.Opcode]bool{}
 	hooks := Hooks{Post: func(ev *Event) {
-		if ev.Instr.Op != isa.OpNOP {
-			return
+		seen[ev.Instr.Op] = true
+		switch ev.Instr.Op {
+		case isa.OpIADD:
+			if ev.ActiveCount() != 32 {
+				t.Errorf("IADD active lanes = %d, want 32", ev.ActiveCount())
+			}
+			if a, imm := ev.SrcA(5), ev.SrcB(5); a != 5 || imm != 40 {
+				t.Errorf("IADD lane 5 operands = %d, %d, want 5, 40", a, imm)
+			}
+			if d, ok := ev.DstValue(5); !ok || d != 45 {
+				t.Errorf("IADD lane 5 result = %d, %v, want 45, true", d, ok)
+			}
+		case isa.OpISETP:
+			if _, ok := ev.DstValue(0); ok {
+				t.Error("ISETP reports a data output")
+			}
+		case isa.OpGST:
+			if ev.Active != 0xF {
+				t.Errorf("GST active mask = %#x, want the 4 guarded lanes", ev.Active)
+			}
+			if addr := ev.SrcA(3); addr != 3 {
+				t.Errorf("GST lane 3 address = %d, want 3", addr)
+			}
+			if d, ok := ev.DstValue(3); !ok || d != 43 {
+				t.Errorf("GST lane 3 stored value = %d, %v, want 43, true", d, ok)
+			}
 		}
-		checked = true
-		if got := ev.Reg(3, rA); got != 42 {
-			t.Errorf("Reg = %d, want 42", got)
-		}
-		if ev.Reg(3, isa.RZ) != 0 {
-			t.Error("RZ must read 0 through the event")
-		}
-		if !ev.PredBit(3, 2) || ev.PredBit(10, 2) {
-			t.Error("PredBit mismatch (P2 = tid < 4)")
-		}
-		ev.SetReg(5, rA, 77)
-		ev.SetReg(6, isa.RZ, 99) // must be dropped
-		ev.SetPredBit(3, 7, false) // PT is read-only
 	}}
 	if _, err := Run(&Launch{Prog: prog, Grid: 1, Block: 32, Global: global, Hooks: hooks}); err != nil {
 		t.Fatal(err)
 	}
-	if !checked {
-		t.Fatal("hook never fired")
+	if !seen[isa.OpIADD] || !seen[isa.OpISETP] || !seen[isa.OpGST] {
+		t.Fatalf("hook saw %v, want IADD, ISETP and GST", seen)
 	}
-	if global[5] != 77 {
-		t.Errorf("SetReg result = %d, want 77", global[5])
+	for i, v := range global {
+		want := uint32(0)
+		if i < 4 {
+			want = uint32(40 + i)
+		}
+		if v != want {
+			t.Errorf("global[%d] = %d, want %d", i, v, want)
+		}
 	}
-	if global[6] != 42 {
-		t.Errorf("RZ write leaked: %d", global[6])
+}
+
+// TestTierChoice pins which interpreter tier a launch runs (exec.fast):
+// at the start and after each block of a three-block launch. Engine
+// counters cannot see this choice — both tiers count the same work — so a
+// fast path that silently stopped engaging is caught here or nowhere.
+func TestTierChoice(t *testing.T) {
+	b := kasm.New("tiers")
+	b.S2R(rTid, isa.SRTid)
+	b.MovI(rC, 8)
+	b.MovI(rA, 0)
+	b.Loop(func() {
+		b.IAdd(rA, rA, rTid)
+		b.IAddI(rC, rC, -1)
+	}, func() isa.Pred {
+		b.ISetPI(isa.P(1), isa.CmpGT, rC, 0)
+		return isa.P(1)
+	})
+	b.Gst(rTid, 0, rA)
+	prog, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const grid = 3
+	launch := func(hooks Hooks, noFastPath bool) *Launch {
+		return &Launch{Prog: prog, Grid: grid, Block: 32, Global: make([]uint32, 32), Hooks: hooks, NoFastPath: noFastPath}
+	}
+	res, err := Run(launch(Hooks{}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBlock := res.DynThreadInstrs / grid
+
+	// calls counts Post invocations per block.
+	var calls [grid]int
+	count := func(ev *Event) { calls[ev.Block]++ }
+	onArm := func(*Result) {}
+	const F, S = true, false // Tier 1 (fast) and Tier 0
+	cases := []struct {
+		name       string
+		hooks      Hooks
+		noFastPath bool
+		want       [grid + 1]bool
+		wantCalls  [grid]bool // whether Post may fire in each block
+	}{
+		{"no hooks", Hooks{}, false, [4]bool{F, F, F, F}, [3]bool{}},
+		{"Post hook", Hooks{Post: count}, false, [4]bool{S, S, S, S}, [3]bool{true, true, true}},
+		{"countdown before arming", Hooks{Post: count, ArmAfter: 1 << 40, OnArm: onArm}, false,
+			[4]bool{F, F, F, F}, [3]bool{}},
+		{"countdown armed in block 1", Hooks{Post: count, ArmAfter: perBlock + perBlock/2, OnArm: onArm}, false,
+			[4]bool{F, F, S, S}, [3]bool{false, true, true}},
+		{"Disarm in block 1", Hooks{Post: func(ev *Event) {
+			count(ev)
+			if ev.Block == 1 {
+				ev.Disarm()
+			}
+		}}, false, [4]bool{S, S, F, F}, [3]bool{true, true, false}},
+		{"countdown, then Disarm", Hooks{Post: func(ev *Event) { count(ev); ev.Disarm() },
+			ArmAfter: perBlock / 2, OnArm: onArm}, false, [4]bool{F, F, F, F}, [3]bool{true, false, false}},
+		{"NoFastPath", Hooks{}, true, [4]bool{S, S, S, S}, [3]bool{}},
+	}
+	for _, tc := range cases {
+		calls = [grid]int{}
+		l := launch(tc.hooks, tc.noFastPath)
+		var got []bool
+		var ex *exec
+		l.BlockDone = func(int, *Result) bool { got = append(got, ex.fast); return false }
+		ex = newExec(l)
+		got = append(got, ex.fast)
+		if _, err := ex.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if [grid + 1]bool(got) != tc.want {
+			t.Errorf("%s: fast path at start and after each block = %v, want %v", tc.name, got, tc.want)
+		}
+		for blk, n := range calls {
+			if (n > 0) != tc.wantCalls[blk] {
+				t.Errorf("%s: Post fired %d times in block %d", tc.name, n, blk)
+			}
+		}
 	}
 }
 

@@ -6,17 +6,15 @@ import (
 	"gpufi/internal/isa"
 )
 
-// Hooks instruments execution. Pre fires before a guarded instruction
-// executes (and may mutate registers or predicates, e.g. to corrupt a
-// branch condition); Post fires after it executes (and may corrupt its
-// results). Either may be nil. Hook invocations see a reused *Event; they
-// must not retain it.
+// Hooks instruments execution. Post, when non-nil, fires after each
+// warp-level instruction that executes on at least one lane (and may
+// corrupt its results). Hook invocations see a reused *Event; they must
+// not retain it.
 type Hooks struct {
-	Pre  func(*Event)
 	Post func(*Event)
 
 	// ArmAfter and OnArm implement hook-free countdown execution. When
-	// OnArm is non-nil the launch starts unarmed: Pre and Post stay inert
+	// OnArm is non-nil the launch starts unarmed: Post stays inert
 	// (no per-instruction closure dispatch or operand capture) until the
 	// launch's DynThreadInstrs counter could reach ArmAfter within one
 	// warp instruction — i.e. the hooks are guaranteed live before the
@@ -41,7 +39,6 @@ type Event struct {
 	ex   *exec
 	srcA [WarpSize]uint32
 	srcB [WarpSize]uint32
-	srcC [WarpSize]uint32
 	dst  [WarpSize]uint32
 }
 
@@ -60,7 +57,7 @@ func (ev *Event) ActiveCount() int { return bits.OnesCount32(ev.Active) }
 
 // Disarm declares that this hook will neither observe nor mutate anything
 // for the rest of the launch: from the next instruction on, the emulator
-// stops invoking Pre/Post hooks and is free to run the tail on the
+// stops invoking the Post hook and is free to run the tail on the
 // pre-decoded fast path. One-shot fault injectors call it right after
 // firing, so the (often long) post-fault tail does not pay per-instruction
 // event preparation. Calling it from a hook that would still have acted is
@@ -86,9 +83,6 @@ func (ev *Event) SrcA(lane int) uint32 { return ev.srcA[lane] }
 
 // SrcB returns the second operand value read by lane (Post hook only).
 func (ev *Event) SrcB(lane int) uint32 { return ev.srcB[lane] }
-
-// SrcC returns the third operand value read by lane (Post hook only).
-func (ev *Event) SrcC(lane int) uint32 { return ev.srcC[lane] }
 
 // DstValue returns the result produced by lane and whether the instruction
 // produces a data result at all (Post hook only). For stores it is the
@@ -128,26 +122,4 @@ func (ev *Event) CorruptDst(lane int, newBits uint32) bool {
 		}
 	}
 	return false
-}
-
-// Reg reads a register of one lane.
-func (ev *Event) Reg(lane int, r isa.Reg) uint32 {
-	if r == isa.RZ {
-		return 0
-	}
-	return ev.w.regs[r][lane]
-}
-
-// SetReg writes a register of one lane.
-func (ev *Event) SetReg(lane int, r isa.Reg, v uint32) { ev.w.setReg(r, lane, v) }
-
-// PredBit reads predicate register p of one lane.
-func (ev *Event) PredBit(lane, p int) bool {
-	return ev.w.preds[p&7]>>uint(lane)&1 == 1
-}
-
-// SetPredBit writes predicate register p of one lane (PT is read-only).
-// In a Pre hook on a BRA this flips the branch decision of that lane.
-func (ev *Event) SetPredBit(lane, p int, v bool) {
-	ev.w.setPredLane(isa.P(p), lane, v)
 }

@@ -126,15 +126,6 @@ func (ex *exec) step(blockID int, w *warp) error {
 	active := top.mask & w.live
 	guard := active & w.evalPred(in.Guard)
 
-	hooks := &ex.l.Hooks
-	prepared := false
-	if hooks.Pre != nil && ex.armed && guard != 0 {
-		ex.prepareEvent(blockID, w, pc, in, guard)
-		prepared = true
-		hooks.Pre(&ex.ev)
-		guard = active & w.evalPred(in.Guard) // the hook may have changed it
-	}
-
 	n := uint64(bits.OnesCount32(guard))
 	ex.res.DynThreadInstrs += n
 	ex.res.PerOpcode[in.Op] += n
@@ -142,13 +133,10 @@ func (ex *exec) step(blockID int, w *warp) error {
 		return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrWatchdog}
 	}
 
-	capture := hooks.Post != nil && ex.armed && guard != 0
+	post := ex.l.Hooks.Post
+	capture := post != nil && ex.armed && guard != 0
 	if capture {
-		if prepared {
-			ex.ev.Active = guard // Pre may have changed the guard; the rest holds
-		} else {
-			ex.prepareEvent(blockID, w, pc, in, guard)
-		}
+		ex.prepareEvent(blockID, w, pc, in, guard)
 	}
 
 	switch in.Op {
@@ -178,7 +166,7 @@ func (ex *exec) step(blockID int, w *warp) error {
 	}
 
 	if capture {
-		hooks.Post(&ex.ev)
+		post(&ex.ev)
 	}
 	return nil
 }
@@ -222,7 +210,7 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 		}
 		c := w.regs[in.SrcC][lane]
 		if capture {
-			ex.ev.srcA[lane], ex.ev.srcB[lane], ex.ev.srcC[lane] = a, b, c
+			ex.ev.srcA[lane], ex.ev.srcB[lane] = a, b
 		}
 
 		var d uint32

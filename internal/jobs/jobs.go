@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"gpufi/internal/apps"
@@ -279,9 +280,9 @@ func compileHPC(req Request) (*program, error) {
 			return nil, err
 		}
 		for _, mname := range models {
-			model, ok := parseHPCModel(mname)
+			model, ok := swfi.ParseModel(mname)
 			if !ok {
-				return nil, fmt.Errorf("jobs: unknown HPC fault model %q (want bitflip, bitflip2, syndrome or syndrome-emp)", mname)
+				return nil, fmt.Errorf("jobs: unknown HPC fault model %q (want one of %s)", mname, strings.Join(swfi.ModelNames(), ", "))
 			}
 			if model.NeedsDB() {
 				prog.needsDB = true
@@ -336,9 +337,9 @@ func compileCNN(req Request) (*program, error) {
 	}
 	prog := &program{}
 	for _, mname := range models {
-		model, ok := parseCNNModel(mname)
+		model, ok := swfi.ParseCNNModel(mname)
 		if !ok {
-			return nil, fmt.Errorf("jobs: unknown CNN fault model %q (want bitflip, syndrome or tile)", mname)
+			return nil, fmt.Errorf("jobs: unknown CNN fault model %q (want one of %s)", mname, strings.Join(swfi.CNNModelNames(), ", "))
 		}
 		if model != swfi.CNNBitFlip {
 			prog.needsDB = true
@@ -429,32 +430,4 @@ func parseRange(s string) (faults.InputRange, bool) {
 		}
 	}
 	return 0, false
-}
-
-func parseHPCModel(s string) (swfi.FaultModel, bool) {
-	switch s {
-	case "bitflip":
-		return swfi.ModelBitFlip, true
-	case "bitflip2":
-		return swfi.ModelDoubleBitFlip, true
-	case "syndrome":
-		return swfi.ModelSyndrome, true
-	case "syndrome-emp":
-		return swfi.ModelSyndromeEmp, true
-	default:
-		return 0, false
-	}
-}
-
-func parseCNNModel(s string) (swfi.CNNModel, bool) {
-	switch s {
-	case "bitflip":
-		return swfi.CNNBitFlip, true
-	case "syndrome":
-		return swfi.CNNSyndrome, true
-	case "tile":
-		return swfi.CNNTile, true
-	default:
-		return 0, false
-	}
 }

@@ -141,7 +141,6 @@ type Trace struct {
 	Ckpts    []Checkpoint
 	Instrs   uint64 // total thread-instructions of the execution
 	Count    uint64 // total countable thread-instructions
-	Profile  [isa.NumOpcodes]uint64
 
 	// HostPure asserts that the workload's host code is a pure function
 	// of (arena contents, launch ordinal): it carries no state derived
@@ -343,9 +342,6 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	}
 	r.tr.Instrs = base + res.DynThreadInstrs
 	r.tr.Count = baseCount + r.tr.countable(&res.PerOpcode)
-	for op, n := range res.PerOpcode {
-		r.tr.Profile[op] += n
-	}
 	r.tr.Launches = append(r.tr.Launches, LaunchRec{
 		Deltas:    deltas,
 		Host:      host,

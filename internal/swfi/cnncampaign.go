@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"gpufi/internal/cnn"
@@ -38,6 +39,19 @@ func (m CNNModel) String() string {
 		return fmt.Sprintf("CNNModel(%d)", uint8(m))
 	}
 }
+
+// cnnModelNames spells each CNNModel the way the CLIs and job requests do.
+var cnnModelNames = []string{
+	CNNBitFlip:  "bitflip",
+	CNNSyndrome: "syndrome",
+	CNNTile:     "tile",
+}
+
+// ParseCNNModel returns the CNNModel spelled s, one of CNNModelNames.
+func ParseCNNModel(s string) (CNNModel, bool) { return parseName[CNNModel](cnnModelNames, s) }
+
+// CNNModelNames lists the CNNModel spellings ParseCNNModel accepts.
+func CNNModelNames() []string { return slices.Clone(cnnModelNames) }
 
 // CNNCampaign describes a CNN injection campaign.
 type CNNCampaign struct {

@@ -6,7 +6,6 @@ import (
 
 	"gpufi/internal/apps"
 	"gpufi/internal/cnn"
-	"gpufi/internal/emu"
 	"gpufi/internal/replay"
 )
 
@@ -42,8 +41,8 @@ type CNNPrepared = prepared[[]float32]
 // fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
 // per-launch global-memory write-sets, verified bit-identical (same) to
 // the plain golden run before it is trusted and then handed to seal for
-// the subject's host-purity declaration. Without record the golden and
-// profiling runs execute plainly, exactly as before the optimisation.
+// the subject's host-purity declaration. The profile is the golden run's
+// own per-opcode count.
 func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool,
 	noFastPath, record bool, seal func(*replay.Trace)) (*prepared[G], error) {
 
@@ -52,12 +51,9 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 	if err != nil {
 		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", name, err)
 	}
+	p := &prepared[G]{golden: golden, profile: plain.Res.PerOpcode}
 	if !record {
-		p := &prepared[G]{golden: golden}
-		_, err := run(&replay.Plain{Hooks: emu.Hooks{Post: func(ev *emu.Event) {
-			p.profile[ev.Instr.Op] += uint64(ev.ActiveCount())
-		}}})
-		return p, err
+		return p, nil
 	}
 	// Injectable as the countable predicate: the trace's countable
 	// coordinates then index exactly the dynamic instructions an injector
@@ -71,9 +67,9 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 	if !same(golden, recOut) {
 		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", name)
 	}
-	tr := rec.Finish()
-	seal(tr)
-	return &prepared[G]{golden: golden, profile: Counts(tr.Profile), trace: tr}, nil
+	p.trace = rec.Finish()
+	seal(p.trace)
+	return p, nil
 }
 
 // PrepareWorkload runs the workload's golden execution and records its

@@ -17,9 +17,11 @@ import (
 	"time"
 
 	"gpufi/internal/apps"
+	"gpufi/internal/cnn"
 	"gpufi/internal/emu"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
+	"gpufi/internal/replay"
 	"gpufi/internal/stats"
 	"gpufi/internal/syndrome"
 )
@@ -55,6 +57,26 @@ func (m FaultModel) String() string {
 // NeedsDB reports whether the model draws from the syndrome database.
 func (m FaultModel) NeedsDB() bool { return m == ModelSyndrome || m == ModelSyndromeEmp }
 
+// modelNames spells each FaultModel the way the CLIs and job requests do.
+var modelNames = []string{
+	ModelBitFlip:       "bitflip",
+	ModelDoubleBitFlip: "bitflip2",
+	ModelSyndrome:      "syndrome",
+	ModelSyndromeEmp:   "syndrome-emp",
+}
+
+// ParseModel returns the FaultModel spelled s, one of ModelNames.
+func ParseModel(s string) (FaultModel, bool) { return parseName[FaultModel](modelNames, s) }
+
+// ModelNames lists the FaultModel spellings ParseModel accepts.
+func ModelNames() []string { return slices.Clone(modelNames) }
+
+// parseName returns the enum value whose spelling in names is s.
+func parseName[M ~uint8](names []string, s string) (M, bool) {
+	i := slices.Index(names, s)
+	return M(max(i, 0)), i >= 0
+}
+
 // Injectable reports whether the software injector corrupts outputs of
 // this opcode: the RTL-characterised instructions that produce a data
 // value (§VI: "we inject only in the 12 opcodes we characterize with RTL
@@ -65,16 +87,19 @@ func Injectable(op isa.Opcode) bool {
 }
 
 // Profile executes the workload once and returns its dynamic thread-level
-// instruction histogram — the data behind Fig. 3.
+// instruction histogram — the data behind Fig. 3. The emulator counts
+// every executed instruction per opcode, so the run is hook-free.
 func Profile(w *apps.Workload) (Counts, error) {
-	var counts Counts
-	hooks := emu.Hooks{Post: func(ev *emu.Event) {
-		counts[ev.Instr.Op] += uint64(ev.ActiveCount())
-	}}
-	if _, err := w.Execute(hooks); err != nil {
-		return counts, err
-	}
-	return counts, nil
+	plain := &replay.Plain{}
+	_, err := w.ExecuteWith(plain)
+	return plain.Res.PerOpcode, err
+}
+
+// ProfileCNN is Profile for one network/input pair.
+func ProfileCNN(net *cnn.Network, input []float32) (Counts, error) {
+	plain := &replay.Plain{}
+	_, err := net.RunWith(plain, input, nil)
+	return plain.Res.PerOpcode, err
 }
 
 // Counts is a per-opcode dynamic instruction histogram.

@@ -95,6 +95,105 @@ func TestProfileShapes(t *testing.T) {
 	}
 }
 
+// TestModelNames pins the fault-model spellings of the CLIs and job
+// requests and checks that each parses back to its own model.
+func TestModelNames(t *testing.T) {
+	if got, want := ModelNames(), []string{"bitflip", "bitflip2", "syndrome", "syndrome-emp"}; !slices.Equal(got, want) {
+		t.Errorf("ModelNames() = %q, want %q", got, want)
+	}
+	if got, want := CNNModelNames(), []string{"bitflip", "syndrome", "tile"}; !slices.Equal(got, want) {
+		t.Errorf("CNNModelNames() = %q, want %q", got, want)
+	}
+	for i, s := range ModelNames() {
+		if m, ok := ParseModel(s); !ok || m != FaultModel(i) {
+			t.Errorf("ParseModel(%q) = %v, %v", s, m, ok)
+		}
+	}
+	for i, s := range CNNModelNames() {
+		if m, ok := ParseCNNModel(s); !ok || m != CNNModel(i) {
+			t.Errorf("ParseCNNModel(%q) = %v, %v", s, m, ok)
+		}
+	}
+	if _, ok := ParseModel("tile"); ok {
+		t.Error("tile is a CNN-only model")
+	}
+	if _, ok := ParseCNNModel("bitflip2"); ok {
+		t.Error("bitflip2 is an HPC-only model")
+	}
+}
+
+// TestProfileMatchesHookCount: a profile is the emulator's own per-opcode
+// count of a plain run. On the six suite apps and both CNNs it equals, per
+// opcode, what a Post hook on every executed instruction counts, for
+// Profile/ProfileCNN and for a preparation with and without a trace.
+func TestProfileMatchesHookCount(t *testing.T) {
+	type subject struct {
+		name    string
+		run     func(replay.Runner) error
+		profile func() (Counts, error)
+		prepare func(record bool) (Counts, error)
+	}
+	var subjects []subject
+	for _, w := range apps.Suite() {
+		subjects = append(subjects, subject{
+			name:    w.Name,
+			run:     func(rt replay.Runner) error { _, err := w.ExecuteWith(rt); return err },
+			profile: func() (Counts, error) { return Profile(w) },
+			prepare: func(record bool) (Counts, error) {
+				p, err := prepareWorkload(w, false, record)
+				if err != nil {
+					return Counts{}, err
+				}
+				return p.profile, nil
+			},
+		})
+	}
+	for _, n := range []struct {
+		net   *cnn.Network
+		input []float32
+	}{{cnn.NewLeNetLite(), cnn.LeNetInput(0)}, {cnn.NewYoloLite(), cnn.YoloInput(0)}} {
+		subjects = append(subjects, subject{
+			name:    n.net.Name,
+			run:     func(rt replay.Runner) error { _, err := n.net.RunWith(rt, n.input, nil); return err },
+			profile: func() (Counts, error) { return ProfileCNN(n.net, n.input) },
+			prepare: func(record bool) (Counts, error) {
+				p, err := prepareCNN(n.net, n.input, false, record)
+				if err != nil {
+					return Counts{}, err
+				}
+				return p.profile, nil
+			},
+		})
+	}
+	for _, s := range subjects {
+		var want Counts
+		if err := s.run(&replay.Plain{Hooks: emu.Hooks{Post: func(ev *emu.Event) {
+			want[ev.Instr.Op] += uint64(ev.ActiveCount())
+		}}}); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if want.Total() == 0 {
+			t.Fatalf("%s: the hook counted nothing", s.name)
+		}
+		check := func(how string, got Counts, err error) {
+			if err != nil {
+				t.Fatalf("%s %s: %v", s.name, how, err)
+			}
+			for op := range want {
+				if got[op] != want[op] {
+					t.Errorf("%s %s: %s = %d, hook counted %d", s.name, how, isa.Opcode(op), got[op], want[op])
+				}
+			}
+		}
+		got, err := s.profile()
+		check("profile", got, err)
+		got, err = s.prepare(true)
+		check("recorded preparation", got, err)
+		got, err = s.prepare(false)
+		check("plain preparation", got, err)
+	}
+}
+
 func TestBitFlipCampaignOnMxM(t *testing.T) {
 	res, err := Run(Campaign{
 		Workload: apps.NewMxM(64), Model: ModelBitFlip,
