@@ -86,9 +86,6 @@ func main() {
 	fmt.Println("\n== Campaign engine accounting (replay speedup) ==")
 	for _, e := range evals {
 		printEngineRow(e.Name, e.BitFlip.Counters, e.Syndrome.Counters)
-		if reason := e.BitFlip.NoReconvergeReason; reason != "" {
-			fmt.Printf("             note: %s\n", reason)
-		}
 	}
 
 	log.Print("CNN campaigns...")

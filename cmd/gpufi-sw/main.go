@@ -113,9 +113,6 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		if res.NoReconvergeReason != "" {
-			log.Printf("%s: %s", w.Name, res.NoReconvergeReason)
-		}
 		logEngine(w.Name, res.Counters, res.Elapsed)
 		lo, hi := res.PVFCI()
 		t := res.Tally

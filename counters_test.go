@@ -98,7 +98,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 59_759_191, SkippedInstrs: 233_938_229}),
+			want: swCounters(swfi.Counters{SimInstrs: 30_310_844, SkippedInstrs: 263_386_576}),
 		},
 		{
 			name: "EvaluateCNN LeNetLite 20 + YoloLite 5 injections, seed 11",
@@ -124,7 +124,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 9_623_149, SkippedInstrs: 34_387_231}),
+			want: swCounters(swfi.Counters{SimInstrs: 7_629_390, SkippedInstrs: 36_380_990}),
 		},
 	}
 	for _, spec := range specs {

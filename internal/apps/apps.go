@@ -34,14 +34,6 @@ type Workload struct {
 	Domain string
 	Size   string
 
-	// PureHost declares that the host code between kernel launches is a
-	// pure function of (arena contents, launch ordinal) — no host state
-	// derived from mid-run arena reads survives across launches. The
-	// fault injector's replay layer only attempts golden-reconvergence
-	// skipping on workloads that declare it; leaving it false is always
-	// safe, merely slower.
-	PureHost bool
-
 	// run executes the complete application on a Runner and returns the
 	// words of the output region the golden comparison covers.
 	run func(rt Runner) ([]uint32, error)

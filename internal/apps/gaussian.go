@@ -124,10 +124,9 @@ func NewGaussian(n int) *Workload {
 	}
 	words := n*n + 2*n + 1
 	return &Workload{
-		Name:     "Gaussian",
-		Domain:   "Linear algebra",
-		Size:     sizeStr(n),
-		PureHost: true, // host only writes the step counter slot between launches
+		Name:   "Gaussian",
+		Domain: "Linear algebra",
+		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
 			g := arena(rt, words)
 			fillMatrix(g[:n*n], n*n, 0xC001, 1, 4) // diagonally-safe random system

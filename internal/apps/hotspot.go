@@ -9,14 +9,14 @@ import (
 // Hotspot registers.
 const (
 	hTid  = isa.Reg(1)
-	hLx   = isa.Reg(2)  // x within the 16x16 block tile
-	hLy   = isa.Reg(3)  // y within the tile
-	hGx   = isa.Reg(4)  // global x
-	hGy   = isa.Reg(5)  // global y
-	hT    = isa.Reg(6)  // centre temperature
-	hP    = isa.Reg(7)  // power
-	hN    = isa.Reg(8)  // neighbour accumulator
-	hOut  = isa.Reg(9)  // updated value
+	hLx   = isa.Reg(2) // x within the 16x16 block tile
+	hLy   = isa.Reg(3) // y within the tile
+	hGx   = isa.Reg(4) // global x
+	hGy   = isa.Reg(5) // global y
+	hT    = isa.Reg(6) // centre temperature
+	hP    = isa.Reg(7) // power
+	hN    = isa.Reg(8) // neighbour accumulator
+	hOut  = isa.Reg(9) // updated value
 	hAddr = isa.Reg(10)
 	hTmp  = isa.Reg(11)
 	hCta  = isa.Reg(12)
@@ -204,12 +204,11 @@ func NewHotspot(n, iters int) *Workload {
 	prog := buildHotspot(n)
 	grid := (n / hsCore) * (n / hsCore)
 	return &Workload{
-		Name:     "Hotspot",
-		Domain:   "Physics simulation",
-		Size:     sizeStr(n),
-		PureHost: true, // inter-iteration ping-pong copy is arena-to-arena, no host state
+		Name:   "Hotspot",
+		Domain: "Physics simulation",
+		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
-			g := arena(rt, 3 * n * n)
+			g := arena(rt, 3*n*n)
 			fillMatrix(g[:n*n], n*n, 0xB001, 20, 80)      // temperatures
 			fillMatrix(g[n*n:2*n*n], n*n, 0xB002, 0, 0.5) // power map
 			for it := 0; it < iters; it++ {

@@ -104,10 +104,9 @@ func NewLava(boxes, perBox int) *Workload {
 		block = n
 	}
 	return &Workload{
-		Name:     "Lava",
-		Domain:   "Particle simulation",
-		Size:     "2 3D boxes",
-		PureHost: true, // single launch; host only fills inputs up front
+		Name:   "Lava",
+		Domain: "Particle simulation",
+		Size:   "2 3D boxes",
 		run: func(rt Runner) ([]uint32, error) {
 			g := arena(rt, 8*n)
 			fillMatrix(g[:n], n, 0xE001, -1.5, 1.5)      // x

@@ -206,10 +206,9 @@ func NewLUD(n int) *Workload {
 	var kernels kernelMemo
 	const diagonal, rowStrip, colStrip, internal = 0, 1, 2, 3
 	return &Workload{
-		Name:     "LUD",
-		Domain:   "Linear algebra",
-		Size:     sizeStr(n),
-		PureHost: true, // launch schedule is a fixed function of n; arena reads only at init
+		Name:   "LUD",
+		Domain: "Linear algebra",
+		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
 			g := arena(rt, n*n)
 			fillMatrix(g[:n*n], n*n, 0xD001, -1, 1)

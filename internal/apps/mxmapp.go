@@ -13,10 +13,9 @@ func NewMxM(n int) *Workload {
 		panic(err) // n is a compile-time choice in the suite
 	}
 	return &Workload{
-		Name:     "MxM",
-		Domain:   "Linear algebra",
-		Size:     sizeStr(n),
-		PureHost: true, // single launch; host only fills inputs up front
+		Name:   "MxM",
+		Domain: "Linear algebra",
+		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
 			g := arena(rt, mxm.GlobalWords(n))
 			fillMatrix(g[:n*n], n*n, 0xA001, -2, 2)

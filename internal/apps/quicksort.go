@@ -162,10 +162,6 @@ func NewQuicksort(n int) *Workload {
 		})
 	}
 	return &Workload{
-		// PureHost stays false: the host recursion stack is driven by
-		// median-of-three pivots and partition totals read back from the
-		// arena mid-run, so a corrupted run's host state can diverge from
-		// the golden run's even after the arena reconverges.
 		Name:   "Quicksort",
 		Domain: "Sorting",
 		Size:   fmt.Sprintf("%d keys", n),

@@ -48,7 +48,7 @@ func (n *Network) InputWords() int { return n.inWords }
 func (n *Network) OutputWords() int { return n.outN }
 
 // OutputRegion returns the arena region the host reads after the last
-// launch — the seed for replay live-in analysis.
+// launch — the seed for the dead-site liveness analysis.
 func (n *Network) OutputRegion() (off, words int) { return n.outOff, n.outN }
 
 // TileInjection corrupts an 8x8 tile of one layer's output feature map

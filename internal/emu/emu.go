@@ -14,6 +14,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
@@ -81,35 +82,56 @@ type Launch struct {
 	// like swfi's NoFastForward.
 	NoFastPath bool
 
-	// BlockDone, when non-nil, is called after every block that completes —
-	// the block a Resume continues included — with the block index and the
-	// launch's counters so far. Returning true ends the launch there,
-	// successfully: later blocks do not run. It is not an instruction hook
-	// and does not change the interpreter tier.
-	BlockDone func(block int, res *Result) (stop bool)
+	// Replay, when non-nil, is offered every block before it runs — the
+	// blocks after the one a Resume continues included. Returning true means
+	// the caller applied the block's effect on Global and charged its
+	// thread-instruction count to res, so the block does not run: the
+	// watchdog and a pending ArmAfter countdown then see the charged count
+	// from the next instruction on. The caller must not charge a count that
+	// crosses the watchdog budget; such a block has to run, so the watchdog
+	// fires where it would.
+	Replay func(block int, res *Result) bool
+
+	// BlockDone, when non-nil, is called after every block that runs — the
+	// block a Resume continues included — with the block index and the
+	// launch's counters so far. Neither it nor Replay is an instruction hook
+	// or changes the interpreter tier.
+	BlockDone func(block int, res *Result)
 }
 
-// MemTrace collects the global-memory words a launch reads and writes, as
-// bitmaps indexed by word address. The replay layer records them on the
-// golden run to compute per-boundary live-in sets for reconvergence
-// detection. Writes must cover len(Global) bits; so must Reads, unless it
-// is nil and loads go untraced.
+// MemTrace records one block's global-memory footprint: the words it
+// stores to, as a bitmap indexed by word address, and its inputs — each
+// word it loads before storing to it, with the value loaded. The replay
+// layer records both per block on the golden run. Writes and Loaded must
+// cover len(Global) bits.
 type MemTrace struct {
-	Reads  []uint64
 	Writes []uint64
 
 	// Touched lists, in first-store order, the Writes words a store turned
-	// non-zero since the list was last emptied, so a consumer can walk or
-	// reset (ClearWrites) what was stored in time proportional to it.
+	// non-zero since the last Clear, so a consumer can walk what was stored
+	// in time proportional to it.
 	Touched []int32
+
+	// Loaded marks the words Inputs holds; Inputs lists them in first-load
+	// order.
+	Loaded []uint64
+	Inputs []Load
 }
 
-// ClearWrites zeroes the Touched words of Writes and empties Touched.
-func (mt *MemTrace) ClearWrites() {
+// Load is one input word of a block: its address and the value loaded.
+type Load struct{ Addr, Val uint32 }
+
+// Clear empties the record for the next block, in time proportional to
+// what it holds.
+func (mt *MemTrace) Clear() {
 	for _, k := range mt.Touched {
 		mt.Writes[k] = 0
 	}
 	mt.Touched = mt.Touched[:0]
+	for _, in := range mt.Inputs {
+		mt.Loaded[in.Addr>>6] = 0
+	}
+	mt.Inputs = mt.Inputs[:0]
 }
 
 // store marks a store to word addr.
@@ -119,6 +141,16 @@ func (mt *MemTrace) store(addr int64) {
 		mt.Touched = append(mt.Touched, int32(k))
 	}
 	mt.Writes[k] |= 1 << (uint(addr) & 63)
+}
+
+// load records a load of v from word addr, unless the word was stored to
+// or loaded before.
+func (mt *MemTrace) load(addr int64, v uint32) {
+	k, bit := addr>>6, uint64(1)<<(uint(addr)&63)
+	if (mt.Writes[k]|mt.Loaded[k])&bit == 0 {
+		mt.Loaded[k] |= bit
+		mt.Inputs = append(mt.Inputs, Load{Addr: uint32(addr), Val: v})
+	}
 }
 
 // Result reports execution statistics.
@@ -134,11 +166,18 @@ type Result struct {
 // Run executes the launch to completion. On error the returned Result
 // still carries the counts accumulated so far.
 func Run(l *Launch) (Result, error) {
-	return newExec(l).run()
+	ex := newExec(l)
+	defer ex.release()
+	return ex.run()
 }
 
+// execPool recycles interpreter state across launches: a campaign issues
+// launch after launch, each needing about a kilobyte of it.
+var execPool = sync.Pool{New: func() any { return new(exec) }}
+
 func newExec(l *Launch) *exec {
-	ex := &exec{l: l, budget: l.MaxDynInstrs, armed: l.Hooks.OnArm == nil}
+	ex := execPool.Get().(*exec)
+	*ex = exec{l: l, budget: l.MaxDynInstrs, armed: l.Hooks.OnArm == nil, shared: ex.shared}
 	if ex.budget == 0 {
 		ex.budget = DefaultMaxDynInstrs
 	}
@@ -149,14 +188,20 @@ func newExec(l *Launch) *exec {
 	return ex
 }
 
+// release returns ex to the pool, keeping only its shared-memory buffer.
+func (ex *exec) release() {
+	*ex = exec{shared: ex.shared}
+	execPool.Put(ex)
+}
+
 // recomputeFast selects the interpreter tier. Tier 1 (the pre-decoded
 // fast path) runs whenever no per-instruction hook can observe an
 // instruction: either none is attached, a countdown (ArmAfter/OnArm)
 // has not armed yet, or an armed hook has called Event.Disarm. Tier 0 is
 // the reference interpreter; it takes over the moment hooks arm, and
 // blockLoop re-evaluates the choice at the arming and disarming
-// boundaries. MemTrace does not force a tier: the fast path marks
-// read/write bitmaps exactly like the reference interpreter.
+// boundaries. MemTrace does not force a tier: the fast path records
+// stores and inputs exactly like the reference interpreter.
 func (ex *exec) recomputeFast() {
 	ex.fast = ex.dp != nil &&
 		!(ex.armed && !ex.disarmed && ex.l.Hooks.Post != nil)
@@ -169,22 +214,26 @@ func (ex *exec) run() (Result, error) {
 	return ex.blocksFrom(0)
 }
 
-// blocksFrom runs blocks first.. of the grid, each followed by BlockDone.
+// blocksFrom runs blocks first.. of the grid that Replay does not take,
+// each followed by BlockDone.
 func (ex *exec) blocksFrom(first int) (Result, error) {
 	for b := first; b < ex.l.Grid; b++ {
+		if ex.l.Replay != nil && ex.l.Replay(b, &ex.res) {
+			continue
+		}
 		if err := ex.runBlock(b); err != nil {
 			return ex.res, err
 		}
-		if ex.blockDone(b) {
-			break
-		}
+		ex.blockDone(b)
 	}
 	return ex.res, nil
 }
 
-// blockDone reports a completed block to BlockDone: whether to stop.
-func (ex *exec) blockDone(b int) bool {
-	return ex.l.BlockDone != nil && ex.l.BlockDone(b, &ex.res)
+// blockDone reports a block that ran to BlockDone.
+func (ex *exec) blockDone(b int) {
+	if ex.l.BlockDone != nil {
+		ex.l.BlockDone(b, &ex.res)
+	}
 }
 
 type exec struct {

@@ -169,7 +169,7 @@ func TestTierChoice(t *testing.T) {
 		l := launch(tc.hooks, tc.noFastPath)
 		var got []bool
 		var ex *exec
-		l.BlockDone = func(int, *Result) bool { got = append(got, ex.fast); return false }
+		l.BlockDone = func(int, *Result) { got = append(got, ex.fast) }
 		ex = newExec(l)
 		got = append(got, ex.fast)
 		if _, err := ex.run(); err != nil {
@@ -191,10 +191,10 @@ func TestTierChoice(t *testing.T) {
 func TestShiftLogicSelectOps(t *testing.T) {
 	b := kasm.New("alu")
 	b.S2R(rTid, isa.SRTid)
-	b.MovI(rA, -8)            // 0xFFFFFFF8
-	b.Shl(rB, rA, 4)          // 0xFFFFFF80
+	b.MovI(rA, -8)   // 0xFFFFFFF8
+	b.Shl(rB, rA, 4) // 0xFFFFFF80
 	b.Gst(rTid, 0, rB)
-	b.Shr(rB, rA, 4)          // logical: 0x0FFFFFFF
+	b.Shr(rB, rA, 4) // logical: 0x0FFFFFFF
 	b.Gst(rTid, 32, rB)
 	b.MovI(rC, 0x0F0F)
 	b.And(rB, rA, rC)

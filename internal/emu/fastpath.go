@@ -259,10 +259,7 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 		}
 	case isa.OpGLD:
 		g := ex.l.Global
-		var reads []uint64
-		if mt := ex.l.Mem; mt != nil {
-			reads = mt.Reads
-		}
+		mt := ex.l.Mem
 		a, dst := &w.regs[d.srcA], ex.dstRow(w, d)
 		imm := int64(d.imm)
 		for m := guard; m != 0; m &= m - 1 {
@@ -271,8 +268,8 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 			if uint64(addr) >= uint64(len(g)) {
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
-			if reads != nil {
-				reads[addr>>6] |= 1 << (uint(addr) & 63)
+			if mt != nil {
+				mt.load(addr, g[addr])
 			}
 			dst[l] = g[addr]
 		}

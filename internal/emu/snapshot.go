@@ -24,6 +24,9 @@ type Snapshot struct {
 // Res returns the launch's Result counters at the capture point.
 func (s *Snapshot) Res() Result { return s.res }
 
+// Block returns the index of the block the snapshot was captured in.
+func (s *Snapshot) Block() int { return s.block }
+
 // clone deep-copies a warp into a pooled one. The regs and preds arrays
 // copy by value; only the SIMT stack needs an explicit copy. A campaign
 // resumes once per injection, and fresh ~8 KB clones each time would keep
@@ -57,6 +60,7 @@ func (ex *exec) snapshot(blockID int, warps []*warp) *Snapshot {
 // boundary). A nil sink degrades to plain Run.
 func RunCheckpointed(l *Launch, first, every uint64, sink func(*Snapshot)) (Result, error) {
 	ex := newExec(l)
+	defer ex.release()
 	if sink != nil {
 		if every == 0 {
 			return ex.res, fmt.Errorf("%w: zero checkpoint interval", ErrBadLaunch)
@@ -73,6 +77,7 @@ func RunCheckpointed(l *Launch, first, every uint64, sink func(*Snapshot)) (Resu
 // run reports exactly what a full run would.
 func Resume(l *Launch, s *Snapshot) (Result, error) {
 	ex := newExec(l)
+	defer ex.release()
 	if err := ex.validate(); err != nil {
 		return ex.res, err
 	}
@@ -93,8 +98,6 @@ func Resume(l *Launch, s *Snapshot) (Result, error) {
 		return ex.res, err
 	}
 	releaseWarps(warps) // the clones are block-final and unreferenced
-	if ex.blockDone(s.block) {
-		return ex.res, nil
-	}
+	ex.blockDone(s.block)
 	return ex.blocksFrom(s.block + 1)
 }

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"gpufi/internal/isa"
@@ -209,82 +211,177 @@ func equalWords(a, b []uint32) bool {
 	return true
 }
 
-// TestBlockDone: the callback sees every completed block in order with the
-// launch's running counters, on both tiers and after a Resume (the resumed
-// block first), and returning true ends the launch there without error,
-// leaving later blocks' output unwritten.
-func TestBlockDone(t *testing.T) {
+// TestBlockHooks: BlockDone sees every block that runs, in order, with
+// the launch's running counters, on both tiers and after a Resume (the
+// resumed block first). Replay is offered every block before it runs —
+// after a Resume, the blocks after the resumed one — and a block it takes
+// does not run: the count the caller charges reaches the Result, the
+// watchdog and a pending ArmAfter countdown as the block's own run would.
+func TestBlockHooks(t *testing.T) {
 	const grid, block = 4, 64
 	const n = grid * block
 	prog := sharedRevProg(t, block)
-	launch := func(g []uint32, noFast bool, done func(int, *Result) bool) *Launch {
+	launch := func(g []uint32, noFast bool, hooks Hooks) *Launch {
 		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: block,
-			NoFastPath: noFast, BlockDone: done}
+			NoFastPath: noFast, Hooks: hooks}
 	}
 	gWant := sharedRevInput(n)
 	var ends []uint64 // counters after each block of the full run
-	want, err := Run(launch(gWant, false, func(b int, r *Result) bool {
+	full := launch(gWant, false, Hooks{})
+	full.BlockDone = func(b int, r *Result) {
 		if b != len(ends) {
 			t.Fatalf("BlockDone for block %d after %d blocks", b, len(ends))
 		}
 		ends = append(ends, r.DynThreadInstrs)
-		return false
-	}))
+	}
+	want, err := Run(full)
 	if err != nil || len(ends) != grid || ends[grid-1] != want.DynThreadInstrs {
 		t.Fatalf("full run: %v, block ends %v, total %d", err, ends, want.DynThreadInstrs)
 	}
 	outOf := func(g []uint32, b int) []uint32 { return g[n+b*block : n+(b+1)*block] }
+	startOf := func(b int) uint64 {
+		if b == 0 {
+			return 0
+		}
+		return ends[b-1]
+	}
+	// hooked runs l with a Replay that takes the blocks in take — copying
+	// their golden output and charging their golden count — and returns
+	// the blocks it was offered and the blocks that ran.
+	hooked := func(l *Launch, take func(int) bool, resume *Snapshot) (res Result, offered, ran []int, err error) {
+		l.Replay = func(b int, r *Result) bool {
+			offered = append(offered, b)
+			if !take(b) {
+				return false
+			}
+			copy(outOf(l.Global, b), outOf(gWant, b))
+			r.DynThreadInstrs += ends[b] - startOf(b)
+			return true
+		}
+		l.BlockDone = func(b int, r *Result) {
+			ran = append(ran, b)
+			if r.DynThreadInstrs != ends[b] {
+				t.Fatalf("block %d ended at %d, want %d", b, r.DynThreadInstrs, ends[b])
+			}
+		}
+		if resume != nil {
+			res, err = Resume(l, resume)
+		} else {
+			res, err = Run(l)
+		}
+		return res, offered, ran, err
+	}
+	blocks := func(from int, keep func(int) bool) []int {
+		var out []int
+		for b := from; b < grid; b++ {
+			if keep(b) {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
 
 	for _, noFast := range []bool{false, true} {
-		for stop := 0; stop < grid; stop++ {
+		for mask := 0; mask < 1<<grid; mask++ {
+			take := func(b int) bool { return mask>>b&1 == 1 }
 			g := sharedRevInput(n)
-			res, err := Run(launch(g, noFast, func(b int, _ *Result) bool { return b == stop }))
-			if err != nil || res.DynThreadInstrs != ends[stop] {
-				t.Fatalf("noFast=%v stop=%d: %v after %d instructions, want %d", noFast, stop, err, res.DynThreadInstrs, ends[stop])
+			res, offered, ran, err := hooked(launch(g, noFast, Hooks{}), take, nil)
+			if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
+				t.Fatalf("noFast=%v replayed %04b: %v after %d instructions (want %d), arena equal %v",
+					noFast, mask, err, res.DynThreadInstrs, want.DynThreadInstrs, equalWords(g, gWant))
 			}
-			for b := 0; b < grid; b++ {
-				ran := equalWords(outOf(g, b), outOf(gWant, b))
-				if ran != (b <= stop) {
-					t.Fatalf("noFast=%v stop=%d: block %d output written = %v", noFast, stop, b, ran)
+			if !slices.Equal(offered, blocks(0, func(int) bool { return true })) ||
+				!slices.Equal(ran, blocks(0, func(b int) bool { return !take(b) })) {
+				t.Fatalf("noFast=%v replayed %04b: offered %v, ran %v", noFast, mask, offered, ran)
+			}
+		}
+
+		// The watchdog: a budget one short of the total trips in the last
+		// block at the same instruction whether or not the blocks before it
+		// ran.
+		budget := want.DynThreadInstrs - 1
+		l := launch(sharedRevInput(n), noFast, Hooks{})
+		l.MaxDynInstrs = budget
+		pres, perr := Run(l)
+		l = launch(sharedRevInput(n), noFast, Hooks{})
+		l.MaxDynInstrs = budget
+		res, _, _, err := hooked(l, func(b int) bool { return b < grid-1 }, nil)
+		var ple, le *LaunchError
+		if !errors.As(perr, &ple) || !errors.As(err, &le) || *ple != *le || !errors.Is(err, ErrWatchdog) ||
+			res.DynThreadInstrs != pres.DynThreadInstrs {
+			t.Fatalf("noFast=%v watchdog: plain %v after %d, replayed %v after %d",
+				noFast, perr, pres.DynThreadInstrs, err, res.DynThreadInstrs)
+		}
+
+		// The countdown: blocks 0 and 1 replayed. Arming due inside block 1
+		// happens at block 2's first instruction; arming due later happens
+		// where the full run arms.
+		for _, armAfter := range []uint64{ends[0] + 10, ends[1] - 10, ends[1] + 100, ends[2] + 5} {
+			armRun := func(take func(int) bool) (armedAt, hookInstrs uint64) {
+				g := sharedRevInput(n)
+				_, _, _, err := hooked(launch(g, noFast, Hooks{
+					Post:     func(ev *Event) { hookInstrs += uint64(ev.ActiveCount()) },
+					ArmAfter: armAfter,
+					OnArm:    func(r *Result) { armedAt = r.DynThreadInstrs },
+				}), take, nil)
+				if err != nil || !equalWords(g, gWant) {
+					t.Fatalf("noFast=%v armAfter=%d: %v", noFast, armAfter, err)
 				}
+				return armedAt, hookInstrs
+			}
+			fullAt, _ := armRun(func(int) bool { return false })
+			at, hooks := armRun(func(b int) bool { return b < 2 })
+			if at != max(fullAt, ends[1]) || at+hooks != want.DynThreadInstrs {
+				t.Fatalf("noFast=%v armAfter=%d: armed at %d with %d hooked, full run armed at %d",
+					noFast, armAfter, at, hooks, fullAt)
 			}
 		}
 	}
 
 	var snaps []*Snapshot
-	if _, err := RunCheckpointed(launch(sharedRevInput(n), false, nil), 100, 300, func(s *Snapshot) {
+	if _, err := RunCheckpointed(launch(sharedRevInput(n), false, Hooks{}), 100, 300, func(s *Snapshot) {
 		snaps = append(snaps, s)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
-		var seen []int
-		res, err := Resume(launch(make([]uint32, 2*n), false, func(b int, r *Result) bool {
-			if r.DynThreadInstrs != ends[b] {
-				t.Fatalf("snapshot %d: block %d ended at %d, want %d", i, b, r.DynThreadInstrs, ends[b])
-			}
-			seen = append(seen, b)
-			return b == s.block
-		}), s)
-		if err != nil || len(seen) != 1 || seen[0] != s.block || res.DynThreadInstrs != ends[s.block] {
-			t.Fatalf("snapshot %d in block %d: %v, BlockDone saw %v", i, s.block, err, seen)
+		g := make([]uint32, 2*n)
+		res, offered, ran, err := hooked(launch(g, false, Hooks{}), func(int) bool { return true }, s)
+		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
+			t.Fatalf("snapshot %d in block %d: %v after %d instructions", i, s.block, err, res.DynThreadInstrs)
+		}
+		if !slices.Equal(offered, blocks(s.block+1, func(int) bool { return true })) || !slices.Equal(ran, []int{s.block}) {
+			t.Fatalf("snapshot %d in block %d: offered %v, ran %v", i, s.block, offered, ran)
 		}
 	}
 }
 
-// TestMemTraceStores: Touched lists exactly the Writes words stores marked,
-// ClearWrites resets them, and a nil Reads leaves loads untraced.
+// TestMemTraceStores: Touched lists exactly the Writes words stores marked;
+// Inputs lists each word loaded before a store to it, once, with the value
+// loaded; Clear resets both.
 func TestMemTraceStores(t *testing.T) {
 	const n = 128
 	prog := sharedRevProg(t, 64)
+	// Every thread stores out[tid], loads it back (no input: stored
+	// first), loads in[tid] twice and in[0] once (inputs, each once).
+	b := kasm.New("inputs")
+	b.S2R(rTid, isa.SRTid)
+	b.Gst(rTid, n, rTid)
+	b.Gld(rA, rTid, n)
+	b.Gld(rA, rTid, 0)
+	b.Gld(rB, rTid, 0)
+	b.Gld(rC, isa.RZ, 0)
+	inputs := kasm.MustFinalize(b)
 	for _, noFast := range []bool{false, true} {
-		mt := &MemTrace{Writes: make([]uint64, (2*n+63)/64)}
+		words := (2*n + 63) / 64
+		mt := &MemTrace{Writes: make([]uint64, words), Loaded: make([]uint64, words)}
 		l := sharedRevLaunch(prog, sharedRevInput(n), Hooks{})
 		l.Mem, l.NoFastPath = mt, noFast
 		if _, err := Run(l); err != nil {
 			t.Fatal(err)
 		}
-		// The kernel stores out = words n..2n-1, each once.
+		// The kernel stores out = words n..2n-1, each once, after loading
+		// in = words 0..n-1, each once.
 		for k, m := range mt.Writes {
 			if want := uint64(0); k >= n/64 {
 				if want = ^want; m != want {
@@ -297,9 +394,31 @@ func TestMemTraceStores(t *testing.T) {
 		if len(mt.Touched) != n/64 || mt.Touched[0] != n/64 || mt.Touched[1] != n/64+1 {
 			t.Fatalf("noFast=%v: Touched = %v", noFast, mt.Touched)
 		}
-		mt.ClearWrites()
-		if len(mt.Touched) != 0 || mt.Writes[n/64] != 0 || mt.Writes[n/64+1] != 0 {
-			t.Fatalf("noFast=%v: ClearWrites left %v, %x", noFast, mt.Touched, mt.Writes)
+		if len(mt.Inputs) != n {
+			t.Fatalf("noFast=%v: %d inputs, want %d", noFast, len(mt.Inputs), n)
 		}
+		for i, in := range mt.Inputs {
+			if in.Addr >= n || in.Val != 3*in.Addr || i > 0 && mt.Inputs[i-1].Addr == in.Addr {
+				t.Fatalf("noFast=%v: input %d = %+v", noFast, i, in)
+			}
+		}
+		mt.Clear()
+		if len(mt.Touched) != 0 || len(mt.Inputs) != 0 || slices.ContainsFunc(append(mt.Writes, mt.Loaded...), func(m uint64) bool { return m != 0 }) {
+			t.Fatalf("noFast=%v: Clear left %v, %v, %x, %x", noFast, mt.Touched, mt.Inputs, mt.Writes, mt.Loaded)
+		}
+
+		g := sharedRevInput(n)
+		if _, err := Run(&Launch{Prog: inputs, Grid: 1, Block: 64, Global: g, Mem: mt, NoFastPath: noFast}); err != nil {
+			t.Fatal(err)
+		}
+		want := []Load{{0, 0}}
+		for i := uint32(1); i < 64; i++ {
+			want = append(want, Load{i, 3 * i})
+		}
+		slices.SortFunc(mt.Inputs, func(x, y Load) int { return int(x.Addr) - int(y.Addr) })
+		if !slices.Equal(mt.Inputs, want) {
+			t.Fatalf("noFast=%v: inputs %v, want %v", noFast, mt.Inputs, want)
+		}
+		mt.Clear()
 	}
 }

@@ -240,10 +240,10 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 			if addr < 0 || addr >= int64(len(global)) {
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
-			if mt := ex.l.Mem; mt != nil && mt.Reads != nil {
-				mt.Reads[addr>>6] |= 1 << (uint(addr) & 63)
-			}
 			d = global[addr]
+			if mt := ex.l.Mem; mt != nil {
+				mt.load(addr, d)
+			}
 		case isa.OpGST:
 			addr := int64(int32(a)) + int64(in.Imm)
 			if addr < 0 || addr >= int64(len(global)) {

@@ -12,28 +12,18 @@ import (
 	"gpufi/internal/kasm"
 )
 
-// naiveRecorder is the reference the Recorder's bookkeeping is held to:
-// it copies the whole arena before every launch and diffs the whole arena
-// after it, and diffs the whole arena against a copy taken at the previous
-// launch's end for the host writes — no bitmap walk, no image kept up to
-// date incrementally — and takes each block's writes from its store
-// events.
+// naiveRecorder is the reference the Recorder's bookkeeping is held to: it
+// builds each block's record from the block's GLD and GST events alone —
+// a word is an input when a load reads it before any store of the block
+// names it — with no bitmap, and keeps whole copies of the arena before
+// and after every launch.
 type naiveRecorder struct {
 	every, nextCk uint64
-	g, post       []uint32
+	g             []uint32
 	launches      []LaunchRec
+	pre, post     [][]uint32
 	ckpts         []Checkpoint // Snap left nil: positions only
 	instrs, count uint64
-}
-
-func diffArena(from, to []uint32) []Delta {
-	var d []Delta
-	for i, v := range to {
-		if v != from[i] {
-			d = append(d, Delta{Idx: uint32(i), Val: v})
-		}
-	}
-	return d
 }
 
 func (n *naiveRecorder) Arena(words int) []uint32 {
@@ -43,35 +33,44 @@ func (n *naiveRecorder) Arena(words int) []uint32 {
 
 func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	ord := len(n.launches)
-	var host []Delta
-	if ord > 0 {
-		host = diffArena(n.post, n.g)
-	}
-	pre := slices.Clone(n.g)
-	words := (len(n.g) + 63) / 64
-	mt := &emu.MemTrace{Reads: make([]uint64, words), Writes: make([]uint64, words)}
-	l.Mem = mt
-	// Block records from the store events themselves: every address a
-	// block's GSTs name, valued at the block's end.
-	var blocks []BlockRec
-	var stored []int
+	n.pre = append(n.pre, slices.Clone(n.g))
+	stored := map[int]bool{}
+	loaded := map[int]uint32{}
+	addr := func(ev *emu.Event, lane int) int { return int(int32(ev.SrcA(lane))) + int(ev.Instr.Imm) }
 	l.Hooks.Post = func(ev *emu.Event) {
-		if ev.Instr.Op == isa.OpGST {
-			for m := ev.Active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				stored = append(stored, int(int32(ev.SrcA(lane)))+int(ev.Instr.Imm))
+		for m := ev.Active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			switch a := addr(ev, lane); ev.Instr.Op {
+			case isa.OpGST:
+				stored[a] = true
+			case isa.OpGLD:
+				if _, seen := loaded[a]; !seen && !stored[a] {
+					loaded[a], _ = ev.DstValue(lane)
+				}
 			}
 		}
 	}
-	l.BlockDone = func(_ int, res *emu.Result) bool {
-		slices.Sort(stored)
-		var w []Delta
-		for _, i := range slices.Compact(stored) {
-			w = append(w, Delta{Idx: uint32(i), Val: n.g[i]})
+	var blocks []BlockRec
+	l.BlockDone = func(_ int, res *emu.Result) {
+		blk := BlockRec{Instrs: res.DynThreadInstrs, Count: res.PerOpcode[isa.OpIMUL]}
+		for i := range n.g {
+			if stored[i] {
+				blk.Writes = append(blk.Writes, Delta{Idx: uint32(i), Val: n.g[i]})
+			}
+			v, ok := loaded[i]
+			if !ok {
+				continue
+			}
+			if _, prev := loaded[i-1]; prev {
+				blk.In.Runs[len(blk.In.Runs)-1].Len++
+			} else {
+				blk.In.Runs = append(blk.In.Runs, Run{Start: uint32(i), Len: 1})
+			}
+			blk.In.Vals = append(blk.In.Vals, v)
 		}
-		blocks = append(blocks, BlockRec{Writes: w, Instrs: res.DynThreadInstrs})
-		stored = stored[:0]
-		return false
+		blocks = append(blocks, blk)
+		clear(stored)
+		clear(loaded)
 	}
 	base, baseCount := n.instrs, n.count
 	res, err := emu.RunCheckpointed(l, n.nextCk-base, n.every, func(s *emu.Snapshot) {
@@ -85,10 +84,10 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	}
 	n.instrs, n.count = base+res.DynThreadInstrs, baseCount+res.PerOpcode[isa.OpIMUL]
 	n.launches = append(n.launches, LaunchRec{
-		Deltas: diffArena(pre, n.g), Host: host, Reads: mt.Reads, Writes: mt.Writes,
+		Prog: l.Prog, Grid: l.Grid, Block: l.Block, SharedWords: l.SharedWords, MaxDynInstrs: l.MaxDynInstrs,
 		CumInstrs: n.instrs, CumCount: n.count, Blocks: blocks,
 	})
-	n.post = slices.Clone(n.g)
+	n.post = append(n.post, slices.Clone(n.g))
 	for n.nextCk <= n.instrs {
 		n.nextCk += n.every
 	}
@@ -112,10 +111,30 @@ func touch(region int32, store bool) *kasm.Program {
 	return kasm.MustFinalize(b)
 }
 
+// swap has thread i store 3i to region[i], load it back (not an input:
+// the block stored it first), then load its partner region[i^stBlock] —
+// for block 1 a word block 0 of the same launch stored — and park the sum
+// in scratch.
+func swap(region int32) *kasm.Program {
+	b := kasm.New("swap")
+	b.S2R(rTid, isa.SRTid)
+	b.S2R(rCta, isa.SRCtaid)
+	b.S2R(rNtid, isa.SRNtid)
+	b.IMad(rIdx, rCta, rNtid, rTid)
+	b.IMulI(rProd, rIdx, 3)
+	b.Gst(rIdx, region, rProd)
+	b.Gld(rVal, rIdx, region)
+	b.XorI(rAddr, rIdx, stBlock)
+	b.Gld(rPrev, rAddr, region)
+	b.IAdd(rOut, rVal, rPrev)
+	b.Gst(rIdx, offScratch, rOut)
+	return kasm.MustFinalize(b)
+}
+
 // mixKernels is what a mixed schedule draws its launches from: the three
-// stages (a repeated stage rewrites the values its first run stored) and
-// the two touch kernels.
-var mixKernels = append(slices.Clone(stages), touch(offB, true), touch(offC, false))
+// stages (a repeated stage rewrites the values its first run stored), the
+// two touch kernels and swap.
+var mixKernels = append(slices.Clone(stages), touch(offB, true), touch(offC, false), swap(offC))
 
 // mixSlack is the untouched tail of the mixed workload's arena, ~60 times
 // its footprint — the shape of apps.ArenaSlack.
@@ -161,12 +180,14 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 
 // TestRecorderMatchesNaiveReference: over seeded mixed schedules — host
 // writes between launches, launches that rewrite words with their old
-// values, launches that write nothing, slack far larger than the footprint
-// — the Recorder's trace, per-block records included, equals the
-// whole-arena-diff reference's word for word, and a Player forked from
-// any of its checkpoints reproduces the plain run.
+// values, launches that write nothing, blocks that load what an earlier
+// block stored, slack far larger than the footprint — the Recorder's trace,
+// per-block writes and inputs included, equals the event-built reference's
+// word for word; applying a launch's block writes to its golden pre-image
+// gives its golden post-image; and a Player forked from any of its
+// checkpoints reproduces the plain run.
 func TestRecorderMatchesNaiveReference(t *testing.T) {
-	var sawHost, sawSilentWrite, sawNoWrite bool
+	var sawHost, sawSilentWrite, sawNoWrite, sawCrossBlock bool
 	pool := &Pool{}
 	for seed := int64(1); seed <= 12; seed++ {
 		golden, err := runMixed(&Plain{}, seed)
@@ -193,16 +214,27 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			t.Fatalf("seed %d: trace %d words %d instrs %d countable, reference %d/%d/%d",
 				seed, tr.Words, tr.Instrs, tr.Count, len(ref.g), ref.instrs, ref.count)
 		}
-		if !reflect.DeepEqual(tr.Launches, ref.launches) {
-			for k := range ref.launches {
-				if !reflect.DeepEqual(tr.Launches[k], ref.launches[k]) {
-					got, want := tr.Launches[k], ref.launches[k]
-					t.Fatalf("seed %d launch %d: deltas, host, reads, writes or cum differ: recorder %d deltas %d host cum %d/%d, reference %d deltas %d host cum %d/%d",
-						seed, k, len(got.Deltas), len(got.Host), got.CumInstrs, got.CumCount,
-						len(want.Deltas), len(want.Host), want.CumInstrs, want.CumCount)
-				}
-			}
+		if len(tr.Launches) != len(ref.launches) {
 			t.Fatalf("seed %d: %d launches recorded, reference %d", seed, len(tr.Launches), len(ref.launches))
+		}
+		for k, l := range tr.Launches {
+			if want := ref.launches[k]; !reflect.DeepEqual(l, want) {
+				t.Fatalf("seed %d launch %d: recorder %+v, reference %+v", seed, k, l, want)
+			}
+			g := slices.Clone(ref.pre[k])
+			l.apply(g)
+			if !slices.Equal(g, ref.post[k]) {
+				t.Fatalf("seed %d launch %d: block writes applied to the pre-image miss the post-image", seed, k)
+			}
+			writes := len(l.Blocks[0].Writes) + len(l.Blocks[1].Writes)
+			sawHost = sawHost || k > 0 && !slices.Equal(ref.pre[k], ref.post[k-1])
+			sawSilentWrite = sawSilentWrite || writes > 0 && slices.Equal(ref.pre[k], ref.post[k])
+			sawNoWrite = sawNoWrite || writes == 0
+			v := l.Blocks[1].In.Vals
+			for _, r := range l.Blocks[1].In.Runs {
+				sawCrossBlock = sawCrossBlock || !slices.Equal(v[:r.Len], ref.pre[k][r.Start:r.Start+r.Len])
+				v = v[r.Len:]
+			}
 		}
 		if len(tr.Ckpts) != len(ref.ckpts) {
 			t.Fatalf("seed %d: %d checkpoints, reference %d", seed, len(tr.Ckpts), len(ref.ckpts))
@@ -212,18 +244,6 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 				t.Fatalf("seed %d checkpoint %d at launch %d instr %d count %d, reference %d/%d/%d",
 					seed, i, ck.Launch, ck.CumInstrs, ck.CumCount, want.Launch, want.CumInstrs, want.CumCount)
 			}
-		}
-
-		for _, l := range tr.Launches {
-			written := 0
-			for _, m := range l.Writes {
-				if m != 0 {
-					written++
-				}
-			}
-			sawHost = sawHost || len(l.Host) > 0
-			sawNoWrite = sawNoWrite || written == 0
-			sawSilentWrite = sawSilentWrite || (written > 0 && len(l.Deltas) == 0)
 		}
 
 		for ck := -1; ck < len(tr.Ckpts); ck++ {
@@ -236,8 +256,8 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			}
 		}
 	}
-	if !sawHost || !sawSilentWrite || !sawNoWrite {
-		t.Fatalf("schedules never exercised a case: host writes %v, write without delta %v, launch without write %v",
-			sawHost, sawSilentWrite, sawNoWrite)
+	if !sawHost || !sawSilentWrite || !sawNoWrite || !sawCrossBlock {
+		t.Fatalf("schedules never exercised a case: host writes %v, write without change %v, launch without write %v, input stored by an earlier block %v",
+			sawHost, sawSilentWrite, sawNoWrite, sawCrossBlock)
 	}
 }

@@ -3,7 +3,6 @@ package replay
 import (
 	"errors"
 	"slices"
-	"sort"
 	"testing"
 
 	"gpufi/internal/emu"
@@ -21,8 +20,7 @@ import (
 // so a flip of a high bit of p is masked inside the launch and a flip of
 // a low bit propagates to the output. Stage 0 additionally parks the raw
 // product in a scratch region no later launch reads. With hostWrites the
-// host rewrites param before every launch — a pure host write, so the
-// trace carries non-empty Host write-sets.
+// host rewrites param before every launch.
 const (
 	stGrid, stBlock = 2, 32
 	stN             = stGrid * stBlock
@@ -80,9 +78,10 @@ var stageSrc = []int{offA, offB, offC}
 func countIMUL(op isa.Opcode) bool { return op == isa.OpIMUL }
 
 // runStages executes the workload on rt and returns a copy of the final
-// arena. corrupt, when non-nil, is host code run after every launch (the
-// tile-model shape: corruption applied between launches).
-func runStages(rt Runner, hostWrites bool, corrupt func(after int, g []uint32)) ([]uint32, error) {
+// arena. host, when non-nil, is host code run after every launch: the
+// tile-model shape of corruption applied between launches, or a host that
+// reads the arena.
+func runStages(rt Runner, hostWrites bool, host func(after int, g []uint32)) ([]uint32, error) {
 	g := rt.Arena(stWords)
 	for i := 0; i < stN; i++ {
 		g[offA+i] = uint32(i*1000 + 17)
@@ -95,8 +94,8 @@ func runStages(rt Runner, hostWrites bool, corrupt func(after int, g []uint32)) 
 		if err := rt.Launch(&emu.Launch{Prog: prog, Grid: stGrid, Block: stBlock, Global: g}); err != nil {
 			return nil, err
 		}
-		if corrupt != nil {
-			corrupt(k, g)
+		if host != nil {
+			host(k, g)
 		}
 	}
 	return slices.Clone(g), nil
@@ -105,20 +104,19 @@ func runStages(rt Runner, hostWrites bool, corrupt func(after int, g []uint32)) 
 // recordStages records the workload with a checkpoint every 100
 // thread-instructions (several per launch) and checks the recording
 // against a plain run.
-func recordStages(t *testing.T, hostWrites, hostPure bool) (*Trace, []uint32) {
+func recordStages(t *testing.T, hostWrites bool, host func(after int, g []uint32)) (*Trace, []uint32) {
 	t.Helper()
 	plain := &Plain{}
-	golden, err := runStages(plain, hostWrites, nil)
+	golden, err := runStages(plain, hostWrites, host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(100, countIMUL)
-	recOut, err := runStages(rec, hostWrites, nil)
+	recOut, err := runStages(rec, hostWrites, host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := rec.Finish()
-	tr.HostPure = hostPure
 	if !slices.Equal(golden, recOut) {
 		t.Fatal("recorded run diverged from the plain run")
 	}
@@ -139,11 +137,13 @@ func recordStages(t *testing.T, hostWrites, hostPure bool) (*Trace, []uint32) {
 }
 
 // flip is a one-shot injector in the shape of swfi's: it counts countable
-// thread-instructions and XORs mask into the output of the target-th.
-// mask 0 fires without corrupting anything.
+// thread-instructions — IMULs unless count says otherwise — and XORs mask
+// into the output of the target-th. mask 0 fires without corrupting
+// anything.
 type flip struct {
 	target  uint64
 	mask    uint32
+	count   func(isa.Opcode) bool
 	counter uint64
 	fired   bool
 	old     uint32
@@ -154,7 +154,11 @@ func (f *flip) post(ev *emu.Event) {
 		ev.Disarm()
 		return
 	}
-	if !countIMUL(ev.Instr.Op) {
+	count := f.count
+	if count == nil {
+		count = countIMUL
+	}
+	if !count(ev.Instr.Op) {
 		return
 	}
 	n := uint64(ev.ActiveCount())
@@ -177,8 +181,8 @@ func (f *flip) player(tr *Trace, pool *Pool) *Player {
 		func(done uint64) { f.counter = done }, func() bool { return f.fired }, pool)
 }
 
-// forkPoint is the checkpoint NewPlayer must fork from: the latest one
-// at or before the target (the zero Checkpoint when there is none).
+// forkPoint is the latest checkpoint at or before the target (the zero
+// Checkpoint when there is none).
 func forkPoint(tr *Trace, target uint64) Checkpoint {
 	var at Checkpoint
 	for _, ck := range tr.Ckpts {
@@ -189,6 +193,54 @@ func forkPoint(tr *Trace, target uint64) Checkpoint {
 	return at
 }
 
+// blockOf returns the launch and block that hold countable instruction
+// target.
+func blockOf(tr *Trace, target uint64) (k, b int) {
+	for k := range tr.Launches {
+		_, before := tr.cumBefore(k)
+		for b, blk := range tr.Launches[k].Blocks {
+			if before+blk.Count > target {
+				return k, b
+			}
+		}
+	}
+	panic("target outside the trace")
+}
+
+// blockSpan returns the workload-cumulative thread-instruction counts at
+// the start and the end of block b of launch k.
+func blockSpan(tr *Trace, k, b int) (start, end uint64) {
+	start, _ = tr.cumBefore(k)
+	blocks := tr.Launches[k].Blocks
+	end = start + blocks[b].Instrs
+	if b > 0 {
+		start += blocks[b-1].Instrs
+	}
+	return start, end
+}
+
+// forkAt is where a countdown player for target starts simulating: the
+// later of the checkpoint before it and the start of its block.
+func forkAt(tr *Trace, target uint64) uint64 {
+	k, b := blockOf(tr, target)
+	start, _ := blockSpan(tr, k, b)
+	return max(start, forkPoint(tr, target).CumInstrs)
+}
+
+// wantSkipped is what a countdown player for target skips when, besides
+// the target's block from the fork point on, exactly the blocks sim lists
+// (launch, block) run, each at its golden count.
+func wantSkipped(tr *Trace, target uint64, sim [][2]int) uint64 {
+	k, b := blockOf(tr, target)
+	_, end := blockSpan(tr, k, b)
+	skipped := tr.Instrs - (end - forkAt(tr, target))
+	for _, kb := range sim {
+		start, end := blockSpan(tr, kb[0], kb[1])
+		skipped -= end - start
+	}
+	return skipped
+}
+
 // launchInstrs is the thread-instruction count of launch k alone.
 func launchInstrs(tr *Trace, k int) uint64 {
 	before, _ := tr.cumBefore(k)
@@ -196,7 +248,7 @@ func launchInstrs(tr *Trace, k int) uint64 {
 }
 
 func TestPlayerAtEveryCheckpointReproducesGolden(t *testing.T) {
-	tr, golden := recordStages(t, true, true)
+	tr, golden := recordStages(t, true, nil)
 	pool := &Pool{}
 	for ck := -1; ck < len(tr.Ckpts); ck++ {
 		p := NewPlayerAt(tr, ck, pool)
@@ -221,153 +273,140 @@ func TestPlayerAtEveryCheckpointReproducesGolden(t *testing.T) {
 	}
 }
 
-// faultTail is the golden thread-instruction count of the blocks after the
-// one holding countable instruction target, in target's launch: what
-// ending the faulting launch at the faulted block skips. Every workload
-// here runs one IMUL per thread and stBlock threads per block.
-func faultTail(tr *Trace, target uint64) uint64 {
-	k := sort.Search(len(tr.Launches), func(k int) bool { return tr.Launches[k].CumCount > target })
-	_, before := tr.cumBefore(k)
-	blocks := tr.Launches[k].Blocks
-	return blocks[len(blocks)-1].Instrs - blocks[int(target-before)/stBlock].Instrs
-}
-
-// TestPlayerSimulatesNothingBeforeItsCheckpoint: launches that end before
-// the fork point replay from write-sets, the fork launch restores its
-// snapshot, the countdown arms the hook on exactly the target, and — the
-// fault corrupting nothing — the faulting launch ends at the faulted block.
-func TestPlayerSimulatesNothingBeforeItsCheckpoint(t *testing.T) {
-	tr, golden := recordStages(t, true, false)
+// TestPlayerSimulatesNothingBeforeTheTargetBlock: launches before the
+// target's replay from their writes, and so do the blocks of its launch
+// before its block; the fork restores a checkpoint only when one lies
+// inside that block; the countdown arms the hook on exactly the target;
+// and — the fault corrupting nothing — every later block replays.
+func TestPlayerSimulatesNothingBeforeTheTargetBlock(t *testing.T) {
+	checkpointed, golden := recordStages(t, true, nil)
+	rec := NewRecorder(1<<20, countIMUL)
+	if _, err := runStages(rec, true, nil); err != nil {
+		t.Fatal(err)
+	}
 	pool := &Pool{}
-	for _, target := range []uint64{0, 5, stN + 40, 2*stN + 63} {
-		f := &flip{target: target}
-		p := f.player(tr, pool)
-		got, err := runStages(p, true, nil)
-		if err != nil {
-			t.Fatalf("target %d: %v", target, err)
+	var sawCheckpoint, sawBlockStart bool
+	for _, tr := range []*Trace{checkpointed, rec.Finish()} {
+		for _, target := range []uint64{0, 5, 40, stN + 40, 2*stN + 63} {
+			f := &flip{target: target}
+			p := f.player(tr, pool)
+			got, err := runStages(p, true, nil)
+			if err != nil {
+				t.Fatalf("target %d: %v", target, err)
+			}
+			k, b := blockOf(tr, target)
+			skipped := wantSkipped(tr, target, nil)
+			if p.Skipped != skipped || p.Live.DynThreadInstrs != tr.Instrs-skipped {
+				t.Errorf("target %d: sim %d skipped %d, want %d and %d",
+					target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-skipped, skipped)
+			}
+			start, _ := blockSpan(tr, k, b)
+			sawCheckpoint = sawCheckpoint || forkAt(tr, target) > start
+			sawBlockStart = sawBlockStart || forkAt(tr, target) == start && start > 0
+			i := int(target) % stN
+			if want := 3 * golden[stageSrc[k]+i]; !f.fired || f.old != want {
+				t.Errorf("target %d: fired=%v on value %d, want thread %d of launch %d (%d)",
+					target, f.fired, f.old, i, k, want)
+			}
+			if !slices.Equal(got, golden) {
+				t.Errorf("target %d: a fault that corrupts nothing changed the arena", target)
+			}
 		}
-		ck := forkPoint(tr, target)
-		skipped := ck.CumInstrs + faultTail(tr, target)
-		if p.Skipped != skipped || p.Live.DynThreadInstrs != tr.Instrs-skipped {
-			t.Errorf("target %d: sim %d skipped %d, want %d and %d (fork at launch %d)",
-				target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-skipped, skipped, ck.Launch)
-		}
-		k, i := int(target)/stN, int(target)%stN
-		if want := 3 * golden[stageSrc[k]+i]; !f.fired || f.old != want {
-			t.Errorf("target %d: fired=%v on value %d, want thread %d of launch %d (%d)",
-				target, f.fired, f.old, i, k, want)
-		}
-		if !slices.Equal(got, golden) {
-			t.Errorf("target %d: a fault that corrupts nothing changed the arena", target)
-		}
+	}
+	if !sawCheckpoint || !sawBlockStart {
+		t.Errorf("forks from a checkpoint %v, from a block start %v; want both", sawCheckpoint, sawBlockStart)
 	}
 }
 
-// TestPostFaultTail drives the launch-boundary reconvergence rules: which
-// launches after the fault are skipped, and that skipping never changes
-// what a plain run with the same fault computes.
+// paramFromC is an impure host: after launch 1 it reads a word of C and
+// picks launch 2's parameter from it.
+func paramFromC(after int, g []uint32) {
+	if after == 1 {
+		g[offParam] = 1 + g[offC+10]&1
+	}
+}
+
+// TestPostFaultTail drives block replay after the fault: which blocks of
+// the faulting and the later launches still run, and that replaying the
+// others never changes what a plain run with the same fault computes. Each
+// row is named for its scenario; sim lists the blocks after the target's
+// that run because a word they load changed.
 func TestPostFaultTail(t *testing.T) {
 	cases := []struct {
 		name       string
 		hostWrites bool
-		hostPure   bool
-		liveIn     bool
+		host       func(after int, g []uint32)
 		target     uint64
 		mask       uint32
-		skipped    []int // post-fault launches replayed from write-sets
+		sim        [][2]int // (launch, block)
 		sdc        bool
 	}{
 		{name: "pure host: fault masked inside launch 1 converges at the next boundary",
-			hostWrites: true, hostPure: true, target: stN + 10, mask: maskedBit, skipped: []int{2}},
+			hostWrites: true, target: stN + 10, mask: maskedBit},
 		{name: "pure host: propagating fault never converges",
-			hostWrites: true, hostPure: true, target: stN + 10, mask: liveBit, sdc: true},
+			hostWrites: true, target: stN + 10, mask: liveBit, sim: [][2]int{{2, 0}}, sdc: true},
 		{name: "pure host: garbage parked in scratch blocks the whole-arena comparison",
-			hostPure: true, target: 10, mask: maskedBit},
+			target: 10, mask: maskedBit},
 		{name: "live-in pruning ignores the parked garbage",
-			hostPure: true, liveIn: true, target: 10, mask: maskedBit, skipped: []int{1, 2}},
+			hostWrites: true, target: 10, mask: maskedBit},
 		{name: "live-in pruning still sees a word the next launch reads",
-			hostPure: true, liveIn: true, target: 10, mask: liveBit, sdc: true},
+			target: 10, mask: liveBit, sim: [][2]int{{1, 0}, {2, 0}}, sdc: true},
 		{name: "impure host: no post-fault launch is skipped",
-			hostWrites: true, hostPure: false, target: stN + 10, mask: maskedBit},
+			host: paramFromC, target: stN + 10, mask: maskedBit},
+		{name: "impure host: a parameter read from a corrupted word runs the next launch",
+			host: paramFromC, target: stN + 10, mask: liveBit, sim: [][2]int{{2, 0}, {2, 1}}, sdc: true},
 	}
 	pool := &Pool{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, golden := recordStages(t, tc.hostWrites, tc.hostPure)
-			if tc.liveIn {
-				tr.ComputeLiveIn(offOut, stN)
-			}
+			tr, golden := recordStages(t, tc.hostWrites, tc.host)
 			ref := &flip{target: tc.target, mask: tc.mask}
 			plain := &Plain{Hooks: ref.hooks()}
-			want, err := runStages(plain, tc.hostWrites, nil)
+			want, err := runStages(plain, tc.hostWrites, tc.host)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			f := &flip{target: tc.target, mask: tc.mask}
 			p := f.player(tr, pool)
-			got, err := runStages(p, tc.hostWrites, nil)
+			got, err := runStages(p, tc.hostWrites, tc.host)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// No stage reads what it writes, so the faulting launch also
-			// ends at the faulted block.
-			wantSkipped := forkPoint(tr, tc.target).CumInstrs + faultTail(tr, tc.target)
-			for _, k := range tc.skipped {
-				wantSkipped += launchInstrs(tr, k)
-			}
-			if p.Skipped != wantSkipped || p.Live.DynThreadInstrs != tr.Instrs-wantSkipped {
+			wantSkip := wantSkipped(tr, tc.target, tc.sim)
+			if p.Skipped != wantSkip || p.Live.DynThreadInstrs != tr.Instrs-wantSkip {
 				t.Errorf("sim %d skipped %d, want %d and %d",
-					p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-wantSkipped, wantSkipped)
+					p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-wantSkip, wantSkip)
 			}
 			if sum := p.Live.DynThreadInstrs + p.Skipped; sum != plain.Res.DynThreadInstrs {
 				t.Errorf("sim + skipped = %d, the full replay executes %d", sum, plain.Res.DynThreadInstrs)
 			}
-			if p.converged != (len(tc.skipped) > 0) {
-				t.Errorf("converged = %v", p.converged)
-			}
-			if !tc.hostPure && p.shadow != nil {
-				t.Error("impure-host player keeps a golden shadow")
-			}
 			if f.old != ref.old {
 				t.Errorf("player corrupted value %d, plain run %d", f.old, ref.old)
 			}
-			if out, wout := got[offOut:offOut+stN], want[offOut:offOut+stN]; !slices.Equal(out, wout) {
-				t.Error("output region differs from the plain faulty run")
+			if !slices.Equal(got, want) {
+				t.Error("arena differs from the plain faulty run")
 			}
 			if sdc := !slices.Equal(want[offOut:offOut+stN], golden[offOut:offOut+stN]); sdc != tc.sdc {
 				t.Fatalf("plain run SDC = %v, the case assumes %v", sdc, tc.sdc)
-			}
-			if tc.liveIn && p.converged {
-				// The skip assumes the golden pre-state, so the arena —
-				// parked garbage included — is reset to it.
-				if !slices.Equal(got, golden) {
-					t.Error("arena not reset to golden on a live-in match")
-				}
-				if want[offScratch+int(tc.target)] == golden[offScratch+int(tc.target)] {
-					t.Fatal("the case assumes the plain run parks garbage in scratch")
-				}
-			} else if !slices.Equal(got, want) {
-				t.Error("arena differs from the plain faulty run")
 			}
 		})
 	}
 }
 
 func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
-	tr, golden := recordStages(t, true, false)
+	tr, golden := recordStages(t, true, nil)
 	pool := &Pool{}
+	// Without corruption the blocks after the prefix replay too.
 	for last := 0; last <= 3; last++ {
 		p := NewPlayerSkipTo(tr, last, pool)
 		got, err := runStages(p, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := tr.Launches[min(last, 2)].CumInstrs
-		if p.Skipped != want || p.Live.DynThreadInstrs != tr.Instrs-want {
-			t.Errorf("skip to %d: sim %d skipped %d, want %d and %d",
-				last, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-want, want)
+		if p.Skipped != tr.Instrs || p.Live.DynThreadInstrs != 0 {
+			t.Errorf("skip to %d: sim %d skipped %d, want 0 and %d", last, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs)
 		}
 		if !slices.Equal(got, golden) {
 			t.Errorf("skip to %d: arena differs from golden", last)
@@ -375,29 +414,44 @@ func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
 	}
 
 	// Host corruption right after the skipped prefix, as the tile model
-	// applies it: the tail must compute what a plain run computes.
-	pure, _ := recordStages(t, true, true)
-	corrupt := func(after int, g []uint32) {
-		if after == 0 {
-			g[offB+3] ^= liveBit
+	// applies it: the tail must compute what a plain run computes, running
+	// exactly the blocks that load a corrupted word.
+	for _, tc := range []struct {
+		last, word int
+		sim        [][2]int // (launch, block)
+	}{
+		{0, offB + 3, [][2]int{{1, 0}, {2, 0}}},
+		{1, offC + 40, [][2]int{{2, 1}}},
+		{0, offScratch + 7, nil}, // parked where no later block loads
+		{2, offOut + 5, nil},
+	} {
+		corrupt := func(after int, g []uint32) {
+			if after == tc.last {
+				g[tc.word] ^= liveBit
+			}
 		}
-	}
-	plain := &Plain{}
-	want, err := runStages(plain, true, corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPlayerSkipTo(pure, 0, pool)
-	got, err := runStages(p, true, corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) || slices.Equal(got, golden) {
-		t.Error("corrupted tail differs from the plain run (or the corruption vanished)")
-	}
-	if p.Skipped != launchInstrs(pure, 0) || p.Live.DynThreadInstrs+p.Skipped != plain.Res.DynThreadInstrs {
-		t.Errorf("sim %d skipped %d, want launch 0 skipped (%d) and a total of %d",
-			p.Live.DynThreadInstrs, p.Skipped, launchInstrs(pure, 0), plain.Res.DynThreadInstrs)
+		plain := &Plain{}
+		want, err := runStages(plain, true, corrupt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPlayerSkipTo(tr, tc.last, pool)
+		got, err := runStages(p, true, corrupt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || slices.Equal(got, golden) {
+			t.Errorf("corrupt word %d after launch %d: tail differs from the plain run (or the corruption vanished)", tc.word, tc.last)
+		}
+		var sim uint64
+		for _, kb := range tc.sim {
+			start, end := blockSpan(tr, kb[0], kb[1])
+			sim += end - start
+		}
+		if p.Live.DynThreadInstrs != sim || p.Live.DynThreadInstrs+p.Skipped != plain.Res.DynThreadInstrs {
+			t.Errorf("corrupt word %d after launch %d: sim %d skipped %d, want %d simulated of %d",
+				tc.word, tc.last, p.Live.DynThreadInstrs, p.Skipped, sim, plain.Res.DynThreadInstrs)
+		}
 	}
 }
 
@@ -454,37 +508,34 @@ func runSpin(rt Runner) error {
 // cut off by the launch-wide MaxDynInstrs, at the same instruction count
 // whether the run is plain or fast-forwarded.
 func TestPostFaultLaunchHasOneWatchdogBudget(t *testing.T) {
-	for _, hostPure := range []bool{true, false} {
-		rec := NewRecorder(50, countIMUL)
-		if err := runSpin(rec); err != nil {
-			t.Fatal(err)
-		}
-		tr := rec.Finish()
-		tr.HostPure = hostPure
+	rec := NewRecorder(50, countIMUL)
+	if err := runSpin(rec); err != nil {
+		t.Fatal(err)
+	}
+	tr := rec.Finish()
 
-		const target = wdBlocks - 1 // lane 3 of launch 0's IMUL: flag[3]
-		ref := &flip{target: target, mask: 1}
-		plain := &Plain{Hooks: ref.hooks()}
-		perr := runSpin(plain)
-		f := &flip{target: target, mask: 1}
-		p := f.player(tr, nil)
-		err := runSpin(p)
+	const target = wdBlocks - 1 // lane 3 of launch 0's IMUL: flag[3]
+	ref := &flip{target: target, mask: 1}
+	plain := &Plain{Hooks: ref.hooks()}
+	perr := runSpin(plain)
+	f := &flip{target: target, mask: 1}
+	p := f.player(tr, nil)
+	err := runSpin(p)
 
-		if !errors.Is(perr, emu.ErrWatchdog) || !errors.Is(err, emu.ErrWatchdog) {
-			t.Fatalf("hostPure=%v: plain %v, player %v; want ErrWatchdog from both", hostPure, perr, err)
-		}
-		var ple, le *emu.LaunchError
-		if errors.As(perr, &ple) && errors.As(err, &le) && *ple != *le {
-			t.Errorf("hostPure=%v: plain stopped at %v, player at %v", hostPure, ple, le)
-		}
-		total := p.Live.DynThreadInstrs + p.Skipped
-		if total != plain.Res.DynThreadInstrs {
-			t.Errorf("hostPure=%v: player stopped after %d thread-instructions, plain run after %d",
-				hostPure, total, plain.Res.DynThreadInstrs)
-		}
-		if spent := total - launchInstrs(tr, 0); spent <= wdBudget || spent > wdBudget+emu.WarpSize {
-			t.Errorf("hostPure=%v: hung launch ran %d thread-instructions on a budget of %d", hostPure, spent, wdBudget)
-		}
+	if !errors.Is(perr, emu.ErrWatchdog) || !errors.Is(err, emu.ErrWatchdog) {
+		t.Fatalf("plain %v, player %v; want ErrWatchdog from both", perr, err)
+	}
+	var ple, le *emu.LaunchError
+	if errors.As(perr, &ple) && errors.As(err, &le) && *ple != *le {
+		t.Errorf("plain stopped at %v, player at %v", ple, le)
+	}
+	total := p.Live.DynThreadInstrs + p.Skipped
+	if total != plain.Res.DynThreadInstrs {
+		t.Errorf("player stopped after %d thread-instructions, plain run after %d",
+			total, plain.Res.DynThreadInstrs)
+	}
+	if spent := total - launchInstrs(tr, 0); spent <= wdBudget || spent > wdBudget+emu.WarpSize {
+		t.Errorf("hung launch ran %d thread-instructions on a budget of %d", spent, wdBudget)
 	}
 }
 
@@ -573,30 +624,51 @@ func runBlockTable(rt Runner, prog *kasm.Program, budget uint64) ([]uint32, erro
 	return slices.Clone(g), nil
 }
 
-// TestFaultingLaunchEndsAtFaultedBlock: for every target of each block-table
+// TestBlockReplayMatchesPlain: for every target of each block-table
 // workload, a fast-forwarded run reaches the outcome, arena and sim +
-// skipped total of a plain run with the same fault, and skips the faulting
-// launch's remainder exactly when no later block can read the fault.
-func TestFaultingLaunchEndsAtFaultedBlock(t *testing.T) {
+// skipped total of a plain run with the same fault, and of the blocks after
+// the faulted one runs exactly those whose inputs the fault changed, or
+// whose replay would cross the watchdog budget.
+func TestBlockReplayMatchesPlain(t *testing.T) {
+	lastOnly := func(b int) []int {
+		if b < btGrid-1 {
+			return []int{btGrid - 1}
+		}
+		return nil
+	}
 	cases := []struct {
 		name  string
 		prog  *kasm.Program
 		mask  uint32
-		every uint64 // checkpoint spacing; past the launch, blocks before the faulted one run live
-		slack uint64 // watchdog budget over the golden count; 0: the default
-		tail  bool   // the remainder after the faulted block is skipped
+		every uint64            // checkpoint spacing; past the launch, every fork is at a block start
+		slack uint64            // watchdog budget over the golden count; 0: the default
+		sim   func(b int) []int // the blocks after the faulted block b that run
 		err   error
 	}{
 		{name: "(a) independent blocks: the remainder is skipped",
-			prog: btIndependent, mask: liveBit, every: 1 << 20, tail: true},
+			prog: btIndependent, mask: liveBit, every: 1 << 20},
 		{name: "(b) a later block reads the faulted block's output",
-			prog: btChained, mask: liveBit, every: 100},
+			prog: btChained, mask: liveBit, every: 100, sim: func(b int) []int {
+				var later []int
+				for j := b + 1; j < btGrid; j++ {
+					later = append(later, j)
+				}
+				return later
+			}},
+		// Index bit 5 clear: the store lands in the next block's input.
 		{name: "(c) the fault redirects a store into the input region",
-			prog: btAddressed, mask: 5 << 5, every: 100},
+			prog: btAddressed, mask: 5 << 5, every: 100, sim: func(b int) []int {
+				if b%2 == 0 {
+					return []int{b + 1}
+				}
+				return nil
+			}},
+		// The faulted block's extra iterations leave room to replay every
+		// later block but the last, which hangs.
 		{name: "(d) the faulted block's extra work would trip the watchdog in the remainder",
-			prog: btCounting, mask: 1 << 6, every: 100, slack: 64, err: emu.ErrWatchdog},
+			prog: btCounting, mask: 1 << 6, every: 100, slack: 64, sim: lastOnly, err: emu.ErrWatchdog},
 		{name: "(e) every target forks inside its own block, the last block's included",
-			prog: btIndependent, mask: liveBit, every: 1, tail: true},
+			prog: btIndependent, mask: liveBit, every: 1},
 	}
 	pool := &Pool{}
 	for _, tc := range cases {
@@ -618,7 +690,7 @@ func TestFaultingLaunchEndsAtFaultedBlock(t *testing.T) {
 			if tr.Count != btN || len(blocks) != btGrid {
 				t.Fatalf("trace: %d countable, %d blocks", tr.Count, len(blocks))
 			}
-			sawTail := false
+			sawReplay := false
 			for target := uint64(0); target < btN; target++ {
 				ref := &flip{target: target, mask: tc.mask}
 				rp := &Plain{Hooks: ref.hooks()}
@@ -643,21 +715,33 @@ func TestFaultingLaunchEndsAtFaultedBlock(t *testing.T) {
 				if sum := p.Live.DynThreadInstrs + p.Skipped; sum != rp.Res.DynThreadInstrs {
 					t.Errorf("target %d: sim + skipped = %d, the full replay executes %d", target, sum, rp.Res.DynThreadInstrs)
 				}
-				ck := forkPoint(tr, target)
-				skipped := ck.CumInstrs
-				if tc.tail {
-					skipped += faultTail(tr, target)
-					sawTail = sawTail || faultTail(tr, target) > 0
+				b := int(target) / stBlock
+				var sim [][2]int
+				if tc.sim != nil {
+					for _, j := range tc.sim(b) {
+						sim = append(sim, [2]int{0, j})
+					}
+				}
+				// The simulated blocks run at their golden count, except a
+				// hung one, which runs to the budget.
+				skipped := wantSkipped(tr, target, sim)
+				if tc.err != nil {
+					skipped = forkAt(tr, target)
+					for j := b + 1; j < btGrid-1; j++ {
+						start, end := blockSpan(tr, 0, j)
+						skipped += end - start
+					}
 				}
 				if p.Skipped != skipped {
 					t.Errorf("target %d: skipped %d, want %d", target, p.Skipped, skipped)
 				}
-				if b := int(target) / stBlock; tc.every == 1 && (b > 0 && ck.CumInstrs <= blocks[b-1].Instrs || ck.CumInstrs == 0) {
+				sawReplay = sawReplay || len(sim) < btGrid-1-b
+				if ck := forkPoint(tr, target); tc.every == 1 && (b > 0 && ck.CumInstrs <= blocks[b-1].Instrs || ck.CumInstrs == 0) {
 					t.Errorf("target %d: forked at instruction %d, outside its block %d", target, ck.CumInstrs, b)
 				}
 			}
-			if tc.tail && !sawTail {
-				t.Error("no target left a remainder to skip")
+			if tc.sim == nil && !sawReplay {
+				t.Error("no target left a later block to replay")
 			}
 		})
 	}

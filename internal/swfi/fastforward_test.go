@@ -60,8 +60,8 @@ func TestHPCFastForwardBitIdentical(t *testing.T) {
 			Injections: 80, Seed: 311, Workers: 3, RecordInjections: true},
 		{Workload: apps.NewGaussian(16), Model: ModelDoubleBitFlip,
 			Injections: 60, Seed: 312, Workers: 2, RecordInjections: true},
-		// Quicksort's host is impure (arena-driven recursion), which gates
-		// off reconvergence skipping; prefix fast-forward must still hold.
+		// Quicksort's host reads the arena to pick its next launch, so a
+		// fault can change the launch sequence block replay must match.
 		{Workload: apps.NewQuicksort(128), Model: ModelBitFlip,
 			Injections: 40, Seed: 314, Workers: 2, RecordInjections: true},
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // checkpointsPerCampaign bounds the golden-prefix snapshots recorded per
-// campaign workload. Injection runs fast-forward to the latest checkpoint
-// at or before their target instruction, so the residual golden prefix
-// re-simulated per injection averages totalInstrs/(2*checkpointsPerCampaign)
-// — ~2% of a full replay — while snapshot memory stays bounded. The same
-// value rtlfi uses per input draw.
+// campaign workload. An injection run forks at the later of the latest
+// checkpoint at or before its target and the start of the target's block,
+// so a snapshot only serves targets in a block it lies inside (Lava's one
+// block, the large blocks of MxM and the CNN layers), and each one copies
+// the whole arena. 12 and 48 were priced against 24 (EXPERIMENTS.md,
+// checkpointsPerCampaign). The same value rtlfi uses per input draw.
 const checkpointsPerCampaign = 24
 
 // prepared holds everything the injections of a subject's campaigns
@@ -39,12 +40,11 @@ type CNNPrepared = prepared[[]float32]
 
 // prepare runs a subject's golden execution and, with record set, its
 // fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
-// per-launch global-memory write-sets, verified bit-identical (same) to
-// the plain golden run before it is trusted and then handed to seal for
-// the subject's host-purity declaration. The profile is the golden run's
-// own per-opcode count.
+// per-block records, verified bit-identical (same) to the plain golden run
+// before it is trusted. The profile is the golden run's own per-opcode
+// count.
 func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool,
-	noFastPath, record bool, seal func(*replay.Trace)) (*prepared[G], error) {
+	noFastPath, record bool) (*prepared[G], error) {
 
 	plain := &replay.Plain{NoFastPath: noFastPath}
 	golden, err := run(plain)
@@ -68,7 +68,6 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 		return nil, fmt.Errorf("swfi: checkpoint replay of %s diverged from golden run", name)
 	}
 	p.trace = rec.Finish()
-	seal(p.trace)
 	return p, nil
 }
 
@@ -80,8 +79,7 @@ func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
 }
 
 func prepareWorkload(w *apps.Workload, noFastPath, record bool) (*Prepared, error) {
-	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], noFastPath, record,
-		func(tr *replay.Trace) { tr.HostPure = w.PureHost })
+	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], noFastPath, record)
 }
 
 // PrepareCNN records a network/input pair's golden execution and
@@ -93,16 +91,5 @@ func PrepareCNN(net *cnn.Network, input []float32) (*CNNPrepared, error) {
 
 func prepareCNN(net *cnn.Network, input []float32, noFastPath, record bool) (*CNNPrepared, error) {
 	run := func(rt replay.Runner) ([]float32, error) { return net.RunWith(rt, input, nil) }
-	return prepare(net.Name, run, floatsEqual, noFastPath, record,
-		func(tr *replay.Trace) {
-			// Network.RunWith's host is pure by construction: between
-			// launches it only applies the tile corruption at the faulty
-			// boundary itself and reads the arena solely after the last
-			// launch. That also licenses comparing live-in words only at
-			// reconvergence: corrupted activations parked in feature maps
-			// no later layer reads must not block it.
-			tr.HostPure = true
-			off, words := net.OutputRegion()
-			tr.ComputeLiveIn(off, words)
-		})
+	return prepare(net.Name, run, floatsEqual, noFastPath, record)
 }

@@ -29,9 +29,8 @@ type Counters struct {
 
 	// SimInstrs counts the thread-instructions actually simulated across
 	// all injection runs; SkippedInstrs counts those the engine provably
-	// avoided (write-set launches, restored snapshot prefixes, the blocks
-	// of a faulting launch after the faulted one). Both are zero on the
-	// NoFastForward path.
+	// avoided (restored snapshot prefixes, and launches and blocks replayed
+	// from their recorded writes). Both are zero on the NoFastForward path.
 	SimInstrs     uint64 `json:"sim_instrs"`
 	SkippedInstrs uint64 `json:"skipped_instrs"`
 

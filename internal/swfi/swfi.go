@@ -346,12 +346,6 @@ type Result struct {
 	// equals Tally.Injections.
 	Counters
 
-	// NoReconvergeReason, when non-empty, explains why post-fault
-	// reconvergence fast-forward was unavailable for this workload (an
-	// impure host reading the arena between launches, e.g. quicksort's
-	// host-side partitioning).
-	NoReconvergeReason string
-
 	// Elapsed is the campaign's wall-clock time, including preparation.
 	// Passed to Counters.EmuMIPS/EffectiveMIPS it yields the
 	// interpreter-throughput telemetry operators watch for
@@ -405,10 +399,6 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 	res := &Result{
 		Campaign: c, Tally: out.tally, Profile: out.prep.profile, Injectable: out.prep.profile.InjectableTotal(),
 		Records: out.records, Counters: out.Counters,
-	}
-	if tr := out.prep.trace; tr != nil && !tr.HostPure {
-		res.NoReconvergeReason = fmt.Sprintf(
-			"%s host code reads the arena between launches: post-fault runs cannot provably rejoin the golden schedule, so reconvergence fast-forward is off", w.Name)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
