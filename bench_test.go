@@ -952,21 +952,11 @@ func BenchmarkAblation_SDCCriterion(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Emulator interpreter microbenchmarks (tiered fast path)
+// Emulator interpreter microbenchmarks
 // ---------------------------------------------------------------------------
 
-// emuBenchTiers runs a kernel under both interpreter tiers: the default
-// pre-decoded fast path and the reference Tier 0 interpreter forced via
-// Launch.NoFastPath. The emu-mips metric is millions of thread-level
-// instructions interpreted per wall-clock second.
-var emuBenchTiers = []struct {
-	name       string
-	noFastPath bool
-}{
-	{"Fast", false},
-	{"Reference", true},
-}
-
+// emuBenchLoop runs launches from mk and reports emu-mips: millions of
+// thread-level instructions interpreted per wall-clock second.
 func emuBenchLoop(b *testing.B, mk func() *emu.Launch) {
 	b.Helper()
 	var instrs uint64
@@ -1048,37 +1038,26 @@ func emuDivergentProg(b *testing.B) *kasm.Program {
 
 func BenchmarkEmu_DenseFFMA(b *testing.B) {
 	prog := emuDenseFFMAProg(b)
-	for _, tier := range emuBenchTiers {
-		b.Run(tier.name, func(b *testing.B) {
-			emuBenchLoop(b, func() *emu.Launch {
-				return &emu.Launch{
-					Prog: prog, Grid: 2, Block: 256,
-					Global: make([]uint32, 512), NoFastPath: tier.noFastPath,
-				}
-			})
+	b.Run("Fast", func(b *testing.B) {
+		emuBenchLoop(b, func() *emu.Launch {
+			return &emu.Launch{Prog: prog, Grid: 2, Block: 256, Global: make([]uint32, 512)}
 		})
-	}
+	})
 }
 
 func BenchmarkEmu_Divergent(b *testing.B) {
 	prog := emuDivergentProg(b)
-	for _, tier := range emuBenchTiers {
-		b.Run(tier.name, func(b *testing.B) {
-			emuBenchLoop(b, func() *emu.Launch {
-				return &emu.Launch{
-					Prog: prog, Grid: 2, Block: 256,
-					Global: make([]uint32, 512), NoFastPath: tier.noFastPath,
-				}
-			})
+	b.Run("Fast", func(b *testing.B) {
+		emuBenchLoop(b, func() *emu.Launch {
+			return &emu.Launch{Prog: prog, Grid: 2, Block: 256, Global: make([]uint32, 512)}
 		})
-	}
+	})
 }
 
-// BenchmarkEmu_Hooks prices the tier-selection rule itself: the same
-// dense kernel with no hooks (Tier 1), with an armed Post observation
-// hook (falls back to Tier 0 plus per-instruction event preparation),
-// and with Tier 0 forced but no hooks (isolating the event-prep cost
-// from the interpreter-tier cost).
+// BenchmarkEmu_Hooks prices per-instruction event capture: the same dense
+// kernel with no hooks, and with an armed Post observation hook, which
+// the same interpreter serves by copying the operand and result rows into
+// the Event and calling the hook once per warp instruction.
 func BenchmarkEmu_Hooks(b *testing.B) {
 	prog := emuDenseFFMAProg(b)
 	cases := []struct {
@@ -1087,9 +1066,6 @@ func BenchmarkEmu_Hooks(b *testing.B) {
 	}{
 		{"Unhooked", func() *emu.Launch {
 			return &emu.Launch{Prog: prog, Grid: 2, Block: 256, Global: make([]uint32, 512)}
-		}},
-		{"UnhookedTier0", func() *emu.Launch {
-			return &emu.Launch{Prog: prog, Grid: 2, Block: 256, Global: make([]uint32, 512), NoFastPath: true}
 		}},
 		{"PostHook", func() *emu.Launch {
 			n := uint64(0)

@@ -122,15 +122,15 @@ func engineLine(c rtlfi.Counters) string {
 // runSingle characterises one (op, range, module) pool and prints its
 // detailed statistics.
 func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64, noPrune, noBitPar bool) {
-	op, ok := parseOp(opName)
+	op, ok := isa.ParseCharacterized(opName)
 	if !ok {
 		log.Fatalf("unknown opcode %q", opName)
 	}
-	rng, ok := parseRange(rngName)
+	rng, ok := faults.ParseRange(rngName)
 	if !ok {
 		log.Fatalf("unknown range %q (want S, M or L)", rngName)
 	}
-	mod, ok := parseModule(modName)
+	mod, ok := faults.ParseModule(modName)
 	if !ok {
 		log.Fatalf("unknown module %q", modName)
 	}
@@ -211,31 +211,4 @@ func startProfiles(cpu, mem string) (func(), error) {
 			}
 		}
 	}, nil
-}
-
-func parseOp(s string) (isa.Opcode, bool) {
-	for _, op := range isa.CharacterizedOpcodes() {
-		if op.String() == s {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
-func parseRange(s string) (faults.InputRange, bool) {
-	for _, r := range faults.AllRanges() {
-		if r.String() == s {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-func parseModule(s string) (faults.Module, bool) {
-	for _, m := range faults.AllModules() {
-		if m.String() == s {
-			return m, true
-		}
-	}
-	return 0, false
 }

@@ -6,17 +6,15 @@
 //
 //	gpufi-sw [-app MxM|Lava|Quicksort|Hotspot|LUD|Gaussian|LeNet|Yolo]
 //	         [-model bitflip|bitflip2|syndrome|syndrome-emp] [-db syndromes.json]
-//	         [-n 1000] [-seed S] [-no-fast-forward] [-no-fast-path]
+//	         [-n 1000] [-seed S] [-no-fast-forward]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Without -app, all six HPC applications run under the chosen model.
 // LeNet and Yolo take the CNN models instead: bitflip, syndrome or tile.
 // -no-fast-forward disables the golden-prefix checkpoint optimisation and
-// re-simulates every injection run from instruction zero; -no-fast-path
-// forces the reference (Tier 0) interpreter instead of the pre-decoded
-// fast path. Results are bit-identical under every combination; the flags
-// exist for regression comparison and for benchmarking the accelerator
-// layers themselves.
+// re-simulates every injection run from instruction zero. Results are
+// bit-identical either way; the flag exists for regression comparison and
+// for benchmarking the fast-forward layer itself.
 //
 // SIGINT cancels the campaign at the next injection boundary and prints
 // how many injections completed before the interrupt.
@@ -51,7 +49,6 @@ func main() {
 		n          = flag.Int("n", 1000, "injections per campaign")
 		seed       = flag.Uint64("seed", 7, "campaign seed")
 		noFF       = flag.Bool("no-fast-forward", false, "replay every injection run in full instead of restoring golden-prefix checkpoints")
-		noFastPath = flag.Bool("no-fast-path", false, "force the reference (Tier 0) interpreter instead of the pre-decoded fast path (results are bit-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
 	)
@@ -76,7 +73,7 @@ func main() {
 
 	switch *appName {
 	case "LeNet", "Yolo":
-		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF, *noFastPath)
+		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF)
 		return
 	}
 
@@ -103,8 +100,8 @@ func main() {
 		var done campaign.Meter
 		res, err := gpufi.RunCampaignCtx(ctx, gpufi.Campaign{
 			Workload: w, Model: fm, DB: db, Injections: *n, Seed: *seed,
-			NoFastForward: *noFF, NoFastPath: *noFastPath,
-			Progress: done.Part(),
+			NoFastForward: *noFF,
+			Progress:      done.Part(),
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -167,7 +164,7 @@ func startProfiles(cpu, mem string) (func(), error) {
 	}, nil
 }
 
-func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF, noFastPath bool) {
+func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF bool) {
 	var (
 		net      *gpufi.Network
 		input    []float32
@@ -189,8 +186,8 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
 		Net: net, Input: input, Model: cm, DB: db,
 		Injections: n, Seed: seed, Critical: critical,
-		NoFastForward: noFF, NoFastPath: noFastPath,
-		Progress: done.Part(),
+		NoFastForward: noFF,
+		Progress:      done.Part(),
 	})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -149,23 +149,21 @@ func TestExecutionModesAgree(t *testing.T) {
 // TestCampaignModeLatticeDeterministic is the campaign-level determinism
 // property over all 8 paper workloads: the default engine (checkpoint
 // fast-forward) yields byte-identical tallies and injection records
-// across worker counts, against the plain full-replay path, and with the
-// pre-decoded interpreter fast path forced off (Tier 0 only). The
+// across worker counts and against the plain full-replay path. The
 // deprecated NoCollapse and NoPrune fields are inert: setting them changes
 // neither the results nor the engine counters.
 func TestCampaignModeLatticeDeterministic(t *testing.T) {
 	type arm struct {
-		name                                  string
-		workers                               int
-		noPrune, noCollapse, noFF, noFastPath bool
+		name                      string
+		workers                   int
+		noPrune, noCollapse, noFF bool
 	}
 	arms := []arm{
-		{"default/w1", 1, false, false, false, false},
-		{"default/w4", 4, false, false, false, false},
-		{"no-collapse", 4, false, true, false, false}, // inert: must equal the default, counters included
-		{"no-prune", 4, true, false, false, false},    // likewise
-		{"full-replay", 4, false, false, true, false},
-		{"no-fast-path", 4, false, false, false, true},
+		{"default/w1", 1, false, false, false},
+		{"default/w4", 4, false, false, false},
+		{"no-collapse", 4, false, true, false}, // inert: must equal the default, counters included
+		{"no-prune", 4, true, false, false},    // likewise
+		{"full-replay", 4, false, false, true},
 	}
 	type outcome struct {
 		tally    faults.Tally
@@ -180,7 +178,6 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 				Workload: w, Model: ModelBitFlip, Injections: n, Seed: 53,
 				Workers: a.workers, RecordInjections: true,
 				NoPrune: a.noPrune, NoCollapse: a.noCollapse, NoFastForward: a.noFF,
-				NoFastPath: a.noFastPath,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +191,6 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 				Net: net, Input: input, Model: swfi.CNNBitFlip,
 				Injections: n, Seed: 53, Workers: a.workers, Critical: critical,
 				NoPrune: a.noPrune, NoCollapse: a.noCollapse, NoFastForward: a.noFF,
-				NoFastPath: a.noFastPath,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -236,7 +232,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 				}
 				// Engine accounting is schedule-deterministic: neither the
 				// worker count nor an inert field may move a counter.
-				if !a.noFF && !a.noFastPath && got.counters != base.counters {
+				if !a.noFF && got.counters != base.counters {
 					t.Errorf("%s: counters %+v, baseline %+v", a.name, got.counters, base.counters)
 				}
 			}

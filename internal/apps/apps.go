@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gpufi/internal/emu"
 	"gpufi/internal/kasm"
 	"gpufi/internal/replay"
 	"gpufi/internal/stats"
@@ -39,16 +38,10 @@ type Workload struct {
 	run func(rt Runner) ([]uint32, error)
 }
 
-// Execute runs the complete application with the hooks installed on every
-// kernel launch and returns the words of the output region the golden
-// comparison covers.
-func (w *Workload) Execute(hooks emu.Hooks) ([]uint32, error) {
-	return w.run(&replay.Plain{Hooks: hooks})
-}
-
-// ExecuteWith runs the application on an explicit Runner — a
-// replay.Recorder to capture a fast-forward trace, or a replay.Player to
-// fast-forward an injection run.
+// ExecuteWith runs the complete application on a Runner — a replay.Plain
+// (with or without hooks), a replay.Recorder to capture a fast-forward
+// trace, or a replay.Player to fast-forward an injection run — and
+// returns the words of the output region the golden comparison covers.
 func (w *Workload) ExecuteWith(rt Runner) ([]uint32, error) {
 	return w.run(rt)
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"gpufi/internal/emu"
 	"gpufi/internal/fp32"
+	"gpufi/internal/replay"
 )
 
 // TestGaussianSolvesSystem back-substitutes the triangularised system on
@@ -13,7 +13,7 @@ import (
 func TestGaussianSolvesSystem(t *testing.T) {
 	const n = 16
 	w := NewGaussian(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGaussianSolvesSystem(t *testing.T) {
 func TestHotspotPyramidMatchesHostReference(t *testing.T) {
 	const n = 16
 	w := NewHotspot(n, 1)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestHotspotPyramidMatchesHostReference(t *testing.T) {
 func TestLUDMatchesUnblockedDoolittle(t *testing.T) {
 	const n = 16
 	w := NewLUD(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,14 @@ import (
 	"gpufi/internal/emu"
 	"gpufi/internal/fp32"
 	"gpufi/internal/isa"
+	"gpufi/internal/replay"
 )
 
 func TestSuiteRunsClean(t *testing.T) {
 	for _, w := range Suite() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			out, err := w.Execute(emu.Hooks{})
+			out, err := w.ExecuteWith(&replay.Plain{})
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
@@ -36,11 +37,11 @@ func TestSuiteRunsClean(t *testing.T) {
 
 func TestSuiteDeterministic(t *testing.T) {
 	for _, w := range Suite() {
-		a, err := w.Execute(emu.Hooks{})
+		a, err := w.ExecuteWith(&replay.Plain{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := w.Execute(emu.Hooks{})
+		b, err := w.ExecuteWith(&replay.Plain{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestSuiteDeterministic(t *testing.T) {
 func TestMxMAgainstHostReference(t *testing.T) {
 	const n = 16
 	w := NewMxM(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestMxMAgainstHostReference(t *testing.T) {
 func TestQuicksortSortsOutput(t *testing.T) {
 	const n = 256
 	w := NewQuicksort(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestQuicksortSortsOutput(t *testing.T) {
 func TestLUDReconstructsMatrix(t *testing.T) {
 	const n = 16
 	w := NewLUD(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestLUDReconstructsMatrix(t *testing.T) {
 func TestGaussianTriangularizes(t *testing.T) {
 	const n = 16
 	w := NewGaussian(n)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestGaussianTriangularizes(t *testing.T) {
 
 func TestHotspotConvergesTowardsEquilibrium(t *testing.T) {
 	w := NewHotspot(16, 8)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestLavaForcesMatchHostReference(t *testing.T) {
 	const boxes, per = 2, 16
 	const n = boxes * per
 	w := NewLava(boxes, per)
-	out, err := w.Execute(emu.Hooks{})
+	out, err := w.ExecuteWith(&replay.Plain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +267,14 @@ func TestHooksObserveAllLaunches(t *testing.T) {
 	hooks := emu.Hooks{Post: func(ev *emu.Event) {
 		counts[ev.Instr.Op] += uint64(ev.ActiveCount())
 	}}
-	if _, err := NewMxM(16).Execute(hooks); err != nil {
+	if _, err := NewMxM(16).ExecuteWith(&replay.Plain{Hooks: hooks}); err != nil {
 		t.Fatal(err)
 	}
 	if counts[isa.OpFFMA] == 0 {
 		t.Error("MxM profile has no FFMA")
 	}
 	counts = map[isa.Opcode]uint64{}
-	if _, err := NewLava(2, 16).Execute(hooks); err != nil {
+	if _, err := NewLava(2, 16).ExecuteWith(&replay.Plain{Hooks: hooks}); err != nil {
 		t.Fatal(err)
 	}
 	if counts[isa.OpFEXP] == 0 {
@@ -302,7 +303,7 @@ func TestQuicksortAdversarialInputs(t *testing.T) {
 	w := NewQuicksort(n)
 	// The standard workload uses random values; run it to make sure the
 	// partition recursion terminates fast (steps bound not hit).
-	if _, err := w.Execute(emu.Hooks{}); err != nil {
+	if _, err := w.ExecuteWith(&replay.Plain{}); err != nil {
 		t.Fatal(err)
 	}
 }

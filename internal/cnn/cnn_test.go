@@ -8,6 +8,7 @@ import (
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/mxm"
+	"gpufi/internal/replay"
 	"gpufi/internal/rtlfi"
 	"gpufi/internal/stats"
 	"gpufi/internal/syndrome"
@@ -15,7 +16,7 @@ import (
 
 func TestLeNetLiteRuns(t *testing.T) {
 	nw := NewLeNetLite()
-	out, err := nw.Run(LeNetInput(0), emu.Hooks{}, nil)
+	out, err := nw.RunWith(&replay.Plain{}, LeNetInput(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func TestLeNetLiteRuns(t *testing.T) {
 
 func TestLeNetLiteDeterministic(t *testing.T) {
 	nw := NewLeNetLite()
-	a, err := nw.Run(LeNetInput(1), emu.Hooks{}, nil)
+	a, err := nw.RunWith(&replay.Plain{}, LeNetInput(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nw.Run(LeNetInput(1), emu.Hooks{}, nil)
+	b, err := nw.RunWith(&replay.Plain{}, LeNetInput(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestLeNetVariantsClassifyDifferently(t *testing.T) {
 	nw := NewLeNetLite()
 	classes := map[int]bool{}
 	for v := 0; v < 6; v++ {
-		out, err := nw.Run(LeNetInput(v), emu.Hooks{}, nil)
+		out, err := nw.RunWith(&replay.Plain{}, LeNetInput(v), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestLeNetVariantsClassifyDifferently(t *testing.T) {
 
 func TestYoloLiteRunsAndDetects(t *testing.T) {
 	nw := NewYoloLite()
-	out, err := nw.Run(YoloInput(0), emu.Hooks{}, nil)
+	out, err := nw.RunWith(&replay.Plain{}, YoloInput(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestPoolTakesMaxima(t *testing.T) {
 func TestTileInjectionChangesOutput(t *testing.T) {
 	nw := NewLeNetLite()
 	input := LeNetInput(0)
-	golden, err := nw.Run(input, emu.Hooks{}, nil)
+	golden, err := nw.RunWith(&replay.Plain{}, input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestTileInjectionChangesOutput(t *testing.T) {
 		Layer: 0, Channel: 1, Row: 4, Col: 4,
 		Corr: allTileCorruption(2.0),
 	}
-	faulty, err := nw.Run(input, emu.Hooks{}, inj)
+	faulty, err := nw.RunWith(&replay.Plain{}, input, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func allTileCorruption(rel float64) syndrome.TileCorruption {
 func TestTileInjectionLastLayerAffectsExactWords(t *testing.T) {
 	nw := NewYoloLite()
 	input := YoloInput(1)
-	golden, err := nw.Run(input, emu.Hooks{}, nil)
+	golden, err := nw.RunWith(&replay.Plain{}, input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestTileInjectionLastLayerAffectsExactWords(t *testing.T) {
 	corr.Mask[0] = true // element (0,0) of the tile
 	corr.RelErr[0] = 1.0
 	inj := &TileInjection{Layer: len(nw.Layers) - 1, Channel: 0, Row: 0, Col: 0, Corr: corr}
-	faulty, err := nw.Run(input, emu.Hooks{}, inj)
+	faulty, err := nw.RunWith(&replay.Plain{}, input, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestNetworkProfileIsFFMADominated(t *testing.T) {
 		counts[ev.Instr.Op] += uint64(ev.ActiveCount())
 	}}
 	nw := NewLeNetLite()
-	if _, err := nw.Run(LeNetInput(0), hooks, nil); err != nil {
+	if _, err := nw.RunWith(&replay.Plain{Hooks: hooks}, LeNetInput(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	var total, ffma uint64

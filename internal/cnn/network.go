@@ -65,19 +65,14 @@ type TileInjection struct {
 	NegSign bool
 }
 
-// Run executes the network on the input activations. hooks instruments
-// every kernel launch; inj, when non-nil, applies the tile corruption.
-// The returned slice holds the network's raw output (logits or detection
-// maps).
-func (n *Network) Run(input []float32, hooks emu.Hooks, inj *TileInjection) ([]float32, error) {
-	return n.RunWith(&replay.Plain{Hooks: hooks}, input, inj)
-}
-
-// RunWith is Run on an explicit launch runner — a replay.Recorder to
+// RunWith executes the network on the input activations on a launch
+// runner — a replay.Plain (with or without hooks), a replay.Recorder to
 // capture a fast-forward trace, or a replay.Player to fast-forward an
-// injection run. The tile corruption is applied by host code between
-// launches, so a Player that skips all pre-injection layers via recorded
-// write-sets reproduces a full run bit-identically.
+// injection run. inj, when non-nil, applies the tile corruption; it is
+// applied by host code between launches, so a Player that skips all
+// pre-injection layers via recorded write-sets reproduces a full run
+// bit-identically. The returned slice holds the network's raw output
+// (logits or detection maps).
 func (n *Network) RunWith(rt replay.Runner, input []float32, inj *TileInjection) ([]float32, error) {
 	if len(input) != n.inWords {
 		return nil, fmt.Errorf("cnn %s: input %d words, want %d", n.Name, len(input), n.inWords)

@@ -359,9 +359,7 @@ type EvalConfig struct {
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
-	// NoFastPath forces the emulator's Tier-0 reference interpreter for
-	// every campaign of the evaluation; see swfi.Campaign.NoFastPath.
-	// Results are bit-identical either way.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(b)).
 	NoFastPath bool
 
 	// Progress, when non-nil, receives injection-level progress
@@ -414,7 +412,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		flip, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelBitFlip, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Progress: meter.Part(),
+			Progress: meter.Part(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s bit-flip: %w", w.Name, err)
@@ -422,7 +420,7 @@ func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Work
 		syn, err := swfi.RunCtx(ctx, swfi.Campaign{
 			Workload: w, Model: swfi.ModelSyndrome, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: cfg.Seed + uint64(i)*2 + 1, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Progress: meter.Part(),
+			Progress: meter.Part(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s syndrome: %w", w.Name, err)
@@ -468,7 +466,7 @@ func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.
 		return swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 			Net: net, Input: input, Model: model, DB: db, Prepared: prep,
 			Injections: cfg.Injections, Seed: seed, Workers: cfg.Workers,
-			NoFastPath: cfg.NoFastPath, Critical: critical, Progress: meter.Part(),
+			Critical: critical, Progress: meter.Part(),
 		})
 	}
 	if out.BitFlip, err = run(swfi.CNNBitFlip, cfg.Seed+11); err != nil {

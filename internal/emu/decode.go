@@ -8,7 +8,7 @@ import (
 	"gpufi/internal/kasm"
 )
 
-// The Tier-1 fast path interprets a pre-decoded program representation
+// The interpreter (fastpath.go) runs a pre-decoded program representation
 // instead of raw isa.Instr values. Decoding resolves once, per program,
 // everything the reference interpreter re-derives on every executed lane:
 // guard predicate index and polarity, operand register indices, the

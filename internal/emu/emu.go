@@ -74,14 +74,6 @@ type Launch struct {
 	MaxDynInstrs uint64    // watchdog; DefaultMaxDynInstrs when zero
 	Mem          *MemTrace // optional global-memory access tracing
 
-	// NoFastPath forces the Tier-0 reference interpreter even where the
-	// Tier-1 pre-decoded fast path would apply (no armed per-instruction
-	// hooks). The two tiers are bit-identical — enforced by
-	// FuzzEmuFastPathVsReference — so this is an escape hatch for
-	// regression comparison and for benchmarking the interpreter itself,
-	// like swfi's NoFastForward.
-	NoFastPath bool
-
 	// Replay, when non-nil, is offered every block before it runs — the
 	// blocks after the one a Resume continues included. Returning true means
 	// the caller applied the block's effect on Global and charged its
@@ -94,8 +86,7 @@ type Launch struct {
 
 	// BlockDone, when non-nil, is called after every block that runs — the
 	// block a Resume continues included — with the block index and the
-	// launch's counters so far. Neither it nor Replay is an instruction hook
-	// or changes the interpreter tier.
+	// launch's counters so far. Neither it nor Replay is an instruction hook.
 	BlockDone func(block int, res *Result)
 }
 
@@ -181,10 +172,12 @@ func newExec(l *Launch) *exec {
 	if ex.budget == 0 {
 		ex.budget = DefaultMaxDynInstrs
 	}
-	if !l.NoFastPath && l.Prog != nil {
+	if ex.armed {
+		ex.post = l.Hooks.Post
+	}
+	if l.Prog != nil {
 		ex.dp = decoded(l.Prog)
 	}
-	ex.recomputeFast()
 	return ex
 }
 
@@ -192,19 +185,6 @@ func newExec(l *Launch) *exec {
 func (ex *exec) release() {
 	*ex = exec{shared: ex.shared}
 	execPool.Put(ex)
-}
-
-// recomputeFast selects the interpreter tier. Tier 1 (the pre-decoded
-// fast path) runs whenever no per-instruction hook can observe an
-// instruction: either none is attached, a countdown (ArmAfter/OnArm)
-// has not armed yet, or an armed hook has called Event.Disarm. Tier 0 is
-// the reference interpreter; it takes over the moment hooks arm, and
-// blockLoop re-evaluates the choice at the arming and disarming
-// boundaries. MemTrace does not force a tier: the fast path records
-// stores and inputs exactly like the reference interpreter.
-func (ex *exec) recomputeFast() {
-	ex.fast = ex.dp != nil &&
-		!(ex.armed && !ex.disarmed && ex.l.Hooks.Post != nil)
 }
 
 func (ex *exec) run() (Result, error) {
@@ -243,20 +223,14 @@ type exec struct {
 	shared []uint32
 	ev     Event
 
-	// armed gates instrumentation: false while a Hooks countdown
-	// (ArmAfter/OnArm) is still pending, so the prefix executes without
-	// any per-instruction hook dispatch. disarmed is the converse: a
-	// one-shot hook has declared (via Event.Disarm) that it will neither
-	// observe nor mutate anything for the rest of the launch, so the tail
-	// may run hook-free on the fast path.
-	armed    bool
-	disarmed bool
+	// armed is false while a Hooks countdown (ArmAfter/OnArm) is still
+	// pending. post is the Post hook while it may fire: nil before the
+	// countdown arms and after the hook calls Event.Disarm, so the prefix
+	// and the tail execute without per-instruction event capture.
+	armed bool
+	post  func(*Event)
 
-	// Tier-1 fast-path state: the pre-decoded program (nil under
-	// NoFastPath) and the current tier choice, kept in sync with armed by
-	// recomputeFast.
-	dp   *dprog
-	fast bool
+	dp *dprog // the pre-decoded program
 
 	// scratch absorbs results of instructions whose destination is RZ so
 	// the fast path's lane loops carry no per-lane destination test;
@@ -286,24 +260,7 @@ func (ex *exec) validate() error {
 }
 
 func (ex *exec) runBlock(blockID int) error {
-	l := ex.l
-	if cap(ex.shared) < l.SharedWords {
-		ex.shared = make([]uint32, l.SharedWords)
-	}
-	ex.shared = ex.shared[:l.SharedWords]
-	for i := range ex.shared {
-		ex.shared[i] = 0
-	}
-
-	nwarps := (l.Block + WarpSize - 1) / WarpSize
-	warps := make([]*warp, nwarps)
-	for w := 0; w < nwarps; w++ {
-		lanes := l.Block - w*WarpSize
-		if lanes > WarpSize {
-			lanes = WarpSize
-		}
-		warps[w] = newWarp(w, lanes)
-	}
+	warps := ex.newBlock()
 	err := ex.blockLoop(blockID, warps)
 	if err == nil {
 		// Recycle the ~8 KB register files; snapshots hold deep copies,
@@ -314,6 +271,24 @@ func (ex *exec) runBlock(blockID int) error {
 		releaseWarps(warps)
 	}
 	return err
+}
+
+// newBlock zeroes shared memory and returns a block's fresh warps.
+func (ex *exec) newBlock() []*warp {
+	l := ex.l
+	if cap(ex.shared) < l.SharedWords {
+		ex.shared = make([]uint32, l.SharedWords)
+	}
+	ex.shared = ex.shared[:l.SharedWords]
+	for i := range ex.shared {
+		ex.shared[i] = 0
+	}
+	nwarps := (l.Block + WarpSize - 1) / WarpSize
+	warps := make([]*warp, nwarps)
+	for w := 0; w < nwarps; w++ {
+		warps[w] = newWarp(w, min(l.Block-w*WarpSize, WarpSize))
+	}
+	return warps
 }
 
 // blockLoop drives a block's warps to completion from an arbitrary
@@ -333,45 +308,46 @@ func (ex *exec) blockLoop(blockID int, warps []*warp) error {
 				}
 				if !ex.armed && ex.res.DynThreadInstrs+WarpSize > ex.l.Hooks.ArmAfter {
 					ex.armed = true
+					ex.post = ex.l.Hooks.Post
 					ex.l.Hooks.OnArm(&ex.res)
-					ex.recomputeFast()
 				}
-				var err error
-				if ex.fast {
-					err = ex.stepFast(blockID, w)
-				} else {
-					err = ex.step(blockID, w)
-					if ex.disarmed {
-						ex.recomputeFast()
-					}
-				}
-				if err != nil {
+				if err := ex.stepFast(blockID, w); err != nil {
 					return err
 				}
 			}
 		}
-		allDone, anyBar := true, false
-		for _, w := range warps {
-			if !w.done {
-				allDone = false
-				if w.atBar {
-					anyBar = true
-				}
-			}
+		if done, err := releaseBarrier(blockID, warps); done || err != nil {
+			return err
 		}
-		if allDone {
-			return nil
-		}
-		if !anyBar {
-			return &LaunchError{Block: blockID, Err: ErrDeadlock}
-		}
-		// Every live warp is parked at the barrier: release them all.
-		// (Warps that exited without reaching the barrier do not
-		// participate, matching permissive hardware semantics.)
-		for _, w := range warps {
-			if !w.done {
-				w.atBar = false
+	}
+}
+
+// releaseBarrier ends a scheduling round in which every warp ran until it
+// finished or parked at the barrier. It reports whether the block is done;
+// otherwise every live warp is parked at the barrier and it releases them
+// all (warps that exited without reaching the barrier do not participate,
+// matching permissive hardware semantics), or none is and the block is
+// deadlocked.
+func releaseBarrier(blockID int, warps []*warp) (bool, error) {
+	allDone, anyBar := true, false
+	for _, w := range warps {
+		if !w.done {
+			allDone = false
+			if w.atBar {
+				anyBar = true
 			}
 		}
 	}
+	if allDone {
+		return true, nil
+	}
+	if !anyBar {
+		return false, &LaunchError{Block: blockID, Err: ErrDeadlock}
+	}
+	for _, w := range warps {
+		if !w.done {
+			w.atBar = false
+		}
+	}
+	return false, nil
 }

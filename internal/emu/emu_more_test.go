@@ -105,12 +105,14 @@ func TestEventRegisterAccessors(t *testing.T) {
 	}
 }
 
-// TestTierChoice pins which interpreter tier a launch runs (exec.fast):
-// at the start and after each block of a three-block launch. Engine
-// counters cannot see this choice — both tiers count the same work — so a
-// fast path that silently stopped engaging is caught here or nowhere.
-func TestTierChoice(t *testing.T) {
-	b := kasm.New("tiers")
+// TestHookDispatch pins how many times Post fires in each block of a
+// three-block launch: never before a countdown arms, once per warp
+// instruction with a non-zero guard while armed, and never after the hook
+// calls Disarm — in later blocks and after a Resume included. Engine
+// counters cannot see hook dispatch, so a hook that silently stopped (or
+// kept) firing is caught here or nowhere.
+func TestHookDispatch(t *testing.T) {
+	b := kasm.New("hooks")
 	b.S2R(rTid, isa.SRTid)
 	b.MovI(rC, 8)
 	b.MovI(rA, 0)
@@ -127,61 +129,82 @@ func TestTierChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	const grid = 3
-	launch := func(hooks Hooks, noFastPath bool) *Launch {
-		return &Launch{Prog: prog, Grid: grid, Block: 32, Global: make([]uint32, 32), Hooks: hooks, NoFastPath: noFastPath}
+	launch := func(hooks Hooks) *Launch {
+		return &Launch{Prog: prog, Grid: grid, Block: 32, Global: make([]uint32, 32), Hooks: hooks}
 	}
-	res, err := Run(launch(Hooks{}, false))
+	res, err := Run(launch(Hooks{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perBlock := res.DynThreadInstrs / grid
+	// The kernel never diverges, so every warp instruction with a non-zero
+	// guard runs on all 32 lanes: a block issues per of them, and rest(at)
+	// of them run in block 1 after the launch has counted at.
+	per := int(perBlock / WarpSize)
+	rest := func(at uint64) int { return int((2*perBlock - at) / WarpSize) }
 
 	// calls counts Post invocations per block.
 	var calls [grid]int
 	count := func(ev *Event) { calls[ev.Block]++ }
-	onArm := func(*Result) {}
-	const F, S = true, false // Tier 1 (fast) and Tier 0
+	var armedAt uint64
+	onArm := func(r *Result) { armedAt = r.DynThreadInstrs }
+	disarm := func(ev *Event) { count(ev); ev.Disarm() }
 	cases := []struct {
-		name       string
-		hooks      Hooks
-		noFastPath bool
-		want       [grid + 1]bool
-		wantCalls  [grid]bool // whether Post may fire in each block
+		name  string
+		hooks Hooks
+		want  func() [grid]int
 	}{
-		{"no hooks", Hooks{}, false, [4]bool{F, F, F, F}, [3]bool{}},
-		{"Post hook", Hooks{Post: count}, false, [4]bool{S, S, S, S}, [3]bool{true, true, true}},
-		{"countdown before arming", Hooks{Post: count, ArmAfter: 1 << 40, OnArm: onArm}, false,
-			[4]bool{F, F, F, F}, [3]bool{}},
-		{"countdown armed in block 1", Hooks{Post: count, ArmAfter: perBlock + perBlock/2, OnArm: onArm}, false,
-			[4]bool{F, F, S, S}, [3]bool{false, true, true}},
+		{"no hooks", Hooks{}, func() [grid]int { return [grid]int{} }},
+		{"Post hook", Hooks{Post: count}, func() [grid]int { return [grid]int{per, per, per} }},
+		{"countdown before arming", Hooks{Post: count, ArmAfter: 1 << 40, OnArm: onArm},
+			func() [grid]int { return [grid]int{} }},
+		{"countdown armed in block 1", Hooks{Post: count, ArmAfter: perBlock + perBlock/2, OnArm: onArm},
+			func() [grid]int {
+				if armedAt <= perBlock || armedAt >= 2*perBlock {
+					t.Errorf("countdown armed at %d, outside block 1", armedAt)
+				}
+				return [grid]int{0, rest(armedAt), per}
+			}},
 		{"Disarm in block 1", Hooks{Post: func(ev *Event) {
 			count(ev)
 			if ev.Block == 1 {
 				ev.Disarm()
 			}
-		}}, false, [4]bool{S, S, F, F}, [3]bool{true, true, false}},
-		{"countdown, then Disarm", Hooks{Post: func(ev *Event) { count(ev); ev.Disarm() },
-			ArmAfter: perBlock / 2, OnArm: onArm}, false, [4]bool{F, F, F, F}, [3]bool{true, false, false}},
-		{"NoFastPath", Hooks{}, true, [4]bool{S, S, S, S}, [3]bool{}},
+		}}, func() [grid]int { return [grid]int{per, 1, 0} }},
+		{"countdown, then Disarm", Hooks{Post: disarm, ArmAfter: perBlock / 2, OnArm: onArm},
+			func() [grid]int { return [grid]int{1, 0, 0} }},
 	}
 	for _, tc := range cases {
-		calls = [grid]int{}
-		l := launch(tc.hooks, tc.noFastPath)
-		var got []bool
-		var ex *exec
-		l.BlockDone = func(int, *Result) { got = append(got, ex.fast) }
-		ex = newExec(l)
-		got = append(got, ex.fast)
-		if _, err := ex.run(); err != nil {
+		calls, armedAt = [grid]int{}, 0
+		if _, err := Run(launch(tc.hooks)); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if [grid + 1]bool(got) != tc.want {
-			t.Errorf("%s: fast path at start and after each block = %v, want %v", tc.name, got, tc.want)
+		if want := tc.want(); calls != want {
+			t.Errorf("%s: Post fired %v times per block, want %v", tc.name, calls, want)
 		}
-		for blk, n := range calls {
-			if (n > 0) != tc.wantCalls[blk] {
-				t.Errorf("%s: Post fired %d times in block %d", tc.name, n, blk)
-			}
+	}
+
+	// Resumed from a snapshot inside block 1, a hook fires from the
+	// snapshot on; one that disarms fires once.
+	var snap *Snapshot
+	if _, err := RunCheckpointed(launch(Hooks{}), perBlock+perBlock/2, 1<<40, func(s *Snapshot) { snap = s }); err != nil || snap == nil {
+		t.Fatalf("checkpointed run: %v, snapshot %v", err, snap)
+	}
+	at := snap.Res().DynThreadInstrs
+	for _, tc := range []struct {
+		name string
+		post func(*Event)
+		want [grid]int
+	}{
+		{"Post hook after Resume", count, [grid]int{0, rest(at), per}},
+		{"Disarm after Resume", disarm, [grid]int{0, 1, 0}},
+	} {
+		calls = [grid]int{}
+		if _, err := Resume(launch(Hooks{Post: tc.post}), snap); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if calls != tc.want {
+			t.Errorf("%s: Post fired %v times per block, want %v", tc.name, calls, tc.want)
 		}
 	}
 }

@@ -57,12 +57,12 @@ func (ev *Event) ActiveCount() int { return bits.OnesCount32(ev.Active) }
 
 // Disarm declares that this hook will neither observe nor mutate anything
 // for the rest of the launch: from the next instruction on, the emulator
-// stops invoking the Post hook and is free to run the tail on the
-// pre-decoded fast path. One-shot fault injectors call it right after
-// firing, so the (often long) post-fault tail does not pay per-instruction
-// event preparation. Calling it from a hook that would still have acted is
-// a caller bug: the remaining calls are silently skipped.
-func (ev *Event) Disarm() { ev.ex.disarmed = true }
+// stops invoking the Post hook and capturing events. One-shot fault
+// injectors call it right after firing, so the (often long) post-fault
+// tail does not pay per-instruction event capture. Calling it from a hook
+// that would still have acted is a caller bug: the remaining calls are
+// silently skipped.
+func (ev *Event) Disarm() { ev.ex.post = nil }
 
 // NthActiveLane returns the lane index of the n-th (0-based) set bit of
 // Active, or -1 when n is out of range. Fault injectors use it to map a
@@ -78,7 +78,9 @@ func (ev *Event) NthActiveLane(n int) int {
 	return -1
 }
 
-// SrcA returns the first operand value read by lane (Post hook only).
+// SrcA returns the first operand value read by lane (Post hook only). The
+// operand accessors are defined for data instructions, not for BRA, EXIT,
+// BAR or NOP.
 func (ev *Event) SrcA(lane int) uint32 { return ev.srcA[lane] }
 
 // SrcB returns the second operand value read by lane (Post hook only).

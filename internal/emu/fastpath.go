@@ -8,23 +8,24 @@ import (
 	"gpufi/internal/isa"
 )
 
-// Tier-1 fast path: a stripped stepper over the pre-decoded program
-// (decode.go) used whenever no armed per-instruction hooks are attached —
-// the state of every golden run, every unarmed countdown prefix, every
-// fast-forwarded suffix and the post-fault tail of every faulty replay.
+// The interpreter: a stepper over the pre-decoded program (decode.go).
+// It dispatches the opcode once per warp instruction and runs each
+// operation as a loop over whole register rows, routing results bound for
+// RZ (or for no register) into a scratch row so the lane loops carry no
+// destination test.
 //
-// stepFast is bit-identical to step (the Tier-0 reference interpreter)
-// by construction: it performs the same SIMT stack transitions, counts
-// the same instructions in the same order, raises the same LaunchError
-// values at the same points (including partial memory effects of a warp
-// instruction that faults mid-warp) and writes the same architectural
-// state. What it removes is the per-instruction hook dispatch and the
-// per-lane work the reference interpreter repeats 32 times: the opcode
-// switch, the HasDst/RZ destination test, operand index resolution and
-// event capture. The equivalence is enforced by
-// FuzzEmuFastPathVsReference and, indirectly, by every campaign
-// preparation (internal/swfi verifies the fast golden run against a
-// hook-instrumented recorded run bit-for-bit).
+// While a Post hook may fire, stepFast also fills the Event from whole
+// rows: the srcA row and the srcB row (or the broadcast immediate) before
+// the instruction runs, and after it the row it wrote (the scratch row for
+// RZ) or, for a store, the stored srcC row. It calls Post once per warp
+// instruction with a non-zero guard and never on an instruction that
+// faults.
+//
+// The reference interpreter (Tier 0, reference_test.go) steps the same
+// programs one lane at a time from the raw isa.Instr. The two agree on
+// every Result counter, error, memory image, per-instruction warp state
+// and hook event — including partial memory effects of a warp instruction
+// that faults mid-warp — as FuzzEmuFastPathVsReference checks.
 
 const fullWarp = uint32(0xFFFFFFFF)
 
@@ -62,6 +63,17 @@ func (ex *exec) stepFast(blockID int, w *warp) error {
 	ex.res.PerOpcode[d.op] += n
 	if ex.res.DynThreadInstrs > ex.budget {
 		return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrWatchdog}
+	}
+
+	post := ex.post
+	if post != nil && guard != 0 {
+		ex.prepareEvent(blockID, w, pc, ex.l.Prog.Instrs[pc], guard)
+		if d.kind == kData {
+			ex.ev.srcA = w.regs[d.srcA]
+			ex.ev.srcB = *ex.srcBRow(w, d)
+		}
+	} else {
+		post = nil
 	}
 
 	switch d.kind {
@@ -107,6 +119,17 @@ func (ex *exec) stepFast(blockID int, w *warp) error {
 		top.nextPC = pc + 1
 	default: // kNOP
 		top.nextPC = pc + 1
+	}
+
+	if post != nil {
+		if d.kind == kData {
+			if d.op == isa.OpGST || d.op == isa.OpSST {
+				ex.ev.dst = w.regs[d.srcC]
+			} else {
+				ex.ev.dst = *ex.dstRow(w, d)
+			}
+		}
+		post(&ex.ev)
 	}
 	return nil
 }

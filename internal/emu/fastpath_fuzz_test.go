@@ -2,20 +2,24 @@ package emu
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
 )
 
-// Differential fuzzing of the Tier-1 fast path against the Tier-0
-// reference interpreter: random programs and launch shapes, decoded
-// straight from fuzz bytes without kasm validation (so illegal opcodes,
-// wild branch targets, out-of-range addresses and unstructured
-// divergence are all reachable), must produce identical Result counters,
-// identical errors, identical global images and — via per-instruction
-// snapshots — identical register, predicate and SIMT-stack state at
-// every instruction boundary.
+// Differential fuzzing of the interpreter (stepFast) against the
+// reference interpreter (reference_test.go): random programs and launch
+// shapes, decoded straight from fuzz bytes without kasm validation (so
+// illegal opcodes, wild branch targets, out-of-range addresses and
+// unstructured divergence are all reachable), must produce identical
+// Result counters, identical errors, identical global images and — via
+// per-instruction snapshots — identical register, predicate and
+// SIMT-stack state at every instruction boundary. Every payload runs
+// three times on both: without hooks, and with a Post hook (see hookPlan)
+// with and without an ArmAfter countdown; the hook's event logs must
+// agree too.
 
 // fuzzLaunch decodes a fuzz payload into a launch. Returns nil when the
 // payload is too short to contain a single instruction.
@@ -77,21 +81,92 @@ func fuzzLaunch(data []byte) *Launch {
 	}
 }
 
+// hookPlan is what the Post hook of a hooked run does, read from the
+// payload's tail (the bytes after the last decoded instruction; absent
+// bytes read as their defaults): on event corruptAt (counted from arming)
+// it flips bit lane%32 of the output of the lane%ActiveCount-th active
+// lane with CorruptDst, then calls Disarm when disarm is set. armAfter is
+// the countdown of the countdown run.
+type hookPlan struct {
+	corruptAt int
+	lane      uint8
+	disarm    bool
+	armAfter  uint64
+}
+
+func fuzzHookPlan(data []byte) hookPlan {
+	var tail []byte
+	if len(data) > 5 {
+		body := data[5:]
+		tail = body[min(len(body)/8, 48)*8:]
+	}
+	at := func(i int, def byte) byte {
+		if i < len(tail) {
+			return tail[i]
+		}
+		return def
+	}
+	return hookPlan{corruptAt: int(at(0, 0)), lane: at(1, 0), disarm: at(2, 0)&1 == 1, armAfter: uint64(at(3, 40))}
+}
+
+// hooks returns the plan's hooks, logging to log every event's location
+// and active mask, a data instruction's per-lane operands and result, the
+// corruption and the arming point.
+func (p hookPlan) hooks(log *[]string, countdown bool) Hooks {
+	n := 0
+	h := Hooks{Post: func(ev *Event) {
+		e := fmt.Sprintf("block %d warp %d pc %d active %#x", ev.Block, ev.Warp, ev.PC, ev.Active)
+		switch ev.Instr.Op {
+		case isa.OpBRA, isa.OpEXIT, isa.OpBAR, isa.OpNOP:
+		default:
+			for m := ev.Active; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				d, ok := ev.DstValue(l)
+				e += fmt.Sprintf(" [%d: %#x %#x -> %#x %v]", l, ev.SrcA(l), ev.SrcB(l), d, ok)
+			}
+		}
+		if n == p.corruptAt {
+			lane := ev.NthActiveLane(int(p.lane) % ev.ActiveCount())
+			d, _ := ev.DstValue(lane)
+			e += fmt.Sprintf(" corrupt lane %d: %v", lane, ev.CorruptDst(lane, d^1<<(p.lane%32)))
+			if p.disarm {
+				ev.Disarm()
+			}
+		}
+		n++
+		*log = append(*log, e)
+	}}
+	if countdown {
+		h.ArmAfter = p.armAfter
+		h.OnArm = func(r *Result) { *log = append(*log, fmt.Sprintf("armed at %d", r.DynThreadInstrs)) }
+	}
+	return h
+}
+
 type tierTrace struct {
 	res    Result
 	err    error
 	global []uint32
 	snaps  []*Snapshot
+	events []string
 }
 
-func runTier(l *Launch, noFastPath bool) *tierTrace {
+// runTier runs l on the reference interpreter or on stepFast, with the
+// hooks hooks returns (none when it is nil), capturing a snapshot at every
+// instruction boundary.
+func runTier(l *Launch, reference bool, hooks func(log *[]string) Hooks) *tierTrace {
 	t := &tierTrace{global: append([]uint32(nil), l.Global...)}
 	run := *l
 	run.Global = t.global
-	run.NoFastPath = noFastPath
-	t.res, t.err = RunCheckpointed(&run, 1, 1, func(s *Snapshot) {
-		t.snaps = append(t.snaps, s)
-	})
+	if hooks != nil {
+		run.Hooks = hooks(&t.events)
+	}
+	sink := func(s *Snapshot) { t.snaps = append(t.snaps, s) }
+	if reference {
+		t.res, t.err = runReference(&run, 1, 1, sink)
+	} else {
+		t.res, t.err = RunCheckpointed(&run, 1, 1, sink)
+	}
 	return t
 }
 
@@ -154,37 +229,55 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// diffTiers runs the payload through both interpreter tiers and fails on
-// the first divergence.
+// diffTiers runs the payload through both interpreters, unhooked and
+// hooked, and fails on the first divergence.
 func diffTiers(t *testing.T, data []byte) {
 	t.Helper()
 	l := fuzzLaunch(data)
 	if l == nil {
 		return
 	}
-	ref := runTier(l, true)
-	fast := runTier(l, false)
-
-	if errString(ref.err) != errString(fast.err) {
-		t.Fatalf("error mismatch: Tier 0 %q, Tier 1 %q\n%s",
-			errString(ref.err), errString(fast.err), l.Prog.Disasm())
-	}
-	if ref.res != fast.res {
-		t.Fatalf("Result mismatch: Tier 0 %+v, Tier 1 %+v\n%s",
-			ref.res, fast.res, l.Prog.Disasm())
-	}
-	for i := range ref.global {
-		if ref.global[i] != fast.global[i] {
-			t.Fatalf("global[%d] = %#x (Tier 0) vs %#x (Tier 1)\n%s",
-				i, ref.global[i], fast.global[i], l.Prog.Disasm())
+	plan := fuzzHookPlan(data)
+	for _, mode := range []struct {
+		name  string
+		hooks func(log *[]string) Hooks
+	}{
+		{"unhooked", nil},
+		{"hooked", func(log *[]string) Hooks { return plan.hooks(log, false) }},
+		{"countdown", func(log *[]string) Hooks { return plan.hooks(log, true) }},
+	} {
+		ref := runTier(l, true, mode.hooks)
+		fast := runTier(l, false, mode.hooks)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: %s\n%s", mode.name, fmt.Sprintf(format, args...), l.Prog.Disasm())
 		}
-	}
-	if len(ref.snaps) != len(fast.snaps) {
-		t.Fatalf("%d snapshots (Tier 0) vs %d (Tier 1)", len(ref.snaps), len(fast.snaps))
-	}
-	for i := range ref.snaps {
-		if d := snapshotDiff(ref.snaps[i], fast.snaps[i]); d != "" {
-			t.Fatalf("snapshot %d: %s\n%s", i, d, l.Prog.Disasm())
+		if errString(ref.err) != errString(fast.err) {
+			fail("error mismatch: reference %q, stepFast %q", errString(ref.err), errString(fast.err))
+		}
+		if ref.res != fast.res {
+			fail("Result mismatch: reference %+v, stepFast %+v", ref.res, fast.res)
+		}
+		for i := range ref.global {
+			if ref.global[i] != fast.global[i] {
+				fail("global[%d] = %#x (reference) vs %#x (stepFast)", i, ref.global[i], fast.global[i])
+			}
+		}
+		if len(ref.events) != len(fast.events) {
+			fail("%d events (reference) vs %d (stepFast)", len(ref.events), len(fast.events))
+		}
+		for i := range ref.events {
+			if ref.events[i] != fast.events[i] {
+				fail("event %d:\nreference %s\nstepFast  %s", i, ref.events[i], fast.events[i])
+			}
+		}
+		if len(ref.snaps) != len(fast.snaps) {
+			fail("%d snapshots (reference) vs %d (stepFast)", len(ref.snaps), len(fast.snaps))
+		}
+		for i := range ref.snaps {
+			if d := snapshotDiff(ref.snaps[i], fast.snaps[i]); d != "" {
+				fail("snapshot %d: %s", i, d)
+			}
 		}
 	}
 }
@@ -207,11 +300,12 @@ func fuzzSeedCorpus() [][]byte {
 	for op := isa.Opcode(0); int(op) < isa.NumOpcodes; op++ {
 		p := header(1, 33, 8, 16, byte(op)) // 33 threads: one full + one partial warp
 		p = append(p, instr(isa.OpS2R, 7, 1, 0, 0, 0, 0, byte(isa.SRTid))...)
-		p = append(p, instr(isa.OpISETP, 7, 0, 1, 1, 0, 0x21, 7)...)  // P1 = tid > 7
-		p = append(p, instr(isa.OpMOV32I, 0x17, 2, 0, 0, 0, 0, 3)...) // imm form
-		p = append(p, instr(op, 1, 3, 1, 2, 1, 0x42, 2)...)           // @P1 op
-		p = append(p, instr(op, 9, 4, 2, 1, 2, 0x11, 1)...)           // @!P1 op
-		p = append(p, instr(op, 0x17, 63, 1, 2, 3, 0x32, 4)...)       // imm, RZ dst
+		p = append(p, instr(isa.OpISETP, 7, 0, 1, 1, 0, 0x21, 7)...)    // P1 = tid > 7
+		p = append(p, instr(isa.OpMOV32I, 0x17, 2, 0, 0, 0, 0, 3)...)   // imm form
+		p = append(p, instr(op, 1, 3, 1, 2, 1, 0x42, 2)...)             // @P1 op
+		p = append(p, instr(op, 9, 4, 2, 1, 2, 0x11, 1)...)             // @!P1 op
+		p = append(p, instr(op, 0x17, 63, 1, 2, 3, 0x32, 4)...)         // imm, RZ dst
+		p = append(p, 3+byte(op)%3, byte(op), byte(op)>>1, 16+byte(op)) // hook plan: corrupt an op event
 		corpus = append(corpus, p)
 	}
 
@@ -259,6 +353,41 @@ func fuzzSeedCorpus() [][]byte {
 	badAddr = append(badAddr, instr(isa.OpGST, 7, 0, 1, 0, 1, 0, 0)...)
 	corpus = append(corpus, badAddr)
 
+	// Hooked corner cases, each corrupting event 1 of warp 0 — the
+	// instruction after S2R. An RZ destination: the event reports the
+	// dropped result and CorruptDst changes no register.
+	rz := header(1, 40, 0, 64, 6)
+	rz = append(rz, instr(isa.OpS2R, 7, 1, 0, 0, 0, 0, byte(isa.SRTid))...)
+	rz = append(rz, instr(isa.OpIADD, 0x17, 63, 1, 0, 0, 0, 5)...)
+	rz = append(rz, instr(isa.OpGST, 7, 0, 1, 0, 63, 0, 0)...)
+	rz = append(rz, 1, 3, 0)
+	corpus = append(corpus, rz)
+
+	// Dst == SrcA: the event's SrcA is the value read, not the one written.
+	alias := header(1, 40, 0, 64, 7)
+	alias = append(alias, instr(isa.OpS2R, 7, 1, 0, 0, 0, 0, byte(isa.SRTid))...)
+	alias = append(alias, instr(isa.OpIADD, 0x17, 1, 1, 0, 0, 0, 9)...)
+	alias = append(alias, instr(isa.OpGST, 7, 0, 1, 0, 1, 0, 0)...)
+	alias = append(alias, 1, 5, 1)
+	corpus = append(corpus, alias)
+
+	// A GST that faults mid-warp after a corrupted address: no event for it.
+	gstFault := header(1, 32, 0, 16, 8)
+	gstFault = append(gstFault, instr(isa.OpS2R, 7, 1, 0, 0, 0, 0, byte(isa.SRLane))...)
+	gstFault = append(gstFault, instr(isa.OpIMUL, 0x17, 1, 1, 0, 0, 0, 3)...)
+	gstFault = append(gstFault, instr(isa.OpGST, 7, 0, 1, 0, 1, 0, 0)...)
+	gstFault = append(gstFault, 1, 2, 0, 0)
+	corpus = append(corpus, gstFault)
+
+	// ISETP into PT: the write is dropped and there is no output to corrupt.
+	isetpPT := header(1, 33, 0, 16, 9)
+	isetpPT = append(isetpPT, instr(isa.OpS2R, 7, 1, 0, 0, 0, 0, byte(isa.SRTid))...)
+	isetpPT = append(isetpPT, instr(isa.OpISETP, 0x17, 0, 1, 0, 0, 0x27, 4)...)
+	isetpPT = append(isetpPT, instr(isa.OpSEL, 7, 2, 1, 0, 0, 0x07, 0)...)
+	isetpPT = append(isetpPT, instr(isa.OpGST, 7, 0, 1, 0, 2, 0, 0)...)
+	isetpPT = append(isetpPT, 1, 7, 1, 64)
+	corpus = append(corpus, isetpPT)
+
 	return corpus
 }
 
@@ -271,9 +400,9 @@ func FuzzEmuFastPathVsReference(f *testing.F) {
 	})
 }
 
-// TestEmuFastPathCorpus pins the deterministic corpus so the tier
-// equivalence is checked on every plain `go test` run (including -race
-// in CI), not only when the fuzzer runs.
+// TestEmuFastPathCorpus pins the deterministic corpus so the agreement
+// with the reference interpreter is checked on every plain `go test` run
+// (including -race in CI), not only when the fuzzer runs.
 func TestEmuFastPathCorpus(t *testing.T) {
 	for i, seed := range fuzzSeedCorpus() {
 		seed := seed

@@ -212,7 +212,7 @@ func equalWords(a, b []uint32) bool {
 }
 
 // TestBlockHooks: BlockDone sees every block that runs, in order, with
-// the launch's running counters, on both tiers and after a Resume (the
+// the launch's running counters, and after a Resume (the
 // resumed block first). Replay is offered every block before it runs —
 // after a Resume, the blocks after the resumed one — and a block it takes
 // does not run: the count the caller charges reaches the Result, the
@@ -221,13 +221,12 @@ func TestBlockHooks(t *testing.T) {
 	const grid, block = 4, 64
 	const n = grid * block
 	prog := sharedRevProg(t, block)
-	launch := func(g []uint32, noFast bool, hooks Hooks) *Launch {
-		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: block,
-			NoFastPath: noFast, Hooks: hooks}
+	launch := func(g []uint32, hooks Hooks) *Launch {
+		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: block, Hooks: hooks}
 	}
 	gWant := sharedRevInput(n)
 	var ends []uint64 // counters after each block of the full run
-	full := launch(gWant, false, Hooks{})
+	full := launch(gWant, Hooks{})
 	full.BlockDone = func(b int, r *Result) {
 		if b != len(ends) {
 			t.Fatalf("BlockDone for block %d after %d blocks", b, len(ends))
@@ -281,72 +280,70 @@ func TestBlockHooks(t *testing.T) {
 		return out
 	}
 
-	for _, noFast := range []bool{false, true} {
-		for mask := 0; mask < 1<<grid; mask++ {
-			take := func(b int) bool { return mask>>b&1 == 1 }
+	for mask := 0; mask < 1<<grid; mask++ {
+		take := func(b int) bool { return mask>>b&1 == 1 }
+		g := sharedRevInput(n)
+		res, offered, ran, err := hooked(launch(g, Hooks{}), take, nil)
+		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
+			t.Fatalf("replayed %04b: %v after %d instructions (want %d), arena equal %v",
+				mask, err, res.DynThreadInstrs, want.DynThreadInstrs, equalWords(g, gWant))
+		}
+		if !slices.Equal(offered, blocks(0, func(int) bool { return true })) ||
+			!slices.Equal(ran, blocks(0, func(b int) bool { return !take(b) })) {
+			t.Fatalf("replayed %04b: offered %v, ran %v", mask, offered, ran)
+		}
+	}
+
+	// The watchdog: a budget one short of the total trips in the last
+	// block at the same instruction whether or not the blocks before it
+	// ran.
+	budget := want.DynThreadInstrs - 1
+	l := launch(sharedRevInput(n), Hooks{})
+	l.MaxDynInstrs = budget
+	pres, perr := Run(l)
+	l = launch(sharedRevInput(n), Hooks{})
+	l.MaxDynInstrs = budget
+	res, _, _, err := hooked(l, func(b int) bool { return b < grid-1 }, nil)
+	var ple, le *LaunchError
+	if !errors.As(perr, &ple) || !errors.As(err, &le) || *ple != *le || !errors.Is(err, ErrWatchdog) ||
+		res.DynThreadInstrs != pres.DynThreadInstrs {
+		t.Fatalf("watchdog: plain %v after %d, replayed %v after %d",
+			perr, pres.DynThreadInstrs, err, res.DynThreadInstrs)
+	}
+
+	// The countdown: blocks 0 and 1 replayed. Arming due inside block 1
+	// happens at block 2's first instruction; arming due later happens
+	// where the full run arms.
+	for _, armAfter := range []uint64{ends[0] + 10, ends[1] - 10, ends[1] + 100, ends[2] + 5} {
+		armRun := func(take func(int) bool) (armedAt, hookInstrs uint64) {
 			g := sharedRevInput(n)
-			res, offered, ran, err := hooked(launch(g, noFast, Hooks{}), take, nil)
-			if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
-				t.Fatalf("noFast=%v replayed %04b: %v after %d instructions (want %d), arena equal %v",
-					noFast, mask, err, res.DynThreadInstrs, want.DynThreadInstrs, equalWords(g, gWant))
+			_, _, _, err := hooked(launch(g, Hooks{
+				Post:     func(ev *Event) { hookInstrs += uint64(ev.ActiveCount()) },
+				ArmAfter: armAfter,
+				OnArm:    func(r *Result) { armedAt = r.DynThreadInstrs },
+			}), take, nil)
+			if err != nil || !equalWords(g, gWant) {
+				t.Fatalf("armAfter=%d: %v", armAfter, err)
 			}
-			if !slices.Equal(offered, blocks(0, func(int) bool { return true })) ||
-				!slices.Equal(ran, blocks(0, func(b int) bool { return !take(b) })) {
-				t.Fatalf("noFast=%v replayed %04b: offered %v, ran %v", noFast, mask, offered, ran)
-			}
+			return armedAt, hookInstrs
 		}
-
-		// The watchdog: a budget one short of the total trips in the last
-		// block at the same instruction whether or not the blocks before it
-		// ran.
-		budget := want.DynThreadInstrs - 1
-		l := launch(sharedRevInput(n), noFast, Hooks{})
-		l.MaxDynInstrs = budget
-		pres, perr := Run(l)
-		l = launch(sharedRevInput(n), noFast, Hooks{})
-		l.MaxDynInstrs = budget
-		res, _, _, err := hooked(l, func(b int) bool { return b < grid-1 }, nil)
-		var ple, le *LaunchError
-		if !errors.As(perr, &ple) || !errors.As(err, &le) || *ple != *le || !errors.Is(err, ErrWatchdog) ||
-			res.DynThreadInstrs != pres.DynThreadInstrs {
-			t.Fatalf("noFast=%v watchdog: plain %v after %d, replayed %v after %d",
-				noFast, perr, pres.DynThreadInstrs, err, res.DynThreadInstrs)
-		}
-
-		// The countdown: blocks 0 and 1 replayed. Arming due inside block 1
-		// happens at block 2's first instruction; arming due later happens
-		// where the full run arms.
-		for _, armAfter := range []uint64{ends[0] + 10, ends[1] - 10, ends[1] + 100, ends[2] + 5} {
-			armRun := func(take func(int) bool) (armedAt, hookInstrs uint64) {
-				g := sharedRevInput(n)
-				_, _, _, err := hooked(launch(g, noFast, Hooks{
-					Post:     func(ev *Event) { hookInstrs += uint64(ev.ActiveCount()) },
-					ArmAfter: armAfter,
-					OnArm:    func(r *Result) { armedAt = r.DynThreadInstrs },
-				}), take, nil)
-				if err != nil || !equalWords(g, gWant) {
-					t.Fatalf("noFast=%v armAfter=%d: %v", noFast, armAfter, err)
-				}
-				return armedAt, hookInstrs
-			}
-			fullAt, _ := armRun(func(int) bool { return false })
-			at, hooks := armRun(func(b int) bool { return b < 2 })
-			if at != max(fullAt, ends[1]) || at+hooks != want.DynThreadInstrs {
-				t.Fatalf("noFast=%v armAfter=%d: armed at %d with %d hooked, full run armed at %d",
-					noFast, armAfter, at, hooks, fullAt)
-			}
+		fullAt, _ := armRun(func(int) bool { return false })
+		at, hooks := armRun(func(b int) bool { return b < 2 })
+		if at != max(fullAt, ends[1]) || at+hooks != want.DynThreadInstrs {
+			t.Fatalf("armAfter=%d: armed at %d with %d hooked, full run armed at %d",
+				armAfter, at, hooks, fullAt)
 		}
 	}
 
 	var snaps []*Snapshot
-	if _, err := RunCheckpointed(launch(sharedRevInput(n), false, Hooks{}), 100, 300, func(s *Snapshot) {
+	if _, err := RunCheckpointed(launch(sharedRevInput(n), Hooks{}), 100, 300, func(s *Snapshot) {
 		snaps = append(snaps, s)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
 		g := make([]uint32, 2*n)
-		res, offered, ran, err := hooked(launch(g, false, Hooks{}), func(int) bool { return true }, s)
+		res, offered, ran, err := hooked(launch(g, Hooks{}), func(int) bool { return true }, s)
 		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
 			t.Fatalf("snapshot %d in block %d: %v after %d instructions", i, s.block, err, res.DynThreadInstrs)
 		}
@@ -372,53 +369,51 @@ func TestMemTraceStores(t *testing.T) {
 	b.Gld(rB, rTid, 0)
 	b.Gld(rC, isa.RZ, 0)
 	inputs := kasm.MustFinalize(b)
-	for _, noFast := range []bool{false, true} {
-		words := (2*n + 63) / 64
-		mt := &MemTrace{Writes: make([]uint64, words), Loaded: make([]uint64, words)}
-		l := sharedRevLaunch(prog, sharedRevInput(n), Hooks{})
-		l.Mem, l.NoFastPath = mt, noFast
-		if _, err := Run(l); err != nil {
-			t.Fatal(err)
-		}
-		// The kernel stores out = words n..2n-1, each once, after loading
-		// in = words 0..n-1, each once.
-		for k, m := range mt.Writes {
-			if want := uint64(0); k >= n/64 {
-				if want = ^want; m != want {
-					t.Fatalf("noFast=%v: Writes[%d] = %x", noFast, k, m)
-				}
-			} else if m != 0 {
-				t.Fatalf("noFast=%v: Writes[%d] = %x, the kernel stores nothing there", noFast, k, m)
-			}
-		}
-		if len(mt.Touched) != n/64 || mt.Touched[0] != n/64 || mt.Touched[1] != n/64+1 {
-			t.Fatalf("noFast=%v: Touched = %v", noFast, mt.Touched)
-		}
-		if len(mt.Inputs) != n {
-			t.Fatalf("noFast=%v: %d inputs, want %d", noFast, len(mt.Inputs), n)
-		}
-		for i, in := range mt.Inputs {
-			if in.Addr >= n || in.Val != 3*in.Addr || i > 0 && mt.Inputs[i-1].Addr == in.Addr {
-				t.Fatalf("noFast=%v: input %d = %+v", noFast, i, in)
-			}
-		}
-		mt.Clear()
-		if len(mt.Touched) != 0 || len(mt.Inputs) != 0 || slices.ContainsFunc(append(mt.Writes, mt.Loaded...), func(m uint64) bool { return m != 0 }) {
-			t.Fatalf("noFast=%v: Clear left %v, %v, %x, %x", noFast, mt.Touched, mt.Inputs, mt.Writes, mt.Loaded)
-		}
-
-		g := sharedRevInput(n)
-		if _, err := Run(&Launch{Prog: inputs, Grid: 1, Block: 64, Global: g, Mem: mt, NoFastPath: noFast}); err != nil {
-			t.Fatal(err)
-		}
-		want := []Load{{0, 0}}
-		for i := uint32(1); i < 64; i++ {
-			want = append(want, Load{i, 3 * i})
-		}
-		slices.SortFunc(mt.Inputs, func(x, y Load) int { return int(x.Addr) - int(y.Addr) })
-		if !slices.Equal(mt.Inputs, want) {
-			t.Fatalf("noFast=%v: inputs %v, want %v", noFast, mt.Inputs, want)
-		}
-		mt.Clear()
+	words := (2*n + 63) / 64
+	mt := &MemTrace{Writes: make([]uint64, words), Loaded: make([]uint64, words)}
+	l := sharedRevLaunch(prog, sharedRevInput(n), Hooks{})
+	l.Mem = mt
+	if _, err := Run(l); err != nil {
+		t.Fatal(err)
 	}
+	// The kernel stores out = words n..2n-1, each once, after loading
+	// in = words 0..n-1, each once.
+	for k, m := range mt.Writes {
+		if want := uint64(0); k >= n/64 {
+			if want = ^want; m != want {
+				t.Fatalf("Writes[%d] = %x", k, m)
+			}
+		} else if m != 0 {
+			t.Fatalf("Writes[%d] = %x, the kernel stores nothing there", k, m)
+		}
+	}
+	if len(mt.Touched) != n/64 || mt.Touched[0] != n/64 || mt.Touched[1] != n/64+1 {
+		t.Fatalf("Touched = %v", mt.Touched)
+	}
+	if len(mt.Inputs) != n {
+		t.Fatalf("%d inputs, want %d", len(mt.Inputs), n)
+	}
+	for i, in := range mt.Inputs {
+		if in.Addr >= n || in.Val != 3*in.Addr || i > 0 && mt.Inputs[i-1].Addr == in.Addr {
+			t.Fatalf("input %d = %+v", i, in)
+		}
+	}
+	mt.Clear()
+	if len(mt.Touched) != 0 || len(mt.Inputs) != 0 || slices.ContainsFunc(append(mt.Writes, mt.Loaded...), func(m uint64) bool { return m != 0 }) {
+		t.Fatalf("Clear left %v, %v, %x, %x", mt.Touched, mt.Inputs, mt.Writes, mt.Loaded)
+	}
+
+	g := sharedRevInput(n)
+	if _, err := Run(&Launch{Prog: inputs, Grid: 1, Block: 64, Global: g, Mem: mt}); err != nil {
+		t.Fatal(err)
+	}
+	want := []Load{{0, 0}}
+	for i := uint32(1); i < 64; i++ {
+		want = append(want, Load{i, 3 * i})
+	}
+	slices.SortFunc(mt.Inputs, func(x, y Load) int { return int(x.Addr) - int(y.Addr) })
+	if !slices.Equal(mt.Inputs, want) {
+		t.Fatalf("inputs %v, want %v", mt.Inputs, want)
+	}
+	mt.Clear()
 }

@@ -69,6 +69,20 @@ func AllModules() []Module {
 	return []Module{ModFP32, ModINT, ModSFU, ModSFUCtl, ModSched, ModPipe}
 }
 
+// ParseModule returns the module spelled s (its String form).
+func ParseModule(s string) (Module, bool) { return parseString(AllModules(), s) }
+
+// parseString returns the value of all whose String form is s.
+func parseString[E fmt.Stringer](all []E, s string) (E, bool) {
+	for _, v := range all {
+		if v.String() == s {
+			return v, true
+		}
+	}
+	var zero E
+	return zero, false
+}
+
 // IsControl reports whether the module is a control structure (Table I
 // "Type" column); the paper finds control modules are the dominant source
 // of DUEs and multi-thread corruptions.
@@ -104,6 +118,9 @@ func (r InputRange) String() string {
 
 // AllRanges lists the three operand ranges.
 func AllRanges() []InputRange { return []InputRange{RangeSmall, RangeMedium, RangeLarge} }
+
+// ParseRange returns the input range spelled s: S, M or L.
+func ParseRange(s string) (InputRange, bool) { return parseString(AllRanges(), s) }
 
 // RangeBounds returns the float bounds [lo, hi) of an input range as used
 // for micro-benchmark input generation and for classifying observed

@@ -27,6 +27,29 @@ func TestModuleInventoryMatchesTableI(t *testing.T) {
 	}
 }
 
+// TestParseRoundTrip: ParseModule and ParseRange accept exactly the
+// String forms the CLIs print and the job requests spell.
+func TestParseRoundTrip(t *testing.T) {
+	for _, m := range AllModules() {
+		if got, ok := ParseModule(m.String()); !ok || got != m {
+			t.Errorf("ParseModule(%q) = %v, %v", m, got, ok)
+		}
+	}
+	for _, r := range AllRanges() {
+		if got, ok := ParseRange(r.String()); !ok || got != r {
+			t.Errorf("ParseRange(%q) = %v, %v", r, got, ok)
+		}
+	}
+	for _, bad := range []string{"", "fp32", "Module(6)", "XL", "s"} {
+		if _, ok := ParseModule(bad); ok {
+			t.Errorf("ParseModule(%q) accepted", bad)
+		}
+		if _, ok := ParseRange(bad); ok {
+			t.Errorf("ParseRange(%q) accepted", bad)
+		}
+	}
+}
+
 func TestControlModules(t *testing.T) {
 	if !ModSched.IsControl() || !ModSFUCtl.IsControl() {
 		t.Error("scheduler and SFU controller are control modules (Table I)")

@@ -39,6 +39,20 @@ func TestCharacterizedOpcodes(t *testing.T) {
 	}
 }
 
+// TestParseCharacterized: the characterised opcodes parse from their
+// String form; every other opcode and spelling is refused.
+func TestParseCharacterized(t *testing.T) {
+	for _, op := range AllOpcodes() {
+		got, ok := ParseCharacterized(op.String())
+		if ok != op.Characterized() || ok && got != op {
+			t.Errorf("ParseCharacterized(%q) = %v, %v", op, got, ok)
+		}
+	}
+	if _, ok := ParseCharacterized("fadd"); ok {
+		t.Error("ParseCharacterized accepted a lower-case spelling")
+	}
+}
+
 func TestCategoryAssignment(t *testing.T) {
 	tests := []struct {
 		op   Opcode

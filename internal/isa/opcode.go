@@ -121,12 +121,12 @@ type Unit uint8
 
 // Functional units of the modelled SM.
 const (
-	UnitNone  Unit = iota
-	UnitINT        // integer ALU/MAD lane
-	UnitFP32       // single-precision FP lane
-	UnitSFU        // shared special-function unit
-	UnitLSU        // load/store unit
-	UnitCTRL       // branch/barrier control
+	UnitNone Unit = iota
+	UnitINT       // integer ALU/MAD lane
+	UnitFP32      // single-precision FP lane
+	UnitSFU       // shared special-function unit
+	UnitLSU       // load/store unit
+	UnitCTRL      // branch/barrier control
 )
 
 // String implements fmt.Stringer.
@@ -268,6 +268,17 @@ func CharacterizedOpcodes() []Opcode {
 		OpFSIN, OpFEXP,
 		OpGLD, OpGST, OpBRA, OpISET,
 	}
+}
+
+// ParseCharacterized returns the characterised opcode spelled s (its
+// String form).
+func ParseCharacterized(s string) (Opcode, bool) {
+	for _, op := range CharacterizedOpcodes() {
+		if op.String() == s {
+			return op, true
+		}
+	}
+	return 0, false
 }
 
 // AllOpcodes lists every valid opcode.

@@ -63,11 +63,6 @@ type Request struct {
 	// Deprecated: accepted and ignored; kept until bench/ stops sending it (ROADMAP 1(a)).
 	NoCollapse bool `json:"no_collapse,omitempty"`
 
-	// Software jobs: force the reference (Tier 0) interpreter for every
-	// emulator run instead of the pre-decoded fast path; results are
-	// bit-identical either way.
-	NoFastPath bool `json:"no_fast_path,omitempty"`
-
 	// Characterize jobs.
 	Faults        int      `json:"faults,omitempty"`      // per micro campaign; default 2000
 	TMXMFaults    int      `json:"tmxm_faults,omitempty"` // per t-MxM campaign; default Faults
@@ -221,14 +216,14 @@ func compileCharacterize(req Request) (*program, error) {
 		NoBitParallel:     req.NoBitParallel,
 	}
 	for _, name := range req.Ops {
-		op, ok := parseOp(name)
+		op, ok := isa.ParseCharacterized(name)
 		if !ok {
 			return nil, fmt.Errorf("jobs: unknown opcode %q", name)
 		}
 		cfg.Ops = append(cfg.Ops, op)
 	}
 	for _, name := range req.Ranges {
-		rng, ok := parseRange(name)
+		rng, ok := faults.ParseRange(name)
 		if !ok {
 			return nil, fmt.Errorf("jobs: unknown input range %q (want S, M or L)", name)
 		}
@@ -300,7 +295,7 @@ func compileHPC(req Request) (*program, error) {
 					res, err := swfi.RunCtx(ctx, swfi.Campaign{
 						Workload: w, Model: model, DB: db,
 						Injections: injections, Seed: seed, Workers: workers,
-						NoFastPath: req.NoFastPath, Progress: progress,
+						Progress: progress,
 					})
 					if err != nil {
 						return outcome{}, err
@@ -354,7 +349,7 @@ func compileCNN(req Request) (*program, error) {
 				res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 					Net: net, Input: input, Model: model, DB: db,
 					Injections: injections, Seed: seed, Workers: workers,
-					NoFastPath: req.NoFastPath, Critical: critical, Progress: progress,
+					Critical: critical, Progress: progress,
 				})
 				if err != nil {
 					return outcome{}, err
@@ -412,22 +407,4 @@ func buildNetwork(name string) (*cnn.Network, []float32, func(a, b []float32) bo
 		return cnn.NewYoloLite(), cnn.YoloInput(0), swfi.YoloCritical
 	}
 	return cnn.NewLeNetLite(), cnn.LeNetInput(0), swfi.LeNetCritical
-}
-
-func parseOp(s string) (isa.Opcode, bool) {
-	for _, op := range isa.CharacterizedOpcodes() {
-		if op.String() == s {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
-func parseRange(s string) (faults.InputRange, bool) {
-	for _, r := range faults.AllRanges() {
-		if r.String() == s {
-			return r, true
-		}
-	}
-	return 0, false
 }

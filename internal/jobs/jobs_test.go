@@ -441,6 +441,13 @@ func runToCompletion(t *testing.T, req Request) []byte {
 // returns the resumed job's final result bytes.
 func interruptAndResume(t *testing.T, req Request) []byte {
 	t.Helper()
+	return interruptEditResume(t, req, nil)
+}
+
+// interruptEditResume is interruptAndResume with edit, when non-nil,
+// applied to the job's journal file while the service is down.
+func interruptEditResume(t *testing.T, req Request, edit func(journal []byte) []byte) []byte {
+	t.Helper()
 	dir := t.TempDir()
 	s, err := New(Config{Workers: 1, Dir: dir, CheckpointEvery: 5 * time.Millisecond})
 	if err != nil {
@@ -456,6 +463,16 @@ func interruptAndResume(t *testing.T, req Request) []byte {
 		return st.UnitsDone >= 1
 	})
 	s.Close() // interrupt: unfinished work re-journals as queued
+	if edit != nil {
+		path := filepath.Join(dir, "job-"+st.ID[2:]+".json")
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	s2 := newService(t, Config{Workers: 1, Dir: dir})
 	st2, ok := s2.Get(st.ID)
@@ -479,6 +496,36 @@ func TestResumeBitIdenticalHPC(t *testing.T) {
 	req := multiUnitHPC()
 	want := runToCompletion(t, req)
 	got := interruptAndResume(t, req)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("resumed result differs from uninterrupted run:\nuninterrupted: %s\nresumed:       %s", want, got)
+	}
+}
+
+// TestResumeJournalWithNoFastPath: a journal written when requests still
+// carried no_fast_path (the switch that forced the reference interpreter)
+// loads, and its job resumes to the result an uninterrupted run gives.
+func TestResumeJournalWithNoFastPath(t *testing.T) {
+	req := multiUnitHPC()
+	want := runToCompletion(t, req)
+	got := interruptEditResume(t, req, func(journal []byte) []byte {
+		var ck map[string]json.RawMessage
+		var r map[string]any
+		if err := json.Unmarshal(journal, &ck); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(ck["request"], &r); err != nil {
+			t.Fatal(err)
+		}
+		r["no_fast_path"] = true
+		var err error
+		if ck["request"], err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+		if journal, err = json.Marshal(ck); err != nil {
+			t.Fatal(err)
+		}
+		return journal
+	})
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed result differs from uninterrupted run:\nuninterrupted: %s\nresumed:       %s", want, got)
 	}

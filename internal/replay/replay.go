@@ -65,8 +65,7 @@ type Plain struct {
 	Hooks emu.Hooks
 	Res   emu.Result
 
-	// NoFastPath forces the emulator's Tier-0 reference interpreter on
-	// every launch (see emu.Launch.NoFastPath).
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(b)).
 	NoFastPath bool
 }
 
@@ -76,7 +75,6 @@ func (p *Plain) Arena(words int) []uint32 { return make([]uint32, words) }
 // Launch implements Runner.
 func (p *Plain) Launch(l *emu.Launch) error {
 	l.Hooks = p.Hooks
-	l.NoFastPath = p.NoFastPath
 	res, err := emu.Run(l)
 	addResult(&p.Res, &res)
 	return err
@@ -249,11 +247,6 @@ type Recorder struct {
 	// stream for the backward dead-site scan, plus per-launch end marks.
 	capture func(*emu.Event)
 	lvc     *liveCapture
-
-	// NoFastPath forces the emulator's Tier-0 reference interpreter while
-	// recording. A recording is hook-free and otherwise runs on the Tier-1
-	// fast path (which records stores and inputs identically).
-	NoFastPath bool
 }
 
 // NewRecorder builds a Recorder snapshotting every `every`
@@ -282,7 +275,6 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	ord := len(r.tr.Launches)
 	base, baseCount := r.tr.Instrs, r.tr.Count
 	l.Hooks = emu.Hooks{Post: r.capture}
-	l.NoFastPath = r.NoFastPath
 	// r.mem holds one block's stores and inputs and is cleared at the
 	// block's end, so a block's record is read off its own marks, with no
 	// pass over the arena or the bitmaps.
@@ -376,13 +368,6 @@ type Player struct {
 	// + Skipped equals a full run's total.
 	Live    emu.Result
 	Skipped uint64
-
-	// NoFastPath forces the emulator's Tier-0 reference interpreter for
-	// every simulated segment (see emu.Launch.NoFastPath). Without it the
-	// player picks tiers per segment: the unarmed countdown prefix and the
-	// post-fault tail run on the Tier-1 fast path; Tier 0 takes over only
-	// while injection hooks are armed.
-	NoFastPath bool
 }
 
 // NewPlayer builds a Player that arms hooks just before the target-th
@@ -480,7 +465,6 @@ func (p *Player) Launch(l *emu.Launch) error {
 		p.Skipped += rec.CumInstrs - prev
 		return nil
 	}
-	l.NoFastPath = p.NoFastPath
 	l.Hooks = p.liveHooks(ord)
 	l.Mem, l.BlockDone, l.Replay = nil, nil, nil
 	if p.replays && ord < len(p.tr.Launches) && p.tr.Launches[ord].matches(l) {

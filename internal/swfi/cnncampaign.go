@@ -79,9 +79,7 @@ type CNNCampaign struct {
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
-	// NoFastPath forces the emulator's Tier-0 reference interpreter for
-	// every run this campaign issues; see Campaign.NoFastPath. Results
-	// are bit-identical either way.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(b)).
 	NoFastPath bool
 
 	// Prepared, when non-nil, supplies a ready-made golden run, profile
@@ -140,12 +138,12 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 		name: c.Net.Name, model: ModelBitFlip, db: c.DB,
 		injections: c.Injections, seed: c.Seed, salt: 0xD1B54A32D192ED03, workers: c.Workers,
 		progress:      c.Progress,
-		noFastForward: c.NoFastForward, noFastPath: c.NoFastPath,
-		shared:   c.Prepared,
-		prepare:  func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, c.NoFastPath, record) },
-		exec:     func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },
-		equal:    floatsEqual,
-		critical: c.Critical,
+		noFastForward: c.NoFastForward,
+		shared:        c.Prepared,
+		prepare:       func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, record) },
+		exec:          func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },
+		equal:         floatsEqual,
+		critical:      c.Critical,
 	}
 	switch c.Model {
 	case CNNSyndrome:

@@ -43,10 +43,8 @@ type CNNPrepared = prepared[[]float32]
 // per-block records, verified bit-identical (same) to the plain golden run
 // before it is trusted. The profile is the golden run's own per-opcode
 // count.
-func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool,
-	noFastPath, record bool) (*prepared[G], error) {
-
-	plain := &replay.Plain{NoFastPath: noFastPath}
+func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool, record bool) (*prepared[G], error) {
+	plain := &replay.Plain{}
 	golden, err := run(plain)
 	if err != nil {
 		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", name, err)
@@ -59,7 +57,6 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 	// coordinates then index exactly the dynamic instructions an injector
 	// counts and targets.
 	rec := replay.NewRecorder(plain.Res.DynThreadInstrs/checkpointsPerCampaign, Injectable)
-	rec.NoFastPath = noFastPath
 	recOut, err := run(rec)
 	if err != nil {
 		return nil, fmt.Errorf("swfi: checkpoint replay of %s failed: %w", name, err)
@@ -75,21 +72,21 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 // fast-forward trace, so several campaigns on it can share one
 // preparation (Campaign.Prepared).
 func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
-	return prepareWorkload(w, false, true)
+	return prepareWorkload(w, true)
 }
 
-func prepareWorkload(w *apps.Workload, noFastPath, record bool) (*Prepared, error) {
-	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], noFastPath, record)
+func prepareWorkload(w *apps.Workload, record bool) (*Prepared, error) {
+	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], record)
 }
 
 // PrepareCNN records a network/input pair's golden execution and
 // fast-forward trace, so the three fault models can share one preparation
 // (CNNCampaign.Prepared).
 func PrepareCNN(net *cnn.Network, input []float32) (*CNNPrepared, error) {
-	return prepareCNN(net, input, false, true)
+	return prepareCNN(net, input, true)
 }
 
-func prepareCNN(net *cnn.Network, input []float32, noFastPath, record bool) (*CNNPrepared, error) {
+func prepareCNN(net *cnn.Network, input []float32, record bool) (*CNNPrepared, error) {
 	run := func(rt replay.Runner) ([]float32, error) { return net.RunWith(rt, input, nil) }
-	return prepare(net.Name, run, floatsEqual, noFastPath, record)
+	return prepare(net.Name, run, floatsEqual, record)
 }

@@ -98,7 +98,7 @@ type subject[G any] struct {
 	records    bool
 	progress   func(done, total int)
 
-	noFastForward, noFastPath bool // the accelerator switches as the caller set them
+	noFastForward bool
 
 	shared  *prepared[G]                            // caller's preparation, or nil
 	prepare func(record bool) (*prepared[G], error) // a fresh one, with or without trace
@@ -164,11 +164,10 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 	// or plainly with the hooks armed throughout — and accounts it.
 	play := func(c *Counters, hooks emu.Hooks, player func() *replay.Player, exec func(replay.Runner) (G, error)) injection {
 		if tr == nil {
-			o, crit := grade(exec(&replay.Plain{Hooks: hooks, NoFastPath: s.noFastPath}))
+			o, crit := grade(exec(&replay.Plain{Hooks: hooks}))
 			return injection{outcome: o, critical: crit}
 		}
 		p := player()
-		p.NoFastPath = s.noFastPath
 		o, crit := grade(exec(p))
 		c.SimInstrs += p.Live.DynThreadInstrs
 		c.SkippedInstrs += p.Skipped

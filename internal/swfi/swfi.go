@@ -196,7 +196,7 @@ func (in *injector) post(ev *emu.Event) {
 	ev.CorruptDst(lane, in.newBits)
 	// The fault has fired; every later call would hit the in.fired guard
 	// above and return. Telling the emulator lets the post-fault tail run
-	// hook-free on the fast path.
+	// without event capture.
 	ev.Disarm()
 }
 
@@ -299,11 +299,7 @@ type Campaign struct {
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)).
 	NoCollapse bool
 
-	// NoFastPath forces the emulator's Tier-0 reference interpreter for
-	// every run this campaign issues instead of the pre-decoded Tier-1
-	// fast path (emu.Launch.NoFastPath). Results are bit-identical either
-	// way; the flag exists for regression comparison and for benchmarking
-	// the interpreter tiers themselves.
+	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(b)).
 	NoFastPath bool
 
 	// Prepared, when non-nil, supplies a ready-made golden run, profile
@@ -348,8 +344,8 @@ type Result struct {
 
 	// Elapsed is the campaign's wall-clock time, including preparation.
 	// Passed to Counters.EmuMIPS/EffectiveMIPS it yields the
-	// interpreter-throughput telemetry operators watch for
-	// interpreter-tier regressions.
+	// interpreter-throughput telemetry operators watch for interpreter
+	// regressions.
 	Elapsed time.Duration
 }
 
@@ -386,11 +382,11 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
 		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
 		records: c.RecordInjections, progress: c.Progress,
-		noFastForward: c.NoFastForward, noFastPath: c.NoFastPath,
-		shared:  c.Prepared,
-		prepare: func(record bool) (*Prepared, error) { return prepareWorkload(w, c.NoFastPath, record) },
-		exec:    w.ExecuteWith,
-		equal:   func(golden, out []uint32) bool { return outputsMatch(golden, out, c.Tolerance) },
+		noFastForward: c.NoFastForward,
+		shared:        c.Prepared,
+		prepare:       func(record bool) (*Prepared, error) { return prepareWorkload(w, record) },
+		exec:          w.ExecuteWith,
+		equal:         func(golden, out []uint32) bool { return outputsMatch(golden, out, c.Tolerance) },
 	}
 	out, err := s.run(ctx)
 	if err != nil {

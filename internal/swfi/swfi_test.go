@@ -140,7 +140,7 @@ func TestProfileMatchesHookCount(t *testing.T) {
 			run:     func(rt replay.Runner) error { _, err := w.ExecuteWith(rt); return err },
 			profile: func() (Counts, error) { return Profile(w) },
 			prepare: func(record bool) (Counts, error) {
-				p, err := prepareWorkload(w, false, record)
+				p, err := prepareWorkload(w, record)
 				if err != nil {
 					return Counts{}, err
 				}
@@ -157,7 +157,7 @@ func TestProfileMatchesHookCount(t *testing.T) {
 			run:     func(rt replay.Runner) error { _, err := n.net.RunWith(rt, n.input, nil); return err },
 			profile: func() (Counts, error) { return ProfileCNN(n.net, n.input) },
 			prepare: func(record bool) (Counts, error) {
-				p, err := prepareCNN(n.net, n.input, false, record)
+				p, err := prepareCNN(n.net, n.input, record)
 				if err != nil {
 					return Counts{}, err
 				}
@@ -378,7 +378,7 @@ func TestInjectorAlwaysFires(t *testing.T) {
 			model:  ModelBitFlip,
 			rng:    stats.NewRNG(1),
 		}
-		if _, err := w.Execute(emuHooks(in)); err != nil {
+		if _, err := w.ExecuteWith(&replay.Plain{Hooks: emuHooks(in)}); err != nil {
 			t.Fatal(err)
 		}
 		if !in.fired {
@@ -436,7 +436,7 @@ func TestDoubleBitFlipChangesTwoBits(t *testing.T) {
 			model:  ModelDoubleBitFlip,
 			rng:    stats.NewRNG(uint64(trial)),
 		}
-		if _, err := w.Execute(emuHooks(in)); err != nil {
+		if _, err := w.ExecuteWith(&replay.Plain{Hooks: emuHooks(in)}); err != nil {
 			continue // some corruptions crash; irrelevant here
 		}
 		if !in.fired {
