@@ -22,12 +22,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"sync/atomic"
 	"syscall"
 
 	"gpufi"
+	"gpufi/cmd/internal/prof"
 	"gpufi/internal/campaign"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
@@ -56,7 +55,7 @@ func main() {
 	detailedPath = flag.String("detailed", "", "write the single-campaign detailed report (CSV) to this path")
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,38 +176,3 @@ func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int
 }
 
 var detailedPath *string
-
-// startProfiles starts a CPU profile and/or schedules a heap profile; the
-// returned stop function finalises both and must run before exit.
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialise the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}
-	}, nil
-}

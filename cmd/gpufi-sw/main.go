@@ -6,15 +6,11 @@
 //
 //	gpufi-sw [-app MxM|Lava|Quicksort|Hotspot|LUD|Gaussian|LeNet|Yolo]
 //	         [-model bitflip|bitflip2|syndrome|syndrome-emp] [-db syndromes.json]
-//	         [-n 1000] [-seed S] [-no-fast-forward]
+//	         [-n 1000] [-seed S]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Without -app, all six HPC applications run under the chosen model.
 // LeNet and Yolo take the CNN models instead: bitflip, syndrome or tile.
-// -no-fast-forward disables the golden-prefix checkpoint optimisation and
-// re-simulates every injection run from instruction zero. Results are
-// bit-identical either way; the flag exists for regression comparison and
-// for benchmarking the fast-forward layer itself.
 //
 // SIGINT cancels the campaign at the next injection boundary and prints
 // how many injections completed before the interrupt.
@@ -27,13 +23,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"gpufi"
+	"gpufi/cmd/internal/prof"
 	"gpufi/internal/campaign"
 	"gpufi/internal/swfi"
 )
@@ -48,13 +43,12 @@ func main() {
 		dbPath     = flag.String("db", "", "syndrome database (required for syndrome/tile)")
 		n          = flag.Int("n", 1000, "injections per campaign")
 		seed       = flag.Uint64("seed", 7, "campaign seed")
-		noFF       = flag.Bool("no-fast-forward", false, "replay every injection run in full instead of restoring golden-prefix checkpoints")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +67,7 @@ func main() {
 
 	switch *appName {
 	case "LeNet", "Yolo":
-		runCNN(ctx, *appName, *model, db, *n, *seed, *noFF)
+		runCNN(ctx, *appName, *model, db, *n, *seed)
 		return
 	}
 
@@ -100,8 +94,7 @@ func main() {
 		var done campaign.Meter
 		res, err := gpufi.RunCampaignCtx(ctx, gpufi.Campaign{
 			Workload: w, Model: fm, DB: db, Injections: *n, Seed: *seed,
-			NoFastForward: *noFF,
-			Progress:      done.Part(),
+			Progress: done.Part(),
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -122,49 +115,11 @@ func main() {
 // speedup and the interpreter throughput (emulated MIPS over interpreted
 // instructions; effective MIPS also credits the fast-forward-skipped ones).
 func logEngine(name string, c swfi.Counters, elapsed time.Duration) {
-	if c.SimInstrs == 0 && c.SkippedInstrs == 0 {
-		return // NoFastForward: the engine ran plainly, nothing to report
-	}
 	log.Printf("%s: engine replay speedup %.2fx (%d sim / %d skipped instrs), %.1f emu MIPS (%.1f effective)",
 		name, c.FFSpeedup(), c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
 }
 
-// startProfiles starts CPU profiling and arranges a heap profile, both
-// optional; the returned stop function must run before the process exits.
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialise the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}
-	}, nil
-}
-
-func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64, noFF bool) {
+func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed uint64) {
 	var (
 		net      *gpufi.Network
 		input    []float32
@@ -186,8 +141,7 @@ func runCNN(ctx context.Context, name, model string, db *gpufi.DB, n int, seed u
 	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
 		Net: net, Input: input, Model: cm, DB: db,
 		Injections: n, Seed: seed, Critical: critical,
-		NoFastForward: noFF,
-		Progress:      done.Part(),
+		Progress: done.Part(),
 	})
 	if err != nil {
 		if ctx.Err() != nil {

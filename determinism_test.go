@@ -147,23 +147,22 @@ func TestExecutionModesAgree(t *testing.T) {
 }
 
 // TestCampaignModeLatticeDeterministic is the campaign-level determinism
-// property over all 8 paper workloads: the default engine (checkpoint
-// fast-forward) yields byte-identical tallies and injection records
-// across worker counts and against the plain full-replay path. The
-// deprecated NoCollapse and NoPrune fields are inert: setting them changes
-// neither the results nor the engine counters.
+// property over all 8 paper workloads: the engine yields byte-identical
+// tallies, injection records and engine counters across worker counts.
+// The deprecated NoCollapse and NoPrune fields are inert: setting them
+// changes neither the results nor the counters. internal/swfi's
+// TestPaperWorkloadsMatchOracle holds the same campaigns to full replays.
 func TestCampaignModeLatticeDeterministic(t *testing.T) {
 	type arm struct {
-		name                      string
-		workers                   int
-		noPrune, noCollapse, noFF bool
+		name                string
+		workers             int
+		noPrune, noCollapse bool
 	}
 	arms := []arm{
-		{"default/w1", 1, false, false, false},
-		{"default/w4", 4, false, false, false},
-		{"no-collapse", 4, false, true, false}, // inert: must equal the default, counters included
-		{"no-prune", 4, true, false, false},    // likewise
-		{"full-replay", 4, false, false, true},
+		{"default/w1", 1, false, false},
+		{"default/w4", 4, false, false},
+		{"no-collapse", 4, false, true}, // inert: must equal the default, counters included
+		{"no-prune", 4, true, false},    // likewise
 	}
 	type outcome struct {
 		tally    faults.Tally
@@ -177,7 +176,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 			res, err := RunCampaign(Campaign{
 				Workload: w, Model: ModelBitFlip, Injections: n, Seed: 53,
 				Workers: a.workers, RecordInjections: true,
-				NoPrune: a.noPrune, NoCollapse: a.noCollapse, NoFastForward: a.noFF,
+				NoPrune: a.noPrune, NoCollapse: a.noCollapse,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +189,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 			res, err := RunCNNCampaign(CNNCampaign{
 				Net: net, Input: input, Model: swfi.CNNBitFlip,
 				Injections: n, Seed: 53, Workers: a.workers, Critical: critical,
-				NoPrune: a.noPrune, NoCollapse: a.noCollapse, NoFastForward: a.noFF,
+				NoPrune: a.noPrune, NoCollapse: a.noCollapse,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -232,7 +231,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 				}
 				// Engine accounting is schedule-deterministic: neither the
 				// worker count nor an inert field may move a counter.
-				if !a.noFF && got.counters != base.counters {
+				if got.counters != base.counters {
 					t.Errorf("%s: counters %+v, baseline %+v", a.name, got.counters, base.counters)
 				}
 			}

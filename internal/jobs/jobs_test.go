@@ -417,6 +417,74 @@ func TestTerminalStateDurableBeforeVisible(t *testing.T) {
 	}
 }
 
+// TestJournalKeepsCancelAfterSubmit: a job is listed before Submit has
+// written its first (queued) journal record, so a client can cancel it in
+// that window. The cancellation must be the record that stays: holding
+// Submit's write open while the job is cancelled, the file on disk and a
+// restarted service must both report the job cancelled, not queued to run.
+func TestJournalKeepsCancelAfterSubmit(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// The blocker's units wait for cancellation, so it holds the only
+	// worker and the job under test stays queued.
+	wrapUnits(s, func(u unit) runFunc {
+		return func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
+			<-ctx.Done()
+			return u.run(ctx, db, workers, progress)
+		}
+	})
+	const id = "j-000002"
+	held, release := make(chan struct{}), make(chan struct{})
+	hold := sync.OnceFunc(func() { close(held); <-release })
+	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
+		var ck checkpoint
+		if json.Unmarshal(data, &ck) == nil && ck.ID == id && ck.State == StateQueued {
+			hold()
+		}
+		return syndrome.WriteFileAtomic(path, data, perm)
+	}
+	if _, err := s.Submit(smallHPC()); err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan error, 1)
+	go func() { _, err := s.Submit(smallHPC()); submitted <- err }()
+	<-held
+	cancelled := make(chan error, 1)
+	go func() { _, err := s.Cancel(id); cancelled <- err }()
+	// Give the cancellation the time to reach the journal if it can get
+	// there before the held record.
+	select {
+	case err := <-cancelled:
+		cancelled <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-cancelled; err != nil {
+		t.Fatal(err)
+	}
+
+	blob, err := os.ReadFile(filepath.Join(dir, "job-000002.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpoint
+	if err := json.Unmarshal(blob, &ck); err != nil || ck.State != StateCancelled {
+		t.Fatalf("journal records state %q (err %v), want cancelled", ck.State, err)
+	}
+	s.Close()
+	s2 := newService(t, Config{Workers: 1, Dir: dir})
+	if st, ok := s2.Get(id); !ok || st.State != StateCancelled {
+		t.Fatalf("restarted service reports %s (found %v), want cancelled", st.State, ok)
+	}
+}
+
 // runToCompletion submits req on a fresh single-worker service and returns
 // the finished job's result bytes.
 func runToCompletion(t *testing.T, req Request) []byte {

@@ -129,6 +129,11 @@ type Job struct {
 	// terminal is closed once the job has shown a terminal state, so an
 	// event stream can send its last event without waiting for a poll.
 	terminal chan struct{}
+
+	// journalMu serialises the job's journal records, each from marshal to
+	// rename, so the last record written is always the newest. It is taken
+	// before mu and never while mu is held.
+	journalMu sync.Mutex
 }
 
 // charDB is a characterize job's accumulating syndrome database with each
@@ -699,9 +704,11 @@ func (s *Service) runJob(j *Job) {
 // terminal one, or back to queued at shutdown. The journal is written
 // first and the state published second — durable before visible — so a
 // client that has seen the new state can rely on a restarted service
-// agreeing with it. Callers make sure nothing else journals the job
-// meanwhile: runJob has stopped its ticker, and a queued job has none.
+// agreeing with it. Both happen under the journal lock, so no other record
+// of the job (Submit's first one, a checkpoint tick) can land after this
+// one still showing the old state.
 func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMessage) {
+	j.journalMu.Lock()
 	s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
 	j.mu.Lock()
 	// Two Cancels of a queued job can both get here; the first one through
@@ -712,6 +719,7 @@ func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMess
 		j.char = charDB{} // never journalled again; a done job's result holds the database
 	}
 	j.mu.Unlock()
+	j.journalMu.Unlock()
 	if wake {
 		close(j.terminal)
 	}
@@ -790,12 +798,16 @@ func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndr
 }
 
 // saveCheckpoint journals the job as it stands.
-func (s *Service) saveCheckpoint(j *Job) { s.journal(j, nil) }
+func (s *Service) saveCheckpoint(j *Job) {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
+	s.journal(j, nil)
+}
 
 // journal writes the job's checkpoint atomically (temp file + rename),
 // so a crash mid-write can never corrupt an existing one. amend, when
 // non-nil, edits the record before it is written: finish journals a
-// state the job does not show yet.
+// state the job does not show yet. The caller holds j.journalMu.
 func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 	if s.cfg.Dir == "" {
 		return

@@ -207,7 +207,7 @@ func (m *Machine) Run(prog *kasm.Program, grid, block int, global []uint32, shar
 // is non-nil, a Snapshot is captured at every cycle boundary that is a
 // multiple of every (including cycle 0, i.e. the post-launch state) and
 // handed to sink. The snapshots do not perturb execution; resuming any of
-// them with RunFrom replays the remaining cycles bit-identically.
+// them with RunFromPruned replays the remaining cycles bit-identically.
 func (m *Machine) RunCheckpointed(prog *kasm.Program, grid, block int, global []uint32, sharedWords int, maxCycles, every uint64, sink func(*Snapshot)) error {
 	if err := m.launch(prog, grid, block, global, sharedWords, maxCycles); err != nil {
 		return err
@@ -253,8 +253,8 @@ func (m *Machine) launch(prog *kasm.Program, grid, block int, global []uint32, s
 
 // runLoop resumes execution of the current block and any remaining
 // blocks until completion, DUE, or watchdog expiry. It assumes initBlock
-// has already run for curBlock (Run just did it; RunFrom restored a
-// mid-block state). When golden is non-nil, every checkpoint-aligned
+// has already run for curBlock (Run just did it; RunFromPruned restored
+// a mid-block state). When golden is non-nil, every checkpoint-aligned
 // cycle boundary after any injected fault has fired is compared against
 // golden(cycle): a bit-identical match proves the rest of the run
 // replays the golden tail, so the loop stops there with pruned set.

@@ -10,7 +10,7 @@ import (
 // modules, the behavioural memories (register file, predicates, SIMT
 // stacks, top-of-stack masks, global and shared memory), the launch
 // geometry and the cycle counter. Restoring a snapshot and resuming with
-// RunFrom is guaranteed to replay the exact cycle sequence the original
+// RunFromPruned is guaranteed to replay the exact cycle sequence the original
 // run would have executed from that point — the property the campaign
 // fast-forward optimisation in internal/rtlfi relies on for bit-identical
 // results.
@@ -93,7 +93,7 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // Restore overwrites the machine's state with a snapshot's. Any fault
 // scheduled with Inject stays pending, so the usual sequence is
-// Inject followed by RunFrom. Global and shared memory are copied into
+// Inject followed by RunFromPruned. Global and shared memory are copied into
 // machine-owned slices: restoring never aliases the snapshot, and the
 // snapshot stays valid for further restores.
 func (m *Machine) Restore(s *Snapshot) {
@@ -139,22 +139,18 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.machineDone = false
 }
 
-// RunFrom restores a snapshot and resumes execution until completion,
-// DUE, or the cycle budget expires. maxCycles is the same absolute budget
-// Run takes (the cycle counter resumes from Snapshot.Cycle(), it is not
-// reset). A fault scheduled with Inject fires when the resumed run
-// reaches its cycle; faults scheduled before the snapshot's cycle never
-// fire — callers must pick a snapshot at or before the injection cycle.
-func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) error {
-	m.Restore(s)
-	m.maxCycles = maxCycles
-	return m.runLoop(0, nil, nil)
-}
-
-// RunFromPruned is RunFrom with golden-reconvergence pruning: at every
-// cycle boundary that is a multiple of every, once any injected fault
-// has fired, golden(cycle) may supply the fault-free run's snapshot for
-// that exact cycle. If the machine's state is bit-identical to it, the
+// RunFromPruned restores a snapshot and resumes execution until
+// completion, DUE, or the cycle budget expires. maxCycles is the same
+// absolute budget Run takes (the cycle counter resumes from
+// Snapshot.Cycle(), it is not reset). A fault scheduled with Inject fires
+// when the resumed run reaches its cycle; faults scheduled before the
+// snapshot's cycle never fire — callers must pick a snapshot at or before
+// the injection cycle.
+//
+// The resumed run is pruned at golden reconvergence: at every cycle
+// boundary that is a multiple of every, once any injected fault has
+// fired, golden(cycle) may supply the fault-free run's snapshot for that
+// exact cycle. If the machine's state is bit-identical to it, the
 // remaining cycles are guaranteed to replay the golden tail — the run
 // stops there and RunFromPruned reports pruned=true, leaving mid-run
 // state in the machine. Callers then take the golden run's outputs,
@@ -225,7 +221,7 @@ func memEqual(a, b []uint32) bool {
 	return true
 }
 
-// Global exposes the machine's global-memory image, which RunFrom
+// Global exposes the machine's global-memory image, which RunFromPruned
 // restores from the snapshot and the resumed run mutates in place.
 // Campaign classifiers compare it against the golden image.
 func (m *Machine) Global() []uint32 { return m.global }

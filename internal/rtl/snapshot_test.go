@@ -76,6 +76,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// RunFrom restores a snapshot and resumes execution without pruning:
+// RunFromPruned's plain counterpart, the reference the tests resume
+// golden checkpoints with.
+func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) error {
+	m.Restore(s)
+	m.maxCycles = maxCycles
+	return m.runLoop(0, nil, nil)
+}
+
 // TestRunFromFaultFree: resuming any golden checkpoint without a fault
 // must finish with the same cycle count and memory image as the
 // uninterrupted run.

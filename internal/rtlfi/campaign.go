@@ -34,25 +34,19 @@ type Spec struct {
 	Seed      uint64
 	Workers   int // 0 = GOMAXPROCS
 
-	// NoFastForward disables the golden-prefix checkpoint optimisation and
-	// re-simulates every faulty run from cycle 0. Results are bit-identical
-	// either way; the flag exists for regression tests and benchmarks of
-	// the fast-forward path itself.
-	NoFastForward bool
-
 	// NoPrune disables dead-site pruning: the golden-run liveness
 	// pre-classification that proves a fault Masked when its flip-flop
 	// field is overwritten before any read after the injection cycle.
 	// Results are bit-identical either way (pruning is conservative); the
-	// flag mirrors NoFastForward for regression tests and benchmarks.
+	// flag exists for regression tests and benchmarks.
 	NoPrune bool
 
 	// NoBitParallel disables bit-parallel fault simulation: the march
 	// engine that simulates up to 63 faulty variants of one input draw as
 	// divergence deltas against a single golden replay, materialising a
 	// variant onto its own machine only while it actually diverges.
-	// Results are bit-identical either way; the flag mirrors
-	// NoPrune/NoFastForward for regression tests and benchmarks.
+	// Results are bit-identical either way; the flag mirrors NoPrune for
+	// regression tests and benchmarks.
 	NoBitParallel bool
 
 	// Progress, when non-nil, reports campaign progress as (completed
@@ -136,7 +130,7 @@ func (spec Spec) plan() (*plan, error) {
 	}
 	return newPlan(
 		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
-			spec.NoFastForward, spec.NoPrune, spec.NoBitParallel),
+			spec.NoPrune, spec.NoBitParallel),
 		family{prog: prog, block: MicroThreads, goldenBudget: 1_000_000,
 			input: func(rng *stats.RNG) []uint32 { return MicroInputs(spec.Op, spec.Range, rng) }})
 }

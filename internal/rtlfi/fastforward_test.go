@@ -3,7 +3,6 @@ package rtlfi
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,75 +12,25 @@ import (
 	"gpufi/internal/rtl"
 )
 
-// assertMicroEqual compares everything in two campaign results that the
-// fast-forward optimisation promises to preserve bit-identically. Spec
-// (which carries the NoFastForward flag) and the SimCycles/SkippedCycles
-// meta-counters are the only fields allowed to differ.
-func assertMicroEqual(t *testing.T, ff, full *Result) {
-	t.Helper()
-	if ff.Tally != full.Tally {
-		t.Fatalf("tally: fast-forward %+v, full replay %+v", ff.Tally, full.Tally)
-	}
-	if !reflect.DeepEqual(ff.Syndromes, full.Syndromes) {
-		t.Fatalf("syndromes differ (%d vs %d entries)", len(ff.Syndromes), len(full.Syndromes))
-	}
-	if !reflect.DeepEqual(ff.ThreadCounts, full.ThreadCounts) {
-		t.Fatal("thread counts differ")
-	}
-	if !reflect.DeepEqual(ff.BitsWrong, full.BitsWrong) {
-		t.Fatal("bits-wrong pools differ")
-	}
-	if !reflect.DeepEqual(ff.Details, full.Details) {
-		t.Fatal("detailed records differ")
-	}
-	if ff.GoldenCycles != full.GoldenCycles {
-		t.Fatalf("golden cycles: %d vs %d", ff.GoldenCycles, full.GoldenCycles)
-	}
-}
-
 // TestMicroFastForwardBitIdentical is the checkpoint optimisation's
-// anchor regression: checkpointed campaigns must be byte-identical to
-// full replay, per module family. NoPrune and NoBitParallel on both
-// sides isolate the fast-forward path; prune_test.go covers dead-site
-// pruning and the combined modes, vec_test.go the bit-parallel engine.
+// anchor regression: every engine mode, the plain fast-forward one
+// included, must equal the oracle's from-cycle-0 replays byte for byte, on
+// a pipeline spec whose faults never hang and a scheduler spec whose
+// faults wedge the machine.
 func TestMicroFastForwardBitIdentical(t *testing.T) {
 	specs := []Spec{
-		{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 400, Seed: 421, NoPrune: true, NoBitParallel: true},
-		{Op: isa.OpIMUL, Range: faults.RangeLarge, Module: faults.ModSched, NumFaults: 400, Seed: 422, NoPrune: true, NoBitParallel: true},
+		{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 400, Seed: 421},
+		{Op: isa.OpIMUL, Range: faults.RangeLarge, Module: faults.ModSched, NumFaults: 400, Seed: 422},
 	}
 	for _, spec := range specs {
-		ff, err := RunMicro(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.NoFastForward = true
-		full, err := RunMicro(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMicroEqual(t, ff, full)
-		if ff.SkippedCycles == 0 {
+		modes, nt := checkMicroModes(t, spec)
+		if ff := modes[len(modes)-1]; ff.SkippedCycles == 0 {
 			t.Errorf("%s/%s: fast-forward skipped no cycles", spec.Op, spec.Module)
 		}
-		// Full replay skips nothing of its own: only the stall tails the
-		// machine jumps in hung runs (scheduler faults wedge, these
-		// pipeline faults do not), and with them it costs exactly what
-		// stepping every cycle of every faulty run would.
-		p, err := spec.plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nt := naiveReplay(t, p)
-		if full.SkippedCycles != nt.jumped {
-			t.Errorf("%s/%s: full replay reported %d skipped cycles, hung runs' stall tails are %d",
-				spec.Op, spec.Module, full.SkippedCycles, nt.jumped)
-		}
+		// Only the stall tails of hung runs are jumped by the machine
+		// itself: scheduler faults wedge, these pipeline faults do not.
 		if (nt.jumped != 0) != (spec.Module == faults.ModSched) {
 			t.Errorf("%s/%s: %d stall-tail cycles", spec.Op, spec.Module, nt.jumped)
-		}
-		if ff.SimCycles+ff.SkippedCycles != nt.cycles || full.SimCycles+full.SkippedCycles != nt.cycles {
-			t.Errorf("%s/%s: cycle accounting: fast-forward %d simulated + %d skipped, full %d + %d, naive replay %d",
-				spec.Op, spec.Module, ff.SimCycles, ff.SkippedCycles, full.SimCycles, full.SkippedCycles, nt.cycles)
 		}
 	}
 }
@@ -89,33 +38,9 @@ func TestMicroFastForwardBitIdentical(t *testing.T) {
 // TestTMXMFastForwardBitIdentical mirrors the regression for the t-MxM
 // campaign path.
 func TestTMXMFastForwardBitIdentical(t *testing.T) {
-	spec := TMXMSpec{Module: faults.ModPipe, Kind: 2 /* Random */, NumFaults: 200, Seed: 77, NoPrune: true, NoBitParallel: true}
-	ff, err := RunTMXM(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.NoFastForward = true
-	full, err := RunTMXM(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Tally != full.Tally {
-		t.Fatalf("tally: fast-forward %+v, full replay %+v", ff.Tally, full.Tally)
-	}
-	if ff.Patterns != full.Patterns {
-		t.Fatalf("patterns: %v vs %v", ff.Patterns, full.Patterns)
-	}
-	if !reflect.DeepEqual(ff.PatternErrs, full.PatternErrs) {
-		t.Fatal("pattern error pools differ")
-	}
-	if ff.GoldenCycles != full.GoldenCycles {
-		t.Fatalf("golden cycles: %d vs %d", ff.GoldenCycles, full.GoldenCycles)
-	}
-	if ff.SkippedCycles == 0 {
+	modes, _ := checkTMXMModes(t, TMXMSpec{Module: faults.ModPipe, Kind: 2 /* Random */, NumFaults: 200, Seed: 77})
+	if ff := modes[len(modes)-1]; ff.SkippedCycles == 0 {
 		t.Error("fast-forward skipped no cycles")
-	}
-	if ff.SimCycles+ff.SkippedCycles != full.SimCycles {
-		t.Errorf("cycle accounting: %d + %d != %d", ff.SimCycles, ff.SkippedCycles, full.SimCycles)
 	}
 }
 

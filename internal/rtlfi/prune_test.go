@@ -47,41 +47,13 @@ func TestMicroPruneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMicroPruneMatchesFullReplay ties the engine's four modes together
-// on one spec: every shortcut lattice point — BitParallel (the default:
-// marching + pruning + fast-forward), Pruned (marching off), FastForward
-// (pruning off too) — must reproduce the plain from-cycle-0 replay byte
-// for byte, and account exactly its cycles: each mode's sim + skipped
-// equals the full replay's simulated total.
+// TestMicroPruneMatchesFullReplay ties the engine's modes together on an
+// INT spec: every lattice point — BitParallel (the default: marching +
+// pruning + fast-forward), Pruned (marching off), FastForward (pruning off
+// too) — must reproduce the oracle's plain from-cycle-0 replays byte for
+// byte and account exactly their cycles.
 func TestMicroPruneMatchesFullReplay(t *testing.T) {
-	spec := Spec{Op: isa.OpIADD, Range: faults.RangeMedium, Module: faults.ModINT, NumFaults: 300, Seed: 440}
-	modes := []struct {
-		name string
-		mut  func(*Spec)
-	}{
-		{"BitParallel", func(s *Spec) {}},
-		{"Pruned", func(s *Spec) { s.NoBitParallel = true }},
-		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoPrune = true, true }},
-	}
-	fullSpec := spec
-	fullSpec.NoBitParallel, fullSpec.NoPrune, fullSpec.NoFastForward = true, true, true
-	full, err := RunMicro(fullSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range modes {
-		s := spec
-		m.mut(&s)
-		res, err := RunMicro(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMicroEqual(t, res, full)
-		if res.SimCycles+res.SkippedCycles != full.SimCycles {
-			t.Errorf("%s: cycle accounting: %d + %d != %d full-replay cycles",
-				m.name, res.SimCycles, res.SkippedCycles, full.SimCycles)
-		}
-	}
+	checkMicroModes(t, Spec{Op: isa.OpIADD, Range: faults.RangeMedium, Module: faults.ModINT, NumFaults: 300, Seed: 440})
 }
 
 // TestTMXMPruneBitIdentical mirrors the regression for the t-MxM path.

@@ -22,10 +22,6 @@ type TMXMSpec struct {
 	Seed      uint64
 	Workers   int
 
-	// NoFastForward disables the golden-prefix checkpoint optimisation;
-	// see Spec.NoFastForward.
-	NoFastForward bool
-
 	// NoPrune disables dead-site pruning; see Spec.NoPrune.
 	NoPrune bool
 
@@ -79,7 +75,7 @@ func (spec TMXMSpec) plan() (*plan, error) {
 	}
 	return newPlan(
 		newEngine(spec.Module, spec.NumFaults, spec.Seed, spec.Workers, spec.Progress,
-			spec.NoFastForward, spec.NoPrune, spec.NoBitParallel),
+			spec.NoPrune, spec.NoBitParallel),
 		family{prog: prog, block: mxm.BlockThreads, sharedWords: mxm.SharedWords, goldenBudget: 5_000_000,
 			input: func(rng *stats.RNG) []uint32 {
 				a, b := mxm.TileInputs(spec.Kind, rng.Uint64())
@@ -99,48 +95,64 @@ func RunTMXMCtx(ctx context.Context, spec TMXMSpec) (*TMXMResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	goldenC := make([][]float32, len(p.draws))
-	for i, d := range p.draws {
-		goldenC[i] = mxm.ExtractC(d.golden, mxm.Tile)
-	}
-
-	// tmxmOut is one fault's classified effect; the zero value is a Masked
-	// fault that corrupted nothing.
-	type tmxmOut struct {
-		outcome   faults.Outcome
-		corrupted int
-		pattern   faults.Pattern
-		errs      []float64 // finite relative errors of the corrupted elements
-	}
+	goldenC := goldenTiles(p)
 	outs, counters, err := run(ctx, p, func(_ *rtl.Machine, j faultJob, g []uint32, err error) tmxmOut {
-		if err != nil {
-			return tmxmOut{outcome: faults.DUE}
-		}
-		corr := mxm.Compare(goldenC[j.draw], mxm.ExtractC(g, mxm.Tile), mxm.Tile)
-		if corr.Count == 0 {
-			return tmxmOut{}
-		}
-		finite := make([]float64, 0, len(corr.RelErrs))
-		for _, e := range corr.RelErrs {
-			if !math.IsInf(e, 0) && !math.IsNaN(e) {
-				finite = append(finite, e)
-			}
-		}
-		return tmxmOut{outcome: faults.SDC, corrupted: corr.Count, pattern: corr.Classify(), errs: finite}
+		return classifyTMXM(goldenC[j.draw], g, err)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Folding in job order keeps each pattern's error pool independent of
-	// the worker count.
 	out := &TMXMResult{Spec: spec, PatternErrs: make(map[faults.Pattern][]float64),
 		GoldenCycles: p.draws[0].goldenCycles, Counters: counters}
 	for _, o := range outs {
-		out.Tally.Add(o.outcome, o.corrupted)
-		if o.outcome == faults.SDC {
-			out.Patterns[o.pattern]++
-			out.PatternErrs[o.pattern] = append(out.PatternErrs[o.pattern], o.errs...)
-		}
+		out.add(o)
 	}
 	return out, nil
+}
+
+// tmxmOut is one fault's classified effect; the zero value is a Masked
+// fault that corrupted nothing.
+type tmxmOut struct {
+	outcome   faults.Outcome
+	corrupted int
+	pattern   faults.Pattern
+	errs      []float64 // finite relative errors of the corrupted elements
+}
+
+// goldenTiles extracts every input draw's golden output tile.
+func goldenTiles(p *plan) [][]float32 {
+	goldenC := make([][]float32, len(p.draws))
+	for i, d := range p.draws {
+		goldenC[i] = mxm.ExtractC(d.golden, mxm.Tile)
+	}
+	return goldenC
+}
+
+// classifyTMXM compares a faulty run's output tile against the golden one.
+func classifyTMXM(goldenC []float32, g []uint32, err error) tmxmOut {
+	if err != nil {
+		return tmxmOut{outcome: faults.DUE}
+	}
+	corr := mxm.Compare(goldenC, mxm.ExtractC(g, mxm.Tile), mxm.Tile)
+	if corr.Count == 0 {
+		return tmxmOut{}
+	}
+	finite := make([]float64, 0, len(corr.RelErrs))
+	for _, e := range corr.RelErrs {
+		if !math.IsInf(e, 0) && !math.IsNaN(e) {
+			finite = append(finite, e)
+		}
+	}
+	return tmxmOut{outcome: faults.SDC, corrupted: corr.Count, pattern: corr.Classify(), errs: finite}
+}
+
+// add folds one fault's classified effect into the campaign result.
+// Folding in job order keeps each pattern's error pool independent of the
+// worker count.
+func (r *TMXMResult) add(o tmxmOut) {
+	r.Tally.Add(o.outcome, o.corrupted)
+	if o.outcome == faults.SDC {
+		r.Patterns[o.pattern]++
+		r.PatternErrs[o.pattern] = append(r.PatternErrs[o.pattern], o.errs...)
+	}
 }

@@ -107,36 +107,13 @@ func TestTMXMBitParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMicroModeLattice runs one spec through all four engine modes —
-// BitParallel (default), Pruned, FastForward, FullReplay — and demands
-// byte-identical campaign results from every rung.
+// TestMicroModeLattice runs one spec through all three engine modes —
+// BitParallel (default), Pruned, FastForward — and demands campaign
+// results byte-identical to the oracle's from every rung.
 func TestMicroModeLattice(t *testing.T) {
 	// Dense enough that the BitParallel rung actually marches (near-full
 	// lane chunks); every rung below it strips one engine layer.
-	base := Spec{Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 12_000, Seed: 481}
-	modes := []struct {
-		name string
-		mod  func(*Spec)
-	}{
-		{"BitParallel", func(*Spec) {}},
-		{"Pruned", func(s *Spec) { s.NoBitParallel = true }},
-		{"FastForward", func(s *Spec) { s.NoBitParallel, s.NoPrune = true, true }},
-		{"FullReplay", func(s *Spec) { s.NoBitParallel, s.NoPrune, s.NoFastForward = true, true, true }},
-	}
-	var ref *Result
-	for _, m := range modes {
-		spec := base
-		m.mod(&spec)
-		res, err := RunMicro(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		t.Run(m.name, func(t *testing.T) { assertMicroEqual(t, ref, res) })
-	}
+	checkMicroModes(t, Spec{Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 12_000, Seed: 481})
 }
 
 // TestBitParallelCrossValidation is the standing ground-truth guard for

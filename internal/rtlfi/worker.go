@@ -16,10 +16,10 @@ import (
 
 // This file is the campaign engine shared by the micro-benchmark and
 // t-MxM families: prepare the input draws, schedule the deterministic
-// fault list, and run it on the campaign kernel with the accelerator
-// layers — dead-site pruning, bit-parallel marching, checkpoint
-// fast-forward — as optional stages of the per-fault loop. The families
-// differ only in how they draw inputs and classify a finished faulty run.
+// fault list, and run it on the campaign kernel: every fault fast-forwards
+// from a golden checkpoint, and dead-site pruning and bit-parallel marching
+// are optional stages of the per-fault loop. The families differ only in
+// how they draw inputs and classify a finished faulty run.
 
 // inputDraw describes one prepared input draw.
 type inputDraw struct {
@@ -32,8 +32,8 @@ type inputDraw struct {
 
 // prepare runs one draw's golden prefix on a fresh machine: the golden
 // run itself (tracing liveness when the engine prunes) and the
-// checkpoint-recording replay (when it fast-forwards). d.global must
-// already be populated; everything else is derived here.
+// checkpoint-recording replay. d.global must already be populated;
+// everything else is derived here.
 func (p *plan) prepare(d *inputDraw) error {
 	m := rtl.New()
 	if p.prune {
@@ -49,14 +49,9 @@ func (p *plan) prepare(d *inputDraw) error {
 	m.TraceLiveness(nil)
 	d.golden = golden
 	d.goldenCycles = m.Cycles()
-	if p.fastForward {
-		cs, err := recordCheckpoints(m, p.prog, p.block, d.global, p.sharedWords, d.goldenCycles)
-		if err != nil {
-			return err
-		}
-		d.ckpts = cs
-	}
-	return nil
+	cs, err := recordCheckpoints(m, p.prog, p.block, d.global, p.sharedWords, d.goldenCycles)
+	d.ckpts = cs
+	return err
 }
 
 // budget is the hang-detection cycle budget of the draw's faulty runs.
@@ -109,27 +104,22 @@ type simRun struct {
 	sim, skipped uint64
 }
 
-// runFault simulates one live fault on the worker's machine: checkpoint
-// fast-forward when a snapshot at or before the injection cycle exists,
-// golden-reconvergence pruning for the tail, full replay otherwise.
+// runFault simulates one live fault on the worker's machine: it
+// fast-forwards to the latest checkpoint at or before the injection cycle
+// (there is always one, at cycle 0) and prunes the tail at golden
+// reconvergence.
 func (p *plan) runFault(machine *rtl.Machine, d *inputDraw, f rtl.Fault) simRun {
 	machine.Inject(f)
-	if snap := d.ckpts.before(f.Cycle); snap != nil {
-		pruned, err := machine.RunFromPruned(snap, d.budget(), d.ckpts.every, d.ckpts.at)
-		jumped := machine.SkippedCycles()
-		sim := machine.Cycles() - snap.Cycle() - jumped
-		if pruned {
-			// Reconverged with the golden state: the tail provably
-			// replays the golden run, so the golden image is the run's
-			// (bit-exact) result.
-			return simRun{g: d.golden, sim: sim, skipped: snap.Cycle() + d.goldenCycles - machine.Cycles()}
-		}
-		return simRun{g: machine.Global(), err: err, sim: sim, skipped: snap.Cycle() + jumped}
-	}
-	g := append([]uint32(nil), d.global...)
-	err := machine.Run(p.prog, 1, p.block, g, p.sharedWords, d.budget())
+	snap := d.ckpts.before(f.Cycle)
+	pruned, err := machine.RunFromPruned(snap, d.budget(), d.ckpts.every, d.ckpts.at)
 	jumped := machine.SkippedCycles()
-	return simRun{g: g, err: err, sim: machine.Cycles() - jumped, skipped: jumped}
+	sim := machine.Cycles() - snap.Cycle() - jumped
+	if pruned {
+		// Reconverged with the golden state: the tail provably replays the
+		// golden run, so the golden image is the run's (bit-exact) result.
+		return simRun{g: d.golden, sim: sim, skipped: snap.Cycle() + d.goldenCycles - machine.Cycles()}
+	}
+	return simRun{g: machine.Global(), err: err, sim: sim, skipped: snap.Cycle() + jumped}
 }
 
 // engine is the family-independent part of a campaign spec.
@@ -140,14 +130,14 @@ type engine struct {
 	workers   int
 	progress  func(done, total int)
 
-	fastForward, prune, march bool
+	prune, march bool
 }
 
 func newEngine(mod faults.Module, numFaults int, seed uint64, workers int, progress func(done, total int),
-	noFastForward, noPrune, noBitParallel bool) engine {
+	noPrune, noBitParallel bool) engine {
 	return engine{
 		module: mod, numFaults: numFaults, seed: seed, workers: workers, progress: progress,
-		fastForward: !noFastForward, prune: !noPrune, march: !noBitParallel,
+		prune: !noPrune, march: !noBitParallel,
 	}
 }
 
@@ -302,8 +292,8 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 
 // run drives the campaign kernel over the plan's fault list. Each job
 // passes through the engine's optional stages in order — dead-site prune
-// check, bit-parallel march result, checkpoint fast-forward — and only
-// then costs a scalar simulation; classify turns the finished run into
+// check, bit-parallel march result — and only then costs a scalar
+// fast-forwarded simulation; classify turns the finished run into
 // the family's per-fault output. The outputs come back in job order
 // beside the merged engine accounting. A dead-pruned
 // fault is never classified: its slot keeps T's zero value, which both

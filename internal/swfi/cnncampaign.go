@@ -67,12 +67,6 @@ type CNNCampaign struct {
 	// misdetection) by comparing golden and faulty outputs.
 	Critical func(golden, faulty []float32) bool
 
-	// NoFastForward disables the golden-prefix checkpoint optimisation and
-	// re-executes every injection run from the first layer with hooks
-	// armed throughout. Results are bit-identical either way; see
-	// Campaign.NoFastForward.
-	NoFastForward bool
-
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(c)).
 	NoPrune bool
 
@@ -84,8 +78,7 @@ type CNNCampaign struct {
 
 	// Prepared, when non-nil, supplies a ready-made golden run, profile
 	// and checkpoint trace for Net/Input (from PrepareCNN), letting the
-	// three fault models share one preparation. Ignored when
-	// NoFastForward is set.
+	// three fault models share one preparation.
 	Prepared *CNNPrepared
 
 	// Progress, when non-nil, is called after every completed injection
@@ -134,16 +127,27 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 	if (c.Model == CNNSyndrome || c.Model == CNNTile) && c.DB == nil {
 		return nil, ErrNoDB
 	}
+	out, err := c.subject().run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &CNNResult{
+		Model: c.Model, Tally: out.tally, CriticalSDC: out.critical, Profile: out.prep.profile,
+		Counters: out.Counters, Elapsed: time.Since(start),
+	}, nil
+}
+
+// subject describes the campaign to the runner.
+func (c CNNCampaign) subject() *subject[[]float32] {
 	s := &subject[[]float32]{
 		name: c.Net.Name, model: ModelBitFlip, db: c.DB,
 		injections: c.Injections, seed: c.Seed, salt: 0xD1B54A32D192ED03, workers: c.Workers,
-		progress:      c.Progress,
-		noFastForward: c.NoFastForward,
-		shared:        c.Prepared,
-		prepare:       func(record bool) (*CNNPrepared, error) { return prepareCNN(c.Net, c.Input, record) },
-		exec:          func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },
-		equal:         floatsEqual,
-		critical:      c.Critical,
+		progress: c.Progress,
+		shared:   c.Prepared,
+		prepare:  func() (*CNNPrepared, error) { return PrepareCNN(c.Net, c.Input) },
+		exec:     func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, nil) },
+		equal:    floatsEqual,
+		critical: c.Critical,
 	}
 	switch c.Model {
 	case CNNSyndrome:
@@ -157,14 +161,7 @@ func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 			return inj.Layer, func(rt replay.Runner) ([]float32, error) { return c.Net.RunWith(rt, c.Input, inj) }, true
 		}
 	}
-	out, err := s.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &CNNResult{
-		Model: c.Model, Tally: out.tally, CriticalSDC: out.critical, Profile: out.prep.profile,
-		Counters: out.Counters, Elapsed: time.Since(start),
-	}, nil
+	return s
 }
 
 func floatsEqual(a, b []float32) bool {

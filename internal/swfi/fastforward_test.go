@@ -10,50 +10,28 @@ import (
 )
 
 // assertCampaignEqual compares everything in two HPC campaign results that
-// the fast-forward optimisation promises to preserve bit-identically. The
-// Campaign field (which carries the NoFastForward flag) and the
-// SimInstrs/SkippedInstrs meta-counters are the only fields allowed to
-// differ.
-func assertCampaignEqual(t *testing.T, ff, full *Result) {
+// must not depend on how the engine was driven. The Campaign field and the
+// engine counters are the only fields allowed to differ.
+func assertCampaignEqual(t *testing.T, got, want *Result) {
 	t.Helper()
-	if ff.Tally != full.Tally {
-		t.Fatalf("tally: fast-forward %+v, full replay %+v", ff.Tally, full.Tally)
+	if got.Tally != want.Tally {
+		t.Fatalf("tally: %+v, want %+v", got.Tally, want.Tally)
 	}
-	if ff.Profile != full.Profile {
+	if got.Profile != want.Profile {
 		t.Fatal("opcode profiles differ")
 	}
-	if ff.Injectable != full.Injectable {
-		t.Fatalf("injectable totals: %d vs %d", ff.Injectable, full.Injectable)
+	if got.Injectable != want.Injectable {
+		t.Fatalf("injectable totals: %d vs %d", got.Injectable, want.Injectable)
 	}
-	if !reflect.DeepEqual(ff.Records, full.Records) {
+	if !reflect.DeepEqual(got.Records, want.Records) {
 		t.Fatal("injection records differ")
-	}
-	if ff.PVF() != full.PVF() {
-		t.Fatalf("PVF: %v vs %v", ff.PVF(), full.PVF())
-	}
-	ffLo, ffHi := ff.PVFCI()
-	fuLo, fuHi := full.PVFCI()
-	if ffLo != fuLo || ffHi != fuHi {
-		t.Fatalf("PVF CI: [%v,%v] vs [%v,%v]", ffLo, ffHi, fuLo, fuHi)
-	}
-}
-
-// assertTelemetry checks the fast-forward accounting: the optimised run
-// must actually skip work, and the full-replay run must report none.
-func assertTelemetry(t *testing.T, name string, ffSim, ffSkipped, fullSim, fullSkipped uint64) {
-	t.Helper()
-	if ffSkipped == 0 {
-		t.Errorf("%s: fast-forward skipped no instructions", name)
-	}
-	if fullSim != 0 || fullSkipped != 0 {
-		t.Errorf("%s: full replay reported sim=%d skipped=%d, want 0/0", name, fullSim, fullSkipped)
 	}
 }
 
 // TestHPCFastForwardBitIdentical is the software-campaign checkpoint
 // optimisation's anchor regression: fast-forwarded campaigns must be
-// byte-identical to full replay — tallies, per-injection records, PVF and
-// its confidence interval.
+// byte-identical to the oracle's full replays — tallies, per-injection
+// records, profile — and account every instruction those replays execute.
 func TestHPCFastForwardBitIdentical(t *testing.T) {
 	campaigns := []Campaign{
 		{Workload: apps.NewMxM(16), Model: ModelBitFlip,
@@ -66,17 +44,7 @@ func TestHPCFastForwardBitIdentical(t *testing.T) {
 			Injections: 40, Seed: 314, Workers: 2, RecordInjections: true},
 	}
 	for _, c := range campaigns {
-		ff, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.NoFastForward = true
-		full, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertCampaignEqual(t, ff, full)
-		assertTelemetry(t, c.Workload.Name, ff.SimInstrs, ff.SkippedInstrs, full.SimInstrs, full.SkippedInstrs)
+		checkHPC(t, c)
 	}
 }
 
@@ -84,22 +52,10 @@ func TestHPCFastForwardBitIdentical(t *testing.T) {
 // injector additionally reads source operands out of replayed events for
 // magnitude-range selection.
 func TestHPCSyndromeFastForwardBitIdentical(t *testing.T) {
-	db := testDB(t)
-	c := Campaign{
-		Workload: apps.NewHotspot(16, 4), Model: ModelSyndrome, DB: db,
+	checkHPC(t, Campaign{
+		Workload: apps.NewHotspot(16, 4), Model: ModelSyndrome, DB: testDB(t),
 		Injections: 60, Seed: 313, Workers: 2, RecordInjections: true,
-	}
-	ff, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.NoFastForward = true
-	full, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCampaignEqual(t, ff, full)
-	assertTelemetry(t, "hotspot/syndrome", ff.SimInstrs, ff.SkippedInstrs, full.SimInstrs, full.SkippedInstrs)
+	})
 }
 
 // TestPreparedSharingBitIdentical: several campaigns sharing one
@@ -130,54 +86,14 @@ func TestPreparedSharingBitIdentical(t *testing.T) {
 func TestCNNFastForwardBitIdentical(t *testing.T) {
 	net := cnn.NewLeNetLite()
 	input := cnn.LeNetInput(0)
-
-	flip := CNNCampaign{
+	checkCNN(t, CNNCampaign{
 		Net: net, Input: input, Model: CNNBitFlip,
 		Injections: 80, Seed: 411, Workers: 3, Critical: LeNetCritical,
-	}
-	ff, err := RunCNN(flip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flip.NoFastForward = true
-	full, err := RunCNN(flip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Tally != full.Tally {
-		t.Fatalf("bit-flip tally: fast-forward %+v, full replay %+v", ff.Tally, full.Tally)
-	}
-	if ff.CriticalSDC != full.CriticalSDC {
-		t.Fatalf("critical SDCs: %d vs %d", ff.CriticalSDC, full.CriticalSDC)
-	}
-	if ff.Profile != full.Profile {
-		t.Fatal("profiles differ")
-	}
-	if ff.PVF() != full.PVF() || ff.CriticalShare() != full.CriticalShare() {
-		t.Fatal("derived metrics differ")
-	}
-	assertTelemetry(t, "lenet/bitflip", ff.SimInstrs, ff.SkippedInstrs, full.SimInstrs, full.SkippedInstrs)
-
-	tile := CNNCampaign{
+	})
+	checkCNN(t, CNNCampaign{
 		Net: net, Input: input, Model: CNNTile, DB: testDB(t),
 		Injections: 60, Seed: 412, Workers: 2, Critical: LeNetCritical,
-	}
-	tff, err := RunCNN(tile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tile.NoFastForward = true
-	tfull, err := RunCNN(tile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tff.Tally != tfull.Tally {
-		t.Fatalf("tile tally: fast-forward %+v, full replay %+v", tff.Tally, tfull.Tally)
-	}
-	if tff.CriticalSDC != tfull.CriticalSDC {
-		t.Fatalf("tile critical SDCs: %d vs %d", tff.CriticalSDC, tfull.CriticalSDC)
-	}
-	assertTelemetry(t, "lenet/tile", tff.SimInstrs, tff.SkippedInstrs, tfull.SimInstrs, tfull.SkippedInstrs)
+	})
 }
 
 // TestCancelAfterCompletionKeepsResult: cancellation landing between the

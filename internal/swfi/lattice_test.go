@@ -8,64 +8,17 @@ import (
 	"gpufi/internal/cnn"
 )
 
-// swLatticeModes is the software engine's mode lattice: the default
-// checkpoint fast-forward with block replay against the naive engine that
-// replays every injection in full with hooks armed throughout.
-var swLatticeModes = []struct {
-	name string
-	noFF bool
-}{
-	{"FastForward", false},
-	{"FullReplay", true},
-}
-
-// TestModeLatticeBitIdentical: both modes yield the same tally and
+// TestModeLatticeBitIdentical: the engine yields the oracle's tally and
 // per-injection records on a workload whose host only copies between
 // launches (Hotspot) and one whose host reads the arena to pick its next
 // launch (Quicksort). Every injection is simulated — the engine reports no
-// pruned fault in either mode.
+// pruned fault.
 func TestModeLatticeBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		w *apps.Workload
-		n int
-	}{
-		{apps.NewHotspot(16, 4), 120},
-		{apps.NewQuicksort(128), 120},
-	} {
-		t.Run(tc.w.Name, func(t *testing.T) {
-			var baseline *Result
-			for _, m := range swLatticeModes {
-				res, err := Run(Campaign{
-					Workload: tc.w, Model: ModelBitFlip,
-					Injections: tc.n, Seed: 29,
-					NoFastForward:    m.noFF,
-					RecordInjections: true,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", m.name, err)
-				}
-				if res.PrunedFaults != 0 {
-					t.Errorf("%s: engine reports %d pruned faults, want 0", m.name, res.PrunedFaults)
-				}
-				if baseline == nil {
-					baseline = res
-					if res.SimInstrs == 0 || res.SkippedInstrs == 0 {
-						t.Errorf("%s: sim=%d skipped=%d, want every injection simulated from a restored prefix",
-							m.name, res.SimInstrs, res.SkippedInstrs)
-					}
-					continue
-				}
-				if res.Tally != baseline.Tally {
-					t.Errorf("%s: tally %+v, baseline %+v", m.name, res.Tally, baseline.Tally)
-				}
-				for i := range res.Records {
-					if res.Records[i] != baseline.Records[i] {
-						t.Fatalf("%s: record %d = %+v, baseline %+v", m.name, i, res.Records[i], baseline.Records[i])
-					}
-				}
-				if m.noFF && res.SimInstrs != 0 {
-					t.Errorf("%s: full replay reported accelerator telemetry sim=%d", m.name, res.SimInstrs)
-				}
+	for _, w := range []*apps.Workload{apps.NewHotspot(16, 4), apps.NewQuicksort(128)} {
+		t.Run(w.Name, func(t *testing.T) {
+			res := checkHPC(t, Campaign{Workload: w, Model: ModelBitFlip, Injections: 120, Seed: 29, RecordInjections: true})
+			if res.PrunedFaults != 0 {
+				t.Errorf("engine reports %d pruned faults, want 0", res.PrunedFaults)
 			}
 		})
 	}
@@ -73,35 +26,16 @@ func TestModeLatticeBitIdentical(t *testing.T) {
 
 // TestModeLatticeSyndrome: the syndrome model's corruption draws — which
 // depend on the operand magnitude observed at fire time — are the same
-// under fast-forward as under full replay.
+// under fast-forward as in the oracle's full replays.
 func TestModeLatticeSyndrome(t *testing.T) {
-	db := testDB(t)
-	base := Campaign{
-		Workload: apps.NewHotspot(16, 4), Model: ModelSyndrome, DB: db,
+	checkHPC(t, Campaign{
+		Workload: apps.NewHotspot(16, 4), Model: ModelSyndrome, DB: testDB(t),
 		Injections: 150, Seed: 31, RecordInjections: true,
-	}
-	ff, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := base
-	full.NoFastForward = true
-	fullRes, err := Run(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Tally != fullRes.Tally {
-		t.Fatalf("tally diverged: fast-forward %+v, full %+v", ff.Tally, fullRes.Tally)
-	}
-	for i := range fullRes.Records {
-		if ff.Records[i] != fullRes.Records[i] {
-			t.Fatalf("record %d diverged: fast-forward %+v, full %+v", i, ff.Records[i], fullRes.Records[i])
-		}
-	}
+	})
 }
 
-// TestCNNModeLattice: the CNN instruction-model lattice is bit-identical
-// across both modes (tally, critical-SDC count).
+// TestCNNModeLattice: a CNN instruction-model campaign on a shared
+// preparation equals the oracle (tally, critical-SDC count).
 func TestCNNModeLattice(t *testing.T) {
 	net := cnn.NewLeNetLite()
 	input := cnn.LeNetInput(0)
@@ -109,31 +43,47 @@ func TestCNNModeLattice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseline *CNNResult
-	for _, m := range swLatticeModes {
-		c := CNNCampaign{
-			Net: net, Input: input, Model: CNNBitFlip,
-			Injections: 80, Seed: 37, Critical: LeNetCritical,
-			NoFastForward: m.noFF,
+	res := checkCNN(t, CNNCampaign{
+		Net: net, Input: input, Model: CNNBitFlip,
+		Injections: 80, Seed: 37, Critical: LeNetCritical, Prepared: prep,
+	})
+	if res.PrunedFaults != 0 {
+		t.Errorf("engine reports %d pruned faults, want 0", res.PrunedFaults)
+	}
+}
+
+// TestPaperWorkloadsMatchOracle holds the default engine to the oracle on
+// all 8 paper workloads, four workers each: tallies, injection records and
+// critical SDCs, and the instruction total.
+func TestPaperWorkloadsMatchOracle(t *testing.T) {
+	hpc := func(w *apps.Workload) func(t *testing.T) {
+		return func(t *testing.T) {
+			checkHPC(t, Campaign{Workload: w, Model: ModelBitFlip, Injections: 60, Seed: 53, Workers: 4, RecordInjections: true})
 		}
-		if !m.noFF {
-			c.Prepared = prep
+	}
+	cnnCase := func(net *cnn.Network, input []float32, critical func(a, b []float32) bool, n int) func(t *testing.T) {
+		return func(t *testing.T) {
+			checkCNN(t, CNNCampaign{Net: net, Input: input, Model: CNNBitFlip, Injections: n, Seed: 53, Workers: 4, Critical: critical})
 		}
-		res, err := RunCNN(c)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if res.PrunedFaults != 0 {
-			t.Errorf("%s: engine reports %d pruned faults, want 0", m.name, res.PrunedFaults)
-		}
-		if baseline == nil {
-			baseline = res
-			continue
-		}
-		if res.Tally != baseline.Tally || res.CriticalSDC != baseline.CriticalSDC {
-			t.Errorf("%s: tally %+v crit %d, baseline %+v crit %d",
-				m.name, res.Tally, res.CriticalSDC, baseline.Tally, baseline.CriticalSDC)
-		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"MxM", hpc(apps.NewMxM(16))},
+		{"LavaMD", hpc(apps.NewLava(2, 32))},
+		{"Quicksort", hpc(apps.NewQuicksort(128))},
+		{"Hotspot", hpc(apps.NewHotspot(16, 4))},
+		{"LUD", hpc(apps.NewLUD(16))},
+		{"Gaussian", hpc(apps.NewGaussian(16))},
+		{"LeNetLite", cnnCase(cnn.NewLeNetLite(), cnn.LeNetInput(0), LeNetCritical, 30)},
+		{"YoloLite", cnnCase(cnn.NewYoloLite(), cnn.YoloInput(0), YoloCritical, 12)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.run(t)
+		})
 	}
 }
 

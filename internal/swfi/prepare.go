@@ -19,14 +19,14 @@ import (
 const checkpointsPerCampaign = 24
 
 // prepared holds everything the injections of a subject's campaigns
-// share: the golden output (of type G), the instruction profile and — on
-// the fast-forward path — the checkpoint trace. It is read-only once
+// share: the golden output (of type G), the instruction profile and the
+// checkpoint trace. It is read-only once
 // built, so concurrent workers and several campaigns on the same subject
 // (e.g. bit-flip and syndrome models) reuse one preparation.
 type prepared[G any] struct {
 	golden  G
 	profile Counts
-	trace   *replay.Trace // nil when prepared without fast-forward
+	trace   *replay.Trace
 }
 
 // Prepared is the shared preparation of an HPC workload's campaigns; see
@@ -38,21 +38,17 @@ type Prepared = prepared[[]uint32]
 // campaigns (bit-flip, syndrome and tile models alike).
 type CNNPrepared = prepared[[]float32]
 
-// prepare runs a subject's golden execution and, with record set, its
-// fast-forward trace: ~checkpointsPerCampaign emulator snapshots plus the
-// per-block records, verified bit-identical (same) to the plain golden run
-// before it is trusted. The profile is the golden run's own per-opcode
-// count.
-func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool, record bool) (*prepared[G], error) {
+// prepare runs a subject's golden execution and records its fast-forward
+// trace: ~checkpointsPerCampaign emulator snapshots plus the per-block
+// records, verified bit-identical (same) to the plain golden run before it
+// is trusted. The profile is the golden run's own per-opcode count.
+func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a, b G) bool) (*prepared[G], error) {
 	plain := &replay.Plain{}
 	golden, err := run(plain)
 	if err != nil {
 		return nil, fmt.Errorf("swfi: golden run of %s failed: %w", name, err)
 	}
 	p := &prepared[G]{golden: golden, profile: plain.Res.PerOpcode}
-	if !record {
-		return p, nil
-	}
 	// Injectable as the countable predicate: the trace's countable
 	// coordinates then index exactly the dynamic instructions an injector
 	// counts and targets.
@@ -72,21 +68,13 @@ func prepare[G any](name string, run func(replay.Runner) (G, error), same func(a
 // fast-forward trace, so several campaigns on it can share one
 // preparation (Campaign.Prepared).
 func PrepareWorkload(w *apps.Workload) (*Prepared, error) {
-	return prepareWorkload(w, true)
-}
-
-func prepareWorkload(w *apps.Workload, record bool) (*Prepared, error) {
-	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32], record)
+	return prepare(w.Name, w.ExecuteWith, slices.Equal[[]uint32])
 }
 
 // PrepareCNN records a network/input pair's golden execution and
 // fast-forward trace, so the three fault models can share one preparation
 // (CNNCampaign.Prepared).
 func PrepareCNN(net *cnn.Network, input []float32) (*CNNPrepared, error) {
-	return prepareCNN(net, input, true)
-}
-
-func prepareCNN(net *cnn.Network, input []float32, record bool) (*CNNPrepared, error) {
 	run := func(rt replay.Runner) ([]float32, error) { return net.RunWith(rt, input, nil) }
-	return prepare(net.Name, run, floatsEqual, record)
+	return prepare(net.Name, run, floatsEqual)
 }

@@ -15,9 +15,9 @@ import (
 
 // This file is the campaign runner shared by the HPC and CNN campaigns:
 // pick the preparation and run the injections on the campaign kernel,
-// each one simulated — under a fast-forwarding player from the checkpoint
-// trace, or plainly. RunCtx and RunCNNCtx are adapters that describe their
-// subject and shape the result.
+// each one simulated under a fast-forwarding player from the checkpoint
+// trace. RunCtx and RunCNNCtx are adapters that describe their subject and
+// shape the result.
 
 // Counters is the software campaign engine's accounting over one or more
 // campaigns. Campaign results embed it, job journals carry it, and the
@@ -30,7 +30,8 @@ type Counters struct {
 	// SimInstrs counts the thread-instructions actually simulated across
 	// all injection runs; SkippedInstrs counts those the engine provably
 	// avoided (restored snapshot prefixes, and launches and blocks replayed
-	// from their recorded writes). Both are zero on the NoFastForward path.
+	// from their recorded writes). Their sum is every thread-instruction the
+	// injection runs execute.
 	SimInstrs     uint64 `json:"sim_instrs"`
 	SkippedInstrs uint64 `json:"skipped_instrs"`
 
@@ -50,7 +51,7 @@ func (c *Counters) Merge(o Counters) {
 
 // FFSpeedup is the effective replay speedup: all thread-instructions of
 // the injection runs over those actually simulated. 0 when nothing was
-// simulated (NoFastForward).
+// simulated.
 func (c Counters) FFSpeedup() float64 {
 	if c.SimInstrs == 0 {
 		return 0
@@ -60,8 +61,7 @@ func (c Counters) FFSpeedup() float64 {
 
 // EmuMIPS is the emulated-instruction throughput over a wall-clock span:
 // simulated thread-instructions per microsecond (i.e. millions of
-// instructions per second). Zero on the NoFastForward path, where
-// sim/skip accounting is off.
+// instructions per second).
 func (c Counters) EmuMIPS(elapsed time.Duration) float64 { return mips(c.SimInstrs, elapsed) }
 
 // EffectiveMIPS is the virtual throughput including the instructions the
@@ -98,10 +98,8 @@ type subject[G any] struct {
 	records    bool
 	progress   func(done, total int)
 
-	noFastForward bool
-
-	shared  *prepared[G]                            // caller's preparation, or nil
-	prepare func(record bool) (*prepared[G], error) // a fresh one, with or without trace
+	shared  *prepared[G]                 // caller's preparation, or nil
+	prepare func() (*prepared[G], error) // a fresh one
 
 	// exec runs the subject once on rt. equal and critical grade its
 	// output against the golden one (critical may be nil).
@@ -115,6 +113,27 @@ type subject[G any] struct {
 	// its write-set plus the run that applies it. ok false means nothing
 	// can be injected (no characterisation).
 	tile func(r *stats.RNG) (lastSkipped int, exec func(rt replay.Runner) (G, error), ok bool)
+}
+
+// rng is injection i's RNG stream.
+func (s *subject[G]) rng(i int) *stats.RNG { return stats.NewRNG(s.seed ^ s.salt*uint64(i+1)) }
+
+// injector draws injection r's target among the subject's injectable
+// thread-instructions and builds the injector that corrupts it.
+func (s *subject[G]) injector(r *stats.RNG, injectable uint64) *injector {
+	return &injector{target: r.Uint64() % injectable, model: s.model, db: s.db, focus: s.focus, rng: r}
+}
+
+// grade classifies one injection run's output against the golden one.
+func (s *subject[G]) grade(golden, out G, err error) (o faults.Outcome, critical bool) {
+	switch {
+	case err != nil:
+		return faults.DUE, false
+	case !s.equal(golden, out):
+		return faults.SDC, s.critical != nil && s.critical(golden, out)
+	default:
+		return faults.Masked, false
+	}
 }
 
 // summary is what run hands the adapters to shape into their result.
@@ -138,9 +157,9 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 	// is bit-identical to the golden run, so it is recorded once into
 	// checkpoints and write-sets and restored instead of re-simulated.
 	prep := s.shared
-	if s.noFastForward || prep == nil {
+	if prep == nil {
 		var err error
-		if prep, err = s.prepare(!s.noFastForward); err != nil {
+		if prep, err = s.prepare(); err != nil {
 			return nil, err
 		}
 	}
@@ -150,25 +169,11 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		return nil, fmt.Errorf("swfi: %s executes no injectable instructions", s.name)
 	}
 
-	grade := func(out G, err error) (faults.Outcome, bool) {
-		switch {
-		case err != nil:
-			return faults.DUE, false
-		case !s.equal(prep.golden, out):
-			return faults.SDC, s.critical != nil && s.critical(prep.golden, out)
-		default:
-			return faults.Masked, false
-		}
-	}
-	// play runs exec once — under a fast-forwarding player from the trace,
-	// or plainly with the hooks armed throughout — and accounts it.
-	play := func(c *Counters, hooks emu.Hooks, player func() *replay.Player, exec func(replay.Runner) (G, error)) injection {
-		if tr == nil {
-			o, crit := grade(exec(&replay.Plain{Hooks: hooks}))
-			return injection{outcome: o, critical: crit}
-		}
-		p := player()
-		o, crit := grade(exec(p))
+	// play runs exec once under a fast-forwarding player from the trace
+	// and accounts it.
+	play := func(c *Counters, p *replay.Player, exec func(replay.Runner) (G, error)) injection {
+		out, err := exec(p)
+		o, crit := s.grade(prep.golden, out, err)
 		c.SimInstrs += p.Live.DynThreadInstrs
 		c.SkippedInstrs += p.Skipped
 		return injection{outcome: o, critical: crit}
@@ -182,27 +187,23 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 			}
 			// The tile is applied by host code after launch last, so every
 			// launch up to and including it replays from its write-set.
-			return play(c, emu.Hooks{}, func() *replay.Player { return replay.NewPlayerSkipTo(tr, last, pool) }, exec)
+			return play(c, replay.NewPlayerSkipTo(tr, last, pool), exec)
 		}
-		in := &injector{target: r.Uint64() % injectable, model: s.model, db: s.db, focus: s.focus, rng: r}
-		hooks := emu.Hooks{Post: in.post}
-		out := play(c, hooks, func() *replay.Player {
-			return replay.NewPlayer(tr, in.target, hooks,
-				func(countDone uint64) { in.counter = countDone },
-				func() bool { return in.fired }, pool)
-		}, s.exec)
+		in := s.injector(r, injectable)
+		out := play(c, replay.NewPlayer(tr, in.target, emu.Hooks{Post: in.post},
+			func(countDone uint64) { in.counter = countDone },
+			func() bool { return in.fired }, pool), s.exec)
 		out.rec = InjectionRecord{Op: in.op, RelErr: in.relErr, OldBits: in.oldBits, NewBits: in.newBits, Outcome: out.outcome}
 		return out
 	}
 
-	// rng is injection i's stream; site re-draws what inject targets from it.
-	rng := func(i int) *stats.RNG { return stats.NewRNG(s.seed ^ s.salt*uint64(i+1)) }
+	// site re-draws what inject targets from injection i's stream.
 	site := func(i int) string {
 		if s.tile != nil {
-			last, _, _ := s.tile(rng(i))
+			last, _, _ := s.tile(s.rng(i))
 			return fmt.Sprintf("swfi: %s injection %d (tile after launch %d)", s.name, i, last)
 		}
-		return fmt.Sprintf("swfi: %s injection %d (target %d)", s.name, i, rng(i).Uint64()%injectable)
+		return fmt.Sprintf("swfi: %s injection %d (target %d)", s.name, i, s.rng(i).Uint64()%injectable)
 	}
 
 	workers := campaign.Workers(s.workers)
@@ -212,7 +213,7 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		// A worker runs its injections one after another, so one reusable
 		// arena serves them all.
 		pool := &replay.Pool{}
-		return func(i int) injection { return inject(c, pool, rng(i)) }
+		return func(i int) injection { return inject(c, pool, s.rng(i)) }
 	})
 	if err != nil {
 		return nil, campaign.NameJob(err, site)

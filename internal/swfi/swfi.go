@@ -164,8 +164,8 @@ type injector struct {
 
 func (in *injector) post(ev *emu.Event) {
 	if in.fired {
-		// Already fired — and a fresh exec (the launch's next block, or a
-		// NoFastForward re-run) re-arms hooks, so disarm again here.
+		// Already fired — and a fresh exec (the launch's next block or the
+		// next launch) re-arms hooks, so disarm again here.
 		ev.Disarm()
 		return
 	}
@@ -286,13 +286,6 @@ type Campaign struct {
 	// for auditing what was injected where.
 	RecordInjections bool
 
-	// NoFastForward disables the golden-prefix checkpoint optimisation and
-	// re-executes every injection run from dynamic instruction zero with
-	// hooks armed throughout. Results are bit-identical either way; the
-	// flag exists for regression tests and benchmarks of the fast-forward
-	// path itself.
-	NoFastForward bool
-
 	// Deprecated: ignored; kept until bench/ stops setting it (ROADMAP 1(a)/2(c)).
 	NoPrune bool
 
@@ -304,8 +297,7 @@ type Campaign struct {
 
 	// Prepared, when non-nil, supplies a ready-made golden run, profile
 	// and checkpoint trace for Workload (from PrepareWorkload), letting
-	// several campaigns on the same workload share one preparation. It is
-	// ignored when NoFastForward is set.
+	// several campaigns on the same workload share one preparation.
 	Prepared *Prepared
 
 	// Tolerance relaxes the SDC criterion: outputs are compared as
@@ -377,18 +369,7 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 	if c.Model.NeedsDB() && c.DB == nil {
 		return nil, ErrNoDB
 	}
-	w := c.Workload
-	s := &subject[[]uint32]{
-		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
-		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
-		records: c.RecordInjections, progress: c.Progress,
-		noFastForward: c.NoFastForward,
-		shared:        c.Prepared,
-		prepare:       func(record bool) (*Prepared, error) { return prepareWorkload(w, record) },
-		exec:          w.ExecuteWith,
-		equal:         func(golden, out []uint32) bool { return outputsMatch(golden, out, c.Tolerance) },
-	}
-	out, err := s.run(ctx)
+	out, err := c.subject().run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -398,6 +379,20 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// subject describes the campaign to the runner.
+func (c Campaign) subject() *subject[[]uint32] {
+	w := c.Workload
+	return &subject[[]uint32]{
+		name: w.Name, model: c.Model, db: c.DB, focus: c.ModuleFocus,
+		injections: c.Injections, seed: c.Seed, salt: 0x9E3779B97F4A7C15, workers: c.Workers,
+		records: c.RecordInjections, progress: c.Progress,
+		shared:  c.Prepared,
+		prepare: func() (*Prepared, error) { return PrepareWorkload(w) },
+		exec:    w.ExecuteWith,
+		equal:   func(golden, out []uint32) bool { return outputsMatch(golden, out, c.Tolerance) },
+	}
 }
 
 // outputsMatch compares outputs bitwise (tol == 0) or as float32 values

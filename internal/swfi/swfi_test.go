@@ -125,13 +125,13 @@ func TestModelNames(t *testing.T) {
 // TestProfileMatchesHookCount: a profile is the emulator's own per-opcode
 // count of a plain run. On the six suite apps and both CNNs it equals, per
 // opcode, what a Post hook on every executed instruction counts, for
-// Profile/ProfileCNN and for a preparation with and without a trace.
+// Profile/ProfileCNN and for a campaign preparation.
 func TestProfileMatchesHookCount(t *testing.T) {
 	type subject struct {
 		name    string
 		run     func(replay.Runner) error
 		profile func() (Counts, error)
-		prepare func(record bool) (Counts, error)
+		prepare func() (Counts, error)
 	}
 	var subjects []subject
 	for _, w := range apps.Suite() {
@@ -139,8 +139,8 @@ func TestProfileMatchesHookCount(t *testing.T) {
 			name:    w.Name,
 			run:     func(rt replay.Runner) error { _, err := w.ExecuteWith(rt); return err },
 			profile: func() (Counts, error) { return Profile(w) },
-			prepare: func(record bool) (Counts, error) {
-				p, err := prepareWorkload(w, record)
+			prepare: func() (Counts, error) {
+				p, err := PrepareWorkload(w)
 				if err != nil {
 					return Counts{}, err
 				}
@@ -156,8 +156,8 @@ func TestProfileMatchesHookCount(t *testing.T) {
 			name:    n.net.Name,
 			run:     func(rt replay.Runner) error { _, err := n.net.RunWith(rt, n.input, nil); return err },
 			profile: func() (Counts, error) { return ProfileCNN(n.net, n.input) },
-			prepare: func(record bool) (Counts, error) {
-				p, err := prepareCNN(n.net, n.input, record)
+			prepare: func() (Counts, error) {
+				p, err := PrepareCNN(n.net, n.input)
 				if err != nil {
 					return Counts{}, err
 				}
@@ -187,10 +187,8 @@ func TestProfileMatchesHookCount(t *testing.T) {
 		}
 		got, err := s.profile()
 		check("profile", got, err)
-		got, err = s.prepare(true)
-		check("recorded preparation", got, err)
-		got, err = s.prepare(false)
-		check("plain preparation", got, err)
+		got, err = s.prepare()
+		check("preparation", got, err)
 	}
 }
 
