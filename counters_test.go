@@ -98,7 +98,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 30_310_844, SkippedInstrs: 263_386_576}),
+			want: swCounters(swfi.Counters{SimInstrs: 22_876_706, SkippedInstrs: 270_820_714}),
 		},
 		{
 			name: "EvaluateCNN LeNetLite 20 + YoloLite 5 injections, seed 11",
@@ -124,7 +124,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 7_629_390, SkippedInstrs: 36_380_990}),
+			want: swCounters(swfi.Counters{SimInstrs: 3_598_468, SkippedInstrs: 40_411_912}),
 		},
 	}
 	for _, spec := range specs {

@@ -154,10 +154,10 @@ func LeNetInput(variant int) []float32 {
 // large relative to an 8x8 tile, mirroring YOLO's "even a fully corrupted
 // 8x8 tile represents a small percentage of the matrix" (§VI).
 const (
-	yoloIn  = 32
-	yoloC1  = 8
-	yoloC2  = 16
-	yoloOut = 5 // objectness, dx, dy, w, h
+	yoloIn   = 32
+	yoloC1   = 8
+	yoloC2   = 16
+	yoloOut  = 5 // objectness, dx, dy, w, h
 	yoloGrid = 8
 )
 

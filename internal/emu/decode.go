@@ -57,10 +57,13 @@ type dinstr struct {
 // the program it was decoded from.
 type dprog struct {
 	ins []dinstr
+	// perWarp: no BAR and no shared-memory access, so the unit of replay
+	// is the warp (see Launch.Replay).
+	perWarp bool
 }
 
 func decodeProgram(p *kasm.Program) *dprog {
-	dp := &dprog{ins: make([]dinstr, len(p.Instrs))}
+	dp := &dprog{ins: make([]dinstr, len(p.Instrs)), perWarp: true}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		d := &dp.ins[i]
@@ -84,6 +87,10 @@ func decodeProgram(p *kasm.Program) *dprog {
 		d.imm = in.Imm
 		d.target = int32(in.Target)
 		d.reconv = int32(in.Reconv)
+		switch in.Op {
+		case isa.OpBAR, isa.OpSLD, isa.OpSST:
+			dp.perWarp = false
+		}
 		switch in.Op {
 		case isa.OpBRA:
 			d.kind = kBRA

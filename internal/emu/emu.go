@@ -74,26 +74,30 @@ type Launch struct {
 	MaxDynInstrs uint64    // watchdog; DefaultMaxDynInstrs when zero
 	Mem          *MemTrace // optional global-memory access tracing
 
-	// Replay, when non-nil, is offered every block before it runs — the
-	// blocks after the one a Resume continues included. Returning true means
-	// the caller applied the block's effect on Global and charged its
-	// thread-instruction count to res, so the block does not run: the
+	// Replay, when non-nil, is offered every unit of replay before it
+	// runs — the units after the one a Resume continues included. The unit
+	// is the warp in a barrier-free launch, one whose program has no BAR
+	// and no shared-memory access: its warps run one after another, each
+	// to completion from fresh registers (see package replay). Otherwise
+	// it is the block, offered with warp -1. Returning true
+	// means the caller applied the unit's effect on Global and charged its
+	// thread-instruction count to res, so the unit does not run: the
 	// watchdog and a pending ArmAfter countdown then see the charged count
 	// from the next instruction on. The caller must not charge a count that
-	// crosses the watchdog budget; such a block has to run, so the watchdog
+	// crosses the watchdog budget; such a unit has to run, so the watchdog
 	// fires where it would.
-	Replay func(block int, res *Result) bool
+	Replay func(block, warp int, res *Result) bool
 
-	// BlockDone, when non-nil, is called after every block that runs — the
-	// block a Resume continues included — with the block index and the
+	// BlockDone, when non-nil, is called after every unit that runs — the
+	// one a Resume continues included — with its block, warp and the
 	// launch's counters so far. Neither it nor Replay is an instruction hook.
-	BlockDone func(block int, res *Result)
+	BlockDone func(block, warp int, res *Result)
 }
 
-// MemTrace records one block's global-memory footprint: the words it
+// MemTrace records one unit's global-memory footprint: the words it
 // stores to, as a bitmap indexed by word address, and its inputs — each
 // word it loads before storing to it, with the value loaded. The replay
-// layer records both per block on the golden run. Writes and Loaded must
+// layer records both per unit on the golden run. Writes and Loaded must
 // cover len(Global) bits.
 type MemTrace struct {
 	Writes []uint64
@@ -109,10 +113,10 @@ type MemTrace struct {
 	Inputs []Load
 }
 
-// Load is one input word of a block: its address and the value loaded.
+// Load is one input word of a unit: its address and the value loaded.
 type Load struct{ Addr, Val uint32 }
 
-// Clear empties the record for the next block, in time proportional to
+// Clear empties the record for the next unit, in time proportional to
 // what it holds.
 func (mt *MemTrace) Clear() {
 	for _, k := range mt.Touched {
@@ -194,25 +198,24 @@ func (ex *exec) run() (Result, error) {
 	return ex.blocksFrom(0)
 }
 
-// blocksFrom runs blocks first.. of the grid that Replay does not take,
-// each followed by BlockDone.
+// blocksFrom runs the blocks first.. of the grid, offering block units to
+// Replay.
 func (ex *exec) blocksFrom(first int) (Result, error) {
 	for b := first; b < ex.l.Grid; b++ {
-		if ex.l.Replay != nil && ex.l.Replay(b, &ex.res) {
+		if !ex.dp.perWarp && ex.l.Replay != nil && ex.l.Replay(b, -1, &ex.res) {
 			continue
 		}
 		if err := ex.runBlock(b); err != nil {
 			return ex.res, err
 		}
-		ex.blockDone(b)
 	}
 	return ex.res, nil
 }
 
-// blockDone reports a block that ran to BlockDone.
-func (ex *exec) blockDone(b int) {
+// unitDone reports a unit that ran to BlockDone.
+func (ex *exec) unitDone(b, w int) {
 	if ex.l.BlockDone != nil {
-		ex.l.BlockDone(b, &ex.res)
+		ex.l.BlockDone(b, w, &ex.res)
 	}
 }
 
@@ -273,7 +276,9 @@ func (ex *exec) runBlock(blockID int) error {
 	return err
 }
 
-// newBlock zeroes shared memory and returns a block's fresh warps.
+// newBlock zeroes shared memory and returns a block's warp slots, each
+// holding a fresh warp — except in a barrier-free launch, where blockLoop
+// starts each warp when it reaches it, so a replayed warp never starts.
 func (ex *exec) newBlock() []*warp {
 	l := ex.l
 	if cap(ex.shared) < l.SharedWords {
@@ -283,25 +288,40 @@ func (ex *exec) newBlock() []*warp {
 	for i := range ex.shared {
 		ex.shared[i] = 0
 	}
-	nwarps := (l.Block + WarpSize - 1) / WarpSize
-	warps := make([]*warp, nwarps)
-	for w := 0; w < nwarps; w++ {
-		warps[w] = newWarp(w, min(l.Block-w*WarpSize, WarpSize))
+	warps := make([]*warp, (l.Block+WarpSize-1)/WarpSize)
+	if !ex.dp.perWarp {
+		for w := range warps {
+			warps[w] = newWarp(w, l.Block)
+		}
 	}
 	return warps
 }
 
 // blockLoop drives a block's warps to completion from an arbitrary
-// consistent state: freshly created warps (runBlock) or warps restored
-// from a Snapshot (Resume). A warp's scheduling turn only ends when it is
-// done or parked at a barrier, so re-entering the round-robin loop from
-// warp 0 resumes exactly where a snapshot was captured.
+// consistent state: fresh warp slots (runBlock) or warps restored from a
+// Snapshot (Resume). A warp's scheduling turn only ends when it is done or
+// parked at a barrier, so re-entering the round-robin loop from warp 0
+// resumes exactly where a snapshot was captured.
+//
+// In a barrier-free block every warp runs to completion in its first turn and
+// is a unit: an empty slot is offered to Replay when the loop reaches it,
+// and a warp reports to BlockDone when it finishes. Otherwise the block is
+// the unit and reports when all its warps are done.
 func (ex *exec) blockLoop(blockID int, warps []*warp) error {
 	for {
-		for _, w := range warps {
+		for i, w := range warps {
+			if w == nil {
+				if ex.l.Replay != nil && ex.l.Replay(blockID, i, &ex.res) {
+					continue
+				}
+				w = newWarp(i, ex.l.Block)
+				warps[i] = w
+			} else if w.done {
+				continue
+			}
 			for !w.done && !w.atBar {
 				if ex.ckSink != nil && ex.res.DynThreadInstrs >= ex.ckNext {
-					ex.ckSink(ex.snapshot(blockID, warps))
+					ex.ckSink(ex.snapshot(blockID, i, warps))
 					for ex.ckNext <= ex.res.DynThreadInstrs {
 						ex.ckNext += ex.ckEvery
 					}
@@ -315,15 +335,22 @@ func (ex *exec) blockLoop(blockID int, warps []*warp) error {
 					return err
 				}
 			}
+			if ex.dp.perWarp {
+				ex.unitDone(blockID, i)
+			}
 		}
 		if done, err := releaseBarrier(blockID, warps); done || err != nil {
+			if done && !ex.dp.perWarp {
+				ex.unitDone(blockID, -1)
+			}
 			return err
 		}
 	}
 }
 
 // releaseBarrier ends a scheduling round in which every warp ran until it
-// finished or parked at the barrier. It reports whether the block is done;
+// finished or parked at the barrier (a slot Replay took counts as
+// finished). It reports whether the block is done;
 // otherwise every live warp is parked at the barrier and it releases them
 // all (warps that exited without reaching the barrier do not participate,
 // matching permissive hardware semantics), or none is and the block is
@@ -331,7 +358,7 @@ func (ex *exec) blockLoop(blockID int, warps []*warp) error {
 func releaseBarrier(blockID int, warps []*warp) (bool, error) {
 	allDone, anyBar := true, false
 	for _, w := range warps {
-		if !w.done {
+		if w != nil && !w.done {
 			allDone = false
 			if w.atBar {
 				anyBar = true
@@ -345,7 +372,7 @@ func releaseBarrier(blockID int, warps []*warp) (bool, error) {
 		return false, &LaunchError{Block: blockID, Err: ErrDeadlock}
 	}
 	for _, w := range warps {
-		if !w.done {
+		if w != nil && !w.done {
 			w.atBar = false
 		}
 	}

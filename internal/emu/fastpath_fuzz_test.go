@@ -172,6 +172,11 @@ func runTier(l *Launch, reference bool, hooks func(log *[]string) Hooks) *tierTr
 
 func warpDiff(a, b *warp) string {
 	switch {
+	case a == nil || b == nil:
+		if a != b {
+			return fmt.Sprintf("started %v vs %v", a != nil, b != nil)
+		}
+		return ""
 	case a.id != b.id:
 		return fmt.Sprintf("id %d vs %d", a.id, b.id)
 	case a.live != b.live:
@@ -197,8 +202,8 @@ func warpDiff(a, b *warp) string {
 
 func snapshotDiff(a, b *Snapshot) string {
 	switch {
-	case a.block != b.block:
-		return fmt.Sprintf("block %d vs %d", a.block, b.block)
+	case a.block != b.block || a.warp != b.warp:
+		return fmt.Sprintf("block %d warp %d vs block %d warp %d", a.block, a.warp, b.block, b.warp)
 	case a.res != b.res:
 		return fmt.Sprintf("res %+v vs %+v", a.res, b.res)
 	case len(a.warps) != len(b.warps):

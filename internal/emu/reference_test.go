@@ -36,13 +36,19 @@ func runReference(l *Launch, first, every uint64, sink func(*Snapshot)) (Result,
 	return ex.res, nil
 }
 
-// referenceBlock is blockLoop with step in place of stepFast.
+// referenceBlock is blockLoop with step in place of stepFast. It starts a
+// barrier-free block's warps when the round-robin loop reaches them, as
+// blockLoop does, so the two interpreters' snapshots agree.
 func (ex *exec) referenceBlock(blockID int, warps []*warp) error {
 	for {
-		for _, w := range warps {
+		for i, w := range warps {
+			if w == nil {
+				w = newWarp(i, ex.l.Block)
+				warps[i] = w
+			}
 			for !w.done && !w.atBar {
 				if ex.ckSink != nil && ex.res.DynThreadInstrs >= ex.ckNext {
-					ex.ckSink(ex.snapshot(blockID, warps))
+					ex.ckSink(ex.snapshot(blockID, i, warps))
 					for ex.ckNext <= ex.res.DynThreadInstrs {
 						ex.ckNext += ex.ckEvery
 					}

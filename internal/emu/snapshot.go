@@ -15,6 +15,7 @@ import "fmt"
 // fork from it.
 type Snapshot struct {
 	block  int
+	warp   int
 	warps  []*warp
 	shared []uint32
 	global []uint32
@@ -27,11 +28,19 @@ func (s *Snapshot) Res() Result { return s.res }
 // Block returns the index of the block the snapshot was captured in.
 func (s *Snapshot) Block() int { return s.block }
 
-// clone deep-copies a warp into a pooled one. The regs and preds arrays
-// copy by value; only the SIMT stack needs an explicit copy. A campaign
-// resumes once per injection, and fresh ~8 KB clones each time would keep
-// the heap full of them.
+// Warp returns, in a barrier-free launch, the index of the warp that was about
+// to step at capture (the block's earlier warps are done, its later ones
+// not started), and -1 otherwise.
+func (s *Snapshot) Warp() int { return s.warp }
+
+// clone deep-copies a warp into a pooled one; a slot not started yet
+// stays nil. The regs and preds arrays copy by value; only the SIMT stack
+// needs an explicit copy. A campaign resumes once per injection, and fresh
+// ~8 KB clones each time would keep the heap full of them.
 func (w *warp) clone() *warp {
+	if w == nil {
+		return nil
+	}
 	c := warpPool.Get().(*warp)
 	stack := c.stack[:0]
 	*c = *w
@@ -39,9 +48,13 @@ func (w *warp) clone() *warp {
 	return c
 }
 
-func (ex *exec) snapshot(blockID int, warps []*warp) *Snapshot {
+func (ex *exec) snapshot(blockID, warpID int, warps []*warp) *Snapshot {
+	if !ex.dp.perWarp {
+		warpID = -1
+	}
 	s := &Snapshot{
 		block:  blockID,
+		warp:   warpID,
 		warps:  make([]*warp, len(warps)),
 		shared: append([]uint32(nil), ex.shared...),
 		global: append([]uint32(nil), ex.l.Global...),
@@ -98,6 +111,5 @@ func Resume(l *Launch, s *Snapshot) (Result, error) {
 		return ex.res, err
 	}
 	releaseWarps(warps) // the clones are block-final and unreferenced
-	ex.blockDone(s.block)
 	return ex.blocksFrom(s.block + 1)
 }

@@ -211,56 +211,108 @@ func equalWords(a, b []uint32) bool {
 	return true
 }
 
-// TestBlockHooks: BlockDone sees every block that runs, in order, with
-// the launch's running counters, and after a Resume (the
-// resumed block first). Replay is offered every block before it runs —
-// after a Resume, the blocks after the resumed one — and a block it takes
-// does not run: the count the caller charges reaches the Result, the
-// watchdog and a pending ArmAfter countdown as the block's own run would.
+// warpMapProg is sharedRevProg without the shared memory and barrier, so
+// its launches are barrier-free: out[gid] = 2*in[gid] + (lane < 16 ? 1 : 0).
+func warpMapProg() *kasm.Program {
+	b := kasm.New("warpmap")
+	b.S2R(rTid, isa.SRTid)
+	b.S2R(rCta, isa.SRCtaid)
+	b.S2R(rNtid, isa.SRNtid)
+	b.IMad(rAddr, rCta, rNtid, rTid)
+	b.Gld(rC, rAddr, 0)
+	b.IAdd(rC, rC, rC)
+	b.S2R(rTmp, isa.SRLane)
+	b.ISetPI(isa.P(0), isa.CmpLT, rTmp, 16)
+	b.If(isa.P(0), func() {
+		b.IAddI(rC, rC, 1)
+	})
+	b.S2R(rB, isa.SRNctaid)
+	b.IMul(rB, rB, rNtid)
+	b.IAdd(rAddr, rAddr, rB)
+	b.Gst(rAddr, 0, rC)
+	return kasm.MustFinalize(b)
+}
+
+// TestBlockHooks: BlockDone sees every unit that runs — every block of a
+// barrier kernel, every warp of a barrier-free one — in order, with the
+// launch's running counters, and after a Resume (the resumed unit first).
+// Replay is offered every unit before it runs — after a Resume, the units
+// after the resumed one — and a unit it takes does not run: the count the
+// caller charges reaches the Result, the watchdog and a pending ArmAfter
+// countdown as the unit's own run would.
 func TestBlockHooks(t *testing.T) {
+	const block = 64
+	for _, tc := range []struct {
+		name   string
+		prog   *kasm.Program
+		shared int
+		per    int // units per block
+	}{
+		{"barrier kernel: block units", sharedRevProg(t, block), block, 1},
+		{"barrier-free kernel: warp units", warpMapProg(), 0, block / WarpSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkUnitHooks(t, tc.prog, tc.shared, tc.per)
+		})
+	}
+}
+
+func checkUnitHooks(t *testing.T, prog *kasm.Program, shared, per int) {
 	const grid, block = 4, 64
 	const n = grid * block
-	prog := sharedRevProg(t, block)
+	units, span := grid*per, block/per
 	launch := func(g []uint32, hooks Hooks) *Launch {
-		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: block, Hooks: hooks}
+		return &Launch{Prog: prog, Grid: grid, Block: block, Global: g, SharedWords: shared, Hooks: hooks}
+	}
+	if pw := decoded(prog).perWarp; pw != (per > 1) {
+		t.Fatalf("perWarp = %v for %d units per block", pw, per)
+	}
+	// unit numbers a (block, warp) pair; a block unit comes with warp -1.
+	unit := func(b, w int) int {
+		if w < -1 || w >= per || (w == -1) != (per == 1) {
+			t.Fatalf("unit (%d, %d) with %d units per block", b, w, per)
+		}
+		return b*per + max(w, 0)
 	}
 	gWant := sharedRevInput(n)
-	var ends []uint64 // counters after each block of the full run
+	var ends []uint64 // counters after each unit of the full run
 	full := launch(gWant, Hooks{})
-	full.BlockDone = func(b int, r *Result) {
-		if b != len(ends) {
-			t.Fatalf("BlockDone for block %d after %d blocks", b, len(ends))
+	full.BlockDone = func(b, w int, r *Result) {
+		if u := unit(b, w); u != len(ends) {
+			t.Fatalf("BlockDone for unit %d after %d units", u, len(ends))
 		}
 		ends = append(ends, r.DynThreadInstrs)
 	}
 	want, err := Run(full)
-	if err != nil || len(ends) != grid || ends[grid-1] != want.DynThreadInstrs {
-		t.Fatalf("full run: %v, block ends %v, total %d", err, ends, want.DynThreadInstrs)
+	if err != nil || len(ends) != units || ends[units-1] != want.DynThreadInstrs {
+		t.Fatalf("full run: %v, unit ends %v, total %d", err, ends, want.DynThreadInstrs)
 	}
-	outOf := func(g []uint32, b int) []uint32 { return g[n+b*block : n+(b+1)*block] }
-	startOf := func(b int) uint64 {
-		if b == 0 {
+	outOf := func(g []uint32, u int) []uint32 { return g[n+u*span : n+(u+1)*span] }
+	startOf := func(u int) uint64 {
+		if u == 0 {
 			return 0
 		}
-		return ends[b-1]
+		return ends[u-1]
 	}
-	// hooked runs l with a Replay that takes the blocks in take — copying
+	// hooked runs l with a Replay that takes the units in take — copying
 	// their golden output and charging their golden count — and returns
-	// the blocks it was offered and the blocks that ran.
+	// the units it was offered and the units that ran.
 	hooked := func(l *Launch, take func(int) bool, resume *Snapshot) (res Result, offered, ran []int, err error) {
-		l.Replay = func(b int, r *Result) bool {
-			offered = append(offered, b)
-			if !take(b) {
+		l.Replay = func(b, w int, r *Result) bool {
+			u := unit(b, w)
+			offered = append(offered, u)
+			if !take(u) {
 				return false
 			}
-			copy(outOf(l.Global, b), outOf(gWant, b))
-			r.DynThreadInstrs += ends[b] - startOf(b)
+			copy(outOf(l.Global, u), outOf(gWant, u))
+			r.DynThreadInstrs += ends[u] - startOf(u)
 			return true
 		}
-		l.BlockDone = func(b int, r *Result) {
-			ran = append(ran, b)
-			if r.DynThreadInstrs != ends[b] {
-				t.Fatalf("block %d ended at %d, want %d", b, r.DynThreadInstrs, ends[b])
+		l.BlockDone = func(b, w int, r *Result) {
+			u := unit(b, w)
+			ran = append(ran, u)
+			if r.DynThreadInstrs != ends[u] {
+				t.Fatalf("unit %d ended at %d, want %d", u, r.DynThreadInstrs, ends[u])
 			}
 		}
 		if resume != nil {
@@ -270,32 +322,32 @@ func TestBlockHooks(t *testing.T) {
 		}
 		return res, offered, ran, err
 	}
-	blocks := func(from int, keep func(int) bool) []int {
+	pick := func(from int, keep func(int) bool) []int {
 		var out []int
-		for b := from; b < grid; b++ {
-			if keep(b) {
-				out = append(out, b)
+		for u := from; u < units; u++ {
+			if keep(u) {
+				out = append(out, u)
 			}
 		}
 		return out
 	}
 
-	for mask := 0; mask < 1<<grid; mask++ {
-		take := func(b int) bool { return mask>>b&1 == 1 }
+	for mask := 0; mask < 1<<units; mask++ {
+		take := func(u int) bool { return mask>>u&1 == 1 }
 		g := sharedRevInput(n)
 		res, offered, ran, err := hooked(launch(g, Hooks{}), take, nil)
 		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
-			t.Fatalf("replayed %04b: %v after %d instructions (want %d), arena equal %v",
+			t.Fatalf("replayed %b: %v after %d instructions (want %d), arena equal %v",
 				mask, err, res.DynThreadInstrs, want.DynThreadInstrs, equalWords(g, gWant))
 		}
-		if !slices.Equal(offered, blocks(0, func(int) bool { return true })) ||
-			!slices.Equal(ran, blocks(0, func(b int) bool { return !take(b) })) {
-			t.Fatalf("replayed %04b: offered %v, ran %v", mask, offered, ran)
+		if !slices.Equal(offered, pick(0, func(int) bool { return true })) ||
+			!slices.Equal(ran, pick(0, func(u int) bool { return !take(u) })) {
+			t.Fatalf("replayed %b: offered %v, ran %v", mask, offered, ran)
 		}
 	}
 
 	// The watchdog: a budget one short of the total trips in the last
-	// block at the same instruction whether or not the blocks before it
+	// unit at the same instruction whether or not the units before it
 	// ran.
 	budget := want.DynThreadInstrs - 1
 	l := launch(sharedRevInput(n), Hooks{})
@@ -303,7 +355,7 @@ func TestBlockHooks(t *testing.T) {
 	pres, perr := Run(l)
 	l = launch(sharedRevInput(n), Hooks{})
 	l.MaxDynInstrs = budget
-	res, _, _, err := hooked(l, func(b int) bool { return b < grid-1 }, nil)
+	res, _, _, err := hooked(l, func(u int) bool { return u < units-1 }, nil)
 	var ple, le *LaunchError
 	if !errors.As(perr, &ple) || !errors.As(err, &le) || *ple != *le || !errors.Is(err, ErrWatchdog) ||
 		res.DynThreadInstrs != pres.DynThreadInstrs {
@@ -311,8 +363,8 @@ func TestBlockHooks(t *testing.T) {
 			perr, pres.DynThreadInstrs, err, res.DynThreadInstrs)
 	}
 
-	// The countdown: blocks 0 and 1 replayed. Arming due inside block 1
-	// happens at block 2's first instruction; arming due later happens
+	// The countdown: units 0 and 1 replayed. Arming due inside unit 1
+	// happens at unit 2's first instruction; arming due later happens
 	// where the full run arms.
 	for _, armAfter := range []uint64{ends[0] + 10, ends[1] - 10, ends[1] + 100, ends[2] + 5} {
 		armRun := func(take func(int) bool) (armedAt, hookInstrs uint64) {
@@ -328,7 +380,7 @@ func TestBlockHooks(t *testing.T) {
 			return armedAt, hookInstrs
 		}
 		fullAt, _ := armRun(func(int) bool { return false })
-		at, hooks := armRun(func(b int) bool { return b < 2 })
+		at, hooks := armRun(func(u int) bool { return u < 2 })
 		if at != max(fullAt, ends[1]) || at+hooks != want.DynThreadInstrs {
 			t.Fatalf("armAfter=%d: armed at %d with %d hooked, full run armed at %d",
 				armAfter, at, hooks, fullAt)
@@ -342,13 +394,14 @@ func TestBlockHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
+		at := unit(s.Block(), s.Warp())
 		g := make([]uint32, 2*n)
 		res, offered, ran, err := hooked(launch(g, Hooks{}), func(int) bool { return true }, s)
 		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
-			t.Fatalf("snapshot %d in block %d: %v after %d instructions", i, s.block, err, res.DynThreadInstrs)
+			t.Fatalf("snapshot %d in unit %d: %v after %d instructions", i, at, err, res.DynThreadInstrs)
 		}
-		if !slices.Equal(offered, blocks(s.block+1, func(int) bool { return true })) || !slices.Equal(ran, []int{s.block}) {
-			t.Fatalf("snapshot %d in block %d: offered %v, ran %v", i, s.block, offered, ran)
+		if !slices.Equal(offered, pick(at+1, func(int) bool { return true })) || !slices.Equal(ran, []int{at}) {
+			t.Fatalf("snapshot %d in unit %d: offered %v, ran %v", i, at, offered, ran)
 		}
 	}
 }

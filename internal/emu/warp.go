@@ -33,10 +33,10 @@ type warp struct {
 // invisible to execution.
 var warpPool = sync.Pool{New: func() any { return new(warp) }}
 
-func newWarp(id, lanes int) *warp {
+func newWarp(id, threads int) *warp {
 	w := warpPool.Get().(*warp)
 	mask := uint32(0xFFFFFFFF)
-	if lanes < WarpSize {
+	if lanes := threads - id*WarpSize; lanes < WarpSize {
 		mask = 1<<uint(lanes) - 1
 	}
 	w.id = id
@@ -50,11 +50,14 @@ func newWarp(id, lanes int) *warp {
 	return w
 }
 
-// releaseWarps returns block-final warps to the pool. Callers must not
-// retain any reference: snapshots are safe because they clone.
+// releaseWarps returns block-final warps to the pool, skipping slots
+// that never started. Callers must not retain any reference: snapshots
+// are safe because they clone.
 func releaseWarps(warps []*warp) {
 	for _, w := range warps {
-		warpPool.Put(w)
+		if w != nil {
+			warpPool.Put(w)
+		}
 	}
 }
 

@@ -493,12 +493,12 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteReply, error) {
 
 // WorkerStatus is the status view of one registered worker.
 type WorkerStatus struct {
-	ID        string `json:"id"`
-	Name      string `json:"name,omitempty"`
-	Live      bool   `json:"live"` // heartbeated within two lease timeouts
-	Leased    int    `json:"leased"`
-	Completed uint64 `json:"completed"`
-	LastSeenMS int64 `json:"last_seen_ms"` // milliseconds since last contact
+	ID         string `json:"id"`
+	Name       string `json:"name,omitempty"`
+	Live       bool   `json:"live"` // heartbeated within two lease timeouts
+	Leased     int    `json:"leased"`
+	Completed  uint64 `json:"completed"`
+	LastSeenMS int64  `json:"last_seen_ms"` // milliseconds since last contact
 }
 
 // LeaseStatus is the status view of one in-flight lease.

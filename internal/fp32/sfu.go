@@ -53,11 +53,11 @@ var ExpCoeffs = [5]float32{
 // Exp argument-reduction constants: x = n*ln2 + f with ln2 split in two
 // parts for accuracy.
 const (
-	Log2E   float32 = 1.4426950
-	Ln2Hi   float32 = 0.693359375    // exact in 10 bits
-	Ln2Lo   float32 = -2.12194440e-4 // ln2 - Ln2Hi
-	expClampHi      = 88.72284       // ln(MaxFloat32)
-	expClampLo      = -87.33655      // ln(min normal float32)
+	Log2E      float32 = 1.4426950
+	Ln2Hi      float32 = 0.693359375    // exact in 10 bits
+	Ln2Lo      float32 = -2.12194440e-4 // ln2 - Ln2Hi
+	expClampHi         = 88.72284       // ln(MaxFloat32)
+	expClampLo         = -87.33655      // ln(min normal float32)
 )
 
 // Exp approximates e^a. Overflow saturates to +Inf, underflow flushes to

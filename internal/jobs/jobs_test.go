@@ -1009,3 +1009,69 @@ func TestCharDBRestoreKeepsEncodingBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointMarshalMatchesEncodingJSON: every journal record of a
+// characterize and an hpc job — the submission record, one per unit and
+// the final one — is byte for byte json.Marshal of the same checkpoint,
+// and so is the record a restarted service writes for a job it reloaded
+// from the journal.
+func TestCheckpointMarshalMatchesEncodingJSON(t *testing.T) {
+	same := func(what string, ck checkpoint) {
+		t.Helper()
+		got, err := ck.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: marshal gives\n%s\njson.Marshal gives\n%s", what, got, want)
+		}
+	}
+	hpc := multiUnitHPC()
+	hpc.Injections = 20
+	for _, req := range []Request{journalledChar(), hpc} {
+		dir := t.TempDir()
+		var mu sync.Mutex
+		var records [][]byte
+		s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: time.Hour})
+		s.writeFile = func(path string, data []byte, perm os.FileMode) error {
+			mu.Lock()
+			records = append(records, data)
+			mu.Unlock()
+			return syndrome.WriteFileAtomic(path, data, perm)
+		}
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 120*time.Second, "job", func() bool {
+			st, _ = s.Get(st.ID)
+			return st.State.Terminal()
+		})
+		if st.State != StateDone {
+			t.Fatalf("%s job ended %s (error %q)", req.Kind, st.State, st.Error)
+		}
+		s.Close()
+		mu.Lock()
+		for i, rec := range records {
+			var ck checkpoint
+			if err := json.Unmarshal(rec, &ck); err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("%s record %d", req.Kind, i), ck)
+			if got, _ := ck.marshal(); !bytes.Equal(got, rec) {
+				t.Fatalf("%s record %d does not round-trip", req.Kind, i)
+			}
+		}
+		mu.Unlock()
+
+		s2 := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: time.Hour})
+		j := s2.jobs[st.ID]
+		var reloaded checkpoint
+		s2.journal(j, func(ck *checkpoint) { reloaded = *ck })
+		same(fmt.Sprintf("%s record reloaded from the journal", req.Kind), reloaded)
+	}
+}

@@ -337,6 +337,44 @@ type checkpoint struct {
 	Result     json.RawMessage            `json:"result,omitempty"`
 }
 
+// marshal returns json.Marshal(ck) without re-compacting the raw
+// messages — the completed units, the database and the result — which are
+// json.Marshal output or read back from a record, so already compact: it
+// splices them in after the marshalled head, as syndrome.AssembleJSON
+// does for the database.
+func (ck checkpoint) marshal() ([]byte, error) {
+	completed, db, result := ck.Completed, ck.DB, ck.Result
+	ck.Completed, ck.DB, ck.Result = nil, nil, nil
+	head, err := json.Marshal(ck)
+	if err != nil {
+		return nil, err
+	}
+	size := len(head) + len(db) + len(result) + len(`,"completed":{},"db":,"result":`)
+	keys := make([]string, 0, len(completed))
+	for k, raw := range completed {
+		keys = append(keys, k)
+		size += len(k) + len(raw) + len(`"":,`)
+	}
+	sort.Strings(keys)
+	buf := append(make([]byte, 0, size), head[:len(head)-1]...)
+	sep := `,"completed":{`
+	for _, k := range keys {
+		key, _ := json.Marshal(k) // a string always encodes
+		buf = append(append(append(append(buf, sep...), key...), ':'), completed[k]...)
+		sep = ","
+	}
+	if len(keys) > 0 {
+		buf = append(buf, '}')
+	}
+	if len(db) > 0 {
+		buf = append(append(buf, `,"db":`...), db...)
+	}
+	if len(result) > 0 {
+		buf = append(append(buf, `,"result":`...), result...)
+	}
+	return append(buf, '}'), nil
+}
+
 // Submission errors that map to 503 rather than 400 over HTTP.
 var (
 	errClosed    = fmt.Errorf("jobs: service is shut down")
@@ -828,7 +866,7 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 	if amend != nil {
 		amend(&ck)
 	}
-	blob, err := json.Marshal(ck)
+	blob, err := ck.marshal()
 	j.mu.Unlock()
 	if err != nil {
 		s.cfg.Logf("jobs: marshal checkpoint %s: %v", j.id, err)

@@ -29,28 +29,28 @@ const BlockThreads = Tile * Tile
 
 // Registers used by the kernel.
 const (
-	rTid   = isa.Reg(1)
-	rTx    = isa.Reg(2)  // column within the tile
-	rTy    = isa.Reg(3)  // row within the tile
-	rRow   = isa.Reg(4)  // global output row
-	rCol   = isa.Reg(5)  // global output column
-	rAcc   = isa.Reg(6)  // accumulator
-	rT     = isa.Reg(7)  // K-tile loop counter
-	rAddr  = isa.Reg(8)  // scratch address
-	rVal   = isa.Reg(9)  // scratch value
-	rSA    = isa.Reg(10) // shared A element
-	rSB    = isa.Reg(11) // shared B element
-	rCta   = isa.Reg(12) // block index
-	rBRow  = isa.Reg(13) // tile row of this block
-	rBCol  = isa.Reg(14) // tile column of this block
+	rTid    = isa.Reg(1)
+	rTx     = isa.Reg(2)  // column within the tile
+	rTy     = isa.Reg(3)  // row within the tile
+	rRow    = isa.Reg(4)  // global output row
+	rCol    = isa.Reg(5)  // global output column
+	rAcc    = isa.Reg(6)  // accumulator
+	rT      = isa.Reg(7)  // K-tile loop counter
+	rAddr   = isa.Reg(8)  // scratch address
+	rVal    = isa.Reg(9)  // scratch value
+	rSA     = isa.Reg(10) // shared A element
+	rSB     = isa.Reg(11) // shared B element
+	rCta    = isa.Reg(12) // block index
+	rBRow   = isa.Reg(13) // tile row of this block
+	rBCol   = isa.Reg(14) // tile column of this block
 	rBase   = isa.Reg(15) // scratch base
 	rK      = isa.Reg(16) // unrolled inner index source
 	rKStage = isa.Reg(17) // shared-memory staging index
 )
 
 // Offsets into the global-memory image for C = A x B, all n x n.
-func aOffset(int) int32     { return 0 }
-func bOffset(n int) int32   { return int32(n * n) }
+func aOffset(int) int32   { return 0 }
+func bOffset(n int) int32 { return int32(n * n) }
 
 // COffset returns the word offset of the output matrix.
 func COffset(n int) int32 { return int32(2 * n * n) }
@@ -104,7 +104,7 @@ func Build(n int) (*kasm.Program, error) {
 	// would: the k-tile loop advances two pointers and is dominated by
 	// FFMA work, matching the injectable-instruction mix of compiled
 	// GEMM inner loops.
-	b.IMadI(rAddr, rRow, int32(n), rTx)  // A walker: row*n + t*8+tx
+	b.IMadI(rAddr, rRow, int32(n), rTx) // A walker: row*n + t*8+tx
 	b.IMadI(rBase, rTy, int32(n), rCol) // B walker: (t*8+ty)*n + col
 	b.IMadI(rK, rTy, Tile, isa.RZ)      // shared row base: ty*8
 	b.IMadI(rKStage, rTy, Tile, rTx)    // sharedA/B[ty*8+tx]

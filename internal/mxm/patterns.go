@@ -8,10 +8,10 @@ import (
 // Corruption describes how a faulty tile output differs from the golden
 // one: the per-element corruption map and relative errors.
 type Corruption struct {
-	N        int       // matrix dimension
-	Bad      []bool    // per element, row-major
-	RelErrs  []float64 // relative error of each corrupted element
-	Count    int
+	N       int       // matrix dimension
+	Bad     []bool    // per element, row-major
+	RelErrs []float64 // relative error of each corrupted element
+	Count   int
 }
 
 // Compare diffs a faulty output matrix against the golden one.

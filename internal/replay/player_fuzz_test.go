@@ -13,13 +13,18 @@ import (
 
 // Differential fuzzing of the Player against a Plain run with the same
 // fault. A payload decodes into a multi-launch workload over two ping-pong
-// regions, built from kernels that between them
+// regions, on blocks of one, two or four warps, built from kernels that
+// between them
 //
 //   - load words an earlier block of the same launch stored (fzChain),
+//   - load words an earlier warp of the same block stored (fzWarpChain),
 //   - store a word and then load it, which is no input (fzStoreLoad),
 //   - loop a data-dependent number of times, so a fault can hang them or
 //     leave a block with extra work under a tight watchdog (fzLoop),
 //   - load and store at data-dependent addresses (fzGather, fzScatter),
+//   - pass values through shared memory across a barrier (fzRev), or
+//     through global memory (fzBarrier): the kernels whose unit of replay
+//     stays the block,
 //
 // and host code that reads the arena between launches and picks the next
 // launch's program, grid and parameter from it, so a fault can change the
@@ -46,6 +51,8 @@ const (
 	fzGather
 	fzRev
 	fzScatter
+	fzWarpChain
+	fzBarrier
 	fzKinds
 )
 
@@ -122,6 +129,29 @@ func fzKernel(kind fzKind, src, dst int32) *kasm.Program {
 		b.AndI(rAddr, rVal, fzRegion-1)
 		b.IAdd(rOut, rIdx, rParam)
 		b.Gst(rAddr, dst, rOut)
+	case fzWarpChain:
+		// out[idx] = in[idx] + out[idx-32]: every warp but the grid's
+		// first reads the one before it, in its own block when the block
+		// has several.
+		b.MovI(rPrev, 0)
+		b.ISetPI(isa.P(0), isa.CmpGE, rIdx, emu.WarpSize)
+		b.If(isa.P(0), func() {
+			b.Gld(rPrev, rIdx, dst-emu.WarpSize)
+		})
+		b.IAdd(rOut, rVal, rPrev)
+		b.IAdd(rOut, rOut, rParam)
+		b.Gst(rIdx, dst, rOut)
+	case fzBarrier:
+		// Store, wait, then read the word of the thread one warp over —
+		// in the same block when it has several warps.
+		b.IAdd(rOut, rVal, rParam)
+		b.Gst(rIdx, dst, rOut)
+		b.Bar()
+		b.XorI(rAddr, rIdx, emu.WarpSize)
+		b.Gld(rPrev, rAddr, dst)
+		b.IMulI(rProd, rPrev, 3)
+		b.IAdd(rOut, rOut, rProd)
+		b.Gst(rIdx, dst, rOut)
 	}
 	return kasm.MustFinalize(b)
 }
@@ -160,7 +190,7 @@ func decodeSpec(data []byte) *fzSpec {
 		return 0
 	}
 	s := &fzSpec{
-		block: 32 << (at(1) & 1),
+		block: 32 << (at(1) % 3),
 		pick:  at(2)&1 == 1,
 		sel:   int(at(2)>>1) % 64,
 		bit:   uint(at(3)),
@@ -191,7 +221,8 @@ func (s *fzSpec) run(rt Runner, host func(after int, g []uint32)) ([]uint32, err
 		if k%2 == 1 {
 			dst = fzX
 		}
-		l := &emu.Launch{Prog: fzProgs[kind][k%2], Grid: grid, Block: s.block, Global: g}
+		// At most a region's worth of threads.
+		l := &emu.Launch{Prog: fzProgs[kind][k%2], Grid: min(grid, fzRegion/s.block), Block: s.block, Global: g}
 		if kind == fzRev {
 			l.SharedWords = s.block
 		}
@@ -244,7 +275,7 @@ func (l *launchLog) diverged(tr *Trace) bool {
 
 // fzCoverage counts what a payload's checks exercised.
 type fzCoverage struct {
-	replayed, hung, lateWatchdog, diverged int
+	replayed, warpReplayed, hung, lateWatchdog, diverged int
 }
 
 // samePlayerRun fails unless the player's run equals the plain one:
@@ -270,6 +301,14 @@ func samePlayerRun(t *testing.T, what string, want, got []uint32, werr, err erro
 		t.Fatalf("%s: sim %d + skipped %d = %d, the plain run executes %d",
 			what, p.Live.DynThreadInstrs, p.Skipped, sum, plainTotal)
 	}
+}
+
+// errUnit is the unit of launch rec in which le stopped it.
+func errUnit(rec *LaunchRec, le *emu.LaunchError) int {
+	if per := len(rec.Units) / rec.Grid; per > 1 {
+		return le.Block*per + le.Warp
+	}
+	return le.Block
 }
 
 // checkPlayerVsPlain runs every check on one payload.
@@ -314,6 +353,9 @@ func checkPlayerVsPlain(t *testing.T, data []byte) fzCoverage {
 
 		if p.Skipped > forkAt(tr, target) {
 			cov.replayed++
+			if k, _ := unitOf(tr, target); len(tr.Launches[k].Units) > tr.Launches[k].Grid {
+				cov.warpReplayed++
+			}
 		}
 		if log.diverged(tr) {
 			cov.diverged++
@@ -321,7 +363,7 @@ func checkPlayerVsPlain(t *testing.T, data []byte) fzCoverage {
 		var le *emu.LaunchError
 		if errors.Is(werr, emu.ErrWatchdog) && errors.As(werr, &le) {
 			cov.hung++
-			if k, b := blockOf(tr, target); len(log.progs)-1 == k && le.Block > b {
+			if k, u := unitOf(tr, target); len(log.progs)-1 == k && errUnit(&tr.Launches[k], le) > u {
 				cov.lateWatchdog++
 			}
 		}
@@ -367,6 +409,13 @@ func playerSeedCorpus() [][]byte {
 		payload(1, 0, 31, 5, [3]byte{byte(fzRev), 1, 255}, [3]byte{byte(fzScatter), 2, 255}),
 		payload(0, pick, 6, 6, [3]byte{byte(fzGather), 0, 1}, [3]byte{byte(fzChain), 1, 1}, [3]byte{byte(fzLoop), 2, 1}),
 		payload(0, 1|40<<1, 11, 7, [3]byte{byte(fzScatter), 2, 64}, [3]byte{byte(fzStoreLoad), 2, 64}, [3]byte{byte(fzGather), 1, 64}),
+		// Blocks of four and two warps: warp chains inside a block, a
+		// barrier kernel beside barrier-free ones, hangs under tight budgets.
+		payload(2, 0, 9, 8, [3]byte{byte(fzWarpChain), 1, 200}, [3]byte{byte(fzMap), 0, 200}, [3]byte{byte(fzWarpChain), 0, 200}),
+		payload(2, pick, 17, 9, [3]byte{byte(fzLoop), 1, 0}, [3]byte{byte(fzWarpChain), 0, 20}, [3]byte{byte(fzRev), 1, 20}, [3]byte{byte(fzLoop), 0, 2}),
+		payload(1, 1|33<<1, 26, 10, [3]byte{byte(fzStoreLoad), 2, 5}, [3]byte{byte(fzWarpChain), 1, 5}, [3]byte{byte(fzScatter), 2, 5}, [3]byte{byte(fzGather), 2, 5}),
+		payload(2, 0, 1, 11, [3]byte{byte(fzRev), 0, 90}, [3]byte{byte(fzChain), 1, 90}, [3]byte{byte(fzWarpChain), 1, 90}),
+		payload(1, pick, 13, 12, [3]byte{byte(fzBarrier), 1, 50}, [3]byte{byte(fzWarpChain), 2, 50}, [3]byte{byte(fzBarrier), 0, 50}),
 	}
 }
 
@@ -380,23 +429,24 @@ func FuzzPlayerVsPlain(f *testing.F) {
 }
 
 // TestPlayerVsPlainCorpus runs the fuzz corpus on every plain `go test`,
-// and requires it to exercise post-fault replay, hangs, a watchdog that a
-// later block of the faulting launch trips, and launch sequences a fault
-// changed.
+// and requires it to exercise post-fault replay, in blocks of several
+// warps too, hangs, a watchdog that a later unit of the faulting launch
+// trips, and launch sequences a fault changed.
 func TestPlayerVsPlainCorpus(t *testing.T) {
 	var total fzCoverage
 	for i, seed := range playerSeedCorpus() {
 		t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {
 			c := checkPlayerVsPlain(t, seed)
 			total.replayed += c.replayed
+			total.warpReplayed += c.warpReplayed
 			total.hung += c.hung
 			total.lateWatchdog += c.lateWatchdog
 			total.diverged += c.diverged
 		})
 	}
-	t.Logf("targets with a post-fault replay %d, hung %d, hung in a later block %d, with a changed launch sequence %d",
-		total.replayed, total.hung, total.lateWatchdog, total.diverged)
-	if total.replayed == 0 || total.hung == 0 || total.lateWatchdog == 0 || total.diverged == 0 {
+	t.Logf("targets with a post-fault replay %d (in a block of several warps %d), hung %d, hung in a later unit %d, with a changed launch sequence %d",
+		total.replayed, total.warpReplayed, total.hung, total.lateWatchdog, total.diverged)
+	if total.replayed == 0 || total.warpReplayed == 0 || total.hung == 0 || total.lateWatchdog == 0 || total.diverged == 0 {
 		t.Errorf("corpus coverage %+v: every count must be positive", total)
 	}
 }

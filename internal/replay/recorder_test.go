@@ -13,10 +13,10 @@ import (
 )
 
 // naiveRecorder is the reference the Recorder's bookkeeping is held to: it
-// builds each block's record from the block's GLD and GST events alone —
-// a word is an input when a load reads it before any store of the block
-// names it — with no bitmap, and keeps whole copies of the arena before
-// and after every launch.
+// builds each unit's record (a block's, or a warp's in a barrier-free launch)
+// from the unit's GLD and GST events alone — a word is an input when a
+// load reads it before any store of the unit names it — with no bitmap,
+// and keeps whole copies of the arena before and after every launch.
 type naiveRecorder struct {
 	every, nextCk uint64
 	g             []uint32
@@ -50,9 +50,9 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 			}
 		}
 	}
-	var blocks []BlockRec
-	l.BlockDone = func(_ int, res *emu.Result) {
-		blk := BlockRec{Instrs: res.DynThreadInstrs, Count: res.PerOpcode[isa.OpIMUL]}
+	var units []UnitRec
+	l.BlockDone = func(_, _ int, res *emu.Result) {
+		blk := UnitRec{Instrs: res.DynThreadInstrs, Count: res.PerOpcode[isa.OpIMUL]}
 		for i := range n.g {
 			if stored[i] {
 				blk.Writes = append(blk.Writes, Delta{Idx: uint32(i), Val: n.g[i]})
@@ -68,7 +68,7 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 			}
 			blk.In.Vals = append(blk.In.Vals, v)
 		}
-		blocks = append(blocks, blk)
+		units = append(units, blk)
 		clear(stored)
 		clear(loaded)
 	}
@@ -85,7 +85,7 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	n.instrs, n.count = base+res.DynThreadInstrs, baseCount+res.PerOpcode[isa.OpIMUL]
 	n.launches = append(n.launches, LaunchRec{
 		Prog: l.Prog, Grid: l.Grid, Block: l.Block, SharedWords: l.SharedWords, MaxDynInstrs: l.MaxDynInstrs,
-		CumInstrs: n.instrs, CumCount: n.count, Blocks: blocks,
+		CumInstrs: n.instrs, CumCount: n.count, Units: units,
 	})
 	n.post = append(n.post, slices.Clone(n.g))
 	for n.nextCk <= n.instrs {
@@ -112,9 +112,9 @@ func touch(region int32, store bool) *kasm.Program {
 }
 
 // swap has thread i store 3i to region[i], load it back (not an input:
-// the block stored it first), then load its partner region[i^stBlock] —
-// for block 1 a word block 0 of the same launch stored — and park the sum
-// in scratch.
+// the unit stored it first), then load its partner region[i^stBlock] —
+// for the second unit a word the first unit of the same launch stored —
+// and park the sum in scratch.
 func swap(region int32) *kasm.Program {
 	b := kasm.New("swap")
 	b.S2R(rTid, isa.SRTid)
@@ -141,10 +141,11 @@ var mixKernels = append(slices.Clone(stages), touch(offB, true), touch(offC, fal
 const mixSlack = 20_000
 
 // runMixed executes a seed-determined schedule on rt: 4 to 9 launches
-// drawn from mixKernels, and between them host code that writes a few
-// random words — inputs, intermediate regions, the parameter, sometimes
-// the slack, sometimes the value a word already holds. The host reads
-// nothing, so it is pure and replays identically on every Runner.
+// drawn from mixKernels, each on two 32-thread blocks or on one block of
+// two warps, and between them host code that writes a few random words —
+// inputs, intermediate regions, the parameter, sometimes the slack,
+// sometimes the value a word already holds. The host reads nothing, so it
+// is pure and replays identically on every Runner.
 func runMixed(rt Runner, seed int64) ([]uint32, error) {
 	r := rand.New(rand.NewSource(seed))
 	g := rt.Arena(stWords + mixSlack)
@@ -171,7 +172,8 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 			}
 		}
 		prog := mixKernels[r.Intn(len(mixKernels))]
-		if err := rt.Launch(&emu.Launch{Prog: prog, Grid: stGrid, Block: stBlock, Global: g}); err != nil {
+		grid := stGrid >> r.Intn(2)
+		if err := rt.Launch(&emu.Launch{Prog: prog, Grid: grid, Block: stN / grid, Global: g}); err != nil {
 			return nil, err
 		}
 	}
@@ -180,14 +182,15 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 
 // TestRecorderMatchesNaiveReference: over seeded mixed schedules — host
 // writes between launches, launches that rewrite words with their old
-// values, launches that write nothing, blocks that load what an earlier
-// block stored, slack far larger than the footprint — the Recorder's trace,
-// per-block writes and inputs included, equals the event-built reference's
-// word for word; applying a launch's block writes to its golden pre-image
+// values, launches that write nothing, blocks and warps that load what an
+// earlier block or warp stored, slack far larger than the footprint — the
+// Recorder's trace, per-unit writes and inputs included, equals the
+// event-built reference's word for word; applying a launch's unit writes to its golden pre-image
 // gives its golden post-image; and a Player forked from any of its
 // checkpoints reproduces the plain run.
 func TestRecorderMatchesNaiveReference(t *testing.T) {
-	var sawHost, sawSilentWrite, sawNoWrite, sawCrossBlock bool
+	var sawHost, sawSilentWrite, sawNoWrite bool
+	var sawCross [2]bool // input stored by an earlier block, by an earlier warp
 	pool := &Pool{}
 	for seed := int64(1); seed <= 12; seed++ {
 		golden, err := runMixed(&Plain{}, seed)
@@ -204,9 +207,9 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A block's writes are a set: put them in the reference's order.
+		// A unit's writes are a set: put them in the reference's order.
 		for _, l := range tr.Launches {
-			for _, b := range l.Blocks {
+			for _, b := range l.Units {
 				slices.SortFunc(b.Writes, func(x, y Delta) int { return int(x.Idx) - int(y.Idx) })
 			}
 		}
@@ -224,15 +227,16 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			g := slices.Clone(ref.pre[k])
 			l.apply(g)
 			if !slices.Equal(g, ref.post[k]) {
-				t.Fatalf("seed %d launch %d: block writes applied to the pre-image miss the post-image", seed, k)
+				t.Fatalf("seed %d launch %d: unit writes applied to the pre-image miss the post-image", seed, k)
 			}
-			writes := len(l.Blocks[0].Writes) + len(l.Blocks[1].Writes)
+			writes := len(l.Units[0].Writes) + len(l.Units[1].Writes)
 			sawHost = sawHost || k > 0 && !slices.Equal(ref.pre[k], ref.post[k-1])
 			sawSilentWrite = sawSilentWrite || writes > 0 && slices.Equal(ref.pre[k], ref.post[k])
 			sawNoWrite = sawNoWrite || writes == 0
-			v := l.Blocks[1].In.Vals
-			for _, r := range l.Blocks[1].In.Runs {
-				sawCrossBlock = sawCrossBlock || !slices.Equal(v[:r.Len], ref.pre[k][r.Start:r.Start+r.Len])
+			v := l.Units[1].In.Vals
+			for _, r := range l.Units[1].In.Runs {
+				cross := &sawCross[l.Grid&1] // Grid 1: two warps of one block
+				*cross = *cross || !slices.Equal(v[:r.Len], ref.pre[k][r.Start:r.Start+r.Len])
 				v = v[r.Len:]
 			}
 		}
@@ -256,8 +260,8 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			}
 		}
 	}
-	if !sawHost || !sawSilentWrite || !sawNoWrite || !sawCrossBlock {
-		t.Fatalf("schedules never exercised a case: host writes %v, write without change %v, launch without write %v, input stored by an earlier block %v",
-			sawHost, sawSilentWrite, sawNoWrite, sawCrossBlock)
+	if !sawHost || !sawSilentWrite || !sawNoWrite || !sawCross[0] || !sawCross[1] {
+		t.Fatalf("schedules never exercised a case: host writes %v, write without change %v, launch without write %v, input stored by an earlier block %v, by an earlier warp %v",
+			sawHost, sawSilentWrite, sawNoWrite, sawCross[0], sawCross[1])
 	}
 }

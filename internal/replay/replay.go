@@ -4,31 +4,38 @@
 // The software fault injector re-executes its workload once per injection
 // with a Post hook armed at a single dynamic instruction. A Recorder runs
 // the golden execution once, keeping evenly spaced emulator Snapshots and,
-// for every block of every launch, what the block did: the words it
-// stored (with their values at its end), its instruction counts, and its
-// inputs — the words it loaded before storing to them, with the values
-// loaded. A Player then reproduces a faulty execution simulating only what
-// the fault can reach:
+// for every unit of replay of every launch, what the unit did: the words
+// it stored (with their values at its end), its instruction counts, and
+// its inputs — the words it loaded before storing to them, with the values
+// loaded. The unit is the warp in a launch whose program has no BAR and no
+// shared-memory access (a barrier-free launch, see emu.Launch.Replay), the
+// block otherwise. A Player then reproduces a faulty execution simulating
+// only what the fault can reach:
 //
-//   - launches that end before the fork point apply their blocks' writes;
+//   - launches that end before the fork point apply their units' writes;
 //   - the fork point is the later of the nearest checkpoint and the start
-//     of the block that holds the target instruction; the blocks of that
+//     of the unit that holds the target instruction; the units of that
 //     launch before it apply their writes too, the arena being golden;
 //   - hooks stay inert (emu.Hooks countdown) until just before the target;
-//   - after the fault, any block whose launch matches the recorded launch
+//   - after the fault, any unit whose launch matches the recorded launch
 //     and whose recorded inputs still hold their recorded values applies
-//     its writes instead of running (block replay).
+//     its writes instead of running (unit replay).
 //
-// Block replay is exact. A block starts with fresh registers and zeroed
+// Unit replay is exact. A block starts with fresh registers and zeroed
 // shared memory, and blocks run one after another, so while a block runs
 // only it writes global memory: what it does depends on the program, the
 // launch geometry, its index and the global words it loads. If every word
 // it loads before storing to it holds its golden value, it executes
-// instruction for instruction as recorded. That holds whatever host code
-// did between launches; a faulty run whose host launches a different
-// program or grid at some launch index simply fails the launch match. A
-// block is replayed only while the launch's count stays within its
-// watchdog budget, so a hang still fails where it would.
+// instruction for instruction as recorded. Without a barrier every warp of
+// a block runs to completion in its first turn, so the warps run one after
+// another from fresh registers, and without shared memory they exchange
+// nothing but global words: the same argument holds one level down, for a
+// warp and the words it loads before storing to them itself — a word an
+// earlier warp of its block stored is one of its inputs. That holds
+// whatever host code did between launches; a faulty run whose host
+// launches a different program or grid at some launch index simply fails
+// the launch match. A unit is replayed only while the launch's count stays
+// within its watchdog budget, so a hang still fails where it would.
 //
 // Host code between launches re-executes normally in all modes; the arena
 // it sees is the one a full run would show it.
@@ -94,7 +101,7 @@ type Delta struct {
 }
 
 // LaunchRec describes one recorded launch: the launch description a
-// replayed launch must match, and its blocks in execution order.
+// replayed launch must match, and its units of replay in execution order.
 type LaunchRec struct {
 	Prog         *kasm.Program
 	Grid         int
@@ -107,7 +114,9 @@ type LaunchRec struct {
 	CumInstrs uint64
 	CumCount  uint64
 
-	Blocks []BlockRec
+	// Units holds one record per block, or, in a barrier-free launch, one per
+	// warp of every block.
+	Units []UnitRec
 }
 
 // matches reports whether l is the launch rec recorded.
@@ -116,34 +125,41 @@ func (rec *LaunchRec) matches(l *emu.Launch) bool {
 		l.SharedWords == rec.SharedWords && l.MaxDynInstrs == rec.MaxDynInstrs
 }
 
-// apply stores the writes of every block of the launch: the launch's effect
+// apply stores the writes of every unit of the launch: the launch's effect
 // on its golden pre-image.
 func (rec *LaunchRec) apply(g []uint32) {
-	for i := range rec.Blocks {
-		rec.Blocks[i].apply(g)
+	for i := range rec.Units {
+		rec.Units[i].apply(g)
 	}
 }
 
-// BlockRec describes one block of a recorded launch.
-type BlockRec struct {
-	// Writes is every word the block stored to, changed or not, with its
-	// value at the block's end.
+// unit returns the index of the unit emu offers as (block, warp): a
+// barrier-free launch records len(Units)/Grid warps per block, another one
+// block unit, with warp -1.
+func (rec *LaunchRec) unit(block, warp int) int {
+	return block*(len(rec.Units)/rec.Grid) + max(warp, 0)
+}
+
+// UnitRec describes one unit of a recorded launch: a block, or a warp.
+type UnitRec struct {
+	// Writes is every word the unit stored to, changed or not, with its
+	// value at the unit's end.
 	Writes []Delta
 	// Instrs / Count are the launch-local thread-instruction and countable
-	// thread-instruction counts after the block.
+	// thread-instruction counts after the unit.
 	Instrs uint64
 	Count  uint64
-	// In holds the block's inputs.
+	// In holds the unit's inputs.
 	In Inputs
 }
 
-func (b *BlockRec) apply(g []uint32) {
-	for _, d := range b.Writes {
+func (ur *UnitRec) apply(g []uint32) {
+	for _, d := range ur.Writes {
 		g[d.Idx] = d.Val
 	}
 }
 
-// Inputs is the set of words a block loaded before storing to them, with
+// Inputs is the set of words a unit loaded before storing to them, with
 // the values loaded: runs of consecutive word indices, in ascending order,
 // and their values concatenated.
 type Inputs struct {
@@ -166,7 +182,7 @@ func (in *Inputs) hold(g []uint32) bool {
 	return true
 }
 
-// inputsOf compacts a block's loads, which it sorts, into Inputs.
+// inputsOf compacts a unit's loads, which it sorts, into Inputs.
 func inputsOf(loads []emu.Load) Inputs {
 	if len(loads) == 0 {
 		return Inputs{}
@@ -233,7 +249,7 @@ func (tr *Trace) cumBefore(ord int) (uint64, uint64) {
 }
 
 // Recorder is the Runner that produces a Trace: it executes every launch
-// hook-free while capturing evenly spaced snapshots and per-block records.
+// hook-free while capturing evenly spaced snapshots and per-unit records.
 // count classifies the opcodes an injector counts (and targets); it
 // parameterises the trace's countable coordinates.
 type Recorder struct {
@@ -241,7 +257,7 @@ type Recorder struct {
 	every  uint64
 	g      []uint32
 	nextCk uint64
-	mem    emu.MemTrace // the running block's stores and inputs
+	mem    emu.MemTrace // the running unit's stores and inputs
 
 	// Liveness capture (CaptureLiveness): a Post hook recording the event
 	// stream for the backward dead-site scan, plus per-launch end marks.
@@ -275,13 +291,14 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	ord := len(r.tr.Launches)
 	base, baseCount := r.tr.Instrs, r.tr.Count
 	l.Hooks = emu.Hooks{Post: r.capture}
-	// r.mem holds one block's stores and inputs and is cleared at the
-	// block's end, so a block's record is read off its own marks, with no
-	// pass over the arena or the bitmaps.
+	// r.mem holds one unit's stores and inputs and is cleared at the
+	// unit's end, so a unit's record is read off its own marks, with no
+	// pass over the arena or the bitmaps — and a warp's inputs include the
+	// words earlier warps of its block stored.
 	mt := &r.mem
 	l.Mem = mt
-	var blocks []BlockRec
-	l.BlockDone = func(_ int, res *emu.Result) {
+	var units []UnitRec
+	l.BlockDone = func(_, _ int, res *emu.Result) {
 		var written []Delta
 		for _, k := range mt.Touched {
 			for m := mt.Writes[k]; m != 0; m &= m - 1 {
@@ -289,7 +306,7 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 				written = append(written, Delta{Idx: uint32(i), Val: r.g[i]})
 			}
 		}
-		blocks = append(blocks, BlockRec{
+		units = append(units, UnitRec{
 			Writes: written,
 			Instrs: res.DynThreadInstrs,
 			Count:  r.tr.countable(&res.PerOpcode),
@@ -318,7 +335,7 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		Prog: l.Prog, Grid: l.Grid, Block: l.Block, SharedWords: l.SharedWords, MaxDynInstrs: l.MaxDynInstrs,
 		CumInstrs: r.tr.Instrs,
 		CumCount:  r.tr.Count,
-		Blocks:    blocks,
+		Units:     units,
 	})
 	r.endLaunch(l)
 	for r.nextCk <= r.tr.Instrs {
@@ -348,22 +365,22 @@ type Player struct {
 
 	ord int
 	// start is the first launch that runs; earlier ones apply their writes.
-	// It forks from ck when ck is set. Before the fault, its blocks before
-	// startBlock replay without a compare.
-	start      int
-	startBlock int
-	ck         *Checkpoint
-	replays    bool   // block replay is on (off for NewPlayerAt)
-	armG       uint64 // arming threshold in workload-cumulative thread-instructions
-	armed      bool
-	g          []uint32
+	// It forks from ck when ck is set. Before the fault, its units before
+	// startUnit replay without a compare.
+	start     int
+	startUnit int
+	ck        *Checkpoint
+	replays   bool   // unit replay is on (off for NewPlayerAt)
+	armG      uint64 // arming threshold in workload-cumulative thread-instructions
+	armed     bool
+	g         []uint32
 
 	// rep / repCount are the thread- and countable thread-instructions the
 	// running launch replayed.
 	rep, repCount uint64
 
 	// Live accumulates the portion actually simulated; Skipped counts the
-	// thread-instructions provably avoided (launches and blocks replayed
+	// thread-instructions provably avoided (launches and units replayed
 	// from their records, restored snapshot prefixes). Live.DynThreadInstrs
 	// + Skipped equals a full run's total.
 	Live    emu.Result
@@ -376,25 +393,26 @@ type Player struct {
 // countable instructions already executed, so the caller's counter picks
 // up exactly where the uninstrumented prefix left off. fired, when
 // non-nil, reports that the caller's instrumentation is done firing;
-// later blocks then run fully uninstrumented or replay.
+// later units then run fully uninstrumented or replay.
 func NewPlayer(tr *Trace, target uint64, hooks emu.Hooks, prime func(countDone uint64), fired func() bool, pool *Pool) *Player {
 	p := &Player{tr: tr, hooks: hooks, prime: prime, fired: fired, replays: true}
 	// Fork point: the later of the latest checkpoint at or before the
-	// target and the start of the target's block. The countdown threshold
-	// is re-based on it, so arming happens at most one block's or
+	// target and the start of the target's unit. The countdown threshold
+	// is re-based on it, so arming happens at most one unit's or
 	// checkpoint interval's worth of non-countable instructions early.
 	var baseTot, baseCnt uint64
 	i := sort.Search(len(tr.Ckpts), func(i int) bool { return tr.Ckpts[i].CumCount > target }) - 1
 	if k := sort.Search(len(tr.Launches), func(k int) bool { return tr.Launches[k].CumCount > target }); k < len(tr.Launches) {
-		blocks := tr.Launches[k].Blocks
+		rec := &tr.Launches[k]
+		units := rec.Units
 		baseTot, baseCnt = tr.cumBefore(k)
-		b := sort.Search(len(blocks), func(b int) bool { return baseCnt+blocks[b].Count > target })
-		if b > 0 {
-			baseTot += blocks[b-1].Instrs
-			baseCnt += blocks[b-1].Count
+		u := sort.Search(len(units), func(u int) bool { return baseCnt+units[u].Count > target })
+		if u > 0 {
+			baseTot += units[u-1].Instrs
+			baseCnt += units[u-1].Count
 		}
-		p.start, p.startBlock = k, b
-		if i >= 0 && tr.Ckpts[i].Launch == k && tr.Ckpts[i].Snap.Block() == b {
+		p.start, p.startUnit = k, u
+		if i >= 0 && tr.Ckpts[i].Launch == k && rec.unit(tr.Ckpts[i].Snap.Block(), tr.Ckpts[i].Snap.Warp()) == u {
 			p.ck = &tr.Ckpts[i]
 		}
 	} else if i >= 0 {
@@ -412,7 +430,7 @@ func NewPlayer(tr *Trace, target uint64, hooks emu.Hooks, prime func(countDone u
 
 // NewPlayerSkipTo builds a Player that fast-forwards launches 0..lastSkipped
 // by applying their writes and runs the remainder uninstrumented, replaying
-// every block whose inputs the corruption left intact — the replay mode for
+// every unit whose inputs the corruption left intact — the replay mode for
 // corruption applied by host code right after launch lastSkipped (e.g. the
 // CNN tile model).
 func NewPlayerSkipTo(tr *Trace, lastSkipped int, pool *Pool) *Player {
@@ -422,7 +440,7 @@ func NewPlayerSkipTo(tr *Trace, lastSkipped int, pool *Pool) *Player {
 }
 
 // NewPlayerAt builds an uninstrumented Player that forks from checkpoint
-// index ck exactly and then simulates everything, replaying no block; used
+// index ck exactly and then simulates everything, replaying no unit; used
 // to property-test snapshot/resume determinism.
 func NewPlayerAt(tr *Trace, ck int, pool *Pool) *Player {
 	p := &Player{tr: tr, armed: true}
@@ -488,19 +506,21 @@ func (p *Player) Launch(l *emu.Launch) error {
 }
 
 // replayer is the emu.Launch.Replay of launch ord, which matches its record.
-// Before the fault only the fork launch's blocks before the target's block
-// replay, the arena being golden; after it, every block whose inputs hold.
-// Neither replays a block that would take the launch past its watchdog
+// Before the fault only the fork launch's units before the target's unit
+// replay, the arena being golden; after it, every unit whose inputs hold.
+// Neither replays a unit that would take the launch past its watchdog
 // budget.
-func (p *Player) replayer(ord int, l *emu.Launch) func(int, *emu.Result) bool {
-	blocks := p.tr.Launches[ord].Blocks
+func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) bool {
+	rec := &p.tr.Launches[ord]
+	units := rec.Units
 	budget := cmp.Or(l.MaxDynInstrs, emu.DefaultMaxDynInstrs)
-	return func(b int, res *emu.Result) bool {
-		blk := &blocks[b]
-		n, c := blk.Instrs, blk.Count
-		if b > 0 {
-			n -= blocks[b-1].Instrs
-			c -= blocks[b-1].Count
+	return func(b, w int, res *emu.Result) bool {
+		u := rec.unit(b, w)
+		ur := &units[u]
+		n, c := ur.Instrs, ur.Count
+		if u > 0 {
+			n -= units[u-1].Instrs
+			c -= units[u-1].Count
 		}
 		if res.DynThreadInstrs+n > budget {
 			return false
@@ -509,13 +529,13 @@ func (p *Player) replayer(ord int, l *emu.Launch) func(int, *emu.Result) bool {
 		// fired; a player without one applies its corruption, if any, before
 		// the first launch that runs.
 		if p.fired == nil || p.fired() {
-			if !blk.In.hold(p.g) {
+			if !ur.In.hold(p.g) {
 				return false
 			}
-		} else if ord != p.start || b >= p.startBlock {
+		} else if ord != p.start || u >= p.startUnit {
 			return false
 		}
-		blk.apply(p.g)
+		ur.apply(p.g)
 		res.DynThreadInstrs += n
 		p.rep += n
 		p.repCount += c
@@ -547,7 +567,7 @@ func (p *Player) liveHooks(ord int) emu.Hooks {
 	// Countdown mode: an unarmed launch always ends with its local total
 	// at least WarpSize below its local threshold, so armG >= the
 	// cumulative total of every launch reached unarmed and the
-	// subtraction cannot underflow. Replayed blocks are charged to the
+	// subtraction cannot underflow. Replayed units are charged to the
 	// launch's count but not to its PerOpcode, so their countable
 	// instructions are added here.
 	h.ArmAfter = p.armG - before

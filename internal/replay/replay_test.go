@@ -193,49 +193,49 @@ func forkPoint(tr *Trace, target uint64) Checkpoint {
 	return at
 }
 
-// blockOf returns the launch and block that hold countable instruction
+// unitOf returns the launch and unit that hold countable instruction
 // target.
-func blockOf(tr *Trace, target uint64) (k, b int) {
+func unitOf(tr *Trace, target uint64) (k, u int) {
 	for k := range tr.Launches {
 		_, before := tr.cumBefore(k)
-		for b, blk := range tr.Launches[k].Blocks {
-			if before+blk.Count > target {
-				return k, b
+		for u, unit := range tr.Launches[k].Units {
+			if before+unit.Count > target {
+				return k, u
 			}
 		}
 	}
 	panic("target outside the trace")
 }
 
-// blockSpan returns the workload-cumulative thread-instruction counts at
-// the start and the end of block b of launch k.
-func blockSpan(tr *Trace, k, b int) (start, end uint64) {
+// unitSpan returns the workload-cumulative thread-instruction counts at
+// the start and the end of unit u of launch k.
+func unitSpan(tr *Trace, k, u int) (start, end uint64) {
 	start, _ = tr.cumBefore(k)
-	blocks := tr.Launches[k].Blocks
-	end = start + blocks[b].Instrs
-	if b > 0 {
-		start += blocks[b-1].Instrs
+	units := tr.Launches[k].Units
+	end = start + units[u].Instrs
+	if u > 0 {
+		start += units[u-1].Instrs
 	}
 	return start, end
 }
 
 // forkAt is where a countdown player for target starts simulating: the
-// later of the checkpoint before it and the start of its block.
+// later of the checkpoint before it and the start of its unit.
 func forkAt(tr *Trace, target uint64) uint64 {
-	k, b := blockOf(tr, target)
-	start, _ := blockSpan(tr, k, b)
+	k, u := unitOf(tr, target)
+	start, _ := unitSpan(tr, k, u)
 	return max(start, forkPoint(tr, target).CumInstrs)
 }
 
 // wantSkipped is what a countdown player for target skips when, besides
-// the target's block from the fork point on, exactly the blocks sim lists
-// (launch, block) run, each at its golden count.
+// the target's unit from the fork point on, exactly the units sim lists
+// (launch, unit) run, each at its golden count.
 func wantSkipped(tr *Trace, target uint64, sim [][2]int) uint64 {
-	k, b := blockOf(tr, target)
-	_, end := blockSpan(tr, k, b)
+	k, u := unitOf(tr, target)
+	_, end := unitSpan(tr, k, u)
 	skipped := tr.Instrs - (end - forkAt(tr, target))
-	for _, kb := range sim {
-		start, end := blockSpan(tr, kb[0], kb[1])
+	for _, ku := range sim {
+		start, end := unitSpan(tr, ku[0], ku[1])
 		skipped -= end - start
 	}
 	return skipped
@@ -294,13 +294,13 @@ func TestPlayerSimulatesNothingBeforeTheTargetBlock(t *testing.T) {
 			if err != nil {
 				t.Fatalf("target %d: %v", target, err)
 			}
-			k, b := blockOf(tr, target)
+			k, b := unitOf(tr, target)
 			skipped := wantSkipped(tr, target, nil)
 			if p.Skipped != skipped || p.Live.DynThreadInstrs != tr.Instrs-skipped {
 				t.Errorf("target %d: sim %d skipped %d, want %d and %d",
 					target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-skipped, skipped)
 			}
-			start, _ := blockSpan(tr, k, b)
+			start, _ := unitSpan(tr, k, b)
 			sawCheckpoint = sawCheckpoint || forkAt(tr, target) > start
 			sawBlockStart = sawBlockStart || forkAt(tr, target) == start && start > 0
 			i := int(target) % stN
@@ -445,7 +445,7 @@ func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
 		}
 		var sim uint64
 		for _, kb := range tc.sim {
-			start, end := blockSpan(tr, kb[0], kb[1])
+			start, end := unitSpan(tr, kb[0], kb[1])
 			sim += end - start
 		}
 		if p.Live.DynThreadInstrs != sim || p.Live.DynThreadInstrs+p.Skipped != plain.Res.DynThreadInstrs {
@@ -539,10 +539,11 @@ func TestPostFaultLaunchHasOneWatchdogBudget(t *testing.T) {
 	}
 }
 
-// The block-table workloads: one launch of btGrid blocks x stBlock threads
-// over an arena of a seed row, an output region and an input region. Each
-// kernel runs exactly one IMUL per thread, the countable instruction, so
-// target t is thread t of block t/stBlock.
+// The block-table workloads: one launch of btN threads — btGrid blocks of
+// one warp, or one block of btGrid warps — over an arena of a seed row, an
+// output region and an input region. Each kernel runs exactly one IMUL per
+// thread, the countable instruction, so target t is thread t of warp
+// t/stBlock.
 const (
 	btGrid  = 4
 	btN     = btGrid * stBlock
@@ -588,6 +589,22 @@ var (
 		b.IAdd(rOut, rProd, rPrev)
 		b.Gst(rIdx, btOut, rOut)
 	})
+	// btIndependent with a barrier before the store: never barrier-free.
+	btBarrier = btKernel("barrier", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Bar()
+		b.Gst(rIdx, btOut, rProd)
+	})
+	// btIndependent with the product passed through shared memory: never
+	// barrier-free.
+	btShared = btKernel("shared", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Sst(rTid, 0, rProd)
+		b.Sld(rOut, rTid, 0)
+		b.Gst(rIdx, btOut, rOut)
+	})
 	// out[i*1] = in[i]+1: the IMUL computes the store address.
 	btAddressed = btKernel("addressed", func(b *kasm.Builder) {
 		b.IMulI(rAddr, rIdx, 1)
@@ -610,7 +627,8 @@ var (
 	})
 )
 
-func runBlockTable(rt Runner, prog *kasm.Program, budget uint64) ([]uint32, error) {
+// runBlockTable runs prog on grid blocks of btN/grid threads.
+func runBlockTable(rt Runner, prog *kasm.Program, grid int, budget uint64) ([]uint32, error) {
 	g := rt.Arena(btWords)
 	for i := 0; i < stBlock; i++ {
 		g[btSeed+i] = uint32(7 * i)
@@ -618,7 +636,8 @@ func runBlockTable(rt Runner, prog *kasm.Program, budget uint64) ([]uint32, erro
 	for i := 0; i < btN; i++ {
 		g[btIn+i] = uint32(1 + i%3)
 	}
-	if err := rt.Launch(&emu.Launch{Prog: prog, Grid: btGrid, Block: stBlock, Global: g, MaxDynInstrs: budget}); err != nil {
+	l := &emu.Launch{Prog: prog, Grid: grid, Block: btN / grid, Global: g, SharedWords: btN / grid, MaxDynInstrs: budget}
+	if err := rt.Launch(l); err != nil {
 		return nil, err
 	}
 	return slices.Clone(g), nil
@@ -626,55 +645,78 @@ func runBlockTable(rt Runner, prog *kasm.Program, budget uint64) ([]uint32, erro
 
 // TestBlockReplayMatchesPlain: for every target of each block-table
 // workload, a fast-forwarded run reaches the outcome, arena and sim +
-// skipped total of a plain run with the same fault, and of the blocks after
+// skipped total of a plain run with the same fault, and of the units after
 // the faulted one runs exactly those whose inputs the fault changed, or
-// whose replay would cross the watchdog budget.
+// whose replay would cross the watchdog budget. The rows on one block of
+// four warps pin the unit: a warp in a barrier-free launch, the whole
+// block in a launch with a barrier or shared memory.
 func TestBlockReplayMatchesPlain(t *testing.T) {
-	lastOnly := func(b int) []int {
-		if b < btGrid-1 {
+	lastOnly := func(u int) []int {
+		if u < btGrid-1 {
 			return []int{btGrid - 1}
 		}
 		return nil
 	}
+	allLater := func(u int) []int {
+		var later []int
+		for j := u + 1; j < btGrid; j++ {
+			later = append(later, j)
+		}
+		return later
+	}
 	cases := []struct {
 		name  string
 		prog  *kasm.Program
+		grid  int // btGrid one-warp blocks, or 1 block of btGrid warps
 		mask  uint32
-		every uint64            // checkpoint spacing; past the launch, every fork is at a block start
+		every uint64            // checkpoint spacing; past the launch, every fork is at a unit start
 		slack uint64            // watchdog budget over the golden count; 0: the default
-		sim   func(b int) []int // the blocks after the faulted block b that run
+		sim   func(u int) []int // the units after the faulted unit u that run
 		err   error
 	}{
 		{name: "(a) independent blocks: the remainder is skipped",
-			prog: btIndependent, mask: liveBit, every: 1 << 20},
+			prog: btIndependent, grid: btGrid, mask: liveBit, every: 1 << 20},
 		{name: "(b) a later block reads the faulted block's output",
-			prog: btChained, mask: liveBit, every: 100, sim: func(b int) []int {
-				var later []int
-				for j := b + 1; j < btGrid; j++ {
-					later = append(later, j)
-				}
-				return later
-			}},
+			prog: btChained, grid: btGrid, mask: liveBit, every: 100, sim: allLater},
 		// Index bit 5 clear: the store lands in the next block's input.
 		{name: "(c) the fault redirects a store into the input region",
-			prog: btAddressed, mask: 5 << 5, every: 100, sim: func(b int) []int {
-				if b%2 == 0 {
-					return []int{b + 1}
+			prog: btAddressed, grid: btGrid, mask: 5 << 5, every: 100, sim: func(u int) []int {
+				if u%2 == 0 {
+					return []int{u + 1}
 				}
 				return nil
 			}},
 		// The faulted block's extra iterations leave room to replay every
 		// later block but the last, which hangs.
 		{name: "(d) the faulted block's extra work would trip the watchdog in the remainder",
-			prog: btCounting, mask: 1 << 6, every: 100, slack: 64, sim: lastOnly, err: emu.ErrWatchdog},
+			prog: btCounting, grid: btGrid, mask: 1 << 6, every: 100, slack: 64, sim: lastOnly, err: emu.ErrWatchdog},
 		{name: "(e) every target forks inside its own block, the last block's included",
-			prog: btIndependent, mask: liveBit, every: 1},
+			prog: btIndependent, grid: btGrid, mask: liveBit, every: 1},
+		{name: "(f) warp units: a fault in one warp of a barrier-free block simulates only that warp",
+			prog: btIndependent, grid: 1, mask: liveBit, every: 1 << 20},
+		{name: "(g) warp units: every target forks inside its own warp",
+			prog: btIndependent, grid: 1, mask: liveBit, every: 1},
+		{name: "(h) warp units: a later warp that loads what the faulted warp stored runs",
+			prog: btChained, grid: 1, mask: liveBit, every: 100, sim: allLater},
+		{name: "(i) warp units: a redirected store runs only the warp it lands in",
+			prog: btAddressed, grid: 1, mask: 5 << 5, every: 100, sim: func(u int) []int {
+				if u%2 == 0 {
+					return []int{u + 1}
+				}
+				return nil
+			}},
+		{name: "(j) warp units: a hang in a warp that would replay trips the watchdog at the same count",
+			prog: btCounting, grid: 1, mask: 1 << 6, every: 100, slack: 64, sim: lastOnly, err: emu.ErrWatchdog},
+		{name: "(k) a barrier keeps the block the unit",
+			prog: btBarrier, grid: 1, mask: liveBit, every: 100},
+		{name: "(l) shared memory keeps the block the unit",
+			prog: btShared, grid: 1, mask: liveBit, every: 100},
 	}
 	pool := &Pool{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := &Plain{}
-			if _, err := runBlockTable(plain, tc.prog, 0); err != nil {
+			if _, err := runBlockTable(plain, tc.prog, tc.grid, 0); err != nil {
 				t.Fatal(err)
 			}
 			var budget uint64
@@ -682,22 +724,27 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 				budget = plain.Res.DynThreadInstrs + tc.slack
 			}
 			rec := NewRecorder(tc.every, countIMUL)
-			if _, err := runBlockTable(rec, tc.prog, budget); err != nil {
+			if _, err := runBlockTable(rec, tc.prog, tc.grid, budget); err != nil {
 				t.Fatal(err)
 			}
 			tr := rec.Finish()
-			blocks := tr.Launches[0].Blocks
-			if tr.Count != btN || len(blocks) != btGrid {
-				t.Fatalf("trace: %d countable, %d blocks", tr.Count, len(blocks))
+			units := tr.Launches[0].Units
+			wantUnits := btGrid // a warp each
+			if tc.prog == btBarrier || tc.prog == btShared {
+				wantUnits = tc.grid
 			}
+			if tr.Count != btN || len(units) != wantUnits {
+				t.Fatalf("trace: %d countable, %d units, want %d", tr.Count, len(units), wantUnits)
+			}
+			per := btN / stBlock / len(units) // warps per unit
 			sawReplay := false
 			for target := uint64(0); target < btN; target++ {
 				ref := &flip{target: target, mask: tc.mask}
 				rp := &Plain{Hooks: ref.hooks()}
-				want, werr := runBlockTable(rp, tc.prog, budget)
+				want, werr := runBlockTable(rp, tc.prog, tc.grid, budget)
 				f := &flip{target: target, mask: tc.mask}
 				p := f.player(tr, pool)
-				got, err := runBlockTable(p, tc.prog, budget)
+				got, err := runBlockTable(p, tc.prog, tc.grid, budget)
 
 				if !errors.Is(werr, tc.err) {
 					t.Fatalf("target %d: plain run ended with %v, the case assumes %v", target, werr, tc.err)
@@ -715,33 +762,33 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 				if sum := p.Live.DynThreadInstrs + p.Skipped; sum != rp.Res.DynThreadInstrs {
 					t.Errorf("target %d: sim + skipped = %d, the full replay executes %d", target, sum, rp.Res.DynThreadInstrs)
 				}
-				b := int(target) / stBlock
+				u := int(target) / stBlock / per
 				var sim [][2]int
 				if tc.sim != nil {
-					for _, j := range tc.sim(b) {
+					for _, j := range tc.sim(u) {
 						sim = append(sim, [2]int{0, j})
 					}
 				}
-				// The simulated blocks run at their golden count, except a
+				// The simulated units run at their golden count, except a
 				// hung one, which runs to the budget.
 				skipped := wantSkipped(tr, target, sim)
 				if tc.err != nil {
 					skipped = forkAt(tr, target)
-					for j := b + 1; j < btGrid-1; j++ {
-						start, end := blockSpan(tr, 0, j)
+					for j := u + 1; j < len(units)-1; j++ {
+						start, end := unitSpan(tr, 0, j)
 						skipped += end - start
 					}
 				}
 				if p.Skipped != skipped {
 					t.Errorf("target %d: skipped %d, want %d", target, p.Skipped, skipped)
 				}
-				sawReplay = sawReplay || len(sim) < btGrid-1-b
-				if ck := forkPoint(tr, target); tc.every == 1 && (b > 0 && ck.CumInstrs <= blocks[b-1].Instrs || ck.CumInstrs == 0) {
-					t.Errorf("target %d: forked at instruction %d, outside its block %d", target, ck.CumInstrs, b)
+				sawReplay = sawReplay || len(sim) < len(units)-1-u
+				if ck := forkPoint(tr, target); tc.every == 1 && (u > 0 && ck.CumInstrs <= units[u-1].Instrs || ck.CumInstrs == 0) {
+					t.Errorf("target %d: forked at instruction %d, outside its unit %d", target, ck.CumInstrs, u)
 				}
 			}
-			if tc.sim == nil && !sawReplay {
-				t.Error("no target left a later block to replay")
+			if tc.sim == nil && len(units) > 1 && !sawReplay {
+				t.Error("no target left a later unit to replay")
 			}
 		})
 	}

@@ -52,13 +52,13 @@ func (f *schedFields) init(l *Layout) {
 type pipeFields struct {
 	ifEcc, ifInstrHi, ifPC, ifWarp, ifValid, ifBlock int
 
-	idOp, idDst, idSrcA, idSrcB, idSrcC, idGuard, idPDst, idCmp int
+	idOp, idDst, idSrcA, idSrcB, idSrcC, idGuard, idPDst, idCmp        int
 	idUseImm, idImm, idTarget, idReconv, idPC, idWarp, idValid, idMask int
 
-	colaA, colaB, colaC [WarpSize]int
+	colaA, colaB, colaC                                                          [WarpSize]int
 	colaValid, colaOp, colaDst, colaWarp, colaPDst, colaGuard, colaImm, colaMask int
 
-	colbA, colbB, colbC [WarpSize]int
+	colbA, colbB, colbC                                                          [WarpSize]int
 	colbValid, colbOp, colbDst, colbWarp, colbPDst, colbGuard, colbImm, colbMask int
 
 	predA, predB [8]int
@@ -67,10 +67,10 @@ type pipeFields struct {
 
 	issGroup, issSubmask, issOp, issDst, issWarp, issValid, issPDst, issCmp, issImm int
 
-	wbRes [WarpSize]int
+	wbRes                                                  [WarpSize]int
 	wbWarp, wbDst, wbMask, wbValid, wbIsPred, wbPDst, wbPC int
 
-	lsuAddr [WarpSize]int
+	lsuAddr                                             [WarpSize]int
 	lsuValid, lsuOp, lsuWarp, lsuImm, lsuAValid, lsuTag int
 
 	brTaken, brNtaken, brTarget, brReconv, brValid int
@@ -133,19 +133,19 @@ func (f *pipeFields) init(l *Layout) {
 
 type fpFields struct {
 	s1A, s1B, s1C, s1Op, s1Valid [NumLanes]int
-	s2ASign, s2AExp, s2AMan     [NumLanes]int
-	s2BSign, s2BExp, s2BMan     [NumLanes]int
-	s2Special, s2SpecValid      [NumLanes]int
-	s2Op, s2Valid               [NumLanes]int
-	s3P, s3PExp, s3PSign        [NumLanes]int
-	s3CSign, s3CExp, s3CMan     [NumLanes]int
-	s3Op, s3Valid               [NumLanes]int
-	s4FracB, s4FracS, s4ExpB    [NumLanes]int
-	s4SignB, s4SignS, s4Valid   [NumLanes]int
-	s4Shift                     [NumLanes]int
-	s5Frac, s5Exp, s5Sign       [NumLanes]int
-	s5Valid                     [NumLanes]int
-	s6Res, s6Valid              [NumLanes]int
+	s2ASign, s2AExp, s2AMan      [NumLanes]int
+	s2BSign, s2BExp, s2BMan      [NumLanes]int
+	s2Special, s2SpecValid       [NumLanes]int
+	s2Op, s2Valid                [NumLanes]int
+	s3P, s3PExp, s3PSign         [NumLanes]int
+	s3CSign, s3CExp, s3CMan      [NumLanes]int
+	s3Op, s3Valid                [NumLanes]int
+	s4FracB, s4FracS, s4ExpB     [NumLanes]int
+	s4SignB, s4SignS, s4Valid    [NumLanes]int
+	s4Shift                      [NumLanes]int
+	s5Frac, s5Exp, s5Sign        [NumLanes]int
+	s5Valid                      [NumLanes]int
+	s6Res, s6Valid               [NumLanes]int
 
 	fuStage, fuValid, fuCycles, fuLaneMask int
 }

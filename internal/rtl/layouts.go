@@ -363,9 +363,9 @@ func newSFULayout() *Layout {
 			Field{Name: p("op"), Width: 2},
 			Field{Name: p("lane"), Width: 3},
 			Field{Name: p("valid"), Width: 1},
-			Field{Name: p("x2"), Width: 32},   // x*x or reduced argument
-			Field{Name: p("f"), Width: 32},    // reduced fraction (exp)
-			Field{Name: p("n"), Width: 9},     // scale integer (exp)
+			Field{Name: p("x2"), Width: 32}, // x*x or reduced argument
+			Field{Name: p("f"), Width: 32},  // reduced fraction (exp)
+			Field{Name: p("n"), Width: 9},   // scale integer (exp)
 			Field{Name: p("res"), Width: 32},
 			Field{Name: p("seed"), Width: 32}, // bit-trick Newton seed
 			Field{Name: p("halfa"), Width: 32},
@@ -377,9 +377,9 @@ func newSFULayout() *Layout {
 		}
 		for s := 0; s < sfuPipeDepth; s++ {
 			fields = append(fields,
-				Field{Name: fmt.Sprintf("u%d_pv%d", u, s), Width: 32},  // value
-				Field{Name: fmt.Sprintf("u%d_pa%d", u, s), Width: 32},  // aux
-				Field{Name: fmt.Sprintf("u%d_pt%d", u, s), Width: 4},   // tag
+				Field{Name: fmt.Sprintf("u%d_pv%d", u, s), Width: 32}, // value
+				Field{Name: fmt.Sprintf("u%d_pa%d", u, s), Width: 32}, // aux
+				Field{Name: fmt.Sprintf("u%d_pt%d", u, s), Width: 4},  // tag
 			)
 		}
 	}

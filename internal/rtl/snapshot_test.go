@@ -24,8 +24,12 @@ func snapshotProg(t *testing.T) *kasm.Program {
 	b.Emit(isa.Instr{Op: isa.OpFSIN, Guard: isa.PredTrue, Dst: rC, SrcA: rA, SrcB: isa.RZ, SrcC: isa.RZ})
 	b.ISetPI(isa.P(0), isa.CmpLT, rTid, 32)
 	b.IfElse(isa.P(0),
-		func() { b.Emit(isa.Instr{Op: isa.OpFADD, Guard: isa.PredTrue, Dst: rTmp, SrcA: rTmp, SrcB: rC, SrcC: isa.RZ}) },
-		func() { b.Emit(isa.Instr{Op: isa.OpIADD, Guard: isa.PredTrue, Dst: rTmp, SrcA: rTmp, SrcB: rTid, SrcC: isa.RZ}) },
+		func() {
+			b.Emit(isa.Instr{Op: isa.OpFADD, Guard: isa.PredTrue, Dst: rTmp, SrcA: rTmp, SrcB: rC, SrcC: isa.RZ})
+		},
+		func() {
+			b.Emit(isa.Instr{Op: isa.OpIADD, Guard: isa.PredTrue, Dst: rTmp, SrcA: rTmp, SrcB: rTid, SrcC: isa.RZ})
+		},
 	)
 	b.Gst(rTid, 128, rTmp)
 	b.Gst(rTid, 192, rC)

@@ -20,11 +20,11 @@ const MicroThreads = 64
 
 // Global-memory layout of a micro-benchmark (word offsets).
 const (
-	inAOff  = 0
-	inBOff  = MicroThreads
-	inCOff  = 2 * MicroThreads
-	outOff  = 3 * MicroThreads
-	out2Off = 4 * MicroThreads
+	inAOff     = 0
+	inBOff     = MicroThreads
+	inCOff     = 2 * MicroThreads
+	outOff     = 3 * MicroThreads
+	out2Off    = 4 * MicroThreads
 	microWords = 5 * MicroThreads
 )
 
