@@ -98,7 +98,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 22_876_706, SkippedInstrs: 270_820_714}),
+			want: swCounters(swfi.Counters{SimInstrs: 22_793_823, SkippedInstrs: 270_903_597}),
 		},
 		{
 			name: "EvaluateCNN LeNetLite 20 + YoloLite 5 injections, seed 11",
@@ -124,7 +124,7 @@ func TestEngineCounters(t *testing.T) {
 				}
 				return swCounters(c)
 			},
-			want: swCounters(swfi.Counters{SimInstrs: 3_598_468, SkippedInstrs: 40_411_912}),
+			want: swCounters(swfi.Counters{SimInstrs: 1_252_408, SkippedInstrs: 42_757_972}),
 		},
 	}
 	for _, spec := range specs {

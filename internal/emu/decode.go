@@ -60,6 +60,54 @@ type dprog struct {
 	// perWarp: no BAR and no shared-memory access, so the unit of replay
 	// is the warp (see Launch.Replay).
 	perWarp bool
+	// laneSafe: perWarp, and no guard depends on a loaded word (see
+	// LaneSafe).
+	laneSafe bool
+}
+
+// LaneSafe reports whether a launch of p may run a warp with only some of
+// its lanes live (see Launch.Replay): its program has no BAR and no
+// shared-memory access, and no instruction's guard predicate — a BRA's,
+// an EXIT's or a data instruction's — can depend on a value a GLD loaded.
+// Every lane of such a program then executes the instructions its thread
+// and block index choose, whatever it loads, and counts them.
+func LaneSafe(p *kasm.Program) bool { return p != nil && decoded(p).laneSafe }
+
+// untaintedGuards is LaneSafe's guard rule, a flow-insensitive taint pass
+// run to a fixed point: a register is tainted when a GLD writes it or an
+// instruction computes it from a tainted register or selector predicate,
+// a predicate when an ISETP or FSETP sets it from a tainted register. RZ
+// and PT are never written, so they stay clean.
+func untaintedGuards(prog []isa.Instr) bool {
+	var regs uint64 // tainted registers, one bit each
+	var preds uint8 // tainted predicates
+	reg := func(r isa.Reg) bool { return regs>>r&1 == 1 }
+	for changed := true; changed; {
+		changed = false
+		for _, in := range prog {
+			if preds>>in.Guard.Index()&1 == 1 {
+				return false
+			}
+			n := in.Op.NumSrcs()
+			t := in.Op == isa.OpGLD || n >= 1 && reg(in.SrcA) ||
+				n >= 2 && !in.UseImmB && reg(in.SrcB) || n >= 3 && reg(in.SrcC)
+			switch in.Op {
+			case isa.OpSEL, isa.OpIMNMX, isa.OpFMNMX:
+				t = t || preds>>in.PDst.Index()&1 == 1
+			}
+			if !t {
+				continue
+			}
+			r, p := regs, preds
+			if in.Op.SetsPred() && in.PDst.Index() != isa.PT {
+				preds |= 1 << in.PDst.Index()
+			} else if in.Op.HasDst() && in.Dst != isa.RZ {
+				regs |= 1 << in.Dst
+			}
+			changed = changed || regs != r || preds != p
+		}
+	}
+	return true
 }
 
 func decodeProgram(p *kasm.Program) *dprog {
@@ -104,6 +152,7 @@ func decodeProgram(p *kasm.Program) *dprog {
 			d.kind = kData
 		}
 	}
+	dp.laneSafe = dp.perWarp && untaintedGuards(p.Instrs)
 	return dp
 }
 

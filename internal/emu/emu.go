@@ -14,6 +14,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"gpufi/internal/isa"
@@ -75,23 +76,59 @@ type Launch struct {
 	Mem          *MemTrace // optional global-memory access tracing
 
 	// Replay, when non-nil, is offered every unit of replay before it
-	// runs — the units after the one a Resume continues included. The unit
-	// is the warp in a barrier-free launch, one whose program has no BAR
-	// and no shared-memory access: its warps run one after another, each
-	// to completion from fresh registers (see package replay). Otherwise
-	// it is the block, offered with warp -1. Returning true
-	// means the caller applied the unit's effect on Global and charged its
-	// thread-instruction count to res, so the unit does not run: the
-	// watchdog and a pending ArmAfter countdown then see the charged count
-	// from the next instruction on. The caller must not charge a count that
-	// crosses the watchdog budget; such a unit has to run, so the watchdog
-	// fires where it would.
-	Replay func(block, warp int, res *Result) bool
+	// runs — the units after the one a Resume continues included — and
+	// returns the lanes to run. The unit is the warp in a barrier-free
+	// launch, one whose program has no BAR and no shared-memory access: its
+	// warps run one after another, each to completion from fresh registers
+	// (see package replay). Otherwise it is the block, offered with warp -1.
+	// Returning 0 means the caller applied the unit's effect on Global and
+	// charged its thread-instruction count to res, so the unit does not
+	// run: the watchdog and a pending ArmAfter countdown then see the
+	// charged count from the next instruction on. The caller must not
+	// charge a count that crosses the watchdog budget; such a unit has to
+	// run, so the watchdog fires where it would. Any other value runs the
+	// unit — a warp, when Attempt is set and the value is not ^0, as an
+	// attempt with only the returned lanes live (exact in a LaneSafe
+	// program, see package replay), which BlockDone keeps or rejects.
+	Replay func(block, warp int, res *Result) uint32
 
 	// BlockDone, when non-nil, is called after every unit that runs — the
 	// one a Resume continues included — with its block, warp and the
-	// launch's counters so far. Neither it nor Replay is an instruction hook.
-	BlockDone func(block, warp int, res *Result)
+	// launch's counters so far, and after every attempt. Neither it nor
+	// Replay is an instruction hook. After an attempt that ended without
+	// error it decides: true keeps the attempt, with whatever the caller
+	// added to Global and res; false, like an attempt that ended in error
+	// (Attempt.Err), undoes the attempt's stores and counts, and the warp
+	// then runs whole. Its result is ignored otherwise.
+	BlockDone func(block, warp int, res *Result) bool
+
+	// Attempt, when non-nil, logs the global-memory accesses of an attempt
+	// (see Replay); it enables attempts.
+	Attempt *Attempt
+}
+
+// Attempt logs one attempt's global-memory accesses for its caller's
+// check and for undoing it. The caller sets Lo and Hi; the emulator fills
+// the rest.
+type Attempt struct {
+	// Lo and Hi bound the words whose loads are logged: [Lo, Hi).
+	Lo, Hi uint32
+	// Lanes is, while BlockDone sees an attempt, the lanes Replay returned
+	// for it; 0 otherwise.
+	Lanes uint32
+	// Stores lists every store, in order, with the word's previous value.
+	Stores []Load
+	// Loads lists the address of every load of a word in [Lo, Hi).
+	Loads []uint32
+	// Err is the error the attempt ended in, nil when it completed.
+	Err error
+}
+
+// undo restores the words the attempt stored to, latest store first.
+func (a *Attempt) undo(g []uint32) {
+	for i := len(a.Stores) - 1; i >= 0; i-- {
+		g[a.Stores[i].Addr] = a.Stores[i].Val
+	}
 }
 
 // MemTrace records one unit's global-memory footprint: the words it
@@ -111,6 +148,10 @@ type MemTrace struct {
 	// order.
 	Loaded []uint64
 	Inputs []Load
+
+	// Lanes, when non-nil, holds for every word the unit loaded or stored
+	// the mask of lanes that did; it must cover len(Global) words.
+	Lanes []uint32
 }
 
 // Load is one input word of a unit: its address and the value loaded.
@@ -120,31 +161,45 @@ type Load struct{ Addr, Val uint32 }
 // what it holds.
 func (mt *MemTrace) Clear() {
 	for _, k := range mt.Touched {
+		if mt.Lanes != nil {
+			for m := mt.Writes[k]; m != 0; m &= m - 1 {
+				mt.Lanes[int(k)<<6+bits.TrailingZeros64(m)] = 0
+			}
+		}
 		mt.Writes[k] = 0
 	}
 	mt.Touched = mt.Touched[:0]
 	for _, in := range mt.Inputs {
 		mt.Loaded[in.Addr>>6] = 0
+		if mt.Lanes != nil {
+			mt.Lanes[in.Addr] = 0
+		}
 	}
 	mt.Inputs = mt.Inputs[:0]
 }
 
-// store marks a store to word addr.
-func (mt *MemTrace) store(addr int64) {
+// store marks a store by lane to word addr.
+func (mt *MemTrace) store(addr int64, lane int) {
 	k := addr >> 6
 	if mt.Writes[k] == 0 {
 		mt.Touched = append(mt.Touched, int32(k))
 	}
 	mt.Writes[k] |= 1 << (uint(addr) & 63)
+	if mt.Lanes != nil {
+		mt.Lanes[addr] |= 1 << uint(lane)
+	}
 }
 
-// load records a load of v from word addr, unless the word was stored to
-// or loaded before.
-func (mt *MemTrace) load(addr int64, v uint32) {
+// load records a load by lane of v from word addr, as an input unless the
+// word was stored to or loaded before.
+func (mt *MemTrace) load(addr int64, v uint32, lane int) {
 	k, bit := addr>>6, uint64(1)<<(uint(addr)&63)
 	if (mt.Writes[k]|mt.Loaded[k])&bit == 0 {
 		mt.Loaded[k] |= bit
 		mt.Inputs = append(mt.Inputs, Load{Addr: uint32(addr), Val: v})
+	}
+	if mt.Lanes != nil {
+		mt.Lanes[addr] |= 1 << uint(lane)
 	}
 }
 
@@ -202,7 +257,7 @@ func (ex *exec) run() (Result, error) {
 // Replay.
 func (ex *exec) blocksFrom(first int) (Result, error) {
 	for b := first; b < ex.l.Grid; b++ {
-		if !ex.dp.perWarp && ex.l.Replay != nil && ex.l.Replay(b, -1, &ex.res) {
+		if !ex.dp.perWarp && ex.l.Replay != nil && ex.l.Replay(b, -1, &ex.res) == 0 {
 			continue
 		}
 		if err := ex.runBlock(b); err != nil {
@@ -217,6 +272,37 @@ func (ex *exec) unitDone(b, w int) {
 	if ex.l.BlockDone != nil {
 		ex.l.BlockDone(b, w, &ex.res)
 	}
+}
+
+// attempt runs warp i with only lanes live (see Launch.Replay) and reports
+// whether BlockDone kept it. Otherwise it has undone the attempt's stores
+// and counts, so the caller runs the warp whole. blockLoop starts
+// attempts only once a countdown armed, and an attempt takes no
+// checkpoint: one that falls due lands on the next instruction of a warp
+// that runs.
+func (ex *exec) attempt(blockID, i int, lanes uint32) bool {
+	a := ex.l.Attempt
+	a.Stores, a.Loads = a.Stores[:0], a.Loads[:0]
+	saved := ex.res
+	w := newWarp(i, ex.l.Block)
+	w.live &= lanes
+	w.stack[0].mask = w.live
+	ex.att = a
+	var err error
+	for !w.done && err == nil {
+		err = ex.stepFast(blockID, w)
+	}
+	ex.att = nil
+	a.Lanes, a.Err = lanes, err
+	warpPool.Put(w)
+	keep := ex.l.BlockDone(blockID, i, &ex.res) && err == nil
+	a.Lanes = 0
+	if keep {
+		return true
+	}
+	a.undo(ex.l.Global)
+	ex.res = saved
+	return false
 }
 
 type exec struct {
@@ -234,6 +320,8 @@ type exec struct {
 	post  func(*Event)
 
 	dp *dprog // the pre-decoded program
+
+	att *Attempt // the running attempt's log, nil outside attempts
 
 	// scratch absorbs results of instructions whose destination is RZ so
 	// the fast path's lane loops carry no per-lane destination test;
@@ -311,7 +399,13 @@ func (ex *exec) blockLoop(blockID int, warps []*warp) error {
 	for {
 		for i, w := range warps {
 			if w == nil {
-				if ex.l.Replay != nil && ex.l.Replay(blockID, i, &ex.res) {
+				lanes := ^uint32(0)
+				if ex.l.Replay != nil {
+					if lanes = ex.l.Replay(blockID, i, &ex.res); lanes == 0 {
+						continue
+					}
+				}
+				if lanes != ^uint32(0) && ex.l.Attempt != nil && ex.armed && ex.attempt(blockID, i, lanes) {
 					continue
 				}
 				w = newWarp(i, ex.l.Block)

@@ -282,7 +282,13 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 		}
 	case isa.OpGLD:
 		g := ex.l.Global
-		mt := ex.l.Mem
+		mt, at := ex.l.Mem, ex.att
+		// An attempt logs the loads in its window; outside attempts the
+		// window is empty.
+		var lo, span uint32
+		if at != nil {
+			lo, span = at.Lo, at.Hi-at.Lo
+		}
 		a, dst := &w.regs[d.srcA], ex.dstRow(w, d)
 		imm := int64(d.imm)
 		for m := guard; m != 0; m &= m - 1 {
@@ -292,13 +298,16 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
 			if mt != nil {
-				mt.load(addr, g[addr])
+				mt.load(addr, g[addr], l)
+			}
+			if uint32(addr)-lo < span {
+				at.Loads = append(at.Loads, uint32(addr))
 			}
 			dst[l] = g[addr]
 		}
 	case isa.OpGST:
 		g := ex.l.Global
-		mt := ex.l.Mem
+		mt, at := ex.l.Mem, ex.att
 		a, c := &w.regs[d.srcA], &w.regs[d.srcC]
 		imm := int64(d.imm)
 		for m := guard; m != 0; m &= m - 1 {
@@ -308,7 +317,10 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
 			if mt != nil {
-				mt.store(addr)
+				mt.store(addr, l)
+			}
+			if at != nil {
+				at.Stores = append(at.Stores, Load{Addr: uint32(addr), Val: g[addr]})
 			}
 			g[addr] = c[l]
 		}

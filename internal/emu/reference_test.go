@@ -243,7 +243,7 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 			}
 			d = global[addr]
 			if mt := ex.l.Mem; mt != nil {
-				mt.load(addr, d)
+				mt.load(addr, d, lane)
 			}
 		case isa.OpGST:
 			addr := int64(int32(a)) + int64(in.Imm)
@@ -251,7 +251,7 @@ func (ex *exec) execData(blockID int, w *warp, pc int, in isa.Instr, guard uint3
 				return &LaunchError{Block: blockID, Warp: w.id, PC: pc, Err: ErrBadAddress}
 			}
 			if mt := ex.l.Mem; mt != nil {
-				mt.store(addr)
+				mt.store(addr, lane)
 			}
 			global[addr] = c
 			d = c

@@ -33,13 +33,21 @@ func (s *Snapshot) Block() int { return s.block }
 // not started), and -1 otherwise.
 func (s *Snapshot) Warp() int { return s.warp }
 
+// finished stands for every done warp of a Snapshot: nothing reads a done
+// warp's registers again, so a snapshot keeps none of them.
+var finished = &warp{done: true}
+
 // clone deep-copies a warp into a pooled one; a slot not started yet
-// stays nil. The regs and preds arrays copy by value; only the SIMT stack
-// needs an explicit copy. A campaign resumes once per injection, and fresh
-// ~8 KB clones each time would keep the heap full of them.
+// stays nil, and a done warp becomes finished. The regs and preds arrays
+// copy by value; only the SIMT stack needs an explicit copy. A campaign
+// resumes once per injection, and fresh ~8 KB clones each time would keep
+// the heap full of them.
 func (w *warp) clone() *warp {
-	if w == nil {
+	switch {
+	case w == nil:
 		return nil
+	case w.done:
+		return finished
 	}
 	c := warpPool.Get().(*warp)
 	stack := c.stack[:0]

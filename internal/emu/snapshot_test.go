@@ -277,11 +277,12 @@ func checkUnitHooks(t *testing.T, prog *kasm.Program, shared, per int) {
 	gWant := sharedRevInput(n)
 	var ends []uint64 // counters after each unit of the full run
 	full := launch(gWant, Hooks{})
-	full.BlockDone = func(b, w int, r *Result) {
+	full.BlockDone = func(b, w int, r *Result) bool {
 		if u := unit(b, w); u != len(ends) {
 			t.Fatalf("BlockDone for unit %d after %d units", u, len(ends))
 		}
 		ends = append(ends, r.DynThreadInstrs)
+		return true
 	}
 	want, err := Run(full)
 	if err != nil || len(ends) != units || ends[units-1] != want.DynThreadInstrs {
@@ -298,22 +299,23 @@ func checkUnitHooks(t *testing.T, prog *kasm.Program, shared, per int) {
 	// their golden output and charging their golden count — and returns
 	// the units it was offered and the units that ran.
 	hooked := func(l *Launch, take func(int) bool, resume *Snapshot) (res Result, offered, ran []int, err error) {
-		l.Replay = func(b, w int, r *Result) bool {
+		l.Replay = func(b, w int, r *Result) uint32 {
 			u := unit(b, w)
 			offered = append(offered, u)
 			if !take(u) {
-				return false
+				return ^uint32(0)
 			}
 			copy(outOf(l.Global, u), outOf(gWant, u))
 			r.DynThreadInstrs += ends[u] - startOf(u)
-			return true
+			return 0
 		}
-		l.BlockDone = func(b, w int, r *Result) {
+		l.BlockDone = func(b, w int, r *Result) bool {
 			u := unit(b, w)
 			ran = append(ran, u)
 			if r.DynThreadInstrs != ends[u] {
 				t.Fatalf("unit %d ended at %d, want %d", u, r.DynThreadInstrs, ends[u])
 			}
+			return true
 		}
 		if resume != nil {
 			res, err = Resume(l, resume)

@@ -51,11 +51,11 @@ func newWarp(id, threads int) *warp {
 }
 
 // releaseWarps returns block-final warps to the pool, skipping slots
-// that never started. Callers must not retain any reference: snapshots
-// are safe because they clone.
+// that never started and the shared finished warp. Callers must not
+// retain any reference: snapshots are safe because they clone.
 func releaseWarps(warps []*warp) {
 	for _, w := range warps {
-		if w != nil {
+		if w != nil && w != finished {
 			warpPool.Put(w)
 		}
 	}

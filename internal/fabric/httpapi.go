@@ -31,7 +31,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /fabric/v1/heartbeat", handleRPC(c.Heartbeat))
 	mux.HandleFunc("POST /fabric/v1/complete", handleRPC(c.Complete))
 	mux.HandleFunc("GET /fabric/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeFabricJSON(w, http.StatusOK, c.Status())
+		rpcJSON.Write(w, http.StatusOK, c.Status())
 	})
 	return mux
 }
@@ -41,10 +41,39 @@ type fabricError struct {
 	Error string `json:"error"`
 }
 
-func writeFabricJSON(w http.ResponseWriter, code int, v any) {
+// JSONAPI is an HTTP API's JSON dialect, the coordinator's or the job
+// service's: response indent, whether request bodies may carry fields the
+// target type lacks, and the request body limit.
+type JSONAPI struct {
+	Indent string
+	Strict bool
+	Limit  int64
+}
+
+// Write sends v as the response body with status code.
+func (a JSONAPI) Write(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", a.Indent)
+	enc.Encode(v)
+}
+
+// Decode reads r's body into v, or answers 413 (a body over Limit) or 400
+// with an {"error": ...} body and returns false.
+func (a JSONAPI) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, a.Limit))
+	if a.Strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	if code := http.StatusBadRequest; err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		a.Write(w, code, fabricError{Error: fmt.Sprintf("bad request body: %v", err)})
+	}
+	return err == nil
 }
 
 // maxRPCBody bounds a request body. The largest legitimate one is a
@@ -55,16 +84,13 @@ func writeFabricJSON(w http.ResponseWriter, code int, v any) {
 // worker fails a unit past the bound instead of sending it: withPayload.)
 const maxRPCBody = 16 << 20
 
+var rpcJSON = JSONAPI{Limit: maxRPCBody}
+
 // handleRPC adapts one Transport method to an HTTP POST endpoint.
 func handleRPC[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(&req); err != nil {
-			code := http.StatusBadRequest
-			if errors.As(err, new(*http.MaxBytesError)) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeFabricJSON(w, code, fabricError{Error: fmt.Sprintf("bad request body: %v", err)})
+		if !rpcJSON.Decode(w, r, &req) {
 			return
 		}
 		reply, err := fn(req)
@@ -78,10 +104,10 @@ func handleRPC[Req, Reply any](fn func(Req) (Reply, error)) http.HandlerFunc {
 			case errors.Is(err, ErrClosed):
 				code = http.StatusServiceUnavailable
 			}
-			writeFabricJSON(w, code, fabricError{Error: err.Error()})
+			rpcJSON.Write(w, code, fabricError{Error: err.Error()})
 			return
 		}
-		writeFabricJSON(w, http.StatusOK, reply)
+		rpcJSON.Write(w, http.StatusOK, reply)
 	}
 }
 

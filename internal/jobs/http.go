@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"gpufi/internal/fabric"
 )
 
 // Handler returns the service's HTTP API:
@@ -32,13 +34,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
-}
+var api = fabric.JSONAPI{Indent: " ", Strict: true, Limit: maxSubmitBody}
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -46,10 +42,10 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down"})
+		api.Write(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "jobs": n})
+	api.Write(w, http.StatusOK, map[string]any{"ok": true, "jobs": n})
 }
 
 // maxSubmitBody bounds a POST /jobs body; a Request is a few hundred bytes.
@@ -57,14 +53,7 @@ const maxSubmitBody = 1 << 20
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !api.Decode(w, r, &req) {
 		return
 	}
 	st, err := s.Submit(req)
@@ -73,36 +62,36 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, errorBody{Error: err.Error()})
+		api.Write(w, code, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusCreated, st)
+	api.Write(w, http.StatusCreated, st)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.List()})
+	api.Write(w, http.StatusOK, map[string]any{"jobs": s.List()})
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		api.Write(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.Write(w, http.StatusOK, st)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
 		if st.ID == "" {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+			api.Write(w, http.StatusNotFound, errorBody{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		api.Write(w, http.StatusConflict, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.Write(w, http.StatusOK, st)
 }
 
 // eventsPollInterval is how often the SSE stream re-samples the status of
@@ -119,12 +108,12 @@ const eventsPollInterval = 100 * time.Millisecond
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		api.Write(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
+		api.Write(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

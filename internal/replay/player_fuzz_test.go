@@ -25,6 +25,11 @@ import (
 //   - pass values through shared memory across a barrier (fzRev), or
 //     through global memory (fzBarrier): the kernels whose unit of replay
 //     stays the block,
+//   - take store and load addresses from the top byte of a loaded word,
+//     zero in the golden run (fzHop): a corrupted lane of a warp that lane
+//     replay splits stores into an input another lane loads after it, onto
+//     another lane's output or out of the arena, or loads another lane's
+//     output,
 //
 // and host code that reads the arena between launches and picks the next
 // launch's program, grid and parameter from it, so a fault can change the
@@ -53,6 +58,7 @@ const (
 	fzScatter
 	fzWarpChain
 	fzBarrier
+	fzHop
 	fzKinds
 )
 
@@ -151,6 +157,32 @@ func fzKernel(kind fzKind, src, dst int32) *kasm.Program {
 		b.Gld(rPrev, rAddr, dst)
 		b.IMulI(rProd, rPrev, 3)
 		b.IAdd(rOut, rOut, rProd)
+		b.Gst(rIdx, dst, rOut)
+	case fzHop:
+		// The top byte of the loaded word moves the first store: bit 24
+		// into the source region onto word idx^2, which threads idx^2 and
+		// idx^3 load; bits 25-28 onto the output of thread idx^k; bits 30-31
+		// out of the arena. Bit 29 moves the partner load from the source
+		// word idx^1 onto the output thread idx^2 stored. The second store
+		// writes out[idx] in any case.
+		b.Shr(rCnt, rVal, 24)
+		b.AndI(rAddr, rCnt, 1)
+		b.IMadI(rAddr, rAddr, src-dst, rIdx)
+		b.Shl(rI, rCnt, 1)
+		b.AndI(rI, rI, 62)
+		b.Xor(rAddr, rAddr, rI)
+		b.Shr(rI, rCnt, 6)
+		b.IMadI(rAddr, rI, 4096, rAddr)
+		b.IAdd(rOut, rVal, rParam)
+		b.Gst(rAddr, dst, rOut)
+		b.Shr(rI, rCnt, 5)
+		b.AndI(rI, rI, 1)
+		b.IMulI(rProd, rI, 3)
+		b.Xor(rPrev, rIdx, rProd)
+		b.XorI(rPrev, rPrev, 1)
+		b.IMadI(rPrev, rI, dst-src, rPrev)
+		b.Gld(rPrev, rPrev, src)
+		b.IAdd(rOut, rOut, rPrev)
 		b.Gst(rIdx, dst, rOut)
 	}
 	return kasm.MustFinalize(b)
@@ -276,6 +308,16 @@ func (l *launchLog) diverged(tr *Trace) bool {
 // fzCoverage counts what a payload's checks exercised.
 type fzCoverage struct {
 	replayed, warpReplayed, hung, lateWatchdog, diverged int
+	// Lane replay's attempts: kept, rolled back on a memory conflict, on an
+	// error.
+	kept, conflicts, failed uint64
+}
+
+// attempts adds a player's attempt counts.
+func (c *fzCoverage) attempts(p *Player) {
+	c.kept += p.Attempts.Accepted
+	c.conflicts += p.Attempts.Conflicts
+	c.failed += p.Attempts.Errors
 }
 
 // samePlayerRun fails unless the player's run equals the plain one:
@@ -350,6 +392,7 @@ func checkPlayerVsPlain(t *testing.T, data []byte) fzCoverage {
 		if f.fired != ref.fired || f.old != ref.old {
 			t.Fatalf("%s: player fired %v on %#x, plain run %v on %#x", what, f.fired, f.old, ref.fired, ref.old)
 		}
+		cov.attempts(p)
 
 		if p.Skipped > forkAt(tr, target) {
 			cov.replayed++
@@ -384,6 +427,7 @@ func checkPlayerVsPlain(t *testing.T, data []byte) fzCoverage {
 		p := NewPlayerSkipTo(tr, last, pool)
 		got, err := s.run(p, host)
 		samePlayerRun(t, fmt.Sprintf("word %d bit %d after launch %d", word, bit, last), want, got, werr, err, plain.Res.DynThreadInstrs, p)
+		cov.attempts(p)
 	}
 	return cov
 }
@@ -416,6 +460,11 @@ func playerSeedCorpus() [][]byte {
 		payload(1, 1|33<<1, 26, 10, [3]byte{byte(fzStoreLoad), 2, 5}, [3]byte{byte(fzWarpChain), 1, 5}, [3]byte{byte(fzScatter), 2, 5}, [3]byte{byte(fzGather), 2, 5}),
 		payload(2, 0, 1, 11, [3]byte{byte(fzRev), 0, 90}, [3]byte{byte(fzChain), 1, 90}, [3]byte{byte(fzWarpChain), 1, 90}),
 		payload(1, pick, 13, 12, [3]byte{byte(fzBarrier), 1, 50}, [3]byte{byte(fzWarpChain), 2, 50}, [3]byte{byte(fzBarrier), 0, 50}),
+		// Lane replay: fzHop after kernels whose corrupted outputs it loads,
+		// so attempts are kept, conflict and fail.
+		payload(0, 0, 24, 13, [3]byte{byte(fzMap), 2, 200}, [3]byte{byte(fzHop), 2, 200}, [3]byte{byte(fzHop), 1, 200}),
+		payload(2, 0, 25, 14, [3]byte{byte(fzMap), 1, 60}, [3]byte{byte(fzHop), 0, 60}, [3]byte{byte(fzGather), 0, 60}, [3]byte{byte(fzHop), 1, 60}),
+		payload(1, pick, 30, 15, [3]byte{byte(fzChain), 1, 9}, [3]byte{byte(fzHop), 2, 9}, [3]byte{byte(fzLoop), 1, 9}, [3]byte{byte(fzHop), 0, 9}),
 	}
 }
 
@@ -431,7 +480,8 @@ func FuzzPlayerVsPlain(f *testing.F) {
 // TestPlayerVsPlainCorpus runs the fuzz corpus on every plain `go test`,
 // and requires it to exercise post-fault replay, in blocks of several
 // warps too, hangs, a watchdog that a later unit of the faulting launch
-// trips, and launch sequences a fault changed.
+// trips, launch sequences a fault changed, and lane replay's attempts:
+// kept, rolled back on a memory conflict and rolled back on an error.
 func TestPlayerVsPlainCorpus(t *testing.T) {
 	var total fzCoverage
 	for i, seed := range playerSeedCorpus() {
@@ -442,11 +492,17 @@ func TestPlayerVsPlainCorpus(t *testing.T) {
 			total.hung += c.hung
 			total.lateWatchdog += c.lateWatchdog
 			total.diverged += c.diverged
+			total.kept += c.kept
+			total.conflicts += c.conflicts
+			total.failed += c.failed
 		})
 	}
 	t.Logf("targets with a post-fault replay %d (in a block of several warps %d), hung %d, hung in a later unit %d, with a changed launch sequence %d",
 		total.replayed, total.warpReplayed, total.hung, total.lateWatchdog, total.diverged)
-	if total.replayed == 0 || total.warpReplayed == 0 || total.hung == 0 || total.lateWatchdog == 0 || total.diverged == 0 {
+	t.Logf("lane replay attempts kept %d, rolled back on a memory conflict %d, on an error %d",
+		total.kept, total.conflicts, total.failed)
+	if total.replayed == 0 || total.warpReplayed == 0 || total.hung == 0 || total.lateWatchdog == 0 || total.diverged == 0 ||
+		total.kept == 0 || total.conflicts == 0 || total.failed == 0 {
 		t.Errorf("corpus coverage %+v: every count must be positive", total)
 	}
 }

@@ -36,6 +36,7 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	n.pre = append(n.pre, slices.Clone(n.g))
 	stored := map[int]bool{}
 	loaded := map[int]uint32{}
+	lanes := map[int]uint32{} // every lane that loaded or stored a word
 	addr := func(ev *emu.Event, lane int) int { return int(int32(ev.SrcA(lane))) + int(ev.Instr.Imm) }
 	l.Hooks.Post = func(ev *emu.Event) {
 		for m := ev.Active; m != 0; m &= m - 1 {
@@ -43,19 +44,28 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 			switch a := addr(ev, lane); ev.Instr.Op {
 			case isa.OpGST:
 				stored[a] = true
+				lanes[a] |= 1 << lane
 			case isa.OpGLD:
 				if _, seen := loaded[a]; !seen && !stored[a] {
 					loaded[a], _ = ev.DstValue(lane)
 				}
+				lanes[a] |= 1 << lane
 			}
 		}
 	}
 	var units []UnitRec
-	l.BlockDone = func(_, _ int, res *emu.Result) {
+	l.BlockDone = func(_, _ int, res *emu.Result) bool {
 		blk := UnitRec{Instrs: res.DynThreadInstrs, Count: res.PerOpcode[isa.OpIMUL]}
+		// A warp of a lane-safe launch keeps its lanes when every word it
+		// stores has one lane touching it.
+		split := emu.LaneSafe(l.Prog)
+		var owner []uint8
+		var inLanes []uint32
 		for i := range n.g {
 			if stored[i] {
 				blk.Writes = append(blk.Writes, Delta{Idx: uint32(i), Val: n.g[i]})
+				split = split && bits.OnesCount32(lanes[i]) == 1
+				owner = append(owner, uint8(bits.TrailingZeros32(lanes[i])))
 			}
 			v, ok := loaded[i]
 			if !ok {
@@ -67,10 +77,16 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 				blk.In.Runs = append(blk.In.Runs, Run{Start: uint32(i), Len: 1})
 			}
 			blk.In.Vals = append(blk.In.Vals, v)
+			inLanes = append(inLanes, lanes[i])
+		}
+		if split && inLanes != nil {
+			blk.Owner, blk.In.Lanes = owner, inLanes
 		}
 		units = append(units, blk)
 		clear(stored)
 		clear(loaded)
+		clear(lanes)
+		return true
 	}
 	base, baseCount := n.instrs, n.count
 	res, err := emu.RunCheckpointed(l, n.nextCk-base, n.every, func(s *emu.Snapshot) {
@@ -207,12 +223,6 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A unit's writes are a set: put them in the reference's order.
-		for _, l := range tr.Launches {
-			for _, b := range l.Units {
-				slices.SortFunc(b.Writes, func(x, y Delta) int { return int(x.Idx) - int(y.Idx) })
-			}
-		}
 		if tr.Words != len(ref.g) || tr.Instrs != ref.instrs || tr.Count != ref.count {
 			t.Fatalf("seed %d: trace %d words %d instrs %d countable, reference %d/%d/%d",
 				seed, tr.Words, tr.Instrs, tr.Count, len(ref.g), ref.instrs, ref.count)

@@ -19,7 +19,10 @@
 //   - hooks stay inert (emu.Hooks countdown) until just before the target;
 //   - after the fault, any unit whose launch matches the recorded launch
 //     and whose recorded inputs still hold their recorded values applies
-//     its writes instead of running (unit replay).
+//     its writes instead of running (unit replay); in a lane-safe launch
+//     (emu.LaneSafe) a warp whose inputs fail runs only the lanes that
+//     loaded a changed word, and applies the writes of the others (lane
+//     replay).
 //
 // Unit replay is exact. A block starts with fresh registers and zeroed
 // shared memory, and blocks run one after another, so while a block runs
@@ -36,6 +39,22 @@
 // launches a different program or grid at some launch index simply fails
 // the launch match. A unit is replayed only while the launch's count stays
 // within its watchdog budget, so a hang still fails where it would.
+//
+// Why a replayed lane is exact. In a lane-safe launch no guard depends on a
+// loaded word, so every lane executes, and counts, the instructions its
+// thread and block index choose, whatever it loads; the ISA has no
+// cross-lane operation. The Recorder keeps, for each warp of such a launch,
+// the lanes that loaded each input and the one lane that stored each
+// written word — a warp in which two lanes touch a stored word keeps warp
+// granularity. Let S be the lanes that loaded a changed input and R the
+// others: R loads only intact inputs and its own stores, so R runs as
+// recorded. The warp runs as an attempt with only S live, which follows
+// each S lane's recorded path in the full run's order, and is kept when it
+// ended without error, stored into no input or written word of R and
+// loaded no word R writes: then the full run, R and S interleaved, writes
+// what the attempt wrote plus R's recorded writes, and counts the warp's
+// recorded count. Otherwise the emulator undoes the attempt and the warp
+// runs whole, so a conflict or a fault in S lands where a full run puts it.
 //
 // Host code between launches re-executes normally in all modes; the arena
 // it sees is the one a full run would show it.
@@ -143,8 +162,11 @@ func (rec *LaunchRec) unit(block, warp int) int {
 // UnitRec describes one unit of a recorded launch: a block, or a warp.
 type UnitRec struct {
 	// Writes is every word the unit stored to, changed or not, with its
-	// value at the unit's end.
+	// value at the unit's end, in ascending word order.
 	Writes []Delta
+	// Owner holds, when In.Lanes is set, the lane that stored each word of
+	// Writes — the only lane that loaded or stored it.
+	Owner []uint8
 	// Instrs / Count are the launch-local thread-instruction and countable
 	// thread-instruction counts after the unit.
 	Instrs uint64
@@ -161,40 +183,87 @@ func (ur *UnitRec) apply(g []uint32) {
 
 // Inputs is the set of words a unit loaded before storing to them, with
 // the values loaded: runs of consecutive word indices, in ascending order,
-// and their values concatenated.
+// and their values concatenated. Lanes, set only for a warp that lane
+// replay may split, holds the mask of lanes that loaded each word.
 type Inputs struct {
-	Runs []Run
-	Vals []uint32
+	Runs  []Run
+	Vals  []uint32
+	Lanes []uint32
 }
 
 // Run is Len consecutive arena words from Start.
 type Run struct{ Start, Len uint32 }
 
-// hold reports whether every input word of g holds its recorded value.
-func (in *Inputs) hold(g []uint32) bool {
-	v := in.Vals
+// changed returns the lanes that loaded an input g no longer holds — all
+// of them for a unit recorded without its lanes — and offs refilled with
+// each run's offset into Vals.
+func (in *Inputs) changed(g []uint32, offs []uint32) (uint32, []uint32) {
+	var s, o uint32
+	offs = offs[:0]
 	for _, r := range in.Runs {
-		if !slices.Equal(g[r.Start:r.Start+r.Len], v[:r.Len]) {
-			return false
+		offs = append(offs, o)
+		if now := g[r.Start : r.Start+r.Len]; !slices.Equal(now, in.Vals[o:o+r.Len]) {
+			if in.Lanes == nil {
+				return ^uint32(0), offs
+			}
+			for i, v := range now {
+				if v != in.Vals[o+uint32(i)] {
+					s |= in.Lanes[o+uint32(i)]
+				}
+			}
 		}
-		v = v[r.Len:]
+		o += r.Len
 	}
-	return true
+	return s, offs
 }
 
-// inputsOf compacts a unit's loads, which it sorts, into Inputs.
-func inputsOf(loads []emu.Load) Inputs {
+// lanesAt returns the lanes that loaded input word idx, 0 for a word that
+// is no input; offs is changed's.
+func (in *Inputs) lanesAt(idx uint32, offs []uint32) uint32 {
+	r, ok := slices.BinarySearchFunc(in.Runs, idx, func(r Run, idx uint32) int {
+		switch {
+		case r.Start+r.Len <= idx:
+			return -1
+		case r.Start > idx:
+			return 1
+		}
+		return 0
+	})
+	if !ok {
+		return 0
+	}
+	return in.Lanes[offs[r]+idx-in.Runs[r].Start]
+}
+
+// inputs compacts the running unit's loads into Inputs; lanes, when
+// non-nil, is the MemTrace's per-word lane masks. The loads are sorted as
+// packed address-value keys, which is several times faster than sorting
+// the Load records with a comparison function.
+func (r *Recorder) inputs(lanes []uint32) Inputs {
+	loads := r.mem.Inputs
 	if len(loads) == 0 {
 		return Inputs{}
 	}
-	slices.SortFunc(loads, func(a, b emu.Load) int { return cmp.Compare(a.Addr, b.Addr) })
-	in := Inputs{Vals: make([]uint32, len(loads))}
-	for i, l := range loads {
-		in.Vals[i] = l.Val
-		if n := len(in.Runs); n > 0 && in.Runs[n-1].Start+in.Runs[n-1].Len == l.Addr {
+	keys := r.keys[:0]
+	for _, l := range loads {
+		keys = append(keys, uint64(l.Addr)<<32|uint64(l.Val))
+	}
+	slices.Sort(keys)
+	r.keys = keys
+	in := Inputs{Vals: make([]uint32, len(keys))}
+	if lanes != nil {
+		in.Lanes = make([]uint32, len(keys))
+	}
+	for i, k := range keys {
+		addr := uint32(k >> 32)
+		in.Vals[i] = uint32(k)
+		if lanes != nil {
+			in.Lanes[i] = lanes[addr]
+		}
+		if n := len(in.Runs); n > 0 && in.Runs[n-1].Start+in.Runs[n-1].Len == addr {
 			in.Runs[n-1].Len++
 		} else {
-			in.Runs = append(in.Runs, Run{Start: l.Addr, Len: 1})
+			in.Runs = append(in.Runs, Run{Start: addr, Len: 1})
 		}
 	}
 	return in
@@ -258,6 +327,8 @@ type Recorder struct {
 	g      []uint32
 	nextCk uint64
 	mem    emu.MemTrace // the running unit's stores and inputs
+	lanes  []uint32     // mem.Lanes in lane-safe launches, made at the first one
+	keys   []uint64     // inputs' sort buffer
 
 	// Liveness capture (CaptureLiveness): a Post hook recording the event
 	// stream for the backward dead-site scan, plus per-launch end marks.
@@ -297,22 +368,48 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 	// words earlier warps of its block stored.
 	mt := &r.mem
 	l.Mem = mt
+	mt.Lanes = nil
+	if emu.LaneSafe(l.Prog) {
+		if r.lanes == nil {
+			r.lanes = make([]uint32, len(r.g))
+		}
+		mt.Lanes = r.lanes
+	}
 	var units []UnitRec
-	l.BlockDone = func(_, _ int, res *emu.Result) {
+	l.BlockDone = func(_, _ int, res *emu.Result) bool {
+		// Ascending chunks give ascending writes. A warp keeps its lanes
+		// only while every word it stored has one lane touching it.
+		slices.Sort(mt.Touched)
 		var written []Delta
+		var owner []uint8
+		lanes := mt.Lanes
 		for _, k := range mt.Touched {
 			for m := mt.Writes[k]; m != 0; m &= m - 1 {
 				i := int(k)<<6 + bits.TrailingZeros64(m)
 				written = append(written, Delta{Idx: uint32(i), Val: r.g[i]})
+				if lanes == nil {
+					continue
+				}
+				if ln := lanes[i]; ln&(ln-1) == 0 {
+					owner = append(owner, uint8(bits.TrailingZeros32(ln)))
+				} else {
+					lanes = nil
+				}
 			}
+		}
+		in := r.inputs(lanes)
+		if in.Lanes == nil {
+			owner = nil
 		}
 		units = append(units, UnitRec{
 			Writes: written,
+			Owner:  owner,
 			Instrs: res.DynThreadInstrs,
 			Count:  r.tr.countable(&res.PerOpcode),
-			In:     inputsOf(mt.Inputs),
+			In:     in,
 		})
 		mt.Clear()
+		return true
 	}
 	// nextCk is global; the emulator counts per launch. nextCk > base
 	// always holds (it is bumped past the cumulative total after every
@@ -347,11 +444,14 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 // Finish seals and returns the trace.
 func (r *Recorder) Finish() *Trace { return r.tr }
 
-// Pool is a per-worker reusable arena buffer. Players attached to the
-// same Pool (sequentially — a Pool is not safe for concurrent use) reuse
-// one allocation instead of allocating a fresh arena per replay.
+// Pool is a per-worker reusable arena buffer and attempt log. Players
+// attached to the same Pool (sequentially — a Pool is not safe for
+// concurrent use) reuse one allocation instead of allocating a fresh arena
+// per replay.
 type Pool struct {
-	buf []uint32
+	buf  []uint32
+	att  emu.Attempt // the running attempt's accesses
+	offs []uint32    // the attempted unit's input run offsets (Inputs.changed)
 }
 
 // Player is the fast-forwarding Runner; see the package comment. In
@@ -376,8 +476,18 @@ type Player struct {
 	g         []uint32
 
 	// rep / repCount are the thread- and countable thread-instructions the
-	// running launch replayed.
+	// running launch replayed. An accepted attempt adds to rep only:
+	// repCount matters before the countdown arms, and attempts come after.
 	rep, repCount uint64
+
+	pool *Pool
+	// try is the unit Replay last split: its record, the lanes the
+	// attempt runs, its golden count and the launch's count before it.
+	try struct {
+		ur       *UnitRec
+		s        uint32
+		n, start uint64
+	}
 
 	// Live accumulates the portion actually simulated; Skipped counts the
 	// thread-instructions provably avoided (launches and units replayed
@@ -385,6 +495,9 @@ type Player struct {
 	// + Skipped equals a full run's total.
 	Live    emu.Result
 	Skipped uint64
+	// Attempts counts lane replay's attempts: those kept, and those rolled
+	// back on a memory conflict or an error.
+	Attempts struct{ Accepted, Conflicts, Errors uint64 }
 }
 
 // NewPlayer builds a Player that arms hooks just before the target-th
@@ -459,7 +572,7 @@ func (p *Player) attach(pool *Pool) {
 	if len(pool.buf) != p.tr.Words {
 		pool.buf = make([]uint32, p.tr.Words)
 	}
-	p.g = pool.buf
+	p.g, p.pool = pool.buf, pool
 }
 
 // Arena implements Runner. The pooled buffer is zeroed so replays see the
@@ -484,9 +597,9 @@ func (p *Player) Launch(l *emu.Launch) error {
 		return nil
 	}
 	l.Hooks = p.liveHooks(ord)
-	l.Mem, l.BlockDone, l.Replay = nil, nil, nil
+	l.Mem, l.BlockDone, l.Replay, l.Attempt = nil, nil, nil, nil
 	if p.replays && ord < len(p.tr.Launches) && p.tr.Launches[ord].matches(l) {
-		l.Replay = p.replayer(ord, l)
+		l.Replay, l.BlockDone, l.Attempt = p.replayer(ord, l), p.attemptDone, &p.pool.att
 	}
 	p.rep, p.repCount = 0, 0
 	var res, prefix emu.Result
@@ -507,14 +620,16 @@ func (p *Player) Launch(l *emu.Launch) error {
 
 // replayer is the emu.Launch.Replay of launch ord, which matches its record.
 // Before the fault only the fork launch's units before the target's unit
-// replay, the arena being golden; after it, every unit whose inputs hold.
-// Neither replays a unit that would take the launch past its watchdog
-// budget.
-func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) bool {
+// replay, the arena being golden; after it, every unit whose inputs hold,
+// and a warp recorded with its lanes runs only the lanes that loaded a
+// changed input. None of these replays a unit that would take the launch
+// past its watchdog budget.
+func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) uint32 {
 	rec := &p.tr.Launches[ord]
 	units := rec.Units
 	budget := cmp.Or(l.MaxDynInstrs, emu.DefaultMaxDynInstrs)
-	return func(b, w int, res *emu.Result) bool {
+	const all = ^uint32(0)
+	return func(b, w int, res *emu.Result) uint32 {
 		u := rec.unit(b, w)
 		ur := &units[u]
 		n, c := ur.Instrs, ur.Count
@@ -523,24 +638,97 @@ func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) bo
 			c -= units[u-1].Count
 		}
 		if res.DynThreadInstrs+n > budget {
-			return false
+			return all
 		}
 		// The fault is done when a countdown player's instrumentation has
 		// fired; a player without one applies its corruption, if any, before
 		// the first launch that runs.
 		if p.fired == nil || p.fired() {
-			if !ur.In.hold(p.g) {
-				return false
+			if s := p.split(ur, n, res); s != 0 {
+				return s
 			}
 		} else if ord != p.start || u >= p.startUnit {
-			return false
+			return all
 		}
 		ur.apply(p.g)
 		res.DynThreadInstrs += n
 		p.rep += n
 		p.repCount += c
-		return true
+		return 0
 	}
+}
+
+// split returns the lanes of unit ur that loaded an input the arena no
+// longer holds (Inputs.changed), 0 when there are none, and readies the
+// attempt that runs only them: its load window spans the unit's writes.
+func (p *Player) split(ur *UnitRec, n uint64, res *emu.Result) uint32 {
+	var s uint32
+	s, p.pool.offs = ur.In.changed(p.g, p.pool.offs)
+	if s == 0 {
+		return 0
+	}
+	a := &p.pool.att
+	a.Lo, a.Hi = 0, 0
+	if k := len(ur.Writes); k > 0 {
+		a.Lo, a.Hi = ur.Writes[0].Idx, ur.Writes[k-1].Idx+1
+	}
+	p.try.ur, p.try.s, p.try.n, p.try.start = ur, s, n, res.DynThreadInstrs
+	return s
+}
+
+// attemptDone is the emu.Launch.BlockDone of a launch with a replayer. It
+// keeps an attempt that ended without error and touched nothing the warp's
+// other lanes own: it applies their writes and charges the warp's golden
+// count. Otherwise the emulator undoes the attempt and runs the warp whole.
+func (p *Player) attemptDone(_, _ int, res *emu.Result) bool {
+	a := &p.pool.att
+	if a.Lanes == 0 {
+		return true // a unit that ran whole
+	}
+	t := &p.try
+	switch {
+	case a.Err != nil:
+		p.Attempts.Errors++
+		return false
+	case t.ur.conflicts(a, t.s, p.pool.offs):
+		p.Attempts.Conflicts++
+		return false
+	}
+	for j, d := range t.ur.Writes {
+		if t.s>>t.ur.Owner[j]&1 == 0 {
+			p.g[d.Idx] = d.Val
+		}
+	}
+	rest := t.n - (res.DynThreadInstrs - t.start)
+	res.DynThreadInstrs += rest
+	p.rep += rest
+	p.Attempts.Accepted++
+	return true
+}
+
+// conflicts reports whether an attempt of lanes s touched what another lane
+// of warp ur owns: it stored into an input another lane loaded or a word
+// another lane stores, or it loaded a word another lane stores. Only loads
+// inside the warp's writes are logged, so the check costs the attempt's
+// stores plus those loads.
+func (ur *UnitRec) conflicts(a *emu.Attempt, s uint32, offs []uint32) bool {
+	for _, st := range a.Stores {
+		if ur.In.lanesAt(st.Addr, offs)&^s != 0 || ur.storedByOther(st.Addr, s) {
+			return true
+		}
+	}
+	for _, addr := range a.Loads {
+		if ur.storedByOther(addr, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// storedByOther reports whether a lane outside s stores word idx.
+func (ur *UnitRec) storedByOther(idx, s uint32) bool {
+	j, ok := slices.BinarySearchFunc(ur.Writes, idx, func(d Delta, idx uint32) int { return cmp.Compare(d.Idx, idx) })
+	return ok && s>>ur.Owner[j]&1 == 0
 }
 
 // liveHooks selects the instrumentation for a launch that executes.

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -227,16 +228,27 @@ func forkAt(tr *Trace, target uint64) uint64 {
 	return max(start, forkPoint(tr, target).CumInstrs)
 }
 
+// laneSpan is what unit u of launch k simulates when lanes of its warp's
+// 32 lanes run (0: the whole unit, warp or block): its golden count scaled
+// by lanes/32, every lane of the test kernels counting alike.
+func laneSpan(tr *Trace, k, u int, lanes uint64) uint64 {
+	start, end := unitSpan(tr, k, u)
+	if lanes == 0 {
+		return end - start
+	}
+	return (end - start) * lanes / stBlock
+}
+
 // wantSkipped is what a countdown player for target skips when, besides
 // the target's unit from the fork point on, exactly the units sim lists
-// (launch, unit) run, each at its golden count.
-func wantSkipped(tr *Trace, target uint64, sim [][2]int) uint64 {
+// (launch, unit) run, each at its golden count — or, with lanes set, only
+// that many of each one's lanes (lane replay).
+func wantSkipped(tr *Trace, target uint64, sim [][2]int, lanes uint64) uint64 {
 	k, u := unitOf(tr, target)
 	_, end := unitSpan(tr, k, u)
 	skipped := tr.Instrs - (end - forkAt(tr, target))
 	for _, ku := range sim {
-		start, end := unitSpan(tr, ku[0], ku[1])
-		skipped -= end - start
+		skipped -= laneSpan(tr, ku[0], ku[1], lanes)
 	}
 	return skipped
 }
@@ -295,7 +307,7 @@ func TestPlayerSimulatesNothingBeforeTheTargetBlock(t *testing.T) {
 				t.Fatalf("target %d: %v", target, err)
 			}
 			k, b := unitOf(tr, target)
-			skipped := wantSkipped(tr, target, nil)
+			skipped := wantSkipped(tr, target, nil, 0)
 			if p.Skipped != skipped || p.Live.DynThreadInstrs != tr.Instrs-skipped {
 				t.Errorf("target %d: sim %d skipped %d, want %d and %d",
 					target, p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-skipped, skipped)
@@ -326,11 +338,13 @@ func paramFromC(after int, g []uint32) {
 	}
 }
 
-// TestPostFaultTail drives block replay after the fault: which blocks of
+// TestPostFaultTail drives unit replay after the fault: which blocks of
 // the faulting and the later launches still run, and that replaying the
 // others never changes what a plain run with the same fault computes. Each
 // row is named for its scenario; sim lists the blocks after the target's
-// that run because a word they load changed.
+// that run because a word they load changed, and lanes how many of their
+// lanes run (0: all). The stage kernel is lane-safe, so a block whose only
+// changed input is thread 10's word runs thread 10 alone.
 func TestPostFaultTail(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -339,20 +353,22 @@ func TestPostFaultTail(t *testing.T) {
 		target     uint64
 		mask       uint32
 		sim        [][2]int // (launch, block)
+		lanes      uint64
 		sdc        bool
 	}{
 		{name: "pure host: fault masked inside launch 1 converges at the next boundary",
 			hostWrites: true, target: stN + 10, mask: maskedBit},
 		{name: "pure host: propagating fault never converges",
-			hostWrites: true, target: stN + 10, mask: liveBit, sim: [][2]int{{2, 0}}, sdc: true},
+			hostWrites: true, target: stN + 10, mask: liveBit, sim: [][2]int{{2, 0}}, lanes: 1, sdc: true},
 		{name: "pure host: garbage parked in scratch blocks the whole-arena comparison",
 			target: 10, mask: maskedBit},
 		{name: "live-in pruning ignores the parked garbage",
 			hostWrites: true, target: 10, mask: maskedBit},
 		{name: "live-in pruning still sees a word the next launch reads",
-			target: 10, mask: liveBit, sim: [][2]int{{1, 0}, {2, 0}}, sdc: true},
+			target: 10, mask: liveBit, sim: [][2]int{{1, 0}, {2, 0}}, lanes: 1, sdc: true},
 		{name: "impure host: no post-fault launch is skipped",
 			host: paramFromC, target: stN + 10, mask: maskedBit},
+		// Every thread loads the parameter, so both blocks run whole.
 		{name: "impure host: a parameter read from a corrupted word runs the next launch",
 			host: paramFromC, target: stN + 10, mask: liveBit, sim: [][2]int{{2, 0}, {2, 1}}, sdc: true},
 	}
@@ -374,7 +390,7 @@ func TestPostFaultTail(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			wantSkip := wantSkipped(tr, tc.target, tc.sim)
+			wantSkip := wantSkipped(tr, tc.target, tc.sim, tc.lanes)
 			if p.Skipped != wantSkip || p.Live.DynThreadInstrs != tr.Instrs-wantSkip {
 				t.Errorf("sim %d skipped %d, want %d and %d",
 					p.Live.DynThreadInstrs, p.Skipped, tr.Instrs-wantSkip, wantSkip)
@@ -415,10 +431,10 @@ func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
 
 	// Host corruption right after the skipped prefix, as the tile model
 	// applies it: the tail must compute what a plain run computes, running
-	// exactly the blocks that load a corrupted word.
+	// exactly the threads that load a corrupted word — one per block here.
 	for _, tc := range []struct {
 		last, word int
-		sim        [][2]int // (launch, block)
+		sim        [][2]int // (launch, block), each running one lane
 	}{
 		{0, offB + 3, [][2]int{{1, 0}, {2, 0}}},
 		{1, offC + 40, [][2]int{{2, 1}}},
@@ -445,8 +461,7 @@ func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
 		}
 		var sim uint64
 		for _, kb := range tc.sim {
-			start, end := unitSpan(tr, kb[0], kb[1])
-			sim += end - start
+			sim += laneSpan(tr, kb[0], kb[1], 1)
 		}
 		if p.Live.DynThreadInstrs != sim || p.Live.DynThreadInstrs+p.Skipped != plain.Res.DynThreadInstrs {
 			t.Errorf("corrupt word %d after launch %d: sim %d skipped %d, want %d simulated of %d",
@@ -625,6 +640,58 @@ var (
 		})
 		b.Gst(rIdx, btOut, rI)
 	})
+
+	// out[i] = in[i]*3 + out[i-32] + out[(i^1)-32]: every word a warp
+	// stores, two lanes of the next warp load (the seed row's, warp 0).
+	btPairs = btKernel("pairs", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Gld(rPrev, rIdx, btOut-stBlock)
+		b.XorI(rAddr, rIdx, 1)
+		b.Gld(rCnt, rAddr, btOut-stBlock)
+		b.IAdd(rOut, rProd, rPrev)
+		b.IAdd(rOut, rOut, rCnt)
+		b.Gst(rIdx, btOut, rOut)
+	})
+	// out[i] = in[i]*0, and in[i] stored back to in[i ^ out[i-32]] (warp 0
+	// has no predecessor): a corrupted word of the previous warp redirects
+	// the store into another lane's input and output, or out of the arena.
+	btRedirect = btKernel("redirect", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 0)
+		b.Gst(rIdx, btOut, rProd)
+		b.MovI(rPrev, 0)
+		b.ISetPI(isa.P(0), isa.CmpGE, rIdx, stBlock)
+		b.If(isa.P(0), func() {
+			b.Gld(rPrev, rIdx, btOut-stBlock)
+		})
+		b.Xor(rAddr, rIdx, rPrev)
+		b.Gst(rAddr, btIn, rVal)
+	})
+	// btChained with a branch on the word it loads: never lane-safe.
+	btBranchy = btKernel("branchy", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Gld(rPrev, rIdx, btOut-stBlock)
+		b.ISetPI(isa.P(0), isa.CmpGT, rPrev, 1<<16)
+		b.If(isa.P(0), func() {
+			b.IAddI(rProd, rProd, 1)
+		})
+		b.IAdd(rOut, rProd, rPrev)
+		b.Gst(rIdx, btOut, rOut)
+	})
+	// btChained whose lanes then copy their neighbour's output into their
+	// input: lane 1 loads what lane 0 stored.
+	btNeighbour = btKernel("neighbour", func(b *kasm.Builder) {
+		b.Gld(rVal, rIdx, btIn)
+		b.IMulI(rProd, rVal, 3)
+		b.Gld(rPrev, rIdx, btOut-stBlock)
+		b.IAdd(rOut, rProd, rPrev)
+		b.Gst(rIdx, btOut, rOut)
+		b.XorI(rAddr, rIdx, 1)
+		b.Gld(rCnt, rAddr, btOut)
+		b.Gst(rIdx, btIn, rCnt)
+	})
 )
 
 // runBlockTable runs prog on grid blocks of btN/grid threads.
@@ -646,10 +713,11 @@ func runBlockTable(rt Runner, prog *kasm.Program, grid int, budget uint64) ([]ui
 // TestBlockReplayMatchesPlain: for every target of each block-table
 // workload, a fast-forwarded run reaches the outcome, arena and sim +
 // skipped total of a plain run with the same fault, and of the units after
-// the faulted one runs exactly those whose inputs the fault changed, or
-// whose replay would cross the watchdog budget. The rows on one block of
-// four warps pin the unit: a warp in a barrier-free launch, the whole
-// block in a launch with a barrier or shared memory.
+// the faulted one runs exactly those whose inputs the fault changed — in
+// a lane-safe kernel only the lanes that loaded a changed word — or whose
+// replay would cross the watchdog budget. The rows on one block of four
+// warps pin the unit: a warp in a barrier-free launch, the whole block in
+// a launch with a barrier or shared memory.
 func TestBlockReplayMatchesPlain(t *testing.T) {
 	lastOnly := func(u int) []int {
 		if u < btGrid-1 {
@@ -672,15 +740,18 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 		every uint64            // checkpoint spacing; past the launch, every fork is at a unit start
 		slack uint64            // watchdog budget over the golden count; 0: the default
 		sim   func(u int) []int // the units after the faulted unit u that run
+		lanes uint64            // how many lanes of each of them run; 0: all
 		err   error
 	}{
 		{name: "(a) independent blocks: the remainder is skipped",
 			prog: btIndependent, grid: btGrid, mask: liveBit, every: 1 << 20},
+		// Lane replay: of each later block, the one thread that loads the
+		// changed word runs.
 		{name: "(b) a later block reads the faulted block's output",
-			prog: btChained, grid: btGrid, mask: liveBit, every: 100, sim: allLater},
+			prog: btChained, grid: btGrid, mask: liveBit, every: 100, sim: allLater, lanes: 1},
 		// Index bit 5 clear: the store lands in the next block's input.
 		{name: "(c) the fault redirects a store into the input region",
-			prog: btAddressed, grid: btGrid, mask: 5 << 5, every: 100, sim: func(u int) []int {
+			prog: btAddressed, grid: btGrid, mask: 5 << 5, every: 100, lanes: 1, sim: func(u int) []int {
 				if u%2 == 0 {
 					return []int{u + 1}
 				}
@@ -697,9 +768,9 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 		{name: "(g) warp units: every target forks inside its own warp",
 			prog: btIndependent, grid: 1, mask: liveBit, every: 1},
 		{name: "(h) warp units: a later warp that loads what the faulted warp stored runs",
-			prog: btChained, grid: 1, mask: liveBit, every: 100, sim: allLater},
+			prog: btChained, grid: 1, mask: liveBit, every: 100, sim: allLater, lanes: 1},
 		{name: "(i) warp units: a redirected store runs only the warp it lands in",
-			prog: btAddressed, grid: 1, mask: 5 << 5, every: 100, sim: func(u int) []int {
+			prog: btAddressed, grid: 1, mask: 5 << 5, every: 100, lanes: 1, sim: func(u int) []int {
 				if u%2 == 0 {
 					return []int{u + 1}
 				}
@@ -771,7 +842,7 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 				}
 				// The simulated units run at their golden count, except a
 				// hung one, which runs to the budget.
-				skipped := wantSkipped(tr, target, sim)
+				skipped := wantSkipped(tr, target, sim, tc.lanes)
 				if tc.err != nil {
 					skipped = forkAt(tr, target)
 					for j := u + 1; j < len(units)-1; j++ {
@@ -789,6 +860,104 @@ func TestBlockReplayMatchesPlain(t *testing.T) {
 			}
 			if tc.sim == nil && len(units) > 1 && !sawReplay {
 				t.Error("no target left a later unit to replay")
+			}
+		})
+	}
+}
+
+// TestLaneReplayMatchesPlain: lane replay on the block-table workload, one
+// block of four warps (or four blocks of one). For every target a
+// fast-forwarded run equals a plain run with the same fault — arena, error
+// and sim + skipped — and simulates exactly the target's warp from the fork
+// point plus, of the units sim lists, lanes lanes each (0: the whole warp);
+// a run that fails simulates nothing it could replay before the failing
+// warp. Each row pins which attempts happen over its targets: kept, rolled
+// back on a memory conflict, rolled back on an error — or none, in a warp
+// recorded without its lanes.
+func TestLaneReplayMatchesPlain(t *testing.T) {
+	allLater := func(u int) []int {
+		var later []int
+		for j := u + 1; j < btGrid; j++ {
+			later = append(later, j)
+		}
+		return later
+	}
+	next := func(u int) []int {
+		if u+1 < btGrid {
+			return []int{u + 1}
+		}
+		return nil
+	}
+	cases := []struct {
+		name  string
+		prog  *kasm.Program
+		grid  int
+		mask  uint32
+		split bool              // units record their lanes
+		sim   func(u int) []int // the units after the faulted unit u that run
+		lanes uint64            // how many lanes of each of them run; 0: all
+		want  [3]bool           // some attempt is kept, rolled back on a conflict, on an error
+	}{
+		{name: "a corrupted word runs exactly the two lanes of each later warp that load it",
+			prog: btPairs, grid: 1, mask: liveBit, split: true, sim: allLater, lanes: 2, want: [3]bool{true, false, false}},
+		{name: "the same in blocks of one warp",
+			prog: btPairs, grid: btGrid, mask: liveBit, split: true, sim: allLater, lanes: 2, want: [3]bool{true, false, false}},
+		{name: "a lane whose store lands in another lane's input and output rolls back and runs the warp whole",
+			prog: btRedirect, grid: 1, mask: liveBit, split: true, sim: next, want: [3]bool{false, true, false}},
+		{name: "a lane that stores out of the arena rolls back and fails where the plain run does",
+			prog: btRedirect, grid: 1, mask: 1 << 20, split: true, sim: next, want: [3]bool{false, false, true}},
+		{name: "a branch on a loaded word keeps warp units",
+			prog: btBranchy, grid: 1, mask: 1 << 20, sim: allLater},
+		{name: "a lane that loads what another lane stored keeps warp units",
+			prog: btNeighbour, grid: 1, mask: liveBit, sim: allLater},
+	}
+	pool := &Pool{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := NewRecorder(100, countIMUL)
+			if _, err := runBlockTable(rec, tc.prog, tc.grid, 0); err != nil {
+				t.Fatal(err)
+			}
+			tr := rec.Finish()
+			if units := tr.Launches[0].Units; len(units) != btGrid {
+				t.Fatalf("%d units, want a warp each", len(units))
+			}
+			for u, ur := range tr.Launches[0].Units {
+				if split := ur.In.Lanes != nil; split != tc.split || split && len(ur.Owner) != len(ur.Writes) {
+					t.Fatalf("unit %d recorded lanes %v (%d owners of %d writes), want %v", u, split, len(ur.Owner), len(ur.Writes), tc.split)
+				}
+			}
+			var seen [3]uint64
+			for target := uint64(0); target < btN; target++ {
+				ref := &flip{target: target, mask: tc.mask}
+				rp := &Plain{Hooks: ref.hooks()}
+				want, werr := runBlockTable(rp, tc.prog, tc.grid, 0)
+				f := &flip{target: target, mask: tc.mask}
+				p := f.player(tr, pool)
+				got, err := runBlockTable(p, tc.prog, tc.grid, 0)
+				what := fmt.Sprintf("target %d", target)
+				samePlayerRun(t, what, want, got, werr, err, rp.Res.DynThreadInstrs, p)
+
+				skipped := forkAt(tr, target)
+				if werr == nil {
+					var sim [][2]int
+					for _, j := range tc.sim(int(target) / stBlock) {
+						sim = append(sim, [2]int{0, j})
+					}
+					skipped = wantSkipped(tr, target, sim, tc.lanes)
+				}
+				if p.Skipped != skipped || p.Live.DynThreadInstrs != rp.Res.DynThreadInstrs-skipped {
+					t.Errorf("%s: sim %d skipped %d, want %d and %d", what,
+						p.Live.DynThreadInstrs, p.Skipped, rp.Res.DynThreadInstrs-skipped, skipped)
+				}
+				seen[0] += p.Attempts.Accepted
+				seen[1] += p.Attempts.Conflicts
+				seen[2] += p.Attempts.Errors
+			}
+			for i, w := range tc.want {
+				if (seen[i] > 0) != w {
+					t.Errorf("attempts kept, in conflict, failed: %v, want some where %v", seen, tc.want)
+				}
 			}
 		})
 	}
