@@ -98,11 +98,22 @@ func TestEvaluateHPCUnderestimation(t *testing.T) {
 	if len(evals) != 2 {
 		t.Fatalf("evals = %d", len(evals))
 	}
-	for _, e := range evals {
+	for i, e := range evals {
 		t.Logf("%s: bitflip=%.2f syndrome=%.2f under=%.0f%%",
 			e.Name, e.BitFlip.PVF(), e.Syndrome.PVF(), 100*e.Underestimation())
 		if e.BitFlip.Tally.Injections != 80 {
 			t.Errorf("%s: wrong injection count", e.Name)
+		}
+		// A result keeps its campaign but not the shared preparation, so
+		// held results do not pin every app's checkpoint trace.
+		for j, r := range []*swfi.Result{e.BitFlip, e.Syndrome} {
+			c := r.Campaign
+			model := []swfi.FaultModel{swfi.ModelBitFlip, swfi.ModelSyndrome}[j]
+			if c.Prepared != nil || c.Workload == nil || c.Workload.Name != e.Name ||
+				c.Model != model || c.Seed != uint64(3+2*i+j) {
+				t.Errorf("%s %v: campaign kept Prepared %v, workload %v, model %v, seed %d",
+					e.Name, model, c.Prepared != nil, c.Workload, c.Model, c.Seed)
+			}
 		}
 	}
 }

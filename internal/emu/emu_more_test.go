@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"gpufi/internal/isa"
@@ -187,7 +188,11 @@ func TestHookDispatch(t *testing.T) {
 	// Resumed from a snapshot inside block 1, a hook fires from the
 	// snapshot on; one that disarms fires once.
 	var snap *Snapshot
-	if _, err := RunCheckpointed(launch(Hooks{}), perBlock+perBlock/2, 1<<40, func(s *Snapshot) { snap = s }); err != nil || snap == nil {
+	var image []uint32 // the global image at capture, which the snapshot does not hold
+	rec := launch(Hooks{})
+	if _, err := RunCheckpointed(rec, perBlock+perBlock/2, 1<<40, func(s *Snapshot) {
+		snap, image = s, slices.Clone(rec.Global)
+	}); err != nil || snap == nil {
 		t.Fatalf("checkpointed run: %v, snapshot %v", err, snap)
 	}
 	at := snap.Res().DynThreadInstrs
@@ -200,7 +205,9 @@ func TestHookDispatch(t *testing.T) {
 		{"Disarm after Resume", disarm, [grid]int{0, 1, 0}},
 	} {
 		calls = [grid]int{}
-		if _, err := Resume(launch(Hooks{Post: tc.post}), snap); err != nil {
+		l := launch(Hooks{Post: tc.post})
+		copy(l.Global, image)
+		if _, err := Resume(l, snap); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if calls != tc.want {

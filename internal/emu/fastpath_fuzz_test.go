@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"gpufi/internal/isa"
@@ -148,6 +149,7 @@ type tierTrace struct {
 	err    error
 	global []uint32
 	snaps  []*Snapshot
+	images [][]uint32 // the global image at each snapshot, which it does not hold
 	events []string
 }
 
@@ -161,7 +163,10 @@ func runTier(l *Launch, reference bool, hooks func(log *[]string) Hooks) *tierTr
 	if hooks != nil {
 		run.Hooks = hooks(&t.events)
 	}
-	sink := func(s *Snapshot) { t.snaps = append(t.snaps, s) }
+	sink := func(s *Snapshot) {
+		t.snaps = append(t.snaps, s)
+		t.images = append(t.images, slices.Clone(t.global))
+	}
 	if reference {
 		t.res, t.err = runReference(&run, 1, 1, sink)
 	} else {
@@ -200,10 +205,14 @@ func warpDiff(a, b *warp) string {
 	return ""
 }
 
-func snapshotDiff(a, b *Snapshot) string {
+// snapshotDiff compares two snapshots and the global images ga and gb at
+// their capture.
+func snapshotDiff(a, b *Snapshot, ga, gb []uint32) string {
 	switch {
 	case a.block != b.block || a.warp != b.warp:
 		return fmt.Sprintf("block %d warp %d vs block %d warp %d", a.block, a.warp, b.block, b.warp)
+	case a.words != b.words:
+		return fmt.Sprintf("%d global words vs %d", a.words, b.words)
 	case a.res != b.res:
 		return fmt.Sprintf("res %+v vs %+v", a.res, b.res)
 	case len(a.warps) != len(b.warps):
@@ -219,9 +228,9 @@ func snapshotDiff(a, b *Snapshot) string {
 			return fmt.Sprintf("shared[%d] %#x vs %#x", i, a.shared[i], b.shared[i])
 		}
 	}
-	for i := range a.global {
-		if a.global[i] != b.global[i] {
-			return fmt.Sprintf("global[%d] %#x vs %#x", i, a.global[i], b.global[i])
+	for i := range ga {
+		if ga[i] != gb[i] {
+			return fmt.Sprintf("global[%d] %#x vs %#x", i, ga[i], gb[i])
 		}
 	}
 	return ""
@@ -280,7 +289,7 @@ func diffTiers(t *testing.T, data []byte) {
 			fail("%d snapshots (reference) vs %d (stepFast)", len(ref.snaps), len(fast.snaps))
 		}
 		for i := range ref.snaps {
-			if d := snapshotDiff(ref.snaps[i], fast.snaps[i]); d != "" {
+			if d := snapshotDiff(ref.snaps[i], fast.snaps[i], ref.images[i], fast.images[i]); d != "" {
 				fail("snapshot %d: %s", i, d)
 			}
 		}

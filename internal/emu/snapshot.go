@@ -2,15 +2,16 @@ package emu
 
 import "fmt"
 
-// Snapshot captures the complete architectural state of a launch at an
-// instruction boundary: the current block's warps (registers, predicates,
-// SIMT stacks, barrier/exit state), shared memory, the full global-memory
-// image and the Result counters. Blocks run sequentially, so blocks before
-// the captured one are fully reflected in global memory and blocks after
-// it have not started — the snapshot plus the launch description is
-// everything Resume needs.
+// Snapshot captures a launch at an instruction boundary: the current
+// block's warps (registers, predicates, SIMT stacks, barrier/exit state),
+// shared memory and the Result counters, but of global memory only its
+// length. Blocks run sequentially, so blocks before the captured one are
+// fully reflected in global memory and blocks after it have not started:
+// the snapshot, the launch description and the global image at capture
+// are everything Resume needs. Rebuilding that image is the caller's job
+// (package replay keeps the words the launch stored before the capture).
 //
-// A Snapshot owns deep copies of all mutable state and is immutable after
+// A Snapshot owns deep copies of its state and is immutable after
 // capture, so any number of Resume calls (including concurrent ones) can
 // fork from it.
 type Snapshot struct {
@@ -18,7 +19,7 @@ type Snapshot struct {
 	warp   int
 	warps  []*warp
 	shared []uint32
-	global []uint32
+	words  int // len(Global) at capture
 	res    Result
 }
 
@@ -32,6 +33,19 @@ func (s *Snapshot) Block() int { return s.block }
 // to step at capture (the block's earlier warps are done, its later ones
 // not started), and -1 otherwise.
 func (s *Snapshot) Warp() int { return s.warp }
+
+// Warps returns how many warp states the snapshot holds: the warps of its
+// block that had started and not finished at capture, each a full
+// register file.
+func (s *Snapshot) Warps() int {
+	n := 0
+	for _, w := range s.warps {
+		if w != nil && w != finished {
+			n++
+		}
+	}
+	return n
+}
 
 // finished stands for every done warp of a Snapshot: nothing reads a done
 // warp's registers again, so a snapshot keeps none of them.
@@ -65,7 +79,7 @@ func (ex *exec) snapshot(blockID, warpID int, warps []*warp) *Snapshot {
 		warp:   warpID,
 		warps:  make([]*warp, len(warps)),
 		shared: append([]uint32(nil), ex.shared...),
-		global: append([]uint32(nil), ex.l.Global...),
+		words:  len(ex.l.Global),
 		res:    ex.res,
 	}
 	for i, w := range warps {
@@ -92,23 +106,22 @@ func RunCheckpointed(l *Launch, first, every uint64, sink func(*Snapshot)) (Resu
 }
 
 // Resume continues a launch from a Snapshot taken during an execution of
-// the same launch description. l.Global must be the same length as the
-// snapshotted image; its contents are overwritten with the snapshot's.
-// The returned Result includes the snapshotted prefix counts, so a resumed
-// run reports exactly what a full run would.
+// the same launch description. l.Global must hold the global image at
+// capture, and have its length; Resume runs on it as it is. The returned
+// Result includes the snapshotted prefix counts, so a resumed run reports
+// exactly what a full run would.
 func Resume(l *Launch, s *Snapshot) (Result, error) {
 	ex := newExec(l)
 	defer ex.release()
 	if err := ex.validate(); err != nil {
 		return ex.res, err
 	}
-	if len(l.Global) != len(s.global) {
-		return ex.res, fmt.Errorf("%w: global image %d words, snapshot has %d", ErrBadLaunch, len(l.Global), len(s.global))
+	if len(l.Global) != s.words {
+		return ex.res, fmt.Errorf("%w: global image %d words, snapshot has %d", ErrBadLaunch, len(l.Global), s.words)
 	}
 	if s.block >= l.Grid {
 		return ex.res, fmt.Errorf("%w: snapshot block %d outside grid %d", ErrBadLaunch, s.block, l.Grid)
 	}
-	copy(l.Global, s.global)
 	ex.shared = append(ex.shared[:0], s.shared...)
 	ex.res = s.res
 	warps := make([]*warp, len(s.warps))

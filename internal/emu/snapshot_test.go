@@ -68,10 +68,13 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A snapshot holds no global memory: keep the image at each capture.
 	var snaps []*Snapshot
+	var images [][]uint32
 	gRec := sharedRevInput(n)
 	got, err := RunCheckpointed(sharedRevLaunch(prog, gRec, Hooks{}), 7, 97, func(s *Snapshot) {
 		snaps = append(snaps, s)
+		images = append(images, slices.Clone(gRec))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +94,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		if s.block == 1 {
 			sawSecondBlock = true
 		}
-		g := make([]uint32, 2*n)
+		g := slices.Clone(images[i])
 		res, err := Resume(sharedRevLaunch(prog, g, Hooks{}), s)
 		if err != nil {
 			t.Fatalf("resume from snapshot %d: %v", i, err)
@@ -170,16 +173,18 @@ func TestCountdownOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snaps []*Snapshot
+	var images [][]uint32
 	gRec := sharedRevInput(n)
 	if _, err := RunCheckpointed(sharedRevLaunch(prog, gRec, Hooks{}), 100, 100, func(s *Snapshot) {
 		snaps = append(snaps, s)
+		images = append(images, slices.Clone(gRec))
 	}); err != nil {
 		t.Fatal(err)
 	}
 	s := snaps[len(snaps)/2]
 	armAfter := s.Res().DynThreadInstrs + 50
 	var hookInstrs, armedAt uint64
-	g := make([]uint32, 2*n)
+	g := slices.Clone(images[len(snaps)/2])
 	res, err := Resume(sharedRevLaunch(prog, g, Hooks{
 		Post:     func(ev *Event) { hookInstrs += uint64(ev.ActiveCount()) },
 		ArmAfter: armAfter,
@@ -390,14 +395,17 @@ func checkUnitHooks(t *testing.T, prog *kasm.Program, shared, per int) {
 	}
 
 	var snaps []*Snapshot
-	if _, err := RunCheckpointed(launch(sharedRevInput(n), Hooks{}), 100, 300, func(s *Snapshot) {
+	var images [][]uint32
+	gRec := sharedRevInput(n)
+	if _, err := RunCheckpointed(launch(gRec, Hooks{}), 100, 300, func(s *Snapshot) {
 		snaps = append(snaps, s)
+		images = append(images, slices.Clone(gRec))
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
 		at := unit(s.Block(), s.Warp())
-		g := make([]uint32, 2*n)
+		g := slices.Clone(images[i])
 		res, offered, ran, err := hooked(launch(g, Hooks{}), func(int) bool { return true }, s)
 		if err != nil || res.DynThreadInstrs != want.DynThreadInstrs || !equalWords(g, gWant) {
 			t.Fatalf("snapshot %d in unit %d: %v after %d instructions", i, at, err, res.DynThreadInstrs)

@@ -16,13 +16,16 @@ import (
 // builds each unit's record (a block's, or a warp's in a barrier-free launch)
 // from the unit's GLD and GST events alone — a word is an input when a
 // load reads it before any store of the unit names it — with no bitmap,
-// and keeps whole copies of the arena before and after every launch.
+// and keeps whole copies of the arena before and after every launch and
+// at every checkpoint.
 type naiveRecorder struct {
 	every, nextCk uint64
 	g             []uint32
 	launches      []LaunchRec
 	pre, post     [][]uint32
-	ckpts         []Checkpoint // Snap left nil: positions only
+	ckpts         []Checkpoint // Snap and Delta left nil: positions only
+	images        [][]uint32   // the arena at each checkpoint
+	stored        [][]uint32   // the words the launch stored before each checkpoint, ascending
 	instrs, count uint64
 }
 
@@ -34,6 +37,7 @@ func (n *naiveRecorder) Arena(words int) []uint32 {
 func (n *naiveRecorder) Launch(l *emu.Launch) error {
 	ord := len(n.launches)
 	n.pre = append(n.pre, slices.Clone(n.g))
+	launchStored := map[int]bool{}
 	stored := map[int]bool{}
 	loaded := map[int]uint32{}
 	lanes := map[int]uint32{} // every lane that loaded or stored a word
@@ -44,6 +48,7 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 			switch a := addr(ev, lane); ev.Instr.Op {
 			case isa.OpGST:
 				stored[a] = true
+				launchStored[a] = true
 				lanes[a] |= 1 << lane
 			case isa.OpGLD:
 				if _, seen := loaded[a]; !seen && !stored[a] {
@@ -94,6 +99,13 @@ func (n *naiveRecorder) Launch(l *emu.Launch) error {
 		n.ckpts = append(n.ckpts, Checkpoint{
 			Launch: ord, CumInstrs: base + sr.DynThreadInstrs, CumCount: baseCount + sr.PerOpcode[isa.OpIMUL],
 		})
+		n.images = append(n.images, slices.Clone(n.g))
+		var words []uint32
+		for a := range launchStored {
+			words = append(words, uint32(a))
+		}
+		slices.Sort(words)
+		n.stored = append(n.stored, words)
 	})
 	if err != nil {
 		return err
@@ -147,10 +159,29 @@ func swap(region int32) *kasm.Program {
 	return kasm.MustFinalize(b)
 }
 
+// overwrite has every unit store to the same words: thread i stores i+1 to
+// region[lane], then parks 5·A[i] in scratch. A checkpoint in the second
+// unit after its first store sees region hold values the first unit's
+// record does not.
+func overwrite(region int32) *kasm.Program {
+	b := kasm.New("overwrite")
+	b.S2R(rTid, isa.SRTid)
+	b.S2R(rCta, isa.SRCtaid)
+	b.S2R(rNtid, isa.SRNtid)
+	b.IMad(rIdx, rCta, rNtid, rTid)
+	b.S2R(rAddr, isa.SRLane)
+	b.IAddI(rOut, rIdx, 1)
+	b.Gst(rAddr, region, rOut)
+	b.Gld(rVal, rIdx, offA)
+	b.IMulI(rProd, rVal, 5)
+	b.Gst(rIdx, offScratch, rProd)
+	return kasm.MustFinalize(b)
+}
+
 // mixKernels is what a mixed schedule draws its launches from: the three
 // stages (a repeated stage rewrites the values its first run stored), the
-// two touch kernels and swap.
-var mixKernels = append(slices.Clone(stages), touch(offB, true), touch(offC, false), swap(offC))
+// two touch kernels, swap and overwrite.
+var mixKernels = append(slices.Clone(stages), touch(offB, true), touch(offC, false), swap(offC), overwrite(offOut))
 
 // mixSlack is the untouched tail of the mixed workload's arena, ~60 times
 // its footprint — the shape of apps.ArenaSlack.
@@ -202,10 +233,13 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 // earlier block or warp stored, slack far larger than the footprint — the
 // Recorder's trace, per-unit writes and inputs included, equals the
 // event-built reference's word for word; applying a launch's unit writes to its golden pre-image
-// gives its golden post-image; and a Player forked from any of its
+// gives its golden post-image; a checkpoint's Delta lists once each word
+// its launch stored before the capture, and applied to the launch's
+// pre-image gives the arena at capture, also where a later unit re-stored
+// a word an earlier one wrote; and a Player forked from any of its
 // checkpoints reproduces the plain run.
 func TestRecorderMatchesNaiveReference(t *testing.T) {
-	var sawHost, sawSilentWrite, sawNoWrite bool
+	var sawHost, sawSilentWrite, sawNoWrite, sawRestored bool
 	var sawCross [2]bool // input stored by an earlier block, by an earlier warp
 	pool := &Pool{}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -258,6 +292,25 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 				t.Fatalf("seed %d checkpoint %d at launch %d instr %d count %d, reference %d/%d/%d",
 					seed, i, ck.Launch, ck.CumInstrs, ck.CumCount, want.Launch, want.CumInstrs, want.CumCount)
 			}
+			var words []uint32
+			for _, d := range ck.Delta {
+				words = append(words, d.Idx)
+			}
+			slices.Sort(words)
+			if !slices.Equal(words, ref.stored[i]) {
+				t.Fatalf("seed %d checkpoint %d: Delta holds words %v, the launch stored %v", seed, i, words, ref.stored[i])
+			}
+			g := slices.Clone(ref.pre[ck.Launch])
+			store(g, ck.Delta)
+			if !slices.Equal(g, ref.images[i]) {
+				t.Fatalf("seed %d checkpoint %d: Delta applied to the launch's pre-image misses the arena at capture", seed, i)
+			}
+			rec := &tr.Launches[ck.Launch]
+			for _, ur := range rec.Units[:rec.unit(ck.Snap.Block(), ck.Snap.Warp())] {
+				for _, w := range ur.Writes {
+					sawRestored = sawRestored || ref.images[i][w.Idx] != w.Val
+				}
+			}
 		}
 
 		for ck := -1; ck < len(tr.Ckpts); ck++ {
@@ -270,8 +323,8 @@ func TestRecorderMatchesNaiveReference(t *testing.T) {
 			}
 		}
 	}
-	if !sawHost || !sawSilentWrite || !sawNoWrite || !sawCross[0] || !sawCross[1] {
-		t.Fatalf("schedules never exercised a case: host writes %v, write without change %v, launch without write %v, input stored by an earlier block %v, by an earlier warp %v",
-			sawHost, sawSilentWrite, sawNoWrite, sawCross[0], sawCross[1])
+	if !sawHost || !sawSilentWrite || !sawNoWrite || !sawCross[0] || !sawCross[1] || !sawRestored {
+		t.Fatalf("schedules never exercised a case: host writes %v, write without change %v, launch without write %v, input stored by an earlier block %v, by an earlier warp %v, a finished unit's write re-stored before a checkpoint %v",
+			sawHost, sawSilentWrite, sawNoWrite, sawCross[0], sawCross[1], sawRestored)
 	}
 }

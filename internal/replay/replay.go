@@ -3,11 +3,12 @@
 //
 // The software fault injector re-executes its workload once per injection
 // with a Post hook armed at a single dynamic instruction. A Recorder runs
-// the golden execution once, keeping evenly spaced emulator Snapshots and,
-// for every unit of replay of every launch, what the unit did: the words
-// it stored (with their values at its end), its instruction counts, and
-// its inputs — the words it loaded before storing to them, with the values
-// loaded. The unit is the warp in a launch whose program has no BAR and no
+// the golden execution once, keeping evenly spaced checkpoints (an
+// emulator Snapshot and the words its launch had stored) and, for every
+// unit of replay of every launch, what the unit did: the words it stored
+// (with their values at its end), its instruction counts, and its inputs
+// — the words it loaded before storing to them, with the values loaded.
+// The unit is the warp in a launch whose program has no BAR and no
 // shared-memory access (a barrier-free launch, see emu.Launch.Replay), the
 // block otherwise. A Player then reproduces a faulty execution simulating
 // only what the fault can reach:
@@ -55,6 +56,18 @@
 // what the attempt wrote plus R's recorded writes, and counts the warp's
 // recorded count. Otherwise the emulator undoes the attempt and the warp
 // runs whole, so a conflict or a fault in S lands where a full run puts it.
+//
+// Why a checkpoint needs only its launch's stores. An emu.Snapshot holds
+// no global memory, so a Checkpoint keeps Delta: every word its launch
+// stored before the capture, with its value at capture. A Player reaches
+// the checkpoint's launch with the arena a full run has when that launch
+// starts — earlier launches applied their writes, host code re-ran, and
+// no fault has fired yet. Blocks, and in a barrier-free launch warps, run
+// one after another and only global stores change the arena, so at the
+// capture the arena is that starting image with each word the launch
+// stored so far set to its current value: applying Delta rebuilds it
+// exactly. A word stored by several units is listed once, with the value
+// the latest store left.
 //
 // Host code between launches re-executes normally in all modes; the arena
 // it sees is the one a full run would show it.
@@ -175,8 +188,11 @@ type UnitRec struct {
 	In Inputs
 }
 
-func (ur *UnitRec) apply(g []uint32) {
-	for _, d := range ur.Writes {
+func (ur *UnitRec) apply(g []uint32) { store(g, ur.Writes) }
+
+// store sets each word of ds in g to its value.
+func store(g []uint32, ds []Delta) {
+	for _, d := range ds {
 		g[d.Idx] = d.Val
 	}
 }
@@ -276,6 +292,10 @@ type Checkpoint struct {
 	Snap      *emu.Snapshot
 	CumInstrs uint64 // workload-cumulative thread-instructions at capture
 	CumCount  uint64 // workload-cumulative countable instructions at capture
+	// Delta is every word the launch stored before the capture, each once,
+	// with its value at capture: applied to the arena as the launch
+	// starts, it gives the arena at capture (see the package comment).
+	Delta []Delta
 }
 
 // Trace is the sealed record of one golden execution. It is immutable
@@ -330,6 +350,11 @@ type Recorder struct {
 	lanes  []uint32     // mem.Lanes in lane-safe launches, made at the first one
 	keys   []uint64     // inputs' sort buffer
 
+	// stored marks, and storedIdx lists, the words the running launch's
+	// finished units stored: with mem, what a checkpoint's Delta holds.
+	stored    []uint64
+	storedIdx []uint32
+
 	// Liveness capture (CaptureLiveness): a Post hook recording the event
 	// stream for the backward dead-site scan, plus per-launch end marks.
 	capture func(*emu.Event)
@@ -353,6 +378,7 @@ func (r *Recorder) Arena(words int) []uint32 {
 	r.g = make([]uint32, words)
 	r.mem.Writes = make([]uint64, (words+63)/64)
 	r.mem.Loaded = make([]uint64, (words+63)/64)
+	r.stored = make([]uint64, (words+63)/64)
 	r.tr.Words = words
 	return r.g
 }
@@ -375,6 +401,10 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		}
 		mt.Lanes = r.lanes
 	}
+	for _, i := range r.storedIdx {
+		r.stored[i>>6] = 0
+	}
+	r.storedIdx = r.storedIdx[:0]
 	var units []UnitRec
 	l.BlockDone = func(_, _ int, res *emu.Result) bool {
 		// Ascending chunks give ascending writes. A warp keeps its lanes
@@ -384,6 +414,10 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		var owner []uint8
 		lanes := mt.Lanes
 		for _, k := range mt.Touched {
+			for m := mt.Writes[k] &^ r.stored[k]; m != 0; m &= m - 1 {
+				r.storedIdx = append(r.storedIdx, uint32(k)<<6+uint32(bits.TrailingZeros64(m)))
+			}
+			r.stored[k] |= mt.Writes[k]
 			for m := mt.Writes[k]; m != 0; m &= m - 1 {
 				i := int(k)<<6 + bits.TrailingZeros64(m)
 				written = append(written, Delta{Idx: uint32(i), Val: r.g[i]})
@@ -421,6 +455,7 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 			Snap:      s,
 			CumInstrs: base + sr.DynThreadInstrs,
 			CumCount:  baseCount + r.tr.countable(&sr.PerOpcode),
+			Delta:     r.delta(),
 		})
 	})
 	if err != nil {
@@ -439,6 +474,29 @@ func (r *Recorder) Launch(l *emu.Launch) error {
 		r.nextCk += r.every
 	}
 	return nil
+}
+
+// delta returns, at a capture, every word the running launch stored so
+// far with its value now: the words of its finished units, then those only
+// the running unit stored. Values come from the arena, not the unit
+// records, which a later store to the same word makes stale.
+func (r *Recorder) delta() []Delta {
+	mt := &r.mem
+	n := len(r.storedIdx)
+	for _, k := range mt.Touched {
+		n += bits.OnesCount64(mt.Writes[k] &^ r.stored[k])
+	}
+	d := make([]Delta, 0, n)
+	for _, i := range r.storedIdx {
+		d = append(d, Delta{Idx: i, Val: r.g[i]})
+	}
+	for _, k := range mt.Touched {
+		for m := mt.Writes[k] &^ r.stored[k]; m != 0; m &= m - 1 {
+			i := int(k)<<6 + bits.TrailingZeros64(m)
+			d = append(d, Delta{Idx: uint32(i), Val: r.g[i]})
+		}
+	}
+	return d
 }
 
 // Finish seals and returns the trace.
@@ -605,6 +663,7 @@ func (p *Player) Launch(l *emu.Launch) error {
 	var res, prefix emu.Result
 	var err error
 	if p.ck != nil && ord == p.start {
+		store(l.Global, p.ck.Delta)
 		prefix = p.ck.Snap.Res()
 		res, err = emu.Resume(l, p.ck.Snap)
 	} else {

@@ -324,6 +324,8 @@ type InjectionRecord struct {
 
 // Result aggregates one campaign.
 type Result struct {
+	// Campaign is the campaign that ran, without Prepared: a result does
+	// not keep its workload's preparation alive.
 	Campaign   Campaign
 	Tally      faults.Tally
 	Profile    Counts
@@ -373,6 +375,7 @@ func RunCtx(ctx context.Context, c Campaign) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.Prepared = nil
 	res := &Result{
 		Campaign: c, Tally: out.tally, Profile: out.prep.profile, Injectable: out.prep.profile.InjectableTotal(),
 		Records: out.records, Counters: out.Counters,
