@@ -47,8 +47,6 @@ func main() {
 		rngName    = flag.String("range", "M", "input range for -op (S, M, L)")
 		modName    = flag.String("module", "FP32", "module for -op (FP32, INT, SFU, SFUctl, Scheduler, Pipeline)")
 		verbose    = flag.Bool("v", false, "print per-campaign summaries")
-		noPrune    = flag.Bool("no-prune", false, "disable dead-site fault pruning (results are bit-identical either way)")
-		noBitPar   = flag.Bool("no-bit-parallel", false, "disable bit-parallel fault marching (results are bit-identical either way)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
 	)
@@ -65,7 +63,7 @@ func main() {
 	defer stop()
 
 	if *opName != "" {
-		runSingle(ctx, *opName, *rngName, *modName, *nFaults, *seed, *noPrune, *noBitPar)
+		runSingle(ctx, *opName, *rngName, *modName, *nFaults, *seed)
 		return
 	}
 
@@ -76,8 +74,6 @@ func main() {
 		FaultsPerCampaign: *nFaults,
 		TMXMFaults:        *nTMXM,
 		Seed:              *seed,
-		NoPrune:           *noPrune,
-		NoBitParallel:     *noBitPar,
 		Progress: func(d, t int) {
 			part(d, t)
 			total.Store(int64(t))
@@ -120,7 +116,7 @@ func engineLine(c rtlfi.Counters) string {
 
 // runSingle characterises one (op, range, module) pool and prints its
 // detailed statistics.
-func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64, noPrune, noBitPar bool) {
+func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int, seed uint64) {
 	op, ok := isa.ParseCharacterized(opName)
 	if !ok {
 		log.Fatalf("unknown opcode %q", opName)
@@ -136,7 +132,6 @@ func runSingle(ctx context.Context, opName, rngName, modName string, nFaults int
 	var done campaign.Meter
 	res, err := rtlfi.RunMicroCtx(ctx, rtlfi.Spec{
 		Op: op, Range: rng, Module: mod, NumFaults: nFaults, Seed: seed,
-		NoPrune: noPrune, NoBitParallel: noBitPar,
 		Progress: done.Part(),
 	})
 	if err != nil {

@@ -80,7 +80,7 @@ func TestEngineCounters(t *testing.T) {
 				return rtlCounters(res.Counters)
 			},
 			want: rtlCounters(rtlfi.Counters{
-				SimCycles: 22_423, SkippedCycles: 8_923_703, PrunedFaults: 18_669,
+				SimCycles: 24_577, SkippedCycles: 8_921_549, PrunedFaults: 18_669,
 				VectorFaults: 1_260, Marches: 20, Injections: 20_000,
 			}),
 		},

@@ -24,9 +24,6 @@ type Layer struct {
 	OutW   int
 }
 
-// OutWords returns the size of the layer's output.
-func (l *Layer) OutWords() int { return l.OutC * l.OutH * l.OutW }
-
 // Network is a runnable CNN: an activation arena, a weight image and the
 // layer sequence.
 type Network struct {
@@ -40,12 +37,6 @@ type Network struct {
 	outOff  int
 	outN    int
 }
-
-// InputWords returns the expected input size.
-func (n *Network) InputWords() int { return n.inWords }
-
-// OutputWords returns the network output size.
-func (n *Network) OutputWords() int { return n.outN }
 
 // OutputRegion returns the arena region the host reads after the last
 // launch — the seed for the dead-site liveness analysis.

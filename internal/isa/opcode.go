@@ -111,7 +111,6 @@ type opInfo struct {
 	hasDst   bool
 	setsPred bool
 	isMem    bool
-	isBranch bool
 }
 
 // Unit identifies the hardware module that executes an opcode. It is used
@@ -164,7 +163,7 @@ var opTable = [opCount]opInfo{
 	OpGLD: {name: "GLD", cat: CatControl, unit: UnitLSU, srcs: 1, hasDst: true, isMem: true},
 	OpGST: {name: "GST", cat: CatControl, unit: UnitLSU, srcs: 2, isMem: true},
 
-	OpBRA:  {name: "BRA", cat: CatControl, unit: UnitCTRL, isBranch: true},
+	OpBRA:  {name: "BRA", cat: CatControl, unit: UnitCTRL},
 	OpISET: {name: "ISET", cat: CatControl, unit: UnitINT, srcs: 2, hasDst: true},
 
 	OpMOV:    {name: "MOV", cat: CatOther, unit: UnitINT, srcs: 1, hasDst: true},
@@ -234,9 +233,6 @@ func (op Opcode) SetsPred() bool { return op.Valid() && opTable[op].setsPred }
 
 // IsMemory reports whether op accesses memory.
 func (op Opcode) IsMemory() bool { return op.Valid() && opTable[op].isMem }
-
-// IsBranch reports whether op is a control-transfer operation.
-func (op Opcode) IsBranch() bool { return op.Valid() && opTable[op].isBranch }
 
 // IsFloat reports whether op produces a floating-point result, which decides
 // how fault syndromes (relative errors) are applied to its output.

@@ -520,9 +520,15 @@ func (s *Service) Submit(req Request) (Status, error) {
 		terminal:   make(chan struct{}),
 		done:       campaign.Meter{Total: total},
 	}
+	// The queued record must be the job's first: hold its journal lock
+	// from before a worker can see the job until the record is written,
+	// so a terminal record (a job that fails at once) can only follow it.
+	// The job is not visible yet, so taking the lock under s.mu cannot wait.
+	j.journalMu.Lock()
 	select {
 	case s.queue <- j:
 	default:
+		j.journalMu.Unlock()
 		s.seq--
 		s.mu.Unlock()
 		return Status{}, fmt.Errorf("%w (%d pending)", errQueueFull, s.cfg.QueueDepth)
@@ -530,7 +536,8 @@ func (s *Service) Submit(req Request) (Status, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.saveCheckpoint(j)
+	s.journal(j, nil)
+	j.journalMu.Unlock()
 	return j.Status(), nil
 }
 

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestConcurrentNewAndRun(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !memEqual(g, want) {
+				if !slices.Equal(g, want) {
 					t.Error("concurrent run diverged from the serial one")
 					return
 				}

@@ -1,6 +1,8 @@
 package rtl
 
 import (
+	"slices"
+
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
 )
@@ -176,49 +178,18 @@ func (m *Machine) matches(s *Snapshot) bool {
 		return false
 	}
 	for i, st := range m.moduleStates() {
-		if !wordsEqual(st.words, s.mods[i]) {
+		if !slices.Equal(st.words, s.mods[i]) {
 			return false
 		}
 	}
 	for w := range s.warps {
 		ws := &s.warps[w]
-		if m.warpMask[w] != ws.mask || m.preds[w] != ws.preds || m.regs[w] != ws.regs {
-			return false
-		}
-		if len(m.stacks[w]) != len(ws.stack) {
-			return false
-		}
-		for i, e := range ws.stack {
-			if m.stacks[w][i] != e {
-				return false
-			}
-		}
-	}
-	return memEqual(m.shared, s.shared) && memEqual(m.global, s.global)
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
+		if m.warpMask[w] != ws.mask || m.preds[w] != ws.preds || m.regs[w] != ws.regs ||
+			!slices.Equal(m.stacks[w], ws.stack) {
 			return false
 		}
 	}
-	return true
-}
-
-func memEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(m.shared, s.shared) && slices.Equal(m.global, s.global)
 }
 
 // Global exposes the machine's global-memory image, which RunFromPruned

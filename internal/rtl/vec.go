@@ -3,6 +3,7 @@ package rtl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -78,12 +79,6 @@ const (
 	// vecMaxResync bounds the golden-write span an incremental machine
 	// resync will roll forward; beyond it a full CopyFrom is cheaper.
 	vecMaxResync = 2048
-	// vecParkHorizon is the read-ahead horizon (in golden cycles) of
-	// tryPark's schedule heuristic: a lane whose divergence the golden
-	// run will read again within this many cycles stays hot — the hot
-	// steps cost about as much as the park/unpark round trip the read
-	// would force, and parking would buy nothing.
-	vecParkHorizon = 6
 )
 
 // Location kinds of divergence deltas and write-log entries.
@@ -134,14 +129,6 @@ type vlane struct {
 
 	lastPark uint64 // golden cycle of the last successful park
 	thrash   uint32 // consecutive quick park→unpark round trips (see unpark)
-
-	// Last schedule rejection (see tryPark): the module/word (or register
-	// row) whose imminent golden re-read blocked the last park attempt.
-	// The next attempt re-checks it first; while it still blocks, the
-	// attempt costs a word compare and one schedule query.
-	rejMod, rejWord int
-	rejRow          int
-	rejKind         uint8 // 0 none, 1 flip-flop word, 2 register row
 
 	sim        uint64 // cycles actually stepped on a lane machine
 	done       bool
@@ -208,15 +195,6 @@ type vecTracer struct {
 	wake    []*vlane // lanes to materialise at the end of this cycle
 	stash   []stashed
 	emptied []*vlane // lanes whose last delta a kill removed this cycle
-
-	// rec, when non-nil, is the draw's read schedule under construction:
-	// this march is the draw's first, and every golden flip-flop and
-	// register read is recorded. sched, when non-nil, is a completed
-	// recording from an earlier march of the same draw (the golden run is
-	// deterministic, so the schedule is identical), consulted by tryPark's
-	// read-ahead heuristic. At most one of the two is set.
-	rec   *MarchSched
-	sched *MarchSched
 }
 
 // vecStates lists a machine's module states in moduleIndex order (the
@@ -302,13 +280,6 @@ func (t *vecTracer) onFFRead(mod, fi int) {
 	}
 	g := &t.ffGeom[mod][fi]
 	w := int(g.word)
-	if t.rec != nil {
-		cyc := uint32(t.mark - 1)
-		t.rec.recordFF(mod, w, cyc, g.low())
-		if g.spill != 0 {
-			t.rec.recordFF(mod, w+1, cyc, g.high())
-		}
-	}
 	if t.ffPlane[mod][w] == 0 && (g.spill == 0 || t.ffPlane[mod][w+1] == 0) {
 		return
 	}
@@ -359,13 +330,6 @@ func (t *vecTracer) onFFWrite(mod, fi int, v uint64) {
 	}
 	g := &t.ffGeom[mod][fi]
 	w := int(g.word)
-	if t.rec != nil {
-		cyc := uint32(t.mark - 1)
-		t.rec.touchFF(mod, w, cyc, g.low())
-		if g.spill != 0 {
-			t.rec.touchFF(mod, w+1, cyc, g.high())
-		}
-	}
 	if t.ffPlane[mod][w] == 0 && (g.spill == 0 || t.ffPlane[mod][w+1] == 0) {
 		return
 	}
@@ -438,9 +402,6 @@ func (t *vecTracer) onRegRead(w, r int) {
 	if t.hot != nil {
 		return
 	}
-	if t.rec != nil {
-		t.rec.recordReg(w*isa.NumRegs+r, uint32(t.mark-1))
-	}
 	if p := t.regPlane[w][r]; p != 0 {
 		t.trigger(p)
 	}
@@ -453,9 +414,6 @@ func (t *vecTracer) onRegWrite(w, r, lane int, old uint32) {
 		}
 		return
 	}
-	if t.rec != nil {
-		t.rec.regTouch[w*isa.NumRegs+r] = uint32(t.mark - 1)
-	}
 	t.wlog = append(t.wlog, vdelta{kind: dReg, a: int32(w), b: int32(r), c: int32(lane), val: uint64(old)})
 	if t.regPlane[w][r] != 0 {
 		t.killReg(w, r, lane)
@@ -465,9 +423,6 @@ func (t *vecTracer) onRegWrite(w, r, lane int, old uint32) {
 func (t *vecTracer) onPredRead(w int) {
 	if t.hot != nil {
 		return
-	}
-	if t.rec != nil {
-		t.rec.predTouch[w] = uint32(t.mark - 1)
 	}
 	if p := t.predPlane[w]; p != 0 {
 		t.trigger(p)
@@ -485,9 +440,6 @@ func (t *vecTracer) onPredWrite(w, idx int, old uint32) {
 		}
 		return
 	}
-	if t.rec != nil {
-		t.rec.predTouch[w] = uint32(t.mark - 1)
-	}
 	t.wlog = append(t.wlog, vdelta{kind: dPred, a: int32(w), b: int32(idx), val: uint64(old)})
 	if p := t.predPlane[w]; p != 0 {
 		t.trigger(p)
@@ -497,9 +449,6 @@ func (t *vecTracer) onPredWrite(w, idx int, old uint32) {
 func (t *vecTracer) onMaskRead(w int) {
 	if t.hot != nil {
 		return
-	}
-	if t.rec != nil {
-		t.rec.maskTouch[w] = uint32(t.mark - 1)
 	}
 	if p := t.maskPlane[w]; p != 0 {
 		t.trigger(p)
@@ -515,9 +464,6 @@ func (t *vecTracer) onMaskWrite(w int, old uint32) {
 			h.recordWrite(vdelta{kind: dMask, a: int32(w)})
 		}
 		return
-	}
-	if t.rec != nil {
-		t.rec.maskTouch[w] = uint32(t.mark - 1)
 	}
 	t.wlog = append(t.wlog, vdelta{kind: dMask, a: int32(w), val: uint64(old)})
 	if p := t.maskPlane[w]; p != 0 {
@@ -536,9 +482,6 @@ func (t *vecTracer) onStackTouch(w int) {
 		}
 		return
 	}
-	if t.rec != nil {
-		t.rec.stackTouch[w] = uint32(t.mark - 1)
-	}
 	if t.stackMark[w] != t.mark {
 		t.stackMark[w] = t.mark
 		t.wlog = append(t.wlog, vdelta{kind: dStack, a: int32(w),
@@ -552,9 +495,6 @@ func (t *vecTracer) onStackTouch(w int) {
 func (t *vecTracer) onMemRead(shared bool, addr int) {
 	if t.hot != nil {
 		return
-	}
-	if t.rec != nil {
-		t.rec.touchMem(shared, addr, uint32(t.mark-1))
 	}
 	plane := t.globalPlane
 	if shared {
@@ -575,9 +515,6 @@ func (t *vecTracer) onMemWrite(shared bool, addr int, old uint32) {
 			h.recordWrite(vdelta{kind: k, a: int32(addr)})
 		}
 		return
-	}
-	if t.rec != nil {
-		t.rec.touchMem(shared, addr, uint32(t.mark-1))
 	}
 	t.wlog = append(t.wlog, vdelta{kind: k, a: int32(addr), val: uint64(old)})
 	plane := &t.globalPlane[addr]
@@ -740,181 +677,6 @@ func (t *vecTracer) killReg(w, r, lane int) {
 
 // VecOutcome is one lane's raw faulty-run outcome, the bit-parallel
 // equivalent of the scalar engine's final machine state.
-// revent is one recorded golden read of a flip-flop state word: the
-// cycle it happened and the union of field bits read that cycle.
-type revent struct {
-	cyc  uint32
-	mask uint64
-}
-
-// MarchSched is a per-input-draw recording of the golden run's read
-// schedule. The first march of a draw records it; later marches of the
-// same draw — whose golden runs are cycle-identical, since the engine
-// is deterministic — consult it to decide whether parking a hot lane is
-// worth the round trip (see tryPark). Passing the same MarchSched to
-// marches of *different* draws would only degrade the heuristic, never
-// correctness: the schedule gates performance decisions, not state.
-type MarchSched struct {
-	recorded bool
-	ff       [6][][]revent // [module][state word] ascending read events
-	reg      [][]uint32    // [warp*NumRegs+reg] ascending read cycles
-
-	// Last-touch tables: the last cycle the golden run reads OR writes
-	// each location, at bit precision for flip-flops and at the
-	// divergence planes' granularity for everything else. Zero means
-	// untouched after the recording march's start cycle. Unlike the read
-	// schedule above, these gate correctness, not just performance: a
-	// parked delta whose locations are past their last touch provably
-	// survives, unread, to the end of the golden run, so its lane's
-	// outcome is already decided (see VecEngine retirement in tryPark).
-	ffTouch     [6][]uint32 // [module][state word * 64 + bit]
-	regTouch    []uint32    // [warp*NumRegs+reg]
-	predTouch   []uint32    // [warp]
-	maskTouch   []uint32    // [warp]
-	stackTouch  []uint32    // [warp]
-	globalTouch []uint32    // [word address]
-	sharedTouch []uint32    // [word address]
-}
-
-// NewMarchSched returns an empty schedule; the first March it is passed
-// to records into it.
-func NewMarchSched() *MarchSched { return &MarchSched{} }
-
-func (sc *MarchSched) reset() {
-	sc.recorded = false
-	for i := range sc.ff {
-		for w := range sc.ff[i] {
-			sc.ff[i][w] = sc.ff[i][w][:0]
-		}
-	}
-	for r := range sc.reg {
-		sc.reg[r] = sc.reg[r][:0]
-	}
-	for i := range sc.ffTouch {
-		clearU32(sc.ffTouch[i])
-	}
-	clearU32(sc.regTouch)
-	clearU32(sc.predTouch)
-	clearU32(sc.maskTouch)
-	clearU32(sc.stackTouch)
-	clearU32(sc.globalTouch)
-	clearU32(sc.sharedTouch)
-}
-
-func clearU32(s []uint32) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-func (sc *MarchSched) recordFF(mod, w int, cyc uint32, mask uint64) {
-	sc.touchFF(mod, w, cyc, mask)
-	evs := sc.ff[mod][w]
-	if n := len(evs); n > 0 && evs[n-1].cyc == cyc {
-		evs[n-1].mask |= mask
-		return
-	}
-	sc.ff[mod][w] = append(evs, revent{cyc, mask})
-}
-
-func (sc *MarchSched) recordReg(row int, cyc uint32) {
-	sc.regTouch[row] = cyc
-	evs := sc.reg[row]
-	if n := len(evs); n > 0 && evs[n-1] == cyc {
-		return
-	}
-	sc.reg[row] = append(evs, cyc)
-}
-
-// touchFF stamps the given bits of a flip-flop state word as touched at
-// cyc. Touches arrive in cycle order, so each slot ends up holding the
-// bit's last touch.
-func (sc *MarchSched) touchFF(mod, w int, cyc uint32, mask uint64) {
-	tt := sc.ffTouch[mod]
-	base := w * 64
-	for m := mask; m != 0; m &= m - 1 {
-		tt[base+bits.TrailingZeros64(m)] = cyc
-	}
-}
-
-// touchMem stamps one global or shared memory word as touched at cyc.
-func (sc *MarchSched) touchMem(shared bool, addr int, cyc uint32) {
-	if shared {
-		sc.sharedTouch[addr] = cyc
-	} else {
-		sc.globalTouch[addr] = cyc
-	}
-}
-
-// untouchedAfter reports whether the golden run provably never touches
-// the delta's differing locations in any cycle > after. diff is the set
-// of differing bits for flip-flop deltas and ignored otherwise; non-FF
-// kinds are judged at their divergence plane's granularity, which only
-// errs conservative.
-func (sc *MarchSched) untouchedAfter(d *vdelta, diff uint64, after uint32) bool {
-	switch d.kind {
-	case dFF:
-		tt := sc.ffTouch[d.a]
-		base := int(d.b) * 64
-		for m := diff; m != 0; m &= m - 1 {
-			if tt[base+bits.TrailingZeros64(m)] > after {
-				return false
-			}
-		}
-		return true
-	case dReg:
-		return sc.regTouch[int(d.a)*isa.NumRegs+int(d.b)] <= after
-	case dPred:
-		return sc.predTouch[d.a] <= after
-	case dMask:
-		return sc.maskTouch[d.a] <= after
-	case dStack:
-		return sc.stackTouch[d.a] <= after
-	case dGlobal:
-		return sc.globalTouch[d.a] <= after
-	case dShared:
-		return sc.sharedTouch[d.a] <= after
-	}
-	return false
-}
-
-// ffReadSoon reports whether the golden run reads any of the diff bits
-// of the given flip-flop word in cycles (after, after+vecParkHorizon].
-func (sc *MarchSched) ffReadSoon(mod, w int, after uint32, diff uint64) bool {
-	evs := sc.ff[mod][w]
-	i, j := 0, len(evs)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if evs[h].cyc <= after {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for ; i < len(evs) && evs[i].cyc <= after+vecParkHorizon; i++ {
-		if evs[i].mask&diff != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// regReadSoon reports whether the golden run reads the register row in
-// cycles (after, after+vecParkHorizon].
-func (sc *MarchSched) regReadSoon(row int, after uint32) bool {
-	evs := sc.reg[row]
-	i, j := 0, len(evs)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if evs[h] <= after {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i < len(evs) && evs[i] <= after+vecParkHorizon
-}
-
 type VecOutcome struct {
 	// Global is the final global-memory image; nil when GoldenGlobal is
 	// set (the run is bit-identical to the golden run's image) or on DUE.
@@ -950,12 +712,6 @@ type VecEngine struct {
 
 	lanes    []vlane
 	injOrder []int
-
-	// Early-retirement context for the current march (see MarchOpts):
-	// earlyEnd is the draw's golden cycle count (0 disables retirement),
-	// finalGlobal its final global-memory image.
-	earlyEnd    uint64
-	finalGlobal []uint32
 }
 
 // NewVecEngine constructs an engine with its golden machine and
@@ -1075,27 +831,18 @@ func (e *VecEngine) releaseParked(m *Machine, deltas []vdelta) {
 	})
 }
 
-// MarchOpts carries optional cross-march context for one input draw.
-// Every field must describe the same draw as the faults passed to March:
-// the schedule and the golden-run facts are consulted as ground truth
-// about the march's own golden replay.
+// MarchOpts carries optional context for one input draw. Every field must
+// describe the same draw as the faults passed to March: the golden-run
+// facts are consulted as ground truth about the march's own golden replay.
 type MarchOpts struct {
-	// Sched is the draw's golden read/touch schedule: nil disables the
-	// cross-march heuristics, an unrecorded schedule is recorded by this
-	// march, a recorded one is consulted (see MarchSched).
-	Sched *MarchSched
 	// Start, when non-nil, is a golden checkpoint captured at or before
 	// every fault cycle in the march; the golden replay fast-forwards to
 	// it instead of re-stepping the prefix from cycle 0.
 	Start *Snapshot
-	// GoldenCycles and FinalGlobal describe the draw's completed golden
-	// run: its cycle count and final global-memory image. When both are
-	// set and Sched is recorded, a lane whose parked deltas the golden
-	// run provably never touches again retires immediately with its
-	// final outcome, and the march ends as soon as every lane is
+	// GoldenCycles, when non-zero, is the cycle count of the draw's
+	// completed golden run: the march ends as soon as every lane is
 	// resolved instead of replaying the golden tail.
 	GoldenCycles uint64
-	FinalGlobal  []uint32
 }
 
 // March simulates one group of same-draw transient faults bit-parallel:
@@ -1109,51 +856,26 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 	if len(fs) > VecMaxLanes {
 		return nil, fmt.Errorf("rtl: march of %d faults exceeds %d lanes", len(fs), VecMaxLanes)
 	}
-	var sched *MarchSched
-	if opts != nil {
-		sched = opts.Sched
-	}
 	g := e.golden
 	g.TraceVec(nil)
 	gmem := append([]uint32(nil), global...)
 	if err := g.launch(prog, 1, block, gmem, sharedWords, budget); err != nil {
 		return nil, err
 	}
-	if opts != nil && opts.Start != nil {
-		// Fast-forward the golden replay to the checkpoint; Restore
-		// reinstates the snapshot's own cycle budget, so the march's is
-		// put back.
-		g.Restore(opts.Start)
-		g.maxCycles = budget
+	var goldenCycles uint64
+	if opts != nil {
+		if opts.Start != nil {
+			// Fast-forward the golden replay to the checkpoint; Restore
+			// reinstates the snapshot's own cycle budget, so the march's
+			// is put back.
+			g.Restore(opts.Start)
+			g.maxCycles = budget
+		}
+		goldenCycles = opts.GoldenCycles
 	}
 	e.resetMarch(len(fs), len(gmem), sharedWords)
 	t := e.t
 	t.cycleBase = g.cycle
-	e.earlyEnd, e.finalGlobal = 0, nil
-	if opts != nil && opts.GoldenCycles > 0 && opts.FinalGlobal != nil {
-		e.earlyEnd, e.finalGlobal = opts.GoldenCycles, opts.FinalGlobal
-	}
-	t.rec, t.sched = nil, nil
-	if sched != nil {
-		if sched.recorded {
-			t.sched = sched
-		} else {
-			if sched.ff[0] == nil {
-				for i, st := range t.states {
-					sched.ff[i] = make([][]revent, len(st.words))
-					sched.ffTouch[i] = make([]uint32, len(st.words)*64)
-				}
-				sched.reg = make([][]uint32, MaxWarps*isa.NumRegs)
-				sched.regTouch = make([]uint32, MaxWarps*isa.NumRegs)
-				sched.predTouch = make([]uint32, MaxWarps)
-				sched.maskTouch = make([]uint32, MaxWarps)
-				sched.stackTouch = make([]uint32, MaxWarps)
-				sched.globalTouch = make([]uint32, len(gmem))
-				sched.sharedTouch = make([]uint32, sharedWords)
-			}
-			t.rec = sched
-		}
-	}
 	for i := range fs {
 		ln := &e.lanes[i]
 		// Reset the lane but keep its slices' capacity across marches.
@@ -1174,19 +896,12 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 	next := 0
 	earlyExit := false
 	for !g.blockDone && g.err == nil {
-		if e.earlyEnd != 0 && t.rec == nil && next == len(inj) && len(e.hot) == 0 {
-			if t.parked != 0 {
-				e.sweepParked(gsts)
-			}
-			if t.parked == 0 {
-				// Every lane has been resolved (killed, reconverged,
-				// finished hot, or retired): the golden tail cannot affect
-				// any outcome, so the march is over. Recording marches are
-				// excluded — they must observe the full tail for the
-				// schedule to be complete.
-				earlyExit = true
-				break
-			}
+		if goldenCycles != 0 && next == len(inj) && len(e.hot) == 0 && t.parked == 0 {
+			// Every lane has been resolved (killed, reconverged or finished
+			// hot): the golden tail cannot affect any outcome, so the march
+			// is over.
+			earlyExit = true
+			break
 		}
 		if g.cycle >= g.maxCycles {
 			g.err = ErrWatchdog
@@ -1216,24 +931,15 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 		// The golden run failed or ended before every fault cycle — the
 		// campaign's prepared draws make both impossible, so give up on
 		// the march and let the caller fall back to the scalar engine.
-		// A partial recording is discarded with it.
-		if t.rec != nil {
-			t.rec.reset()
-		}
-		t.rec, t.sched = nil, nil
 		e.abortMarch()
 		if g.err != nil {
 			return nil, fmt.Errorf("rtl: march golden run failed: %w", g.err)
 		}
 		return nil, fmt.Errorf("rtl: march golden run ended before every injection cycle")
 	}
-	if t.rec != nil {
-		t.rec.recorded = true
-	}
-	t.rec, t.sched = nil, nil
 	G := g.cycle
 	if earlyExit {
-		G = e.earlyEnd
+		G = goldenCycles
 	}
 	e.finishMarch(G)
 	outs := make([]VecOutcome, len(fs))
@@ -1314,16 +1020,7 @@ func (e *VecEngine) endCycle(c uint64) {
 		if e.finishedHot(ln) {
 			continue
 		}
-		if t.sched != nil {
-			// With a read schedule, rejected attempts are cheap: retry
-			// immediately and let the read-ahead heuristic judge. Hot
-			// cycles are the march's dominant cost, so the lane should
-			// spend the minimum number of them.
-			ln.nextTry = c + 1
-			ln.rejKind = 0
-		} else {
-			ln.nextTry = c + 3 + uint64(1)<<ln.thrash - 1
-		}
+		ln.nextTry = c + 3 + uint64(1)<<ln.thrash - 1
 		ln.tryGap = 1
 		e.hot = append(e.hot, ln)
 	}
@@ -1359,12 +1056,6 @@ func (e *VecEngine) endCycle(c uint64) {
 					continue
 				}
 				ln.tryGap *= 2
-				if t.sched != nil && ln.tryGap > 4 {
-					// Schedule rejections are informed: the divergence is
-					// about to be re-read. Re-judge at a short cadence so
-					// the lane parks soon after its window opens.
-					ln.tryGap = 4
-				}
 				ln.nextTry = g.cycle + ln.tryGap
 			}
 			keep = append(keep, ln)
@@ -1459,60 +1150,6 @@ func (e *VecEngine) materialize(ln *vlane, c uint64) {
 	ln.sim++
 }
 
-// sweepParked retires every parked lane whose deltas the golden run
-// provably never touches again (see tryPark's retirement for the
-// argument). It runs only in the march endgame — all injections placed,
-// no hot lanes — where a successful sweep ends the march. A parked
-// lane's deltas are kept golden-relative by the kill machinery, so the
-// same quiescence test applies.
-func (e *VecEngine) sweepParked(gsts [6]*State) {
-	g, t := e.golden, e.t
-	sc := t.sched
-	if sc == nil || sc.ffTouch[0] == nil {
-		return
-	}
-	after := uint32(g.cycle) - 1
-	for _, ln := range t.lanes {
-		if ln.done || ln.m != nil || t.parked&ln.bit == 0 {
-			continue
-		}
-		if !e.quietFrom(ln.deltas, gsts, after, sc) {
-			continue
-		}
-		var img []uint32
-		for i := range ln.deltas {
-			d := &ln.deltas[i]
-			t.clearPlane(d, ln.bit)
-			if d.kind == dGlobal {
-				if img == nil {
-					img = append([]uint32(nil), e.finalGlobal...)
-				}
-				img[d.a] = uint32(d.val)
-			}
-		}
-		t.parked &^= ln.bit
-		ln.deltas = ln.deltas[:0]
-		ln.out = VecOutcome{Global: img, GoldenGlobal: img == nil, Sim: ln.sim, End: e.earlyEnd}
-		ln.done = true
-	}
-}
-
-// quietFrom reports whether every delta's differing locations are past
-// their last golden touch (see MarchSched.untouchedAfter).
-func (e *VecEngine) quietFrom(deltas []vdelta, gsts [6]*State, after uint32, sc *MarchSched) bool {
-	for i := range deltas {
-		d := &deltas[i]
-		var diff uint64
-		if d.kind == dFF {
-			diff = d.val ^ gsts[d.a].words[d.b]
-		}
-		if !sc.untouchedAfter(d, diff, after) {
-			return false
-		}
-	}
-	return true
-}
-
 // tryPark diffs a hot lane against the golden machine: flip-flop state
 // word-by-word across the six module layouts (a bounded, exhaustive
 // compare — no FF write tracking needed), everything else over the
@@ -1531,50 +1168,18 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 		return false
 	}
 	g, m := e.golden, ln.m
-	sc := t.sched
-	after := uint32(g.cycle) - 1
 	gsts, msts := vecStates(g), vecStates(m)
-	// Fast path: if the location that blocked the last attempt still
-	// differs and is still about to be re-read, the attempt fails for the
-	// same reason at the cost of one compare and one schedule query.
-	if sc != nil {
-		switch ln.rejKind {
-		case 1:
-			if diff := gsts[ln.rejMod].words[ln.rejWord] ^ msts[ln.rejMod].words[ln.rejWord]; diff != 0 &&
-				sc.ffReadSoon(ln.rejMod, ln.rejWord, after, diff) {
-				return false
-			}
-		case 2:
-			a, b := ln.rejRow/isa.NumRegs, ln.rejRow%isa.NumRegs
-			if m.regs[a][b] != g.regs[a][b] && sc.regReadSoon(ln.rejRow, after) {
-				return false
-			}
-		}
-		ln.rejKind = 0
-	}
 	deltas := ln.spare[:0]
 	full := false
 	// The word diff visits each flip-flop word once, so its entries need
 	// no deduplication and non-FF candidates can never collide with them.
-	// Modules are visited pipeline-first: Pipe, SFU and Sched hold the
-	// every-few-cycles re-read state, so a schedule rejection exits after
-	// as few words as possible.
-	for _, mi := range [6]int{5, 2, 3, 4, 0, 1} {
+	for mi := range gsts {
 		if full {
 			break
 		}
 		gw, mw := gsts[mi].words, msts[mi].words
 		for wi := range gw {
-			if diff := gw[wi] ^ mw[wi]; diff != 0 {
-				if sc != nil && sc.ffReadSoon(mi, wi, after, diff) {
-					// The golden run reads one of the differing bits within
-					// the park horizon; parked, the lane would unpark again
-					// almost immediately, so the round trip costs more than
-					// the hot steps it would save. Stay hot.
-					ln.rejKind, ln.rejMod, ln.rejWord = 1, mi, wi
-					ln.spare = deltas[:0]
-					return false
-				}
+			if gw[wi] != mw[wi] {
 				if len(deltas) >= vecParkMax {
 					full = true
 					break
@@ -1597,19 +1202,12 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 		}
 		deltas = append(deltas, d)
 	}
-	hotReject := false
 	check := func(cd *vdelta) {
 		switch cd.kind {
 		case dFF:
 			// Covered exhaustively by the module word diff above.
 		case dReg:
 			if lv := m.regs[cd.a][cd.b][cd.c]; lv != g.regs[cd.a][cd.b][cd.c] {
-				if sc != nil && sc.regReadSoon(int(cd.a)*isa.NumRegs+int(cd.b), after) {
-					ln.rejKind, ln.rejRow = 2, int(cd.a)*isa.NumRegs+int(cd.b)
-					hotReject = true
-					full = true
-					return
-				}
 				add(vdelta{kind: dReg, a: cd.a, b: cd.b, c: cd.c, val: uint64(lv)})
 			}
 		case dPred:
@@ -1621,7 +1219,7 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 				add(vdelta{kind: dMask, a: cd.a, val: uint64(lv)})
 			}
 		case dStack:
-			if !stackEqual(m.stacks[cd.a], g.stacks[cd.a]) {
+			if !slices.Equal(m.stacks[cd.a], g.stacks[cd.a]) {
 				add(vdelta{kind: dStack, a: cd.a,
 					stack: append([]simtEntry(nil), m.stacks[cd.a]...)})
 			}
@@ -1644,40 +1242,9 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 	for i := ln.spanFrom; i < len(t.wlog) && !full; i++ {
 		check(&t.wlog[i])
 	}
-	if hotReject {
-		ln.spare = deltas[:0]
-		return false
-	}
 	if full {
 		ln.spare = deltas[:0]
 		return false
-	}
-	if len(deltas) > 0 && e.earlyEnd != 0 && sc != nil && sc.ffTouch[0] != nil &&
-		e.quietFrom(deltas, gsts, after, sc) {
-		// Retirement: the golden run provably never reads or writes any
-		// of the differing locations again, so the deltas survive to the
-		// end of the run — unread, hence Masked state except for global
-		// words — and the lane's outcome is already decided. Finalise it
-		// against the draw's known final image without parking.
-		var img []uint32
-		for i := range deltas {
-			d := &deltas[i]
-			if d.kind == dGlobal {
-				if img == nil {
-					img = append([]uint32(nil), e.finalGlobal...)
-				}
-				img[d.a] = uint32(d.val)
-			}
-		}
-		ln.out = VecOutcome{Global: img, GoldenGlobal: img == nil, Sim: ln.sim, End: e.earlyEnd}
-		ln.done = true
-		ln.deltas = ln.deltas[:0]
-		ln.spare = ln.base[:0]
-		ln.base = nil
-		ln.writes = ln.writes[:0]
-		e.releaseParked(ln.m, deltas)
-		ln.m = nil
-		return true
 	}
 	if len(deltas) == 0 {
 		ln.done = true
@@ -1759,16 +1326,4 @@ func (e *VecEngine) abortMarch() {
 	}
 	t.parked = 0
 	e.hot = e.hot[:0]
-}
-
-func stackEqual(a, b []simtEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

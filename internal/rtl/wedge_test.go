@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"slices"
 	"testing"
 
 	"gpufi/internal/faults"
@@ -150,7 +151,6 @@ func TestWedgeIdentity(t *testing.T) {
 		ref, m := New(), New()
 		eng := NewVecEngine()
 		defer eng.Close()
-		sched := NewMarchSched()
 
 		encodings := map[uint64]bool{}
 		hangs, barrierWedges := 0, 0
@@ -162,7 +162,7 @@ func TestWedgeIdentity(t *testing.T) {
 			if len(lane) == 0 {
 				return
 			}
-			for pass, opts := range []*MarchOpts{nil, {Sched: sched, GoldenCycles: wc.cycles, FinalGlobal: wc.golden}} {
+			for pass, opts := range []*MarchOpts{nil, {GoldenCycles: wc.cycles}} {
 				outs, err := eng.March(wc.prog, wc.block, wedgeInputs(), 64, lane, wc.budget, opts)
 				if err != nil {
 					t.Fatalf("block %d: march: %v", block, err)
@@ -185,7 +185,7 @@ func TestWedgeIdentity(t *testing.T) {
 					if o.GoldenGlobal {
 						img = wc.golden
 					}
-					if !memEqual(img, r.g) {
+					if !slices.Equal(img, r.g) {
 						t.Fatalf("block %d pass %d fault %+v: march image differs from stepped run", block, pass, lane[i])
 					}
 				}
@@ -227,7 +227,7 @@ func TestWedgeIdentity(t *testing.T) {
 					if err != refErr {
 						t.Fatalf("block %d fault %+v: Run err %v, stepped %v", block, f, err, refErr)
 					}
-					if !m.matches(want) || !memEqual(g, refG) {
+					if !m.matches(want) || !slices.Equal(g, refG) {
 						t.Fatalf("block %d fault %+v: Run's final state differs from the stepped run's (cycles %d vs %d)",
 							block, f, m.Cycles(), ref.Cycles())
 					}
@@ -244,7 +244,7 @@ func TestWedgeIdentity(t *testing.T) {
 					pruned, err := m.RunFromPruned(snap, wc.budget, wedgeEvery, wc.goldenAt)
 					switch {
 					case pruned:
-						if err != nil || refErr != nil || ref.Cycles() != wc.cycles || !memEqual(refG, wc.golden) {
+						if err != nil || refErr != nil || ref.Cycles() != wc.cycles || !slices.Equal(refG, wc.golden) {
 							t.Fatalf("block %d fault %+v: pruned as golden, stepped run err %v cycles %d", block, f, refErr, ref.Cycles())
 						}
 					case err != refErr:

@@ -48,22 +48,6 @@ type TMXMResult struct {
 	Counters
 }
 
-// PatternShare returns the share of multi-element SDCs classified as p,
-// over all multi-element SDCs (Table II normalises over multiple
-// patterns; single corrupted elements are not listed).
-func (r *TMXMResult) PatternShare(p faults.Pattern) float64 {
-	multi := 0
-	for pat, n := range r.Patterns {
-		if faults.Pattern(pat) != faults.PatSingle {
-			multi += n
-		}
-	}
-	if multi == 0 {
-		return 0
-	}
-	return float64(r.Patterns[p]) / float64(multi)
-}
-
 // plan prepares and schedules the spec's campaign.
 func (spec TMXMSpec) plan() (*plan, error) {
 	if spec.Module != faults.ModSched && spec.Module != faults.ModPipe {

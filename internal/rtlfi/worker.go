@@ -232,20 +232,14 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 	chunk := make([]rtl.Fault, 0, rtl.VecMaxLanes)
 	for di, idxs := range perDraw {
 		d := draws[di]
-		// One read schedule per draw: the draw's first march records the
-		// golden run's read/touch schedule, the rest consult it to judge
-		// park attempts and retire quiescent lanes (see rtl.MarchSched).
-		// Chunks are ordered by ascending fault cycle so that the
-		// recording march — which starts at the earliest checkpoint any
-		// chunk needs — observes every cycle later chunks will query.
+		// Chunks are cut from the draw's faults in ascending cycle order:
+		// each chunk's golden replay starts at the checkpoint of its
+		// earliest fault, so a chunk of neighbouring cycles replays the
+		// shortest stretch of the golden run.
 		sort.SliceStable(idxs, func(a, b int) bool {
 			return jobs[idxs[a]].fault.Cycle < jobs[idxs[b]].fault.Cycle
 		})
-		opts := rtl.MarchOpts{
-			Sched:        rtl.NewMarchSched(),
-			GoldenCycles: d.goldenCycles,
-			FinalGlobal:  d.golden,
-		}
+		opts := rtl.MarchOpts{GoldenCycles: d.goldenCycles}
 		for off := 0; off < len(idxs); off += rtl.VecMaxLanes {
 			if ctx.Err() != nil {
 				return outs
