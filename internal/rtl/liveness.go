@@ -182,7 +182,7 @@ func searchSpanAfter(sp []liveSpan, s uint64) int {
 // pass, must not feed the same tracer twice). The trace adds no simulated
 // cycles: it rides along the golden run the campaign performs anyway.
 func (m *Machine) TraceLiveness(l *Liveness) {
-	for i, st := range [...]*State{m.FP32, m.INT, m.SFU, m.SFUCtl, m.Sched, m.Pipe} {
+	for i, st := range m.moduleStates() {
 		if l == nil || l.scope != 0 && l.scope != i+1 {
 			st.live = nil
 			continue

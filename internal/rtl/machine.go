@@ -55,8 +55,6 @@ type Machine struct {
 
 	// Behavioural memories (ECC-protected in the paper's threat model,
 	// therefore not injection targets).
-	prog     *kasm.Program
-	imem     []isa.Word
 	regs     [MaxWarps][isa.NumRegs][WarpSize]uint32
 	preds    [MaxWarps][isa.NumPreds]uint32
 	stacks   [MaxWarps][]simtEntry
@@ -64,16 +62,11 @@ type Machine struct {
 	global   []uint32
 	shared   []uint32
 
-	grid, block int
-	curBlock    int
-	nwarps      int
-	cycle       uint64
-	maxCycles   uint64
+	runPos
 	jumped      uint64 // stall cycles of this run that advance skipped, not stepped
 	fault       *Fault
 	injected    bool
 	err         error
-	blockDone   bool
 	machineDone bool
 	globalOwned bool // global was allocated by Restore, not passed to Run
 	pruned      bool // last run stopped early on golden reconvergence
@@ -82,10 +75,26 @@ type Machine struct {
 
 	// hiDirty is the per-warp dirty high-water mark: every warp at or
 	// above it is in the canonical empty-warp state resetWarp
-	// establishes. Snapshot and Restore use it to bound how many of the
-	// MaxWarps register-file rows they have to copy — almost always just
-	// the block's live warps.
-	hiDirty int
+	// establishes. hiReg is its row twin: every register row at or above
+	// it is zero in every warp, and writes raise it (a fault in the
+	// writeback destination can retarget one to any row). State copies
+	// and compares stop at the pair — almost always the block's live
+	// warps and the few rows the program writes (≤ 7 for a
+	// micro-benchmark, 18 for t-MxM).
+	hiDirty, hiReg int
+}
+
+// runPos is the program, launch geometry and run progress a Snapshot
+// captures beside the state, and Restore and CopyFrom carry over whole.
+type runPos struct {
+	prog        *kasm.Program
+	imem        []isa.Word
+	grid, block int
+	curBlock    int
+	nwarps      int
+	cycle       uint64
+	maxCycles   uint64
+	blockDone   bool
 }
 
 // fieldHandles is the resolved field-index set of all six module layouts.
@@ -143,8 +152,27 @@ func New() *Machine {
 	// A fresh machine has all-zero predicate files, which is NOT the
 	// canonical empty-warp state (PT reads as all-ones after initBlock);
 	// treat every warp as dirty until the first launch or restore.
-	m.hiDirty = MaxWarps
+	m.hiDirty, m.hiReg = MaxWarps, isa.NumRegs
 	return m
+}
+
+// machinePool recycles every machine a campaign uses — per draw
+// preparation, campaign worker, march engine and hot lane. Each holds a
+// 196 KB register file (fresh ones were 30 % of the bytes a
+// characterisation allocated at 2 000 faults per campaign); Run, Restore
+// and CopyFrom overwrite what the last user left, as far as its marks say.
+var machinePool = sync.Pool{New: func() any { return New() }}
+
+// Pooled returns a machine from the shared pool, or a new one.
+func Pooled() *Machine { return machinePool.Get().(*Machine) }
+
+// Release detaches the machine's tracers, drops any pending fault and
+// returns the machine to the pool. The caller must not use it afterwards.
+func (m *Machine) Release() {
+	m.TraceVec(nil)
+	m.TraceLiveness(nil)
+	m.fault = nil
+	machinePool.Put(m)
 }
 
 // ModuleState returns the flip-flop state of one Table I module.
@@ -326,7 +354,7 @@ func (m *Machine) initBlock() {
 	m.Sched.Set(m.sf.barwait, 0)
 	m.Sched.Set(m.sf.rrptr, 0)
 	m.Sched.Set(m.sf.phase, phSched)
-	m.hiDirty = m.nwarps
+	m.hiDirty, m.hiReg = m.nwarps, 0
 }
 
 // resetWarp returns warp w's behavioural memories to the canonical
@@ -334,8 +362,9 @@ func (m *Machine) initBlock() {
 // all-ones, an empty SIMT stack and a zero active mask. initBlock
 // establishes this state for every warp beyond the block, and Restore
 // relies on it for warps above the snapshot's dirty high-water mark.
+// Rows at or above hiReg are zero already.
 func (m *Machine) resetWarp(w int) {
-	m.regs[w] = [isa.NumRegs][WarpSize]uint32{}
+	clear(m.regs[w][:m.hiReg])
 	m.preds[w] = [isa.NumPreds]uint32{}
 	m.preds[w][isa.PT] = 0xFFFFFFFF
 	m.stacks[w] = m.stacks[w][:0]
@@ -348,6 +377,13 @@ func (m *Machine) resetWarp(w int) {
 func (m *Machine) markWarp(w int) {
 	if w >= m.hiDirty {
 		m.hiDirty = w + 1
+	}
+}
+
+// markReg records that register row r may be written in some warp.
+func (m *Machine) markReg(r int) {
+	if r >= m.hiReg {
+		m.hiReg = r + 1
 	}
 }
 

@@ -490,6 +490,9 @@ func (m *Machine) phaseWriteback() {
 		mask := uint32(p.Get(pf.wbMask))
 		isPred := p.Get(pf.wbIsPred) == 1
 		pdst := isa.Pred(p.Get(pf.wbPDst))
+		if !isPred && dst != isa.RZ && mask != 0 {
+			m.markReg(int(dst))
+		}
 		for lane := 0; lane < WarpSize; lane++ {
 			if mask>>uint(lane)&1 == 0 {
 				continue

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"gpufi/internal/isa"
-	"gpufi/internal/kasm"
 )
 
 // Snapshot is a bit-exact copy of every piece of Machine state that
@@ -20,32 +19,27 @@ import (
 // A Snapshot is immutable after capture and safe to Restore concurrently
 // from multiple machines.
 type Snapshot struct {
-	mods [6][]uint64 // Sched, Pipe, FP32, INT, SFU, SFUCtl words
+	mods [6][]uint64 // module state words in moduleStates order
 
 	// warps covers every warp up to the machine's dirty high-water mark
-	// (at least the block's live warps). Warps beyond len(warps) are in
-	// the canonical empty-warp state, which Restore re-establishes
-	// without storing or copying their 8 KiB register rows — the
-	// dominant cost of a snapshot cycle at MaxWarps rows.
+	// (at least the block's live warps), and regs their first rows
+	// register rows (the machine's row mark), warp by warp. Warps beyond
+	// len(warps) are canonical-empty and rows beyond rows are zero, so
+	// neither is stored: a micro-benchmark keeps under 1 KiB of a warp's
+	// 8 KiB register file.
 	warps  []warpState
+	regs   [][WarpSize]uint32
+	rows   int
 	global []uint32
 	shared []uint32
 
-	prog *kasm.Program // shared, immutable
-	imem []isa.Word    // shared, immutable
-
-	grid, block int
-	curBlock    int
-	nwarps      int
-	cycle       uint64
-	maxCycles   uint64
-	blockDone   bool
+	runPos // the program and instruction memory are shared, immutable
 }
 
-// warpState is one warp's behavioural memory: register-file row,
-// predicate file, SIMT stack and top-of-stack active mask.
+// warpState is one warp's behavioural memory apart from its register
+// rows (Snapshot.regs): predicate file, SIMT stack and top-of-stack
+// active mask.
 type warpState struct {
-	regs  [isa.NumRegs][WarpSize]uint32
 	preds [isa.NumPreds]uint32
 	stack []simtEntry
 	mask  uint32
@@ -56,9 +50,20 @@ type warpState struct {
 // any cycle >= Cycle() has not fired yet.
 func (s *Snapshot) Cycle() uint64 { return s.cycle }
 
-// moduleStates lists the six module states in Snapshot.mods order.
+// Rows returns how many register rows per warp the snapshot holds: the
+// capturing machine's row mark (every row at or above it was zero).
+func (s *Snapshot) Rows() int { return s.rows }
+
+// warpRegs returns warp w's stored register rows.
+func (s *Snapshot) warpRegs(w int) [][WarpSize]uint32 {
+	return s.regs[w*s.rows : (w+1)*s.rows]
+}
+
+// moduleStates lists a machine's module states in moduleIndex order
+// (Snapshot.mods and Liveness use it, so Fault.Module maps with
+// moduleIndex).
 func (m *Machine) moduleStates() [6]*State {
-	return [6]*State{m.Sched, m.Pipe, m.FP32, m.INT, m.SFU, m.SFUCtl}
+	return [6]*State{m.FP32, m.INT, m.SFU, m.SFUCtl, m.Sched, m.Pipe}
 }
 
 // Snapshot captures the machine's complete mutable state. It must be
@@ -67,28 +72,19 @@ func (m *Machine) moduleStates() [6]*State {
 // reference, everything else is deep-copied.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		warps:     make([]warpState, m.hiDirty),
-		global:    append([]uint32(nil), m.global...),
-		shared:    append([]uint32(nil), m.shared...),
-		prog:      m.prog,
-		imem:      m.imem,
-		grid:      m.grid,
-		block:     m.block,
-		curBlock:  m.curBlock,
-		nwarps:    m.nwarps,
-		cycle:     m.cycle,
-		maxCycles: m.maxCycles,
-		blockDone: m.blockDone,
+		warps:  make([]warpState, m.hiDirty),
+		regs:   make([][WarpSize]uint32, m.hiDirty*m.hiReg),
+		rows:   m.hiReg,
+		global: append([]uint32(nil), m.global...),
+		shared: append([]uint32(nil), m.shared...),
+		runPos: m.runPos,
 	}
 	for i, st := range m.moduleStates() {
 		s.mods[i] = append([]uint64(nil), st.words...)
 	}
 	for w := range s.warps {
-		ws := &s.warps[w]
-		ws.regs = m.regs[w]
-		ws.preds = m.preds[w]
-		ws.stack = append([]simtEntry(nil), m.stacks[w]...)
-		ws.mask = m.warpMask[w]
+		copy(s.warpRegs(w), m.regs[w][:s.rows])
+		s.warps[w] = warpState{m.preds[w], append([]simtEntry(nil), m.stacks[w]...), m.warpMask[w]}
 	}
 	return s
 }
@@ -104,38 +100,40 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 	for w := range s.warps {
 		ws := &s.warps[w]
-		m.regs[w] = ws.regs
+		m.setRows(w, s.warpRegs(w))
 		m.preds[w] = ws.preds
 		m.stacks[w] = append(m.stacks[w][:0], ws.stack...)
 		m.warpMask[w] = ws.mask
 	}
-	// Warps beyond the snapshot's high-water mark are canonical-empty in
-	// its implied state; reset only the ones this machine dirtied.
-	for w := len(s.warps); w < m.hiDirty; w++ {
+	m.adopt(len(s.warps), s.rows, s.runPos, s.global, s.shared)
+}
+
+// setRows overwrites warp w's leading register rows with src and zeroes
+// the rest of them up to the machine's row mark.
+func (m *Machine) setRows(w int, src [][WarpSize]uint32) {
+	if n := copy(m.regs[w][:], src); n < m.hiReg {
+		clear(m.regs[w][n:m.hiReg])
+	}
+}
+
+// adopt finishes a Restore or CopyFrom once warps [0, hiDirty) hold the
+// source's: it resets the warps beyond them that this machine dirtied
+// (rows at or above hiReg are zero in the source), takes the source's
+// marks, run position and memory images, and clears the run status.
+// Memory is copied into machine-owned slices: Run aliases the caller's
+// global slice, so never copy into that.
+func (m *Machine) adopt(hiDirty, hiReg int, pos runPos, global, shared []uint32) {
+	for w := hiDirty; w < m.hiDirty; w++ {
 		m.resetWarp(w)
 	}
-	m.hiDirty = len(s.warps)
-	// Run aliases the caller's global slice; never restore into it.
-	if !m.globalOwned || cap(m.global) < len(s.global) {
-		m.global = make([]uint32, len(s.global))
-		m.globalOwned = true
+	m.hiDirty, m.hiReg = hiDirty, hiReg
+	if !m.globalOwned {
+		m.global, m.globalOwned = nil, true
 	}
-	m.global = m.global[:len(s.global)]
-	copy(m.global, s.global)
-	if cap(m.shared) < len(s.shared) {
-		m.shared = make([]uint32, len(s.shared))
-	}
-	m.shared = m.shared[:len(s.shared)]
-	copy(m.shared, s.shared)
-	m.prog = s.prog
-	m.imem = s.imem
-	m.grid, m.block = s.grid, s.block
-	m.curBlock = s.curBlock
-	m.nwarps = s.nwarps
-	m.cycle = s.cycle
+	m.global = append(m.global[:0], global...)
+	m.shared = append(m.shared[:0], shared...)
+	m.runPos = pos
 	m.jumped = 0
-	m.maxCycles = s.maxCycles
-	m.blockDone = s.blockDone
 	m.err = nil
 	m.injected = false
 	m.machineDone = false
@@ -184,9 +182,16 @@ func (m *Machine) matches(s *Snapshot) bool {
 	}
 	for w := range s.warps {
 		ws := &s.warps[w]
-		if m.warpMask[w] != ws.mask || m.preds[w] != ws.preds || m.regs[w] != ws.regs ||
+		if m.warpMask[w] != ws.mask || m.preds[w] != ws.preds ||
+			!slices.Equal(m.regs[w][:s.rows], s.warpRegs(w)) ||
 			!slices.Equal(m.stacks[w], ws.stack) {
 			return false
+		}
+		// Rows past the snapshot's mark are zero in its state.
+		for r := s.rows; r < m.hiReg; r++ {
+			if m.regs[w][r] != ([WarpSize]uint32{}) {
+				return false
+			}
 		}
 	}
 	return slices.Equal(m.shared, s.shared) && slices.Equal(m.global, s.global)

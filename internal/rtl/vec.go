@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
@@ -83,7 +82,7 @@ const (
 
 // Location kinds of divergence deltas and write-log entries.
 const (
-	dFF     uint8 = iota // a = module slot (vecStates order), b = 64-bit word index
+	dFF     uint8 = iota // a = module slot (moduleStates order), b = 64-bit word index
 	dReg                 // a = warp, b = register, c = lane
 	dPred                // a = warp, b = predicate index
 	dMask                // a = warp (top-of-stack active mask)
@@ -197,16 +196,10 @@ type vecTracer struct {
 	emptied []*vlane // lanes whose last delta a kill removed this cycle
 }
 
-// vecStates lists a machine's module states in moduleIndex order (the
-// same order Liveness uses, so Fault.Module maps with moduleIndex).
-func vecStates(m *Machine) [6]*State {
-	return [6]*State{m.FP32, m.INT, m.SFU, m.SFUCtl, m.Sched, m.Pipe}
-}
-
 // TraceVec attaches t to every module state so the machine's semantic
 // accesses reach the march engine; pass nil to detach.
 func (m *Machine) TraceVec(t *vecTracer) {
-	states := vecStates(m)
+	states := m.moduleStates()
 	for i, st := range states {
 		if t == nil {
 			st.vec = nil
@@ -220,7 +213,7 @@ func (m *Machine) TraceVec(t *vecTracer) {
 // CopyFrom overwrites the machine's state with a bit-exact copy of
 // another machine's, the Restore analogue for machine-to-machine copies.
 // Like Restore it copies raw state and bypasses tracers, bounds the
-// register-file copy by the source's dirty high-water mark, and leaves
+// register-file copy by the two machines' warp and row marks, and leaves
 // the machine with no pending fault or error.
 func (m *Machine) CopyFrom(src *Machine) {
 	msts, ssts := m.moduleStates(), src.moduleStates()
@@ -228,39 +221,13 @@ func (m *Machine) CopyFrom(src *Machine) {
 		copy(msts[i].words, ssts[i].words)
 	}
 	for w := 0; w < src.hiDirty; w++ {
-		m.regs[w] = src.regs[w]
+		m.setRows(w, src.regs[w][:src.hiReg])
 		m.preds[w] = src.preds[w]
 		m.stacks[w] = append(m.stacks[w][:0], src.stacks[w]...)
 		m.warpMask[w] = src.warpMask[w]
 	}
-	for w := src.hiDirty; w < m.hiDirty; w++ {
-		m.resetWarp(w)
-	}
-	m.hiDirty = src.hiDirty
-	if !m.globalOwned || cap(m.global) < len(src.global) {
-		m.global = make([]uint32, len(src.global))
-		m.globalOwned = true
-	}
-	m.global = m.global[:len(src.global)]
-	copy(m.global, src.global)
-	if cap(m.shared) < len(src.shared) {
-		m.shared = make([]uint32, len(src.shared))
-	}
-	m.shared = m.shared[:len(src.shared)]
-	copy(m.shared, src.shared)
-	m.prog = src.prog
-	m.imem = src.imem
-	m.grid, m.block = src.grid, src.block
-	m.curBlock = src.curBlock
-	m.nwarps = src.nwarps
-	m.cycle = src.cycle
-	m.jumped = 0
-	m.maxCycles = src.maxCycles
-	m.blockDone = src.blockDone
-	m.err = nil
+	m.adopt(src.hiDirty, src.hiReg, src.runPos, src.global, src.shared)
 	m.fault = nil
-	m.injected = false
-	m.machineDone = false
 }
 
 // ---- tracer hooks -------------------------------------------------------
@@ -717,9 +684,9 @@ type VecEngine struct {
 // NewVecEngine constructs an engine with its golden machine and
 // divergence planes instantiated.
 func NewVecEngine() *VecEngine {
-	e := &VecEngine{golden: New()}
+	e := &VecEngine{golden: Pooled()}
 	t := &vecTracer{eng: e}
-	for i, st := range vecStates(e.golden) {
+	for i, st := range e.golden.moduleStates() {
 		t.states[i] = st
 		t.ffGeom[i] = st.Lay.geom
 		t.ffPlane[i] = make([]uint64, len(st.words))
@@ -728,13 +695,6 @@ func NewVecEngine() *VecEngine {
 	e.t = t
 	return e
 }
-
-// machinePool recycles lane machines across engines: a Machine is a
-// quarter-megabyte of register file, so constructing one per concurrent
-// hot lane per campaign is a measurable share of a dense campaign's
-// wall-clock. Pooled machines carry no campaign state — every acquire
-// overwrites them from the golden machine before use.
-var machinePool = sync.Pool{New: func() any { return New() }}
 
 // acquire hands out a pool machine (or a fresh one), synced to the golden
 // machine's current state: incrementally when the pooled metadata allows,
@@ -756,20 +716,20 @@ func (e *VecEngine) acquire() *Machine {
 		m.TraceVec(t)
 		return m
 	}
-	m := machinePool.Get().(*Machine)
+	m := Pooled()
 	m.CopyFrom(e.golden)
 	m.TraceVec(t)
 	return m
 }
 
-// Close returns the engine's pooled lane machines to the shared pool.
-// The engine must not be used again after Close.
+// Close returns the engine's golden and lane machines to the shared
+// pool. The engine must not be used again after Close.
 func (e *VecEngine) Close() {
 	for _, p := range e.pool {
-		p.m.TraceVec(nil)
-		machinePool.Put(p.m)
+		p.m.Release()
 	}
 	e.pool = nil
+	e.golden.Release()
 }
 
 // resync is the incremental CopyFrom: undo the released lane's parked
@@ -781,6 +741,7 @@ func (e *VecEngine) resync(m *Machine, p pooledM) {
 	apply := func(d *vdelta) {
 		switch d.kind {
 		case dReg:
+			m.markReg(int(d.b))
 			m.regs[d.a][d.b][d.c] = g.regs[d.a][d.b][d.c]
 		case dPred:
 			m.preds[d.a][d.b] = g.preds[d.a][d.b]
@@ -892,7 +853,7 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 	e.injOrder = inj
 
 	g.TraceVec(t)
-	gsts := vecStates(g)
+	gsts := g.moduleStates()
 	next := 0
 	earlyExit := false
 	for !g.blockDone && g.err == nil {
@@ -1094,13 +1055,14 @@ func (e *VecEngine) finishedHot(ln *vlane) bool {
 func (e *VecEngine) materialize(ln *vlane, c uint64) {
 	t := e.t
 	m := e.acquire()
-	for i, st := range vecStates(m) {
+	for i, st := range m.moduleStates() {
 		copy(st.words, t.ffSnap[i])
 	}
 	for i := len(t.wlog) - 1; i >= t.cycleOff[c-t.cycleBase]; i-- {
 		en := &t.wlog[i]
 		switch en.kind {
 		case dReg:
+			m.markReg(int(en.b))
 			m.regs[en.a][en.b][en.c] = uint32(en.val)
 		case dPred:
 			m.preds[en.a][en.b] = uint32(en.val)
@@ -1120,9 +1082,10 @@ func (e *VecEngine) materialize(ln *vlane, c uint64) {
 		d := &ln.deltas[i]
 		switch d.kind {
 		case dFF:
-			vecStates(m)[d.a].words[d.b] = d.val
+			m.moduleStates()[d.a].words[d.b] = d.val
 		case dReg:
 			m.markWarp(int(d.a))
+			m.markReg(int(d.b))
 			m.regs[d.a][d.b][d.c] = uint32(d.val)
 		case dPred:
 			m.markWarp(int(d.a))
@@ -1168,7 +1131,7 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 		return false
 	}
 	g, m := e.golden, ln.m
-	gsts, msts := vecStates(g), vecStates(m)
+	gsts, msts := g.moduleStates(), m.moduleStates()
 	deltas := ln.spare[:0]
 	full := false
 	// The word diff visits each flip-flop word once, so its entries need

@@ -30,12 +30,13 @@ type inputDraw struct {
 	live         *rtl.Liveness // golden-run liveness trace; nil without pruning
 }
 
-// prepare runs one draw's golden prefix on a fresh machine: the golden
+// prepare runs one draw's golden prefix on a pooled machine: the golden
 // run itself (tracing liveness when the engine prunes) and the
 // checkpoint-recording replay. d.global must already be populated;
 // everything else is derived here.
 func (p *plan) prepare(d *inputDraw) error {
-	m := rtl.New()
+	m := rtl.Pooled()
+	defer m.Release()
 	if p.prune {
 		d.live = rtl.NewLiveness(p.module) // the one module the campaign's faults land in
 		m.TraceLiveness(d.live)
@@ -164,7 +165,7 @@ type plan struct {
 // newPlan prepares and schedules a campaign. Input draws consume the
 // spec RNG serially; the golden runs (with liveness tracing), plus the
 // bit-identical replays that record the fast-forward checkpoints, then
-// fan out across draws, one fresh machine each. Neither pass touches the
+// fan out across draws, one pooled machine each. Neither pass touches the
 // RNG, so the fault list drawn afterwards sees the same stream whatever
 // the engine mode.
 func newPlan(e engine, f family) (*plan, error) {
@@ -310,9 +311,14 @@ func run[T any](ctx context.Context, p *plan,
 	if p.march {
 		dead = make([]bool, len(p.jobs))
 	}
+	machines := make([]*rtl.Machine, workers)
+	for w := range machines {
+		machines[w] = rtl.Pooled()
+		defer machines[w].Release()
+	}
 	outs, _, err := campaign.Run(ctx, len(p.jobs), workers, p.progress, func(w int) func(int) T {
 		ec := &counters[w]
-		machine := rtl.New()
+		machine := machines[w]
 		var marched map[int]simRun
 		if p.march {
 			marched = p.marchStripe(ctx, w, workers, ec, machine, dead)
