@@ -4,6 +4,7 @@ import (
 	"gpufi/internal/emu"
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
+	"gpufi/internal/replay"
 )
 
 // Gaussian elimination registers.
@@ -136,7 +137,7 @@ func NewGaussian(n int) *Workload {
 			}
 			fillMatrix(g[n*n:n*n+n], n, 0xC002, -1, 1) // b vector
 			for k := 0; k < n-1; k++ {
-				g[n*n+2*n] = uint32(k)
+				replay.HostStore(rt, g, n*n+2*n, uint32(k))
 				// Shrinking grids per step, as Rodinia's host code sizes
 				// Fan1/Fan2 to the remaining submatrix.
 				rows := n - k - 1

@@ -4,6 +4,7 @@ import (
 	"gpufi/internal/emu"
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
+	"gpufi/internal/replay"
 )
 
 // Hotspot registers.
@@ -218,7 +219,7 @@ func NewHotspot(n, iters int) *Workload {
 				}); err != nil {
 					return nil, err
 				}
-				copy(g[:n*n], g[2*n*n:3*n*n])
+				replay.HostCopy(rt, g, 0, 2*n*n, n*n)
 			}
 			return copyOut(g, 0, n*n), nil
 		},

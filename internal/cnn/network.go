@@ -82,7 +82,7 @@ func (n *Network) RunWith(rt replay.Runner, input []float32, inj *TileInjection)
 			return nil, fmt.Errorf("cnn %s layer %s: %w", n.Name, l.Name, err)
 		}
 		if inj != nil && inj.Layer == li {
-			n.applyTile(g, l, inj)
+			n.applyTile(rt, g, l, inj)
 		}
 	}
 	out := make([]float32, n.outN)
@@ -93,7 +93,7 @@ func (n *Network) RunWith(rt replay.Runner, input []float32, inj *TileInjection)
 }
 
 // applyTile corrupts the 8x8 tile of the layer output.
-func (n *Network) applyTile(g []uint32, l *Layer, inj *TileInjection) {
+func (n *Network) applyTile(rt replay.Runner, g []uint32, l *Layer, inj *TileInjection) {
 	ch := inj.Channel % l.OutC
 	r0 := clampTile(inj.Row, l.OutH)
 	c0 := clampTile(inj.Col, l.OutW)
@@ -107,7 +107,7 @@ func (n *Network) applyTile(g []uint32, l *Layer, inj *TileInjection) {
 			continue
 		}
 		idx := l.OutOff + ch*l.OutH*l.OutW + r*l.OutW + c
-		g[idx] = syndrome.ApplyRelErrF32(g[idx], inj.Corr.RelErr[i], inj.NegSign)
+		replay.HostStore(rt, g, idx, syndrome.ApplyRelErrF32(g[idx], inj.Corr.RelErr[i], inj.NegSign))
 	}
 }
 

@@ -135,7 +135,8 @@ func (a *Attempt) undo(g []uint32) {
 // stores to, as a bitmap indexed by word address, and its inputs — each
 // word it loads before storing to it, with the value loaded. The replay
 // layer records both per unit on the golden run. Writes and Loaded must
-// cover len(Global) bits.
+// cover len(Global) bits; a trace whose Loaded is nil (and Lanes with it)
+// records stores only.
 type MemTrace struct {
 	Writes []uint64
 

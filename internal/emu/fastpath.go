@@ -283,6 +283,9 @@ func (ex *exec) execDataFast(blockID int, w *warp, pc int, d *dinstr, guard uint
 	case isa.OpGLD:
 		g := ex.l.Global
 		mt, at := ex.l.Mem, ex.att
+		if mt != nil && mt.Loaded == nil {
+			mt = nil // a store-only trace
+		}
 		// An attempt logs the loads in its window; outside attempts the
 		// window is empty.
 		var lo, span uint32

@@ -239,7 +239,8 @@ func decodeSpec(data []byte) *fzSpec {
 // run executes the workload on rt and returns a copy of the final arena,
 // on error too. host, when non-nil, runs after every launch, before the
 // workload's own host code.
-func (s *fzSpec) run(rt Runner, host func(after int, g []uint32)) ([]uint32, error) {
+func (s *fzSpec) run(rt Runner, host func(rt Runner, after int, g []uint32)) ([]uint32, error) {
+	rt = checkHost(rt)
 	g := rt.Arena(fzWords)
 	x := s.seed
 	for i := 0; i < fzRegion; i++ {
@@ -265,18 +266,18 @@ func (s *fzSpec) run(rt Runner, host func(after int, g []uint32)) ([]uint32, err
 			return slices.Clone(g), err
 		}
 		if host != nil {
-			host(k, g)
+			host(rt, k, g)
 		}
 		if k+1 == len(s.kinds) {
 			break
 		}
-		g[fzP] = uint32(k + 2)
+		HostStore(rt, g, fzP, uint32(k+2))
 		kind, grid = s.kinds[k+1], s.grids[k+1]
 		if s.pick {
 			v := g[dst+s.sel]
 			kind = (kind + fzKind(v%2)) % fzKinds
 			grid = 1 + (grid+int(v>>1))%3
-			g[fzP] += v & 4
+			HostStore(rt, g, fzP, g[fzP]+v&4)
 		}
 	}
 	return slices.Clone(g), nil
@@ -417,9 +418,9 @@ func checkPlayerVsPlain(t *testing.T, data []byte) fzCoverage {
 	for last := range tr.Launches {
 		word := (int(s.seed) + 97*last) % (fzP + 1)
 		bit := (s.bit + uint(last)*5) % 32
-		host := func(after int, g []uint32) {
+		host := func(rt Runner, after int, g []uint32) {
 			if after == last {
-				g[word] ^= 1 << bit
+				HostStore(rt, g, word, g[word]^1<<bit)
 			}
 		}
 		plain := &Plain{}

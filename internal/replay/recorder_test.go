@@ -194,6 +194,7 @@ const mixSlack = 20_000
 // sometimes the value a word already holds. The host reads nothing, so it
 // is pure and replays identically on every Runner.
 func runMixed(rt Runner, seed int64) ([]uint32, error) {
+	rt = checkHost(rt)
 	r := rand.New(rand.NewSource(seed))
 	g := rt.Arena(stWords + mixSlack)
 	for i := 0; i < stN; i++ {
@@ -205,16 +206,15 @@ func runMixed(rt Runner, seed int64) ([]uint32, error) {
 			for w := r.Intn(4); w > 0; w-- {
 				switch r.Intn(4) {
 				case 0:
-					g[r.Intn(stWords)] = uint32(r.Intn(1 << 20))
+					HostStore(rt, g, r.Intn(stWords), uint32(r.Intn(1<<20)))
 				case 1:
-					g[stWords+r.Intn(mixSlack)] = uint32(r.Intn(8))
+					HostStore(rt, g, stWords+r.Intn(mixSlack), uint32(r.Intn(8)))
 				case 2:
-					g[offParam] = uint32(1 + r.Intn(3))
+					HostStore(rt, g, offParam, uint32(1+r.Intn(3)))
 				case 3:
 					// A host write that changes nothing.
 					i := r.Intn(stWords)
-					v := g[i]
-					g[i] = v
+					HostStore(rt, g, i, g[i])
 				}
 			}
 		}

@@ -69,6 +69,36 @@
 // exactly. A word stored by several units is listed once, with the value
 // the latest store left.
 //
+// Why a unit's inputs are compared only when the fault can reach them. From
+// the fault on, a Pool keeps D′, a bitmap of the arena words that may
+// differ from the golden run's at the same point; let D be those that do.
+// Before the fault D is empty: every launch and unit so far is golden, and
+// so is every host write, which is why a Player ignores those. After it,
+// every way a word can leave its golden value puts the word in D′, so D ⊆
+// D′ at every unit boundary:
+//
+//   - a store: the emulator adds every store of a launch the Player runs to
+//     D′, a store-only emu.MemTrace (corrupted stores, and attempts later
+//     undone, included);
+//   - a golden store the faulty run skips, behind a corrupted guard or at a
+//     corrupted address: when a unit runs, whole or as a kept attempt, each
+//     word of its recorded writes joins D′ unless it holds the value the
+//     golden unit left, and then leaves D′, since the golden arena holds
+//     that value there after the unit; a launch that fails adds the writes
+//     of its units from the failing one on, and a launch that does not
+//     match its record adds every write of the golden launch at its
+//     ordinal;
+//   - a host write: HostStore adds its word, and HostCopy gives each word it
+//     copies to the source word's place in D′ — exact, because the golden
+//     host made the same copy (the Runner rule).
+//
+// A replayed unit stores golden values only. So a unit whose input runs
+// miss D′ loaded golden values and replays without a compare; only a unit
+// whose runs meet D′ has its input values compared (Inputs.changed). A
+// matching launch that starts after the fault with D′ empty applies its
+// record whole, since every unit of it would replay. D′ is cleared per
+// injection in time proportional to what it marked.
+//
 // Host code between launches re-executes normally in all modes; the arena
 // it sees is the one a full run would show it.
 package replay
@@ -89,6 +119,14 @@ import (
 // global-memory arena and runs its kernel launches. Workloads written
 // against Runner can be executed directly (Plain), recorded (Recorder) or
 // fast-forwarded (Player) without knowing which.
+//
+// Host code has one rule: between its first launch and its last it writes
+// the arena only through HostStore and HostCopy, and which copies it makes
+// and which words it stores to must not depend on what the launches
+// computed — the values it stores may, and an injection run may store to
+// more words, as the tile model's corruption does. Setting up the arena
+// before the first launch needs no declaration. The Player's replay filter
+// relies on the rule (see the package comment).
 type Runner interface {
 	// Arena allocates the global-memory image. Called exactly once per
 	// execution, before any Launch.
@@ -96,6 +134,32 @@ type Runner interface {
 	// Launch executes one kernel launch whose Global aliases the arena.
 	// The Runner owns Launch.Hooks; callers leave it zero.
 	Launch(l *emu.Launch) error
+}
+
+// HostWriter is implemented by a Runner that tracks host writes, as the
+// Player does; HostStore and HostCopy declare theirs to it. HostWrote
+// reports that host code set the n arena words from dst: copied from the
+// n words from src, or, when src < 0, stored.
+type HostWriter interface {
+	HostWrote(dst, src, n int)
+}
+
+// HostStore sets arena word i to v for host code and declares the write to
+// rt.
+func HostStore(rt Runner, g []uint32, i int, v uint32) {
+	g[i] = v
+	if h, ok := rt.(HostWriter); ok {
+		h.HostWrote(i, -1, 1)
+	}
+}
+
+// HostCopy copies the n arena words from src to dst, as copy does, for
+// host code and declares the write to rt.
+func HostCopy(rt Runner, g []uint32, dst, src, n int) {
+	copy(g[dst:dst+n], g[src:src+n])
+	if h, ok := rt.(HostWriter); ok {
+		h.HostWrote(dst, src, n)
+	}
 }
 
 // Plain is the pass-through Runner: fresh arena, every launch executed
@@ -510,6 +574,11 @@ type Pool struct {
 	buf  []uint32
 	att  emu.Attempt // the running attempt's accesses
 	offs []uint32    // the attempted unit's input run offsets (Inputs.changed)
+	// reach is D′, the words that may differ from golden (see the package
+	// comment): a store-only trace, so the emulator adds the stores of
+	// every launch the Player runs. Every non-zero word of its bitmap is
+	// listed in Touched.
+	reach emu.MemTrace
 }
 
 // Player is the fast-forwarding Runner; see the package comment. In
@@ -539,10 +608,14 @@ type Player struct {
 	rep, repCount uint64
 
 	pool *Pool
-	// try is the unit Replay last split: its record, the lanes the
-	// attempt runs, its golden count and the launch's count before it.
+	// rec is the running launch's record while the launch matches it, and
+	// cur its latest unit: the one a Resume continues, then the last one
+	// offered to Replay.
+	rec *LaunchRec
+	cur int
+	// try is the unit Replay last split: the lanes the attempt runs, its
+	// golden count and the launch's count before it.
 	try struct {
-		ur       *UnitRec
 		s        uint32
 		n, start uint64
 	}
@@ -556,6 +629,11 @@ type Player struct {
 	// Attempts counts lane replay's attempts: those kept, and those rolled
 	// back on a memory conflict or an error.
 	Attempts struct{ Accepted, Conflicts, Errors uint64 }
+	// Reach counts what D′ decided after the fault: units whose inputs it
+	// reached, so their values were compared (Inputs.changed); units it
+	// did not reach, replayed without a compare; and matching launches
+	// that started with D′ empty and applied their records whole.
+	Reach struct{ Compared, Filtered, Whole uint64 }
 }
 
 // NewPlayer builds a Player that arms hooks just before the target-th
@@ -629,7 +707,9 @@ func (p *Player) attach(pool *Pool) {
 	}
 	if len(pool.buf) != p.tr.Words {
 		pool.buf = make([]uint32, p.tr.Words)
+		pool.reach = emu.MemTrace{Writes: make([]uint64, (p.tr.Words+63)/64)}
 	}
+	pool.reach.Clear()
 	p.g, p.pool = pool.buf, pool
 }
 
@@ -647,22 +727,41 @@ func (p *Player) Arena(words int) []uint32 {
 func (p *Player) Launch(l *emu.Launch) error {
 	ord := p.ord
 	p.ord++
+	var rec *LaunchRec
+	if ord < len(p.tr.Launches) {
+		rec = &p.tr.Launches[ord]
+	}
 	if ord < p.start {
-		rec := &p.tr.Launches[ord]
-		rec.apply(p.g)
-		prev, _ := p.tr.cumBefore(ord)
-		p.Skipped += rec.CumInstrs - prev
+		p.applyWhole(rec, ord)
+		return nil
+	}
+	match := p.replays && rec != nil && rec.matches(l)
+	if match && (ord > p.start || p.ck == nil) && p.done() && p.unreached() {
+		// The arena is golden and the fault is spent: every unit would
+		// replay.
+		p.Reach.Whole++
+		p.applyWhole(rec, ord)
 		return nil
 	}
 	l.Hooks = p.liveHooks(ord)
 	l.Mem, l.BlockDone, l.Replay, l.Attempt = nil, nil, nil, nil
-	if p.replays && ord < len(p.tr.Launches) && p.tr.Launches[ord].matches(l) {
-		l.Replay, l.BlockDone, l.Attempt = p.replayer(ord, l), p.attemptDone, &p.pool.att
+	if p.replays {
+		l.Mem = &p.pool.reach
+		p.rec = nil
+		if match {
+			p.rec, p.cur = rec, 0
+			l.Replay, l.BlockDone, l.Attempt = p.replayer(ord, l), p.attemptDone, &p.pool.att
+		} else if rec != nil {
+			p.markUnits(rec.Units) // the golden launch stored these; this one may not
+		}
 	}
 	p.rep, p.repCount = 0, 0
 	var res, prefix emu.Result
 	var err error
 	if p.ck != nil && ord == p.start {
+		if p.rec != nil {
+			p.cur = p.rec.unit(p.ck.Snap.Block(), p.ck.Snap.Warp())
+		}
 		store(l.Global, p.ck.Delta)
 		prefix = p.ck.Snap.Res()
 		res, err = emu.Resume(l, p.ck.Snap)
@@ -674,8 +773,23 @@ func (p *Player) Launch(l *emu.Launch) error {
 	for op := range res.PerOpcode {
 		p.Live.PerOpcode[op] += res.PerOpcode[op] - prefix.PerOpcode[op]
 	}
+	if err != nil && p.rec != nil {
+		p.markUnits(p.rec.Units[p.cur:]) // the failed unit and those never run
+	}
 	return err
 }
+
+// applyWhole applies launch ord's record in place of running it.
+func (p *Player) applyWhole(rec *LaunchRec, ord int) {
+	rec.apply(p.g)
+	prev, _ := p.tr.cumBefore(ord)
+	p.Skipped += rec.CumInstrs - prev
+}
+
+// done reports whether the fault is done: a countdown player's
+// instrumentation has fired, and a player without one applies its
+// corruption, if any, before the first launch that runs.
+func (p *Player) done() bool { return p.fired == nil || p.fired() }
 
 // replayer is the emu.Launch.Replay of launch ord, which matches its record.
 // Before the fault only the fork launch's units before the target's unit
@@ -691,6 +805,7 @@ func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) ui
 	return func(b, w int, res *emu.Result) uint32 {
 		u := rec.unit(b, w)
 		ur := &units[u]
+		p.cur = u
 		n, c := ur.Instrs, ur.Count
 		if u > 0 {
 			n -= units[u-1].Instrs
@@ -699,10 +814,7 @@ func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) ui
 		if res.DynThreadInstrs+n > budget {
 			return all
 		}
-		// The fault is done when a countdown player's instrumentation has
-		// fired; a player without one applies its corruption, if any, before
-		// the first launch that runs.
-		if p.fired == nil || p.fired() {
+		if p.done() {
 			if s := p.split(ur, n, res); s != 0 {
 				return s
 			}
@@ -720,7 +832,13 @@ func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) ui
 // split returns the lanes of unit ur that loaded an input the arena no
 // longer holds (Inputs.changed), 0 when there are none, and readies the
 // attempt that runs only them: its load window spans the unit's writes.
+// Only a unit whose input runs meet D′ has its values compared.
 func (p *Player) split(ur *UnitRec, n uint64, res *emu.Result) uint32 {
+	if !p.reaches(&ur.In) {
+		p.Reach.Filtered++
+		return 0
+	}
+	p.Reach.Compared++
 	var s uint32
 	s, p.pool.offs = ur.In.changed(p.g, p.pool.offs)
 	if s == 0 {
@@ -731,7 +849,7 @@ func (p *Player) split(ur *UnitRec, n uint64, res *emu.Result) uint32 {
 	if k := len(ur.Writes); k > 0 {
 		a.Lo, a.Hi = ur.Writes[0].Idx, ur.Writes[k-1].Idx+1
 	}
-	p.try.ur, p.try.s, p.try.n, p.try.start = ur, s, n, res.DynThreadInstrs
+	p.try.s, p.try.n, p.try.start = s, n, res.DynThreadInstrs
 	return s
 }
 
@@ -739,30 +857,117 @@ func (p *Player) split(ur *UnitRec, n uint64, res *emu.Result) uint32 {
 // keeps an attempt that ended without error and touched nothing the warp's
 // other lanes own: it applies their writes and charges the warp's golden
 // count. Otherwise the emulator undoes the attempt and runs the warp whole.
-func (p *Player) attemptDone(_, _ int, res *emu.Result) bool {
-	a := &p.pool.att
-	if a.Lanes == 0 {
-		return true // a unit that ran whole
+// A unit that ran, whole or as a kept attempt, settles D′.
+func (p *Player) attemptDone(b, w int, res *emu.Result) bool {
+	ur := &p.rec.Units[p.rec.unit(b, w)]
+	if a := &p.pool.att; a.Lanes != 0 {
+		t := &p.try
+		switch {
+		case a.Err != nil:
+			p.Attempts.Errors++
+			return false
+		case ur.conflicts(a, t.s, p.pool.offs):
+			p.Attempts.Conflicts++
+			return false
+		}
+		for j, d := range ur.Writes {
+			if t.s>>ur.Owner[j]&1 == 0 {
+				p.g[d.Idx] = d.Val
+			}
+		}
+		rest := t.n - (res.DynThreadInstrs - t.start)
+		res.DynThreadInstrs += rest
+		p.rep += rest
+		p.Attempts.Accepted++
 	}
-	t := &p.try
-	switch {
-	case a.Err != nil:
-		p.Attempts.Errors++
-		return false
-	case t.ur.conflicts(a, t.s, p.pool.offs):
-		p.Attempts.Conflicts++
-		return false
+	p.settle(ur)
+	return true
+}
+
+// mark adds word i to D′.
+func (p *Player) mark(i uint32) {
+	r := &p.pool.reach
+	if r.Writes[i>>6] == 0 {
+		r.Touched = append(r.Touched, int32(i>>6))
 	}
-	for j, d := range t.ur.Writes {
-		if t.s>>t.ur.Owner[j]&1 == 0 {
-			p.g[d.Idx] = d.Val
+	r.Writes[i>>6] |= 1 << (i & 63)
+}
+
+// markUnits adds every word the golden units stored to D′.
+func (p *Player) markUnits(units []UnitRec) {
+	for i := range units {
+		for _, d := range units[i].Writes {
+			p.mark(d.Idx)
 		}
 	}
-	rest := t.n - (res.DynThreadInstrs - t.start)
-	res.DynThreadInstrs += rest
-	p.rep += rest
-	p.Attempts.Accepted++
-	return true
+}
+
+// settle updates D′ after unit ur ran: each word the golden unit stored
+// leaves D′ when it holds the value the unit left and joins it otherwise,
+// since a corrupted guard or address can skip a golden store. What the
+// unit stored elsewhere, the emulator already added.
+func (p *Player) settle(ur *UnitRec) {
+	bm := p.pool.reach.Writes
+	for _, d := range ur.Writes {
+		if p.g[d.Idx] != d.Val {
+			p.mark(d.Idx)
+		} else {
+			bm[d.Idx>>6] &^= 1 << (d.Idx & 63)
+		}
+	}
+}
+
+// unreached reports whether D′ is empty, first dropping the bitmap words
+// settles emptied from its list.
+func (p *Player) unreached() bool {
+	r := &p.pool.reach
+	r.Touched = slices.DeleteFunc(r.Touched, func(k int32) bool { return r.Writes[k] == 0 })
+	return len(r.Touched) == 0
+}
+
+// reaches reports whether an input run of in holds a word of D′.
+func (p *Player) reaches(in *Inputs) bool {
+	bm := p.pool.reach.Writes
+	for _, run := range in.Runs {
+		for k := run.Start >> 6; k <= (run.Start+run.Len-1)>>6; k++ {
+			if bm[k] != 0 && bm[k]&span(k, run) != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// span returns the bits of bitmap word k that stand for words of run.
+func span(k uint32, run Run) uint64 {
+	m := ^uint64(0)
+	if run.Start > k<<6 {
+		m <<= run.Start & 63
+	}
+	if end := run.Start + run.Len; end < (k+1)<<6 {
+		m &= ^uint64(0) >> (64 - end&63)
+	}
+	return m
+}
+
+// HostWrote implements HostWriter. Before the fault the arena is golden,
+// and so is what host code writes into it: D′ changes only after it.
+func (p *Player) HostWrote(dst, src, n int) {
+	if !p.replays || !p.done() {
+		return
+	}
+	r := &p.pool.reach
+	for i := range n {
+		if dst > src && src >= 0 {
+			i = n - 1 - i // copy's order, should the ranges overlap
+		}
+		d := uint32(dst + i)
+		if s := uint32(src + i); src < 0 || r.Writes[s>>6]>>(s&63)&1 != 0 {
+			p.mark(d)
+		} else {
+			r.Writes[d>>6] &^= 1 << (d & 63)
+		}
+	}
 }
 
 // conflicts reports whether an attempt of lanes s touched what another lane

@@ -82,7 +82,8 @@ func countIMUL(op isa.Opcode) bool { return op == isa.OpIMUL }
 // arena. host, when non-nil, is host code run after every launch: the
 // tile-model shape of corruption applied between launches, or a host that
 // reads the arena.
-func runStages(rt Runner, hostWrites bool, host func(after int, g []uint32)) ([]uint32, error) {
+func runStages(rt Runner, hostWrites bool, host func(rt Runner, after int, g []uint32)) ([]uint32, error) {
+	rt = checkHost(rt)
 	g := rt.Arena(stWords)
 	for i := 0; i < stN; i++ {
 		g[offA+i] = uint32(i*1000 + 17)
@@ -90,13 +91,13 @@ func runStages(rt Runner, hostWrites bool, host func(after int, g []uint32)) ([]
 	g[offParam] = 1
 	for k, prog := range stages {
 		if hostWrites {
-			g[offParam] = uint32(k + 1)
+			HostStore(rt, g, offParam, uint32(k+1))
 		}
 		if err := rt.Launch(&emu.Launch{Prog: prog, Grid: stGrid, Block: stBlock, Global: g}); err != nil {
 			return nil, err
 		}
 		if host != nil {
-			host(k, g)
+			host(rt, k, g)
 		}
 	}
 	return slices.Clone(g), nil
@@ -105,7 +106,7 @@ func runStages(rt Runner, hostWrites bool, host func(after int, g []uint32)) ([]
 // recordStages records the workload with a checkpoint every 100
 // thread-instructions (several per launch) and checks the recording
 // against a plain run.
-func recordStages(t *testing.T, hostWrites bool, host func(after int, g []uint32)) (*Trace, []uint32) {
+func recordStages(t *testing.T, hostWrites bool, host func(rt Runner, after int, g []uint32)) (*Trace, []uint32) {
 	t.Helper()
 	plain := &Plain{}
 	golden, err := runStages(plain, hostWrites, host)
@@ -332,9 +333,9 @@ func TestPlayerSimulatesNothingBeforeTheTargetBlock(t *testing.T) {
 
 // paramFromC is an impure host: after launch 1 it reads a word of C and
 // picks launch 2's parameter from it.
-func paramFromC(after int, g []uint32) {
+func paramFromC(rt Runner, after int, g []uint32) {
 	if after == 1 {
-		g[offParam] = 1 + g[offC+10]&1
+		HostStore(rt, g, offParam, 1+g[offC+10]&1)
 	}
 }
 
@@ -349,7 +350,7 @@ func TestPostFaultTail(t *testing.T) {
 	cases := []struct {
 		name       string
 		hostWrites bool
-		host       func(after int, g []uint32)
+		host       func(rt Runner, after int, g []uint32)
 		target     uint64
 		mask       uint32
 		sim        [][2]int // (launch, block)
@@ -441,9 +442,9 @@ func TestPlayerSkipToReplaysPrefixFromWriteSets(t *testing.T) {
 		{0, offScratch + 7, nil}, // parked where no later block loads
 		{2, offOut + 5, nil},
 	} {
-		corrupt := func(after int, g []uint32) {
+		corrupt := func(rt Runner, after int, g []uint32) {
 			if after == tc.last {
-				g[tc.word] ^= liveBit
+				HostStore(rt, g, tc.word, g[tc.word]^liveBit)
 			}
 		}
 		plain := &Plain{}

@@ -78,7 +78,7 @@ func oracleRun[G any](s *subject[G], golden G, injectable uint64, i int) (inject
 		in = s.injector(r, injectable)
 		rt.Hooks = emu.Hooks{Post: in.post}
 	}
-	out, err := exec(rt)
+	out, err := exec(checkRunner(rt))
 	o, crit := s.grade(golden, out, err)
 	inj := injection{outcome: o, critical: crit}
 	if in != nil {

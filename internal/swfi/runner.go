@@ -124,6 +124,31 @@ func (s *subject[G]) injector(r *stats.RNG, injectable uint64) *injector {
 	return &injector{target: r.Uint64() % injectable, model: s.model, db: s.db, focus: s.focus, rng: r}
 }
 
+// draw builds the run of the injection stream r picks: a player from trace
+// tr, the execution it drives and, for an instruction-level model, the
+// injector. p is nil when there is nothing to inject.
+func (s *subject[G]) draw(tr *replay.Trace, injectable uint64, pool *replay.Pool, r *stats.RNG) (p *replay.Player, exec func(replay.Runner) (G, error), in *injector) {
+	if s.tile != nil {
+		last, exec, ok := s.tile(r)
+		if !ok {
+			return nil, nil, nil
+		}
+		// The tile is applied by host code after launch last, so every
+		// launch up to and including it replays from its write-set.
+		return replay.NewPlayerSkipTo(tr, last, pool), exec, nil
+	}
+	in = s.injector(r, injectable)
+	p = replay.NewPlayer(tr, in.target, emu.Hooks{Post: in.post},
+		func(countDone uint64) { in.counter = countDone },
+		func() bool { return in.fired }, pool)
+	return p, s.exec, in
+}
+
+// checkRunner wraps the Runner of every injection run. It passes the
+// Player through; the package's tests wrap it to hold host code to the
+// Runner's host-write rule wherever a campaign runs.
+var checkRunner = func(rt replay.Runner) replay.Runner { return rt }
+
 // grade classifies one injection run's output against the golden one.
 func (s *subject[G]) grade(golden, out G, err error) (o faults.Outcome, critical bool) {
 	switch {
@@ -169,32 +194,22 @@ func (s *subject[G]) run(ctx context.Context) (*summary[G], error) {
 		return nil, fmt.Errorf("swfi: %s executes no injectable instructions", s.name)
 	}
 
-	// play runs exec once under a fast-forwarding player from the trace
-	// and accounts it.
-	play := func(c *Counters, p *replay.Player, exec func(replay.Runner) (G, error)) injection {
-		out, err := exec(p)
+	// inject draws one injection, simulates it under a fast-forwarding
+	// player from the trace and accounts it.
+	inject := func(c *Counters, pool *replay.Pool, r *stats.RNG) injection {
+		p, exec, in := s.draw(tr, injectable, pool, r)
+		if p == nil {
+			return injection{} // Masked: nothing injected
+		}
+		out, err := exec(checkRunner(p))
 		o, crit := s.grade(prep.golden, out, err)
 		c.SimInstrs += p.Live.DynThreadInstrs
 		c.SkippedInstrs += p.Skipped
-		return injection{outcome: o, critical: crit}
-	}
-	// inject draws one injection and simulates it.
-	inject := func(c *Counters, pool *replay.Pool, r *stats.RNG) injection {
-		if s.tile != nil {
-			last, exec, ok := s.tile(r)
-			if !ok {
-				return injection{} // Masked: nothing injected
-			}
-			// The tile is applied by host code after launch last, so every
-			// launch up to and including it replays from its write-set.
-			return play(c, replay.NewPlayerSkipTo(tr, last, pool), exec)
+		res := injection{outcome: o, critical: crit}
+		if in != nil {
+			res.rec = InjectionRecord{Op: in.op, RelErr: in.relErr, OldBits: in.oldBits, NewBits: in.newBits, Outcome: o}
 		}
-		in := s.injector(r, injectable)
-		out := play(c, replay.NewPlayer(tr, in.target, emu.Hooks{Post: in.post},
-			func(countDone uint64) { in.counter = countDone },
-			func() bool { return in.fired }, pool), s.exec)
-		out.rec = InjectionRecord{Op: in.op, RelErr: in.relErr, OldBits: in.oldBits, NewBits: in.newBits, Outcome: out.outcome}
-		return out
+		return res
 	}
 
 	// site re-draws what inject targets from injection i's stream.
