@@ -36,16 +36,17 @@ var (
 	// sub-test path or a trailing-* glob.
 	testName = regexp.MustCompile(`^(Test|Fuzz|Benchmark)\w*\*?(/\S*)?$`)
 	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	flagDecl = regexp.MustCompile(`flag\.\w+\("([\w-]+)"`)
+	flagDecl = regexp.MustCompile(`\bfs\.\w+\("([\w-]+)"`)
 	shellSep = regexp.MustCompile(`[|;&]`)
-	cmdCall  = regexp.MustCompile(`gpufi-([a-z]+)\b(.*)`)
+	cmdCall  = regexp.MustCompile(`\bgpufi\s+([a-z]+)\b(.*)`)
 	cmdFlag  = regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
 )
 
 // TestDocsCiteWhatExists checks the present-tense docs against the tree:
 // every backticked repo path resolves, every backticked Test/Fuzz/
 // Benchmark name is declared in a _test.go file, and every -flag a fenced
-// sh block passes to a gpufi-<cmd> binary is defined by that command.
+// sh block passes to a `gpufi <sub>` invocation is defined by that
+// subcommand.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var files, dirs []string
 	tests := map[string]bool{}
@@ -103,7 +104,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 						delete(call.flags, flag)
 					}
 					for flag := range call.flags {
-						t.Errorf("%s: gpufi-%s defines no -%s (%q)", doc, call.cmd, flag, strings.TrimSpace(line))
+						t.Errorf("%s: gpufi %s defines no -%s (%q)", doc, call.cmd, flag, strings.TrimSpace(line))
 					}
 				}
 			}
@@ -204,15 +205,16 @@ func pathResolves(paths []string, span string) bool {
 	return false
 }
 
-// invocation is one gpufi-<cmd> call on a shell line and the flags it
+// invocation is one `gpufi <sub>` call on a shell line and the flags it
 // passes.
 type invocation struct {
 	cmd   string
 	flags map[string]bool
 }
 
-// cmdCalls finds the gpufi-<cmd> invocations on a shell line; a command's
-// arguments end at the next pipe, separator or background operator.
+// cmdCalls finds the `gpufi <sub>` invocations on a shell line; a
+// command's arguments end at the next pipe, separator or background
+// operator.
 func cmdCalls(line string) []invocation {
 	var calls []invocation
 	for _, seg := range shellSep.Split(line, -1) {
@@ -229,23 +231,31 @@ func cmdCalls(line string) []invocation {
 	return calls
 }
 
-// cmdFlags returns the flags cmd/gpufi-<cmd> defines.
-func cmdFlags(t *testing.T, cmd string) []string {
+// cmdFlags returns the flags subcommand sub defines: those its entry
+// point, run<Sub> in cmd/gpufi, declares on its own flag set (named fs).
+func cmdFlags(t *testing.T, sub string) []string {
 	t.Helper()
-	srcs, err := filepath.Glob(filepath.Join("cmd", "gpufi-"+cmd, "*.go"))
-	if err != nil || len(srcs) == 0 {
-		t.Errorf("gpufi-%s: no such command under cmd/", cmd)
-		return nil
+	srcs, err := filepath.Glob(filepath.Join("cmd", "gpufi", "*.go"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var flags []string
+	entry := regexp.MustCompile(`(?s)\nfunc (?i:run` + regexp.QuoteMeta(sub) + `)\(.*?\n}\n`)
 	for _, f := range srcs {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
-			flags = append(flags, m[1])
+		if body := entry.Find(src); body != nil {
+			var flags []string
+			for _, m := range flagDecl.FindAllSubmatch(body, -1) {
+				flags = append(flags, string(m[1]))
+			}
+			return flags
 		}
 	}
-	return flags
+	t.Errorf("gpufi %s: no such subcommand in cmd/gpufi", sub)
+	return nil
 }

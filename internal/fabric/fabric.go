@@ -20,7 +20,7 @@
 //
 // The worker side (RunWorker) talks to the coordinator through the small
 // Transport interface. Over the network that is the JSON/HTTP API served
-// by Coordinator.Handler (see httpapi.go); in process — gpufi-serve runs
+// by Coordinator.Handler (see httpapi.go); in process — `gpufi serve` runs
 // a local worker loop next to its coordinator so a single node still
 // makes progress with zero remote workers — the Coordinator itself is the
 // Transport.

@@ -12,7 +12,7 @@ import (
 )
 
 // Handler returns the coordinator's HTTP API, meant to be mounted under
-// /fabric/ by gpufi-serve:
+// /fabric/ by gpufi serve:
 //
 //	POST /fabric/v1/register   RegisterRequest  -> RegisterReply
 //	POST /fabric/v1/lease      LeaseRequest     -> LeaseReply
