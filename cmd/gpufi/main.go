@@ -87,10 +87,10 @@ func parse(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// interrupted returns err, or, when ctx ended the run that failed with
-// it, the one-line report of how far the run got.
+// interrupted returns err, or, when err is ctx's own error (the run
+// stopped because ctx ended), the one-line report of how far it got.
 func interrupted(ctx context.Context, err error, format string, args ...any) error {
-	if ctx.Err() != nil {
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		return fmt.Errorf(format, args...)
 	}
 	return err

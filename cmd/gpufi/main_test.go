@@ -128,32 +128,72 @@ func TestProfilePrintsEveryApp(t *testing.T) {
 	}
 }
 
-// experimentSections are the headers gpufi experiments prints, in order.
+// experimentSections are the section titles gpufi experiments prints, in
+// order: the paper's tables and figures, the ablations and the
+// extensions.
 var experimentSections = []string{
-	"== Table I: module inventory ==",
-	"== Fig. 4: AVF per module and instruction ==",
-	"== §V-C: syndrome power laws ==",
-	"== Fig. 7 / Table II: t-MxM ==",
-	"== Fig. 10 / Table III: PVF ==",
-	"== Campaign engine accounting (replay speedup) ==",
-	"== §VI: CNN criticality ==",
-	"== §VI: time savings ==",
+	"Fig. 3: application instruction profiles (shares of executed instructions)",
+	"Table I: module inventory",
+	"Fig. 4: AVF per module and instruction (averaged over S/M/L)",
+	"Figs. 5-6: relative-error syndrome distributions (FP and INT instructions)",
+	"§V-B: average corrupted threads per warp, by injected module",
+	"§V-C: syndrome statistics",
+	"Fig. 7: t-MxM AVF (scheduler and pipeline) per tile input",
+	"Table II: multi-element pattern shares at the t-MxM output",
+	"Fig. 8: example spatial patterns of multi-element t-MxM corruptions (one sampled mask per class)",
+	"Fig. 9: relative-error spread across the corrupted elements of one event (row and block patterns)",
+	"Table III: SDC PVF per application, single bit-flip vs RTL relative-error syndrome",
+	"Fig. 10: bit-flip underestimation of the syndrome PVF",
+	"Campaign engine accounting (replay speedup)",
+	"§VI: CNN fault models and critical SDCs",
+	"§VI: RTL vs two-level injection cost",
+	"Ablation: t-MxM pipeline SDC AVF by tile kind",
+	"Ablation: Eq. 1 power-law sampler vs empirical reservoir sampler",
+	"Ablation: single vs double bit-flip on Hotspot",
+	"Ablation: SDC criterion (MxM PVF, bitwise vs tolerance compare)",
+	"Ablation: syndrome source focus (MxM PVF per assumed fault origin)",
+	"Extension (§VII): RTL characterisation of FRCP/FRSQRT on the SFU",
+	"Extension (§VII): module FIT contributions (nominal 1e-4 FIT/bit)",
 }
 
 // TestExperimentsPrintsEverySection runs the whole evaluation at tiny
-// scale: every section is printed, in order, and the §V-C rows, which
-// come from a map, follow the database's canonical order.
+// scale: exactly the listed sections are printed, in order, each opens
+// with the paper's reference, and the §V-C rows, which come from a map,
+// follow the database's canonical order.
 func TestExperimentsPrintsEverySection(t *testing.T) {
 	stdout, _ := mustRun(t, "experiments", "-rtl", "100", "-tmxm", "30", "-hpc", "5", "-cnn", "5", "-yolo", "5")
-	at := 0
-	for _, h := range experimentSections {
-		i := strings.Index(stdout[at:], h)
-		if i < 0 {
-			t.Fatalf("section %q missing or out of order:\n%s", h, stdout)
+	heads := regexp.MustCompile(`(?m)^== (.*) ==\n(.*)\n`).FindAllStringSubmatch(stdout, -1)
+	var titles []string
+	for _, h := range heads {
+		titles = append(titles, h[1])
+		if !strings.HasPrefix(h[2], "  paper: ") {
+			t.Errorf("section %q opens with %q, not the paper's reference", h[1], h[2])
 		}
-		at += i
 	}
-	powerLaws := stdout[strings.Index(stdout, experimentSections[2]):strings.Index(stdout, experimentSections[3])]
+	if !slices.Equal(titles, experimentSections) {
+		t.Fatalf("sections:\n%s\nwant:\n%s", strings.Join(titles, "\n"), strings.Join(experimentSections, "\n"))
+	}
+	section := func(title string) string {
+		_, rest, _ := strings.Cut(stdout, "== "+title+" ==\n")
+		body, _, _ := strings.Cut(rest, "\n== ")
+		return body
+	}
+	for _, want := range []struct{ title, row string }{
+		{"Fig. 3", "\nYoloLite   FP32="},
+		{"Table I", "  Pipeline    10949 flip-flops  Control/Data    ALL\n"},
+		{"§V-C", "  Shapiro-Wilk: normality rejected for "},
+		{"§V-C", "  FFMA  on FP32 median(S/M/L)="},
+		{"Table III", "  LeNetLite  synthetic    CNN "},
+		{"Fig. 10", "  underestimation: max "},
+		{"§VI: RTL", "engine speedup): "},
+		{"Extension (§VII): RTL", "  FRSQRT  SDC AVF "},
+	} {
+		i := slices.IndexFunc(experimentSections, func(s string) bool { return strings.HasPrefix(s, want.title) })
+		if !strings.Contains(section(experimentSections[i]), want.row) {
+			t.Errorf("section %q has no %q:\n%s", experimentSections[i], want.row, section(experimentSections[i]))
+		}
+	}
+	powerLaws := section("§V-C: syndrome statistics")
 	rows := regexp.MustCompile(`(?m)^  (\w+)/M/(\w+) `).FindAllStringSubmatch(powerLaws, -1)
 	last := -1
 	for _, r := range rows {
@@ -179,7 +219,7 @@ func TestExperimentsInterrupted(t *testing.T) {
 	if code != 1 || !strings.HasSuffix(stderr, "\ngpufi experiments: interrupted; campaigns are deterministic, re-run to reproduce\n") {
 		t.Errorf("exit %d, stderr:\n%s", code, stderr)
 	}
-	if strings.Contains(stdout, experimentSections[1]) {
+	if strings.Contains(stdout, experimentSections[2]) {
 		t.Errorf("printed past the interrupted characterisation:\n%s", stdout)
 	}
 }
@@ -227,9 +267,10 @@ func TestServeHealthzAndShutdown(t *testing.T) {
 // TestBadCommandLines: every refused command line ends in a one-line
 // error and the documented exit code — 2 for what the command line itself
 // gets wrong, 1 for a value the campaign refuses — never a panic. A
-// command line is refused before any work starts, so those cases run on
-// a cancelled context: one that slips through stops at once instead of
-// running a campaign or a server.
+// command line is refused before any work starts, so the cases run on a
+// cancelled context: one that slips through stops at once instead of
+// running a campaign or a server, and a refusal is reported as itself,
+// not as an interrupt.
 func TestBadCommandLines(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -257,9 +298,10 @@ func TestBadCommandLines(t *testing.T) {
 		{[]string{"sw", "-app", "Yolo", "-model", "foo"}, 1, `gpufi sw: unknown CNN model "foo" (want one of bitflip, syndrome, tile)`},
 		{[]string{"sw", "-model", "syndrome"}, 1, "gpufi sw: -db is required for the syndrome model"},
 	} {
-		ctx := context.Background()
-		if tc.code != 1 {
-			ctx = cancelled
+		ctx := cancelled
+		if strings.HasPrefix(tc.last, "gpufi rtl: core: ") {
+			// Refused by a plan unit, which a cancelled context never starts.
+			ctx = context.Background()
 		}
 		code, stdout, stderr := gpufiCmd(ctx, tc.args...)
 		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")

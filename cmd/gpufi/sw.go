@@ -47,9 +47,10 @@ func runSW(ctx context.Context, args []string, stdout, stderr io.Writer) (err er
 		}
 	}
 
-	switch *appName {
-	case "LeNet", "Yolo":
-		return swCNN(ctx, stdout, lg, *appName, *model, db, *n, *seed)
+	if net, input, critical, ok := swfi.EvalNetwork(*appName); ok {
+		return swCNN(ctx, stdout, lg, *appName, *model, gpufi.CNNCampaign{
+			Net: net, Input: input, Critical: critical, DB: db, Injections: *n, Seed: *seed,
+		})
 	}
 
 	fm, ok := swfi.ParseModel(*model)
@@ -96,34 +97,22 @@ func logEngine(lg *log.Logger, name string, c swfi.Counters, elapsed time.Durati
 		name, c.FFSpeedup(), c.SimInstrs, c.SkippedInstrs, c.EmuMIPS(elapsed), c.EffectiveMIPS(elapsed))
 }
 
-// swCNN runs one CNN campaign on LeNetLite or YoloLite.
-func swCNN(ctx context.Context, stdout io.Writer, lg *log.Logger, name, model string, db *gpufi.DB, n int, seed uint64) error {
-	var (
-		net      *gpufi.Network
-		input    []float32
-		critical func(a, b []float32) bool
-	)
-	if name == "LeNet" {
-		net, input, critical = gpufi.NewLeNetLite(), gpufi.LeNetInput(0), gpufi.LeNetCritical
-	} else {
-		net, input, critical = gpufi.NewYoloLite(), gpufi.YoloInput(0), gpufi.YoloCritical
-	}
+// swCNN runs c, a campaign on LeNetLite or YoloLite, under the CNN model
+// called model.
+func swCNN(ctx context.Context, stdout io.Writer, lg *log.Logger, name, model string, c gpufi.CNNCampaign) error {
 	cm, ok := swfi.ParseCNNModel(model)
 	if !ok {
 		return fmt.Errorf("unknown CNN model %q (want one of %s)", model, strings.Join(swfi.CNNModelNames(), ", "))
 	}
-	if cm != swfi.CNNBitFlip && db == nil {
+	if cm != swfi.CNNBitFlip && c.DB == nil {
 		return errors.New("-db is required for syndrome/tile CNN models")
 	}
 	var done campaign.Meter
-	res, err := gpufi.RunCNNCampaignCtx(ctx, gpufi.CNNCampaign{
-		Net: net, Input: input, Model: cm, DB: db,
-		Injections: n, Seed: seed, Critical: critical,
-		Progress: done.Part(),
-	})
+	c.Model, c.Progress = cm, done.Part()
+	res, err := gpufi.RunCNNCampaignCtx(ctx, c)
 	if err != nil {
 		return interrupted(ctx, err, "%s: interrupted after %d/%d injections (campaigns are deterministic, re-run to reproduce)",
-			name, done.Done(), n)
+			name, done.Done(), c.Injections)
 	}
 	logEngine(lg, name, res.Counters, res.Elapsed)
 	t := res.Tally

@@ -1,6 +1,7 @@
 package gpufi
 
 import (
+	"context"
 	"testing"
 
 	"gpufi/internal/faults"
@@ -53,7 +54,7 @@ func TestEngineCounters(t *testing.T) {
 		{
 			name: "Characterize FADD,FSIN,GLD,BRA x S,M,L + t-MxM, 200 faults, seed 2021",
 			run: func(t *testing.T, workers int) []counter {
-				c, err := Characterize(CharacterizeConfig{
+				c, err := CharacterizeCtx(context.Background(), CharacterizeConfig{
 					FaultsPerCampaign: 200, Seed: 2021, Workers: workers,
 					Ops: []isa.Opcode{isa.OpFADD, isa.OpFSIN, isa.OpGLD, isa.OpBRA},
 				})
@@ -70,7 +71,7 @@ func TestEngineCounters(t *testing.T) {
 		{
 			name: "RunMicro FSIN/M/Pipeline, 20 000 faults, seed 98",
 			run: func(t *testing.T, workers int) []counter {
-				res, err := rtlfi.RunMicro(rtlfi.Spec{
+				res, err := rtlfi.RunMicroCtx(context.Background(), rtlfi.Spec{
 					Op: isa.OpFSIN, Range: faults.RangeMedium, Module: faults.ModPipe,
 					NumFaults: 20_000, Seed: 98, Workers: workers,
 				})
@@ -87,7 +88,7 @@ func TestEngineCounters(t *testing.T) {
 		{
 			name: "EvaluateHPC suite, 20 injections, seed 7",
 			run: func(t *testing.T, workers int) []counter {
-				evals, err := EvaluateHPC(db, HPCSuite(), EvalConfig{Injections: 20, Seed: 7, Workers: workers})
+				evals, err := EvaluateHPCCtx(context.Background(), db, HPCSuite(), EvalConfig{Injections: 20, Seed: 7, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +114,7 @@ func TestEngineCounters(t *testing.T) {
 					{NewLeNetLite(), LeNetInput(0), LeNetCritical, 20},
 					{NewYoloLite(), YoloInput(0), YoloCritical, 5},
 				} {
-					ev, err := EvaluateCNN(db, n.net.Name, n.net, n.input, n.crit,
+					ev, err := EvaluateCNNCtx(context.Background(), db, n.net.Name, n.net, n.input, n.crit,
 						EvalConfig{Injections: n.inj, Seed: 11, Workers: workers})
 					if err != nil {
 						t.Fatal(err)

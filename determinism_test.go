@@ -1,6 +1,7 @@
 package gpufi
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 
 	hpcCase := func(w *apps.Workload, n int) func(t *testing.T, a arm) outcome {
 		return func(t *testing.T, a arm) outcome {
-			res, err := RunCampaign(Campaign{
+			res, err := RunCampaignCtx(context.Background(), Campaign{
 				Workload: w, Model: ModelBitFlip, Injections: n, Seed: 53,
 				Workers: a.workers, RecordInjections: true,
 				NoPrune: a.noPrune, NoCollapse: a.noCollapse,
@@ -186,7 +187,7 @@ func TestCampaignModeLatticeDeterministic(t *testing.T) {
 	}
 	cnnCase := func(net *cnn.Network, input []float32, critical func(a, b []float32) bool, n int) func(t *testing.T, a arm) outcome {
 		return func(t *testing.T, a arm) outcome {
-			res, err := RunCNNCampaign(CNNCampaign{
+			res, err := RunCNNCampaignCtx(context.Background(), CNNCampaign{
 				Net: net, Input: input, Model: swfi.CNNBitFlip,
 				Injections: n, Seed: 53, Workers: a.workers, Critical: critical,
 				NoPrune: a.noPrune, NoCollapse: a.noCollapse,

@@ -1,6 +1,7 @@
 package gpufi_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func Example() {
 	// Step 1 — RTL characterisation (reduced scale: one opcode, the
 	// medium input range is implied by the workload's operand values).
 	fmt.Println("characterising FFMA at RTL level (FlexGripPlus analog)...")
-	char, err := gpufi.Characterize(gpufi.CharacterizeConfig{
+	char, err := gpufi.CharacterizeCtx(context.Background(), gpufi.CharacterizeConfig{
 		FaultsPerCampaign: 1000,
 		Ops:               []isa.Opcode{isa.OpFFMA, isa.OpFADD},
 		Seed:              1,
@@ -41,7 +42,7 @@ func Example() {
 	// Step 2 — software injection on a 64x64 matrix multiplication.
 	w := gpufi.NewMxM(64)
 	for _, model := range []gpufi.FaultModel{gpufi.ModelBitFlip, gpufi.ModelSyndrome} {
-		res, err := gpufi.RunCampaign(gpufi.Campaign{
+		res, err := gpufi.RunCampaignCtx(context.Background(), gpufi.Campaign{
 			Workload: w, Model: model, DB: char.DB,
 			Injections: 200, Seed: 2,
 		})
@@ -74,11 +75,11 @@ func Example() {
 // HPC reliability study: reproduce the Fig. 10 / Table III comparison —
 // the PVF of six HPC applications under the naive single bit-flip model
 // and under RTL-derived fault syndromes.
-func ExampleEvaluateHPC() {
+func ExampleEvaluateHPCCtx() {
 	const n = 300 // injections per application per model
 
 	fmt.Println("building the syndrome database (full RTL characterisation)...")
-	char, err := gpufi.Characterize(gpufi.CharacterizeConfig{
+	char, err := gpufi.CharacterizeCtx(context.Background(), gpufi.CharacterizeConfig{
 		FaultsPerCampaign: 1500, Seed: 11,
 	})
 	if err != nil {
@@ -86,7 +87,7 @@ func ExampleEvaluateHPC() {
 	}
 
 	fmt.Printf("injecting %d faults per application per model...\n", n)
-	evals, err := gpufi.EvaluateHPC(char.DB, gpufi.HPCSuite(), gpufi.EvalConfig{
+	evals, err := gpufi.EvaluateHPCCtx(context.Background(), char.DB, gpufi.HPCSuite(), gpufi.EvalConfig{
 		Injections: n, Seed: 12,
 	})
 	if err != nil {
@@ -120,23 +121,23 @@ func ExampleEvaluateHPC() {
 // YOLO-class networks under single bit-flips, RTL syndromes, and the
 // multi-thread t-MxM tile corruption, separating tolerable from critical
 // SDCs (misclassifications / misdetections).
-func ExampleEvaluateCNN() {
+func ExampleEvaluateCNNCtx() {
 	const n = 200 // injections per model
 
 	fmt.Println("building the syndrome database (incl. t-MxM characterisation)...")
-	char, err := gpufi.Characterize(gpufi.CharacterizeConfig{
+	char, err := gpufi.CharacterizeCtx(context.Background(), gpufi.CharacterizeConfig{
 		FaultsPerCampaign: 1500, TMXMFaults: 2500, Seed: 21,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	lenet, err := gpufi.EvaluateCNN(char.DB, "LeNetLite", gpufi.NewLeNetLite(),
+	lenet, err := gpufi.EvaluateCNNCtx(context.Background(), char.DB, "LeNetLite", gpufi.NewLeNetLite(),
 		gpufi.LeNetInput(0), gpufi.LeNetCritical, gpufi.EvalConfig{Injections: n, Seed: 22})
 	if err != nil {
 		log.Fatal(err)
 	}
-	yolo, err := gpufi.EvaluateCNN(char.DB, "YoloLite", gpufi.NewYoloLite(),
+	yolo, err := gpufi.EvaluateCNNCtx(context.Background(), char.DB, "YoloLite", gpufi.NewYoloLite(),
 		gpufi.YoloInput(0), gpufi.YoloCritical, gpufi.EvalConfig{Injections: n / 2, Seed: 23})
 	if err != nil {
 		log.Fatal(err)
@@ -176,7 +177,7 @@ func ExampleEvaluateCNN() {
 // and the small control structures corrupt many threads at once).
 func ExampleCharacterization_RankModules() {
 	fmt.Println("characterising all modules (this runs the full RTL phase)...")
-	char, err := gpufi.Characterize(gpufi.CharacterizeConfig{
+	char, err := gpufi.CharacterizeCtx(context.Background(), gpufi.CharacterizeConfig{
 		FaultsPerCampaign: 1500, Seed: 31,
 	})
 	if err != nil {

@@ -22,9 +22,10 @@
 //
 // Basic usage:
 //
-//	char, err := gpufi.Characterize(gpufi.CharacterizeConfig{FaultsPerCampaign: 2000})
+//	ctx := context.Background()
+//	char, err := gpufi.CharacterizeCtx(ctx, gpufi.CharacterizeConfig{FaultsPerCampaign: 2000})
 //	...
-//	evals, err := gpufi.EvaluateHPC(char.DB, gpufi.HPCSuite(), gpufi.EvalConfig{Injections: 1000})
+//	evals, err := gpufi.EvaluateHPCCtx(ctx, char.DB, gpufi.HPCSuite(), gpufi.EvalConfig{Injections: 1000})
 //	for _, e := range evals {
 //		fmt.Printf("%-10s bit-flip PVF %.2f  syndrome PVF %.2f\n",
 //			e.Name, e.BitFlip.PVF(), e.Syndrome.PVF())
@@ -95,61 +96,39 @@ const (
 	ModelSyndromeEmp   = swfi.ModelSyndromeEmp
 )
 
-// Characterize runs the RTL phase: micro-benchmark campaigns over the 12
-// characterised SASS instructions and t-MxM campaigns, building the
-// syndrome database (§V).
-func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
-	return core.Characterize(cfg)
-}
-
-// CharacterizeCtx is Characterize with cancellation and fault-level
-// progress reporting via cfg.Progress. Campaign unit seeds are derived at
-// planning time, so a cancelled characterisation re-run with the same
-// configuration reproduces its campaigns bit-identically.
+// CharacterizeCtx runs the RTL phase: micro-benchmark campaigns over the
+// 12 characterised SASS instructions and t-MxM campaigns, building the
+// syndrome database (§V). It is cancellable and reports fault-level
+// progress via cfg.Progress. Campaign unit seeds are derived at planning
+// time, so a cancelled characterisation re-run with the same configuration
+// reproduces its campaigns bit-identically.
 func CharacterizeCtx(ctx context.Context, cfg CharacterizeConfig) (*Characterization, error) {
 	return core.CharacterizeCtx(ctx, cfg)
 }
 
-// EvaluateHPC measures the PVF of the workloads under both the bit-flip
-// and the syndrome fault model (Fig. 10 / Table III).
-func EvaluateHPC(db *DB, workloads []*Workload, cfg EvalConfig) ([]*AppEvaluation, error) {
-	return core.EvaluateHPC(db, workloads, cfg)
-}
-
-// EvaluateHPCCtx is EvaluateHPC with cancellation and injection-level
-// progress reporting via cfg.Progress.
+// EvaluateHPCCtx measures the PVF of the workloads under both the
+// bit-flip and the syndrome fault model (Fig. 10 / Table III), cancellable
+// and with injection-level progress via cfg.Progress.
 func EvaluateHPCCtx(ctx context.Context, db *DB, workloads []*Workload, cfg EvalConfig) ([]*AppEvaluation, error) {
 	return core.EvaluateHPCCtx(ctx, db, workloads, cfg)
 }
 
-// EvaluateCNN measures a network's PVF under bit-flip, syndrome and t-MxM
-// tile models, with critical-SDC classification (§VI).
-func EvaluateCNN(db *DB, name string, net *Network, input []float32,
-	critical func(a, b []float32) bool, cfg EvalConfig) (*CNNEvaluation, error) {
-	return core.EvaluateCNN(db, name, net, input, critical, cfg)
-}
-
-// EvaluateCNNCtx is EvaluateCNN with cancellation and injection-level
-// progress reporting via cfg.Progress.
+// EvaluateCNNCtx measures a network's PVF under bit-flip, syndrome and
+// t-MxM tile models, with critical-SDC classification (§VI), cancellable
+// and with injection-level progress via cfg.Progress.
 func EvaluateCNNCtx(ctx context.Context, db *DB, name string, net *Network, input []float32,
 	critical func(a, b []float32) bool, cfg EvalConfig) (*CNNEvaluation, error) {
 	return core.EvaluateCNNCtx(ctx, db, name, net, input, critical, cfg)
 }
 
-// RunCampaign executes one software injection campaign.
-func RunCampaign(c Campaign) (*CampaignResult, error) { return swfi.Run(c) }
-
-// RunCampaignCtx is RunCampaign with cancellation at injection boundaries
-// and progress reporting via c.Progress.
+// RunCampaignCtx executes one software injection campaign, cancellable at
+// injection boundaries and with progress reporting via c.Progress.
 func RunCampaignCtx(ctx context.Context, c Campaign) (*CampaignResult, error) {
 	return swfi.RunCtx(ctx, c)
 }
 
-// RunCNNCampaign executes one CNN injection campaign.
-func RunCNNCampaign(c CNNCampaign) (*CNNResult, error) { return swfi.RunCNN(c) }
-
-// RunCNNCampaignCtx is RunCNNCampaign with cancellation at injection
-// boundaries and progress reporting via c.Progress.
+// RunCNNCampaignCtx executes one CNN injection campaign, cancellable at
+// injection boundaries and with progress reporting via c.Progress.
 func RunCNNCampaignCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 	return swfi.RunCNNCtx(ctx, c)
 }

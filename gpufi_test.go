@@ -1,6 +1,7 @@
 package gpufi
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func tinyCharacterization(t *testing.T) *Characterization {
 	t.Helper()
-	c, err := Characterize(CharacterizeConfig{
+	c, err := CharacterizeCtx(context.Background(), CharacterizeConfig{
 		FaultsPerCampaign: 200,
 		TMXMFaults:        300,
 		Seed:              1,
@@ -25,7 +26,7 @@ func tinyCharacterization(t *testing.T) *Characterization {
 
 func TestFacadeEndToEnd(t *testing.T) {
 	c := tinyCharacterization(t)
-	evals, err := EvaluateHPC(c.DB, []*Workload{NewMxM(16)}, EvalConfig{Injections: 40, Seed: 2})
+	evals, err := EvaluateHPCCtx(context.Background(), c.DB, []*Workload{NewMxM(16)}, EvalConfig{Injections: 40, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestFacadeDBRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost entries")
 	}
 	// The loaded DB drives a syndrome campaign.
-	res, err := RunCampaign(Campaign{
+	res, err := RunCampaignCtx(context.Background(), Campaign{
 		Workload: NewMxM(16), Model: ModelSyndrome, DB: db,
 		Injections: 20, Seed: 3,
 	})
@@ -76,7 +77,7 @@ func TestFacadeSuiteAndProfiles(t *testing.T) {
 
 func TestFacadeCNNHelpers(t *testing.T) {
 	net := NewLeNetLite()
-	res, err := RunCNNCampaign(CNNCampaign{
+	res, err := RunCNNCampaignCtx(context.Background(), CNNCampaign{
 		Net: net, Input: LeNetInput(0), Model: 0, /* bit-flip */
 		Injections: 20, Seed: 4, Critical: LeNetCritical,
 	})

@@ -82,7 +82,7 @@ const (
 // Unit is one independently schedulable campaign of the characterisation
 // plan. Its Seed is fixed at planning time, so units can be executed in
 // any order — or skipped and re-run after an interruption — and still
-// reproduce exactly the campaign an uninterrupted Characterize would run.
+// reproduce exactly the campaign an uninterrupted CharacterizeCtx would run.
 type Unit struct {
 	Kind          UnitKind
 	Op            isa.Opcode        // UnitMicro only
@@ -105,7 +105,7 @@ func (u Unit) Name() string {
 }
 
 // Plan expands a configuration into the ordered list of campaign units
-// Characterize would run, each with its derived seed.
+// CharacterizeCtx would run, each with its derived seed.
 func Plan(cfg CharacterizeConfig) []Unit {
 	cfg.defaults()
 	var units []Unit
@@ -225,16 +225,11 @@ func (c *Characterization) AddUnit(res *UnitResult) {
 	c.DB.AddTMXM(res.TMXM)
 }
 
-// Characterize runs the complete RTL fault-injection phase: for every
+// CharacterizeCtx runs the complete RTL fault-injection phase: for every
 // characterised opcode, input range and exercised module, one
 // micro-benchmark campaign; plus t-MxM campaigns on the scheduler and
-// pipeline for the three tile kinds (§V).
-func Characterize(cfg CharacterizeConfig) (*Characterization, error) {
-	return CharacterizeCtx(context.Background(), cfg)
-}
-
-// CharacterizeCtx is Characterize with cancellation and aggregated
-// fault-level progress via cfg.Progress. cfg.Workers is the CPU budget of
+// pipeline for the three tile kinds (§V). It is cancellable and reports
+// aggregated fault-level progress via cfg.Progress. cfg.Workers is the CPU budget of
 // the whole phase: plan units run side by side, each on its share of it.
 func CharacterizeCtx(ctx context.Context, cfg CharacterizeConfig) (*Characterization, error) {
 	cfg.defaults()
@@ -391,13 +386,8 @@ func (e *AppEvaluation) Underestimation() float64 {
 	return (e.Syndrome.PVF() - e.BitFlip.PVF()) / e.Syndrome.PVF()
 }
 
-// EvaluateHPC runs both fault models over the workloads (Fig. 10).
-func EvaluateHPC(db *syndrome.DB, workloads []*apps.Workload, cfg EvalConfig) ([]*AppEvaluation, error) {
-	return EvaluateHPCCtx(context.Background(), db, workloads, cfg)
-}
-
-// EvaluateHPCCtx is EvaluateHPC with cancellation and aggregated
-// injection-level progress via cfg.Progress.
+// EvaluateHPCCtx runs both fault models over the workloads (Fig. 10),
+// cancellable, with aggregated injection-level progress via cfg.Progress.
 func EvaluateHPCCtx(ctx context.Context, db *syndrome.DB, workloads []*apps.Workload, cfg EvalConfig) ([]*AppEvaluation, error) {
 	cfg.defaults()
 	meter := campaign.Meter{Total: len(workloads) * 2 * cfg.Injections, Report: cfg.Progress}
@@ -443,14 +433,8 @@ type CNNEvaluation struct {
 	Tile     *swfi.CNNResult
 }
 
-// EvaluateCNN runs the three fault models over one network.
-func EvaluateCNN(db *syndrome.DB, name string, net *cnn.Network, input []float32,
-	critical func(a, b []float32) bool, cfg EvalConfig) (*CNNEvaluation, error) {
-	return EvaluateCNNCtx(context.Background(), db, name, net, input, critical, cfg)
-}
-
-// EvaluateCNNCtx is EvaluateCNN with cancellation and aggregated
-// injection-level progress via cfg.Progress.
+// EvaluateCNNCtx runs the three fault models over one network,
+// cancellable, with aggregated injection-level progress via cfg.Progress.
 func EvaluateCNNCtx(ctx context.Context, db *syndrome.DB, name string, net *cnn.Network, input []float32,
 	critical func(a, b []float32) bool, cfg EvalConfig) (*CNNEvaluation, error) {
 	cfg.defaults()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gpufi/internal/apps"
@@ -18,7 +19,7 @@ func smallCharacterization(t *testing.T) *Characterization {
 	if cachedChar != nil {
 		return cachedChar
 	}
-	c, err := Characterize(CharacterizeConfig{
+	c, err := CharacterizeCtx(context.Background(), CharacterizeConfig{
 		FaultsPerCampaign: 300,
 		TMXMFaults:        400,
 		Seed:              99,
@@ -90,7 +91,7 @@ func TestRankModulesOrdering(t *testing.T) {
 
 func TestEvaluateHPCUnderestimation(t *testing.T) {
 	c := smallCharacterization(t)
-	evals, err := EvaluateHPC(c.DB, []*apps.Workload{apps.NewMxM(16), apps.NewHotspot(16, 6)},
+	evals, err := EvaluateHPCCtx(context.Background(), c.DB, []*apps.Workload{apps.NewMxM(16), apps.NewHotspot(16, 6)},
 		EvalConfig{Injections: 80, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestEvaluateHPCUnderestimation(t *testing.T) {
 
 func TestEvaluateCNNAllModels(t *testing.T) {
 	c := smallCharacterization(t)
-	eval, err := EvaluateCNN(c.DB, "LeNetLite", cnn.NewLeNetLite(), cnn.LeNetInput(0),
+	eval, err := EvaluateCNNCtx(context.Background(), c.DB, "LeNetLite", cnn.NewLeNetLite(), cnn.LeNetInput(0),
 		swfi.LeNetCritical, EvalConfig{Injections: 60, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestCostModel(t *testing.T) {
 		t.Errorf("RTL (%.3fs) not slower than software (%.3fs)",
 			cm.RTLAppInjectionSeconds(), cm.SWInjectionSeconds)
 	}
-	s := cm.Compare(48000)
+	s := cm.CompareWith(48000, 1)
 	if s == "" {
 		t.Error("empty comparison")
 	}

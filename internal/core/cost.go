@@ -123,17 +123,6 @@ func (c *CostModel) CompareWith(n int, replaySpeedup float64) string {
 		safeDiv(rtlTotal, swTotal))
 }
 
-// Compare renders the §VI comparison for a campaign of n injections.
-func (c *CostModel) Compare(n int) string {
-	rtlTotal := c.RTLAppInjectionSeconds() * float64(n)
-	swTotal := c.SWInjectionSeconds * float64(n)
-	return fmt.Sprintf(
-		"RTL: %.1f s/injection -> %.1f hours for %d injections; software: %.3f s/injection -> %.2f hours; speedup %.0fx",
-		c.RTLAppInjectionSeconds(), rtlTotal/3600, n,
-		c.SWInjectionSeconds, swTotal/3600,
-		safeDiv(rtlTotal, swTotal))
-}
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0

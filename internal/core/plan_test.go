@@ -50,7 +50,7 @@ func TestCharacterizeMatchesSerialPlan(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 3, 5} {
 		cfg.Workers = workers
-		got, err := Characterize(cfg)
+		got, err := CharacterizeCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
@@ -167,7 +167,7 @@ func TestCharacterizeProgress(t *testing.T) {
 		}
 		var log progressLog
 		cfg.Progress = log.record
-		if _, err := Characterize(cfg); err != nil {
+		if _, err := CharacterizeCtx(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		log.check(t, name, total)

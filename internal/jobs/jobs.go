@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"gpufi/internal/apps"
-	"gpufi/internal/cnn"
 	"gpufi/internal/core"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
@@ -345,7 +344,7 @@ func compileCNN(req Request) (*program, error) {
 			name:  name,
 			total: injections,
 			run: func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
-				net, input, critical := buildNetwork(network)
+				net, input, critical, _ := swfi.EvalNetwork(network)
 				res, err := swfi.RunCNNCtx(ctx, swfi.CNNCampaign{
 					Net: net, Input: input, Model: model, DB: db,
 					Injections: injections, Seed: seed, Workers: workers,
@@ -400,11 +399,4 @@ func buildApp(spec AppSpec) (w *apps.Workload, err error) {
 	default:
 		return nil, fmt.Errorf("jobs: unknown application %q (want MxM, Lava, Quicksort, Hotspot, LUD or Gaussian)", spec.Name)
 	}
-}
-
-func buildNetwork(name string) (*cnn.Network, []float32, func(a, b []float32) bool) {
-	if name == "Yolo" {
-		return cnn.NewYoloLite(), cnn.YoloInput(0), swfi.YoloCritical
-	}
-	return cnn.NewLeNetLite(), cnn.LeNetInput(0), swfi.LeNetCritical
 }

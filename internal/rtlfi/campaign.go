@@ -3,7 +3,6 @@ package rtlfi
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"gpufi/internal/faults"
@@ -90,16 +89,11 @@ type Result struct {
 	Counters
 }
 
-// RunMicro executes a micro-benchmark fault-injection campaign. The fault
-// list (bit, cycle, input draw) is generated deterministically from
-// Spec.Seed; faults are simulated in parallel on per-worker machines.
-func RunMicro(spec Spec) (*Result, error) {
-	return RunMicroCtx(context.Background(), spec)
-}
-
-// RunMicroCtx is RunMicro with cancellation: when ctx is cancelled the
-// workers stop at the next fault boundary and the context error is
-// returned. Because the fault list is derived up front from Spec.Seed, a
+// RunMicroCtx executes a micro-benchmark fault-injection campaign. The
+// fault list (bit, cycle, input draw) is generated deterministically from
+// Spec.Seed; faults are simulated in parallel on per-worker machines. When
+// ctx is cancelled the workers stop at the next fault boundary and the
+// context error is returned; because the fault list is derived up front, a
 // re-run of the same spec reproduces the campaign bit-identically.
 func RunMicroCtx(ctx context.Context, spec Spec) (*Result, error) {
 	p, err := spec.plan()
@@ -254,38 +248,4 @@ func CharacterizedPrograms() (map[isa.Opcode]*kasm.Program, error) {
 		out[op] = p
 	}
 	return out, nil
-}
-
-// AvgThreadsForModule runs the §V-B multiplicity analysis helper: the mean
-// number of corrupted threads per SDC over a set of results.
-func AvgThreadsForModule(results []*Result) float64 {
-	var sum, n int
-	for _, r := range results {
-		for _, t := range r.ThreadCounts {
-			sum += t
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
-// MedianSyndrome returns the median relative error of a campaign, the
-// §V-C input-dependence statistic.
-func MedianSyndrome(r *Result) float64 {
-	if len(r.Syndromes) == 0 {
-		return 0
-	}
-	finite := make([]float64, 0, len(r.Syndromes))
-	for _, s := range r.Syndromes {
-		if !math.IsInf(s, 0) && !math.IsNaN(s) {
-			finite = append(finite, s)
-		}
-	}
-	if len(finite) == 0 {
-		return math.Inf(1)
-	}
-	return stats.Summarize(finite).Median
 }

@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"testing"
 
 	"gpufi/internal/emu"
@@ -51,7 +52,7 @@ func TestGoldenEquivalenceAllMicrobenchmarks(t *testing.T) {
 // TestExtendedOpcodeCampaigns runs the §VII extension campaigns end to end.
 func TestExtendedOpcodeCampaigns(t *testing.T) {
 	for _, op := range ExtendedOpcodes() {
-		res, err := RunMicro(Spec{
+		res, err := RunMicroCtx(context.Background(), Spec{
 			Op: op, Range: faults.RangeMedium, Module: faults.ModSFU,
 			NumFaults: 300, Seed: 5,
 		})
@@ -72,7 +73,7 @@ func TestExtendedOpcodeCampaigns(t *testing.T) {
 func TestWorkerCountInvariance(t *testing.T) {
 	results := make([]*Result, 0, 3)
 	for _, workers := range []int{1, 3, 7} {
-		res, err := RunMicro(Spec{
+		res, err := RunMicroCtx(context.Background(), Spec{
 			Op: isa.OpIMUL, Range: faults.RangeLarge, Module: faults.ModINT,
 			NumFaults: 150, Seed: 77, Workers: workers,
 		})
@@ -93,7 +94,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestTMXMWorkerCountInvariance(t *testing.T) {
 	var base *TMXMResult
 	for _, workers := range []int{1, 4} {
-		res, err := RunTMXM(TMXMSpec{
+		res, err := RunTMXMCtx(context.Background(), TMXMSpec{
 			Module: faults.ModSched, Kind: 2, /* Random */
 			NumFaults: 120, Seed: 9, Workers: workers,
 		})
@@ -112,7 +113,7 @@ func TestTMXMWorkerCountInvariance(t *testing.T) {
 
 // TestDetailedReportFields spot-checks the §IV-A detailed-report content.
 func TestDetailedReportFields(t *testing.T) {
-	res, err := RunMicro(Spec{
+	res, err := RunMicroCtx(context.Background(), Spec{
 		Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe,
 		NumFaults: 500, Seed: 13,
 	})

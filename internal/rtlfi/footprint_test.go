@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -82,14 +83,14 @@ func TestCheckpointFootprint(t *testing.T) {
 // must give a Result deep-equal to the same campaign run before it.
 func TestMicroAfterTMXMUnchanged(t *testing.T) {
 	spec := Spec{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 300, Seed: 7, Workers: 2}
-	first, err := RunMicro(spec)
+	first, err := RunMicroCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTMXM(TMXMSpec{Module: faults.ModPipe, Kind: mxm.TileRandom, NumFaults: 300, Seed: 7, Workers: 2}); err != nil {
+	if _, err := RunTMXMCtx(context.Background(), TMXMSpec{Module: faults.ModPipe, Kind: mxm.TileRandom, NumFaults: 300, Seed: 7, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunMicro(spec)
+	again, err := RunMicroCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

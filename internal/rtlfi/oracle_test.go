@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -133,7 +134,7 @@ func checkMicroModes(t *testing.T, spec Spec) ([]*Result, naiveTotals) {
 	out := make([]*Result, len(engineModes))
 	for i, m := range engineModes {
 		spec.NoBitParallel, spec.NoPrune = m.noBitParallel, m.noPrune
-		res, err := RunMicro(spec)
+		res, err := RunMicroCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -153,7 +154,7 @@ func checkTMXMModes(t *testing.T, spec TMXMSpec) ([]*TMXMResult, naiveTotals) {
 	out := make([]*TMXMResult, len(engineModes))
 	for i, m := range engineModes {
 		spec.NoBitParallel, spec.NoPrune = m.noBitParallel, m.noPrune
-		res, err := RunTMXM(spec)
+		res, err := RunTMXMCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}

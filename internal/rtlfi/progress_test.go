@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestProgressThrottled(t *testing.T) {
 		calls    int
 		sawFinal bool
 	)
-	res, err := RunMicro(Spec{
+	res, err := RunMicroCtx(context.Background(), Spec{
 		Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe,
 		NumFaults: n, Seed: 23,
 		Progress: func(done, total int) {

@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,12 +25,12 @@ func TestMicroPruneBitIdentical(t *testing.T) {
 		{Op: isa.OpFADD, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 400, Seed: 434, NoBitParallel: true},
 	}
 	for _, spec := range specs {
-		pruned, err := RunMicro(spec)
+		pruned, err := RunMicroCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.NoPrune = true
-		full, err := RunMicro(spec)
+		full, err := RunMicroCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +61,12 @@ func TestMicroPruneMatchesFullReplay(t *testing.T) {
 func TestTMXMPruneBitIdentical(t *testing.T) {
 	for _, mod := range []faults.Module{faults.ModSched, faults.ModPipe} {
 		spec := TMXMSpec{Module: mod, Kind: 2 /* Random */, NumFaults: 200, Seed: 78, NoBitParallel: true}
-		pruned, err := RunTMXM(spec)
+		pruned, err := RunTMXMCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.NoPrune = true
-		full, err := RunTMXM(spec)
+		full, err := RunTMXMCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

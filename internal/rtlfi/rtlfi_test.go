@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"encoding/csv"
 	"math"
 	"strings"
@@ -104,14 +105,14 @@ func TestModuleUsedMatchesPaper(t *testing.T) {
 }
 
 func TestRunMicroRejectsIdleModule(t *testing.T) {
-	_, err := RunMicro(Spec{Op: isa.OpGLD, Module: faults.ModFP32, NumFaults: 1, Seed: 1})
+	_, err := RunMicroCtx(context.Background(), Spec{Op: isa.OpGLD, Module: faults.ModFP32, NumFaults: 1, Seed: 1})
 	if err == nil {
 		t.Error("expected idle-module error")
 	}
 }
 
 func TestRunMicroFP32Campaign(t *testing.T) {
-	res, err := RunMicro(Spec{
+	res, err := RunMicroCtx(context.Background(), Spec{
 		Op: isa.OpFFMA, Range: faults.RangeMedium, Module: faults.ModFP32,
 		NumFaults: 400, Seed: 11,
 	})
@@ -149,11 +150,11 @@ func TestRunMicroDeterministic(t *testing.T) {
 		Op: isa.OpIADD, Range: faults.RangeSmall, Module: faults.ModINT,
 		NumFaults: 120, Seed: 33, Workers: 3,
 	}
-	a, err := RunMicro(spec)
+	a, err := RunMicroCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMicro(spec)
+	b, err := RunMicroCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRunMicroDeterministic(t *testing.T) {
 }
 
 func TestRunMicroSchedulerMultiThread(t *testing.T) {
-	res, err := RunMicro(Spec{
+	res, err := RunMicroCtx(context.Background(), Spec{
 		Op: isa.OpIADD, Range: faults.RangeMedium, Module: faults.ModSched,
 		NumFaults: 600, Seed: 5,
 	})
@@ -177,7 +178,7 @@ func TestRunMicroSchedulerMultiThread(t *testing.T) {
 }
 
 func TestRunTMXMPatterns(t *testing.T) {
-	res, err := RunTMXM(TMXMSpec{
+	res, err := RunTMXMCtx(context.Background(), TMXMSpec{
 		Module: faults.ModPipe, Kind: mxm.TileRandom,
 		NumFaults: 400, Seed: 17,
 	})
@@ -201,29 +202,13 @@ func TestRunTMXMPatterns(t *testing.T) {
 }
 
 func TestRunTMXMRejectsFunctionalUnits(t *testing.T) {
-	if _, err := RunTMXM(TMXMSpec{Module: faults.ModFP32, NumFaults: 1}); err == nil {
+	if _, err := RunTMXMCtx(context.Background(), TMXMSpec{Module: faults.ModFP32, NumFaults: 1}); err == nil {
 		t.Error("t-MxM must reject FU injection (§V-D)")
 	}
 }
 
-func TestAvgThreadsAndMedianHelpers(t *testing.T) {
-	r := &Result{
-		ThreadCounts: []int{1, 3},
-		Syndromes:    []float64{0.5, 1.0, math.Inf(1), 2.0},
-	}
-	if got := AvgThreadsForModule([]*Result{r}); got != 2 {
-		t.Errorf("avg threads = %v", got)
-	}
-	if got := MedianSyndrome(r); got != 1.0 {
-		t.Errorf("median = %v", got)
-	}
-	if MedianSyndrome(&Result{}) != 0 {
-		t.Error("empty median must be 0")
-	}
-}
-
 func TestReportWriters(t *testing.T) {
-	res, err := RunMicro(Spec{
+	res, err := RunMicroCtx(context.Background(), Spec{
 		Op: isa.OpFFMA, Range: faults.RangeMedium, Module: faults.ModFP32,
 		NumFaults: 400, Seed: 11,
 	})

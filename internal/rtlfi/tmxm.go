@@ -67,13 +67,9 @@ func (spec TMXMSpec) plan() (*plan, error) {
 			}})
 }
 
-// RunTMXM executes a t-MxM RTL fault-injection campaign.
-func RunTMXM(spec TMXMSpec) (*TMXMResult, error) {
-	return RunTMXMCtx(context.Background(), spec)
-}
-
-// RunTMXMCtx is RunTMXM with cancellation at fault boundaries; the fault
-// list is derived from Spec.Seed so re-runs are bit-identical.
+// RunTMXMCtx executes a t-MxM RTL fault-injection campaign, cancellable
+// at fault boundaries; the fault list is derived from Spec.Seed so re-runs
+// are bit-identical.
 func RunTMXMCtx(ctx context.Context, spec TMXMSpec) (*TMXMResult, error) {
 	p, err := spec.plan()
 	if err != nil {

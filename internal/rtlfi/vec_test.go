@@ -1,6 +1,7 @@
 package rtlfi
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,12 +34,12 @@ func TestMicroBitParallelBitIdentical(t *testing.T) {
 	}
 	var vectorTotal uint64
 	for _, spec := range specs {
-		vec, err := RunMicro(spec)
+		vec, err := RunMicroCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.NoBitParallel = true
-		plain, err := RunMicro(spec)
+		plain, err := RunMicroCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestTMXMBitParallelBitIdentical(t *testing.T) {
 		// Dense enough to fill whole lane chunks; a sparse t-MxM spec
 		// would fall through to the scalar path and march nothing.
 		spec := TMXMSpec{Module: mod, Kind: 2 /* Random */, NumFaults: 10_000, Seed: 79}
-		vec, err := RunTMXM(spec)
+		vec, err := RunTMXMCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestTMXMBitParallelBitIdentical(t *testing.T) {
 			t.Errorf("%s: no faults marched; the spec no longer exercises the march engine", mod)
 		}
 		spec.NoBitParallel = true
-		plain, err := RunTMXM(spec)
+		plain, err := RunTMXMCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

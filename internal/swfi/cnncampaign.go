@@ -114,13 +114,8 @@ func (r *CNNResult) CriticalShare() float64 {
 	return 0
 }
 
-// RunCNN executes a CNN injection campaign.
-func RunCNN(c CNNCampaign) (*CNNResult, error) {
-	return RunCNNCtx(context.Background(), c)
-}
-
-// RunCNNCtx is RunCNN with cancellation at injection boundaries.
-// Per-injection RNG streams are derived from the seed and injection index,
+// RunCNNCtx executes a CNN injection campaign, cancellable at injection
+// boundaries. Per-injection RNG streams are derived from the seed and injection index,
 // so re-runs reproduce the campaign bit-identically.
 func RunCNNCtx(ctx context.Context, c CNNCampaign) (*CNNResult, error) {
 	start := time.Now()
@@ -184,6 +179,19 @@ func LeNetCritical(golden, faulty []float32) bool {
 // YoloCritical is the misdetection criterion (IoU-matched box sets).
 func YoloCritical(golden, faulty []float32) bool {
 	return cnn.Misdetection(cnn.DecodeDetections(golden), cnn.DecodeDetections(faulty))
+}
+
+// EvalNetwork builds the evaluation network a name selects, "LeNet"
+// (LeNetLite) or "Yolo" (YoloLite), with its deterministic input and its
+// §VI criticality criterion; ok is false for any other name.
+func EvalNetwork(name string) (net *cnn.Network, input []float32, critical func(golden, faulty []float32) bool, ok bool) {
+	switch name {
+	case "LeNet":
+		return cnn.NewLeNetLite(), cnn.LeNetInput(0), LeNetCritical, true
+	case "Yolo":
+		return cnn.NewYoloLite(), cnn.YoloInput(0), YoloCritical, true
+	}
+	return nil, nil, nil, false
 }
 
 // FigureProfile renders an application's Fig. 3 row: shares per category.

@@ -68,12 +68,12 @@ func TestPreparedSharingBitIdentical(t *testing.T) {
 	}
 	for _, seed := range []uint64{5, 99} {
 		c := Campaign{Workload: w, Model: ModelBitFlip, Injections: 40, Seed: seed}
-		own, err := Run(c)
+		own, err := RunCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Prepared = prep
-		shared, err := Run(c)
+		shared, err := RunCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

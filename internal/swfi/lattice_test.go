@@ -1,6 +1,7 @@
 package swfi
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -95,12 +96,12 @@ func TestNoPruneIsInert(t *testing.T) {
 		Workload: apps.NewHotspot(16, 4), Model: ModelBitFlip,
 		Injections: 60, Seed: 43, RecordInjections: true,
 	}
-	def, err := Run(hpc)
+	def, err := RunCtx(context.Background(), hpc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hpc.NoPrune = true
-	set, err := Run(hpc)
+	set, err := RunCtx(context.Background(), hpc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,12 @@ func TestNoPruneIsInert(t *testing.T) {
 		Net: cnn.NewLeNetLite(), Input: cnn.LeNetInput(0), Model: CNNBitFlip,
 		Injections: 40, Seed: 47, Critical: LeNetCritical,
 	}
-	cdef, err := RunCNN(cnnC)
+	cdef, err := RunCNNCtx(context.Background(), cnnC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cnnC.NoPrune = true
-	cset, err := RunCNN(cnnC)
+	cset, err := RunCNNCtx(context.Background(), cnnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSWProgressThrottled(t *testing.T) {
 	}
 
 	t.Run("Campaign", func(t *testing.T) {
-		res, err := Run(Campaign{
+		res, err := RunCtx(context.Background(), Campaign{
 			Workload: apps.NewMxM(8), Model: ModelBitFlip,
 			Injections: n, Seed: 41, Progress: check,
 		})

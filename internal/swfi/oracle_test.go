@@ -1,6 +1,7 @@
 package swfi
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -92,7 +93,7 @@ func oracleRun[G any](s *subject[G], golden G, injectable uint64, i int) (inject
 // to the thread-instructions the oracle's runs executed.
 func checkHPC(t *testing.T, c Campaign) *Result {
 	t.Helper()
-	res, err := Run(c)
+	res, err := RunCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func checkHPC(t *testing.T, c Campaign) *Result {
 // and profile, and the same instruction total.
 func checkCNN(t *testing.T, c CNNCampaign) *CNNResult {
 	t.Helper()
-	res, err := RunCNN(c)
+	res, err := RunCNNCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -355,15 +355,10 @@ func (r *Result) PVFCI() (lo, hi float64) {
 // ErrNoDB is returned when a syndrome model runs without a database.
 var ErrNoDB = errors.New("swfi: syndrome model requires a fault-model database")
 
-// Run executes the campaign: one golden run, one profiling run, then
-// Injections instrumented runs with one corrupted instruction each.
-func Run(c Campaign) (*Result, error) {
-	return RunCtx(context.Background(), c)
-}
-
-// RunCtx is Run with cancellation: when ctx is cancelled the workers stop
-// at the next injection boundary and the context error is returned.
-// Per-injection RNG streams are derived from Campaign.Seed and the
+// RunCtx executes the campaign: one golden run, one profiling run, then
+// Injections instrumented runs with one corrupted instruction each. When
+// ctx is cancelled the workers stop at the next injection boundary and the
+// context error is returned. Per-injection RNG streams are derived from Campaign.Seed and the
 // injection index, so re-running the same campaign — whole or after an
 // interruption — reproduces every injection bit-identically.
 func RunCtx(ctx context.Context, c Campaign) (*Result, error) {

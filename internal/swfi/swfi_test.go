@@ -40,13 +40,13 @@ func testDB(t *testing.T) *syndrome.DB {
 		{Op: isa.OpGLD, Range: faults.RangeMedium, Module: faults.ModPipe, NumFaults: 800, Seed: 6},
 	}
 	for _, s := range specs {
-		res, err := rtlfi.RunMicro(s)
+		res, err := rtlfi.RunMicroCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.AddMicro(res)
 	}
-	tm, err := rtlfi.RunTMXM(rtlfi.TMXMSpec{
+	tm, err := rtlfi.RunTMXMCtx(context.Background(), rtlfi.TMXMSpec{
 		Module: faults.ModSched, Kind: mxm.TileRandom, NumFaults: 1200, Seed: 7,
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestProfileMatchesHookCount(t *testing.T) {
 }
 
 func TestBitFlipCampaignOnMxM(t *testing.T) {
-	res, err := Run(Campaign{
+	res, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(64), Model: ModelBitFlip,
 		Injections: 120, Seed: 11,
 	})
@@ -216,7 +216,7 @@ func TestBitFlipCampaignOnMxM(t *testing.T) {
 }
 
 func TestSyndromeRequiresDB(t *testing.T) {
-	_, err := Run(Campaign{
+	_, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(16), Model: ModelSyndrome, Injections: 1,
 	})
 	if err != ErrNoDB {
@@ -229,11 +229,11 @@ func TestSyndromePVFAtLeastBitFlip(t *testing.T) {
 	// yields a PVF greater than or equal to the naive single bit-flip.
 	db := testDB(t)
 	w := apps.NewHotspot(16, 8) // the app with the strongest masking
-	flip, err := Run(Campaign{Workload: w, Model: ModelBitFlip, Injections: 250, Seed: 21})
+	flip, err := RunCtx(context.Background(), Campaign{Workload: w, Model: ModelBitFlip, Injections: 250, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := Run(Campaign{Workload: w, Model: ModelSyndrome, DB: db, Injections: 250, Seed: 22})
+	syn, err := RunCtx(context.Background(), Campaign{Workload: w, Model: ModelSyndrome, DB: db, Injections: 250, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +248,11 @@ func TestCampaignDeterminism(t *testing.T) {
 		Workload: apps.NewMxM(16), Model: ModelBitFlip,
 		Injections: 60, Seed: 5, Workers: 3,
 	}
-	a, err := Run(c)
+	a, err := RunCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c)
+	b, err := RunCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 func TestDoubleBitFlipFlipsTwoBits(t *testing.T) {
-	res, err := Run(Campaign{
+	res, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(16), Model: ModelDoubleBitFlip,
 		Injections: 40, Seed: 9,
 	})
@@ -276,7 +276,7 @@ func TestDoubleBitFlipFlipsTwoBits(t *testing.T) {
 
 func TestCNNBitFlipCampaign(t *testing.T) {
 	net := cnn.NewLeNetLite()
-	res, err := RunCNN(CNNCampaign{
+	res, err := RunCNNCtx(context.Background(), CNNCampaign{
 		Net: net, Input: cnn.LeNetInput(0), Model: CNNBitFlip,
 		Injections: 150, Seed: 31, Critical: LeNetCritical,
 	})
@@ -297,14 +297,14 @@ func TestCNNTileCampaignIsMoreSevere(t *testing.T) {
 	db := testDB(t)
 	net := cnn.NewLeNetLite()
 	input := cnn.LeNetInput(0)
-	tile, err := RunCNN(CNNCampaign{
+	tile, err := RunCNNCtx(context.Background(), CNNCampaign{
 		Net: net, Input: input, Model: CNNTile, DB: db,
 		Injections: 150, Seed: 41, Critical: LeNetCritical,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flip, err := RunCNN(CNNCampaign{
+	flip, err := RunCNNCtx(context.Background(), CNNCampaign{
 		Net: net, Input: input, Model: CNNBitFlip,
 		Injections: 150, Seed: 42, Critical: LeNetCritical,
 	})
@@ -324,7 +324,7 @@ func TestYoloCampaignRuns(t *testing.T) {
 		t.Skip("yolo campaign is slow")
 	}
 	net := cnn.NewYoloLite()
-	res, err := RunCNN(CNNCampaign{
+	res, err := RunCNNCtx(context.Background(), CNNCampaign{
 		Net: net, Input: cnn.YoloInput(0), Model: CNNBitFlip,
 		Injections: 40, Seed: 51, Critical: YoloCritical,
 	})
@@ -393,7 +393,7 @@ func emuHooks(in *injector) emu.Hooks {
 func TestModuleFocusCampaign(t *testing.T) {
 	db := testDB(t)
 	mod := faults.ModFP32
-	res, err := Run(Campaign{
+	res, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(16), Model: ModelSyndrome, DB: db,
 		Injections: 60, Seed: 55, ModuleFocus: &mod,
 	})
@@ -406,7 +406,7 @@ func TestModuleFocusCampaign(t *testing.T) {
 	// Focusing on a module with no pools must still run (falls back to
 	// the canonical 100% syndrome).
 	ctl := faults.ModSFUCtl
-	res2, err := Run(Campaign{
+	res2, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(16), Model: ModelSyndrome, DB: db,
 		Injections: 30, Seed: 56, ModuleFocus: &ctl,
 	})
@@ -452,7 +452,7 @@ func TestDoubleBitFlipChangesTwoBits(t *testing.T) {
 }
 
 func TestInjectionRecords(t *testing.T) {
-	res, err := Run(Campaign{
+	res, err := RunCtx(context.Background(), Campaign{
 		Workload: apps.NewMxM(16), Model: ModelBitFlip,
 		Injections: 40, Seed: 77, RecordInjections: true,
 	})
@@ -476,7 +476,7 @@ func TestInjectionRecords(t *testing.T) {
 		t.Errorf("record outcomes %v disagree with tally %+v", outcomes, res.Tally)
 	}
 	// Default: no records kept.
-	res2, err := Run(Campaign{Workload: apps.NewMxM(16), Model: ModelBitFlip, Injections: 5, Seed: 1})
+	res2, err := RunCtx(context.Background(), Campaign{Workload: apps.NewMxM(16), Model: ModelBitFlip, Injections: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,11 +489,11 @@ func TestToleranceRelaxesSDCCriterion(t *testing.T) {
 	// With a generous tolerance, low-order bit-flips that survive to the
 	// output stop counting as SDCs; PVF must not increase.
 	w := apps.NewMxM(16)
-	exact, err := Run(Campaign{Workload: w, Model: ModelBitFlip, Injections: 150, Seed: 88})
+	exact, err := RunCtx(context.Background(), Campaign{Workload: w, Model: ModelBitFlip, Injections: 150, Seed: 88})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Run(Campaign{Workload: w, Model: ModelBitFlip, Injections: 150, Seed: 88, Tolerance: 1e-3})
+	loose, err := RunCtx(context.Background(), Campaign{Workload: w, Model: ModelBitFlip, Injections: 150, Seed: 88, Tolerance: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package syndrome
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -276,7 +277,7 @@ func TestSampleTileEmptyDB(t *testing.T) {
 func TestEndToEndFromRealCampaign(t *testing.T) {
 	// Integration: a real (small) RTL campaign feeds the DB and sampling
 	// works.
-	res, err := rtlfi.RunMicro(rtlfi.Spec{
+	res, err := rtlfi.RunMicroCtx(context.Background(), rtlfi.Spec{
 		Op: isa.OpFFMA, Range: faults.RangeMedium, Module: faults.ModFP32,
 		NumFaults: 600, Seed: 77,
 	})
