@@ -88,14 +88,15 @@ func TestRTLThenSW(t *testing.T) {
 }
 
 // TestRTLInterruptedWritesNothing pins the no-partial-database contract:
-// a characterisation whose context ends reports how far it got and leaves
-// no file at -out.
+// a characterisation whose context ends reports how far it got out of the
+// plan's total and leaves no file at -out. Cancelled before any unit
+// reports, it still names the total: 108 plan units × 20 faults.
 func TestRTLInterruptedWritesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db := filepath.Join(t.TempDir(), "db.json")
 	code, _, stderr := gpufiCmd(ctx, "rtl", "-faults", "20", "-out", db)
-	if code != 1 || !strings.Contains(stderr, "gpufi rtl: interrupted after ") {
+	if code != 1 || !strings.Contains(stderr, "gpufi rtl: interrupted after 0/2160 faults;") {
 		t.Errorf("exit %d, stderr:\n%s", code, stderr)
 	}
 	if _, err := os.Stat(db); !os.IsNotExist(err) {

@@ -7,10 +7,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"sync/atomic"
 
 	"gpufi"
 	"gpufi/internal/campaign"
+	"gpufi/internal/core"
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
 	"gpufi/internal/rtlfi"
@@ -51,22 +51,18 @@ func runRTL(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return rtlSingle(ctx, stdout, stderr, lg, *opName, *rngName, *modName, *nFaults, *seed, *detailed)
 	}
 
-	var total atomic.Int64 // of the plan; it arrives with the reports
+	cfg := gpufi.CharacterizeConfig{FaultsPerCampaign: *nFaults, TMXMFaults: *nTMXM, Seed: *seed}
+	total := 0 // known up front, so an interrupt before the first report still names it
+	for _, u := range core.Plan(cfg) {
+		total += u.Faults
+	}
 	var done campaign.Meter
-	part := done.Part()
+	cfg.Progress = done.Part()
 	lg.Printf("running full RTL characterisation (%d faults/campaign)...", *nFaults)
-	char, err := gpufi.CharacterizeCtx(ctx, gpufi.CharacterizeConfig{
-		FaultsPerCampaign: *nFaults,
-		TMXMFaults:        *nTMXM,
-		Seed:              *seed,
-		Progress: func(d, t int) {
-			part(d, t)
-			total.Store(int64(t))
-		},
-	})
+	char, err := gpufi.CharacterizeCtx(ctx, cfg)
 	if err != nil {
 		return interrupted(ctx, err, "interrupted after %d/%d faults; nothing written (campaigns are deterministic, re-run to reproduce)",
-			done.Done(), total.Load())
+			done.Done(), total)
 	}
 	if *verbose {
 		for _, row := range char.AVFTable() {

@@ -157,6 +157,22 @@ func TestCostModel(t *testing.T) {
 	t.Log(s)
 }
 
+// TestCompareWithKeepsSmallCosts: once the RTL side is credited with a
+// replay speedup an injection costs milliseconds, and the §VI line must
+// still show its digits, not "0.0 s/injection -> 0.1 hours".
+func TestCompareWithKeepsSmallCosts(t *testing.T) {
+	cm := &CostModel{RTLCyclesPerSecond: 1e6, RTLMicroCycles: 2_000, SWInjectionSeconds: 0.0042,
+		AppThreadInstrs: 1_000_000, MicroThreadInstrs: 100_000}
+	if got := cm.RTLAppInjectionSecondsWith(1_000); got >= 0.05 {
+		t.Fatalf("credited RTL injection costs %g s, want below 0.05 s", got)
+	}
+	want := "RTL (1000.0x engine speedup): 2e-05 s/injection -> 0.000267 hours for 48000 injections; " +
+		"software: 0.0042 s/injection -> 0.056 hours; speedup 0.00476x"
+	if got := cm.CompareWith(48000, 1_000); got != want {
+		t.Errorf("CompareWith:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestEstimateFIT(t *testing.T) {
 	c := smallCharacterization(t)
 	ests := c.EstimateFIT(1e-4)

@@ -112,12 +112,13 @@ func (c *CostModel) RTLAppInjectionSecondsWith(replaySpeedup float64) float64 {
 
 // CompareWith renders the §VI comparison for n injections, with the RTL
 // side credited a measured campaign replay speedup (which already folds
-// in fast-forward and pruning).
+// in fast-forward and pruning). Costs and the ratio print three
+// significant digits: a credited RTL injection can cost milliseconds.
 func (c *CostModel) CompareWith(n int, replaySpeedup float64) string {
 	rtlTotal := c.RTLAppInjectionSecondsWith(replaySpeedup) * float64(n)
 	swTotal := c.SWInjectionSeconds * float64(n)
 	return fmt.Sprintf(
-		"RTL (%.1fx engine speedup): %.1f s/injection -> %.1f hours for %d injections; software: %.3f s/injection -> %.2f hours; speedup %.0fx",
+		"RTL (%.1fx engine speedup): %.3g s/injection -> %.3g hours for %d injections; software: %.3g s/injection -> %.3g hours; speedup %.3gx",
 		replaySpeedup, c.RTLAppInjectionSecondsWith(replaySpeedup), rtlTotal/3600, n,
 		c.SWInjectionSeconds, swTotal/3600,
 		safeDiv(rtlTotal, swTotal))

@@ -11,18 +11,17 @@ import (
 	"gpufi/internal/core"
 )
 
+// maxOutstanding bounds each worker's lease window: the number of units
+// it may hold at once. This is the fabric's backpressure — a slow worker
+// cannot hoard the tail of a campaign, and a fast one cannot drain the
+// queue faster than it streams results back.
+const maxOutstanding = 4
+
 // CoordinatorConfig tunes the lease discipline. The zero value is usable.
 type CoordinatorConfig struct {
 	// LeaseTimeout is how long a leased unit may go without a heartbeat
 	// before it is re-leased to another worker. Default 30s.
 	LeaseTimeout time.Duration
-
-	// MaxOutstanding bounds each worker's lease window: the number of
-	// units it may hold at once. This is the fabric's backpressure knob —
-	// a slow worker cannot hoard the tail of a campaign, and a fast one
-	// cannot drain the queue faster than it streams results back.
-	// Default 4.
-	MaxOutstanding int
 
 	// MaxRetries is how many times a unit may fail (worker-reported
 	// engine error) before the whole job is failed. Lease expiries do not
@@ -43,9 +42,6 @@ type CoordinatorConfig struct {
 func (c *CoordinatorConfig) defaults() {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 30 * time.Second
-	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 4
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
@@ -347,7 +343,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseReply, error) {
 	now := c.cfg.now()
 	w.lastSeen = now
 	c.sweepLocked(now)
-	budget := c.cfg.MaxOutstanding - len(w.leased)
+	budget := maxOutstanding - len(w.leased)
 	if req.Max < budget {
 		budget = req.Max
 	}

@@ -94,12 +94,8 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	api.Write(w, http.StatusOK, st)
 }
 
-// eventsPollInterval is how often the SSE stream re-samples the status of
-// a job that is still going; it bounds the rate of progress events.
-const eventsPollInterval = 100 * time.Millisecond
-
 // handleEvents streams status snapshots as server-sent events. Progress
-// and state changes are sampled every eventsPollInterval; the terminal
+// and state changes are sampled every Service.eventsPoll; the terminal
 // state is not — Service.finish wakes the stream, so the final event goes
 // out as soon as the state is visible — and the stream ends after it.
 // Idle streams carry periodic SSE comments (": keep-alive") every
@@ -130,7 +126,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	last := s.statusOf(j)
 	emit(last)
-	ticker := time.NewTicker(eventsPollInterval)
+	ticker := time.NewTicker(s.eventsPoll)
 	defer ticker.Stop()
 	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
 	defer keepAlive.Stop()

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -436,39 +435,39 @@ func TestHTTPHealthzAfterClose(t *testing.T) {
 }
 
 // TestHTTPEventsTerminalEventIsNotPolled: the stream used to learn of a
-// finished job at its next 100 ms status sample, so the last event trailed
-// the job by up to a tick. finish now wakes the stream; the event must
-// follow the terminal journal write — finish's first step — within a
-// fraction of the poll interval, every time.
+// finished job at its next status sample, so the last event trailed the
+// job by up to a tick. finish now wakes the stream. Here the sampling
+// interval is an hour, far beyond the test's run time, so a terminal event
+// that arrives at all came from the wake. Each job's terminal journal
+// write — finish's first step — is held until its stream has shown a live
+// state, so no job can finish before its stream opens, and the client's
+// timeout fails the test instead of hanging it when no wake comes.
 func TestHTTPEventsTerminalEventIsNotPolled(t *testing.T) {
-	s, srv := newHTTPService(t, Config{Workers: 1, Dir: t.TempDir()})
-	var (
-		mu         sync.Mutex
-		journalled = map[string]time.Time{}
-	)
+	s := newService(t, Config{Workers: 1, Dir: t.TempDir()})
+	s.eventsPoll = time.Hour
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	// One token per stream that has shown a live state; the jobs run one
+	// at a time, so each terminal write takes its own job's token.
+	const jobs = 3
+	opened := make(chan struct{}, jobs)
+	t.Cleanup(func() { close(opened) }) // a failed run must not leave the worker held
 	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
-		err := syndrome.WriteFileAtomic(path, data, perm)
 		var ck checkpoint
 		if json.Unmarshal(data, &ck) == nil && ck.State.Terminal() {
-			mu.Lock()
-			journalled[ck.ID] = time.Now()
-			mu.Unlock()
+			<-opened
 		}
-		return err
+		return syndrome.WriteFileAtomic(path, data, perm)
 	}
-	for i := 0; i < 6; i++ {
-		req := smallHPC()
-		req.Injections = 60 + 17*i // spread the finishing times over the poll phase
-		st := postJob(t, srv.URL, req)
-		resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "/events")
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i := 0; i < jobs; i++ {
+		st := postJob(t, srv.URL, smallHPC())
+		resp, err := client.Get(srv.URL + "/jobs/" + st.ID + "/events")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var (
-			events  int
-			arrived time.Time
-			sc      = bufio.NewScanner(resp.Body)
-		)
+		var states []State
+		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
 			line, ok := strings.CutPrefix(sc.Text(), "data: ")
 			if !ok {
@@ -478,24 +477,19 @@ func TestHTTPEventsTerminalEventIsNotPolled(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("bad SSE payload %q: %v", line, err)
 			}
-			events++
+			if states = append(states, ev.State); len(states) == 1 {
+				opened <- struct{}{} // the stream is open: let the job finish
+			}
 			if ev.State.Terminal() {
-				arrived = time.Now()
 				break
 			}
 		}
 		resp.Body.Close()
-		if arrived.IsZero() {
-			t.Fatalf("job %s: stream ended without a terminal event (%v)", st.ID, sc.Err())
+		if len(states) == 0 || !states[len(states)-1].Terminal() {
+			t.Fatalf("job %s: stream ended without a terminal event after %v (%v)", st.ID, states, sc.Err())
 		}
-		if events < 2 {
-			t.Fatalf("job %s had finished before its stream opened; the test needs a longer job", st.ID)
-		}
-		mu.Lock()
-		wrote := journalled[st.ID]
-		mu.Unlock()
-		if lag := arrived.Sub(wrote); wrote.IsZero() || lag > 25*time.Millisecond {
-			t.Errorf("job %s: terminal event %v after the terminal journal write, want under 25ms", st.ID, lag)
+		if states[0].Terminal() {
+			t.Fatalf("job %s: first event %v is terminal before its journal write was released", st.ID, states[0])
 		}
 	}
 }

@@ -403,6 +403,10 @@ type Service struct {
 
 	// compile plans a job; tests substitute it to hold or fail its units.
 	compile func(Request) (*program, error)
+
+	// eventsPoll is how often an SSE stream re-samples the status of a job
+	// that is still going; it bounds the rate of progress events.
+	eventsPoll time.Duration
 }
 
 // New builds a service, reloads any checkpointed jobs from cfg.Dir
@@ -418,6 +422,7 @@ func New(cfg Config) (*Service, error) {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		writeFile:  syndrome.WriteFileAtomic,
 		compile:    compile,
+		eventsPoll: 100 * time.Millisecond,
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {

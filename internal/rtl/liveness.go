@@ -178,9 +178,9 @@ func searchSpanAfter(sp []liveSpan, s uint64) int {
 
 // TraceLiveness attaches l to the module states it traces — all six, or
 // the one it is scoped to — so the next Run records its liveness trace;
-// pass nil to detach (Snapshot replays, e.g. the checkpoint-recording
-// pass, must not feed the same tracer twice). The trace adds no simulated
-// cycles: it rides along the golden run the campaign performs anyway.
+// pass nil to detach (a second run must not feed the same tracer). It
+// adds no cycles, and checkpoint captures never feed it: Snapshot reads
+// module words directly, never through State.Get.
 func (m *Machine) TraceLiveness(l *Liveness) {
 	for i, st := range m.moduleStates() {
 		if l == nil || l.scope != 0 && l.scope != i+1 {

@@ -1,27 +1,29 @@
 package rtlfi
 
 import (
-	"fmt"
 	"sort"
 
-	"gpufi/internal/kasm"
 	"gpufi/internal/rtl"
 )
 
 // checkpointsPerRun bounds the golden-prefix snapshots recorded per input
-// draw. Faulty runs fast-forward to the latest checkpoint at or before
-// their injection cycle, so the residual golden prefix re-simulated per
-// fault averages goldenCycles/(2*checkpointsPerRun) — ~2% of a full
-// replay — while the snapshot memory stays bounded. The same snapshots
-// double as reconvergence probes: a faulty run whose state matches the
-// golden checkpoint at a boundary is pruned there, so Masked runs (the
-// vast majority) also skip most of their post-injection tail.
+// draw: newPlan spaces them every max(cycles/checkpointsPerRun, 1) cycles
+// of the campaign program's golden length. Faulty runs fast-forward to
+// the latest checkpoint at or before their injection cycle, so the
+// residual golden prefix re-simulated per fault averages
+// goldenCycles/(2*checkpointsPerRun) — ~2% of a full replay — while the
+// snapshot memory stays bounded. The same snapshots double as
+// reconvergence probes: a faulty run whose state matches the golden
+// checkpoint at a boundary is pruned there, so Masked runs (the vast
+// majority) also skip most of their post-injection tail.
 const checkpointsPerRun = 24
 
 // ckptStore holds one input draw's golden-prefix snapshots in ascending
-// cycle order. It is written once while the golden run replays and is
-// read-only afterwards, so workers restore from it concurrently without
-// synchronisation.
+// cycle order. add is the checkpoint sink of the draw's one golden run
+// (prepare), so the store is written once, while that run executes, and
+// is read-only afterwards: workers restore from it concurrently without
+// synchronisation. The interval is only a spacing; at and before hold for
+// any draw length.
 type ckptStore struct {
 	snaps []*rtl.Snapshot
 	every uint64 // checkpoint interval in cycles
@@ -53,23 +55,4 @@ func (c *ckptStore) before(cycle uint64) *rtl.Snapshot {
 		return nil
 	}
 	return c.snaps[i]
-}
-
-// recordCheckpoints replays a draw's golden run on a scratch copy of its
-// pristine input image, capturing evenly spaced snapshots of the fault-
-// free machine. goldenCycles must come from a completed golden run of the
-// same inputs; the replay is bit-identical, so the snapshots describe
-// exactly the prefix every faulty run of this draw would otherwise
-// re-simulate.
-func recordCheckpoints(m *rtl.Machine, prog *kasm.Program, block int, pristine []uint32, sharedWords int, goldenCycles uint64) (ckptStore, error) {
-	every := goldenCycles / checkpointsPerRun
-	if every == 0 {
-		every = 1
-	}
-	g := append([]uint32(nil), pristine...)
-	cs := ckptStore{every: every}
-	if err := m.RunCheckpointed(prog, 1, block, g, sharedWords, goldenCycles+1, every, cs.add); err != nil {
-		return ckptStore{}, fmt.Errorf("rtlfi: checkpoint replay diverged: %w", err)
-	}
-	return cs, nil
 }

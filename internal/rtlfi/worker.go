@@ -30,10 +30,11 @@ type inputDraw struct {
 	live         *rtl.Liveness // golden-run liveness trace; nil without pruning
 }
 
-// prepare runs one draw's golden prefix on a pooled machine: the golden
-// run itself (tracing liveness when the engine prunes) and the
-// checkpoint-recording replay. d.global must already be populated;
-// everything else is derived here.
+// prepare runs one draw's golden execution, once, on a pooled machine:
+// the run traces liveness when the engine prunes and hands a snapshot to
+// the draw's ckptStore every p.every cycles. Capture reads module words
+// directly, never through State.Get, so it cannot perturb the trace.
+// d.global must already be populated; everything else is derived here.
 func (p *plan) prepare(d *inputDraw) error {
 	m := rtl.Pooled()
 	defer m.Release()
@@ -41,18 +42,13 @@ func (p *plan) prepare(d *inputDraw) error {
 		d.live = rtl.NewLiveness(p.module) // the one module the campaign's faults land in
 		m.TraceLiveness(d.live)
 	}
-	golden := append([]uint32(nil), d.global...)
-	if err := m.Run(p.prog, 1, p.block, golden, p.sharedWords, p.goldenBudget); err != nil {
+	d.golden = append([]uint32(nil), d.global...)
+	d.ckpts = ckptStore{every: p.every}
+	if err := m.RunCheckpointed(p.prog, 1, p.block, d.golden, p.sharedWords, p.goldenBudget, p.every, d.ckpts.add); err != nil {
 		return fmt.Errorf("rtlfi: golden run failed: %w", err)
 	}
-	// Detach before the checkpoint replay: a Liveness traces exactly one
-	// run, and the replay is the same dataflow anyway.
-	m.TraceLiveness(nil)
-	d.golden = golden
 	d.goldenCycles = m.Cycles()
-	cs, err := recordCheckpoints(m, p.prog, p.block, d.global, p.sharedWords, d.goldenCycles)
-	d.ckpts = cs
-	return err
+	return nil
 }
 
 // budget is the hang-detection cycle budget of the draw's faulty runs.
@@ -154,20 +150,23 @@ type family struct {
 }
 
 // plan is a prepared and scheduled campaign: the input draws with their
-// golden runs, and the deterministic fault list.
+// golden runs, the checkpoint interval they share, and the deterministic
+// fault list.
 type plan struct {
 	engine
 	family
+	every uint64 // checkpoint interval of every draw's golden run
 	draws []*inputDraw
 	jobs  []faultJob
 }
 
 // newPlan prepares and schedules a campaign. Input draws consume the
-// spec RNG serially; the golden runs (with liveness tracing), plus the
-// bit-identical replays that record the fast-forward checkpoints, then
-// fan out across draws, one pooled machine each. Neither pass touches the
-// RNG, so the fault list drawn afterwards sees the same stream whatever
-// the engine mode.
+// spec RNG serially. One plain golden run of draw 0 then measures the
+// program's length, which sets the checkpoint interval every draw shares
+// (max(cycles/checkpointsPerRun, 1)); the draws' golden runs, each traced
+// for liveness and checkpointed in the same execution, fan out across
+// draws, one pooled machine each. No run touches the RNG, so the fault
+// list drawn afterwards sees the same stream whatever the engine mode.
 func newPlan(e engine, f family) (*plan, error) {
 	if e.numFaults < 0 {
 		return nil, fmt.Errorf("rtlfi: negative fault count %d", e.numFaults)
@@ -176,6 +175,13 @@ func newPlan(e engine, f family) (*plan, error) {
 	p := &plan{engine: e, family: f, draws: make([]*inputDraw, valuesPerRange)}
 	for i := range p.draws {
 		p.draws[i] = &inputDraw{global: f.input(rng)}
+	}
+	m := rtl.Pooled()
+	err := m.Run(f.prog, 1, f.block, append([]uint32(nil), p.draws[0].global...), f.sharedWords, f.goldenBudget)
+	p.every = max(m.Cycles()/checkpointsPerRun, 1)
+	m.Release()
+	if err != nil {
+		return nil, fmt.Errorf("rtlfi: golden run failed: %w", err)
 	}
 	errs := make([]error, len(p.draws))
 	var wg sync.WaitGroup
