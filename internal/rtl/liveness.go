@@ -1,6 +1,8 @@
 package rtl
 
 import (
+	"sync"
+
 	"gpufi/internal/faults"
 )
 
@@ -44,10 +46,15 @@ type modLive struct {
 	spans     [][]liveSpan
 }
 
+// init sizes the trace for lay, each field's spans empty but non-nil as
+// in a Released trace.
 func (ml *modLive) init(lay *Layout) {
 	ml.lay = lay
 	ml.lastWrite = make([]uint64, len(lay.Fields))
 	ml.spans = make([][]liveSpan, len(lay.Fields))
+	for i := range ml.spans {
+		ml.spans[i] = []liveSpan{}
+	}
 }
 
 // Liveness records one golden run's field-liveness trace. The zero value
@@ -69,9 +76,34 @@ type Liveness struct {
 // point, and seq is nothing but a clock that orders them: counting only
 // mod's events keeps every such comparison, so DeadAt answers for mod
 // exactly as the six-module trace does. The other five modules are never
-// attached and report every site live.
+// attached and report every site live. A Released trace of mod is reused
+// when there is one: its run appends into span slices an earlier run grew.
 func NewLiveness(mod faults.Module) *Liveness {
+	if l, ok := livePools[moduleIndex(mod)].Get().(*Liveness); ok {
+		return l
+	}
 	return &Liveness{scope: 1 + moduleIndex(mod)}
+}
+
+// livePools holds released scoped traces, one pool per module slot.
+var livePools [6]sync.Pool
+
+// Release empties a NewLiveness trace, keeping its slices' capacity, for
+// the next NewLiveness of its module: the trace that run records is
+// deep-equal to a fresh tracer's. The trace must be detached and no
+// longer queried. A nil or six-module trace is left alone.
+func (l *Liveness) Release() {
+	if l == nil || l.scope == 0 {
+		return
+	}
+	ml := &l.mods[l.scope-1]
+	l.seq = 0
+	l.cycleStart = l.cycleStart[:0]
+	clear(ml.lastWrite)
+	for i := range ml.spans {
+		ml.spans[i] = ml.spans[i][:0]
+	}
+	livePools[l.scope-1].Put(l)
 }
 
 // moduleIndex maps a Table I module to its Liveness slot, mirroring

@@ -41,7 +41,9 @@ type simtEntry struct {
 	reconv uint32
 }
 
-// Machine is the RTL streaming-multiprocessor model.
+// Machine is the RTL streaming-multiprocessor model. Its flip-flop
+// state is six modules' words; of its register file it holds only the
+// pages of the warps a run wrote.
 type Machine struct {
 	// Flip-flop state: the injection targets of Table I.
 	Sched  *State
@@ -54,8 +56,9 @@ type Machine struct {
 	fieldHandles
 
 	// Behavioural memories (ECC-protected in the paper's threat model,
-	// therefore not injection targets).
-	regs     [MaxWarps][isa.NumRegs][WarpSize]uint32
+	// therefore not injection targets). regs holds the register pages of
+	// the warps written so far (see page and wpage).
+	regs     [MaxWarps]*regPage
 	preds    [MaxWarps][isa.NumPreds]uint32
 	stacks   [MaxWarps][]simtEntry
 	warpMask [MaxWarps]uint32 // top-of-stack active masks (SRS block RAM)
@@ -82,6 +85,29 @@ type Machine struct {
 	// warps and the few rows the program writes (≤ 7 for a
 	// micro-benchmark, 18 for t-MxM).
 	hiDirty, hiReg int
+}
+
+// regPage is one warp's register file, 8 KB.
+type regPage [isa.NumRegs][WarpSize]uint32
+
+// zeroPage is what a warp without a page reads. Nothing writes it.
+var zeroPage regPage
+
+// page returns warp w's registers for reading.
+func (m *Machine) page(w int) *regPage {
+	if r := m.regs[w]; r != nil {
+		return r
+	}
+	return &zeroPage
+}
+
+// wpage returns warp w's registers for writing, allocating the page on
+// the warp's first write — a fault-corrupted warp index included.
+func (m *Machine) wpage(w int) *regPage {
+	if m.regs[w] == nil {
+		m.regs[w] = new(regPage)
+	}
+	return m.regs[w]
 }
 
 // runPos is the program, launch geometry and run progress a Snapshot
@@ -157,21 +183,24 @@ func New() *Machine {
 }
 
 // machinePool recycles every machine a campaign uses — per draw
-// preparation, campaign worker, march engine and hot lane. Each holds a
-// 196 KB register file (fresh ones were 30 % of the bytes a
-// characterisation allocated at 2 000 faults per campaign); Run, Restore
-// and CopyFrom overwrite what the last user left, as far as its marks say.
+// preparation, campaign worker, march engine and hot lane. Each keeps
+// the register pages of the warps its block runs (two, 16 KB, for every
+// characterised program) and its module words; Run, Restore and CopyFrom
+// overwrite what the last user left, as far as its marks say.
 var machinePool = sync.Pool{New: func() any { return New() }}
 
 // Pooled returns a machine from the shared pool, or a new one.
 func Pooled() *Machine { return machinePool.Get().(*Machine) }
 
 // Release detaches the machine's tracers, drops any pending fault and
-// returns the machine to the pool. The caller must not use it afterwards.
+// the register pages of warps beyond its block (written only through a
+// fault-corrupted warp index), and returns the machine to the pool. The
+// caller must not use it afterwards.
 func (m *Machine) Release() {
 	m.TraceVec(nil)
 	m.TraceLiveness(nil)
 	m.fault = nil
+	clear(m.regs[m.nwarps:])
 	machinePool.Put(m)
 }
 
@@ -288,6 +317,7 @@ func (m *Machine) launch(prog *kasm.Program, grid, block int, global []uint32, s
 // replays the golden tail, so the loop stops there with pruned set.
 func (m *Machine) runLoop(every uint64, sink func(*Snapshot), golden func(uint64) *Snapshot) error {
 	m.pruned = false
+	prev := &noSnapshot // the last checkpoint, whose unchanged images the next shares
 	for {
 		for !m.blockDone && m.err == nil {
 			if m.cycle >= m.maxCycles {
@@ -296,7 +326,8 @@ func (m *Machine) runLoop(every uint64, sink func(*Snapshot), golden func(uint64
 			}
 			if every > 0 && m.cycle%every == 0 {
 				if sink != nil {
-					sink(m.Snapshot())
+					prev = m.snapshot(prev)
+					sink(prev)
 				}
 				if golden != nil && (m.fault == nil || m.injected) {
 					if gs := golden(m.cycle); gs != nil && m.matches(gs) {
@@ -362,9 +393,11 @@ func (m *Machine) initBlock() {
 // all-ones, an empty SIMT stack and a zero active mask. initBlock
 // establishes this state for every warp beyond the block, and Restore
 // relies on it for warps above the snapshot's dirty high-water mark.
-// Rows at or above hiReg are zero already.
+// Rows at or above hiReg are zero already, and a warp keeps its page.
 func (m *Machine) resetWarp(w int) {
-	clear(m.regs[w][:m.hiReg])
+	if r := m.regs[w]; r != nil {
+		clear(r[:m.hiReg])
+	}
 	m.preds[w] = [isa.NumPreds]uint32{}
 	m.preds[w][isa.PT] = 0xFFFFFFFF
 	m.stacks[w] = m.stacks[w][:0]

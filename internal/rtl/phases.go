@@ -211,14 +211,15 @@ func (m *Machine) phaseCollect() {
 				m.vec.onRegRead(w, int(srcB))
 			}
 		}
+		r := m.page(w)
 		for lane := 0; lane < WarpSize; lane++ {
 			b := imm
 			if !useImm {
-				b = m.regs[w][srcB][lane]
+				b = r[srcB][lane]
 			}
-			p.Set(pf.colbA[lane], uint64(m.regs[w][srcA][lane]))
+			p.Set(pf.colbA[lane], uint64(r[srcA][lane]))
 			p.Set(pf.colbB[lane], uint64(b))
-			p.Set(pf.colbC[lane], uint64(m.regs[w][srcC][lane]))
+			p.Set(pf.colbC[lane], uint64(r[srcC][lane]))
 		}
 		p.Set(pf.colbValid, uint64(guard))
 		p.Set(pf.colbOp, uint64(op))
@@ -312,6 +313,7 @@ func (m *Machine) phaseIssue() {
 			m.vec.onRegRead(w, int(srcB))
 		}
 	}
+	r := m.page(w)
 	for i := 0; i < NumLanes; i++ {
 		lane := 8*g + i
 		var b uint32
@@ -321,11 +323,11 @@ func (m *Machine) phaseIssue() {
 		case op == isa.OpMOV32I || useImm:
 			b = imm
 		default:
-			b = m.regs[w][srcB][lane]
+			b = r[srcB][lane]
 		}
-		p.Set(pf.colaA[lane], uint64(m.regs[w][srcA][lane]))
+		p.Set(pf.colaA[lane], uint64(r[srcA][lane]))
 		p.Set(pf.colaB[lane], uint64(b))
-		p.Set(pf.colaC[lane], uint64(m.regs[w][srcC][lane]))
+		p.Set(pf.colaC[lane], uint64(r[srcC][lane]))
 		p.Set(pf.exinA[i], p.Get(pf.colaA[lane]))
 		p.Set(pf.exinB[i], p.Get(pf.colaB[lane]))
 		p.Set(pf.exinC[i], p.Get(pf.colaC[lane]))
@@ -490,8 +492,10 @@ func (m *Machine) phaseWriteback() {
 		mask := uint32(p.Get(pf.wbMask))
 		isPred := p.Get(pf.wbIsPred) == 1
 		pdst := isa.Pred(p.Get(pf.wbPDst))
+		var r *regPage
 		if !isPred && dst != isa.RZ && mask != 0 {
 			m.markReg(int(dst))
+			r = m.wpage(w)
 		}
 		for lane := 0; lane < WarpSize; lane++ {
 			if mask>>uint(lane)&1 == 0 {
@@ -502,9 +506,9 @@ func (m *Machine) phaseWriteback() {
 				m.setPred(w, pdst, lane, v&1 == 1)
 			} else if dst != isa.RZ {
 				if m.vec != nil {
-					m.vec.onRegWrite(w, int(dst), lane, m.regs[w][dst][lane])
+					m.vec.onRegWrite(w, int(dst), lane, r[dst][lane])
 				}
-				m.regs[w][dst][lane] = v
+				r[dst][lane] = v
 			}
 		}
 	}

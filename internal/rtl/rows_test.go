@@ -88,7 +88,7 @@ func TestRetargetedWriteRow(t *testing.T) {
 		}
 	}
 	zero := [WarpSize]uint32{}
-	if fm.regs[w][row] == zero || fm.hiReg <= row {
+	if fm.page(w)[row] == zero || fm.hiReg <= row {
 		t.Fatalf("row %d of warp %d not written (mark %d)", row, w, fm.hiReg)
 	}
 	gs := at(fm.cycle)
@@ -103,12 +103,12 @@ func TestRetargetedWriteRow(t *testing.T) {
 	if !x.matches(gs) {
 		t.Fatal("restored golden state does not match its checkpoint")
 	}
-	x.regs[w][row] = fm.regs[w][row]
+	x.wpage(w)[row] = fm.page(w)[row]
 	x.markReg(row)
 	if x.matches(gs) {
 		t.Fatal("golden state plus a non-zero row past the checkpoint's mark matches it")
 	}
-	x.regs[w][row] = zero
+	x.wpage(w)[row] = zero
 	if !x.matches(gs) {
 		t.Fatal("zero rows between the two marks break the match")
 	}
@@ -117,14 +117,14 @@ func TestRetargetedWriteRow(t *testing.T) {
 	fc := New()
 	fc.CopyFrom(fm)
 	fm.Restore(gs)
-	if fm.regs[w][row] != zero || !reflect.DeepEqual(fm.Snapshot(), gs) {
+	if fm.page(w)[row] != zero || !reflect.DeepEqual(fm.Snapshot(), gs) {
 		t.Fatal("Restore of golden state left the retargeted row or a different snapshot")
 	}
-	if fc.regs[w][row] == zero {
+	if fc.page(w)[row] == zero {
 		t.Fatal("CopyFrom did not carry the retargeted row")
 	}
 	fc.CopyFrom(fm)
-	if fc.regs[w][row] != zero || !reflect.DeepEqual(fc.Snapshot(), gs) {
+	if fc.page(w)[row] != zero || !reflect.DeepEqual(fc.Snapshot(), gs) {
 		t.Fatal("CopyFrom of golden state left the retargeted row or a different snapshot")
 	}
 
@@ -251,7 +251,7 @@ func TestPooledMachineRunsCold(t *testing.T) {
 func rowMarkHolds(m *Machine) bool {
 	for w := range m.regs {
 		for r := m.hiReg; r < isa.NumRegs; r++ {
-			if m.regs[w][r] != ([WarpSize]uint32{}) {
+			if m.page(w)[r] != ([WarpSize]uint32{}) {
 				return false
 			}
 		}

@@ -17,7 +17,8 @@ import (
 // results.
 //
 // A Snapshot is immutable after capture and safe to Restore concurrently
-// from multiple machines.
+// from multiple machines. That is what lets the checkpoints of one run
+// share every image that did not change between them (see snapshot).
 type Snapshot struct {
 	mods [6][]uint64 // module state words in moduleStates order
 
@@ -70,23 +71,55 @@ func (m *Machine) moduleStates() [6]*State {
 // called between cycles (Run invokes its checkpoint sink at cycle
 // boundaries); the program and instruction memory are shared by
 // reference, everything else is deep-copied.
-func (m *Machine) Snapshot() *Snapshot {
+func (m *Machine) Snapshot() *Snapshot { return m.snapshot(&noSnapshot) }
+
+// noSnapshot is the empty predecessor of a run's first capture.
+var noSnapshot Snapshot
+
+// snapshot is Snapshot for the checkpoints of one run: each image equal
+// to prev's — a module's words, the register rows, the warp states, the
+// global or the shared memory — is prev's slice, not a copy. Snapshots
+// are immutable, so sharing is safe.
+func (m *Machine) snapshot(prev *Snapshot) *Snapshot {
 	s := &Snapshot{
-		warps:  make([]warpState, m.hiDirty),
-		regs:   make([][WarpSize]uint32, m.hiDirty*m.hiReg),
+		warps:  prev.warps,
+		regs:   prev.regs,
 		rows:   m.hiReg,
-		global: append([]uint32(nil), m.global...),
-		shared: append([]uint32(nil), m.shared...),
+		global: sameOrCopy(prev.global, m.global),
+		shared: sameOrCopy(prev.shared, m.shared),
 		runPos: m.runPos,
 	}
 	for i, st := range m.moduleStates() {
-		s.mods[i] = append([]uint64(nil), st.words...)
+		s.mods[i] = sameOrCopy(prev.mods[i], st.words)
 	}
-	for w := range s.warps {
-		copy(s.warpRegs(w), m.regs[w][:s.rows])
-		s.warps[w] = warpState{m.preds[w], append([]simtEntry(nil), m.stacks[w]...), m.warpMask[w]}
+	sameWarps := len(prev.warps) == m.hiDirty
+	sameRegs := sameWarps && prev.rows == s.rows
+	for w := range prev.warps {
+		ws := &prev.warps[w]
+		sameRegs = sameRegs && slices.Equal(prev.warpRegs(w), m.page(w)[:s.rows])
+		sameWarps = sameWarps && ws.preds == m.preds[w] && ws.mask == m.warpMask[w] && slices.Equal(ws.stack, m.stacks[w])
+	}
+	if !sameRegs {
+		s.regs = make([][WarpSize]uint32, m.hiDirty*m.hiReg)
+		for w := range m.hiDirty {
+			copy(s.warpRegs(w), m.page(w)[:s.rows])
+		}
+	}
+	if !sameWarps {
+		s.warps = make([]warpState, m.hiDirty)
+		for w := range s.warps {
+			s.warps[w] = warpState{m.preds[w], append([]simtEntry(nil), m.stacks[w]...), m.warpMask[w]}
+		}
 	}
 	return s
+}
+
+// sameOrCopy returns prev when it holds cur's values, else a copy of cur.
+func sameOrCopy[T comparable](prev, cur []T) []T {
+	if prev != nil && slices.Equal(prev, cur) {
+		return prev
+	}
+	return append([]T(nil), cur...)
 }
 
 // Restore overwrites the machine's state with a snapshot's. Any fault
@@ -109,10 +142,19 @@ func (m *Machine) Restore(s *Snapshot) {
 }
 
 // setRows overwrites warp w's leading register rows with src and zeroes
-// the rest of them up to the machine's row mark.
+// the rest of them up to the machine's row mark. A warp without a page
+// gets one only when src holds a non-zero row, so a machine holds the
+// pages of the warps that its own runs, and the states it copied, wrote.
 func (m *Machine) setRows(w int, src [][WarpSize]uint32) {
-	if n := copy(m.regs[w][:], src); n < m.hiReg {
-		clear(m.regs[w][n:m.hiReg])
+	r := m.regs[w]
+	if r == nil {
+		if !slices.ContainsFunc(src, func(row [WarpSize]uint32) bool { return row != [WarpSize]uint32{} }) {
+			return
+		}
+		r = m.wpage(w)
+	}
+	if n := copy(r[:], src); n < m.hiReg {
+		clear(r[n:m.hiReg])
 	}
 }
 
@@ -181,15 +223,15 @@ func (m *Machine) matches(s *Snapshot) bool {
 		}
 	}
 	for w := range s.warps {
-		ws := &s.warps[w]
+		ws, r := &s.warps[w], m.page(w)
 		if m.warpMask[w] != ws.mask || m.preds[w] != ws.preds ||
-			!slices.Equal(m.regs[w][:s.rows], s.warpRegs(w)) ||
+			!slices.Equal(r[:s.rows], s.warpRegs(w)) ||
 			!slices.Equal(m.stacks[w], ws.stack) {
 			return false
 		}
 		// Rows past the snapshot's mark are zero in its state.
-		for r := s.rows; r < m.hiReg; r++ {
-			if m.regs[w][r] != ([WarpSize]uint32{}) {
+		for row := s.rows; row < m.hiReg; row++ {
+			if r[row] != ([WarpSize]uint32{}) {
 				return false
 			}
 		}

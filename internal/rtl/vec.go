@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
@@ -93,8 +94,8 @@ const (
 
 // vdelta is one (location, value) pair. As a lane delta, val/stack hold
 // the *lane's* value at the location; as a march write-log entry, they
-// hold the golden value *before* the write (the undo image). As a
-// hot-lane write record or park candidate, only the location is used.
+// hold the golden value *before* the write (the undo image). As a park
+// candidate, only the location is used.
 type vdelta struct {
 	kind    uint8
 	a, b, c int32
@@ -102,7 +103,8 @@ type vdelta struct {
 	stack   []simtEntry
 }
 
-// vkey is a vdelta's location, used for park-candidate deduplication.
+// vkey is a vdelta's location: a hot lane's write record, a park
+// candidate, and the key of park-candidate deduplication.
 type vkey struct {
 	kind    uint8
 	a, b, c int32
@@ -120,7 +122,7 @@ type vlane struct {
 	spare  []vdelta // scratch for the next park attempt (capacity reuse)
 
 	m        *Machine // hot: the lane's materialised machine
-	writes   []vdelta // hot: locations the lane wrote (park candidates)
+	writes   []vkey   // hot: locations the lane wrote (park candidates)
 	spanFrom int      // hot: write-log index at materialisation
 	nextTry  uint64   // hot: earliest golden cycle for the next park attempt
 	tryGap   uint64   // hot: park-attempt backoff
@@ -221,7 +223,7 @@ func (m *Machine) CopyFrom(src *Machine) {
 		copy(msts[i].words, ssts[i].words)
 	}
 	for w := 0; w < src.hiDirty; w++ {
-		m.setRows(w, src.regs[w][:src.hiReg])
+		m.setRows(w, src.page(w)[:src.hiReg])
 		m.preds[w] = src.preds[w]
 		m.stacks[w] = append(m.stacks[w][:0], src.stacks[w]...)
 		m.warpMask[w] = src.warpMask[w]
@@ -232,13 +234,13 @@ func (m *Machine) CopyFrom(src *Machine) {
 
 // ---- tracer hooks -------------------------------------------------------
 
-func (h *vlane) recordWrite(d vdelta) {
+func (h *vlane) recordWrite(k vkey) {
 	if len(h.writes) >= vecMaxLaneWrites {
 		h.noPark = true
-		h.writes = nil
+		h.writes = h.writes[:0]
 		return
 	}
-	h.writes = append(h.writes, d)
+	h.writes = append(h.writes, k)
 }
 
 func (t *vecTracer) onFFRead(mod, fi int) {
@@ -377,7 +379,7 @@ func (t *vecTracer) onRegRead(w, r int) {
 func (t *vecTracer) onRegWrite(w, r, lane int, old uint32) {
 	if h := t.hot; h != nil {
 		if !h.noPark {
-			h.recordWrite(vdelta{kind: dReg, a: int32(w), b: int32(r), c: int32(lane)})
+			h.recordWrite(vkey{dReg, int32(w), int32(r), int32(lane)})
 		}
 		return
 	}
@@ -403,7 +405,7 @@ func (t *vecTracer) onPredRead(w int) {
 func (t *vecTracer) onPredWrite(w, idx int, old uint32) {
 	if h := t.hot; h != nil {
 		if !h.noPark {
-			h.recordWrite(vdelta{kind: dPred, a: int32(w), b: int32(idx)})
+			h.recordWrite(vkey{dPred, int32(w), int32(idx), 0})
 		}
 		return
 	}
@@ -428,7 +430,7 @@ func (t *vecTracer) onMaskRead(w int) {
 func (t *vecTracer) onMaskWrite(w int, old uint32) {
 	if h := t.hot; h != nil {
 		if !h.noPark {
-			h.recordWrite(vdelta{kind: dMask, a: int32(w)})
+			h.recordWrite(vkey{dMask, int32(w), 0, 0})
 		}
 		return
 	}
@@ -445,7 +447,7 @@ func (t *vecTracer) onMaskWrite(w int, old uint32) {
 func (t *vecTracer) onStackTouch(w int) {
 	if h := t.hot; h != nil {
 		if !h.noPark {
-			h.recordWrite(vdelta{kind: dStack, a: int32(w)})
+			h.recordWrite(vkey{dStack, int32(w), 0, 0})
 		}
 		return
 	}
@@ -479,7 +481,7 @@ func (t *vecTracer) onMemWrite(shared bool, addr int, old uint32) {
 	}
 	if h := t.hot; h != nil {
 		if !h.noPark {
-			h.recordWrite(vdelta{kind: k, a: int32(addr)})
+			h.recordWrite(vkey{k, int32(addr), 0, 0})
 		}
 		return
 	}
@@ -681,20 +683,30 @@ type VecEngine struct {
 	injOrder []int
 }
 
-// NewVecEngine constructs an engine with its golden machine and
-// divergence planes instantiated.
+// NewVecEngine returns an engine on a pooled golden machine: a closed one,
+// whose lanes' write logs and deltas, march write log and planes keep
+// their capacity, when vecPool has one. Regrowing them for every
+// campaign was a third of what a paper-scale characterisation allocated.
 func NewVecEngine() *VecEngine {
-	e := &VecEngine{golden: Pooled()}
-	t := &vecTracer{eng: e}
+	e, ok := vecPool.Get().(*VecEngine)
+	if !ok {
+		e = &VecEngine{t: &vecTracer{}}
+		e.t.eng = e
+	}
+	e.golden = Pooled()
+	t := e.t
 	for i, st := range e.golden.moduleStates() {
 		t.states[i] = st
 		t.ffGeom[i] = st.Lay.geom
-		t.ffPlane[i] = make([]uint64, len(st.words))
-		t.ffSnap[i] = make([]uint64, len(st.words))
+		if t.ffPlane[i] == nil {
+			t.ffPlane[i] = make([]uint64, len(st.words))
+			t.ffSnap[i] = make([]uint64, len(st.words))
+		}
 	}
-	e.t = t
 	return e
 }
+
+var vecPool sync.Pool
 
 // acquire hands out a pool machine (or a fresh one), synced to the golden
 // machine's current state: incrementally when the pooled metadata allows,
@@ -722,14 +734,21 @@ func (e *VecEngine) acquire() *Machine {
 	return m
 }
 
-// Close returns the engine's golden and lane machines to the shared
-// pool. The engine must not be used again after Close.
+// Close returns the engine's golden and lane machines to the machine
+// pool and the engine, with its buffers, to the engine pool. The caller
+// must not use it again after Close.
 func (e *VecEngine) Close() {
 	for _, p := range e.pool {
 		p.m.Release()
+		if p.deltas != nil {
+			e.dfree = append(e.dfree, p.deltas[:0])
+		}
 	}
-	e.pool = nil
+	clear(e.pool)
+	e.pool = e.pool[:0]
 	e.golden.Release()
+	e.golden, e.t.states = nil, [6]*State{}
+	vecPool.Put(e)
 }
 
 // resync is the incremental CopyFrom: undo the released lane's parked
@@ -742,7 +761,7 @@ func (e *VecEngine) resync(m *Machine, p pooledM) {
 		switch d.kind {
 		case dReg:
 			m.markReg(int(d.b))
-			m.regs[d.a][d.b][d.c] = g.regs[d.a][d.b][d.c]
+			m.wpage(int(d.a))[d.b][d.c] = g.page(int(d.a))[d.b][d.c]
 		case dPred:
 			m.preds[d.a][d.b] = g.preds[d.a][d.b]
 		case dMask:
@@ -839,8 +858,12 @@ func (e *VecEngine) March(prog *kasm.Program, block int, global []uint32, shared
 	t.cycleBase = g.cycle
 	for i := range fs {
 		ln := &e.lanes[i]
-		// Reset the lane but keep its slices' capacity across marches.
+		// Reset the lane but keep its slices' capacity across marches. A
+		// lane that ended hot holds its delta array as base.
 		deltas, spare, writes := ln.deltas[:0], ln.spare[:0], ln.writes[:0]
+		if deltas == nil {
+			deltas = ln.base[:0]
+		}
 		*ln = vlane{bit: 1 << uint(i+1), idx: i, deltas: deltas, spare: spare, writes: writes}
 		t.lanes = append(t.lanes, ln)
 	}
@@ -1063,7 +1086,7 @@ func (e *VecEngine) materialize(ln *vlane, c uint64) {
 		switch en.kind {
 		case dReg:
 			m.markReg(int(en.b))
-			m.regs[en.a][en.b][en.c] = uint32(en.val)
+			m.wpage(int(en.a))[en.b][en.c] = uint32(en.val)
 		case dPred:
 			m.preds[en.a][en.b] = uint32(en.val)
 		case dMask:
@@ -1086,7 +1109,7 @@ func (e *VecEngine) materialize(ln *vlane, c uint64) {
 		case dReg:
 			m.markWarp(int(d.a))
 			m.markReg(int(d.b))
-			m.regs[d.a][d.b][d.c] = uint32(d.val)
+			m.wpage(int(d.a))[d.b][d.c] = uint32(d.val)
 		case dPred:
 			m.markWarp(int(d.a))
 			m.preds[d.a][d.b] = uint32(d.val)
@@ -1165,12 +1188,12 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 		}
 		deltas = append(deltas, d)
 	}
-	check := func(cd *vdelta) {
+	check := func(cd vkey) {
 		switch cd.kind {
 		case dFF:
 			// Covered exhaustively by the module word diff above.
 		case dReg:
-			if lv := m.regs[cd.a][cd.b][cd.c]; lv != g.regs[cd.a][cd.b][cd.c] {
+			if lv := m.page(int(cd.a))[cd.b][cd.c]; lv != g.page(int(cd.a))[cd.b][cd.c] {
 				add(vdelta{kind: dReg, a: cd.a, b: cd.b, c: cd.c, val: uint64(lv)})
 			}
 		case dPred:
@@ -1197,13 +1220,13 @@ func (e *VecEngine) tryPark(ln *vlane) bool {
 		}
 	}
 	for i := 0; i < len(ln.base) && !full; i++ {
-		check(&ln.base[i])
+		check(ln.base[i].key())
 	}
 	for i := 0; i < len(ln.writes) && !full; i++ {
-		check(&ln.writes[i])
+		check(ln.writes[i])
 	}
 	for i := ln.spanFrom; i < len(t.wlog) && !full; i++ {
-		check(&t.wlog[i])
+		check(t.wlog[i].key())
 	}
 	if full {
 		ln.spare = deltas[:0]
@@ -1260,7 +1283,7 @@ func (e *VecEngine) finishMarch(G uint64) {
 				}
 			}
 			t.parked &^= ln.bit
-			ln.deltas = nil
+			ln.deltas = ln.deltas[:0]
 			ln.out = VecOutcome{Global: img, GoldenGlobal: img == nil, Sim: ln.sim, End: G}
 			ln.done = true
 			continue
@@ -1285,7 +1308,7 @@ func (e *VecEngine) abortMarch() {
 		for i := range ln.deltas {
 			t.clearPlane(&ln.deltas[i], ln.bit)
 		}
-		ln.deltas = nil
+		ln.deltas = ln.deltas[:0]
 	}
 	t.parked = 0
 	e.hot = e.hot[:0]

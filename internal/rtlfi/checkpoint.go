@@ -22,8 +22,10 @@ const checkpointsPerRun = 24
 // cycle order. add is the checkpoint sink of the draw's one golden run
 // (prepare), so the store is written once, while that run executes, and
 // is read-only afterwards: workers restore from it concurrently without
-// synchronisation. The interval is only a spacing; at and before hold for
-// any draw length.
+// synchronisation. A snapshot shares each image that did not change
+// since the one before it, so the store costs the state the run changed
+// between checkpoints, not 25 whole machines. The interval is only a
+// spacing; at and before hold for any draw length.
 type ckptStore struct {
 	snaps []*rtl.Snapshot
 	every uint64 // checkpoint interval in cycles

@@ -92,3 +92,37 @@ func checkTwoRunPreparation(t *testing.T, p *plan, i int, d *inputDraw) {
 		}
 	}
 }
+
+// TestRecycledTracesEqualFresh: a campaign releases its liveness traces
+// to rtl's pool, and the next preparation of the module reuses their
+// span slices. With the pool stocked by every program's traces, a
+// preparation must still give what TestOneRunPreparation requires of
+// it — a trace deep-equal to a separate traced run's — so that test's
+// verdict does not depend on what ran before it.
+func TestRecycledTracesEqualFresh(t *testing.T) {
+	plans := []func() (*plan, error){
+		TMXMSpec{Module: faults.ModPipe, Kind: mxm.TileRandom, Seed: 2021}.plan,
+	}
+	for _, op := range isa.CharacterizedOpcodes() {
+		plans = append(plans, Spec{Op: op, Range: faults.RangeMedium, Module: faults.ModPipe, Seed: 2021}.plan)
+	}
+	for range 2 {
+		for _, mk := range plans {
+			p, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.releaseTraces()
+		}
+	}
+	for _, mk := range plans {
+		p, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range p.draws {
+			checkTwoRunPreparation(t, p, i, d)
+		}
+		p.releaseTraces()
+	}
+}

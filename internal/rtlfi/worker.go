@@ -54,6 +54,15 @@ func (p *plan) prepare(d *inputDraw) error {
 // budget is the hang-detection cycle budget of the draw's faulty runs.
 func (d *inputDraw) budget() uint64 { return d.goldenCycles*watchdogFactor + 1000 }
 
+// releaseTraces hands the draws' liveness traces to rtl's pool once the
+// campaign has answered its last DeadAt query.
+func (p *plan) releaseTraces() {
+	for _, d := range p.draws {
+		d.live.Release()
+		d.live = nil
+	}
+}
+
 // prunedDead pre-classifies one fault against a draw's liveness trace.
 // A dead fault is Masked with zero simulation; its whole would-be replay
 // (exactly goldenCycles — a dead fault's run is the golden run) lands in
@@ -212,6 +221,7 @@ func newPlan(e engine, f family) (*plan, error) {
 func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, machine *rtl.Machine, dead []bool) map[int]simRun {
 	jobs, draws := p.jobs, p.draws
 	perDraw := make([][]int, len(draws))
+	live := 0
 	for i := w; i < len(jobs); i += workers {
 		j := jobs[i]
 		if draws[j.draw].prunedDead(j.fault) {
@@ -223,6 +233,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 			continue
 		}
 		perDraw[j.draw] = append(perDraw[j.draw], i)
+		live++
 	}
 	// A march pays a fixed per-chunk cost — the instrumented golden
 	// replay over the chunk's whole cycle span, with every state read
@@ -233,7 +244,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 	// therefore left out of the march and fall through to the scalar
 	// recording phase, which is bit-identical by the engine's contract.
 	const minMarchLanes = 48
-	outs := make(map[int]simRun)
+	outs := make(map[int]simRun, live) // sized once: at most every live fault marches
 	eng := rtl.NewVecEngine()
 	defer eng.Close()
 	chunk := make([]rtl.Fault, 0, rtl.VecMaxLanes)
@@ -317,6 +328,7 @@ func run[T any](ctx context.Context, p *plan,
 	if p.march {
 		dead = make([]bool, len(p.jobs))
 	}
+	defer p.releaseTraces()
 	machines := make([]*rtl.Machine, workers)
 	for w := range machines {
 		machines[w] = rtl.Pooled()
