@@ -84,12 +84,19 @@ const ArenaSlack = 1 << 16
 func arena(rt Runner, words int) []uint32 { return rt.Arena(words + ArenaSlack) }
 
 // kernelMemo caches the kernels LUD and Quicksort assemble per launch (their
-// parameters are baked in as immediates), keyed by those parameters: a
-// replay.Player that skips a launch still asks for its program, and a fresh
-// *kasm.Program is a new decode-cache entry. One per Workload, for all its runs.
+// parameters are baked in as immediates), keyed by those parameters, so a
+// kernel is assembled and decoded once per Workload, for all its runs. A
+// lookup, made on every launch, takes no lock and allocates nothing: inserts
+// into this open-addressing table, serialised by mu, publish complete entries.
 type kernelMemo struct {
-	progs sync.Map // [4]int{builder kind, its parameters...} -> *kasm.Program
-	n     atomic.Int64
+	slots [2 * kernelMemoMax]atomic.Pointer[memoEntry] // at most half full
+	mu    sync.Mutex
+	n     int // entries, guarded by mu
+}
+
+type memoEntry struct {
+	key  [4]int // builder kind, its parameters...
+	prog *kasm.Program
 }
 
 // kernelMemoMax bounds a memo: corrupted Quicksort runs partition at pivots
@@ -98,17 +105,35 @@ const kernelMemoMax = 1024
 
 // get returns the kernel for key, building it on first use.
 func (m *kernelMemo) get(key [4]int, build func() *kasm.Program) *kasm.Program {
-	if p, ok := m.progs.Load(key); ok {
-		return p.(*kasm.Program)
+	if _, e := m.find(key); e != nil {
+		return e.prog
 	}
-	if m.n.Load() >= kernelMemoMax {
-		return build()
+	p := build()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, e := m.find(key)
+	if e != nil { // another run inserted it meanwhile
+		return e.prog
 	}
-	p, loaded := m.progs.LoadOrStore(key, build())
-	if !loaded {
-		m.n.Add(1)
+	if m.n < kernelMemoMax {
+		m.slots[i].Store(&memoEntry{key, p})
+		m.n++
 	}
-	return p.(*kasm.Program)
+	return p
+}
+
+// find returns key's entry, or nil and the empty slot where key belongs.
+func (m *kernelMemo) find(key [4]int) (int, *memoEntry) {
+	h := uint64(0)
+	for _, v := range key {
+		h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
+	}
+	for i := int(h >> 33); ; i++ {
+		i %= len(m.slots)
+		if e := m.slots[i].Load(); e == nil || e.key == key {
+			return i, e
+		}
+	}
 }
 
 // f32 packs a float32 into a memory word.

@@ -129,6 +129,7 @@ func NewGaussian(n int) *Workload {
 		Domain: "Linear algebra",
 		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
+			var l emu.Launch // one per run, assigned whole before each launch
 			g := arena(rt, words)
 			fillMatrix(g[:n*n], n*n, 0xC001, 1, 4) // diagonally-safe random system
 			// Strengthen the diagonal so elimination is well-conditioned.
@@ -141,16 +142,12 @@ func NewGaussian(n int) *Workload {
 				// Shrinking grids per step, as Rodinia's host code sizes
 				// Fan1/Fan2 to the remaining submatrix.
 				rows := n - k - 1
-				if err := rt.Launch(&emu.Launch{
-					Prog: fan1, Grid: (rows + block - 1) / block, Block: block,
-					Global: g,
-				}); err != nil {
+				l = emu.Launch{Prog: fan1, Grid: (rows + block - 1) / block, Block: block, Global: g}
+				if err := rt.Launch(&l); err != nil {
 					return nil, err
 				}
-				if err := rt.Launch(&emu.Launch{
-					Prog: fan2, Grid: (rows*n + block - 1) / block, Block: block,
-					Global: g,
-				}); err != nil {
+				l = emu.Launch{Prog: fan2, Grid: (rows*n + block - 1) / block, Block: block, Global: g}
+				if err := rt.Launch(&l); err != nil {
 					return nil, err
 				}
 			}

@@ -209,14 +209,13 @@ func NewHotspot(n, iters int) *Workload {
 		Domain: "Physics simulation",
 		Size:   sizeStr(n),
 		run: func(rt Runner) ([]uint32, error) {
+			var l emu.Launch // one per run, assigned whole before each launch
 			g := arena(rt, 3*n*n)
 			fillMatrix(g[:n*n], n*n, 0xB001, 20, 80)      // temperatures
 			fillMatrix(g[n*n:2*n*n], n*n, 0xB002, 0, 0.5) // power map
 			for it := 0; it < iters; it++ {
-				if err := rt.Launch(&emu.Launch{
-					Prog: prog, Grid: grid, Block: hsBlock,
-					Global: g, SharedWords: hsBlock,
-				}); err != nil {
+				l = emu.Launch{Prog: prog, Grid: grid, Block: hsBlock, Global: g, SharedWords: hsBlock}
+				if err := rt.Launch(&l); err != nil {
 					return nil, err
 				}
 				replay.HostCopy(rt, g, 0, 2*n*n, n*n)

@@ -215,11 +215,13 @@ func NewLUD(n int) *Workload {
 			for i := 0; i < n; i++ {
 				g[i*n+i] = f32(fromBits(g[i*n+i]) + float32(n)) // diagonal dominance
 			}
+			var l emu.Launch // one per run, assigned whole before each launch
 			run := func(key [4]int, build func() *kasm.Program) error {
-				return rt.Launch(&emu.Launch{
+				l = emu.Launch{
 					Prog: kernels.get(key, build), Grid: 1, Block: ludBS * ludBS,
 					Global: g, SharedWords: 2 * ludBS * ludBS,
-				})
+				}
+				return rt.Launch(&l)
 			}
 			for kb := 0; kb < nb; kb++ {
 				if err := run([4]int{diagonal, kb}, func() *kasm.Program { return buildLUDDiagonal(n, kb) }); err != nil {

@@ -72,10 +72,26 @@ func TestKernelMemoIsBounded(t *testing.T) {
 			}
 		}
 	}
-	if n := m.n.Load(); n != kernelMemoMax {
+	if n := m.n; n != kernelMemoMax {
 		t.Errorf("memo holds %d programs, want the bound %d", n, kernelMemoMax)
 	}
 	if want := kernelMemoMax + 2*10; builds != want {
 		t.Errorf("%d builds, want %d: one per memoised key, one per launch past the bound", builds, want)
+	}
+}
+
+// TestKernelMemoHitAllocatesNothing: every launch of LUD and Quicksort
+// looks its kernel up, so a hit must not allocate.
+func TestKernelMemoHitAllocatesNothing(t *testing.T) {
+	var m kernelMemo
+	build := func() *kasm.Program { return &kasm.Program{} }
+	key := [4]int{2, 128, 64, 0x3f800000}
+	want := m.get(key, build)
+	if n := testing.AllocsPerRun(100, func() {
+		if m.get(key, build) != want {
+			t.Fatal("memo hit returned another program")
+		}
+	}); n != 0 {
+		t.Errorf("memo hit allocates %v times, want 0", n)
 	}
 }

@@ -170,6 +170,7 @@ func NewQuicksort(n int) *Workload {
 			fillMatrix(g[:n], n, 0xF001, -1000, 1000)
 			type seg struct{ lo, len int }
 			stack := []seg{{0, n}}
+			var l emu.Launch // one per run, assigned whole before each launch
 			// The host recursion depth is bounded; a corrupted run that
 			// fails to make progress is cut off as a hang (DUE).
 			for steps := 0; len(stack) > 0; steps++ {
@@ -190,10 +191,8 @@ func NewQuicksort(n int) *Workload {
 						})
 					}
 					for i := 0; i < s.len; i++ {
-						if err := rt.Launch(&emu.Launch{
-							Prog: pass[i&1], Grid: 1, Block: lb,
-							Global: g,
-						}); err != nil {
+						l = emu.Launch{Prog: pass[i&1], Grid: 1, Block: lb, Global: g}
+						if err := rt.Launch(&l); err != nil {
 							return nil, err
 						}
 					}
@@ -206,10 +205,11 @@ func NewQuicksort(n int) *Workload {
 				c := fromBits(g[s.lo+s.len-1])
 				pivot := medianOf3(a, b, c)
 				pb := pow2ceil(s.len)
-				if err := rt.Launch(&emu.Launch{
+				l = emu.Launch{
 					Prog: partition(partLT, s.lo, s.len, f32(pivot)), Grid: 1, Block: pb,
 					Global: g, SharedWords: pb,
-				}); err != nil {
+				}
+				if err := rt.Launch(&l); err != nil {
 					return nil, err
 				}
 				totalL := int(int32(g[n+qpTotal]))
@@ -221,10 +221,11 @@ func NewQuicksort(n int) *Workload {
 				}
 				if totalL == 0 {
 					// Pivot is the minimum: peel off the equal class.
-					if err := rt.Launch(&emu.Launch{
+					l = emu.Launch{
 						Prog: partition(partLE, s.lo, s.len, f32(pivot)), Grid: 1, Block: pb,
 						Global: g, SharedWords: pb,
-					}); err != nil {
+					}
+					if err := rt.Launch(&l); err != nil {
 						return nil, err
 					}
 					eq := int(int32(g[n+qpTotal]))

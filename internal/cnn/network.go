@@ -73,12 +73,11 @@ func (n *Network) RunWith(rt replay.Runner, input []float32, inj *TileInjection)
 		g[n.inOff+i] = math.Float32bits(v)
 	}
 	copy(g[n.wBase:], n.weights)
+	var launch emu.Launch // one per run, assigned whole before each launch
 	for li := range n.Layers {
 		l := &n.Layers[li]
-		if err := rt.Launch(&emu.Launch{
-			Prog: l.Prog, Grid: l.Grid, Block: l.Block,
-			Global: g,
-		}); err != nil {
+		launch = emu.Launch{Prog: l.Prog, Grid: l.Grid, Block: l.Block, Global: g}
+		if err := rt.Launch(&launch); err != nil {
 			return nil, fmt.Errorf("cnn %s layer %s: %w", n.Name, l.Name, err)
 		}
 		if inj != nil && inj.Layer == li {

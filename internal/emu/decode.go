@@ -1,9 +1,6 @@
 package emu
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
 )
@@ -12,11 +9,12 @@ import (
 // instead of raw isa.Instr values. Decoding resolves once, per program,
 // everything the reference interpreter re-derives on every executed lane:
 // guard predicate index and polarity, operand register indices, the
-// HasDst/RZ destination test, UseImmB selection and branch targets. The
-// decoded form is cached per *kasm.Program, which is sound because
+// HasDst/RZ destination test, UseImmB selection and branch targets. Each
+// *kasm.Program carries its own decoded form, which is sound because
 // programs are built once by kasm.Finalize and never mutated afterwards
 // (a property every existing workload already relies on for label
-// resolution).
+// resolution); a kernel a corrupted run assembled once is garbage, decoded
+// form included, as soon as nothing holds it.
 
 // dispatch classes of a decoded instruction. Everything that is not
 // control flow goes through execDataFast.
@@ -156,33 +154,8 @@ func decodeProgram(p *kasm.Program) *dprog {
 	return dp
 }
 
-// decodeCache maps *kasm.Program to its decoded form. Production
-// workloads build a handful of programs per process, so the cache stays
-// tiny; the size cap only matters for adversarial users (fuzzing) that
-// launch thousands of ephemeral programs, where holding every key alive
-// would otherwise leak.
-var (
-	decodeCache     sync.Map // *kasm.Program -> *dprog
-	decodeCacheSize atomic.Int64
-)
-
-const decodeCacheMax = 4096
-
+// decoded returns p's decoded form, which p carries from its first launch
+// on (kasm.Program.Decoded).
 func decoded(p *kasm.Program) *dprog {
-	if v, ok := decodeCache.Load(p); ok {
-		return v.(*dprog)
-	}
-	dp := decodeProgram(p)
-	if _, loaded := decodeCache.LoadOrStore(p, dp); !loaded {
-		if decodeCacheSize.Add(1) > decodeCacheMax {
-			// Drop everything rather than track recency: decoding is
-			// cheap and long-lived programs repopulate on next launch.
-			decodeCache.Range(func(k, _ any) bool {
-				decodeCache.Delete(k)
-				return true
-			})
-			decodeCacheSize.Store(0)
-		}
-	}
-	return dp
+	return p.Decoded(func(p *kasm.Program) any { return decodeProgram(p) }).(*dprog)
 }

@@ -330,6 +330,9 @@ type exec struct {
 	scratch [WarpSize]uint32
 	immRow  [WarpSize]uint32
 
+	// slots holds the running block's warps (newBlock).
+	slots [MaxBlockThreads / WarpSize]*warp
+
 	// Checkpoint capture state (RunCheckpointed only).
 	ckSink  func(*Snapshot)
 	ckNext  uint64
@@ -377,7 +380,8 @@ func (ex *exec) newBlock() []*warp {
 	for i := range ex.shared {
 		ex.shared[i] = 0
 	}
-	warps := make([]*warp, (l.Block+WarpSize-1)/WarpSize)
+	warps := ex.slots[:(l.Block+WarpSize-1)/WarpSize]
+	clear(warps)
 	if !ex.dp.perWarp {
 		for w := range warps {
 			warps[w] = newWarp(w, l.Block)

@@ -10,16 +10,30 @@ package kasm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gpufi/internal/isa"
 )
 
-// Program is a finalized kernel.
+// Program is a finalized kernel. It never changes after Finalize, so it can
+// carry the emulator's decoded form of itself (Decoded), collected with it.
 type Program struct {
 	Name   string
 	Instrs []isa.Instr
 	Words  []isa.Word
 	Labels map[string]int
+
+	decoded atomic.Value // see Decoded
+}
+
+// Decoded returns what decode builds from p, calling decode on the first
+// call only (racing first calls all return the value stored first).
+func (p *Program) Decoded(decode func(*Program) any) any {
+	if v := p.decoded.Load(); v != nil {
+		return v
+	}
+	p.decoded.CompareAndSwap(nil, decode(p))
+	return p.decoded.Load()
 }
 
 // Disasm returns the full disassembly listing of the program.

@@ -613,6 +613,11 @@ type Player struct {
 	// offered to Replay.
 	rec *LaunchRec
 	cur int
+	// budget is the running launch's watchdog budget; replayFn and doneFn
+	// are replayUnit and attemptDone, bound once rather than per launch.
+	budget   uint64
+	replayFn func(int, int, *emu.Result) uint32
+	doneFn   func(int, int, *emu.Result) bool
 	// try is the unit Replay last split: the lanes the attempt runs, its
 	// golden count and the launch's count before it.
 	try struct {
@@ -711,6 +716,7 @@ func (p *Player) attach(pool *Pool) {
 	}
 	pool.reach.Clear()
 	p.g, p.pool = pool.buf, pool
+	p.replayFn, p.doneFn = p.replayUnit, p.attemptDone
 }
 
 // Arena implements Runner. The pooled buffer is zeroed so replays see the
@@ -749,8 +755,8 @@ func (p *Player) Launch(l *emu.Launch) error {
 		l.Mem = &p.pool.reach
 		p.rec = nil
 		if match {
-			p.rec, p.cur = rec, 0
-			l.Replay, l.BlockDone, l.Attempt = p.replayer(ord, l), p.attemptDone, &p.pool.att
+			p.rec, p.cur, p.budget = rec, 0, cmp.Or(l.MaxDynInstrs, emu.DefaultMaxDynInstrs)
+			l.Replay, l.BlockDone, l.Attempt = p.replayFn, p.doneFn, &p.pool.att
 		} else if rec != nil {
 			p.markUnits(rec.Units) // the golden launch stored these; this one may not
 		}
@@ -791,42 +797,38 @@ func (p *Player) applyWhole(rec *LaunchRec, ord int) {
 // corruption, if any, before the first launch that runs.
 func (p *Player) done() bool { return p.fired == nil || p.fired() }
 
-// replayer is the emu.Launch.Replay of launch ord, which matches its record.
-// Before the fault only the fork launch's units before the target's unit
-// replay, the arena being golden; after it, every unit whose inputs hold,
-// and a warp recorded with its lanes runs only the lanes that loaded a
-// changed input. None of these replays a unit that would take the launch
+// replayUnit is the emu.Launch.Replay of a launch that matches its record,
+// p.rec. Before the fault only the fork launch's units before the target's
+// unit replay, the arena being golden; after it, every unit whose inputs
+// hold, and a warp recorded with its lanes runs only the lanes that loaded
+// a changed input. None of these replays a unit that would take the launch
 // past its watchdog budget.
-func (p *Player) replayer(ord int, l *emu.Launch) func(int, int, *emu.Result) uint32 {
-	rec := &p.tr.Launches[ord]
-	units := rec.Units
-	budget := cmp.Or(l.MaxDynInstrs, emu.DefaultMaxDynInstrs)
+func (p *Player) replayUnit(b, w int, res *emu.Result) uint32 {
 	const all = ^uint32(0)
-	return func(b, w int, res *emu.Result) uint32 {
-		u := rec.unit(b, w)
-		ur := &units[u]
-		p.cur = u
-		n, c := ur.Instrs, ur.Count
-		if u > 0 {
-			n -= units[u-1].Instrs
-			c -= units[u-1].Count
-		}
-		if res.DynThreadInstrs+n > budget {
-			return all
-		}
-		if p.done() {
-			if s := p.split(ur, n, res); s != 0 {
-				return s
-			}
-		} else if ord != p.start || u >= p.startUnit {
-			return all
-		}
-		ur.apply(p.g)
-		res.DynThreadInstrs += n
-		p.rep += n
-		p.repCount += c
-		return 0
+	units := p.rec.Units
+	u := p.rec.unit(b, w)
+	ur := &units[u]
+	p.cur = u
+	n, c := ur.Instrs, ur.Count
+	if u > 0 {
+		n -= units[u-1].Instrs
+		c -= units[u-1].Count
 	}
+	if res.DynThreadInstrs+n > p.budget {
+		return all
+	}
+	if p.done() {
+		if s := p.split(ur, n, res); s != 0 {
+			return s
+		}
+	} else if p.ord-1 != p.start || u >= p.startUnit { // p.ord-1 is the running launch
+		return all
+	}
+	ur.apply(p.g)
+	res.DynThreadInstrs += n
+	p.rep += n
+	p.repCount += c
+	return 0
 }
 
 // split returns the lanes of unit ur that loaded an input the arena no
@@ -853,7 +855,7 @@ func (p *Player) split(ur *UnitRec, n uint64, res *emu.Result) uint32 {
 	return s
 }
 
-// attemptDone is the emu.Launch.BlockDone of a launch with a replayer. It
+// attemptDone is the emu.Launch.BlockDone of a launch replayUnit replays. It
 // keeps an attempt that ended without error and touched nothing the warp's
 // other lanes own: it applies their writes and charges the warp's golden
 // count. Otherwise the emulator undoes the attempt and runs the warp whole.

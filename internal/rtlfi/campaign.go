@@ -101,7 +101,7 @@ func RunMicroCtx(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	outs, counters, err := run(ctx, p, func(machine *rtl.Machine, j faultJob, g []uint32, err error) microOut {
-		return classify(spec.Op, j.fault, machine, g, p.draws[j.draw].golden, err)
+		return classify(spec.Op, p.fault(j), machine, g, p.draws[j.draw].golden, err)
 	})
 	if err != nil {
 		return nil, err

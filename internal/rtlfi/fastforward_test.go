@@ -157,7 +157,7 @@ func TestFaultPanicNamesTheSite(t *testing.T) {
 	})
 	j := p.jobs[bad]
 	want := fmt.Sprintf("rtlfi: fault %d (%v bit %d, cycle %d, input draw %d): job %d panicked: stuck pipeline",
-		bad, j.fault.Module, j.fault.Bit, j.fault.Cycle, j.draw, bad)
+		bad, p.module, j.bit, j.cycle, j.draw, bad)
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("got %v, want it to start %q", err, want)
 	}

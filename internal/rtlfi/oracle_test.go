@@ -29,7 +29,7 @@ type naiveRun struct {
 // replayNaive runs one job of the plan on m from cycle 0.
 func (p *plan) replayNaive(m *rtl.Machine, j faultJob) naiveRun {
 	d := p.draws[j.draw]
-	m.Inject(j.fault)
+	m.Inject(p.fault(j))
 	g := append([]uint32(nil), d.global...)
 	err := m.Run(p.prog, 1, p.block, g, p.sharedWords, d.budget())
 	return naiveRun{g: g, err: err, cycles: m.Cycles(), jumped: m.SkippedCycles()}
@@ -67,13 +67,13 @@ func naiveReplay(t *testing.T, p *plan) ([]naiveRun, naiveTotals) {
 		if errors.Is(r.err, rtl.ErrWatchdog) {
 			nt.hung++
 			if budget := p.draws[j.draw].budget(); r.cycles != budget {
-				t.Fatalf("fault %+v: hung run reports %d cycles, budget %d", j.fault, r.cycles, budget)
+				t.Fatalf("fault %+v: hung run reports %d cycles, budget %d", p.fault(j), r.cycles, budget)
 			}
 			if r.jumped > 0 {
 				nt.wedged++
 			}
 		} else if r.jumped != 0 {
-			t.Fatalf("fault %+v: %d cycles skipped in a run that did not hang (%v)", j.fault, r.jumped, r.err)
+			t.Fatalf("fault %+v: %d cycles skipped in a run that did not hang (%v)", p.fault(j), r.jumped, r.err)
 		}
 		nt.cycles += r.cycles
 		nt.jumped += r.jumped
@@ -92,7 +92,7 @@ func microOracle(t *testing.T, spec Spec) (*Result, naiveTotals) {
 	res := &Result{Spec: spec, GoldenCycles: p.draws[0].goldenCycles}
 	m := rtl.New()
 	for i, j := range p.jobs {
-		res.add(classify(spec.Op, j.fault, m, runs[i].g, p.draws[j.draw].golden, runs[i].err))
+		res.add(classify(spec.Op, p.fault(j), m, runs[i].g, p.draws[j.draw].golden, runs[i].err))
 	}
 	return res, nt
 }

@@ -167,13 +167,13 @@ func TestBitParallelCrossValidation(t *testing.T) {
 			fullSim := func(j faultJob) ([]uint32, error) {
 				d := dp[j.draw]
 				g := append([]uint32(nil), d.global...)
-				machine.Inject(j.fault)
+				machine.Inject(p.fault(j))
 				err := machine.Run(prog, 1, MicroThreads, g, 0, d.goldenCycles*watchdogFactor+1000)
 				return g, err
 			}
 			classified := func(j faultJob, g []uint32, err error) *Result {
 				res := &Result{Spec: spec}
-				res.add(classify(spec.Op, j.fault, machine, g, dp[j.draw].golden, err))
+				res.add(classify(spec.Op, p.fault(j), machine, g, dp[j.draw].golden, err))
 				return res
 			}
 
@@ -189,13 +189,13 @@ func TestBitParallelCrossValidation(t *testing.T) {
 				j := jobs[i]
 				g, err := fullSim(j)
 				if (sr.err == nil) != (err == nil) {
-					t.Fatalf("fault %+v: DUE mismatch: march %v, scalar %v", j.fault, sr.err, err)
+					t.Fatalf("fault %+v: DUE mismatch: march %v, scalar %v", p.fault(j), sr.err, err)
 				}
 				if err != nil && sr.err.Error() != err.Error() {
-					t.Fatalf("fault %+v: DUE causes differ: march %v, scalar %v", j.fault, sr.err, err)
+					t.Fatalf("fault %+v: DUE causes differ: march %v, scalar %v", p.fault(j), sr.err, err)
 				}
 				if err == nil && !reflect.DeepEqual(sr.g, g) {
-					t.Fatalf("fault %+v: final memory images differ", j.fault)
+					t.Fatalf("fault %+v: final memory images differ", p.fault(j))
 				}
 				mg := sr.g
 				if sr.err != nil {
@@ -203,10 +203,10 @@ func TestBitParallelCrossValidation(t *testing.T) {
 				}
 				mr, fr := classified(j, mg, sr.err), classified(j, g, err)
 				if mr.Tally != fr.Tally {
-					t.Fatalf("fault %+v: classification differs: march %+v, scalar %+v", j.fault, mr.Tally, fr.Tally)
+					t.Fatalf("fault %+v: classification differs: march %+v, scalar %+v", p.fault(j), mr.Tally, fr.Tally)
 				}
 				if !reflect.DeepEqual(mr.Syndromes, fr.Syndromes) || !reflect.DeepEqual(mr.BitsWrong, fr.BitsWrong) {
-					t.Fatalf("fault %+v: syndromes differ", j.fault)
+					t.Fatalf("fault %+v: syndromes differ", p.fault(j))
 				}
 				checked++
 			}

@@ -71,11 +71,17 @@ func (d *inputDraw) prunedDead(f rtl.Fault) bool {
 	return d.live != nil && d.live.DeadAt(f.Module, f.Bit, f.Cycle)
 }
 
-// faultJob is one campaign work item: a single transient fault paired
-// with the input draw it is injected under.
+// faultJob is one campaign work item, 12 bytes: a transient fault in the
+// campaign's module (plan.fault) and the input draw it is injected under.
+// Golden runs end within goldenBudget (≤ 5 M cycles), so cycles fit 32 bits.
 type faultJob struct {
-	fault rtl.Fault
-	draw  int
+	bit, cycle uint32
+	draw       uint8
+}
+
+// fault is job j's fault, in the module of the campaign.
+func (p *plan) fault(j faultJob) rtl.Fault {
+	return rtl.Fault{Module: p.module, Bit: int(j.bit), Cycle: uint64(j.cycle)}
 }
 
 // drawJobs generates the campaign's deterministic fault list from the
@@ -89,12 +95,9 @@ func drawJobs(rng *stats.RNG, mod faults.Module, n int, draws []*inputDraw) []fa
 	for i := range jobs {
 		d := i % valuesPerRange
 		jobs[i] = faultJob{
-			draw: d,
-			fault: rtl.Fault{
-				Module: mod,
-				Bit:    rng.Intn(modBits),
-				Cycle:  uint64(rng.Intn(int(draws[d].goldenCycles))),
-			},
+			bit:   uint32(rng.Intn(modBits)),
+			cycle: uint32(rng.Intn(int(draws[d].goldenCycles))),
+			draw:  uint8(d),
 		}
 	}
 	return jobs
@@ -224,7 +227,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 	live := 0
 	for i := w; i < len(jobs); i += workers {
 		j := jobs[i]
-		if draws[j.draw].prunedDead(j.fault) {
+		if draws[j.draw].prunedDead(p.fault(j)) {
 			// Memoised for the recording phase: the dead-site liveness
 			// query is a measurable per-fault cost on dense campaigns, and
 			// each worker owns its stripe's slots, so the shared slice
@@ -255,7 +258,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 		// earliest fault, so a chunk of neighbouring cycles replays the
 		// shortest stretch of the golden run.
 		sort.SliceStable(idxs, func(a, b int) bool {
-			return jobs[idxs[a]].fault.Cycle < jobs[idxs[b]].fault.Cycle
+			return jobs[idxs[a]].cycle < jobs[idxs[b]].cycle
 		})
 		opts := rtl.MarchOpts{GoldenCycles: d.goldenCycles}
 		for off := 0; off < len(idxs); off += rtl.VecMaxLanes {
@@ -268,7 +271,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 			}
 			chunk = chunk[:0]
 			for _, gi := range group {
-				chunk = append(chunk, jobs[gi].fault)
+				chunk = append(chunk, p.fault(jobs[gi]))
 			}
 			// Each march fast-forwards its golden replay to the latest
 			// checkpoint at or before its earliest injection.
@@ -280,7 +283,7 @@ func (p *plan) marchStripe(ctx context.Context, w, workers int, ec *Counters, ma
 			for k, gi := range group {
 				var sr simRun
 				if err != nil {
-					sr = p.runFault(machine, d, jobs[gi].fault)
+					sr = p.runFault(machine, d, p.fault(jobs[gi]))
 				} else {
 					o := vouts[k]
 					sr = simRun{err: o.Err, sim: o.Sim, skipped: o.End - o.Sim}
@@ -344,7 +347,7 @@ func run[T any](ctx context.Context, p *plan,
 		return func(i int) (out T) {
 			j := p.jobs[i]
 			d := p.draws[j.draw]
-			if p.march && dead[i] || !p.march && d.prunedDead(j.fault) {
+			if p.march && dead[i] || !p.march && d.prunedDead(p.fault(j)) {
 				// Provably dead site: Masked with zero simulation. Its
 				// whole would-be replay (exactly goldenCycles — a dead
 				// fault's run is the golden run) lands in SkippedCycles
@@ -355,7 +358,7 @@ func run[T any](ctx context.Context, p *plan,
 			}
 			sr, ok := marched[i]
 			if !ok {
-				sr = p.runFault(machine, d, j.fault)
+				sr = p.runFault(machine, d, p.fault(j))
 				ec.SimCycles += sr.sim
 				ec.SkippedCycles += sr.skipped
 			}
@@ -365,7 +368,7 @@ func run[T any](ctx context.Context, p *plan,
 	if err != nil {
 		return nil, Counters{}, campaign.NameJob(err, func(i int) string {
 			j := p.jobs[i]
-			return fmt.Sprintf("rtlfi: fault %d (%v bit %d, cycle %d, input draw %d)", i, j.fault.Module, j.fault.Bit, j.fault.Cycle, j.draw)
+			return fmt.Sprintf("rtlfi: fault %d (%v bit %d, cycle %d, input draw %d)", i, p.module, j.bit, j.cycle, j.draw)
 		})
 	}
 	total := Counters{Injections: len(p.jobs)}
