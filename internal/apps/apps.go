@@ -59,20 +59,6 @@ func Suite() []*Workload {
 	}
 }
 
-// PresetSuite returns the applications at the paper's nominal sizes
-// (Table III). These runs are slow under an interpreter and are meant for
-// one-off validation, not injection campaigns.
-func PresetSuite() []*Workload {
-	return []*Workload{
-		NewMxM(512),
-		NewLava(2, 128),
-		NewQuicksort(1 << 20 / 4), // 4 MB of 32-bit keys... capped to one block width segments
-		NewHotspot(1024, 32),
-		NewLUD(2048),
-		NewGaussian(256),
-	}
-}
-
 // ArenaSlack pads every application's global-memory allocation, modelling
 // the large virtual address space of a real GPU: a corrupted address whose
 // flipped bit stays within the arena reads stale data or writes outside

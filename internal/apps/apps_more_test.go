@@ -198,3 +198,17 @@ func TestLavaCutoffMasks(t *testing.T) {
 		t.Fatalf("degenerate cutoff exercise: within=%d beyond=%d", within, beyond)
 	}
 }
+
+// PresetSuite returns the applications at the paper's nominal sizes
+// (Table III). These runs are slow under an interpreter and are meant for
+// one-off validation, not injection campaigns.
+func PresetSuite() []*Workload {
+	return []*Workload{
+		NewMxM(512),
+		NewLava(2, 128),
+		NewQuicksort(1 << 20 / 4), // 4 MB of 32-bit keys... capped to one block width segments
+		NewHotspot(1024, 32),
+		NewLUD(2048),
+		NewGaussian(256),
+	}
+}

@@ -83,13 +83,6 @@ func parseString[E fmt.Stringer](all []E, s string) (E, bool) {
 	return zero, false
 }
 
-// IsControl reports whether the module is a control structure (Table I
-// "Type" column); the paper finds control modules are the dominant source
-// of DUEs and multi-thread corruptions.
-func (m Module) IsControl() bool {
-	return m == ModSFUCtl || m == ModSched
-}
-
 // InputRange buckets instruction operand magnitudes the way the paper's
 // RTL campaigns do (§V-A).
 type InputRange uint8

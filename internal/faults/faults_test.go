@@ -150,3 +150,10 @@ func TestPatternStrings(t *testing.T) {
 		}
 	}
 }
+
+// IsControl reports whether the module is a control structure (Table I
+// "Type" column); the paper finds control modules are the dominant source
+// of DUEs and multi-thread corruptions.
+func (m Module) IsControl() bool {
+	return m == ModSFUCtl || m == ModSched
+}

@@ -95,30 +95,13 @@ func (c Cmp) String() string {
 }
 
 // EvalI applies the comparison to signed 32-bit integers.
-func (c Cmp) EvalI(a, b int32) bool {
-	switch c {
-	case CmpEQ:
-		return a == b
-	case CmpNE:
-		return a != b
-	case CmpLT:
-		return a < b
-	case CmpLE:
-		return a <= b
-	case CmpGT:
-		return a > b
-	case CmpGE:
-		return a >= b
-	}
-	return false
-}
+func (c Cmp) EvalI(a, b int32) bool { return eval(c, a, b) }
 
-// EvalF applies the comparison to float32 values (NaN compares false except
-// for NE, as in IEEE-754 unordered comparisons).
-func (c Cmp) EvalF(a, b float32) bool {
-	if a != a || b != b { // NaN
-		return c == CmpNE
-	}
+// EvalF applies the comparison to float32 values: a NaN compares false
+// except for NE, as in IEEE-754 unordered comparisons (and Go's).
+func (c Cmp) EvalF(a, b float32) bool { return eval(c, a, b) }
+
+func eval[T int32 | float32](c Cmp, a, b T) bool {
 	switch c {
 	case CmpEQ:
 		return a == b
@@ -200,9 +183,6 @@ type Instr struct {
 	// SIMT stack reconverges at this instruction index.
 	Reconv uint16
 }
-
-// FImm returns the immediate interpreted as a float32 payload.
-func (in Instr) FImm() float32 { return math.Float32frombits(uint32(in.Imm)) }
 
 // WithFImm returns a copy of the instruction with a float32 immediate.
 func (in Instr) WithFImm(f float32) Instr {

@@ -275,3 +275,6 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// FImm returns the immediate interpreted as a float32 payload.
+func (in Instr) FImm() float32 { return math.Float32frombits(uint32(in.Imm)) }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,11 +14,15 @@ import (
 // Handler returns the service's HTTP API:
 //
 //	POST   /jobs             submit a campaign (Request JSON, at most maxSubmitBody) -> 201 + Status
-//	GET    /jobs             list all jobs
+//	GET    /jobs             index of every job's status, without results
 //	GET    /jobs/{id}        one job's status (+ result when done)
-//	GET    /jobs/{id}/events stream status snapshots as server-sent events
+//	GET    /jobs/{id}/events stream status snapshots as server-sent events (the last one + result when done)
 //	DELETE /jobs/{id}        cancel a queued or running job
 //	GET    /healthz          liveness probe
+//
+// A done job's result is served from its journal record, byte for byte,
+// when the service keeps a journal; a record that no longer holds it is a
+// 500, never an empty result.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -73,12 +78,46 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Get(r.PathValue("id"))
+	j, ok := s.job(r.PathValue("id"))
 	if !ok {
 		api.Write(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	api.Write(w, http.StatusOK, st)
+	st, err := s.withResult(j)
+	var blob []byte
+	if err == nil {
+		blob, err = statusJSON(st, api.Indent)
+	}
+	if err != nil {
+		api.Write(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(blob, '\n'))
+}
+
+// statusJSON is st marshalled with indent ("" for compact) but for its
+// result, which is spliced in after the marshalled head as it is — compact
+// json.Marshal output — instead of being re-encoded, as checkpoint.marshal
+// splices a record's raw parts. Compact, it is json.Marshal(st).
+func statusJSON(st Status, indent string) ([]byte, error) {
+	result := st.Result
+	st.Result = nil
+	var head []byte
+	var err error
+	nl, colon := "", ":"
+	if indent == "" {
+		head, err = json.Marshal(st)
+	} else {
+		head, err = json.MarshalIndent(st, "", indent)
+		nl, colon = "\n", ": "
+	}
+	if err != nil || len(result) == 0 {
+		return head, err
+	}
+	head = bytes.TrimSuffix(head[:len(head)-1], []byte(nl))
+	return append(append(append(head, ","+nl+indent+`"result"`+colon...), result...), nl+"}"...), nil
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -97,7 +136,9 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams status snapshots as server-sent events. Progress
 // and state changes are sampled every Service.eventsPoll; the terminal
 // state is not — Service.finish wakes the stream, so the final event goes
-// out as soon as the state is visible — and the stream ends after it.
+// out as soon as the state is visible — and the stream ends after it. A
+// done job's final event carries its result, as GET /jobs/{id} does; when
+// the job's record no longer holds it, the stream ends without that event.
 // Idle streams carry periodic SSE comments (": keep-alive") every
 // Config.SSEKeepAlive so proxies and load balancers with read timeouts
 // keep them open.
@@ -112,19 +153,23 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		api.Write(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
 		return
 	}
+	last, err := s.withResult(j)
+	if err != nil {
+		api.Write(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
 	emit := func(st Status) {
-		blob, err := json.Marshal(st)
+		blob, err := statusJSON(st, "")
 		if err != nil {
 			return
 		}
 		fmt.Fprintf(w, "data: %s\n\n", blob)
 		flusher.Flush()
 	}
-	last := s.statusOf(j)
 	emit(last)
 	ticker := time.NewTicker(s.eventsPoll)
 	defer ticker.Stop()
@@ -143,7 +188,11 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 		case <-j.terminal:
 		}
-		st := s.statusOf(j)
+		st, err := s.withResult(j)
+		if err != nil {
+			s.cfg.Logf("jobs: events of %s: %v", j.id, err)
+			return
+		}
 		if st.State != last.State || st.Done != last.Done || st.UnitsDone != last.UnitsDone {
 			emit(st)
 			last = st

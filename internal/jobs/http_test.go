@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/syndrome"
 )
 
@@ -548,5 +549,212 @@ func TestHTTPPanickingUnitFailsTheJobOnly(t *testing.T) {
 	})
 	if good.State != StateDone {
 		t.Errorf("the job after the panic ended %s (error %q), want done", good.State, good.Error)
+	}
+}
+
+// finalEvent follows a job's event stream to its terminal event.
+func finalEvent(t *testing.T, base, id string) Status {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs/%s/events = %d, want 200", id, resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 16<<20)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Status
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("bad SSE payload %q: %v", data, err)
+		}
+		if ev.State.Terminal() {
+			return ev
+		}
+	}
+	t.Fatalf("events of %s ended before the job did (%v)", id, sc.Err())
+	return Status{}
+}
+
+// TestFinishedJobLivesInJournal: a service with a journal holds no result
+// or unit bytes for the jobs it finished. GET /jobs/{id} and the terminal
+// event serve the result its journal record holds, byte for byte, also
+// after a restart; GET /jobs is an index without results; a changed or
+// missing record is a 500, not an empty result; and a service without a
+// journal keeps and serves the result itself.
+func TestFinishedJobLivesInJournal(t *testing.T) {
+	req := Request{Kind: KindCharacterize, Ops: []string{"FADD"}, Ranges: []string{"M"}, Faults: 40, SkipTMXM: true}
+	dir := t.TempDir()
+	s, srv := newHTTPService(t, Config{Workers: 1, Dir: dir})
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		req.Seed = seed
+		ids = append(ids, postJob(t, srv.URL, req).ID)
+	}
+	for _, id := range ids {
+		if st := finalEvent(t, srv.URL, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s (error %q)", id, st.State, st.Error)
+		}
+	}
+	recorded := func(id string) json.RawMessage {
+		t.Helper()
+		blob, err := os.ReadFile(filepath.Join(dir, "job-"+id[2:]+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ck checkpoint
+		if err := json.Unmarshal(blob, &ck); err != nil || len(ck.Result) == 0 {
+			t.Fatalf("record of %s holds no result (%v)", id, err)
+		}
+		return ck.Result
+	}
+	holdsNothing := func(s *Service) {
+		t.Helper()
+		for _, id := range ids {
+			j, _ := s.job(id)
+			j.mu.Lock()
+			if j.result != nil || j.completed != nil || j.char.db != nil {
+				t.Errorf("done job %s holds %d result bytes, %d units, a database %v", id, len(j.result), len(j.completed), j.char.db != nil)
+			}
+			j.mu.Unlock()
+		}
+	}
+	serves := func(base string) {
+		t.Helper()
+		for _, id := range ids {
+			want := recorded(id)
+			if got := getJob(t, base, id); !bytes.Equal(got.Result, want) || got.UnitsDone != got.UnitsTotal || got.RTL == nil {
+				t.Errorf("GET /jobs/%s: %d units of %d, telemetry %v, result (%d bytes) differs from its record's (%d bytes)",
+					id, got.UnitsDone, got.UnitsTotal, got.RTL != nil, len(got.Result), len(want))
+			}
+			if got := finalEvent(t, base, id).Result; !bytes.Equal(got, want) {
+				t.Errorf("terminal event of %s: result (%d bytes) differs from its record's (%d bytes)", id, len(got), len(want))
+			}
+		}
+		resp, err := http.Get(base + "/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list struct {
+			Jobs []map[string]json.RawMessage `json:"jobs"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || len(list.Jobs) != len(ids) {
+			t.Fatalf("GET /jobs lists %d jobs (%v), want %d", len(list.Jobs), err, len(ids))
+		}
+		for _, st := range list.Jobs {
+			if _, ok := st["result"]; ok {
+				t.Errorf("GET /jobs carries the result of %s", st["id"])
+			}
+		}
+	}
+	holdsNothing(s)
+	serves(srv.URL)
+
+	srv.Close()
+	s.Close()
+	s2, srv2 := newHTTPService(t, Config{Workers: 1, Dir: dir})
+	holdsNothing(s2)
+	serves(srv2.URL)
+
+	// A record changed under its job, and a missing one.
+	changed := filepath.Join(dir, "job-"+ids[0][2:]+".json")
+	blob, err := os.ReadFile(changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.LastIndex(blob, []byte(`"characterize"`)) // the result's kind
+	copy(blob[i:], `"CHARACTERIZE"`)
+	if err := os.WriteFile(changed, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "job-"+ids[1][2:]+".json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[:2] {
+		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/events"} {
+			resp, err := http.Get(srv2.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Errorf("GET %s with its record changed or gone = %d, want 500", path, resp.StatusCode)
+			}
+		}
+		if _, ok := s2.Get(id); ok {
+			t.Errorf("Get(%s) reports a job whose record no longer holds its result", id)
+		}
+	}
+	getJob(t, srv2.URL, ids[2])
+
+	// Without a journal the job keeps its result, and serves the same bytes.
+	s3, srv3 := newHTTPService(t, Config{Workers: 1})
+	st := postJob(t, srv3.URL, req)
+	if ev := finalEvent(t, srv3.URL, st.ID); !bytes.Equal(ev.Result, recorded(ids[2])) {
+		t.Errorf("terminal event without a journal: result (%d bytes) differs from the journalled run's", len(ev.Result))
+	}
+	if got := getJob(t, srv3.URL, st.ID).Result; !bytes.Equal(got, recorded(ids[2])) {
+		t.Errorf("GET without a journal: result (%d bytes) differs from the journalled run's", len(got))
+	}
+	if j, _ := s3.job(st.ID); j.completed != nil {
+		t.Errorf("done job without a journal still holds %d units", len(j.completed))
+	}
+}
+
+// TestResultJSONMatchesEncodingJSON: the final result assembled from the
+// units' records and the database's journal form is json.Marshal of the
+// Result, and a status with the result spliced in is json.Marshal of the
+// status.
+func TestResultJSONMatchesEncodingJSON(t *testing.T) {
+	prog, err := compile(journalledChar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCharDB()
+	var units []json.RawMessage
+	for _, u := range []unit{prog.units[0], prog.units[1], prog.units[len(prog.units)-1]} { // micro and t-MxM
+		res, err := core.RunUnit(context.Background(), u.char, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := ingestCharUnit(&c, u.char, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, raw)
+	}
+	for _, res := range []Result{{Kind: KindCharacterize, Units: units, DB: c.db}, {Kind: KindHPC, Units: units}} {
+		var db json.RawMessage
+		if res.DB != nil {
+			db = c.journalForm()
+		}
+		got := resultJSON(res.Kind, res.Units, db)
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s result: assembled\n%s\njson.Marshal gives\n%s", res.Kind, got, want)
+		}
+		st := Status{ID: "j-000001", Kind: res.Kind, State: StateDone, Done: 3, Total: 3, Result: got}
+		compact, err := statusJSON(st, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(st); !bytes.Equal(compact, want) {
+			t.Fatalf("%s status: spliced\n%s\njson.Marshal gives\n%s", res.Kind, compact, want)
+		}
+		indented, err := statusJSON(st, " ")
+		var back Status
+		if err != nil || json.Unmarshal(indented, &back) != nil || !bytes.Equal(back.Result, got) || back.ID != st.ID {
+			t.Fatalf("%s status: indented form %s does not read back (%v)", res.Kind, indented, err)
+		}
 	}
 }

@@ -124,6 +124,29 @@ type Result struct {
 	DB    *syndrome.DB      `json:"db,omitempty"`
 }
 
+// resultJSON is json.Marshal(Result{Kind: kind, Units: units, DB: d}) for
+// the database d that encodes as db, assembled from those encodings instead
+// of re-encoding them, as checkpoint.marshal assembles a record. units is
+// never empty: every job plans at least one.
+func resultJSON(kind Kind, units []json.RawMessage, db json.RawMessage) json.RawMessage {
+	k, _ := json.Marshal(kind) // a string always encodes
+	size := len(k) + len(db) + len(`{"kind":,"units":[],"db":}`)
+	for _, u := range units {
+		size += len(u) + 1
+	}
+	buf := append(append(make([]byte, 0, size), `{"kind":`...), k...)
+	sep := `,"units":[`
+	for _, u := range units {
+		buf = append(append(buf, sep...), u...)
+		sep = ","
+	}
+	buf = append(buf, ']')
+	if len(db) > 0 {
+		buf = append(append(buf, `,"db":`...), db...)
+	}
+	return append(buf, '}')
+}
+
 // unit is one schedulable, checkpointable slice of a job. db is the loaded
 // syndrome database of a job whose fault models need one.
 type unit struct {

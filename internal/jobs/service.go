@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +19,6 @@ import (
 	"gpufi/internal/campaign"
 	"gpufi/internal/core"
 	"gpufi/internal/fabric"
-	"gpufi/internal/faults"
 	"gpufi/internal/swfi"
 	"gpufi/internal/syndrome"
 )
@@ -116,14 +117,17 @@ type Job struct {
 	resumed int64          // the done count the journal held at load; see doneCount
 
 	mu            sync.Mutex
-	swLive        swLive // live software-unit throughput; not journalled
+	rtl           core.Telemetry // characterize jobs: the completed units' counters, folded as each commits
+	sw            swfi.Counters  // hpc and cnn jobs: the same
+	swLive        swLive         // live software-unit throughput; not journalled
 	state         State
 	errMsg        string
 	unitsTotal    int
-	completed     map[string]json.RawMessage
-	char          charDB // partial DB of a characterize job
-	result        json.RawMessage
-	cancel        context.CancelFunc // non-nil while running
+	completed     map[string]json.RawMessage // nil once the job is done
+	char          charDB                     // partial DB of a characterize job
+	result        json.RawMessage            // a done job's, until its journal record holds it
+	record        resultSpan                 // where that record holds it
+	cancel        context.CancelFunc         // non-nil while running
 	userCancelled bool
 
 	// terminal is closed once the job has shown a terminal state, so an
@@ -188,7 +192,8 @@ func (c *charDB) journalForm() json.RawMessage {
 	return syndrome.AssembleJSON(c.entries, c.tmxm)
 }
 
-// Status is a point-in-time, JSON-ready view of a job.
+// Status is a point-in-time, JSON-ready view of a job. Only Get fills in
+// Result.
 type Status struct {
 	ID         string            `json:"id"`
 	Kind       Kind              `json:"kind"`
@@ -234,43 +239,55 @@ type SWTelemetry struct {
 	EffectiveMIPS float64 `json:"effective_mips,omitempty"`
 }
 
-// Status snapshots the job.
+// Status snapshots the job, without its result.
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	units := len(j.completed)
+	if j.state == StateDone { // it ran them all, and no longer holds them
+		units = j.unitsTotal
+	}
 	return Status{
 		ID:         j.id,
 		Kind:       j.req.Kind,
 		State:      j.state,
 		Done:       j.doneCount(),
 		Total:      int64(j.done.Total),
-		UnitsDone:  len(j.completed),
+		UnitsDone:  units,
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
-		RTL:        j.rtlTelemetry(),
-		SW:         j.swTelemetry(),
-		Result:     j.result,
+		RTL:        j.rtlTelemetry(units),
+		SW:         j.swTelemetry(units),
 	}
 }
 
-// rtlTelemetry sums the completed characterisation units' engine
-// counters. Caller holds j.mu. Units journalled by older service versions
-// unmarshal their missing counters as zero, which only understates the
-// aggregate.
-func (j *Job) rtlTelemetry() *RTLTelemetry {
-	if j.req.Kind != KindCharacterize || len(j.completed) == 0 {
+// foldRecord adds a unit's journal record to the job's telemetry, as
+// runUnits adds a unit it commits. Records written by older service
+// versions unmarshal their missing counters as zero, which only
+// understates the aggregate.
+func (j *Job) foldRecord(raw json.RawMessage) {
+	if j.req.Kind == KindCharacterize {
+		var u CharUnitResult
+		if json.Unmarshal(raw, &u) == nil {
+			u.Counters.Injections = u.Tally.Injections
+			j.rtl.Merge(u.Counters)
+		}
+		return
+	}
+	var u HPCUnitResult // a CNN unit's record has the same tally and counters
+	if json.Unmarshal(raw, &u) == nil {
+		u.Counters.Injections = u.Tally.Injections
+		j.sw.Merge(u.Counters)
+	}
+}
+
+// rtlTelemetry derives the status view of the folded characterisation
+// counters. Caller holds j.mu.
+func (j *Job) rtlTelemetry(units int) *RTLTelemetry {
+	if j.req.Kind != KindCharacterize || units == 0 {
 		return nil
 	}
-	agg := &RTLTelemetry{}
-	for _, raw := range j.completed {
-		var u CharUnitResult
-		if json.Unmarshal(raw, &u) != nil {
-			continue
-		}
-		u.Counters.Injections = u.Tally.Injections
-		agg.Merge(u.Counters)
-	}
-	agg.Injections = agg.Telemetry.Injections
+	agg := &RTLTelemetry{Injections: j.rtl.Injections, Telemetry: j.rtl}
 	// A fully pruned aggregate has an infinite speedup, which JSON cannot
 	// carry; the field is omitted (0) in that corner.
 	if rs := agg.Telemetry.ReplaySpeedup(); !math.IsInf(rs, 1) {
@@ -282,28 +299,13 @@ func (j *Job) rtlTelemetry() *RTLTelemetry {
 	return agg
 }
 
-// swTelemetry sums the completed software-campaign units' instruction
-// counters. Caller holds j.mu. HPC and CNN unit results share the tally
-// and the counters, so one probe struct decodes both; older journal
-// records without them unmarshal as zero, which only understates the
-// aggregate.
-func (j *Job) swTelemetry() *SWTelemetry {
-	if (j.req.Kind != KindHPC && j.req.Kind != KindCNN) || len(j.completed) == 0 {
+// swTelemetry derives the status view of the folded software-campaign
+// counters. Caller holds j.mu.
+func (j *Job) swTelemetry(units int) *SWTelemetry {
+	if (j.req.Kind != KindHPC && j.req.Kind != KindCNN) || units == 0 {
 		return nil
 	}
-	agg := &SWTelemetry{}
-	for _, raw := range j.completed {
-		var u struct {
-			Tally faults.Tally `json:"tally"`
-			swfi.Counters
-		}
-		if json.Unmarshal(raw, &u) != nil {
-			continue
-		}
-		u.Counters.Injections = u.Tally.Injections
-		agg.Merge(u.Counters)
-	}
-	agg.Injections = agg.Counters.Injections
+	agg := &SWTelemetry{Injections: j.sw.Injections, Counters: j.sw}
 	agg.FFSpeedup = agg.Counters.FFSpeedup()
 	// Throughput comes from the live counters, not the journal: wall time
 	// is nondeterministic and must stay out of the bit-identical unit
@@ -373,6 +375,30 @@ func (ck checkpoint) marshal() ([]byte, error) {
 		buf = append(append(buf, `,"result":`...), result...)
 	}
 	return append(buf, '}'), nil
+}
+
+// resultSpan is where a done job's journal record holds its result — the
+// record's last field, as marshal splices it in — with the result's
+// checksum, so the job can serve the result from there and notice a record
+// that changed under it.
+type resultSpan struct {
+	off int64
+	n   int
+	sum uint32
+}
+
+// read returns the result from the record at path.
+func (r resultSpan) read(path string) (json.RawMessage, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, r.n)
+	if _, err := f.ReadAt(buf, r.off); err != nil || crc32.ChecksumIEEE(buf) != r.sum {
+		return nil, fmt.Errorf("jobs: journal record %s no longer holds its job's result (%v)", path, err)
+	}
+	return buf, nil
 }
 
 // Submission errors that map to 503 rather than 400 over HTTP.
@@ -467,12 +493,21 @@ func (s *Service) loadCheckpoints() error {
 			errMsg:     ck.Error,
 			unitsTotal: ck.UnitsTotal,
 			completed:  ck.Completed,
-			result:     ck.Result,
 			terminal:   make(chan struct{}),
 			done:       campaign.Meter{Total: int(ck.Total)},
 			resumed:    ck.Done,
 		}
-		if j.completed == nil {
+		for _, raw := range ck.Completed {
+			j.foldRecord(raw)
+		}
+		if ck.State == StateDone { // the result stays in the record, as finish leaves it
+			blob = bytes.TrimRight(blob, " \t\r\n")
+			off := len(blob) - 1 - len(ck.Result)
+			if !bytes.Equal(blob[off:len(blob)-1], ck.Result) || bytes.ContainsAny(ck.Result, "\r\n") {
+				return fmt.Errorf("jobs: checkpoint %s does not end with its compact result", path)
+			}
+			j.completed, j.record = nil, resultSpan{int64(off), len(ck.Result), crc32.ChecksumIEEE(ck.Result)}
+		} else if j.completed == nil {
 			j.completed = make(map[string]json.RawMessage)
 		}
 		if len(ck.DB) > 0 && !ck.State.Terminal() { // a finished job's database is in its result
@@ -546,13 +581,17 @@ func (s *Service) Submit(req Request) (Status, error) {
 	return j.Status(), nil
 }
 
-// Get returns a job's status by ID.
+// Get returns a job's status by ID, with a done job's result: kept in
+// memory by a service without a journal, read back from the job's record
+// by one with. ok is false when there is no such job, or when that record
+// no longer holds the result.
 func (s *Service) Get(id string) (Status, bool) {
 	j, ok := s.job(id)
 	if !ok {
 		return Status{}, false
 	}
-	return s.statusOf(j), true
+	st, err := s.withResult(j)
+	return st, err == nil
 }
 
 func (s *Service) job(id string) (*Job, bool) {
@@ -562,7 +601,8 @@ func (s *Service) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List returns every known job's status in submission order.
+// List returns every known job's status in submission order, without
+// results: Get fetches one job's.
 func (s *Service) List() []Status {
 	s.mu.Lock()
 	js := make([]*Job, 0, len(s.order))
@@ -588,6 +628,25 @@ func (s *Service) statusOf(j *Job) Status {
 		}
 	}
 	return st
+}
+
+// withResult is statusOf with a done job's result. A job whose result
+// its journal record holds reads exactly those bytes, with no JSON parse.
+func (s *Service) withResult(j *Job) (Status, error) {
+	st := s.statusOf(j)
+	if st.State != StateDone { // a done job never changes again
+		return st, nil
+	}
+	j.mu.Lock()
+	rec := j.record
+	st.Result = j.result
+	j.mu.Unlock()
+	if rec.n == 0 {
+		return st, nil
+	}
+	var err error
+	st.Result, err = rec.read(s.recordPath(j.id))
+	return st, err
 }
 
 // Cancel stops a queued or running job. Cancelling is idempotent;
@@ -726,28 +785,20 @@ func (s *Service) runJob(j *Job) {
 		return
 	}
 
-	// All units done: assemble the final result in plan order.
-	res := Result{Kind: j.req.Kind}
+	// All units done: assemble the final result in plan order from the
+	// encodings the job holds.
+	units := make([]json.RawMessage, len(prog.units))
 	j.mu.Lock()
-	for _, u := range prog.units {
-		raw, ok := j.completed[u.name]
-		if !ok {
+	for i, u := range prog.units {
+		if units[i] = j.completed[u.name]; units[i] == nil {
 			j.mu.Unlock()
 			fail(fmt.Errorf("unit %s finished without a recorded result", u.name))
 			return
 		}
-		res.Units = append(res.Units, raw)
 	}
-	if j.req.Kind == KindCharacterize {
-		res.DB = j.char.db
-	}
+	dbJSON := j.char.journalForm() // nil but for a characterize job
 	j.mu.Unlock()
-	blob, err := json.Marshal(res)
-	if err != nil {
-		fail(err)
-		return
-	}
-	s.finish(j, StateDone, "", blob)
+	s.finish(j, StateDone, "", resultJSON(j.req.Kind, units, dbJSON))
 }
 
 // finish takes a job out of the running (or queued) state: into a
@@ -756,10 +807,11 @@ func (s *Service) runJob(j *Job) {
 // client that has seen the new state can rely on a restarted service
 // agreeing with it. Both happen under the journal lock, so no other record
 // of the job (Submit's first one, a checkpoint tick) can land after this
-// one still showing the old state.
+// one still showing the old state. A done job keeps neither its units nor,
+// once its record is written, its result: the record serves it.
 func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMessage) {
 	j.journalMu.Lock()
-	s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
+	size := s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
 	j.mu.Lock()
 	// Two Cancels of a queued job can both get here; the first one through
 	// makes the state terminal and owns the close.
@@ -767,6 +819,12 @@ func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMess
 	j.state, j.errMsg, j.result, j.cancel = state, errMsg, result, nil
 	if state.Terminal() {
 		j.char = charDB{} // never journalled again; a done job's result holds the database
+	}
+	if state == StateDone {
+		j.completed = nil // folded into the telemetry, and held by the result
+		if size > 0 {
+			j.result, j.record = nil, resultSpan{int64(size - 1 - len(result)), len(result), crc32.ChecksumIEEE(result)}
+		}
 	}
 	j.mu.Unlock()
 	j.journalMu.Unlock()
@@ -829,12 +887,16 @@ func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndr
 			j.mu.Lock()
 			if out.char != nil {
 				out.raw, err = ingestCharUnit(&j.char, u.char, out.char)
+				tel := out.char.Telemetry()
+				tel.Injections = out.char.Tally().Injections // as foldRecord counts them
+				j.rtl.Merge(tel)
 			}
 			if err != nil {
 				j.mu.Unlock()
 				return err
 			}
 			j.completed[u.name] = out.raw
+			j.sw.Merge(out.sw.Counters)
 			j.swLive.Merge(out.sw.Counters)
 			j.swLive.elapsed += out.sw.elapsed
 			j.mu.Unlock()
@@ -857,10 +919,11 @@ func (s *Service) saveCheckpoint(j *Job) {
 // journal writes the job's checkpoint atomically (temp file + rename),
 // so a crash mid-write can never corrupt an existing one. amend, when
 // non-nil, edits the record before it is written: finish journals a
-// state the job does not show yet. The caller holds j.journalMu.
-func (s *Service) journal(j *Job, amend func(*checkpoint)) {
+// state the job does not show yet. It returns the length of the record
+// written, 0 if none was. The caller holds j.journalMu.
+func (s *Service) journal(j *Job, amend func(*checkpoint)) int {
 	if s.cfg.Dir == "" {
-		return
+		return 0
 	}
 	j.mu.Lock()
 	ck := checkpoint{
@@ -882,10 +945,16 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) {
 	j.mu.Unlock()
 	if err != nil {
 		s.cfg.Logf("jobs: marshal checkpoint %s: %v", j.id, err)
-		return
+		return 0
 	}
-	path := filepath.Join(s.cfg.Dir, "job-"+strings.TrimPrefix(j.id, "j-")+".json")
-	if err := s.writeFile(path, blob, 0o644); err != nil {
+	if err := s.writeFile(s.recordPath(j.id), blob, 0o644); err != nil {
 		s.cfg.Logf("jobs: write checkpoint %s: %v", j.id, err)
+		return 0
 	}
+	return len(blob)
+}
+
+// recordPath is the journal file of job id.
+func (s *Service) recordPath(id string) string {
+	return filepath.Join(s.cfg.Dir, "job-"+strings.TrimPrefix(id, "j-")+".json")
 }

@@ -159,9 +159,6 @@ func (b *Builder) FExp(d, a isa.Reg) { b.op1(isa.OpFEXP, d, a) }
 // FRcp emits d = 1/a.
 func (b *Builder) FRcp(d, a isa.Reg) { b.op1(isa.OpFRCP, d, a) }
 
-// FRsqrt emits d = 1/sqrt(a).
-func (b *Builder) FRsqrt(d, a isa.Reg) { b.op1(isa.OpFRSQRT, d, a) }
-
 // Shl emits d = a << imm.
 func (b *Builder) Shl(d, a isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpSHL, Guard: isa.PredTrue, Dst: d, SrcA: a, UseImmB: true, Imm: imm})

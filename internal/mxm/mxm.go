@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"gpufi/internal/fp32"
 	"gpufi/internal/isa"
 	"gpufi/internal/kasm"
 	"gpufi/internal/stats"
@@ -167,22 +166,6 @@ func ExtractC(g []uint32, n int) []float32 {
 		out[i] = math.Float32frombits(g[int(COffset(n))+i])
 	}
 	return out
-}
-
-// Reference computes C = A x B on the host with the exact FTZ/FFMA
-// semantics and accumulation order of the kernel, for golden comparisons.
-func Reference(a, b []float32, n int) []float32 {
-	c := make([]float32, n*n)
-	for row := 0; row < n; row++ {
-		for col := 0; col < n; col++ {
-			acc := float32(0)
-			for k := 0; k < n; k++ {
-				acc = fp32.Fma(a[row*n+k], b[k*n+col], acc)
-			}
-			c[row*n+col] = acc
-		}
-	}
-	return c
 }
 
 // TileKind selects the t-MxM characterisation input following §V-A: the

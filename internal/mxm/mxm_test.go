@@ -6,6 +6,7 @@ import (
 
 	"gpufi/internal/emu"
 	"gpufi/internal/faults"
+	"gpufi/internal/fp32"
 	"gpufi/internal/rtl"
 	"gpufi/internal/stats"
 )
@@ -225,4 +226,20 @@ func BenchmarkTiledMxMTileRTL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Reference computes C = A x B on the host with the exact FTZ/FFMA
+// semantics and accumulation order of the kernel, for golden comparisons.
+func Reference(a, b []float32, n int) []float32 {
+	c := make([]float32, n*n)
+	for row := 0; row < n; row++ {
+		for col := 0; col < n; col++ {
+			acc := float32(0)
+			for k := 0; k < n; k++ {
+				acc = fp32.Fma(a[row*n+k], b[k*n+col], acc)
+			}
+			c[row*n+col] = acc
+		}
+	}
+	return c
 }

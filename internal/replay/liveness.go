@@ -71,21 +71,6 @@ func (lv *Liveness) Sites() uint64 {
 	return lv.n
 }
 
-// Dead reports whether countable site idx is dead, and if so returns its
-// site record.
-func (lv *Liveness) Dead(idx uint64) (SiteInfo, bool) {
-	if lv == nil || idx >= lv.n {
-		return SiteInfo{}, false
-	}
-	k := idx >> 6
-	bit := uint64(1) << (idx & 63)
-	if lv.dead[k]&bit == 0 {
-		return SiteInfo{}, false
-	}
-	rank := uint64(lv.cum[k]) + uint64(bits.OnesCount64(lv.dead[k]&(bit-1)))
-	return lv.info[rank], true
-}
-
 // liveEv is one captured warp-level instruction of the golden run.
 type liveEv struct {
 	op      isa.Opcode

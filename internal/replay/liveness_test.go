@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"gpufi/internal/emu"
@@ -233,4 +234,19 @@ func TestDeadSiteInfoIsWhatAnInjectionSees(t *testing.T) {
 			t.Errorf("site %d: index holds %+v, a firing hook sees %+v", idx, got, want)
 		}
 	}
+}
+
+// Dead reports whether countable site idx is dead, and if so returns its
+// site record.
+func (lv *Liveness) Dead(idx uint64) (SiteInfo, bool) {
+	if lv == nil || idx >= lv.n {
+		return SiteInfo{}, false
+	}
+	k := idx >> 6
+	bit := uint64(1) << (idx & 63)
+	if lv.dead[k]&bit == 0 {
+		return SiteInfo{}, false
+	}
+	rank := uint64(lv.cum[k]) + uint64(bits.OnesCount64(lv.dead[k]&(bit-1)))
+	return lv.info[rank], true
 }

@@ -17,10 +17,7 @@
 // sizes reported in Table I of the paper.
 package rtl
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Field is one named flip-flop group inside a module layout.
 type Field struct {
@@ -201,15 +198,6 @@ func (s *State) FlipBit(bit int) {
 // Bit reads one flip-flop by absolute position.
 func (s *State) Bit(bit int) uint64 {
 	return s.words[bit/64] >> uint(bit%64) & 1
-}
-
-// PopCount returns the number of set flip-flops (used in tests).
-func (s *State) PopCount() int {
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // lanes returns i consecutive per-lane fields named prefix0..prefix{n-1}.

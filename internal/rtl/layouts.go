@@ -236,19 +236,6 @@ func newPipeLayout() *Layout {
 	return NewLayout("Pipeline", fields)
 }
 
-// isPipeDatapathField reports whether a pipeline-register field stores
-// per-lane operand or result data (as opposed to control signals) — the
-// paper's ~84%/16% split (§V-B).
-func isPipeDatapathField(name string) bool {
-	for _, p := range []string{"cola_a", "cola_b", "cola_c", "colb_a", "colb_b", "colb_c",
-		"exin_", "exout", "wb_res", "lsu_addr"} {
-		if len(name) >= len(p) && name[:len(p)] == p {
-			return true
-		}
-	}
-	return false
-}
-
 // newFP32Layout is the 8-lane single-precision unit. Each lane is the
 // staged datapath of internal/fp32: unpack, exact multiply, align (order
 // and shift-count, then shift and add), round — with every intermediate

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"math/bits"
 	"testing"
 
 	"gpufi/internal/faults"
@@ -169,4 +170,26 @@ func TestCoverageShareVsRegisterFile(t *testing.T) {
 	if total != want {
 		t.Errorf("characterised FF total = %d, want %d", total, want)
 	}
+}
+
+// PopCount returns the number of set flip-flops (used in tests).
+func (s *State) PopCount() int {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// isPipeDatapathField reports whether a pipeline-register field stores
+// per-lane operand or result data (as opposed to control signals) — the
+// paper's ~84%/16% split (§V-B).
+func isPipeDatapathField(name string) bool {
+	for _, p := range []string{"cola_a", "cola_b", "cola_c", "colb_a", "colb_b", "colb_c",
+		"exin_", "exout", "wb_res", "lsu_addr"} {
+		if len(name) >= len(p) && name[:len(p)] == p {
+			return true
+		}
+	}
+	return false
 }

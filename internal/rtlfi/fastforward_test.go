@@ -162,3 +162,6 @@ func TestFaultPanicNamesTheSite(t *testing.T) {
 		t.Fatalf("got %v, want it to start %q", err, want)
 	}
 }
+
+// MicroWords returns the global-memory image size of a micro-benchmark.
+func MicroWords() int { return microWords }

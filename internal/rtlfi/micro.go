@@ -103,9 +103,6 @@ func BuildMicro(op isa.Opcode) (*kasm.Program, error) {
 	return b.Finalize()
 }
 
-// MicroWords returns the global-memory image size of a micro-benchmark.
-func MicroWords() int { return microWords }
-
 // isIntOp reports whether the benchmark operands are integers.
 func isIntOp(op isa.Opcode) bool {
 	switch op {

@@ -157,7 +157,7 @@ func TestBitParallelCrossValidation(t *testing.T) {
 			var ec Counters
 			machine := rtl.New()
 			dead := make([]bool, len(jobs))
-			outs := p.marchStripe(t.Context(), 0, 1, &ec, machine, dead)
+			outs := p.marchStripe(context.Background(), 0, 1, &ec, machine, dead)
 			if ec.VectorFaults != uint64(len(outs)) {
 				t.Fatalf("march fell back to scalar simulation: %d vector faults, %d outcomes",
 					ec.VectorFaults, len(outs))

@@ -26,14 +26,6 @@ func (p PowerLaw) Sample(r *RNG) float64 {
 	return p.Xmin * math.Pow(1-u, -1/(p.Alpha-1))
 }
 
-// CDF returns P(X <= x) for the fitted tail model.
-func (p PowerLaw) CDF(x float64) float64 {
-	if x < p.Xmin {
-		return 0
-	}
-	return 1 - math.Pow(x/p.Xmin, 1-p.Alpha)
-}
-
 // Quantile inverts the CDF.
 func (p PowerLaw) Quantile(q float64) float64 {
 	if q <= 0 {
@@ -132,20 +124,4 @@ func FitPowerLaw(xs []float64) (PowerLaw, error) {
 		return PowerLaw{}, ErrTooFewPoints
 	}
 	return best, nil
-}
-
-// KSUniformity is a two-sided KS test statistic of xs against the uniform
-// distribution on [0,1]; used in tests to validate samplers.
-func KSUniformity(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	var maxD float64
-	for i, x := range s {
-		d := math.Max(math.Abs(x-float64(i)/float64(n)), math.Abs(x-float64(i+1)/float64(n)))
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
 }

@@ -7,8 +7,6 @@
 // splitmix64 generator so campaigns are exactly reproducible.
 package stats
 
-import "math"
-
 // RNG is a deterministic splitmix64 pseudo-random generator. The zero
 // value is a valid generator seeded with 0.
 type RNG struct {
@@ -51,17 +49,6 @@ func (r *RNG) Float64Range(lo, hi float64) float64 {
 
 // Bool returns a uniform boolean.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			v := r.Float64()
-			return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-		}
-	}
-}
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -416,6 +417,41 @@ func BenchmarkFitPowerLaw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := FitPowerLaw(xs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// CDF returns P(X <= x) for the fitted tail model.
+func (p PowerLaw) CDF(x float64) float64 {
+	if x < p.Xmin {
+		return 0
+	}
+	return 1 - math.Pow(x/p.Xmin, 1-p.Alpha)
+}
+
+// KSUniformity is a two-sided KS test statistic of xs against the uniform
+// distribution on [0,1]; used in tests to validate samplers.
+func KSUniformity(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	var maxD float64
+	for i, x := range s {
+		d := math.Max(math.Abs(x-float64(i)/float64(n)), math.Abs(x-float64(i+1)/float64(n)))
+		if d > maxD {
+			maxD = d
+		}
+	}
+	return maxD
+}
+
+// NormFloat64 returns a standard normal variate (Box–Muller).
+func (r *RNG) NormFloat64() float64 {
+	for {
+		u := r.Float64()
+		if u > 0 {
+			v := r.Float64()
+			return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 		}
 	}
 }

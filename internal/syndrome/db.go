@@ -264,12 +264,6 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Lookup returns the entry for an exact key.
-func (db *DB) Lookup(op isa.Opcode, rng faults.InputRange, mod faults.Module) (*Entry, bool) {
-	e, ok := db.Entries[Key{Op: op, Range: rng, Module: mod}]
-	return e, ok
-}
-
 // entriesFor returns all entries matching op and range across modules (the
 // paper's "cocktail of fault syndromes", §VI), weighted below by their SDC
 // counts.

@@ -298,3 +298,9 @@ func TestEndToEndFromRealCampaign(t *testing.T) {
 	t.Logf("FFMA/M/FP32: sdc=%d avgBits=%.1f median=%.3g fit=%+v",
 		e.Tally.SDCs(), e.AvgBits, e.Median, e.Fit)
 }
+
+// Lookup returns the entry for an exact key.
+func (db *DB) Lookup(op isa.Opcode, rng faults.InputRange, mod faults.Module) (*Entry, bool) {
+	e, ok := db.Entries[Key{Op: op, Range: rng, Module: mod}]
+	return e, ok
+}
