@@ -97,27 +97,38 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(blob, '\n'))
 }
 
-// statusJSON is st marshalled with indent ("" for compact) but for its
-// result, which is spliced in after the marshalled head as it is — compact
-// json.Marshal output — instead of being re-encoded, as checkpoint.marshal
-// splices a record's raw parts. Compact, it is json.Marshal(st).
+// statusJSON is st marshalled with indent ("" for compact), its result
+// spliced in as it is — compact json.Marshal output — instead of being
+// re-encoded. Compact, it is json.Marshal(st).
 func statusJSON(st Status, indent string) ([]byte, error) {
 	result := st.Result
 	st.Result = nil
-	var head []byte
+	var appendResult func([]byte) []byte
+	if len(result) > 0 {
+		appendResult = func(buf []byte) []byte { return append(buf, result...) }
+	}
+	return marshalWithResult(st, indent, appendResult)
+}
+
+// marshalWithResult is head marshalled with indent ("" for compact) and a
+// last field "result" whose value, compact JSON, appendResult appends to the
+// buffer; a nil appendResult adds no field. It is the one splice rule of a
+// status (statusJSON) and a journal record (Service.journal).
+func marshalWithResult(head any, indent string, appendResult func([]byte) []byte) ([]byte, error) {
+	var buf []byte
 	var err error
 	nl, colon := "", ":"
 	if indent == "" {
-		head, err = json.Marshal(st)
+		buf, err = json.Marshal(head)
 	} else {
-		head, err = json.MarshalIndent(st, "", indent)
+		buf, err = json.MarshalIndent(head, "", indent)
 		nl, colon = "\n", ": "
 	}
-	if err != nil || len(result) == 0 {
-		return head, err
+	if err != nil || appendResult == nil {
+		return buf, err
 	}
-	head = bytes.TrimSuffix(head[:len(head)-1], []byte(nl))
-	return append(append(append(head, ","+nl+indent+`"result"`+colon...), result...), nl+"}"...), nil
+	buf = bytes.TrimSuffix(buf[:len(buf)-1], []byte(nl))
+	return append(appendResult(append(buf, ","+nl+indent+`"result"`+colon...)), nl+"}"...), nil
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

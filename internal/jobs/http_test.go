@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -583,7 +584,8 @@ func finalEvent(t *testing.T, base, id string) Status {
 }
 
 // TestFinishedJobLivesInJournal: a service with a journal holds no result
-// or unit bytes for the jobs it finished. GET /jobs/{id} and the terminal
+// or unit bytes for the jobs it finished, done or cancelled with a unit
+// committed. GET /jobs/{id} and the terminal
 // event serve the result its journal record holds, byte for byte, also
 // after a restart; GET /jobs is an index without results; a changed or
 // missing record is a 500, not an empty result; and a service without a
@@ -602,6 +604,30 @@ func TestFinishedJobLivesInJournal(t *testing.T) {
 			t.Fatalf("job %s ended %s (error %q)", id, st.State, st.Error)
 		}
 	}
+	// A job cancelled once its first unit has committed: the second waits
+	// for the cancellation.
+	var started atomic.Int64
+	wrapUnits(s, func(u unit) runFunc {
+		return func(ctx context.Context, db *syndrome.DB, workers int, progress func(done, total int)) (outcome, error) {
+			if started.Add(1) > 1 {
+				<-ctx.Done()
+			}
+			return u.run(ctx, db, workers, progress)
+		}
+	})
+	long := req
+	long.Ops = []string{"FADD", "FMUL"}
+	cancelled := postJob(t, srv.URL, long).ID
+	waitFor(t, 30*time.Second, "a committed unit", func() bool {
+		st, _ := s.Get(cancelled)
+		return st.UnitsDone == 1
+	})
+	if _, err := s.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	if st := finalEvent(t, srv.URL, cancelled); st.State != StateCancelled || st.UnitsDone != 1 {
+		t.Fatalf("job %s ended %s with %d units, want cancelled with 1", cancelled, st.State, st.UnitsDone)
+	}
 	recorded := func(id string) json.RawMessage {
 		t.Helper()
 		blob, err := os.ReadFile(filepath.Join(dir, "job-"+id[2:]+".json"))
@@ -616,11 +642,11 @@ func TestFinishedJobLivesInJournal(t *testing.T) {
 	}
 	holdsNothing := func(s *Service) {
 		t.Helper()
-		for _, id := range ids {
+		for _, id := range append(ids, cancelled) {
 			j, _ := s.job(id)
 			j.mu.Lock()
-			if j.result != nil || j.completed != nil || j.char.db != nil {
-				t.Errorf("done job %s holds %d result bytes, %d units, a database %v", id, len(j.result), len(j.completed), j.char.db != nil)
+			if j.result != nil || j.units != nil || j.char.db != nil {
+				t.Errorf("%s job %s holds %d result bytes, %d units, a database %v", j.state, id, len(j.result), len(j.units), j.char.db != nil)
 			}
 			j.mu.Unlock()
 		}
@@ -645,8 +671,8 @@ func TestFinishedJobLivesInJournal(t *testing.T) {
 		var list struct {
 			Jobs []map[string]json.RawMessage `json:"jobs"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || len(list.Jobs) != len(ids) {
-			t.Fatalf("GET /jobs lists %d jobs (%v), want %d", len(list.Jobs), err, len(ids))
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || len(list.Jobs) != len(ids)+1 {
+			t.Fatalf("GET /jobs lists %d jobs (%v), want %d", len(list.Jobs), err, len(ids)+1)
 		}
 		for _, st := range list.Jobs {
 			if _, ok := st["result"]; ok {
@@ -703,8 +729,8 @@ func TestFinishedJobLivesInJournal(t *testing.T) {
 	if got := getJob(t, srv3.URL, st.ID).Result; !bytes.Equal(got, recorded(ids[2])) {
 		t.Errorf("GET without a journal: result (%d bytes) differs from the journalled run's", len(got))
 	}
-	if j, _ := s3.job(st.ID); j.completed != nil {
-		t.Errorf("done job without a journal still holds %d units", len(j.completed))
+	if j, _ := s3.job(st.ID); j.units != nil {
+		t.Errorf("done job without a journal still holds %d units", len(j.units))
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -124,27 +125,39 @@ type Result struct {
 	DB    *syndrome.DB      `json:"db,omitempty"`
 }
 
-// resultJSON is json.Marshal(Result{Kind: kind, Units: units, DB: d}) for
-// the database d that encodes as db, assembled from those encodings instead
-// of re-encoding them, as checkpoint.marshal assembles a record. units is
-// never empty: every job plans at least one.
-func resultJSON(kind Kind, units []json.RawMessage, db json.RawMessage) json.RawMessage {
+// appendResult appends json.Marshal(Result{Kind: kind, Units: units, DB: d})
+// to buf, for the database d whose encoding appendDB appends (nil: no
+// database), from bytes already encoded instead of re-encoding them. A
+// journal record's result is appended so, into the record's buffer.
+func appendResult(buf []byte, kind Kind, units []json.RawMessage, appendDB func([]byte) []byte) []byte {
 	k, _ := json.Marshal(kind) // a string always encodes
-	size := len(k) + len(db) + len(`{"kind":,"units":[],"db":}`)
+	size := len(k) + len(`{"kind":,"units":[],"db":}`)
 	for _, u := range units {
 		size += len(u) + 1
 	}
-	buf := append(append(make([]byte, 0, size), `{"kind":`...), k...)
-	sep := `,"units":[`
-	for _, u := range units {
-		buf = append(append(buf, sep...), u...)
-		sep = ","
+	buf = append(append(slices.Grow(buf, size), `{"kind":`...), k...)
+	buf = append(buf, `,"units":[`...)
+	for i, u := range units {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, u...)
 	}
 	buf = append(buf, ']')
-	if len(db) > 0 {
-		buf = append(append(buf, `,"db":`...), db...)
+	if appendDB != nil {
+		buf = appendDB(append(buf, `,"db":`...))
 	}
 	return append(buf, '}')
+}
+
+// resultJSON is appendResult on its own, for a database already encoded as
+// db (nil: none). units is never empty: every job plans at least one.
+func resultJSON(kind Kind, units []json.RawMessage, db json.RawMessage) json.RawMessage {
+	var appendDB func([]byte) []byte
+	if db != nil {
+		appendDB = func(buf []byte) []byte { return append(buf, db...) }
+	}
+	return appendResult(nil, kind, units, appendDB)
 }
 
 // unit is one schedulable, checkpointable slice of a job. db is the loaded

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -531,13 +532,17 @@ func interruptEditResume(t *testing.T, req Request, edit func(journal []byte) []
 		return st.UnitsDone >= 1
 	})
 	s.Close() // interrupt: unfinished work re-journals as queued
+	path := filepath.Join(dir, "job-"+st.ID[2:]+".json")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := recordUnits(t, journal); held < 1 {
+		t.Fatalf("interrupted job's record holds %d units", held)
+	}
 	if edit != nil {
-		path := filepath.Join(dir, "job-"+st.ID[2:]+".json")
-		journal, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, edit(journal), 0o644); err != nil {
+		journal = edit(journal)
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,8 +552,8 @@ func interruptEditResume(t *testing.T, req Request, edit func(journal []byte) []
 	if !ok {
 		t.Fatalf("job %s lost across restart", st.ID)
 	}
-	if st2.UnitsDone < 1 {
-		t.Fatalf("resumed job forgot its completed units: %+v", st2)
+	if held := recordUnits(t, journal); st2.UnitsDone < held {
+		t.Fatalf("resumed job forgot the %d units its record holds: %+v", held, st2)
 	}
 	waitFor(t, 120*time.Second, "resumed job", func() bool {
 		st2, _ = s2.Get(st.ID)
@@ -558,6 +563,20 @@ func interruptEditResume(t *testing.T, req Request, edit func(journal []byte) []
 		t.Fatalf("resumed job ended %s (error %q)", st2.State, st2.Error)
 	}
 	return st2.Result
+}
+
+// recordUnits is how many unit records a journal record's result holds.
+func recordUnits(t *testing.T, record []byte) int {
+	t.Helper()
+	var rec struct {
+		Result struct {
+			Units []json.RawMessage `json:"units"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(record, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return len(rec.Result.Units)
 }
 
 func TestResumeBitIdenticalHPC(t *testing.T) {
@@ -849,24 +868,8 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 }
 
-// wholeDBCheckpoint is the checkpoint record as it was encoded before the
-// journal kept its entries' encodings: the accumulated syndrome database
-// marshalled afresh, reservoirs and all, on every write.
-type wholeDBCheckpoint struct {
-	ID         string                     `json:"id"`
-	Request    Request                    `json:"request"`
-	State      State                      `json:"state"`
-	Done       int64                      `json:"done"`
-	Total      int64                      `json:"total"`
-	UnitsTotal int                        `json:"units_total"`
-	Error      string                     `json:"error,omitempty"`
-	Completed  map[string]json.RawMessage `json:"completed,omitempty"`
-	DB         *syndrome.DB               `json:"db,omitempty"`
-	Result     json.RawMessage            `json:"result,omitempty"`
-}
-
 // journalledChar is a characterize job over two opcodes and the six t-MxM
-// units, so both sections of the checkpoint's db fill up.
+// units, so both sections of the record's db fill up.
 func journalledChar() Request {
 	return Request{
 		Kind: KindCharacterize, Seed: 5,
@@ -876,31 +879,73 @@ func journalledChar() Request {
 }
 
 // TestJournalBytesMatchWholeDBEncoding records every journal write of a
-// characterize job and requires each to be byte for byte what re-encoding
-// the whole database would have written; an interrupted and resumed run
-// of the same job must then leave the very same journal file behind.
+// characterize job: each carries a result only once a unit has committed,
+// its units extend the previous record's, and its db is byte for byte
+// json.Marshal of the database built from exactly those units. The done
+// record holds the database and each unit record once, after the status
+// head alone; an interrupted and resumed run of the same job must leave
+// the very same journal file behind.
 func TestJournalBytesMatchWholeDBEncoding(t *testing.T) {
+	prog, err := compile(journalledChar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := syndrome.New()
+	wholeDB := [][]byte{nil} // by the number of units in
+	for _, u := range prog.units {
+		res, err := core.RunUnit(context.Background(), u.char, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Micro != nil {
+			built.AddMicro(res.Micro)
+		} else {
+			built.AddTMXM(res.TMXM)
+		}
+		blob, err := json.Marshal(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wholeDB = append(wholeDB, blob)
+	}
+
 	dir := t.TempDir()
 	var (
-		mu     sync.Mutex
+		mu    sync.Mutex
+		units []json.RawMessage // the previous record's
+		final struct {
+			Result struct {
+				Units []json.RawMessage `json:"units"`
+				DB    json.RawMessage   `json:"db"`
+			} `json:"result"`
+		}
 		writes int
 	)
 	s := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: time.Hour})
 	s.writeFile = func(path string, data []byte, perm os.FileMode) error {
-		var ck wholeDBCheckpoint
-		if err := json.Unmarshal(data, &ck); err != nil {
-			t.Errorf("journal write does not decode: %v", err)
-		} else if want, err := json.Marshal(ck); err != nil {
-			t.Error(err)
-		} else if !bytes.Equal(data, want) {
-			t.Errorf("journal write with %d units (%d bytes) differs from the whole-database encoding (%d bytes)",
-				len(ck.Completed), len(data), len(want))
-		} else if (ck.DB != nil) != (len(ck.Completed) > 0) {
-			t.Errorf("journal write with %d units: db present %v", len(ck.Completed), ck.DB != nil)
-		}
 		mu.Lock()
+		defer mu.Unlock()
 		writes++
-		mu.Unlock()
+		rec := final
+		rec.Result.Units, rec.Result.DB = nil, nil
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Errorf("journal write does not decode: %v", err)
+		}
+		n := len(rec.Result.Units)
+		if (n == 0) != !bytes.Contains(data, []byte(`"result":`)) {
+			t.Errorf("journal write with %d units: result present %v", n, n > 0)
+		}
+		for i, raw := range units {
+			if i >= n || !bytes.Equal(rec.Result.Units[i], raw) {
+				t.Errorf("journal write with %d units does not extend the previous one's %d", n, len(units))
+				break
+			}
+		}
+		if !bytes.Equal(rec.Result.DB, wholeDB[n]) {
+			t.Errorf("journal write with %d units: db (%d bytes) differs from the whole-database encoding of those units (%d bytes)",
+				n, len(rec.Result.DB), len(wholeDB[n]))
+		}
+		units, final = rec.Result.Units, rec
 		return syndrome.WriteFileAtomic(path, data, perm)
 	}
 	st, err := s.Submit(journalledChar())
@@ -925,19 +970,29 @@ func TestJournalBytesMatchWholeDBEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The final record holds the database twice: assembled from the kept
-	// encodings, and inside the result, encoded from the live database.
-	var final struct {
-		DB     json.RawMessage `json:"db"`
-		Result struct {
-			DB json.RawMessage `json:"db"`
-		} `json:"result"`
-	}
-	if err := json.Unmarshal(uninterrupted, &final); err != nil {
+	// The done record is the status head and the result: the database and
+	// every unit record once.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(uninterrupted, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if len(final.DB) == 0 || !bytes.Equal(final.DB, final.Result.DB) {
-		t.Errorf("final checkpoint's db (%d bytes) is not its result's db (%d bytes)", len(final.DB), len(final.Result.DB))
+	for key := range fields {
+		switch key {
+		case "id", "request", "state", "done", "total", "units_total", "result":
+		default:
+			t.Errorf("done record carries %q beside its result", key)
+		}
+	}
+	if len(final.Result.Units) != st.UnitsTotal {
+		t.Errorf("done record holds %d units, want %d", len(final.Result.Units), st.UnitsTotal)
+	}
+	for i, part := range append([]json.RawMessage{final.Result.DB}, final.Result.Units...) {
+		if n := bytes.Count(uninterrupted, part); n != 1 {
+			t.Errorf("done record holds part %d (%d bytes) %d times, want once", i, len(part), n)
+		}
+	}
+	if !bytes.HasSuffix(uninterrupted, append(append([]byte(`"result":`), st.Result...), '}')) {
+		t.Error("done record does not end with the result the job serves")
 	}
 
 	dir2 := t.TempDir()
@@ -1012,24 +1067,10 @@ func TestCharDBRestoreKeepsEncodingBytes(t *testing.T) {
 
 // TestCheckpointMarshalMatchesEncodingJSON: every journal record of a
 // characterize and an hpc job — the submission record, one per unit and
-// the final one — is byte for byte json.Marshal of the same checkpoint,
-// and so is the record a restarted service writes for a job it reloaded
-// from the journal.
+// the final one — is byte for byte json.Marshal of the checkpoint it
+// decodes to: the result appended after the head is where encoding/json
+// would put it, compact.
 func TestCheckpointMarshalMatchesEncodingJSON(t *testing.T) {
-	same := func(what string, ck checkpoint) {
-		t.Helper()
-		got, err := ck.marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: marshal gives\n%s\njson.Marshal gives\n%s", what, got, want)
-		}
-	}
 	hpc := multiUnitHPC()
 	hpc.Injections = 20
 	for _, req := range []Request{journalledChar(), hpc} {
@@ -1061,17 +1102,117 @@ func TestCheckpointMarshalMatchesEncodingJSON(t *testing.T) {
 			if err := json.Unmarshal(rec, &ck); err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("%s record %d", req.Kind, i), ck)
-			if got, _ := ck.marshal(); !bytes.Equal(got, rec) {
-				t.Fatalf("%s record %d does not round-trip", req.Kind, i)
+			want, err := json.Marshal(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec, want) {
+				t.Fatalf("%s record %d:\n%s\njson.Marshal gives\n%s", req.Kind, i, rec, want)
 			}
 		}
 		mu.Unlock()
+	}
+}
 
-		s2 := newService(t, Config{Workers: 1, Dir: dir, CheckpointEvery: time.Hour})
-		j := s2.jobs[st.ID]
-		var reloaded checkpoint
-		s2.journal(j, func(ck *checkpoint) { reloaded = *ck })
-		same(fmt.Sprintf("%s record reloaded from the journal", req.Kind), reloaded)
+// preResultRecord is a journal record in the form written before a
+// record's result was its only copy of the units and the database: the
+// unit records keyed by name, the database beside them, and a result only
+// once the job was done.
+type preResultRecord struct {
+	ID         string                     `json:"id"`
+	Request    Request                    `json:"request"`
+	State      State                      `json:"state"`
+	Done       int64                      `json:"done"`
+	Total      int64                      `json:"total"`
+	UnitsTotal int                        `json:"units_total"`
+	Error      string                     `json:"error,omitempty"`
+	Completed  map[string]json.RawMessage `json:"completed,omitempty"`
+	DB         json.RawMessage            `json:"db,omitempty"`
+	Result     json.RawMessage            `json:"result,omitempty"`
+}
+
+// TestPreResultRecordsLoad: records in that older form still load. A done
+// one is served byte for byte after a restart, with the units its result
+// holds; a running one, whose units a restarted service does not read,
+// runs again from its first unit to the uninterrupted result.
+func TestPreResultRecordsLoad(t *testing.T) {
+	req := Request{
+		Kind: KindCharacterize, Seed: 7,
+		Ops: []string{"FADD", "FMUL"}, Ranges: []string{"M"},
+		Faults: 200, TMXMFaults: 40,
+	}
+	prog, err := compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runToCompletion(t, req)
+	// rewrite turns a job's record into the older form: done with the
+	// uninterrupted result, or queued with the units the record holds.
+	rewrite := func(record []byte, done bool) []byte {
+		var ck checkpoint
+		var res struct {
+			Units []json.RawMessage `json:"units"`
+			DB    json.RawMessage   `json:"db"`
+		}
+		if err := json.Unmarshal(record, &ck); err != nil {
+			t.Fatal(err)
+		}
+		old := preResultRecord{
+			ID: ck.ID, Request: ck.Request, State: StateQueued, Done: ck.Done, Total: ck.Total,
+			UnitsTotal: ck.UnitsTotal, Completed: make(map[string]json.RawMessage),
+		}
+		if done {
+			old.State, old.Done, old.Result, ck.Result = StateDone, ck.Total, want, want
+		}
+		if err := json.Unmarshal(ck.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range res.Units {
+			old.Completed[prog.units[i].name] = raw
+		}
+		old.DB = res.DB
+		blob, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	t.Run("done", func(t *testing.T) {
+		got := interruptEditResume(t, req, func(record []byte) []byte { return rewrite(record, true) })
+		if !bytes.Equal(got, want) {
+			t.Fatalf("old done record serves %d bytes, its result is %d", len(got), len(want))
+		}
+	})
+	t.Run("running", func(t *testing.T) {
+		got := interruptEditResume(t, req, func(record []byte) []byte { return rewrite(record, false) })
+		if !bytes.Equal(got, want) {
+			t.Fatalf("job resumed from an old running record gives %d result bytes, the uninterrupted run %d", len(got), len(want))
+		}
+	})
+}
+
+// TestRecordLongerThanPlanFailsJob: a record holding more units than its
+// job plans fails that job, naming the record, instead of resuming it.
+func TestRecordLongerThanPlanFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	req := smallHPC() // two units
+	blob, err := json.Marshal(checkpoint{
+		ID: "j-000001", Request: req, State: StateRunning, Total: 240, UnitsTotal: 2,
+		Result: resultJSON(KindHPC, []json.RawMessage{[]byte(`{}`), []byte(`{}`), []byte(`{}`)}, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-000001.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newService(t, Config{Workers: 1, Dir: dir})
+	var st Status
+	waitFor(t, 30*time.Second, "job", func() bool {
+		st, _ = s.Get("j-000001")
+		return st.State.Terminal()
+	})
+	if st.State != StateFailed || !strings.Contains(st.Error, "job-000001.json") {
+		t.Fatalf("job ended %s (error %q), want failed naming its record", st.State, st.Error)
 	}
 }

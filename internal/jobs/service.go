@@ -123,11 +123,12 @@ type Job struct {
 	state         State
 	errMsg        string
 	unitsTotal    int
-	completed     map[string]json.RawMessage // nil once the job is done
-	char          charDB                     // partial DB of a characterize job
-	result        json.RawMessage            // a done job's, until its journal record holds it
-	record        resultSpan                 // where that record holds it
-	cancel        context.CancelFunc         // non-nil while running
+	unitsDone     int                // len(units), kept once they are dropped
+	units         []json.RawMessage  // the committed units' records, in plan order; nil once terminal
+	char          charDB             // a characterize job's database, built from units
+	result        json.RawMessage    // a done job's, when no journal record holds it
+	record        resultSpan         // where the done job's record holds it
+	cancel        context.CancelFunc // non-nil while running
 	userCancelled bool
 
 	// terminal is closed once the job has shown a terminal state, so an
@@ -142,7 +143,7 @@ type Job struct {
 
 // charDB is a characterize job's accumulating syndrome database with each
 // entry's journal encoding beside it. An entry never changes once
-// ingested, so it is encoded once, and a checkpoint's "db" is assembled
+// ingested, so it is encoded once, and a record's database is appended
 // from the encodings instead of re-encoding every earlier unit's
 // reservoirs after each new one.
 type charDB struct {
@@ -183,13 +184,17 @@ func (c *charDB) ingest(res *core.UnitResult) (err error) {
 	return err
 }
 
-// journalForm is the database as a checkpoint records it: nothing until
-// the first unit is in, then exactly the bytes json.Marshal(c.db) gives.
+// appendJSON appends the database to buf: exactly the bytes
+// json.Marshal(c.db) gives.
+func (c *charDB) appendJSON(buf []byte) []byte { return syndrome.AppendJSON(buf, c.entries, c.tmxm) }
+
+// journalForm is the database as a record holds it: nothing until the
+// first unit is in, then appendJSON's bytes.
 func (c *charDB) journalForm() json.RawMessage {
 	if len(c.entries)+len(c.tmxm) == 0 {
 		return nil
 	}
-	return syndrome.AssembleJSON(c.entries, c.tmxm)
+	return c.appendJSON(nil)
 }
 
 // Status is a point-in-time, JSON-ready view of a job. Only Get fills in
@@ -243,21 +248,17 @@ type SWTelemetry struct {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	units := len(j.completed)
-	if j.state == StateDone { // it ran them all, and no longer holds them
-		units = j.unitsTotal
-	}
 	return Status{
 		ID:         j.id,
 		Kind:       j.req.Kind,
 		State:      j.state,
 		Done:       j.doneCount(),
 		Total:      int64(j.done.Total),
-		UnitsDone:  units,
+		UnitsDone:  j.unitsDone,
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
-		RTL:        j.rtlTelemetry(units),
-		SW:         j.swTelemetry(units),
+		RTL:        j.rtlTelemetry(j.unitsDone),
+		SW:         j.swTelemetry(j.unitsDone),
 	}
 }
 
@@ -324,61 +325,25 @@ func (j *Job) swTelemetry(units int) *SWTelemetry {
 // runs again; the count holds there until the rerun passes it.
 func (j *Job) doneCount() int64 { return max(j.resumed, int64(j.done.Done())) }
 
-// checkpoint is the journal record of one job, written atomically to
+// checkpoint is a job's journal record, written atomically to
 // Dir/job-<id>.json after every completed unit and on the periodic tick.
+// Its last field, once a unit has committed, is the job's result so far:
+// Result's encoding of the committed units in plan order and, for a
+// characterize job, the database built from them. Service.journal appends
+// it after the marshalled head; a done record's is the job's result.
 type checkpoint struct {
-	ID         string                     `json:"id"`
-	Request    Request                    `json:"request"`
-	State      State                      `json:"state"`
-	Done       int64                      `json:"done"`
-	Total      int64                      `json:"total"`
-	UnitsTotal int                        `json:"units_total"`
-	Error      string                     `json:"error,omitempty"`
-	Completed  map[string]json.RawMessage `json:"completed,omitempty"`
-	DB         json.RawMessage            `json:"db,omitempty"` // a syndrome.DB; see charDB
-	Result     json.RawMessage            `json:"result,omitempty"`
-}
-
-// marshal returns json.Marshal(ck) without re-compacting the raw
-// messages — the completed units, the database and the result — which are
-// json.Marshal output or read back from a record, so already compact: it
-// splices them in after the marshalled head, as syndrome.AssembleJSON
-// does for the database.
-func (ck checkpoint) marshal() ([]byte, error) {
-	completed, db, result := ck.Completed, ck.DB, ck.Result
-	ck.Completed, ck.DB, ck.Result = nil, nil, nil
-	head, err := json.Marshal(ck)
-	if err != nil {
-		return nil, err
-	}
-	size := len(head) + len(db) + len(result) + len(`,"completed":{},"db":,"result":`)
-	keys := make([]string, 0, len(completed))
-	for k, raw := range completed {
-		keys = append(keys, k)
-		size += len(k) + len(raw) + len(`"":,`)
-	}
-	sort.Strings(keys)
-	buf := append(make([]byte, 0, size), head[:len(head)-1]...)
-	sep := `,"completed":{`
-	for _, k := range keys {
-		key, _ := json.Marshal(k) // a string always encodes
-		buf = append(append(append(append(buf, sep...), key...), ':'), completed[k]...)
-		sep = ","
-	}
-	if len(keys) > 0 {
-		buf = append(buf, '}')
-	}
-	if len(db) > 0 {
-		buf = append(append(buf, `,"db":`...), db...)
-	}
-	if len(result) > 0 {
-		buf = append(append(buf, `,"result":`...), result...)
-	}
-	return append(buf, '}'), nil
+	ID         string          `json:"id"`
+	Request    Request         `json:"request"`
+	State      State           `json:"state"`
+	Done       int64           `json:"done"`
+	Total      int64           `json:"total"`
+	UnitsTotal int             `json:"units_total"`
+	Error      string          `json:"error,omitempty"`
+	Result     json.RawMessage `json:"result,omitempty"`
 }
 
 // resultSpan is where a done job's journal record holds its result — the
-// record's last field, as marshal splices it in — with the result's
+// record's last field, as Service.journal appends it — with the result's
 // checksum, so the job can serve the result from there and notice a record
 // that changed under it.
 type resultSpan struct {
@@ -483,7 +448,15 @@ func (s *Service) loadCheckpoints() error {
 			return err
 		}
 		var ck checkpoint
-		if err := json.Unmarshal(blob, &ck); err != nil {
+		var res struct { // the result so far, its database still encoded
+			Units []json.RawMessage `json:"units"`
+			DB    json.RawMessage   `json:"db"`
+		}
+		err = json.Unmarshal(blob, &ck)
+		if err == nil && len(ck.Result) > 0 {
+			err = json.Unmarshal(ck.Result, &res)
+		}
+		if err != nil {
 			return fmt.Errorf("jobs: checkpoint %s is truncated or corrupt: %w", path, err)
 		}
 		j := &Job{
@@ -492,30 +465,29 @@ func (s *Service) loadCheckpoints() error {
 			state:      ck.State,
 			errMsg:     ck.Error,
 			unitsTotal: ck.UnitsTotal,
-			completed:  ck.Completed,
+			unitsDone:  len(res.Units),
 			terminal:   make(chan struct{}),
 			done:       campaign.Meter{Total: int(ck.Total)},
 			resumed:    ck.Done,
 		}
-		for _, raw := range ck.Completed {
+		for _, raw := range res.Units {
 			j.foldRecord(raw)
 		}
-		if ck.State == StateDone { // the result stays in the record, as finish leaves it
+		switch {
+		case ck.State == StateDone: // the result stays in the record, as finish leaves it
 			blob = bytes.TrimRight(blob, " \t\r\n")
 			off := len(blob) - 1 - len(ck.Result)
 			if !bytes.Equal(blob[off:len(blob)-1], ck.Result) || bytes.ContainsAny(ck.Result, "\r\n") {
 				return fmt.Errorf("jobs: checkpoint %s does not end with its compact result", path)
 			}
-			j.completed, j.record = nil, resultSpan{int64(off), len(ck.Result), crc32.ChecksumIEEE(ck.Result)}
-		} else if j.completed == nil {
-			j.completed = make(map[string]json.RawMessage)
-		}
-		if len(ck.DB) > 0 && !ck.State.Terminal() { // a finished job's database is in its result
-			if j.char, err = restoreCharDB(ck.DB); err != nil {
-				return fmt.Errorf("jobs: checkpoint %s is truncated or corrupt: %w", path, err)
+			j.record = resultSpan{int64(off), len(ck.Result), crc32.ChecksumIEEE(ck.Result)}
+		case !ck.State.Terminal():
+			j.units = res.Units
+			if len(res.DB) > 0 {
+				if j.char, err = restoreCharDB(res.DB); err != nil {
+					return fmt.Errorf("jobs: checkpoint %s is truncated or corrupt: %w", path, err)
+				}
 			}
-		}
-		if !j.state.Terminal() {
 			j.state = StateQueued
 			resume = append(resume, j)
 		}
@@ -556,7 +528,6 @@ func (s *Service) Submit(req Request) (Status, error) {
 		req:        req,
 		state:      StateQueued,
 		unitsTotal: len(prog.units),
-		completed:  make(map[string]json.RawMessage),
 		terminal:   make(chan struct{}),
 		done:       campaign.Meter{Total: total},
 	}
@@ -666,7 +637,7 @@ func (s *Service) Cancel(id string) (Status, error) {
 		// journals the cancellation.
 		j.userCancelled = true
 		j.mu.Unlock()
-		s.finish(j, StateCancelled, "", nil)
+		s.finish(j, StateCancelled, "")
 	default: // running
 		j.userCancelled = true
 		cancel := j.cancel
@@ -701,7 +672,7 @@ func (s *Service) Close() {
 			cancelling := j.userCancelled // a concurrent Cancel is journalling it
 			j.mu.Unlock()
 			if !cancelling {
-				s.finish(j, StateQueued, "", nil)
+				s.finish(j, StateQueued, "")
 			}
 		}
 	}
@@ -715,7 +686,7 @@ func (s *Service) worker() {
 }
 
 // runJob executes one job: compile, skip checkpointed units, run the
-// rest, journal after each, and assemble the deterministic final result.
+// rest and journal after each; the record of the last is the result.
 func (s *Service) runJob(j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued || j.userCancelled || s.baseCtx.Err() != nil {
@@ -733,7 +704,7 @@ func (s *Service) runJob(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
-	fail := func(err error) { s.finish(j, StateFailed, err.Error(), nil) }
+	fail := func(err error) { s.finish(j, StateFailed, err.Error()) }
 
 	prog, err := s.compile(j.req)
 	if err != nil {
@@ -781,24 +752,10 @@ func (s *Service) runJob(j *Job) {
 			state = StateCancelled
 		}
 		j.mu.Unlock()
-		s.finish(j, state, "", nil)
+		s.finish(j, state, "")
 		return
 	}
-
-	// All units done: assemble the final result in plan order from the
-	// encodings the job holds.
-	units := make([]json.RawMessage, len(prog.units))
-	j.mu.Lock()
-	for i, u := range prog.units {
-		if units[i] = j.completed[u.name]; units[i] == nil {
-			j.mu.Unlock()
-			fail(fmt.Errorf("unit %s finished without a recorded result", u.name))
-			return
-		}
-	}
-	dbJSON := j.char.journalForm() // nil but for a characterize job
-	j.mu.Unlock()
-	s.finish(j, StateDone, "", resultJSON(j.req.Kind, units, dbJSON))
+	s.finish(j, StateDone, "")
 }
 
 // finish takes a job out of the running (or queued) state: into a
@@ -807,24 +764,26 @@ func (s *Service) runJob(j *Job) {
 // client that has seen the new state can rely on a restarted service
 // agreeing with it. Both happen under the journal lock, so no other record
 // of the job (Submit's first one, a checkpoint tick) can land after this
-// one still showing the old state. A done job keeps neither its units nor,
-// once its record is written, its result: the record serves it.
-func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMessage) {
+// one still showing the old state. A terminal job keeps only its status
+// header: its units are folded into the telemetry, and a done job's result
+// is served from its record, or kept when no record holds it.
+func (s *Service) finish(j *Job, state State, errMsg string) {
 	j.journalMu.Lock()
-	size := s.journal(j, func(ck *checkpoint) { ck.State, ck.Error, ck.Result = state, errMsg, result })
+	rec, at := s.journal(j, func(ck *checkpoint) { ck.State, ck.Error = state, errMsg })
 	j.mu.Lock()
 	// Two Cancels of a queued job can both get here; the first one through
 	// makes the state terminal and owns the close.
 	wake := state.Terminal() && !j.state.Terminal()
-	j.state, j.errMsg, j.result, j.cancel = state, errMsg, result, nil
-	if state.Terminal() {
-		j.char = charDB{} // never journalled again; a done job's result holds the database
+	j.state, j.errMsg, j.cancel = state, errMsg, nil
+	switch {
+	case state == StateDone && at > 0:
+		result := rec[at : len(rec)-1]
+		j.record = resultSpan{int64(at), len(result), crc32.ChecksumIEEE(result)}
+	case state == StateDone:
+		j.result = resultJSON(j.req.Kind, j.units, j.char.journalForm())
 	}
-	if state == StateDone {
-		j.completed = nil // folded into the telemetry, and held by the result
-		if size > 0 {
-			j.result, j.record = nil, resultSpan{int64(size - 1 - len(result)), len(result), crc32.ChecksumIEEE(result)}
-		}
+	if state.Terminal() {
+		j.units, j.char = nil, charDB{}
 	}
 	j.mu.Unlock()
 	j.journalMu.Unlock()
@@ -833,25 +792,24 @@ func (s *Service) finish(j *Job, state State, errMsg string, result json.RawMess
 	}
 }
 
-// runUnits executes the units the journal does not hold yet on
+// runUnits executes the plan after the units the journal holds on
 // campaign.RunOrdered and commits each — database ingest, journal record,
 // checkpoint — in plan order, so the journal and the result are the same
 // bytes wherever and however many at a time the units ran: a local
 // characterize job's side by side on shares of EngineWorkers, an hpc or cnn
 // job's one at a time, a characterize job's on the fabric by awaiting each
-// result. A nil return with ctx still alive means all are in j.completed.
+// result. A nil return with ctx still alive means all are in j.units.
 func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndrome.DB) error {
-	var pending []*unit
 	j.mu.Lock()
-	for i := range prog.units {
-		u := &prog.units[i]
-		if _, ok := j.completed[u.name]; ok {
-			j.done.Part()(u.total, u.total)
-		} else {
-			pending = append(pending, u)
-		}
-	}
+	held := len(j.units)
 	j.mu.Unlock()
+	if held > len(prog.units) {
+		return fmt.Errorf("jobs: journal record %s holds %d units, but the job plans %d", s.recordPath(j.id), held, len(prog.units))
+	}
+	for _, u := range prog.units[:held] {
+		j.done.Part()(u.total, u.total)
+	}
+	pending := prog.units[held:]
 	if len(pending) == 0 {
 		return nil
 	}
@@ -883,7 +841,7 @@ func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndr
 
 	k, err := campaign.RunOrdered(ctx, len(pending), s.cfg.EngineWorkers, inFlight, exec,
 		func(i int, out outcome) (err error) {
-			u := pending[i]
+			u := &pending[i]
 			j.mu.Lock()
 			if out.char != nil {
 				out.raw, err = ingestCharUnit(&j.char, u.char, out.char)
@@ -895,7 +853,8 @@ func (s *Service) runUnits(ctx context.Context, j *Job, prog *program, db *syndr
 				j.mu.Unlock()
 				return err
 			}
-			j.completed[u.name] = out.raw
+			j.units = append(j.units, out.raw)
+			j.unitsDone++
 			j.sw.Merge(out.sw.Counters)
 			j.swLive.Merge(out.sw.Counters)
 			j.swLive.elapsed += out.sw.elapsed
@@ -916,14 +875,15 @@ func (s *Service) saveCheckpoint(j *Job) {
 	s.journal(j, nil)
 }
 
-// journal writes the job's checkpoint atomically (temp file + rename),
-// so a crash mid-write can never corrupt an existing one. amend, when
-// non-nil, edits the record before it is written: finish journals a
-// state the job does not show yet. It returns the length of the record
-// written, 0 if none was. The caller holds j.journalMu.
-func (s *Service) journal(j *Job, amend func(*checkpoint)) int {
+// journal writes the job's record atomically (temp file + rename), so a
+// crash mid-write can never corrupt an existing one. The result so far is
+// appended straight into the record's buffer. amend, when non-nil, edits
+// the head before it is written: finish journals a state the job does not
+// show yet. It returns the record written, nil if none was, and the offset
+// of its result (0: none). The caller holds j.journalMu.
+func (s *Service) journal(j *Job, amend func(*checkpoint)) (rec []byte, resultAt int) {
 	if s.cfg.Dir == "" {
-		return 0
+		return nil, 0
 	}
 	j.mu.Lock()
 	ck := checkpoint{
@@ -934,24 +894,31 @@ func (s *Service) journal(j *Job, amend func(*checkpoint)) int {
 		Total:      int64(j.done.Total),
 		UnitsTotal: j.unitsTotal,
 		Error:      j.errMsg,
-		Completed:  j.completed,
-		DB:         j.char.journalForm(),
-		Result:     j.result,
 	}
 	if amend != nil {
 		amend(&ck)
 	}
-	blob, err := ck.marshal()
+	var result, db func([]byte) []byte
+	if j.req.Kind == KindCharacterize {
+		db = j.char.appendJSON
+	}
+	if len(j.units) > 0 {
+		result = func(buf []byte) []byte {
+			resultAt = len(buf)
+			return appendResult(buf, j.req.Kind, j.units, db)
+		}
+	}
+	blob, err := marshalWithResult(ck, "", result)
 	j.mu.Unlock()
 	if err != nil {
 		s.cfg.Logf("jobs: marshal checkpoint %s: %v", j.id, err)
-		return 0
+		return nil, 0
 	}
 	if err := s.writeFile(s.recordPath(j.id), blob, 0o644); err != nil {
 		s.cfg.Logf("jobs: write checkpoint %s: %v", j.id, err)
-		return 0
+		return nil, 0
 	}
-	return len(blob)
+	return blob, resultAt
 }
 
 // recordPath is the journal file of job id.

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"gpufi/internal/faults"
 	"gpufi/internal/isa"
@@ -169,11 +170,11 @@ func (db *DB) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AssembleJSON(entries, tmxm), nil
+	return AppendJSON(nil, entries, tmxm), nil
 }
 
 // EncodeEntries serialises every entry on its own, keyed as in the
-// database; AssembleJSON puts such encodings together.
+// database; AppendJSON puts such encodings together.
 func (db *DB) EncodeEntries() (entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMessage, err error) {
 	if entries, err = encodeEach(db.Entries); err != nil {
 		return nil, nil, err
@@ -196,14 +197,15 @@ func encodeEach[K comparable, E any](m map[K]*E) (map[K]json.RawMessage, error) 
 	return out, nil
 }
 
-// AssembleJSON builds a database's serialised form from entries already
-// serialised one by one (json.Marshal of an *Entry or *TMXMEntry), in the
-// canonical order: opcode, range, module, then t-MxM module and tile kind.
-// It is the one place that order and the dbJSON framing are written down;
-// DB.MarshalJSON goes through it, so a writer that keeps its entries'
-// encodings — the job journal re-serialises a growing database after
-// every unit — produces the same bytes without encoding an entry twice.
-func AssembleJSON(entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMessage) []byte {
+// AppendJSON appends to buf a database's serialised form built from entries
+// already serialised one by one (json.Marshal of an *Entry or *TMXMEntry),
+// in the canonical order: opcode, range, module, then t-MxM module and tile
+// kind. It is the one place that order and the dbJSON framing are written
+// down; DB.MarshalJSON goes through it, so a writer that keeps its entries'
+// encodings — the job journal writes a growing database into each record —
+// produces the same bytes without encoding an entry twice or assembling the
+// database apart from the record.
+func AppendJSON(buf []byte, entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMessage) []byte {
 	var es, ts []json.RawMessage
 	size := len(`{"entries":null,"tmxm":null}`)
 	for _, op := range isa.AllOpcodes() {
@@ -224,7 +226,7 @@ func AssembleJSON(entries map[Key]json.RawMessage, tmxm map[TMXMKey]json.RawMess
 			}
 		}
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	buf = appendArray(append(buf, `{"entries":`...), es)
 	buf = appendArray(append(buf, `,"tmxm":`...), ts)
 	return append(buf, '}')
